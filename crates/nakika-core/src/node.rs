@@ -28,6 +28,7 @@ use nakika_overlay::{Membership, NodeId, Overlay};
 use nakika_script::ResourceMeter;
 use nakika_state::{AccessLog, LogEntry, MessageBus, SiteStore, Update};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -194,49 +195,52 @@ pub(crate) fn cache_key(request: &Request) -> String {
     format!("{} {}", request.method, request.uri.to_origin())
 }
 
-/// Splits a peer's overlay payload (`http://host:port`, optional trailing
-/// slash) into a connectable host/port pair; `None` when the payload is not
-/// a base URL (a simulated node announcing its bare name).
-fn peer_host_port(peer: &str) -> Option<(String, u16)> {
-    let rest = peer.strip_prefix("http://").unwrap_or(peer);
-    let rest = rest.trim_end_matches('/');
-    if rest.is_empty() || rest.contains('/') {
-        return None;
-    }
-    match rest.rsplit_once(':') {
-        Some((host, port)) => port.parse().ok().map(|port| (host.to_string(), port)),
-        None => Some((rest.to_string(), 80)),
-    }
+/// Which kind of upstream one [`Attempt`] of a miss goes to.
+enum Upstream {
+    /// A peer node, named by the payload it put in the overlay.
+    Peer(String),
+    /// The origin server named by the request URI.
+    Origin,
+}
+
+/// One step of a cache miss as transport-neutral data: where to ask and the
+/// request to send there, loop-guard headers already stamped (peers) or
+/// stripped (origin).  The blocking executor hands it to [`OriginFetch`];
+/// [`NaKikaNode::relay_plan`] lowers it to wire bytes for the splice.
+struct Attempt<'a> {
+    upstream: Upstream,
+    request: Cow<'a, Request>,
 }
 
 impl ResourceFetcher {
-    fn cache_key(request: &Request) -> String {
-        cache_key(request)
-    }
-
+    /// Local cache, else the miss's [`attempts`](Self::attempts) in order
+    /// through the blocking [`OriginFetch`] path.
     fn fetch(&self, request: &Request, now: u64) -> Response {
-        let key = Self::cache_key(request);
+        let key = cache_key(request);
         if request.method.is_cacheable() {
             if let Some(cached) = self.cache.get(&key, now) {
                 self.stats.lock().cache_hits += 1;
                 self.note_cache_hit(&key, request, now);
                 return cached;
             }
-            if let Some(response) = self.fetch_from_peers(&key, request, now) {
-                return response;
+        }
+        for attempt in self.attempts(&key, request, now) {
+            match &attempt.upstream {
+                Upstream::Peer(peer) => match self.origin.fetch_peer(peer, &attempt.request) {
+                    Ok(response) if response.status.is_success() => {
+                        return self.settle(&key, &request.method, response, true, now);
+                    }
+                    // Typed errors already name the peer; the counter makes
+                    // the fallback observable either way.
+                    Ok(_) | Err(_) => self.attempt_failed(peer),
+                },
+                Upstream::Origin => {
+                    let response = self.origin.fetch_origin(&attempt.request);
+                    return self.settle(&key, &request.method, response, false, now);
+                }
             }
         }
-        // The cooperative network's internal headers are not the origin's
-        // business; strip them off requests that ran out of peers.
-        let response = if peering::has_internal_headers(request) {
-            let mut origin_request = request.clone();
-            peering::strip_internal_headers(&mut origin_request);
-            self.origin.fetch_origin(&origin_request)
-        } else {
-            self.origin.fetch_origin(request)
-        };
-        self.stats.lock().origin_fetches += 1;
-        self.capture(key, &request.method, response, now)
+        unreachable!("every attempt list ends with the origin, which always answers")
     }
 
     /// True if `peer` (an overlay payload: node name or base URL) is this
@@ -246,56 +250,82 @@ impl ResourceFetcher {
         peer == self.node_name || self.public_addr.as_deref() == Some(peer)
     }
 
-    /// Cooperative caching: one cached copy anywhere in the overlay is
-    /// enough to avoid an origin access.  Two routes are tried in order —
-    /// a copy *announced* in the sloppy DHT (freshest information, may point
-    /// at any node), then the key's consistent-hash *owner* (no announcement
+    /// The one description of a cache miss: who to ask, in order.
+    /// Cooperative caching first — one cached copy anywhere in the overlay
+    /// is enough to avoid an origin access — by two routes: a copy
+    /// *announced* in the sloppy DHT (freshest information, may point at any
+    /// node), then the key's consistent-hash *owner* (no announcement
     /// needed: the owner is where the network concentrates that key, so a
     /// miss routed there either hits or warms the right node).  Loop guards
     /// (`X-Nakika-Hops` budget and the `X-Nakika-Via` trail) bound the
-    /// forwarding even when membership views diverge.  Every failed attempt
-    /// is counted in `peer_misses`; `None` sends the caller to the origin.
-    fn fetch_from_peers(&self, key: &str, request: &Request, now: u64) -> Option<Response> {
-        let (overlay, node_id) = self.overlay.as_ref()?;
-        if !peering::may_forward(request, &self.node_name) {
-            return None;
-        }
-        let announced = overlay
-            .get(*node_id, key, now)
-            .into_iter()
-            .map(|p| p.payload)
-            .find(|payload| !self.is_self(payload));
-        let owner = overlay
-            .owner_of(key)
-            .filter(|m| m.id != *node_id)
-            .and_then(|m| m.addr)
-            .filter(|addr| !self.is_self(addr));
-        let mut forwarded = request.clone();
-        peering::mark_forwarded(&mut forwarded, &self.node_name);
-        let mut tried: Option<String> = None;
-        for peer in [announced, owner].into_iter().flatten() {
-            if tried.as_deref() == Some(peer.as_str()) {
-                continue;
-            }
-            match self.origin.fetch_peer(&peer, &forwarded) {
-                Ok(response) if response.status.is_success() => {
-                    self.stats.lock().peer_hits += 1;
-                    return Some(self.capture(key.to_string(), &request.method, response, now));
-                }
-                Ok(_) | Err(_) => {
-                    // Typed errors already name the peer; the counter makes
-                    // the fallback to the origin observable either way.
-                    self.stats.lock().peer_misses += 1;
-                    // The failed fetch is free negative evidence for the
-                    // failure detector: suspicion, refutable through gossip.
-                    if let Some(gossip) = &self.gossip {
-                        gossip.note_failure(&peer);
-                    }
+    /// forwarding even when membership views diverge.  The origin always
+    /// comes last, and the cooperative network's internal headers are not
+    /// its business.  Building the list has no side effects.
+    fn attempts<'a>(&self, key: &str, request: &'a Request, now: u64) -> Vec<Attempt<'a>> {
+        let mut attempts = Vec::with_capacity(1);
+        if let Some((overlay, node_id)) = &self.overlay {
+            if request.method.is_cacheable() && peering::may_forward(request, &self.node_name) {
+                let announced = overlay
+                    .get(*node_id, key, now)
+                    .into_iter()
+                    .map(|p| p.payload)
+                    .find(|payload| !self.is_self(payload));
+                let owner = overlay
+                    .owner_of(key)
+                    .filter(|m| m.id != *node_id)
+                    .and_then(|m| m.addr)
+                    .filter(|addr| !self.is_self(addr) && announced.as_ref() != Some(addr));
+                let mut forwarded = request.clone();
+                peering::mark_forwarded(&mut forwarded, &self.node_name);
+                for peer in [announced, owner].into_iter().flatten() {
+                    attempts.push(Attempt {
+                        upstream: Upstream::Peer(peer),
+                        request: Cow::Owned(forwarded.clone()),
+                    });
                 }
             }
-            tried = Some(peer);
         }
-        None
+        let mut origin_request = Cow::Borrowed(request);
+        if peering::has_internal_headers(request) {
+            peering::strip_internal_headers(origin_request.to_mut());
+        }
+        attempts.push(Attempt {
+            upstream: Upstream::Origin,
+            request: origin_request,
+        });
+        attempts
+    }
+
+    /// Accounts one failed peer attempt — unreachable, error status, or a
+    /// payload naming nothing connectable.  The failed fetch is also free
+    /// negative evidence for the failure detector: suspicion, refutable
+    /// through gossip.
+    fn attempt_failed(&self, peer: &str) {
+        self.stats.lock().peer_misses += 1;
+        if let Some(gossip) = &self.gossip {
+            gossip.note_failure(peer);
+        }
+    }
+
+    /// Accounts the response that ends a miss — a peer's copy or the
+    /// origin's answer — and puts it on the path to the cache.
+    fn settle(
+        &self,
+        key: &str,
+        method: &Method,
+        response: Response,
+        from_peer: bool,
+        now: u64,
+    ) -> Response {
+        {
+            let mut stats = self.stats.lock();
+            if from_peer {
+                stats.peer_hits += 1;
+            } else {
+                stats.origin_fetches += 1;
+            }
+        }
+        self.capture(key, method, response, now)
     }
 
     /// Hot-entry detection at the consistent-hash owner: after `threshold`
@@ -352,9 +382,9 @@ impl ResourceFetcher {
     /// a bounded side copy accumulates, and only when the stream completes
     /// cleanly within the cache's entry budget does the copy get stored and
     /// announced.  Oversized or failed streams pass through uncached.
-    fn capture(&self, key: String, method: &Method, mut response: Response, now: u64) -> Response {
+    fn capture(&self, key: &str, method: &Method, mut response: Response, now: u64) -> Response {
         if !response.body.is_stream() {
-            self.store_and_announce(&key, method, &response, now);
+            self.store_and_announce(key, method, &response, now);
             return response;
         }
         // Don't bother teeing what the cache would refuse anyway — including
@@ -380,6 +410,7 @@ impl ResourceFetcher {
             body: Body::empty(),
         };
         let fetcher = self.clone();
+        let key = key.to_string();
         let method = method.clone();
         let body = std::mem::take(&mut response.body);
         response.body = body.tee(budget, move |bytes| {
@@ -696,7 +727,7 @@ impl NaKikaNode {
                 }
             }
         }
-        let key = ResourceFetcher::cache_key(request);
+        let key = cache_key(request);
         if always_generates || self.cache.contains_fresh(&key, now_secs) {
             DispatchHint::Inline
         } else {
@@ -704,14 +735,52 @@ impl NaKikaNode {
         }
     }
 
+    /// The fetch path bound to `origin`: what [`process`](Self::process)
+    /// executes with blocking I/O and [`relay_plan`](Self::relay_plan)
+    /// lowers to wire bytes.  A plain proxy takes no part in the overlay.
+    fn fetcher(&self, origin: &Arc<dyn OriginFetch>) -> ResourceFetcher {
+        let cooperative = self.config.mode != NodeMode::PlainProxy;
+        ResourceFetcher {
+            node_name: self.config.name.clone(),
+            public_addr: self.public_addr.lock().clone(),
+            cache: self.cache.clone(),
+            overlay: self.overlay.clone().filter(|_| cooperative),
+            origin: origin.clone(),
+            heuristic_ttl: self.config.heuristic_ttl,
+            stats: self.stats.clone(),
+            replication: self.replication.clone().filter(|_| cooperative),
+            gossip: self.gossip.clone(),
+        }
+    }
+
+    /// Records one finished exchange in the site's access log and charges
+    /// the bytes it moved to the site.
+    fn log_exchange(&self, site: &str, request: &Request, response: &Response, now_secs: u64) {
+        self.access_log.record(
+            site,
+            LogEntry {
+                timestamp: now_secs,
+                client: request.client_ip.to_string(),
+                method: request.method.as_str().to_string(),
+                url: request.uri.to_string(),
+                status: response.status.as_u16(),
+                bytes: response.body.len(),
+            },
+        );
+        self.resource.record(
+            site,
+            ResourceKind::BytesTransferred,
+            (request.body.len() + response.body.len()) as f64,
+        );
+    }
+
     /// Plans one cache miss as a socket-to-socket relay (see [`RelayPlan`]):
-    /// the upstreams [`ResourceFetcher::fetch`] would try — announced peer,
-    /// consistent-hash owner, origin — as connect targets plus serialized
-    /// request bytes, with the fetch path's side effects (hit counters,
-    /// cache capture, access logging) packaged as callbacks the transport
-    /// runs at the matching moments.  Planning itself mutates nothing, so a
-    /// transport that declines the plan and calls
-    /// [`process`](NaKikaNode::process) instead double-counts nothing.
+    /// the same [`attempts`](ResourceFetcher::attempts) the blocking
+    /// [`fetch`](ResourceFetcher::fetch) runs, lowered to connect targets
+    /// plus serialized request bytes, with the same accounting packaged as
+    /// callbacks the transport runs at the matching moments.  Planning
+    /// itself mutates nothing, so a transport that declines the plan and
+    /// calls [`process`](NaKikaNode::process) instead double-counts nothing.
     ///
     /// `None` whenever the exchange cannot be a plain relay: the origin
     /// path is not raw TCP (`OriginFetch::relay_eligible`), the node runs
@@ -719,24 +788,17 @@ impl NaKikaNode {
     /// exchange), the method is not cacheable, the request carries a body,
     /// or the cache turned warm since the dispatch hint.
     pub(crate) fn relay_plan(
-        &self,
+        self: &Arc<Self>,
         request: &Request,
         now_secs: u64,
         origin: &Arc<dyn OriginFetch>,
     ) -> Option<RelayPlan> {
-        if !origin.relay_eligible() {
-            return None;
-        }
-        if !matches!(
-            self.config.mode,
-            NodeMode::PlainProxy | NodeMode::ProxyWithDht
-        ) {
-            return None;
-        }
-        if self.resource.is_enabled() {
-            return None;
-        }
-        if !request.method.is_cacheable() || !request.body.is_empty() {
+        if !origin.relay_eligible()
+            || self.config.mode == NodeMode::Scripted
+            || self.resource.is_enabled()
+            || !request.method.is_cacheable()
+            || !request.body.is_empty()
+        {
             return None;
         }
         let key = cache_key(request);
@@ -746,166 +808,77 @@ impl NaKikaNode {
             return None;
         }
 
-        let fetcher = ResourceFetcher {
-            node_name: self.config.name.clone(),
-            public_addr: self.public_addr.lock().clone(),
-            cache: self.cache.clone(),
-            overlay: match self.config.mode {
-                NodeMode::PlainProxy => None,
-                _ => self.overlay.clone(),
-            },
-            origin: origin.clone(),
-            heuristic_ttl: self.config.heuristic_ttl,
-            stats: self.stats.clone(),
-            replication: match self.config.mode {
-                NodeMode::PlainProxy => None,
-                _ => self.replication.clone(),
-            },
-            gossip: self.gossip.clone(),
-        };
-
+        let fetcher = Arc::new(self.fetcher(origin));
         let mut attempts = Vec::new();
-        if let Some((overlay, node_id)) = &fetcher.overlay {
-            if peering::may_forward(request, &self.config.name) {
-                let announced = overlay
-                    .get(*node_id, &key, now_secs)
-                    .into_iter()
-                    .map(|p| p.payload)
-                    .find(|payload| !fetcher.is_self(payload));
-                let owner = overlay
-                    .owner_of(&key)
-                    .filter(|m| m.id != *node_id)
-                    .and_then(|m| m.addr)
-                    .filter(|addr| !fetcher.is_self(addr));
-                let mut forwarded = request.clone();
-                peering::mark_forwarded(&mut forwarded, &self.config.name);
-                forwarded.headers.set("Connection", "close");
-                let wire = serialize_request_absolute(&forwarded);
-                let mut tried: Option<String> = None;
-                for peer in [announced, owner].into_iter().flatten() {
-                    if tried.as_deref() == Some(peer.as_str()) {
-                        continue;
-                    }
-                    tried = Some(peer.clone());
-                    let Some((host, port)) = peer_host_port(&peer) else {
-                        continue;
-                    };
-                    let stats = self.stats.clone();
-                    let gossip = self.gossip.clone();
-                    let failed_peer = peer.clone();
-                    attempts.push(RelayAttempt {
+        // Peers whose payload names nothing to connect to: the blocking
+        // executor fails them inside `fetch_peer`, this one when the
+        // transport adopts the plan.
+        let mut unconnectable = Vec::new();
+        for attempt in fetcher.attempts(&key, request, now_secs) {
+            let mut outbound = attempt.request.into_owned();
+            // Spliced upstream sockets are single-exchange by construction.
+            outbound.headers.set("Connection", "close");
+            match attempt.upstream {
+                Upstream::Peer(peer) => match peering::peer_host_port(&peer) {
+                    Some((host, port)) => attempts.push(RelayAttempt {
                         host,
                         port,
-                        wire: wire.clone(),
+                        wire: serialize_request_absolute(&outbound),
                         label: format!("peer {peer}"),
                         fallback_on_error_status: true,
-                        on_fail: Some(Arc::new(move || {
-                            stats.lock().peer_misses += 1;
-                            if let Some(gossip) = &gossip {
-                                gossip.note_failure(&failed_peer);
-                            }
-                        })),
+                        on_fail: Some({
+                            let fetcher = fetcher.clone();
+                            Arc::new(move || fetcher.attempt_failed(&peer))
+                        }),
+                    }),
+                    None => unconnectable.push(peer),
+                },
+                Upstream::Origin => {
+                    outbound.uri = outbound.uri.to_origin();
+                    attempts.push(RelayAttempt {
+                        host: outbound.uri.host.clone(),
+                        port: outbound.uri.port,
+                        label: outbound.uri.to_string(),
+                        wire: serialize_request(&outbound),
+                        fallback_on_error_status: false,
+                        on_fail: None,
                     });
                 }
             }
         }
-        let peer_attempts = attempts.len();
-
-        let mut origin_request = request.clone();
-        if peering::has_internal_headers(&origin_request) {
-            peering::strip_internal_headers(&mut origin_request);
-        }
-        origin_request.uri = origin_request.uri.to_origin();
-        origin_request.headers.set("Connection", "close");
-        attempts.push(RelayAttempt {
-            host: origin_request.uri.host.clone(),
-            port: origin_request.uri.port,
-            label: origin_request.uri.to_string(),
-            wire: serialize_request(&origin_request),
-            fallback_on_error_status: false,
-            on_fail: None,
-        });
+        let origin_attempt = attempts.len() - 1;
 
         let on_start = {
-            let stats = self.stats.clone();
-            let cache = self.cache.clone();
-            let key = key.clone();
+            let (node, fetcher, key) = (self.clone(), fetcher.clone(), key.clone());
             Arc::new(move || {
-                stats.lock().requests += 1;
+                node.stats.lock().requests += 1;
                 // The splice replaces the ordinary fetch, whose lookup
                 // would have recorded this miss.
-                cache.record_miss(&key);
+                node.cache.record_miss(&key);
+                for peer in &unconnectable {
+                    fetcher.attempt_failed(peer);
+                }
             })
         };
-
-        let site = request.site();
-        let client = request.client_ip.to_string();
-        let method_str = request.method.as_str().to_string();
-        let url = request.uri.to_string();
-        let finish = {
-            let stats = self.stats.clone();
-            let access_log = self.access_log.clone();
-            let resource = self.resource.clone();
-            let method = request.method.clone();
-            let key = key.clone();
-            let (site, client, method_str, url) = (
-                site.clone(),
-                client.clone(),
-                method_str.clone(),
-                url.clone(),
-            );
-            Arc::new(move |response: Response, attempt: usize| {
-                {
-                    let mut stats = stats.lock();
-                    if attempt < peer_attempts {
-                        stats.peer_hits += 1;
-                    } else {
-                        stats.origin_fetches += 1;
-                    }
-                }
-                let response = fetcher.capture(key.clone(), &method, response, now_secs);
-                access_log.record(
-                    &site,
-                    LogEntry {
-                        timestamp: now_secs,
-                        client: client.clone(),
-                        method: method_str.clone(),
-                        url: url.clone(),
-                        status: response.status.as_u16(),
-                        bytes: response.body.len(),
-                    },
-                );
-                resource.record(
-                    &site,
-                    ResourceKind::BytesTransferred,
-                    response.body.len() as f64,
-                );
+        let finish: Arc<dyn Fn(Response, usize) -> Response + Send + Sync> = {
+            let (node, request) = (self.clone(), request.clone());
+            Arc::new(move |response, attempt| {
+                let from_peer = attempt < origin_attempt;
+                let response = fetcher.settle(&key, &request.method, response, from_peer, now_secs);
+                node.log_exchange(&request.site(), &request, &response, now_secs);
                 response
             })
         };
-
+        // Every upstream refused: the client gets what the blocking executor
+        // gets from an unreachable origin — its 502, settled and logged.
         let fail = {
-            let stats = self.stats.clone();
-            let access_log = self.access_log.clone();
+            let (finish, url) = (finish.clone(), request.uri.to_string());
             Arc::new(move |reason: &str| {
-                stats.lock().origin_fetches += 1;
-                let response = NakikaError::Upstream {
+                let error = NakikaError::Upstream {
                     url: url.clone(),
                     reason: reason.to_string(),
-                }
-                .to_response();
-                access_log.record(
-                    &site,
-                    LogEntry {
-                        timestamp: now_secs,
-                        client: client.clone(),
-                        method: method_str.clone(),
-                        url: url.clone(),
-                        status: response.status.as_u16(),
-                        bytes: response.body.len(),
-                    },
-                );
-                response
+                };
+                finish(error.to_response(), origin_attempt)
             })
         };
 
@@ -944,45 +917,12 @@ impl NaKikaNode {
             }
         }
 
-        let fetcher = ResourceFetcher {
-            node_name: self.config.name.clone(),
-            public_addr: self.public_addr.lock().clone(),
-            cache: self.cache.clone(),
-            overlay: match self.config.mode {
-                NodeMode::PlainProxy => None,
-                _ => self.overlay.clone(),
-            },
-            origin: origin.clone(),
-            heuristic_ttl: self.config.heuristic_ttl,
-            stats: self.stats.clone(),
-            replication: match self.config.mode {
-                NodeMode::PlainProxy => None,
-                _ => self.replication.clone(),
-            },
-            gossip: self.gossip.clone(),
-        };
-
+        let fetcher = self.fetcher(origin);
         let response = match self.config.mode {
             NodeMode::PlainProxy | NodeMode::ProxyWithDht => fetcher.fetch(&request, now_secs),
             NodeMode::Scripted => self.run_pipeline(request.clone(), now_secs, fetcher, &site),
         };
-
-        self.access_log.record(
-            &site,
-            LogEntry {
-                timestamp: now_secs,
-                client: request.client_ip.to_string(),
-                method: request.method.as_str().to_string(),
-                url: request.uri.to_string(),
-                status: response.status.as_u16(),
-                bytes: response.body.len(),
-            },
-        );
-        self.resource.record(
-            &site,
-            ResourceKind::BytesTransferred,
-            (request.body.len() + response.body.len()) as f64,
-        );
+        self.log_exchange(&site, &request, &response, now_secs);
         Ok(response)
     }
 
@@ -1368,10 +1308,7 @@ mod tests {
         edge.call(request.clone(), &RequestCtx::at(10)).unwrap();
         // The page is fresh in cache, but the matched handler mentions
         // Fetch, so the pipeline may block on an embedded fetch.
-        assert!(edge
-            .node()
-            .cache()
-            .contains_fresh(&ResourceFetcher::cache_key(&request), 20));
+        assert!(edge.node().cache().contains_fresh(&cache_key(&request), 20));
         assert_eq!(
             edge.node().dispatch_hint(&request, 20),
             DispatchHint::MayBlock
@@ -1549,7 +1486,7 @@ mod tests {
     /// end of the id space.
     fn owner_overlay(request: &Request, owner_addr: &str) -> (Arc<Overlay>, NodeId) {
         let overlay = Arc::new(Overlay::with_defaults());
-        let key = ResourceFetcher::cache_key(request);
+        let key = cache_key(request);
         let owner_id = key_for(&key);
         let self_id = NodeId(owner_id.0 ^ u64::MAX);
         overlay.join_with_addr(owner_id, Location::new(0.0, 0.0), owner_addr);
@@ -1644,6 +1581,285 @@ mod tests {
         let resp = node2.call(revisit, &RequestCtx::at(10)).unwrap();
         assert_eq!(resp.body.to_text(), "origin copy");
         assert_eq!(origin.origin_hits.load(Ordering::SeqCst), 2);
+    }
+
+    /// The upstreams of the executor-parity test as a wire-level fiction:
+    /// which `host:port` endpoints answer, and with what status.  Both
+    /// executors ask it — the blocking one through [`OriginFetch`] (it
+    /// reports itself relay-eligible and rejects malformed peer payloads
+    /// before connecting, as `TcpOrigin` does), the splice one attempt by
+    /// attempt — and it records what each upstream got to see.
+    struct WireWorld {
+        alive: &'static [(&'static str, u16)],
+        seen: Mutex<Vec<Seen>>,
+    }
+
+    /// One upstream-visible request: the `host:port` it went to and its
+    /// headers, lower-cased and sorted.
+    type Seen = (String, Vec<(String, String)>);
+
+    impl WireWorld {
+        /// One exchange with `host:port`: `None` when nothing listens there.
+        fn exchange(&self, host: &str, port: u16, request: &Request) -> Option<Response> {
+            let target = format!("{host}:{port}");
+            let mut headers: Vec<(String, String)> = request
+                .headers
+                .iter()
+                .filter(|(name, _)| {
+                    // Connection management is each executor's own business.
+                    !name.eq_ignore_ascii_case("connection") && !name.eq_ignore_ascii_case("host")
+                })
+                .map(|(name, value)| (name.to_ascii_lowercase(), value.to_string()))
+                .collect();
+            headers.sort();
+            self.seen.lock().push((target.clone(), headers));
+            let (_, status) = self.alive.iter().find(|(addr, _)| *addr == target)?;
+            let mut response = Response::ok("text/plain", format!("copy from {target}"))
+                .with_header("Cache-Control", "max-age=60");
+            response.status = StatusCode::new(*status).unwrap();
+            Some(response)
+        }
+
+        fn unreachable(request: &Request) -> NakikaError {
+            NakikaError::Upstream {
+                url: request.uri.to_string(),
+                reason: "connect failed".to_string(),
+            }
+        }
+    }
+
+    impl OriginFetch for WireWorld {
+        fn relay_eligible(&self) -> bool {
+            true
+        }
+        fn fetch_origin(&self, request: &Request) -> Response {
+            self.exchange(&request.uri.host, request.uri.port, request)
+                .unwrap_or_else(|| WireWorld::unreachable(request).to_response())
+        }
+        fn fetch_peer(&self, peer: &str, request: &Request) -> Result<Response, NakikaError> {
+            peering::peer_host_port(peer)
+                .and_then(|(host, port)| self.exchange(&host, port, request))
+                .ok_or_else(|| WireWorld::unreachable(request))
+        }
+    }
+
+    /// The splice executor in miniature: what the reactor does with a plan,
+    /// minus the sockets.
+    fn run_plan(world: &WireWorld, plan: RelayPlan) -> Response {
+        (plan.on_start)();
+        for (index, attempt) in plan.attempts.iter().enumerate() {
+            let request = match nakika_http::parse_request(&attempt.wire) {
+                Ok(nakika_http::ParseOutcome::Complete { message, .. }) => message,
+                other => panic!("attempt {index} is not a request: {other:?}"),
+            };
+            match world.exchange(&attempt.host, attempt.port, &request) {
+                Some(response)
+                    if response.status.is_success() || !attempt.fallback_on_error_status =>
+                {
+                    return (plan.finish)(response, index);
+                }
+                _ => {
+                    if let Some(on_fail) = &attempt.on_fail {
+                        on_fail();
+                    }
+                }
+            }
+        }
+        (plan.fail)("connect failed")
+    }
+
+    /// Everything one miss leaves behind that an operator could observe.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        response: (u16, String),
+        stats: NodeStats,
+        cache_stats: CacheStats,
+        cached: Option<(u16, String)>,
+        access_log: Vec<(String, String)>,
+        upstreams_saw: Vec<Seen>,
+    }
+
+    #[test]
+    fn both_executors_run_one_miss_identically() {
+        const ORIGIN: &str = "10.9.9.9:80";
+        const PEER: &str = "10.0.0.7:4001";
+        const OWNER: &str = "10.0.0.8:4001";
+        struct Row {
+            name: &'static str,
+            /// Payload a third node announced for the key in the DHT.
+            announced: Option<&'static str>,
+            /// Address of the key's consistent-hash owner.
+            owner: Option<&'static str>,
+            /// Internal headers the request arrives with.
+            arrives_with: fn(&mut Request),
+            /// Which endpoints answer, and with what status.
+            alive: &'static [(&'static str, u16)],
+            /// Expected (peer_hits, peer_misses, origin_fetches).
+            counts: (u64, u64, u64),
+        }
+        let plain: fn(&mut Request) = |_| {};
+        let rows = [
+            Row {
+                name: "announced-peer hit",
+                announced: Some("http://10.0.0.7:4001"),
+                owner: None,
+                arrives_with: plain,
+                alive: &[(PEER, 200), (ORIGIN, 200)],
+                counts: (1, 0, 0),
+            },
+            Row {
+                name: "owner hit",
+                announced: None,
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: plain,
+                alive: &[(OWNER, 200), (ORIGIN, 200)],
+                counts: (1, 0, 0),
+            },
+            Row {
+                name: "dead peer, then the owner",
+                announced: Some("http://10.0.0.7:4001"),
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: plain,
+                alive: &[(OWNER, 200), (ORIGIN, 200)],
+                counts: (1, 1, 0),
+            },
+            Row {
+                name: "dead peer, then the origin",
+                announced: None,
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: plain,
+                alive: &[(ORIGIN, 200)],
+                counts: (0, 1, 1),
+            },
+            Row {
+                name: "error-status peer, then the origin",
+                announced: None,
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: plain,
+                alive: &[(OWNER, 503), (ORIGIN, 200)],
+                counts: (0, 1, 1),
+            },
+            Row {
+                name: "malformed peer payloads",
+                announced: Some("http://h:1/x"),
+                owner: Some("http://h:notaport"),
+                arrives_with: plain,
+                alive: &[(ORIGIN, 200)],
+                counts: (0, 2, 1),
+            },
+            Row {
+                name: "hop budget spent",
+                announced: None,
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: |request| {
+                    peering::mark_forwarded(request, "edge-x");
+                    peering::mark_forwarded(request, "edge-y");
+                },
+                alive: &[(OWNER, 200), (ORIGIN, 200)],
+                counts: (0, 0, 1),
+            },
+            Row {
+                name: "own name in the Via trail",
+                announced: None,
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: |request| peering::mark_forwarded(request, "edge-self"),
+                alive: &[(OWNER, 200), (ORIGIN, 200)],
+                counts: (0, 0, 1),
+            },
+            Row {
+                name: "internal headers present",
+                announced: None,
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: |request| {
+                    peering::mark_forwarded(request, "edge-x");
+                    request.headers.set(peering::REPLICATE_HEADER, "1");
+                },
+                alive: &[(ORIGIN, 404)],
+                counts: (0, 1, 1),
+            },
+            Row {
+                name: "every attempt refused",
+                announced: None,
+                owner: Some("http://10.0.0.8:4001"),
+                arrives_with: plain,
+                alive: &[],
+                counts: (0, 1, 1),
+            },
+        ];
+
+        let observe = |row: &Row, spliced: bool| -> Observed {
+            let mut request =
+                Request::get("http://10.9.9.9/object").with_header("Accept", "text/plain");
+            (row.arrives_with)(&mut request);
+            let key = cache_key(&request);
+            // The owner sits at XOR distance 0 to the key, this node at the
+            // far end of the id space, the announcing node in between.
+            let owner_id = key_for(&key);
+            let self_id = NodeId(owner_id.0 ^ u64::MAX);
+            let announcer_id = NodeId(owner_id.0 ^ (u64::MAX >> 1));
+            let overlay = Arc::new(Overlay::with_defaults());
+            overlay.join(self_id, Location::new(0.0, 0.0));
+            if let Some(addr) = row.owner {
+                overlay.join_with_addr(owner_id, Location::new(0.0, 0.0), addr);
+            }
+            if let Some(payload) = row.announced {
+                overlay.join(announcer_id, Location::new(0.0, 0.0));
+                overlay.put(announcer_id, &key, payload, 1_000);
+            }
+            let world = Arc::new(WireWorld {
+                alive: row.alive,
+                seen: Mutex::new(Vec::new()),
+            });
+            let edge = NodeBuilder::proxy_with_dht("edge-self")
+                .overlay(overlay, self_id)
+                .origin(world.clone())
+                .build();
+            edge.node()
+                .access_log()
+                .configure_site(&request.site(), Some("http://logs.example/post"));
+
+            let ctx = RequestCtx::at(10);
+            let mut response = if spliced {
+                let plan = edge.relay_plan(&request, &ctx).expect("a relayable miss");
+                run_plan(&world, plan)
+            } else {
+                edge.call(request.clone(), &ctx).unwrap()
+            };
+            response.body.buffer().unwrap();
+            let snapshot = |r: Response| (r.status.as_u16(), r.body.to_text());
+            let stats = edge.node().stats();
+            let cache_stats = edge.node().cache_stats();
+            let upstreams_saw = world.seen.lock().clone();
+            Observed {
+                response: snapshot(response),
+                stats,
+                cache_stats,
+                cached: edge.node().cache().get(&key, 11).map(snapshot),
+                access_log: edge.node().access_log().flush(),
+                upstreams_saw,
+            }
+        };
+
+        for row in &rows {
+            let blocking = observe(row, false);
+            let spliced = observe(row, true);
+            assert_eq!(blocking, spliced, "{}", row.name);
+            let stats = blocking.stats;
+            assert_eq!(
+                (stats.peer_hits, stats.peer_misses, stats.origin_fetches),
+                row.counts,
+                "{}",
+                row.name
+            );
+            assert_eq!(stats.requests, 1, "{}", row.name);
+            assert_eq!(blocking.access_log.len(), 1, "{}", row.name);
+            for (target, headers) in &blocking.upstreams_saw {
+                let internal = headers
+                    .iter()
+                    .any(|(name, _)| name.starts_with("x-nakika-"));
+                assert_eq!(internal, target != ORIGIN, "{}: {target}", row.name);
+            }
+        }
     }
 
     #[test]

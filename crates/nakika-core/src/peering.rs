@@ -119,6 +119,25 @@ pub fn strip_internal_headers(request: &mut Request) {
     request.headers.remove(GOSSIP_PROBE_HEADER);
 }
 
+/// Splits a peer's overlay payload — its base URL, `http://host:port` (the
+/// scheme and a trailing slash are optional, the port defaults to 80) —
+/// into a connectable host/port pair.  `None` when the payload is not a
+/// base URL (`http://h:notaport`, `http://h:1/x`): every executor of a miss
+/// counts such a peer as a failed attempt instead of connecting anywhere.
+pub fn peer_host_port(peer: &str) -> Option<(String, u16)> {
+    let authority = peer
+        .strip_prefix("http://")
+        .unwrap_or(peer)
+        .trim_end_matches('/');
+    if authority.is_empty() || authority.contains('/') {
+        return None;
+    }
+    match authority.rsplit_once(':') {
+        Some((host, port)) => port.parse().ok().map(|port| (host.to_string(), port)),
+        None => Some((authority.to_string(), 80)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +165,18 @@ mod tests {
         // Garbage hop counts are treated as zero, not as a panic.
         req.headers.set(PEER_HOP_HEADER, "not-a-number");
         assert_eq!(hops(&req), 0);
+    }
+
+    #[test]
+    fn peer_payloads_parse_as_base_urls_or_not_at_all() {
+        let peer = Some(("10.0.0.3".to_string(), 8080));
+        assert_eq!(peer_host_port("http://10.0.0.3:8080"), peer);
+        assert_eq!(peer_host_port("http://10.0.0.3:8080/"), peer);
+        assert_eq!(peer_host_port("10.0.0.3:8080"), peer);
+        assert_eq!(peer_host_port("edge-a"), Some(("edge-a".into(), 80)));
+        for malformed in ["http://h:notaport", "http://h:1/x", "http://", ""] {
+            assert_eq!(peer_host_port(malformed), None, "{malformed}");
+        }
     }
 
     #[test]

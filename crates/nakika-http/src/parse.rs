@@ -93,8 +93,9 @@ pub enum BodyFraming {
     Length(u64),
     /// `Transfer-Encoding: chunked` — body framed by a [`ChunkedDecoder`].
     Chunked,
-    /// Neither header: no body (bodies terminated only by connection close
-    /// are not produced by this stack, matching the buffered parser).
+    /// Neither header: no body for the buffered [`parse_response`]; an
+    /// incremental reader that can observe the connection closing may treat
+    /// it as close-delimited instead (`ResponseRelay` in `nakika-server`).
     None,
 }
 

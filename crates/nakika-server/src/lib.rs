@@ -19,7 +19,8 @@
 //! (an origin built with [`service_fn`](nakika_core::service_fn), or a full
 //! node stack from [`NodeBuilder`](nakika_core::NodeBuilder)), mints a
 //! [`RequestCtx`](nakika_core::service::RequestCtx) per exchange from the
-//! [`WallClock`], and maps typed [`NakikaError`]s to status codes at the
+//! [`WallClock`], and maps typed
+//! [`NakikaError`](nakika_core::service::NakikaError)s to status codes at the
 //! wire.  See `docs/ARCHITECTURE.md` for when to pick which transport.
 //!
 //! ```no_run
@@ -38,28 +39,23 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client;
 mod conn;
 mod reactor;
 mod relay;
 mod sys;
 mod timer;
 
+pub use client::{
+    http_fetch, http_fetch_streaming, http_fetch_streaming_via_proxy, http_get, http_get_via_proxy,
+    ProxyClient, TcpOrigin,
+};
 pub use conn::OUTPUT_WINDOW_BYTES;
 pub use reactor::{ReactorConfig, ReactorServer};
 
-use conn::OutputGauge;
-
-use bytes::Bytes;
-use conn::HttpConn;
-use nakika_core::service::{Clock, CtxFactory, HttpService, NakikaError};
-use nakika_core::OriginFetch;
-use nakika_http::{
-    parse_response_head, serialize_request, Body, BodyFraming, ChunkSource, ChunkedDecoder,
-    ParseOutcome, ResponseHead, STREAM_CHUNK_BYTES,
-};
-use nakika_http::{Request, Response};
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use conn::{HttpConn, OutputGauge};
+use nakika_core::service::{Clock, CtxFactory, HttpService};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -414,685 +410,11 @@ impl Drop for HttpServer {
     }
 }
 
-/// A Na Kika proxy listening on a real socket: every accepted request is
-/// handed to the wrapped service stack — typically a
-/// [`NodeBuilder`](nakika_core::NodeBuilder) product whose origin is a
-/// [`TcpOrigin`], so the node fetches whatever it needs over outbound TCP.
-pub struct ProxyServer {
-    inner: HttpServer,
-}
-
-impl ProxyServer {
-    /// Starts the proxy on `127.0.0.1:port` in front of `service`, thread
-    /// per connection.
-    pub fn start(port: u16, service: Arc<dyn HttpService>) -> std::io::Result<ProxyServer> {
-        ProxyServer::start_with(port, service, Transport::Threaded)
-    }
-
-    /// Starts the proxy using the given [`Transport`].
-    pub fn start_with(
-        port: u16,
-        service: Arc<dyn HttpService>,
-        transport: Transport,
-    ) -> std::io::Result<ProxyServer> {
-        Ok(ProxyServer {
-            inner: HttpServer::start_with(port, service, transport)?,
-        })
-    }
-
-    /// Starts the proxy on the reactor transport with an explicit
-    /// [`ReactorConfig`] — see [`HttpServer::start_reactor`].
-    pub fn start_reactor(
-        port: u16,
-        service: Arc<dyn HttpService>,
-        config: ReactorConfig,
-    ) -> std::io::Result<ProxyServer> {
-        Ok(ProxyServer {
-            inner: HttpServer::start_reactor(port, service, config)?,
-        })
-    }
-
-    /// Starts the proxy using the given [`Transport`] and survival knobs.
-    pub fn start_with_options(
-        port: u16,
-        service: Arc<dyn HttpService>,
-        transport: Transport,
-        options: ServerOptions,
-    ) -> std::io::Result<ProxyServer> {
-        Ok(ProxyServer {
-            inner: HttpServer::start_with_options(port, service, transport, options)?,
-        })
-    }
-
-    /// The address the proxy listens on.
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr()
-    }
-
-    /// Which [`Transport`] this proxy runs on.
-    pub fn transport(&self) -> Transport {
-        self.inner.transport()
-    }
-
-    /// This proxy's output high-water mark — see
-    /// [`HttpServer::peak_buffered_output`].
-    pub fn peak_buffered_output(&self) -> usize {
-        self.inner.peak_buffered_output()
-    }
-
-    /// This proxy's survival counters — see [`HttpServer::stats`].
-    pub fn stats(&self) -> &ServerStats {
-        self.inner.stats()
-    }
-}
-
-/// The shared connection pool behind [`TcpOrigin`].  Separated out so a
-/// streamed body — which owns the socket while its chunks are relayed — can
-/// return the connection here when it reaches a clean end of body.
-struct PoolInner {
-    idle: Mutex<HashMap<(String, u16), Vec<TcpStream>>>,
-    max_idle_per_host: usize,
-}
-
-impl PoolInner {
-    fn park(&self, key: &(String, u16), stream: TcpStream) {
-        let mut pool = self.idle.lock();
-        let idle = pool.entry(key.clone()).or_default();
-        if idle.len() < self.max_idle_per_host {
-            idle.push(stream);
-        }
-    }
-}
-
-/// An [`OriginFetch`] that performs real outbound HTTP/1.1 requests over
-/// TCP, reusing keep-alive connections through a small per-host pool.
-///
-/// Since the v2 streaming redesign, [`TcpOrigin::fetch`] returns as soon as
-/// the response *head* has arrived: the body is a
-/// [`Body::Stream`](nakika_http::Body) that pulls bytes off the origin
-/// socket as downstream consumers (the connection engine relaying to a
-/// client, or the proxy cache's tee) ask for them.  The socket returns to
-/// the keep-alive pool only when the body is drained to a clean end; a
-/// body dropped half-read closes its connection.
-pub struct TcpOrigin {
-    pool: Arc<PoolInner>,
-}
-
-impl TcpOrigin {
-    /// An origin fetcher keeping up to 4 idle connections per host.
-    pub fn new() -> TcpOrigin {
-        TcpOrigin {
-            pool: Arc::new(PoolInner {
-                idle: Mutex::new(HashMap::new()),
-                max_idle_per_host: 4,
-            }),
-        }
-    }
-
-    /// Number of idle pooled connections to `host:port` (for tests).
-    pub fn idle_connections(&self, host: &str, port: u16) -> usize {
-        self.pool
-            .idle
-            .lock()
-            .get(&(host.to_string(), port))
-            .map(Vec::len)
-            .unwrap_or(0)
-    }
-
-    /// Fetches `request` from its origin, reusing a pooled connection when
-    /// one is available.  The returned response's body streams from the
-    /// origin socket; the connection is parked back into the pool when the
-    /// (keep-alive) body is drained cleanly.
-    pub fn fetch(&self, request: &Request) -> Result<Response, NakikaError> {
-        let uri = request.uri.to_origin();
-        let url = uri.to_string();
-        let key = (uri.host.clone(), uri.port);
-        let mut outbound = request.clone();
-        outbound.uri = uri;
-        // Connection management is this hop's business: forwarding a
-        // client's hop-by-hop `Connection: close` would defeat the pool.
-        outbound.headers.remove("Connection");
-
-        // A pooled connection may have been closed by the origin since it
-        // was parked; a failure before the head arrives falls back to a
-        // fresh connection.  Only idempotent requests take that path — a
-        // replayed POST could execute its side effect twice if the origin
-        // processed the first attempt before closing.  (A *body* failure
-        // later is not retried: by then chunks may already be relayed.)
-        if request.method.is_idempotent() {
-            let pooled = { self.pool.idle.lock().get_mut(&key).and_then(Vec::pop) };
-            if let Some(stream) = pooled {
-                if let Ok(response) =
-                    exchange_streaming(stream, &outbound, &url, Some((self.pool.clone(), &key)))
-                {
-                    return Ok(response);
-                }
-            }
-        }
-        let stream =
-            TcpStream::connect((key.0.as_str(), key.1)).map_err(|e| NakikaError::Upstream {
-                url: url.clone(),
-                reason: format!("connect failed: {e}"),
-            })?;
-        exchange_streaming(stream, &outbound, &url, Some((self.pool.clone(), &key)))
-    }
-}
-
-impl Default for TcpOrigin {
-    fn default() -> TcpOrigin {
-        TcpOrigin::new()
-    }
-}
-
-impl OriginFetch for TcpOrigin {
-    /// Misses through this origin are plain outbound HTTP over TCP — the
-    /// reactor transport may serve them as an event-loop splice instead of
-    /// calling [`fetch_origin`](OriginFetch::fetch_origin) on a worker.
-    fn relay_eligible(&self) -> bool {
-        true
-    }
-
-    fn fetch_origin(&self, request: &Request) -> Response {
-        match self.fetch(request) {
-            Ok(response) => response,
-            Err(error) => error.to_response(),
-        }
-    }
-
-    /// Fetches `request` from a peer Na Kika node over TCP.  `peer` is the
-    /// base URL the peer announced to the overlay (`http://host:port`); the
-    /// request goes through the peer's proxy front-end in absolute form, on
-    /// the same keep-alive pool that serves origin fetches — node-to-node
-    /// traffic (peer fetches, replication pushes, gossip probes) is the
-    /// steadiest traffic a node generates, so paying a TCP handshake per
-    /// exchange was pure overhead.  The body streams hop by hop, and the
-    /// socket is parked back into the pool once it drains cleanly.
-    /// Connection and read failures come back as [`NakikaError::Upstream`]
-    /// naming the peer, letting the node count the failure and fall back to
-    /// the origin without hiding the dead peer.
-    fn fetch_peer(&self, peer: &str, request: &Request) -> Result<Response, NakikaError> {
-        let peer_error = |reason: String| NakikaError::Upstream {
-            url: request.uri.to_string(),
-            reason: format!("peer {peer}: {reason}"),
-        };
-        let key = peer_pool_key(peer).map_err(&peer_error)?;
-        let url = request.uri.to_string();
-        let mut outbound = request.clone();
-        // Connection management is this hop's business (see `fetch`).
-        outbound.headers.remove("Connection");
-        let wire = nakika_http::serialize::serialize_request_absolute(&outbound);
-        // Stale-pooled-connection retry only for idempotent methods, for
-        // the same replay reasons as in `fetch`.
-        if request.method.is_idempotent() {
-            let pooled = { self.pool.idle.lock().get_mut(&key).and_then(Vec::pop) };
-            if let Some(stream) = pooled {
-                if let Ok(response) =
-                    exchange_streaming_wire(stream, &wire, &url, Some((self.pool.clone(), &key)))
-                {
-                    return Ok(response);
-                }
-            }
-        }
-        let stream = TcpStream::connect((key.0.as_str(), key.1))
-            .map_err(|e| peer_error(format!("connect failed: {e}")))?;
-        exchange_streaming_wire(stream, &wire, &url, Some((self.pool.clone(), &key))).map_err(|e| {
-            match e {
-                NakikaError::Upstream { reason, .. } => peer_error(reason),
-                other => other,
-            }
-        })
-    }
-}
-
-/// Parses an overlay peer payload — a base URL like `http://127.0.0.1:4001`
-/// (a bare `host:port` is tolerated) — into the connection pool's
-/// `(host, port)` key.
-fn peer_pool_key(peer: &str) -> Result<(String, u16), String> {
-    let authority = peer
-        .strip_prefix("http://")
-        .unwrap_or(peer)
-        .trim_end_matches('/');
-    match authority.rsplit_once(':') {
-        Some((host, port)) => {
-            let port = port.parse().map_err(|e| format!("bad port: {e}"))?;
-            Ok((host.to_string(), port))
-        }
-        None => Ok((authority.to_string(), 80)),
-    }
-}
-
-/// Reads socket bytes until a complete response head is parsed; returns the
-/// head and any body bytes that arrived with it.
-fn read_head(stream: &mut TcpStream, url: &str) -> Result<(ResponseHead, Vec<u8>), NakikaError> {
-    let upstream = |reason: String| NakikaError::Upstream {
-        url: url.to_string(),
-        reason,
-    };
-    let mut buffer = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        match parse_response_head(&buffer) {
-            Ok(ParseOutcome::Complete { message, consumed }) => {
-                buffer.drain(..consumed);
-                return Ok((message, buffer));
-            }
-            Ok(ParseOutcome::Partial) => {}
-            Err(e) => return Err(upstream(format!("malformed response head: {e}"))),
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(upstream(format!(
-                    "connection closed before a complete response head ({} bytes)",
-                    buffer.len()
-                )))
-            }
-            Ok(n) => buffer.extend_from_slice(&chunk[..n]),
-            Err(e) => {
-                return Err(upstream(format!(
-                    "read failed after {} bytes: {e}",
-                    buffer.len()
-                )))
-            }
-        }
-    }
-}
-
-/// Writes `outbound` to `stream`, reads the response head, and hands the
-/// socket to a streaming body for the remainder.  When `park` names a pool
-/// and the response is keep-alive, the socket returns there once the body
-/// reaches a clean end.
-fn exchange_streaming(
-    stream: TcpStream,
-    outbound: &Request,
-    url: &str,
-    park: Option<(Arc<PoolInner>, &(String, u16))>,
-) -> Result<Response, NakikaError> {
-    exchange_streaming_wire(stream, &serialize_request(outbound), url, park)
-}
-
-/// The transport half of [`exchange_streaming`], taking the request already
-/// serialized so proxy clients can use absolute-form request lines.
-fn exchange_streaming_wire(
-    mut stream: TcpStream,
-    wire_request: &[u8],
-    url: &str,
-    park: Option<(Arc<PoolInner>, &(String, u16))>,
-) -> Result<Response, NakikaError> {
-    let upstream = |reason: String| NakikaError::Upstream {
-        url: url.to_string(),
-        reason,
-    };
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| upstream(format!("socket setup failed: {e}")))?;
-    stream
-        .write_all(wire_request)
-        .map_err(|e| upstream(format!("write failed: {e}")))?;
-    let (head, leftover) = read_head(&mut stream, url)?;
-    let keep_alive = head.response.headers.keep_alive(head.response.version_11);
-    let park = if keep_alive {
-        park.map(|(pool, key)| (pool, key.clone()))
-    } else {
-        None
-    };
-    Ok(attach_socket_body(head, leftover, stream, park, None))
-}
-
-/// Completes a parsed [`ResponseHead`] into a [`Response`] whose body is
-/// delimited per the head's framing: empty, fully contained in `leftover`,
-/// or streamed off `stream` by a [`SocketBody`].  The single place wire
-/// framing is interpreted for every client in this crate — streaming and
-/// buffered alike.  `decode_limit` caps the decoded size of chunked bodies
-/// for consumers that will materialize them; pass-through relays leave it
-/// `None` (their memory is bounded by the chunk window, not the body).
-fn attach_socket_body(
-    head: ResponseHead,
-    leftover: Vec<u8>,
-    stream: TcpStream,
-    park: Option<(Arc<PoolInner>, (String, u16))>,
-    decode_limit: Option<usize>,
-) -> Response {
-    let mut response = head.response;
-    match head.framing {
-        BodyFraming::None => {
-            if let Some((pool, key)) = park {
-                pool.park(&key, stream);
-            }
-        }
-        BodyFraming::Length(total) if (leftover.len() as u64) >= total => {
-            // The whole body arrived with the head: no stream needed.
-            response.body = Body::from_bytes(Bytes::from(leftover[..total as usize].to_vec()));
-            if let Some((pool, key)) = park {
-                pool.park(&key, stream);
-            }
-        }
-        BodyFraming::Length(total) => {
-            // `left` counts body bytes not yet *delivered* — the leftover
-            // that arrived with the head is delivered first and counts too.
-            response.body = Body::stream(
-                SocketBody {
-                    stream: Some(stream),
-                    leftover: VecDeque::from(leftover),
-                    mode: WireMode::Counted { left: total, total },
-                    park,
-                },
-                Some(total),
-            );
-        }
-        BodyFraming::Chunked => {
-            response.body = Body::stream(
-                SocketBody {
-                    stream: Some(stream),
-                    leftover: VecDeque::from(leftover),
-                    mode: WireMode::Chunked {
-                        decoder: match decode_limit {
-                            Some(limit) => ChunkedDecoder::with_limit(limit),
-                            None => ChunkedDecoder::new(),
-                        },
-                        decoded: VecDeque::new(),
-                    },
-                    park,
-                },
-                None,
-            );
-        }
-    }
-    response
-}
-
-/// How a [`SocketBody`] delimits the bytes it pulls off its socket.
-enum WireMode {
-    /// `Content-Length` framing: exactly `left` more wire bytes are body.
-    Counted { left: u64, total: u64 },
-    /// Chunked framing, decoded incrementally.
-    Chunked {
-        decoder: ChunkedDecoder,
-        decoded: VecDeque<Bytes>,
-    },
-}
-
-/// A [`ChunkSource`] that owns an upstream socket and yields the response
-/// body in bounded chunks.  A clean end of body parks the socket back into
-/// the origin pool (when keep-alive); an early close surfaces as an
-/// [`io::Error`] naming the byte counts, which the consumers above map to
-/// `NakikaError::Upstream` — never a silent truncation.
-struct SocketBody {
-    stream: Option<TcpStream>,
-    /// Body bytes that arrived while reading the head.
-    leftover: VecDeque<u8>,
-    mode: WireMode,
-    park: Option<(Arc<PoolInner>, (String, u16))>,
-}
-
-impl SocketBody {
-    fn finish(&mut self) {
-        if let (Some(stream), Some((pool, key))) = (self.stream.take(), self.park.take()) {
-            pool.park(&key, stream);
-        }
-        self.stream = None;
-    }
-
-    /// Drops the socket without parking: the body failed, so the connection
-    /// is no longer in a reusable state.
-    fn poison(&mut self) {
-        self.stream = None;
-        self.park = None;
-    }
-}
-
-/// Reads from an optional socket, treating an already-taken socket as a
-/// defect (the source is never polled past its end).
-fn read_socket(stream: &mut Option<TcpStream>, buf: &mut [u8]) -> io::Result<usize> {
-    match stream.as_mut() {
-        Some(stream) => stream.read(buf),
-        None => Err(io::Error::other("body stream already finished")),
-    }
-}
-
-impl ChunkSource for SocketBody {
-    fn may_block(&self) -> bool {
-        // Pulls read the origin socket; the reactor must not do that on an
-        // event-loop thread (leftover head bytes alone could be served
-        // inline, but distinguishing per-pull is not worth the complexity
-        // for at most one chunk per response).
-        true
-    }
-
-    fn next_chunk(&mut self) -> io::Result<Option<Bytes>> {
-        loop {
-            match &mut self.mode {
-                WireMode::Counted { left, total } => {
-                    if *left == 0 {
-                        self.finish();
-                        return Ok(None);
-                    }
-                    if !self.leftover.is_empty() {
-                        let take = (*left).min(STREAM_CHUNK_BYTES as u64) as usize;
-                        let take = take.min(self.leftover.len());
-                        let taken: Vec<u8> = self.leftover.drain(..take).collect();
-                        *left -= taken.len() as u64;
-                        return Ok(Some(Bytes::from(taken)));
-                    }
-                    // Read into an exact-size buffer and move it into Bytes:
-                    // one allocation, one pass over the data (this is the
-                    // relay hot path the bench_stream scenario measures).
-                    let want = (*left).min(STREAM_CHUNK_BYTES as u64) as usize;
-                    let mut buf = vec![0u8; want];
-                    match read_socket(&mut self.stream, &mut buf) {
-                        Ok(0) => {
-                            let (got, t) = (*total - *left, *total);
-                            self.poison();
-                            return Err(io::Error::other(format!(
-                                "peer closed mid-body: got {got} of {t} Content-Length bytes"
-                            )));
-                        }
-                        Ok(n) => {
-                            *left -= n as u64;
-                            buf.truncate(n);
-                            return Ok(Some(Bytes::from(buf)));
-                        }
-                        Err(e) => {
-                            self.poison();
-                            return Err(e);
-                        }
-                    }
-                }
-                WireMode::Chunked { decoder, decoded } => {
-                    if let Some(chunk) = decoded.pop_front() {
-                        return Ok(Some(chunk));
-                    }
-                    if decoder.is_done() {
-                        self.finish();
-                        return Ok(None);
-                    }
-                    if !self.leftover.is_empty() {
-                        self.leftover.make_contiguous();
-                        let (input, _) = self.leftover.as_slices();
-                        let mut out = Vec::new();
-                        let consumed = match decoder.feed(input, &mut out) {
-                            Ok(consumed) => consumed,
-                            Err(e) => {
-                                self.poison();
-                                return Err(io::Error::other(format!("bad chunked body: {e}")));
-                            }
-                        };
-                        self.leftover.drain(..consumed);
-                        decoded.extend(out);
-                        continue;
-                    }
-                    let mut buf = [0u8; 16 * 1024];
-                    match read_socket(&mut self.stream, &mut buf) {
-                        Ok(0) => {
-                            self.poison();
-                            return Err(io::Error::other(
-                                "peer closed mid-body: chunked body missing its terminator",
-                            ));
-                        }
-                        Ok(n) => {
-                            let mut out = Vec::new();
-                            if let Err(e) = decoder.feed(&buf[..n], &mut out) {
-                                self.poison();
-                                return Err(io::Error::other(format!("bad chunked body: {e}")));
-                            }
-                            decoded.extend(out);
-                            continue;
-                        }
-                        Err(e) => {
-                            self.poison();
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Performs a one-shot blocking HTTP request (`Connection: close`) to the
-/// host named in `request`'s URI, returning a response whose body streams
-/// from the socket as it is consumed.
-pub fn http_fetch_streaming(request: &Request) -> Result<Response, NakikaError> {
-    let uri = request.uri.to_origin();
-    let url = uri.to_string();
-    let mut outbound = request.clone();
-    outbound.uri = uri.clone();
-    outbound.headers.set("Connection", "close");
-    let stream =
-        TcpStream::connect((uri.host.as_str(), uri.port)).map_err(|e| NakikaError::Upstream {
-            url: url.clone(),
-            reason: format!("connect failed: {e}"),
-        })?;
-    exchange_streaming(stream, &outbound, &url, None)
-}
-
-/// Performs a one-shot blocking HTTP request (`Connection: close`) and
-/// buffers the whole body before returning — the convenience client used by
-/// tests and examples.  A peer that closes mid-body (a `Content-Length`
-/// mismatch) surfaces as [`NakikaError::Upstream`], never as a silently
-/// truncated body.
-pub fn http_fetch(request: &Request) -> Result<Response, NakikaError> {
-    let url = request.uri.to_origin().to_string();
-    let mut response = http_fetch_streaming(request)?;
-    response.body.buffer().map_err(|e| NakikaError::Upstream {
-        url,
-        reason: format!("body stream failed: {e}"),
-    })?;
-    Ok(response)
-}
-
-/// Issues a plain GET to `url` (used by examples and tests as a tiny client).
-pub fn http_get(url: &str) -> Result<Response, NakikaError> {
-    http_fetch(&Request::get(url))
-}
-
-/// A minimal keep-alive HTTP/1.1 client for talking to a proxy: one TCP
-/// connection, absolute-form request lines, as many sequential exchanges as
-/// the caller wants.  This is what the benchmark suite and the concurrency
-/// soak test use to hold many simultaneous keep-alive sessions open.
-pub struct ProxyClient {
-    stream: TcpStream,
-}
-
-impl ProxyClient {
-    /// Connects to the proxy at `proxy`.
-    pub fn connect(proxy: SocketAddr) -> Result<ProxyClient, NakikaError> {
-        let stream = TcpStream::connect(proxy).map_err(|e| NakikaError::Upstream {
-            url: format!("http://{proxy}"),
-            reason: format!("connect failed: {e}"),
-        })?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .map_err(|e| NakikaError::Upstream {
-                url: format!("http://{proxy}"),
-                reason: format!("socket setup failed: {e}"),
-            })?;
-        Ok(ProxyClient { stream })
-    }
-
-    /// Issues one GET for `url` on the kept-alive connection and reads the
-    /// complete response.
-    pub fn get(&mut self, url: &str) -> Result<Response, NakikaError> {
-        self.send(&Request::get(url))
-    }
-
-    /// Writes one absolute-form request and reads its response, fully
-    /// buffered (the connection is reused for the next exchange, so the
-    /// body must be drained before returning anyway).  Truncated bodies
-    /// surface as [`NakikaError::Upstream`].
-    fn send(&mut self, request: &Request) -> Result<Response, NakikaError> {
-        let url = request.uri.to_string();
-        self.stream
-            .write_all(&nakika_http::serialize::serialize_request_absolute(request))
-            .map_err(|e| NakikaError::Upstream {
-                url: url.clone(),
-                reason: format!("write failed: {e}"),
-            })?;
-        read_buffered_response(&mut self.stream, &url)
-    }
-}
-
-/// Reads one complete response off a borrowed socket, draining the body per
-/// its framing through the same [`SocketBody`] machinery the streaming
-/// clients use (over a dup'd handle, since the caller keeps the socket for
-/// the next exchange); a connection that closes before the framing is
-/// satisfied is a [`NakikaError::Upstream`], not a short body.
-fn read_buffered_response(stream: &mut TcpStream, url: &str) -> Result<Response, NakikaError> {
-    let upstream = |reason: String| NakikaError::Upstream {
-        url: url.to_string(),
-        reason,
-    };
-    let owned = stream
-        .try_clone()
-        .map_err(|e| upstream(format!("socket clone failed: {e}")))?;
-    let (head, leftover) = read_head(stream, url)?;
-    let mut response = attach_socket_body(
-        head,
-        leftover,
-        owned,
-        None,
-        Some(nakika_http::parse::MAX_BODY_BYTES),
-    );
-    response
-        .body
-        .buffer()
-        .map_err(|e| upstream(format!("body stream failed: {e}")))?;
-    Ok(response)
-}
-
-/// Issues a GET for `url` through the proxy at `proxy` (absolute-form request
-/// line, as a browser configured with an explicit proxy would send), closing
-/// the connection after the exchange.  One-shot wrapper over [`ProxyClient`].
-pub fn http_get_via_proxy(proxy: SocketAddr, url: &str) -> Result<Response, NakikaError> {
-    let mut client = ProxyClient::connect(proxy)?;
-    let mut request = Request::get(url);
-    request.headers.set("Connection", "close");
-    client.send(&request)
-}
-
-/// Issues `request` through the proxy at `proxy` and returns as soon as the
-/// response head arrives: the body streams from the proxy connection as it
-/// is consumed.  This is the client half of a *bucket brigade* — a proxy
-/// whose own upstream is another proxy uses this to relay a large response
-/// hop by hop without any hop materializing it (see
-/// `examples/streaming_brigade.rs`).
-pub fn http_fetch_streaming_via_proxy(
-    proxy: SocketAddr,
-    request: &Request,
-) -> Result<Response, NakikaError> {
-    let url = request.uri.to_string();
-    let mut outbound = request.clone();
-    outbound.headers.set("Connection", "close");
-    let stream = TcpStream::connect(proxy).map_err(|e| NakikaError::Upstream {
-        url: url.clone(),
-        reason: format!("connect failed: {e}"),
-    })?;
-    exchange_streaming_wire(
-        stream,
-        &nakika_http::serialize::serialize_request_absolute(&outbound),
-        &url,
-        None,
-    )
-}
+/// A Na Kika proxy listening on a real socket: an [`HttpServer`] whose
+/// service stack is typically a [`NodeBuilder`](nakika_core::NodeBuilder)
+/// product with a [`TcpOrigin`] origin, so the node fetches whatever it
+/// needs over outbound TCP.
+pub type ProxyServer = HttpServer;
 
 /// A job submitted to the [`WorkerPool`].
 type PoolJob = Box<dyn FnOnce() + Send>;
@@ -1286,9 +608,9 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nakika_core::service::{service_fn, RequestCtx};
+    use nakika_core::service::{service_fn, NakikaError, RequestCtx};
     use nakika_core::NodeBuilder;
-    use nakika_http::StatusCode;
+    use nakika_http::{serialize_request, ParseOutcome, Request, Response, StatusCode};
 
     fn origin_service() -> Arc<dyn HttpService> {
         service_fn(|request: Request, _ctx: &RequestCtx| {

@@ -1032,7 +1032,7 @@ impl Reactor {
             plan,
             attempt,
             wire_written: 0,
-            relay: ResponseRelay::new(),
+            relay: ResponseRelay::new(None),
             shared: shared.clone(),
             interest,
             registered: true,
@@ -1155,7 +1155,7 @@ impl Reactor {
             let mut chunk = [0u8; 16384];
             match up.stream.read(&mut chunk) {
                 Ok(0) => {
-                    outcome = up.relay.close().map(|()| true);
+                    outcome = up.relay.close(&mut events).map(|()| true);
                     break;
                 }
                 Ok(n) => {
@@ -1357,7 +1357,7 @@ impl Reactor {
                         UpstreamState::Connecting
                     };
                     up.wire_written = 0;
-                    up.relay = ResponseRelay::new();
+                    up.relay = ResponseRelay::new(None);
                     up.interest = interest;
                     up.registered = true;
                     up.paused = false;

@@ -1,27 +1,33 @@
-//! Sans-IO state machine for the *origin side* of a spliced cache miss.
+//! Sans-IO interpreter of one upstream HTTP response — the only code in this
+//! crate that knows how a response is framed on the wire.
 //!
 //! [`crate::conn::HttpConn`] drives the server side of the bucket brigade: it
 //! parses requests and serializes responses.  `ResponseRelay` is its mirror
-//! image for the upstream socket the reactor opens on a miss: it consumes
-//! whatever bytes the origin connection produced and turns them into typed
-//! events — a parsed response head, body data chunks, end-of-body — without
-//! ever touching a socket itself.  The reactor feeds it from its read loop;
-//! the threaded transport never needs it (it keeps the blocking
-//! `SocketBody` path).
+//! image for upstream sockets: it consumes whatever bytes the upstream
+//! connection produced and turns them into typed events — a parsed response
+//! head, body data chunks, end-of-body — without ever touching a socket
+//! itself.  Like `HttpConn` it is one engine under two executors: the
+//! reactor feeds it from its readiness loop (the spliced miss), and every
+//! blocking client in [`crate::client`] — `TcpOrigin`, `http_fetch*`,
+//! `ProxyClient`, hence the threaded transport and the worker pool — feeds
+//! it from blocking reads.
 //!
-//! Framing follows [`nakika_http::parse_response_head`]'s conventions
-//! exactly: `Content-Length` bodies are counted out byte-by-byte, chunked
-//! bodies run through a pass-through [`ChunkedDecoder`], and a head with
-//! neither header carries no body at all (read-until-close responses are not
-//! produced by this stack).  An early EOF in any state is an error whose
-//! message pins down exactly how far the origin got — the fault-injection
-//! tests assert on these strings.
+//! Framing starts from [`nakika_http::parse_response_head`]'s verdict:
+//! `Content-Length` bodies are counted out byte-by-byte and chunked bodies
+//! run through a [`ChunkedDecoder`].  A head with neither header is
+//! *close-delimited* (RFC 9112 §6.3) when it may carry a body at all — any
+//! status but 1xx/204/304 — and the connection will not be reused
+//! (`Connection: close`, or HTTP/1.0 without `keep-alive`): the body runs
+//! to EOF.  On a keep-alive connection the same head carries no body, as in
+//! the one-shot `parse_response`.  An early EOF in any other state is an
+//! error whose message pins down exactly how far the upstream got — the
+//! fault-injection tests assert on these strings.
 
 use bytes::Bytes;
 use nakika_http::parse::{parse_response_head, BodyFraming, ChunkedDecoder, ParseOutcome};
 use nakika_http::Response;
 
-/// What a [`ResponseRelay::feed`] call learned from the origin's bytes.
+/// What a [`ResponseRelay::feed`] call learned from the upstream's bytes.
 #[derive(Debug)]
 pub(crate) enum RelayEvent {
     /// The response head is complete.  `response` carries an empty body —
@@ -37,8 +43,9 @@ pub(crate) enum RelayEvent {
     },
     /// A decoded slice of body data, in arrival order.
     Data(Bytes),
-    /// The body ended cleanly (exact `Content-Length`, or the chunked
-    /// terminator arrived).  Emitted exactly once per response.
+    /// The body ended cleanly (exact `Content-Length`, the chunked
+    /// terminator, or EOF of a close-delimited body).  Emitted exactly once
+    /// per response.
     BodyDone,
 }
 
@@ -50,29 +57,41 @@ enum State {
     Length { remaining: u64, total: u64 },
     /// Decoding a chunked body.
     Chunked { decoder: ChunkedDecoder },
-    /// The response is complete; trailing bytes are ignored (the relay
-    /// sends `Connection: close` requests, so nothing follows).
+    /// Passing a close-delimited body through until EOF.
+    UntilClose,
+    /// The response is complete; anything further is surplus.
     Done,
     /// A framing error was reported; the relay must not be fed again.
     Failed,
 }
 
-/// Incremental parser for one origin response: head, then body framing.
+/// Incremental parser for one upstream response: head, then body framing.
 pub(crate) struct ResponseRelay {
     state: State,
+    /// Cap on the decoded size of a chunked body, for consumers that will
+    /// materialize it; pass-through relays leave it `None` (their memory is
+    /// bounded by the chunk window, not the body).
+    decode_limit: Option<usize>,
+    /// The head left the connection open for another exchange.
+    keep_alive: bool,
+    /// Bytes arrived past the end of the response.
+    surplus: bool,
 }
 
 impl ResponseRelay {
     /// A relay positioned before the response's status line.
-    pub(crate) fn new() -> ResponseRelay {
+    pub(crate) fn new(decode_limit: Option<usize>) -> ResponseRelay {
         ResponseRelay {
             state: State::Head { buf: Vec::new() },
+            decode_limit,
+            keep_alive: false,
+            surplus: false,
         }
     }
 
     /// True once the head was parsed (events carried it to the consumer).
-    /// The reactor tracks delivery itself; tests use this to pin down how
-    /// far a truncated feed got.
+    /// The executors track delivery themselves; tests use this to pin down
+    /// how far a truncated feed got.
     #[cfg(test)]
     pub(crate) fn head_done(&self) -> bool {
         !matches!(self.state, State::Head { .. })
@@ -83,7 +102,15 @@ impl ResponseRelay {
         matches!(self.state, State::Done)
     }
 
-    /// Consumes `data` from the origin socket, appending the resulting
+    /// True when the connection can carry another exchange: the response
+    /// ended cleanly, its head kept the connection alive, and nothing
+    /// arrived past its end (bytes nobody asked for would be mistaken for
+    /// the next response).
+    pub(crate) fn reusable(&self) -> bool {
+        self.is_done() && self.keep_alive && !self.surplus
+    }
+
+    /// Consumes `data` from the upstream socket, appending the resulting
     /// events.  An `Err` means the byte stream is unusable (malformed head,
     /// bad chunk framing); the connection must be torn down.
     pub(crate) fn feed(&mut self, data: &[u8], events: &mut Vec<RelayEvent>) -> Result<(), String> {
@@ -92,56 +119,63 @@ impl ResponseRelay {
             match &mut self.state {
                 State::Head { buf } => {
                     buf.extend_from_slice(input);
-                    input = &[];
                     // Borrow dance: take the buffer out so the state can be
                     // replaced while we still hold the parsed leftover.
                     let buf = std::mem::take(buf);
-                    match parse_response_head(&buf) {
+                    let (head, consumed) = match parse_response_head(&buf) {
                         Ok(ParseOutcome::Partial) => {
                             self.state = State::Head { buf };
-                        }
-                        Ok(ParseOutcome::Complete { message, consumed }) => {
-                            let leftover = buf[consumed..].to_vec();
-                            let (declared, has_body) = match message.framing {
-                                BodyFraming::Length(0) | BodyFraming::None => (Some(0), false),
-                                BodyFraming::Length(n) => (Some(n), true),
-                                BodyFraming::Chunked => (None, true),
-                            };
-                            self.state = match message.framing {
-                                BodyFraming::Length(n) if n > 0 => State::Length {
-                                    remaining: n,
-                                    total: n,
-                                },
-                                BodyFraming::Chunked => State::Chunked {
-                                    decoder: ChunkedDecoder::new(),
-                                },
-                                _ => State::Done,
-                            };
-                            events.push(RelayEvent::Head {
-                                response: Box::new(message.response),
-                                declared,
-                                has_body,
-                            });
-                            if !has_body {
-                                events.push(RelayEvent::BodyDone);
-                            }
-                            if !leftover.is_empty() {
-                                self.feed(&leftover, events)?;
-                            }
                             return Ok(());
                         }
+                        Ok(ParseOutcome::Complete { message, consumed }) => (message, consumed),
                         Err(e) => {
                             self.state = State::Failed;
                             return Err(format!("origin sent a malformed response: {e}"));
                         }
+                    };
+                    let response = head.response;
+                    self.keep_alive = response.headers.keep_alive(response.version_11);
+                    let may_carry_body = !response.status.is_informational()
+                        && !matches!(response.status.as_u16(), 204 | 304);
+                    let (state, declared) = match head.framing {
+                        BodyFraming::Length(n) if n > 0 => (
+                            State::Length {
+                                remaining: n,
+                                total: n,
+                            },
+                            Some(n),
+                        ),
+                        BodyFraming::Chunked => (
+                            State::Chunked {
+                                decoder: match self.decode_limit {
+                                    Some(limit) => ChunkedDecoder::with_limit(limit),
+                                    None => ChunkedDecoder::new(),
+                                },
+                            },
+                            None,
+                        ),
+                        BodyFraming::None if may_carry_body && !self.keep_alive => {
+                            (State::UntilClose, None)
+                        }
+                        BodyFraming::Length(_) | BodyFraming::None => (State::Done, Some(0)),
+                    };
+                    let has_body = !matches!(state, State::Done);
+                    self.state = state;
+                    events.push(RelayEvent::Head {
+                        response: Box::new(response),
+                        declared,
+                        has_body,
+                    });
+                    if !has_body {
+                        events.push(RelayEvent::BodyDone);
                     }
+                    return self.feed(&buf[consumed..], events);
                 }
-                State::Length { remaining, total } => {
+                State::Length { remaining, .. } => {
                     let take = (*remaining).min(input.len() as u64) as usize;
                     events.push(RelayEvent::Data(Bytes::copy_from_slice(&input[..take])));
                     *remaining -= take as u64;
                     input = &input[take..];
-                    let _ = total;
                     if *remaining == 0 {
                         self.state = State::Done;
                         events.push(RelayEvent::BodyDone);
@@ -164,9 +198,16 @@ impl ResponseRelay {
                         events.push(RelayEvent::BodyDone);
                     }
                 }
-                // Trailing bytes after a complete response: the upstream is
-                // Connection: close, so anything extra is noise we drop.
-                State::Done => return Ok(()),
+                State::UntilClose => {
+                    events.push(RelayEvent::Data(Bytes::copy_from_slice(input)));
+                    return Ok(());
+                }
+                // Nobody asked for these bytes: dropped, but remembered — the
+                // connection that sent them is not one to reuse.
+                State::Done => {
+                    self.surplus = true;
+                    return Ok(());
+                }
                 State::Failed => {
                     return Err("relay fed after a framing failure".to_string());
                 }
@@ -175,45 +216,93 @@ impl ResponseRelay {
         Ok(())
     }
 
-    /// The origin closed its end.  Clean only when the response was already
-    /// complete; otherwise the error pins down how far the origin got —
-    /// consumers surface it to the client as a truncation.
-    pub(crate) fn close(&mut self) -> Result<(), String> {
-        match &self.state {
+    /// The upstream closed its end.  Clean when the response was already
+    /// complete or EOF is what delimits its body (then this emits the
+    /// [`RelayEvent::BodyDone`]); otherwise the error pins down how far the
+    /// upstream got — consumers surface it to the client as a truncation.
+    pub(crate) fn close(&mut self, events: &mut Vec<RelayEvent>) -> Result<(), String> {
+        let truncated = match &self.state {
             State::Head { buf } if buf.is_empty() => {
-                self.state = State::Failed;
-                Err("origin closed before sending a response".to_string())
+                "origin closed before sending a response".to_string()
             }
-            State::Head { .. } => {
-                self.state = State::Failed;
-                Err("origin closed mid-response-head".to_string())
+            State::Head { .. } => "origin closed mid-response-head".to_string(),
+            State::Length { remaining, total } => format!(
+                "origin closed mid-body: got {} of {total} Content-Length bytes",
+                total - remaining
+            ),
+            State::Chunked { .. } => "chunked body missing its terminator".to_string(),
+            State::UntilClose => {
+                self.state = State::Done;
+                events.push(RelayEvent::BodyDone);
+                return Ok(());
             }
-            State::Length { remaining, total } => {
-                let got = total - remaining;
-                let total = *total;
-                self.state = State::Failed;
-                Err(format!(
-                    "origin closed mid-body: got {got} of {total} Content-Length bytes"
-                ))
-            }
-            State::Chunked { .. } => {
-                self.state = State::Failed;
-                Err("chunked body missing its terminator".to_string())
-            }
-            State::Done | State::Failed => Ok(()),
-        }
+            State::Done | State::Failed => return Ok(()),
+        };
+        self.state = State::Failed;
+        Err(truncated)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::BlockingRelay;
     use nakika_http::parse::parse_response;
 
-    /// Feeds `wire` split at `cut`, returning (head response, body bytes,
-    /// saw clean BodyDone).
+    /// A reader that hands out `wire` one fragment per `read` call, split
+    /// at `cuts`, then EOF — what a socket does to a response in flight.
+    struct SplitReader {
+        fragments: std::collections::VecDeque<Vec<u8>>,
+    }
+
+    impl SplitReader {
+        fn new(wire: &[u8], cuts: &[usize]) -> SplitReader {
+            let bounds = cuts.iter().copied().chain([wire.len()]);
+            let mut last = 0;
+            let mut fragments = std::collections::VecDeque::new();
+            for cut in bounds {
+                // An empty read would be EOF; sockets never deliver one.
+                if cut > last {
+                    fragments.push_back(wire[last..cut].to_vec());
+                    last = cut;
+                }
+            }
+            SplitReader { fragments }
+        }
+    }
+
+    impl std::io::Read for SplitReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(fragment) = self.fragments.front_mut() else {
+                return Ok(0);
+            };
+            let n = fragment.len().min(buf.len());
+            buf[..n].copy_from_slice(&fragment[..n]);
+            fragment.drain(..n);
+            if fragment.is_empty() {
+                self.fragments.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    /// The blocking executor's view of `wire` split at `cuts`: the head and
+    /// the drained body, or the error that ended the response early.
+    fn run_blocking(wire: &[u8], cuts: &[usize]) -> Result<(Response, Vec<u8>), String> {
+        let mut relay = BlockingRelay::new(SplitReader::new(wire, cuts), None, None);
+        let (response, _) = relay.head()?;
+        let mut body = Vec::new();
+        while let Some(data) = relay.next_data()? {
+            body.extend_from_slice(&data);
+        }
+        Ok((response, body))
+    }
+
+    /// Feeds `wire` split at `cuts`, returning (head response, body bytes,
+    /// saw clean BodyDone) — after checking that the blocking executor,
+    /// reading the same fragments, agrees byte for byte.
     fn run_split(wire: &[u8], cuts: &[usize]) -> (Response, Vec<u8>, bool) {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         let mut last = 0;
         for &cut in cuts {
@@ -221,8 +310,12 @@ mod tests {
             last = cut;
         }
         relay.feed(&wire[last..], &mut events).unwrap();
-        relay.close().unwrap();
-        collect(events)
+        relay.close(&mut events).unwrap();
+        let (response, body, done) = collect(events);
+        let (blocking_response, blocking_body) = run_blocking(wire, cuts).unwrap();
+        assert_eq!(blocking_response.status, response.status, "cuts {cuts:?}");
+        assert_eq!(blocking_body, body, "cuts {cuts:?}");
+        (response, body, done)
     }
 
     fn collect(events: Vec<RelayEvent>) -> (Response, Vec<u8>, bool) {
@@ -295,28 +388,117 @@ mod tests {
 
     #[test]
     fn bodiless_framing_matches_one_shot_at_every_split() {
-        let wire = b"HTTP/1.1 304 Not Modified\r\nETag: \"x\"\r\n\r\n";
-        let mut relay = ResponseRelay::new();
-        let mut events = Vec::new();
-        for cut in 0..=wire.len() {
-            let mut relay2 = ResponseRelay::new();
-            let mut ev = Vec::new();
-            relay2.feed(&wire[..cut], &mut ev).unwrap();
-            relay2.feed(&wire[cut..], &mut ev).unwrap();
-            relay2.close().unwrap();
-            let (resp, body, done) = collect(ev);
-            assert!(done);
-            assert_eq!(resp.status.as_u16(), 304);
-            assert!(body.is_empty());
+        // No framing headers: bodiless by status (304, 204 — even with
+        // `Connection: close`), and on a keep-alive connection by default.
+        for (wire, status) in [
+            (
+                &b"HTTP/1.1 304 Not Modified\r\nETag: \"x\"\r\n\r\n"[..],
+                304,
+            ),
+            (b"HTTP/1.1 204 No Content\r\nConnection: close\r\n\r\n", 204),
+            (b"HTTP/1.1 200 OK\r\nX-Framing: none\r\n\r\n", 200),
+        ] {
+            for cut in 0..=wire.len() {
+                let (resp, body, done) = run_split(wire, &[cut]);
+                assert!(done);
+                assert_eq!(resp.status.as_u16(), status);
+                assert!(body.is_empty());
+            }
+            let mut relay = ResponseRelay::new(None);
+            relay.feed(wire, &mut Vec::new()).unwrap();
+            assert!(relay.is_done(), "complete without waiting for EOF");
         }
-        relay.feed(wire, &mut events).unwrap();
-        assert!(relay.is_done());
+    }
+
+    #[test]
+    fn close_delimited_bodies_run_to_eof_at_every_split() {
+        // Neither Content-Length nor chunked, and the connection will not
+        // be reused: the body is everything up to EOF (RFC 9112 §6.3).
+        let body = b"a body only the close delimits";
+        for head in [
+            &b"HTTP/1.0 200 OK\r\nCache-Control: max-age=60\r\n\r\n"[..],
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n",
+        ] {
+            let wire = [head, body].concat();
+            let cuts: Vec<usize> = (1..wire.len()).collect();
+            let every_cut = (0..=wire.len()).map(|cut| vec![cut]);
+            for cuts in every_cut.chain([cuts]) {
+                let (resp, got, done) = run_split(&wire, &cuts);
+                assert!(done, "EOF is the clean end, cuts {cuts:?}");
+                assert_eq!(resp.status.as_u16(), 200);
+                assert_eq!(got, body, "cuts {cuts:?}");
+            }
+            let mut relay = ResponseRelay::new(None);
+            let mut events = Vec::new();
+            relay.feed(&wire, &mut events).unwrap();
+            assert!(!relay.is_done(), "only EOF ends the body");
+            match &events[0] {
+                RelayEvent::Head {
+                    declared, has_body, ..
+                } => assert_eq!((*declared, *has_body), (None, true)),
+                other => panic!("expected head, got {other:?}"),
+            }
+            relay.close(&mut events).unwrap();
+            assert!(relay.is_done());
+            assert!(!relay.reusable(), "a closed connection is never parked");
+        }
+    }
+
+    #[test]
+    fn blocking_executor_turns_every_early_eof_into_an_error() {
+        // EOF mid-head, mid-body and mid-chunk, with the reader yielding
+        // 1..n bytes per call: always an error, never a short body.
+        for wire in [
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\nhello world"[..],
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6\r\nhello \r\n5\r\nworld\r\n0\r\n\r\n",
+        ] {
+            for per_read in 1..=wire.len() {
+                let cuts: Vec<usize> = (per_read..wire.len()).step_by(per_read).collect();
+                let (_, body) = run_blocking(wire, &cuts).unwrap();
+                assert_eq!(body, b"hello world", "{per_read} bytes per read");
+                for end in 0..wire.len() {
+                    let cuts: Vec<usize> = (per_read..end).step_by(per_read).collect();
+                    let err = run_blocking(&wire[..end], &cuts)
+                        .expect_err("a truncated response must not parse");
+                    assert!(
+                        err.contains("closed") || err.contains("terminator"),
+                        "EOF at {end}, {per_read} bytes per read: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_cleanly_ended_keep_alive_responses_leave_a_reusable_connection() {
+        let reusable = |wire: &[u8]| {
+            let mut relay = ResponseRelay::new(None);
+            relay.feed(wire, &mut Vec::new()).unwrap();
+            relay.reusable()
+        };
+        assert!(reusable(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"));
+        assert!(!reusable(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\no"));
+        assert!(!reusable(
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok"
+        ));
+        assert!(!reusable(b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok"));
+    }
+
+    #[test]
+    fn decode_limit_caps_chunked_bodies() {
+        let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6\r\nhello \r\n0\r\n\r\n";
+        let mut events = Vec::new();
+        assert!(ResponseRelay::new(Some(6)).feed(wire, &mut events).is_ok());
+        let err = ResponseRelay::new(Some(5))
+            .feed(wire, &mut events)
+            .unwrap_err();
+        assert!(err.contains("chunked"), "{err}");
     }
 
     #[test]
     fn content_length_zero_emits_body_done_with_head() {
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n";
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay.feed(wire, &mut events).unwrap();
         let (resp, body, done) = collect(events);
@@ -329,7 +511,7 @@ mod tests {
     #[test]
     fn head_event_reports_framing() {
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nabcde";
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay.feed(wire, &mut events).unwrap();
         match &events[0] {
@@ -342,7 +524,7 @@ mod tests {
             other => panic!("expected head, got {other:?}"),
         }
         let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n";
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay.feed(wire, &mut events).unwrap();
         match &events[0] {
@@ -358,27 +540,28 @@ mod tests {
 
     #[test]
     fn eof_before_any_bytes_is_an_error() {
-        let mut relay = ResponseRelay::new();
-        let err = relay.close().unwrap_err();
+        let mut relay = ResponseRelay::new(None);
+        let mut events = Vec::new();
+        let err = relay.close(&mut events).unwrap_err();
         assert!(err.contains("before sending a response"), "{err}");
     }
 
     #[test]
     fn eof_mid_head_is_an_error() {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay
             .feed(b"HTTP/1.1 200 OK\r\nContent-", &mut events)
             .unwrap();
         assert!(events.is_empty());
         assert!(!relay.head_done());
-        let err = relay.close().unwrap_err();
+        let err = relay.close(&mut events).unwrap_err();
         assert!(err.contains("mid-response-head"), "{err}");
     }
 
     #[test]
     fn eof_mid_content_length_body_reports_progress() {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay
             .feed(
@@ -386,7 +569,7 @@ mod tests {
                 &mut events,
             )
             .unwrap();
-        let err = relay.close().unwrap_err();
+        let err = relay.close(&mut events).unwrap_err();
         assert_eq!(
             err,
             "origin closed mid-body: got 3 of 10 Content-Length bytes"
@@ -395,7 +578,7 @@ mod tests {
 
     #[test]
     fn eof_mid_chunked_body_is_an_error() {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay
             .feed(
@@ -403,13 +586,13 @@ mod tests {
                 &mut events,
             )
             .unwrap();
-        let err = relay.close().unwrap_err();
+        let err = relay.close(&mut events).unwrap_err();
         assert!(err.contains("missing its terminator"), "{err}");
     }
 
     #[test]
     fn garbage_head_is_an_error() {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         let err = relay
             .feed(b"NOT HTTP AT ALL\r\n\r\n", &mut events)
@@ -421,7 +604,7 @@ mod tests {
 
     #[test]
     fn bad_chunk_framing_is_an_error() {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         let err = relay
             .feed(
@@ -434,7 +617,7 @@ mod tests {
 
     #[test]
     fn oversized_head_is_rejected() {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
         // Far past MAX_HEADER_BYTES without ever completing the head.
@@ -447,7 +630,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_done_are_dropped() {
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay
             .feed(
@@ -455,11 +638,12 @@ mod tests {
                 &mut events,
             )
             .unwrap();
+        assert!(relay.is_done());
+        assert!(!relay.reusable(), "surplus bytes poison the connection");
+        assert!(relay.close(&mut events).is_ok());
         let (_, body, done) = collect(events);
         assert_eq!(body, b"ok");
         assert!(done);
-        assert!(relay.is_done());
-        assert!(relay.close().is_ok());
     }
 
     mod random_splits {
@@ -527,7 +711,7 @@ mod tests {
     fn chunk_data_arrives_incrementally_before_body_done() {
         // A relay must emit Data as bytes arrive, not hold them until the
         // terminator: that is the whole point of the splice.
-        let mut relay = ResponseRelay::new();
+        let mut relay = ResponseRelay::new(None);
         let mut events = Vec::new();
         relay
             .feed(

@@ -127,14 +127,13 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
     }
 }
 
-/// A raw TCP origin that answers every connection with a 200 head
-/// declaring `declared` body bytes but sends only `sent` before closing.
-fn truncating_origin(declared: usize, sent: usize) -> SocketAddr {
+/// A raw TCP origin: reads each connection's request head (the tests only
+/// send GETs), lets `reply` write whatever it wants, and closes.
+fn raw_origin(reply: impl Fn(&mut TcpStream) + Send + 'static) -> SocketAddr {
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
         while let Ok((mut stream, _)) = listener.accept() {
-            // Read until the request head ends; the test only sends GETs.
             let mut buf = Vec::new();
             let mut chunk = [0u8; 1024];
             while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
@@ -143,16 +142,24 @@ fn truncating_origin(declared: usize, sent: usize) -> SocketAddr {
                     Ok(n) => buf.extend_from_slice(&chunk[..n]),
                 }
             }
-            let head = format!(
-                "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
-                 Cache-Control: max-age=600\r\nContent-Length: {declared}\r\n\r\n"
-            );
-            let _ = stream.write_all(head.as_bytes());
-            let _ = stream.write_all(&vec![b'x'; sent]);
-            // Dropping the stream here truncates the body mid-flight.
+            reply(&mut stream);
+            // Dropping the stream here closes the connection.
         }
     });
     addr
+}
+
+/// A raw TCP origin that answers every connection with a 200 head
+/// declaring `declared` body bytes but sends only `sent` before closing.
+fn truncating_origin(declared: usize, sent: usize) -> SocketAddr {
+    raw_origin(move |stream| {
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
+             Cache-Control: max-age=600\r\nContent-Length: {declared}\r\n\r\n"
+        );
+        let _ = stream.write_all(head.as_bytes());
+        let _ = stream.write_all(&vec![b'x'; sent]);
+    })
 }
 
 /// Sends one absolute-form GET through the proxy at `proxy` and drains the
@@ -234,6 +241,57 @@ fn origin_death_mid_stream_aborts_the_client_on_both_transports() {
     let threaded = ProxyServer::start_with(0, service, Transport::Threaded).unwrap();
     let received = raw_proxy_get(threaded.addr(), &url);
     assert_truncated(&received, DECLARED, "threaded");
+}
+
+/// A raw TCP origin in the HTTP/1.0 style: a head with neither
+/// `Content-Length` nor chunked framing, then `body`, then close.
+fn close_delimiting_origin(body: &'static [u8]) -> SocketAddr {
+    raw_origin(move |stream| {
+        let _ = stream.write_all(b"HTTP/1.0 200 OK\r\nCache-Control: max-age=60\r\n\r\n");
+        let _ = stream.write_all(body);
+    })
+}
+
+#[test]
+fn close_delimited_bodies_are_relayed_and_cached_on_both_executors() {
+    const BODY: &[u8] = b"a body delimited by nothing but the close";
+    let origin = close_delimiting_origin(BODY);
+    let url = format!("http://{origin}/legacy.html");
+
+    let (reactor_edge, service) = edge_service();
+    let reactor = ReactorServer::start_with_config(
+        0,
+        service,
+        ReactorConfig {
+            reactors: 1,
+            workers: 2,
+            ..ReactorConfig::default()
+        },
+    )
+    .unwrap();
+    let (threaded_edge, service) = edge_service();
+    let threaded = ProxyServer::start_with(0, service, Transport::Threaded).unwrap();
+
+    for (proxy, edge, transport) in [
+        (reactor.addr(), &reactor_edge, "reactor splice"),
+        (threaded.addr(), &threaded_edge, "threaded"),
+    ] {
+        let first = http_get_via_proxy(proxy, &url).unwrap();
+        assert_eq!(first.status, StatusCode::OK, "{transport}");
+        assert_eq!(
+            first.body.to_bytes().as_ref(),
+            BODY,
+            "{transport}: the body runs to the upstream's EOF"
+        );
+        let second = http_get_via_proxy(proxy, &url).unwrap();
+        assert_eq!(second.body.to_bytes().as_ref(), BODY, "{transport}");
+        let stats = edge.node().cache_stats();
+        assert_eq!(stats.inserts, 1, "{transport}: the full instance is cached");
+        assert_eq!(stats.hits, 1, "{transport}: the second request is a hit");
+        assert_eq!(edge.node().stats().origin_fetches, 1, "{transport}");
+    }
+    assert_eq!(reactor.stats().spliced_relays(), 1);
+    assert_eq!(reactor.stats().worker_submissions(), 0);
 }
 
 /// A raw TCP origin that accepts, reads the request, and then never

@@ -232,3 +232,41 @@ fn streamed_responses_within_budget_still_warm_the_cache() {
     );
     assert!(stats.hits >= 1, "the second request hit the cache");
 }
+
+#[test]
+fn only_a_cleanly_drained_keep_alive_body_parks_its_socket() {
+    // Both framings of a body too large to arrive with its head: the
+    // socket belongs to the streamed body until that ends cleanly.
+    for declare_length in [true, false] {
+        let origin = HttpServer::start(0, pattern_origin(declare_length)).unwrap();
+        let (host, port) = (origin.addr().ip().to_string(), origin.addr().port());
+        let fetcher = TcpOrigin::new();
+        let request = Request::get(&format!("{}/large.bin", origin.base_url()));
+        let mut response = fetcher.fetch(&request).unwrap();
+        assert!(response.body.is_stream());
+        assert_eq!(fetcher.idle_connections(&host, port), 0, "still in use");
+        response.body.buffer().unwrap();
+        assert_eq!(response.body.len(), LARGE_BODY_BYTES);
+        assert_eq!(
+            fetcher.idle_connections(&host, port),
+            1,
+            "a clean end of body re-parks the connection (declared={declare_length})"
+        );
+        // ...and the parked connection serves the next exchange.
+        let mut again = fetcher.fetch(&request).unwrap();
+        again.body.buffer().unwrap();
+        assert_eq!(fetcher.idle_connections(&host, port), 1);
+    }
+
+    let origin = lying_origin(100_000, 500);
+    let fetcher = TcpOrigin::new();
+    let mut response = fetcher
+        .fetch(&Request::get(&format!("http://{origin}/movie.mpg")))
+        .unwrap();
+    assert!(response.body.buffer().is_err(), "the truncation surfaces");
+    assert_eq!(
+        fetcher.idle_connections(&origin.ip().to_string(), origin.port()),
+        0,
+        "a connection that failed mid-body is never parked"
+    );
+}
