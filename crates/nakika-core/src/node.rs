@@ -19,7 +19,7 @@ use crate::pipeline::{
 use crate::programs::{ProgramCache, ScriptEngine};
 use crate::resource::{Admission, ResourceKind, ResourceManager, ResourceManagerConfig};
 use crate::service::{DispatchHint, NakikaError, RelayAttempt, RelayPlan};
-use crate::vocab::VocabHooks;
+use crate::vocab::{FetchFn, VocabHooks};
 use nakika_http::cache_control::{freshness, Freshness};
 use nakika_http::pattern::Cidr;
 use nakika_http::serialize::{serialize_request, serialize_request_absolute};
@@ -443,17 +443,18 @@ impl ResourceFetcher {
     }
 }
 
-/// Stage loader backed by the node's fetch path and compiled-stage cache.
-struct NodeStageLoader {
-    fetcher: ResourceFetcher,
-    stage_cache: Arc<StageCache>,
-    programs: Arc<ProgramCache>,
+/// Stage loader backed by the node's fetch path and compiled-stage cache,
+/// borrowed for one pipeline run.
+struct NodeStageLoader<'a> {
+    fetcher: &'a ResourceFetcher,
+    stage_cache: &'a StageCache,
+    programs: &'a ProgramCache,
     engine: ScriptEngine,
-    hooks: VocabHooks,
+    hooks: &'a VocabHooks,
     script_ttl: Duration,
 }
 
-impl StageLoader for NodeStageLoader {
+impl StageLoader for NodeStageLoader<'_> {
     fn load(&self, url: &str, now: u64) -> Option<Arc<CompiledStage>> {
         match self.stage_cache.get(url, now) {
             StageLookup::Hit(stage) => return Some(stage),
@@ -477,8 +478,8 @@ impl StageLoader for NodeStageLoader {
         match CompiledStage::compile_with(
             url,
             &response.body.to_text(),
-            &self.hooks,
-            &self.programs,
+            self.hooks,
+            self.programs,
             self.engine,
         ) {
             Ok(stage) => {
@@ -500,7 +501,7 @@ impl StageLoader for NodeStageLoader {
 pub struct NaKikaNode {
     config: NodeConfig,
     cache: Arc<ProxyCache>,
-    stage_cache: Arc<StageCache>,
+    stage_cache: StageCache,
     programs: Arc<ProgramCache>,
     resource: Arc<ResourceManager>,
     runner: PipelineRunner,
@@ -515,6 +516,8 @@ pub struct NaKikaNode {
     public_addr: Mutex<Option<String>>,
     replication: Option<Arc<ReplicationShared>>,
     gossip: Option<Arc<Membership>>,
+    /// `config.local_networks`, shared with every pipeline's `VocabHooks`.
+    local_networks: Arc<Vec<Cidr>>,
 }
 
 impl NaKikaNode {
@@ -533,7 +536,7 @@ impl NaKikaNode {
         let store = Arc::new(SiteStore::new(config.hard_state_quota));
         NaKikaNode {
             cache,
-            stage_cache: Arc::new(StageCache::new()),
+            stage_cache: StageCache::new(),
             programs: Arc::new(ProgramCache::new()),
             resource,
             runner: PipelineRunner::default(),
@@ -545,6 +548,7 @@ impl NaKikaNode {
             public_addr: Mutex::new(None),
             replication: None,
             gossip: None,
+            local_networks: Arc::new(config.local_networks.clone()),
             config,
         }
     }
@@ -934,14 +938,15 @@ impl NaKikaNode {
         site: &str,
     ) -> Response {
         let resource = self.resource.clone();
+        let fetcher = Arc::new(fetcher);
         // Scripts operate on complete instances (paper §3.1), so the
         // pipeline's view of every fetch is buffered; a stream that fails
         // mid-body becomes an upstream error response instead of a
         // silently truncated instance.  The tee in `capture` still fires
         // while draining, so buffered fetches populate the cache as usual.
-        let buffered_fetch = {
+        let buffered_fetch: FetchFn = {
             let fetcher = fetcher.clone();
-            move |req: &Request| {
+            Arc::new(move |req: &Request| {
                 let mut response = fetcher.fetch(req, now_secs);
                 if let Err(e) = response.body.buffer() {
                     return NakikaError::Upstream {
@@ -951,17 +956,14 @@ impl NaKikaNode {
                     .to_response();
                 }
                 response
-            }
+            })
         };
         let hooks = VocabHooks {
-            fetch: Some({
-                let fetch = buffered_fetch.clone();
-                Arc::new(move |req: &Request| fetch(req))
-            }),
+            fetch: Some(buffered_fetch.clone()),
             store: Some(self.store.clone()),
             access_log: Some(self.access_log.clone()),
             cache: Some(self.cache.clone()),
-            local_networks: Arc::new(self.config.local_networks.clone()),
+            local_networks: self.local_networks.clone(),
             congestion: Some(Arc::new(move |name: &str| {
                 ResourceKind::parse(name)
                     .map(|kind| resource.congestion_level(kind))
@@ -970,19 +972,20 @@ impl NaKikaNode {
         };
 
         let loader = NodeStageLoader {
-            fetcher: fetcher.clone(),
-            stage_cache: self.stage_cache.clone(),
-            programs: self.programs.clone(),
+            fetcher: &fetcher,
+            stage_cache: &self.stage_cache,
+            programs: &self.programs,
             engine: self.config.script_engine,
-            hooks: hooks.clone(),
+            hooks: &hooks,
             script_ttl: self.config.script_ttl,
         };
 
+        // Registered while the pipeline runs, and not a moment longer: the
+        // guard takes the meter off the site's list on every way out.
         let meter = ResourceMeter::new();
-        self.resource.register_meter(site, meter.clone());
+        let _registered = self.resource.register_meter(site, meter.clone());
 
         let site_stage_url = format!("http://{site}/nakika.js");
-        let fetch_resource = buffered_fetch.clone();
         let outcome: PipelineOutcome = self.runner.execute(
             request,
             now_secs,
@@ -990,7 +993,7 @@ impl NaKikaNode {
             &site_stage_url,
             &self.config.client_wall_url,
             &self.config.server_wall_url,
-            &fetch_resource,
+            &*buffered_fetch,
             &hooks,
             meter.clone(),
         );
@@ -1956,6 +1959,137 @@ mod tests {
         assert!(
             edge.node().stats().script_errors > 0,
             "the memory hog was stopped"
+        );
+    }
+
+    /// Serves `echo.example`: a site script that copies what each request
+    /// carried into its response, empty walls, and a page per path.
+    struct EchoOrigin;
+
+    const ECHO_SCRIPT: &str = r#"
+        p = new Policy();
+        p.url = ["echo.example"];
+        p.onRequest = function() { urlAtRequest = Request.url; };
+        p.onResponse = function() {
+            Response.setHeader('X-Url', Request.url);
+            Response.setHeader('X-Url-At-Request', urlAtRequest);
+            Response.setHeader('X-Tag', Request.getHeader('X-Tag'));
+            Response.setHeader('X-Time', '' + System.time());
+        };
+        p.register();
+    "#;
+
+    impl OriginFetch for EchoOrigin {
+        fn fetch_origin(&self, request: &Request) -> Response {
+            let path = request.uri.path.as_str();
+            let (content_type, body) = if path.ends_with("nakika.js") {
+                ("application/javascript", ECHO_SCRIPT.to_string())
+            } else if path.ends_with(".js") {
+                ("application/javascript", scripts::EMPTY_WALL.to_string())
+            } else {
+                ("text/html", format!("page {path}"))
+            };
+            Response::ok(content_type, body).with_header("Cache-Control", "max-age=300")
+        }
+    }
+
+    fn concurrent_requests_never_see_each_others_exchange(engine: ScriptEngine) {
+        const THREADS: u64 = 8;
+        const REQUESTS: u64 = 2_000;
+        let edge = NodeBuilder::scripted("edge-1")
+            .script_engine(engine)
+            .without_resource_controls()
+            .origin(Arc::new(EchoOrigin))
+            .build();
+        // One request first, so the three stages load (and their two
+        // distinct sources compile) before the threads race.
+        edge.call(
+            Request::get("http://echo.example/warm"),
+            &RequestCtx::at(1000),
+        )
+        .unwrap();
+        let (requests_before, cache_before) =
+            (edge.node().stats().requests, edge.node().cache_stats());
+
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let edge = &edge;
+                s.spawn(move || {
+                    for i in 0..REQUESTS {
+                        let url = format!("http://echo.example/t{t}/i{i}");
+                        let tag = format!("{t}-{i}");
+                        let now = 1000 + (t * REQUESTS + i) % 100;
+                        let response = edge
+                            .call(
+                                Request::get(&url).with_header("X-Tag", &tag),
+                                &RequestCtx::at(now),
+                            )
+                            .unwrap();
+                        let header = |name| response.headers.get(name).map(str::to_string);
+                        assert_eq!(header("x-url"), Some(url.clone()));
+                        assert_eq!(header("x-url-at-request"), Some(url));
+                        assert_eq!(header("x-tag"), Some(tag));
+                        assert_eq!(header("x-time"), Some(now.to_string()));
+                    }
+                });
+            }
+        });
+
+        let (stats, cache) = (edge.node().stats(), edge.node().cache_stats());
+        assert_eq!(stats.requests - requests_before, THREADS * REQUESTS);
+        assert_eq!(
+            (cache.hits + cache.misses) - (cache_before.hits + cache_before.misses),
+            THREADS * REQUESTS,
+            "one cache lookup per request: no stage was reloaded"
+        );
+        assert_eq!(stats.script_errors, 0);
+        assert_eq!(cache.script_compiles, 2, "the walls share one source");
+        let config = edge.node().config();
+        for stage_url in [
+            config.client_wall_url.as_str(),
+            "http://echo.example/nakika.js",
+            config.server_wall_url.as_str(),
+        ] {
+            let StageLookup::Hit(stage) = edge.node().stage_cache.probe(stage_url, 1000) else {
+                panic!("{stage_url} is not cached");
+            };
+            assert!(
+                stage.instantiations() <= THREADS,
+                "{stage_url}: {} instances for {THREADS} threads",
+                stage.instantiations()
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_requests_never_see_each_others_exchange_vm() {
+        concurrent_requests_never_see_each_others_exchange(ScriptEngine::Vm);
+    }
+
+    #[test]
+    fn concurrent_requests_never_see_each_others_exchange_interp() {
+        concurrent_requests_never_see_each_others_exchange(ScriptEngine::Interp);
+    }
+
+    #[test]
+    fn finished_pipelines_leave_no_meter_behind() {
+        // Controls on (the default), and a control period that never comes
+        // round, so nothing is throttled and every request runs a pipeline.
+        let edge = NodeBuilder::scripted("edge-1")
+            .control_period_secs(u64::MAX / 2)
+            .origin(Arc::new(EchoOrigin))
+            .build();
+        for i in 0..1_000 {
+            edge.call(
+                Request::get(&format!("http://echo.example/{i}")),
+                &RequestCtx::at(10),
+            )
+            .unwrap();
+        }
+        assert_eq!(edge.node().stats().script_errors, 0);
+        assert_eq!(
+            edge.node().resource_manager().live_meters("echo.example"),
+            0
         );
     }
 }

@@ -14,42 +14,95 @@
 //! nothing did, and then runs the `onResponse` handlers in reverse order.
 
 use crate::policy::{DecisionTree, Matcher, Policy, PolicySet};
-use crate::programs::{ProgramCache, ScriptEngine};
-use crate::vocab::{self, Exchange, VocabHooks};
+use crate::programs::{CachedScript, ProgramCache, ScriptEngine};
+use crate::vocab::{ExchangeState, VocabHooks, Vocabularies};
 use nakika_http::{Request, Response, StatusCode};
-use nakika_script::{
-    stdlib, CompiledProgram, Context, ContextPool, ResourceMeter, ScriptError, Value,
-};
-use parking_lot::Mutex;
+use nakika_script::{stdlib, Context, ContextPool, ResourceMeter, ScriptError, Value};
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 /// Well-known URL of the client-side administrative control script.
 pub const CLIENT_WALL_URL: &str = "http://nakika.net/clientwall.js";
 /// Well-known URL of the server-side administrative control script.
 pub const SERVER_WALL_URL: &str = "http://nakika.net/serverwall.js";
 
-/// A stage script compiled and ready for matching.
+/// Idle instances a stage keeps for reuse; more are dropped when returned.
+const MAX_IDLE_INSTANCES: usize = 32;
+
+/// A stage script compiled and ready for matching: the part every pipeline
+/// shares (URL, program, matcher) plus a free list of [`StageInstance`]s, one
+/// of which a pipeline holds while it runs the stage's handlers.
 pub struct CompiledStage {
     /// The script's URL.
     pub url: String,
     /// Decision tree over the stage's registered policies.
     pub matcher: Arc<DecisionTree>,
     /// The registered policies (kept for introspection and statistics).
+    /// Their handler values belong to the first instance; a pipeline runs
+    /// the handlers its own instance registered at the same positions.
     pub policies: PolicySet,
-    /// The load-time scripting context; handler closures captured its global
-    /// scope, so per-request vocabularies are re-bound into it before a
-    /// handler runs.
-    load_ctx: Context,
-    /// The stage script's bytecode; handler closures resolve their function
-    /// literals against it when the VM engine executes them.
-    program: Arc<CompiledProgram>,
-    /// Which engine runs this stage's handlers.
+    /// The parsed and lowered script; an instance is made by running it.
+    script: Arc<CachedScript>,
+    /// Which engine runs this stage's script and handlers.
     engine: ScriptEngine,
-    /// Serialises handler execution within this stage (one pipeline at a time
-    /// per stage, mirroring the per-pipeline process isolation of the paper's
-    /// prototype).
-    exec_lock: Mutex<()>,
+    /// Instances no pipeline holds, most recently returned last, each with
+    /// the thread that returned it.
+    idle: Mutex<Vec<(ThreadId, StageInstance)>>,
+    /// Instances made so far, the first included.
+    instantiations: AtomicU64,
+}
+
+/// One pipeline's private copy of a stage's script state: a context in which
+/// the stage program has run once, the handlers that run registered, and the
+/// vocabularies installed once over this instance's own binding cell.  The
+/// script's globals live here, so whatever one exchange's `onRequest` leaves
+/// in them its `onResponse` finds.
+struct StageInstance {
+    /// The scope the handler closures captured.
+    ctx: Context,
+    vocabularies: Vocabularies,
+    /// The handlers of each policy, in registration order.
+    handlers: Vec<Handlers>,
+}
+
+/// The event handlers one policy registered in one instance.
+struct Handlers {
+    on_request: Option<Value>,
+    on_response: Option<Value>,
+}
+
+impl StageInstance {
+    /// Runs `script` once in a fresh context with the vocabularies bound to
+    /// a throwaway exchange; returns the instance and what it registered.
+    fn create(
+        url: &str,
+        script: &CachedScript,
+        engine: ScriptEngine,
+        hooks: Arc<VocabHooks>,
+    ) -> Result<(StageInstance, Vec<Policy>), ScriptError> {
+        let ctx = Context::new();
+        stdlib::install(&ctx);
+        let binding = Arc::new(Mutex::new(ExchangeState::new(Request::get(url), 0, hooks)));
+        let vocabularies = Vocabularies::install(&ctx, binding.clone());
+        engine.run(&ctx, script)?;
+        let registered = std::mem::take(&mut binding.lock().registered);
+        let handlers = registered
+            .iter()
+            .map(|p| Handlers {
+                on_request: p.on_request.clone(),
+                on_response: p.on_response.clone(),
+            })
+            .collect();
+        let instance = StageInstance {
+            ctx,
+            vocabularies,
+            handlers,
+        };
+        Ok((instance, registered))
+    }
 }
 
 impl CompiledStage {
@@ -68,7 +121,8 @@ impl CompiledStage {
     /// Compiles a stage from script source.  The script is parsed and
     /// lowered through `programs` (so an unchanged script costs one cache
     /// hit, not a recompile), then runs once via `engine` — in a sandboxed
-    /// context with a throwaway exchange — to register its policies.
+    /// context with a throwaway exchange — to register its policies.  That
+    /// run is the stage's first instance.
     pub fn compile_with(
         url: &str,
         source: &str,
@@ -76,25 +130,21 @@ impl CompiledStage {
         programs: &ProgramCache,
         engine: ScriptEngine,
     ) -> Result<CompiledStage, ScriptError> {
-        let ctx = Context::new();
-        stdlib::install(&ctx);
-        let load_exchange = vocab::new_exchange(Request::get(url), 0);
-        vocab::install(&ctx, &load_exchange, hooks);
         let script = programs.get_or_compile(source)?;
-        engine.run(&ctx, &script)?;
+        let (instance, registered) =
+            StageInstance::create(url, &script, engine, Arc::new(hooks.clone()))?;
         let mut set = PolicySet::new();
-        for policy in std::mem::take(&mut load_exchange.lock().registered) {
+        for policy in registered {
             set.push(policy);
         }
-        let matcher = Arc::new(set.compile());
         Ok(CompiledStage {
             url: url.to_string(),
-            matcher,
+            matcher: Arc::new(set.compile()),
             policies: set,
-            load_ctx: ctx,
-            program: script.compiled.clone(),
+            script,
             engine,
-            exec_lock: Mutex::new(()),
+            idle: Mutex::new(vec![(std::thread::current().id(), instance)]),
+            instantiations: AtomicU64::new(1),
         })
     }
 
@@ -103,23 +153,87 @@ impl CompiledStage {
         self.matcher.find_closest_match(request)
     }
 
-    /// Runs one event handler of this stage against the exchange.
+    /// How many instances of this stage have been made, the one compilation
+    /// made included: at most one per pipeline that ever ran it concurrently
+    /// with the others, plus replacements for discarded ones.
+    pub fn instantiations(&self) -> u64 {
+        self.instantiations.load(Ordering::Relaxed)
+    }
+
+    /// Where `policy`, a match this stage's matcher returned, was registered.
+    fn position_of(&self, policy: &Arc<Policy>) -> usize {
+        self.policies
+            .policies()
+            .iter()
+            .position(|p| Arc::ptr_eq(p, policy))
+            .expect("the matcher returns this stage's own policies")
+    }
+
+    /// Takes the instance this thread returned last, else the one any thread
+    /// returned last, else makes one by running the compiled program again
+    /// (no parse, no compile) with `hooks`.
+    ///
+    /// The preference for the thread's own is measured, not decoration: an
+    /// instance is a few hundred small heap objects, and two reactors that
+    /// pop whichever is on top keep handing them to each other's core
+    /// (two pinned threads on one stage: 25 us per empty-handler pipeline
+    /// with plain LIFO, 14 us with this, 12 us with a stage each).
+    fn check_out(&self, hooks: &Arc<VocabHooks>) -> Result<StageInstance, ScriptError> {
+        {
+            let me = std::thread::current().id();
+            let mut idle = self.idle.lock();
+            let mine = idle.iter().rposition(|(returned_by, _)| *returned_by == me);
+            if let Some((_, instance)) = mine.map(|at| idle.remove(at)).or_else(|| idle.pop()) {
+                return Ok(instance);
+            }
+        }
+        let (instance, registered) =
+            StageInstance::create(&self.url, &self.script, self.engine, hooks.clone())?;
+        self.instantiations.fetch_add(1, Ordering::Relaxed);
+        // Handlers are paired with the shared policies by position, so a
+        // script whose registrations vary from run to run cannot be used.
+        if registered.len() != self.policies.len() {
+            return Err(ScriptError::Host(format!(
+                "{} registered {} policies when compiled and {} when instantiated again",
+                self.url,
+                self.policies.len(),
+                registered.len()
+            )));
+        }
+        Ok(instance)
+    }
+
+    /// Returns an instance whose pipeline is done with it.  An instance whose
+    /// holder panicked never gets here: it is dropped with the pipeline.
+    fn check_in(&self, instance: StageInstance) {
+        let mut idle = self.idle.lock();
+        if idle.len() < MAX_IDLE_INSTANCES {
+            idle.push((std::thread::current().id(), instance));
+        }
+    }
+
+    /// Runs one event handler of `instance` against the exchange in `state`.
     ///
     /// `accounting` supplies the fuel/memory limits and the per-site meter the
     /// resource manager observes.
     fn run_handler(
         &self,
+        instance: &StageInstance,
         handler: &Value,
-        exchange: &Exchange,
-        hooks: &VocabHooks,
+        state: &mut ExchangeState,
         accounting: &Context,
     ) -> Result<Value, ScriptError> {
-        let _guard = self.exec_lock.lock();
-        // Re-bind the request-specific vocabularies into the scope the
-        // handler closures captured at load time.
-        vocab::install(&self.load_ctx, exchange, hooks);
-        self.engine
-            .call(accounting, &self.program, handler, &Value::Undefined, &[])
+        instance
+            .vocabularies
+            .with_exchange(&instance.ctx, state, || {
+                self.engine.call(
+                    accounting,
+                    &self.script.compiled,
+                    handler,
+                    &Value::Undefined,
+                    &[],
+                )
+            })
     }
 }
 
@@ -135,9 +249,11 @@ enum StageEntry {
 /// The dedicated in-memory cache of compiled stages / decision trees.
 #[derive(Default)]
 pub struct StageCache {
-    entries: Mutex<HashMap<String, StageEntry>>,
-    /// (hits, misses) counters for the evaluation.
-    counters: Mutex<(u64, u64)>,
+    entries: RwLock<HashMap<String, StageEntry>>,
+    /// Counting lookups that found a fresh entry, for the evaluation.
+    hits: AtomicU64,
+    /// Counting lookups that found nothing fresh.
+    misses: AtomicU64,
 }
 
 /// Result of a stage-cache lookup.
@@ -156,22 +272,14 @@ impl StageCache {
         StageCache::default()
     }
 
-    /// Looks up a compiled stage.
+    /// Looks up a compiled stage and counts the outcome.
     pub fn get(&self, url: &str, now: u64) -> StageLookup {
-        let entries = self.entries.lock();
-        let result = match entries.get(url) {
-            Some(StageEntry::Compiled(stage, fresh_until)) if *fresh_until > now => {
-                StageLookup::Hit(stage.clone())
-            }
-            Some(StageEntry::Absent(fresh_until)) if *fresh_until > now => StageLookup::KnownAbsent,
-            _ => StageLookup::Miss,
+        let result = self.probe(url, now);
+        let counter = match result {
+            StageLookup::Miss => &self.misses,
+            _ => &self.hits,
         };
-        drop(entries);
-        let mut counters = self.counters.lock();
-        match result {
-            StageLookup::Miss => counters.1 += 1,
-            _ => counters.0 += 1,
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
         result
     }
 
@@ -180,8 +288,7 @@ impl StageCache {
     /// this so classifying a request never skews the statistics the
     /// evaluation reads.
     pub fn probe(&self, url: &str, now: u64) -> StageLookup {
-        let entries = self.entries.lock();
-        match entries.get(url) {
+        match self.entries.read().get(url) {
             Some(StageEntry::Compiled(stage, fresh_until)) if *fresh_until > now => {
                 StageLookup::Hit(stage.clone())
             }
@@ -193,7 +300,7 @@ impl StageCache {
     /// Inserts a compiled stage valid until `fresh_until`.
     pub fn put(&self, url: &str, stage: Arc<CompiledStage>, fresh_until: u64) {
         self.entries
-            .lock()
+            .write()
             .insert(url.to_string(), StageEntry::Compiled(stage, fresh_until));
     }
 
@@ -201,18 +308,21 @@ impl StageCache {
     /// (avoiding repeated checks for `nakika.js`).
     pub fn put_absent(&self, url: &str, fresh_until: u64) {
         self.entries
-            .lock()
+            .write()
             .insert(url.to_string(), StageEntry::Absent(fresh_until));
     }
 
     /// `(hits, misses)` counters.
     pub fn counters(&self) -> (u64, u64) {
-        *self.counters.lock()
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
     }
 
     /// Number of cached entries (positive and negative).
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.read().len()
     }
 
     /// True if nothing is cached.
@@ -288,7 +398,8 @@ impl PipelineRunner {
         hooks: &VocabHooks,
         meter: ResourceMeter,
     ) -> PipelineOutcome {
-        let exchange = vocab::new_exchange(request, now);
+        let hooks = Arc::new(hooks.clone());
+        let mut state = ExchangeState::new(request, now, hooks.clone());
         let mut accounting = self.pool.acquire();
         accounting.meter = meter;
         accounting.fuel_limit = self.fuel_limit;
@@ -300,7 +411,9 @@ impl PipelineRunner {
             site_stage_url.to_string(),
             client_wall_url.to_string(),
         ];
-        let mut backward: Vec<(Arc<CompiledStage>, Arc<Policy>)> = Vec::new();
+        // Each scheduled stage with the position of its matched policy and
+        // the instance this pipeline holds until the stage's onResponse ran.
+        let mut backward: Vec<(Arc<CompiledStage>, usize, StageInstance)> = Vec::new();
         let mut stages_executed = 0usize;
         let mut script_errors = Vec::new();
         let mut scheduled = 0usize;
@@ -316,20 +429,24 @@ impl PipelineRunner {
             let Some(stage) = loader.load(&stage_url, now) else {
                 continue;
             };
-            let request_snapshot = exchange.lock().request.clone();
-            let Some(policy) = stage.find_closest_match(&request_snapshot) else {
+            let Some(policy) = stage.find_closest_match(&state.request) else {
                 continue;
             };
             stages_executed += 1;
-            if let Some(handler) = &policy.on_request {
-                match stage.run_handler(handler, &exchange, hooks, &accounting) {
-                    Ok(_) => {}
-                    Err(e) => script_errors.push(e),
+            match stage.check_out(&hooks) {
+                Ok(instance) => {
+                    let position = stage.position_of(&policy);
+                    if let Some(handler) = &instance.handlers[position].on_request {
+                        let ran = stage.run_handler(&instance, handler, &mut state, &accounting);
+                        script_errors.extend(ran.err());
+                    }
+                    backward.push((stage, position, instance));
                 }
+                // No instance, no handlers; the stage still schedules.
+                Err(e) => script_errors.push(e),
             }
-            backward.push((stage.clone(), policy.clone()));
             // A generated response reverses direction immediately.
-            if exchange.lock().generated.is_some() {
+            if state.generated.is_some() {
                 break;
             }
             // Dynamically scheduled stages run next, before already scheduled
@@ -340,47 +457,31 @@ impl PipelineRunner {
         }
 
         // Obtain the response: generated by a script, or fetched.
-        let generated_by_script;
-        let fetched;
-        {
-            let mut ex = exchange.lock();
-            if let Some(generated) = ex.generated.take() {
-                ex.response = Some(generated);
-                generated_by_script = true;
-                fetched = false;
-            } else {
-                let request_snapshot = ex.request.clone();
-                drop(ex);
-                let response = fetch_resource(&request_snapshot);
-                exchange.lock().response = Some(response);
-                generated_by_script = false;
-                fetched = true;
-            }
-        }
+        let generated_by_script = state.generated.is_some();
+        state.response = Some(match state.generated.take() {
+            Some(generated) => generated,
+            None => fetch_resource(&state.request),
+        });
 
         // Execute onResponse handlers in reverse order.
-        while let Some((stage, policy)) = backward.pop() {
-            if let Some(handler) = &policy.on_response {
-                match stage.run_handler(handler, &exchange, hooks, &accounting) {
-                    Ok(_) => {}
-                    Err(e) => script_errors.push(e),
-                }
-                exchange.lock().commit_output();
+        while let Some((stage, position, instance)) = backward.pop() {
+            if let Some(handler) = &instance.handlers[position].on_response {
+                let ran = stage.run_handler(&instance, handler, &mut state, &accounting);
+                script_errors.extend(ran.err());
+                state.commit_output();
             }
+            stage.check_in(instance);
         }
 
         self.pool.release(accounting);
 
-        let mut ex = exchange.lock();
-        let response = ex
-            .response
-            .take()
-            .unwrap_or_else(|| Response::error(StatusCode::INTERNAL_SERVER_ERROR));
         PipelineOutcome {
-            response,
+            response: state
+                .response
+                .unwrap_or_else(|| Response::error(StatusCode::INTERNAL_SERVER_ERROR)),
             generated_by_script,
-            fetched,
-            final_request: ex.request.clone(),
+            fetched: !generated_by_script,
+            final_request: state.request,
             stages_executed,
             script_errors,
         }
@@ -750,5 +851,382 @@ mod tests {
             Response::ok("text/plain", "form")
         });
         assert!(!outcome.generated_by_script);
+    }
+
+    // --- stage instances ----------------------------------------------------
+
+    const SITE_STAGE: &str = "http://site.example/nakika.js";
+    const ENGINES: [ScriptEngine; 2] = [ScriptEngine::Vm, ScriptEngine::Interp];
+
+    /// A loader holding `source` as the site stage, run by `engine`.
+    fn site_loader(
+        source: &str,
+        load_hooks: &VocabHooks,
+        programs: &ProgramCache,
+        engine: ScriptEngine,
+    ) -> Arc<StaticStageLoader> {
+        let mut loader = StaticStageLoader::new();
+        loader.add_compiled(
+            CompiledStage::compile_with(SITE_STAGE, source, load_hooks, programs, engine)
+                .expect("the stage script compiles"),
+        );
+        Arc::new(loader)
+    }
+
+    fn site_stage(loader: &StaticStageLoader) -> Arc<CompiledStage> {
+        loader
+            .load(SITE_STAGE, 0)
+            .expect("the site stage is loaded")
+    }
+
+    /// Runs `url` through the site stage at `now` with the per-request `hooks`.
+    fn serve(
+        loader: &StaticStageLoader,
+        url: &str,
+        now: u64,
+        hooks: &VocabHooks,
+    ) -> PipelineOutcome {
+        runner().execute(
+            Request::get(url),
+            now,
+            loader,
+            SITE_STAGE,
+            CLIENT_WALL_URL,
+            SERVER_WALL_URL,
+            &|_req| Response::ok("text/html", "page"),
+            hooks,
+            ResourceMeter::new(),
+        )
+    }
+
+    fn fetch_hook(f: impl Fn(&Request) -> Response + Send + Sync + 'static) -> VocabHooks {
+        VocabHooks {
+            fetch: Some(Arc::new(f)),
+            ..VocabHooks::default()
+        }
+    }
+
+    #[test]
+    fn two_pipelines_run_one_stage_at_the_same_time() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
+        // Both threads must be inside the handler's `Fetch.get` at once: the
+        // hook returns "met" only if the other party arrives within the
+        // deadline, which a lock around handler execution makes impossible.
+        struct Rendezvous {
+            arrived: Mutex<usize>,
+            both_here: Condvar,
+        }
+        impl Rendezvous {
+            fn meet(&self) -> bool {
+                let mut arrived = self.arrived.lock().unwrap();
+                *arrived += 1;
+                self.both_here.notify_all();
+                let (arrived, _) = self
+                    .both_here
+                    .wait_timeout_while(arrived, Duration::from_secs(5), |n| *n < 2)
+                    .unwrap();
+                *arrived >= 2
+            }
+        }
+
+        for engine in ENGINES {
+            let loader = site_loader(
+                r#"
+                p = new Policy();
+                p.onResponse = function() {
+                    Response.setHeader('X-Met', Fetch.get('http://peer.example/').text);
+                };
+                p.register();
+                "#,
+                &VocabHooks::default(),
+                &ProgramCache::new(),
+                engine,
+            );
+            let rendezvous = Arc::new(Rendezvous {
+                arrived: Mutex::new(0),
+                both_here: Condvar::new(),
+            });
+            let hooks = fetch_hook(move |_req| {
+                let met = if rendezvous.meet() { "met" } else { "alone" };
+                Response::ok("text/plain", met)
+            });
+            let outcomes: Vec<PipelineOutcome> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..2)
+                    .map(|_| s.spawn(|| serve(&loader, "http://site.example/page", 1, &hooks)))
+                    .collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            for outcome in outcomes {
+                assert!(outcome.script_errors.is_empty());
+                assert_eq!(outcome.response.headers.get("x-met"), Some("met"));
+            }
+            assert_eq!(site_stage(&loader).instantiations(), 2, "one instance each");
+        }
+    }
+
+    #[test]
+    fn handlers_see_the_request_they_serve_not_the_load_time_bindings() {
+        for engine in ENGINES {
+            // Two entries under the key the script reads: one that went
+            // stale long before the request, one stored just before it.
+            let cache = Arc::new(crate::cache::ProxyCache::new(
+                1 << 20,
+                std::time::Duration::from_secs(60),
+            ));
+            let short_lived =
+                Response::ok("text/plain", "v").with_header("Cache-Control", "max-age=10");
+            cache.put(
+                "script:site.example:old",
+                &nakika_http::Method::Get,
+                &short_lived,
+                0,
+            );
+            cache.put(
+                "script:site.example:new",
+                &nakika_http::Method::Get,
+                &short_lived,
+                995,
+            );
+            let load_hooks = fetch_hook(|_req| Response::ok("text/plain", "load-time"));
+            let loader = site_loader(
+                r#"
+                p = new Policy();
+                p.onRequest = function() { Request.setUrl('http://site.example/rewritten'); };
+                p.onResponse = function() {
+                    Response.setHeader('X-Time', '' + System.time());
+                    Response.setHeader('X-Fetched', Fetch.get('http://other.example/').text);
+                    Response.setHeader('X-Old', '' + (Cache.get('old') == null));
+                    Response.setHeader('X-New', '' + (Cache.get('new') == null));
+                    Response.setHeader('X-Url', Request.url);
+                };
+                p.register();
+                "#,
+                &load_hooks,
+                &ProgramCache::new(),
+                engine,
+            );
+            let hooks = VocabHooks {
+                cache: Some(cache),
+                ..fetch_hook(|_req| Response::ok("text/plain", "per-request"))
+            };
+            let outcome = serve(&loader, "http://site.example/page", 1000, &hooks);
+            assert!(
+                outcome.script_errors.is_empty(),
+                "{:?}",
+                outcome.script_errors
+            );
+            let headers = &outcome.response.headers;
+            assert_eq!(headers.get("x-time"), Some("1000"));
+            assert_eq!(headers.get("x-fetched"), Some("per-request"));
+            assert_eq!(headers.get("x-old"), Some("true"), "stale at 1000");
+            assert_eq!(headers.get("x-new"), Some("false"), "fresh at 1000");
+            // onResponse sees the URL as onRequest rewrote it.
+            assert_eq!(headers.get("x-url"), Some("http://site.example/rewritten"));
+        }
+    }
+
+    #[test]
+    fn globals_and_data_properties_are_restored_before_every_handler_run() {
+        for engine in ENGINES {
+            // A page under /vandal overwrites two globals and two data
+            // properties on its way out; every handler run after that, in
+            // the same instance, must find them as a fresh install has them.
+            let loader = site_loader(
+                r#"
+                p = new Policy();
+                p.onRequest = function() { Request.setHeader('X-Seen-Url', Request.url); };
+                p.onResponse = function() {
+                    Response.setHeader('X-Url', Request.getHeader('X-Seen-Url'));
+                    Response.setHeader('X-Status', '' + Response.status);
+                    if (Request.path == '/vandal') {
+                        Request.url = 'clobbered';
+                        Response.status = 'clobbered';
+                        Request = null;
+                        System = 5;
+                    }
+                };
+                p.register();
+                "#,
+                &VocabHooks::default(),
+                &ProgramCache::new(),
+                engine,
+            );
+            let hooks = VocabHooks::default();
+            for path in ["/vandal", "/next", "/vandal", "/after"] {
+                let url = format!("http://site.example{path}");
+                let outcome = serve(&loader, &url, 1, &hooks);
+                assert!(
+                    outcome.script_errors.is_empty(),
+                    "{:?}",
+                    outcome.script_errors
+                );
+                assert_eq!(outcome.response.headers.get("x-url"), Some(url.as_str()));
+                assert_eq!(outcome.response.headers.get("x-status"), Some("200"));
+            }
+            assert_eq!(
+                site_stage(&loader).instantiations(),
+                1,
+                "one instance served all four"
+            );
+        }
+    }
+
+    #[test]
+    fn what_a_script_stores_inside_a_vocabulary_stays_in_that_instance() {
+        for engine in ENGINES {
+            // Soft state: the first pipeline breaks `Response.setHeader` in
+            // the instance it holds.  A pipeline that holds another instance
+            // at the same time is untouched; one that later gets the broken
+            // instance reports a script error and still serves the page.
+            let loader = site_loader(
+                r#"
+                p = new Policy();
+                p.onRequest = function() {
+                    if (Request.path == '/vandal') { Fetch.get('http://pause.example/'); }
+                };
+                p.onResponse = function() {
+                    Response.setHeader('X-Edge', 'yes');
+                    if (Request.path == '/vandal') { Response.setHeader = 1; }
+                };
+                p.register();
+                "#,
+                &VocabHooks::default(),
+                &ProgramCache::new(),
+                engine,
+            );
+            // While the vandal's onRequest is inside Fetch.get it holds the
+            // stage's only instance, so the bystander gets a second one.
+            let bystander = {
+                let loader = loader.clone();
+                fetch_hook(move |_req| {
+                    let outcome = serve(
+                        &loader,
+                        "http://site.example/bystander",
+                        1,
+                        &VocabHooks::default(),
+                    );
+                    assert!(outcome.script_errors.is_empty());
+                    assert_eq!(outcome.response.headers.get("x-edge"), Some("yes"));
+                    Response::ok("text/plain", "")
+                })
+            };
+            let vandal = serve(&loader, "http://site.example/vandal", 1, &bystander);
+            assert!(vandal.script_errors.is_empty());
+            assert_eq!(site_stage(&loader).instantiations(), 2);
+            // LIFO: the vandal's instance was returned last and is next out.
+            let victim = serve(
+                &loader,
+                "http://site.example/victim",
+                1,
+                &VocabHooks::default(),
+            );
+            assert_eq!(victim.script_errors.len(), 1);
+            assert_eq!(victim.response.body.to_text(), "page");
+        }
+    }
+
+    #[test]
+    fn an_instance_whose_holder_panicked_is_discarded() {
+        for engine in ENGINES {
+            let programs = ProgramCache::new();
+            let loader = site_loader(
+                r#"
+                served = 0;
+                p = new Policy();
+                p.onResponse = function() {
+                    served = served + 1;
+                    Response.setHeader('X-Fetched', Fetch.get('http://other.example/').text);
+                    Response.setHeader('X-Url', Request.url);
+                };
+                p.register();
+                "#,
+                &VocabHooks::default(),
+                &programs,
+                engine,
+            );
+            let panicking = fetch_hook(|_req| panic!("the fetch hook dies mid-handler"));
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve(&loader, "http://site.example/fatal", 1, &panicking)
+            }));
+            assert!(died.is_err(), "the panic reaches the caller");
+
+            let healthy = fetch_hook(|_req| Response::ok("text/plain", "fetched"));
+            for n in 0..100 {
+                let url = format!("http://site.example/page/{n}");
+                let outcome = serve(&loader, &url, 1, &healthy);
+                assert!(
+                    outcome.script_errors.is_empty(),
+                    "{:?}",
+                    outcome.script_errors
+                );
+                assert_eq!(outcome.response.headers.get("x-fetched"), Some("fetched"));
+                assert_eq!(outcome.response.headers.get("x-url"), Some(url.as_str()));
+            }
+            // The instance the panic interrupted never came back: exactly
+            // one replacement was made, by re-running the compiled program.
+            assert_eq!(site_stage(&loader).instantiations(), 2);
+            assert_eq!(programs.counters().0, 1, "no second compile");
+        }
+    }
+
+    #[test]
+    fn a_script_error_returns_the_instance() {
+        let loader = site_loader(
+            r#"
+            p = new Policy();
+            p.onResponse = function() { callSomethingUndefined(); };
+            p.register();
+            "#,
+            &VocabHooks::default(),
+            &ProgramCache::new(),
+            ScriptEngine::Vm,
+        );
+        for _ in 0..3 {
+            let outcome = serve(&loader, "http://site.example/x", 1, &VocabHooks::default());
+            assert_eq!(outcome.script_errors.len(), 1);
+        }
+        assert_eq!(site_stage(&loader).instantiations(), 1);
+    }
+
+    #[test]
+    fn a_stage_that_registers_differently_when_run_again_cannot_be_instantiated() {
+        // The script registers one policy while the store is empty and two
+        // once it is not, so the second instance does not line up with the
+        // shared policies; the pipeline reports it and serves the page.
+        let store = Arc::new(nakika_state::SiteStore::new(1 << 20));
+        let hooks = VocabHooks {
+            store: Some(store.clone()),
+            ..fetch_hook(|_req| Response::ok("text/plain", ""))
+        };
+        let loader = site_loader(
+            r#"
+            p = new Policy();
+            p.onRequest = function() { Fetch.get('http://pause.example/'); };
+            p.register();
+            if (HardState.get('loaded') != null) { q = new Policy(); q.register(); }
+            "#,
+            &hooks,
+            &ProgramCache::new(),
+            ScriptEngine::Vm,
+        );
+        store.put("site.example", "loaded", "yes").unwrap();
+        // The outer pipeline holds the only instance while its hook serves
+        // a second request, which therefore has to instantiate.
+        let nested = {
+            let (loader, hooks) = (loader.clone(), hooks.clone());
+            VocabHooks {
+                store: Some(store.clone()),
+                ..fetch_hook(move |_req| {
+                    let inner = serve(&loader, "http://site.example/inner", 1, &hooks);
+                    assert_eq!(inner.script_errors.len(), 1);
+                    assert_eq!(inner.response.body.to_text(), "page");
+                    Response::ok("text/plain", "")
+                })
+            }
+        };
+        let outer = serve(&loader, "http://site.example/outer", 1, &nested);
+        assert!(outer.script_errors.is_empty());
     }
 }

@@ -14,6 +14,7 @@
 use nakika_script::ResourceMeter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The resources the manager tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,9 +122,10 @@ struct SiteState {
     reject_accumulator: f64,
     /// True once the site's pipelines have been terminated this round.
     terminated: bool,
-    /// Meters of the site's currently executing pipelines, so termination
-    /// stops even a handler stuck inside native vocabulary code.
-    meters: Vec<ResourceMeter>,
+    /// Meters of the site's currently executing pipelines, each under the
+    /// ticket its registration holds, so termination stops even a handler
+    /// stuck inside native vocabulary code.
+    meters: Vec<(u64, ResourceMeter)>,
 }
 
 /// Per-site usage snapshot exposed for statistics and tests.
@@ -161,6 +163,24 @@ pub struct ResourceManager {
     /// congested now, the top offender is terminated).
     previously_congested: Mutex<Vec<ResourceKind>>,
     stats: Mutex<ResourceStats>,
+    /// Source of the tickets meter registrations are listed under.
+    next_ticket: AtomicU64,
+}
+
+/// A pipeline's entry in its site's list of running meters; dropping it
+/// removes the entry (a terminated site's list is already empty).
+pub struct MeterRegistration<'a> {
+    manager: &'a ResourceManager,
+    site: &'a str,
+    ticket: u64,
+}
+
+impl Drop for MeterRegistration<'_> {
+    fn drop(&mut self) {
+        if let Some(state) = self.manager.sites.lock().get_mut(self.site) {
+            state.meters.retain(|(ticket, _)| *ticket != self.ticket);
+        }
+    }
 }
 
 impl ResourceManager {
@@ -172,6 +192,7 @@ impl ResourceManager {
             node_current: Mutex::new(HashMap::new()),
             previously_congested: Mutex::new(Vec::new()),
             stats: Mutex::new(ResourceStats::default()),
+            next_ticket: AtomicU64::new(0),
         }
     }
 
@@ -241,17 +262,35 @@ impl ResourceManager {
     }
 
     /// Registers the meter of a pipeline that has started executing for
-    /// `site`, so a later termination stops it immediately.
-    pub fn register_meter(&self, site: &str, meter: ResourceMeter) {
+    /// `site`, so a termination while it runs stops it immediately.  The
+    /// meter stays listed until the returned registration is dropped; a
+    /// disabled manager lists nothing and returns `None`.
+    #[must_use = "the meter is unregistered when the registration is dropped"]
+    pub fn register_meter<'a>(
+        &'a self,
+        site: &'a str,
+        meter: ResourceMeter,
+    ) -> Option<MeterRegistration<'a>> {
         if !self.config.enabled {
-            return;
+            return None;
         }
+        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         self.sites
             .lock()
             .entry(site.to_string())
             .or_default()
             .meters
-            .push(meter);
+            .push((ticket, meter));
+        Some(MeterRegistration {
+            manager: self,
+            site,
+            ticket,
+        })
+    }
+
+    /// Number of pipelines of `site` executing right now (registered meters).
+    pub fn live_meters(&self, site: &str) -> usize {
+        self.sites.lock().get(site).map_or(0, |s| s.meters.len())
     }
 
     /// The congestion level of a resource: node consumption this period
@@ -346,7 +385,7 @@ impl ResourceManager {
                     {
                         state.terminated = true;
                         state.reject_fraction = 1.0;
-                        for meter in state.meters.drain(..) {
+                        for (_, meter) in state.meters.drain(..) {
                             meter.kill();
                         }
                         kills += 1;
@@ -359,7 +398,6 @@ impl ResourceManager {
         // totals keep accumulating in the averages (already folded above).
         for state in sites.values_mut() {
             state.current.clear();
-            state.meters.retain(|m| !m.is_killed());
         }
         node_current.clear();
         *previously = congested_now;
@@ -469,7 +507,13 @@ mod tests {
     fn persistent_congestion_terminates_the_top_offender() {
         let manager = ResourceManager::new(tiny_config());
         let meter = ResourceMeter::new();
-        manager.register_meter("hog.com", meter.clone());
+        // A pipeline that finished before the rounds is off the list...
+        drop(manager.register_meter("hog.com", ResourceMeter::new()));
+        assert_eq!(manager.live_meters("hog.com"), 0);
+        // ...and one that is still running when the site is terminated is
+        // killed.
+        let running = manager.register_meter("hog.com", meter.clone());
+        assert_eq!(manager.live_meters("hog.com"), 1);
         // Round 1: congested — throttle.
         manager.record("hog.com", ResourceKind::Memory, 10_000.0);
         manager.record("small.org", ResourceKind::Memory, 100.0);
@@ -488,6 +532,9 @@ mod tests {
         assert_eq!(manager.admit("hog.com"), Admission::Terminate);
         assert_eq!(manager.admit("small.org"), Admission::Accept);
         assert_eq!(manager.stats().kills, 1);
+        // Its registration outlived the list it was on; dropping it is a no-op.
+        drop(running);
+        assert_eq!(manager.live_meters("hog.com"), 0);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 use crate::policy::Policy;
 use nakika_http::pattern::{Cidr, ClientPattern, Regex};
 use nakika_http::{Method, Request, Response, StatusCode, Uri};
+use nakika_script::value::ObjectData;
 use nakika_script::{analysis, Context, ScriptError, Value};
 use nakika_state::{AccessLog, SiteStore};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// Callback used by the `Fetch` vocabulary (and by the pipeline itself) to
@@ -24,7 +25,8 @@ pub type FetchFn = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 /// level for a named resource in `[0, 1+]`.
 pub type CongestionFn = Arc<dyn Fn(&str) -> f64 + Send + Sync>;
 
-/// The state of one HTTP exchange as seen by the scripts processing it.
+/// The state of one HTTP exchange as seen by the scripts processing it, and
+/// the node services bound to it: everything a vocabulary native reads.
 pub struct ExchangeState {
     /// The request, possibly rewritten by `onRequest` handlers.
     pub request: Request,
@@ -43,9 +45,27 @@ pub struct ExchangeState {
     pub registered: Vec<Policy>,
     /// Wall/virtual time in seconds, provided by the node.
     pub now_secs: u64,
+    /// The node services of the request being served (attached by
+    /// [`install`], or by the pipeline for the exchange it runs).
+    hooks: Arc<VocabHooks>,
 }
 
 impl ExchangeState {
+    /// The state of an exchange that starts with `request` at `now_secs`,
+    /// served with `hooks`.
+    pub(crate) fn new(request: Request, now_secs: u64, hooks: Arc<VocabHooks>) -> ExchangeState {
+        ExchangeState {
+            request,
+            response: None,
+            generated: None,
+            read_pos: 0,
+            output: Vec::new(),
+            registered: Vec::new(),
+            now_secs,
+            hooks,
+        }
+    }
+
     /// Applies any `Response.write()` output to the response body (called by
     /// the pipeline after each `onResponse` handler finishes).
     pub fn commit_output(&mut self) {
@@ -59,20 +79,17 @@ impl ExchangeState {
     }
 }
 
-/// Shared handle on an exchange.
+/// Shared handle on an exchange: the cell the natives of one installed
+/// vocabulary set read through.
 pub type Exchange = Arc<Mutex<ExchangeState>>;
 
 /// Creates an exchange for a request at the given time.
 pub fn new_exchange(request: Request, now_secs: u64) -> Exchange {
-    Arc::new(Mutex::new(ExchangeState {
+    Arc::new(Mutex::new(ExchangeState::new(
         request,
-        response: None,
-        generated: None,
-        read_pos: 0,
-        output: Vec::new(),
-        registered: Vec::new(),
         now_secs,
-    }))
+        Arc::default(),
+    )))
 }
 
 /// Node services the vocabularies may use; every field is optional so tests
@@ -98,405 +115,400 @@ pub struct VocabHooks {
 
 /// Installs every vocabulary into `ctx`, bound to `exchange` and `hooks`.
 pub fn install(ctx: &Context, exchange: &Exchange, hooks: &VocabHooks) {
-    install_request(ctx, exchange);
-    install_response(ctx, exchange);
-    install_system(ctx, exchange, hooks);
-    install_policy(ctx, exchange);
-    install_image_transformer(ctx);
-    install_xml(ctx);
-    install_regex(ctx);
-    install_fetch(ctx, exchange, hooks);
-    install_cache(ctx, exchange, hooks);
-    install_hard_state(ctx, exchange, hooks);
-    install_log(ctx, exchange, hooks);
+    exchange.lock().hooks = Arc::new(hooks.clone());
+    Vocabularies::install(ctx, exchange.clone());
 }
 
-// --- Cache -------------------------------------------------------------------
+/// A global the vocabulary set installs, by name.
+type Global = (&'static str, Value);
 
-fn install_cache(ctx: &Context, exchange: &Exchange, hooks: &VocabHooks) {
-    let cache_obj = Value::new_object();
+/// A vocabulary object with the given members.
+fn object<const N: usize>(members: [(&'static str, Value); N]) -> Value {
+    let mut data = ObjectData::default();
+    data.properties
+        .extend(members.map(|(name, v)| (name.to_string(), v)));
+    Value::Object(Arc::new(RwLock::new(data)))
+}
 
-    // Cache.get(key): returns cached bytes or null.  Keys are namespaced by
-    // the request's site so sites cannot read each other's processed content.
-    let cache = hooks.cache.clone();
-    let ex = exchange.clone();
-    cache_obj
-        .set_property(
-            "get",
-            Value::native(move |_, args| {
-                let Some(cache) = &cache else {
-                    return Ok(Value::Null);
-                };
-                let key = arg(args, 0).to_display_string();
-                let ex = ex.lock();
-                let namespaced = format!("script:{}:{}", ex.request.site(), key);
-                Ok(match cache.get(&namespaced, ex.now_secs) {
-                    Some(response) => Value::new_bytes(response.body.to_bytes().to_vec()),
-                    None => Value::Null,
-                })
-            }),
-        )
-        .unwrap();
+/// Writes `data` into the property slots of a vocabulary object; allocates
+/// nothing once the slots exist.
+fn set_data<const N: usize>(object: &Value, data: [(&'static str, Value); N]) {
+    let Value::Object(object) = object else {
+        return;
+    };
+    let mut object = object.write();
+    for (name, value) in data {
+        match object.properties.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                object.properties.insert(name.to_string(), value);
+            }
+        }
+    }
+}
 
-    // Cache.put(key, bytes, ttlSeconds).
-    let cache = hooks.cache.clone();
-    let ex = exchange.clone();
-    cache_obj
-        .set_property(
-            "put",
-            Value::native(move |_, args| {
-                let Some(cache) = &cache else {
-                    return Ok(Value::Bool(false));
-                };
-                let key = arg(args, 0).to_display_string();
-                let data = arg(args, 1)
-                    .as_bytes_vec()
-                    .unwrap_or_else(|_| arg(args, 1).to_display_string().into_bytes());
-                let ttl = arg(args, 2).to_number().max(1.0) as u64;
-                let ex = ex.lock();
-                let namespaced = format!("script:{}:{}", ex.request.site(), key);
-                let response = Response::ok("application/octet-stream", data)
-                    .with_header("Cache-Control", &format!("max-age={ttl}"));
-                Ok(Value::Bool(cache.put(
-                    &namespaced,
-                    &Method::Get,
-                    &response,
-                    ex.now_secs,
-                )))
-            }),
-        )
-        .unwrap();
+/// The vocabulary set of one scripting context: eleven globals whose natives
+/// all read one binding cell.  A page render or a probe installs a set per
+/// run ([`install`]); a stage instance installs one when it is created and
+/// from then on only moves each exchange in and out of the cell.
+pub(crate) struct Vocabularies {
+    binding: Exchange,
+    /// `Request` and `Response` first: they carry the data properties.
+    globals: [Global; 11],
+}
 
-    ctx.set_global("Cache", cache_obj);
+impl Vocabularies {
+    /// Builds the set over `binding` and installs it into `ctx`, showing the
+    /// exchange the cell holds now.
+    pub(crate) fn install(ctx: &Context, binding: Exchange) -> Vocabularies {
+        let vocabularies = Vocabularies {
+            globals: [
+                request_vocabulary(&binding),
+                response_vocabulary(&binding),
+                system_vocabulary(&binding),
+                policy_vocabulary(&binding),
+                image_transformer_vocabulary(),
+                xml_vocabulary(),
+                regex_vocabulary(),
+                fetch_vocabulary(&binding),
+                cache_vocabulary(&binding),
+                hard_state_vocabulary(&binding),
+                log_vocabulary(&binding),
+            ],
+            binding,
+        };
+        vocabularies.show(ctx, &vocabularies.binding.lock());
+        vocabularies
+    }
+
+    /// Makes `ctx`'s globals show `state`: each of the eleven names pointed
+    /// at this set's own value again (a script may have assigned over it),
+    /// and the nine data properties of `Request` and `Response` refreshed.
+    /// What a script stored *inside* a vocabulary object stays there.
+    fn show(&self, ctx: &Context, state: &ExchangeState) {
+        for (name, global) in &self.globals {
+            ctx.set_global(name, global.clone());
+        }
+        set_data(&self.globals[0].1, request_data(&state.request));
+        set_data(&self.globals[1].1, response_data(state.response.as_ref()));
+    }
+
+    /// Runs `handler_run` with `state` in the binding cell, so the natives
+    /// act on it, and takes it back out afterwards.  If the run panics the
+    /// state stays in the cell and is lost with it.
+    pub(crate) fn with_exchange<T>(
+        &self,
+        ctx: &Context,
+        state: &mut ExchangeState,
+        handler_run: impl FnOnce() -> T,
+    ) -> T {
+        self.show(ctx, state);
+        std::mem::swap(&mut *self.binding.lock(), state);
+        let result = handler_run();
+        std::mem::swap(&mut *self.binding.lock(), state);
+        result
+    }
 }
 
 fn arg(args: &[Value], i: usize) -> Value {
     args.get(i).cloned().unwrap_or(Value::Undefined)
 }
 
+/// A native that acts on whatever exchange the binding cell holds when it
+/// is called.
+fn exchange_native(
+    ex: &Exchange,
+    f: fn(&mut ExchangeState, &[Value]) -> Result<Value, ScriptError>,
+) -> Value {
+    let ex = ex.clone();
+    Value::native(move |_, args| f(&mut ex.lock(), args))
+}
+
+/// A value's bytes if it has any, else the bytes of its display string.
+fn bytes_of(value: &Value) -> Vec<u8> {
+    value
+        .as_bytes_vec()
+        .unwrap_or_else(|_| value.to_display_string().into_bytes())
+}
+
+// --- Cache -------------------------------------------------------------------
+
+fn cache_vocabulary(ex: &Exchange) -> Global {
+    // Cache.get(key): returns cached bytes or null.  Keys are namespaced by
+    // the request's site so sites cannot read each other's processed content.
+    let get = exchange_native(ex, |ex, args| {
+        let Some(cache) = &ex.hooks.cache else {
+            return Ok(Value::Null);
+        };
+        let key = arg(args, 0).to_display_string();
+        let namespaced = format!("script:{}:{}", ex.request.site(), key);
+        Ok(match cache.get(&namespaced, ex.now_secs) {
+            Some(response) => Value::new_bytes(response.body.to_bytes().to_vec()),
+            None => Value::Null,
+        })
+    });
+
+    // Cache.put(key, bytes, ttlSeconds).
+    let put = exchange_native(ex, |ex, args| {
+        let Some(cache) = &ex.hooks.cache else {
+            return Ok(Value::Bool(false));
+        };
+        let key = arg(args, 0).to_display_string();
+        let data = bytes_of(&arg(args, 1));
+        let ttl = arg(args, 2).to_number().max(1.0) as u64;
+        let namespaced = format!("script:{}:{}", ex.request.site(), key);
+        let response = Response::ok("application/octet-stream", data)
+            .with_header("Cache-Control", &format!("max-age={ttl}"));
+        Ok(Value::Bool(cache.put(
+            &namespaced,
+            &Method::Get,
+            &response,
+            ex.now_secs,
+        )))
+    });
+
+    ("Cache", object([("get", get), ("put", put)]))
+}
+
 // --- Request ---------------------------------------------------------------
 
-fn install_request(ctx: &Context, exchange: &Exchange) {
-    let request = Value::new_object();
-    {
-        let ex = exchange.lock();
-        let req = &ex.request;
-        request
-            .set_property("url", Value::string(req.uri.to_string()))
-            .unwrap();
-        request
-            .set_property("path", Value::string(&req.uri.path))
-            .unwrap();
-        request
-            .set_property("host", Value::string(&req.uri.to_origin().host))
-            .unwrap();
-        request
-            .set_property("site", Value::string(req.site()))
-            .unwrap();
-        request
-            .set_property("method", Value::string(req.method.as_str()))
-            .unwrap();
-        request
-            .set_property("clientIP", Value::string(req.client_ip.to_string()))
-            .unwrap();
-    }
+/// The data properties of `Request`, refreshed before every handler run.
+fn request_data(req: &Request) -> [(&'static str, Value); 6] {
+    let origin = req.uri.to_origin();
+    [
+        ("url", Value::string(req.uri.to_string())),
+        ("path", Value::string(&req.uri.path)),
+        ("host", Value::string(&origin.host)),
+        ("site", Value::string(origin.site())),
+        ("method", Value::string(req.method.as_str())),
+        ("clientIP", Value::string(req.client_ip.to_string())),
+    ]
+}
 
-    let ex = exchange.clone();
-    request
-        .set_property(
-            "getHeader",
-            Value::native(move |_, args| {
-                let name = arg(args, 0).to_display_string();
-                Ok(match ex.lock().request.headers.get(&name) {
-                    Some(v) => Value::string(v),
-                    None => Value::Null,
-                })
-            }),
-        )
-        .unwrap();
-
-    let ex = exchange.clone();
-    request
-        .set_property(
-            "setHeader",
-            Value::native(move |_, args| {
-                let name = arg(args, 0).to_display_string();
-                let value = arg(args, 1).to_display_string();
-                ex.lock().request.headers.set(name, value);
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    let ex = exchange.clone();
-    request
-        .set_property(
-            "query",
-            Value::native(move |_, args| {
-                let name = arg(args, 0).to_display_string();
-                let ex = ex.lock();
-                Ok(ex
-                    .request
-                    .uri
-                    .query_pairs()
-                    .into_iter()
-                    .find(|(k, _)| *k == name)
-                    .map(|(_, v)| Value::string(v))
-                    .unwrap_or(Value::Null))
-            }),
-        )
-        .unwrap();
-
-    let ex = exchange.clone();
-    request
-        .set_property(
-            "cookie",
-            Value::native(move |_, args| {
-                let name = arg(args, 0).to_display_string();
-                let ex = ex.lock();
-                Ok(ex
-                    .request
-                    .headers
-                    .cookies()
-                    .into_iter()
-                    .find(|(k, _)| *k == name)
-                    .map(|(_, v)| Value::string(v))
-                    .unwrap_or(Value::Null))
-            }),
-        )
-        .unwrap();
-
-    // Request.setUrl(url): redirect the request (HTTP redirection and service
-    // interposition both rewrite the request URL, paper §3.1 and §5.4).
-    let ex = exchange.clone();
-    request
-        .set_property(
-            "setUrl",
-            Value::native(move |_, args| {
-                let url = arg(args, 0).to_display_string();
-                let uri =
-                    Uri::parse(&url).map_err(|e| ScriptError::Host(format!("setUrl: {e}")))?;
-                ex.lock().request.uri = uri;
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    // Request.terminate(status): reject the request with an error response,
-    // as in the paper's Figure 5 digital-library policy.
-    let ex = exchange.clone();
-    request
-        .set_property(
-            "terminate",
-            Value::native(move |_, args| {
-                let code = arg(args, 0).to_number() as u16;
-                let status = StatusCode::new(code).unwrap_or(StatusCode::FORBIDDEN);
-                ex.lock().generated = Some(Response::error(status));
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    // Request.respond(contentType, body): generate a response from scratch
-    // without contacting the origin server.
-    let ex = exchange.clone();
-    request
-        .set_property(
-            "respond",
-            Value::native(move |_, args| {
-                let content_type = arg(args, 0).to_display_string();
-                let body = arg(args, 1)
-                    .as_bytes_vec()
-                    .unwrap_or_else(|_| arg(args, 1).to_display_string().into_bytes());
-                ex.lock().generated = Some(Response::ok(&content_type, body));
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    ctx.set_global("Request", request);
+fn request_vocabulary(ex: &Exchange) -> Global {
+    let native = |f| exchange_native(ex, f);
+    (
+        "Request",
+        object([
+            (
+                "getHeader",
+                native(|ex, args| {
+                    let name = arg(args, 0).to_display_string();
+                    Ok(match ex.request.headers.get(&name) {
+                        Some(v) => Value::string(v),
+                        None => Value::Null,
+                    })
+                }),
+            ),
+            (
+                "setHeader",
+                native(|ex, args| {
+                    let name = arg(args, 0).to_display_string();
+                    let value = arg(args, 1).to_display_string();
+                    ex.request.headers.set(name, value);
+                    Ok(Value::Undefined)
+                }),
+            ),
+            (
+                "query",
+                native(|ex, args| {
+                    let name = arg(args, 0).to_display_string();
+                    Ok(ex
+                        .request
+                        .uri
+                        .query_pairs()
+                        .into_iter()
+                        .find(|(k, _)| *k == name)
+                        .map(|(_, v)| Value::string(v))
+                        .unwrap_or(Value::Null))
+                }),
+            ),
+            (
+                "cookie",
+                native(|ex, args| {
+                    let name = arg(args, 0).to_display_string();
+                    Ok(ex
+                        .request
+                        .headers
+                        .cookies()
+                        .into_iter()
+                        .find(|(k, _)| *k == name)
+                        .map(|(_, v)| Value::string(v))
+                        .unwrap_or(Value::Null))
+                }),
+            ),
+            // Request.setUrl(url): redirect the request (HTTP redirection and
+            // service interposition both rewrite the request URL, paper §3.1
+            // and §5.4).
+            (
+                "setUrl",
+                native(|ex, args| {
+                    let url = arg(args, 0).to_display_string();
+                    ex.request.uri =
+                        Uri::parse(&url).map_err(|e| ScriptError::Host(format!("setUrl: {e}")))?;
+                    Ok(Value::Undefined)
+                }),
+            ),
+            // Request.terminate(status): reject the request with an error
+            // response, as in the paper's Figure 5 digital-library policy.
+            (
+                "terminate",
+                native(|ex, args| {
+                    let code = arg(args, 0).to_number() as u16;
+                    let status = StatusCode::new(code).unwrap_or(StatusCode::FORBIDDEN);
+                    ex.generated = Some(Response::error(status));
+                    Ok(Value::Undefined)
+                }),
+            ),
+            // Request.respond(contentType, body): generate a response from
+            // scratch without contacting the origin server.
+            (
+                "respond",
+                native(|ex, args| {
+                    let content_type = arg(args, 0).to_display_string();
+                    ex.generated = Some(Response::ok(&content_type, bytes_of(&arg(args, 1))));
+                    Ok(Value::Undefined)
+                }),
+            ),
+        ]),
+    )
 }
 
 // --- Response ----------------------------------------------------------------
 
-fn install_response(ctx: &Context, exchange: &Exchange) {
-    let response = Value::new_object();
-    {
-        let ex = exchange.lock();
-        if let Some(resp) = &ex.response {
-            response
-                .set_property("status", Value::Number(resp.status.as_u16() as f64))
-                .unwrap();
-            response
-                .set_property("contentType", Value::string(resp.content_type()))
-                .unwrap();
-            response
-                .set_property("contentLength", Value::Number(resp.body.len() as f64))
-                .unwrap();
-        } else {
-            response.set_property("status", Value::Number(0.0)).unwrap();
-            response
-                .set_property("contentType", Value::string(""))
-                .unwrap();
-            response
-                .set_property("contentLength", Value::Number(0.0))
-                .unwrap();
-        }
-    }
+/// The data properties of `Response`, refreshed before every handler run.
+fn response_data(response: Option<&Response>) -> [(&'static str, Value); 3] {
+    let (status, content_type, length) = match response {
+        Some(resp) => (
+            resp.status.as_u16() as f64,
+            Value::string(resp.content_type()),
+            resp.body.len() as f64,
+        ),
+        None => (0.0, Value::string(""), 0.0),
+    };
+    [
+        ("status", Value::Number(status)),
+        ("contentType", content_type),
+        ("contentLength", Value::Number(length)),
+    ]
+}
 
-    // Response.read(): returns the next body chunk as a ByteArray, or null
-    // when the body is exhausted (the Figure-2 streaming idiom).
-    let ex = exchange.clone();
-    response
-        .set_property(
-            "read",
-            Value::native(move |_, _| {
-                let mut ex = ex.lock();
-                let pos = ex.read_pos;
-                let chunk = ex.response.as_ref().and_then(|r| r.body.segment(pos));
-                match chunk {
-                    Some(c) => {
-                        ex.read_pos += 1;
-                        Ok(Value::new_bytes(c.to_vec()))
+fn response_vocabulary(ex: &Exchange) -> Global {
+    let native = |f| exchange_native(ex, f);
+    (
+        "Response",
+        object([
+            // Response.read(): returns the next body chunk as a ByteArray, or
+            // null when the body is exhausted (the Figure-2 streaming idiom).
+            (
+                "read",
+                native(|ex, _| {
+                    let pos = ex.read_pos;
+                    let chunk = ex.response.as_ref().and_then(|r| r.body.segment(pos));
+                    match chunk {
+                        Some(c) => {
+                            ex.read_pos += 1;
+                            Ok(Value::new_bytes(c.to_vec()))
+                        }
+                        None => Ok(Value::Null),
                     }
-                    None => Ok(Value::Null),
-                }
-            }),
-        )
-        .unwrap();
-
-    // Response.write(data): append to the replacement body.
-    let ex = exchange.clone();
-    response
-        .set_property(
-            "write",
-            Value::native(move |_, args| {
-                let data = arg(args, 0)
-                    .as_bytes_vec()
-                    .unwrap_or_else(|_| arg(args, 0).to_display_string().into_bytes());
-                ex.lock().output.extend_from_slice(&data);
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    // Response.body(): convenience returning the whole instance as bytes.
-    let ex = exchange.clone();
-    response
-        .set_property(
-            "body",
-            Value::native(move |_, _| {
-                let ex = ex.lock();
-                Ok(match &ex.response {
-                    Some(r) => Value::new_bytes(r.body.to_bytes().to_vec()),
-                    None => Value::Null,
-                })
-            }),
-        )
-        .unwrap();
-
-    let ex = exchange.clone();
-    response
-        .set_property(
-            "getHeader",
-            Value::native(move |_, args| {
-                let name = arg(args, 0).to_display_string();
-                let ex = ex.lock();
-                Ok(ex
-                    .response
-                    .as_ref()
-                    .and_then(|r| r.headers.get(&name))
-                    .map(Value::string)
-                    .unwrap_or(Value::Null))
-            }),
-        )
-        .unwrap();
-
-    let ex = exchange.clone();
-    response
-        .set_property(
-            "setHeader",
-            Value::native(move |_, args| {
-                let name = arg(args, 0).to_display_string();
-                let value = arg(args, 1).to_display_string();
-                if let Some(r) = ex.lock().response.as_mut() {
-                    r.headers.set(name, value);
-                }
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    let ex = exchange.clone();
-    response
-        .set_property(
-            "setStatus",
-            Value::native(move |_, args| {
-                let code = arg(args, 0).to_number() as u16;
-                if let Some(r) = ex.lock().response.as_mut() {
-                    if let Ok(status) = StatusCode::new(code) {
+                }),
+            ),
+            // Response.write(data): append to the replacement body.
+            (
+                "write",
+                native(|ex, args| {
+                    ex.output.extend_from_slice(&bytes_of(&arg(args, 0)));
+                    Ok(Value::Undefined)
+                }),
+            ),
+            // Response.body(): convenience returning the whole instance as
+            // bytes.
+            (
+                "body",
+                native(|ex, _| {
+                    Ok(match &ex.response {
+                        Some(r) => Value::new_bytes(r.body.to_bytes().to_vec()),
+                        None => Value::Null,
+                    })
+                }),
+            ),
+            (
+                "getHeader",
+                native(|ex, args| {
+                    let name = arg(args, 0).to_display_string();
+                    Ok(ex
+                        .response
+                        .as_ref()
+                        .and_then(|r| r.headers.get(&name))
+                        .map(Value::string)
+                        .unwrap_or(Value::Null))
+                }),
+            ),
+            (
+                "setHeader",
+                native(|ex, args| {
+                    let name = arg(args, 0).to_display_string();
+                    let value = arg(args, 1).to_display_string();
+                    if let Some(r) = ex.response.as_mut() {
+                        r.headers.set(name, value);
+                    }
+                    Ok(Value::Undefined)
+                }),
+            ),
+            (
+                "setStatus",
+                native(|ex, args| {
+                    let code = arg(args, 0).to_number() as u16;
+                    if let (Some(r), Ok(status)) = (ex.response.as_mut(), StatusCode::new(code)) {
                         r.status = status;
                     }
-                }
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    ctx.set_global("Response", response);
+                    Ok(Value::Undefined)
+                }),
+            ),
+        ]),
+    )
 }
 
 // --- System -----------------------------------------------------------------
 
-fn install_system(ctx: &Context, exchange: &Exchange, hooks: &VocabHooks) {
-    let system = Value::new_object();
-
-    let locals = hooks.local_networks.clone();
-    system
-        .set_property(
-            "isLocal",
-            Value::native(move |_, args| {
-                let ip_str = arg(args, 0).to_display_string();
-                let Ok(ip) = ip_str.parse() else {
-                    return Ok(Value::Bool(false));
-                };
-                Ok(Value::Bool(locals.iter().any(|c| c.contains(ip))))
-            }),
-        )
-        .unwrap();
-
-    let ex = exchange.clone();
-    system
-        .set_property(
-            "time",
-            Value::native(move |_, _| Ok(Value::Number(ex.lock().now_secs as f64))),
-        )
-        .unwrap();
-
-    let congestion = hooks.congestion.clone();
-    system
-        .set_property(
-            "congestion",
-            Value::native(move |_, args| {
-                let resource = arg(args, 0).to_display_string();
-                Ok(Value::Number(match &congestion {
-                    Some(f) => f(&resource),
-                    None => 0.0,
-                }))
-            }),
-        )
-        .unwrap();
-
-    ctx.set_global("System", system);
+fn system_vocabulary(ex: &Exchange) -> Global {
+    let is_local = {
+        let ex = ex.clone();
+        Value::native(move |_, args| {
+            let Ok(ip) = arg(args, 0).to_display_string().parse() else {
+                return Ok(Value::Bool(false));
+            };
+            let locals = ex.lock().hooks.local_networks.clone();
+            Ok(Value::Bool(locals.iter().any(|c| c.contains(ip))))
+        })
+    };
+    let time = exchange_native(ex, |ex, _| Ok(Value::Number(ex.now_secs as f64)));
+    let congestion = {
+        let ex = ex.clone();
+        Value::native(move |_, args| {
+            let resource = arg(args, 0).to_display_string();
+            let congestion = ex.lock().hooks.congestion.clone();
+            Ok(Value::Number(congestion.map_or(0.0, |f| f(&resource))))
+        })
+    };
+    (
+        "System",
+        object([
+            ("isLocal", is_local),
+            ("time", time),
+            ("congestion", congestion),
+        ]),
+    )
 }
 
 // --- Policy -----------------------------------------------------------------
 
-fn install_policy(ctx: &Context, exchange: &Exchange) {
+fn policy_vocabulary(ex: &Exchange) -> Global {
     // `new Policy()` returns an object whose `register()` method converts the
     // object's properties into a compiled policy and records it on the
     // exchange, exactly mirroring Figures 3 and 5.
-    let ex = exchange.clone();
+    let ex = ex.clone();
     let constructor = Value::native(move |this, _| {
         let ex = ex.clone();
         this.set_property(
@@ -509,7 +521,7 @@ fn install_policy(ctx: &Context, exchange: &Exchange) {
         )?;
         Ok(this.clone())
     });
-    ctx.set_global("Policy", constructor);
+    ("Policy", constructor)
 }
 
 /// Converts a script Policy object into a compiled [`Policy`].
@@ -625,122 +637,101 @@ fn parse_image(data: &[u8]) -> Option<(String, u32, u32, usize)> {
     Some((format, width, height, header_end))
 }
 
-fn install_image_transformer(ctx: &Context) {
-    let transformer = Value::new_object();
-
+fn image_transformer_vocabulary() -> Global {
     // ImageTransformer.type("image/png") -> "png"
-    transformer
-        .set_property(
-            "type",
-            Value::native(|_, args| {
-                let ct = arg(args, 0).to_display_string();
-                let t = ct.split('/').nth(1).unwrap_or("").trim().to_string();
-                Ok(if t.is_empty() {
-                    Value::Null
-                } else {
-                    Value::string(t)
-                })
-            }),
-        )
-        .unwrap();
+    let type_of = Value::native(|_, args| {
+        let ct = arg(args, 0).to_display_string();
+        let t = ct.split('/').nth(1).unwrap_or("").trim().to_string();
+        Ok(if t.is_empty() {
+            Value::Null
+        } else {
+            Value::string(t)
+        })
+    });
 
     // ImageTransformer.dimensions(body, type) -> { x, y }
-    transformer
-        .set_property(
-            "dimensions",
-            Value::native(|_, args| {
-                let data = arg(args, 0).as_bytes_vec()?;
-                let (_, w, h, _) = parse_image(&data)
-                    .ok_or_else(|| ScriptError::Host("not a recognised image".to_string()))?;
-                let dim = Value::new_object();
-                dim.set_property("x", Value::Number(w as f64))?;
-                dim.set_property("y", Value::Number(h as f64))?;
-                Ok(dim)
-            }),
-        )
-        .unwrap();
+    let dimensions = Value::native(|_, args| {
+        let data = arg(args, 0).as_bytes_vec()?;
+        let (_, w, h, _) = parse_image(&data)
+            .ok_or_else(|| ScriptError::Host("not a recognised image".to_string()))?;
+        let dim = Value::new_object();
+        dim.set_property("x", Value::Number(w as f64))?;
+        dim.set_property("y", Value::Number(h as f64))?;
+        Ok(dim)
+    });
 
     // ImageTransformer.transform(body, type, newType, width, height) -> bytes
-    transformer
-        .set_property(
-            "transform",
-            Value::native(|_, args| {
-                let data = arg(args, 0).as_bytes_vec()?;
-                let new_type = arg(args, 2).to_display_string();
-                let width = arg(args, 3).to_number().max(1.0) as u32;
-                let height = arg(args, 4).to_number().max(1.0) as u32;
-                let (_, src_w, src_h, _) = parse_image(&data)
-                    .ok_or_else(|| ScriptError::Host("not a recognised image".to_string()))?;
-                // Simulated transcode cost: proportional to source pixels, the
-                // property Active Cache's content-size quotas relied on and
-                // that congestion control observes here via a busy loop of
-                // byte writes.
-                let _work: u64 = (src_w as u64 * src_h as u64) / 64;
-                Ok(Value::new_bytes(make_image(&new_type, width, height)))
-            }),
-        )
-        .unwrap();
+    let transform = Value::native(|_, args| {
+        let data = arg(args, 0).as_bytes_vec()?;
+        let new_type = arg(args, 2).to_display_string();
+        let width = arg(args, 3).to_number().max(1.0) as u32;
+        let height = arg(args, 4).to_number().max(1.0) as u32;
+        let (_, src_w, src_h, _) = parse_image(&data)
+            .ok_or_else(|| ScriptError::Host("not a recognised image".to_string()))?;
+        // Simulated transcode cost: proportional to source pixels, the
+        // property Active Cache's content-size quotas relied on and
+        // that congestion control observes here via a busy loop of
+        // byte writes.
+        let _work: u64 = (src_w as u64 * src_h as u64) / 64;
+        Ok(Value::new_bytes(make_image(&new_type, width, height)))
+    });
 
-    ctx.set_global("ImageTransformer", transformer);
+    (
+        "ImageTransformer",
+        object([
+            ("type", type_of),
+            ("dimensions", dimensions),
+            ("transform", transform),
+        ]),
+    )
 }
 
 // --- Xml ---------------------------------------------------------------------
 
-fn install_xml(ctx: &Context) {
-    let xml = Value::new_object();
-
+fn xml_vocabulary() -> Global {
     // Xml.toHtml(xmlText): the XSL-rendering substitute.  Renders elements as
     // nested <div>/<span> HTML with a cost linear in the input size, which is
     // what the SIMM port offloads to the edge (paper §5.2).
-    xml.set_property(
-        "toHtml",
-        Value::native(|_, args| {
-            let input = arg(args, 0).to_display_string();
-            Ok(Value::string(xml_to_html(&input)))
-        }),
-    )
-    .unwrap();
+    let to_html = Value::native(|_, args| {
+        let input = arg(args, 0).to_display_string();
+        Ok(Value::string(xml_to_html(&input)))
+    });
 
     // Xml.escape(text): entity-escapes text for embedding in markup.
-    xml.set_property(
-        "escape",
-        Value::native(|_, args| {
-            let input = arg(args, 0).to_display_string();
-            Ok(Value::string(
-                input
-                    .replace('&', "&amp;")
-                    .replace('<', "&lt;")
-                    .replace('>', "&gt;")
-                    .replace('"', "&quot;"),
-            ))
-        }),
-    )
-    .unwrap();
+    let escape = Value::native(|_, args| {
+        let input = arg(args, 0).to_display_string();
+        Ok(Value::string(
+            input
+                .replace('&', "&amp;")
+                .replace('<', "&lt;")
+                .replace('>', "&gt;")
+                .replace('"', "&quot;"),
+        ))
+    });
 
     // Xml.textOf(xmlText, tag): extracts the text content of the first
     // occurrence of <tag>...</tag>.
-    xml.set_property(
-        "textOf",
-        Value::native(|_, args| {
-            let input = arg(args, 0).to_display_string();
-            let tag = arg(args, 1).to_display_string();
-            let open = format!("<{tag}>");
-            let close = format!("</{tag}>");
-            let result = input.find(&open).and_then(|start| {
-                let content_start = start + open.len();
-                input[content_start..]
-                    .find(&close)
-                    .map(|end| input[content_start..content_start + end].to_string())
-            });
-            Ok(match result {
-                Some(text) => Value::string(text),
-                None => Value::Null,
-            })
-        }),
-    )
-    .unwrap();
+    let text_of = Value::native(|_, args| {
+        let input = arg(args, 0).to_display_string();
+        let tag = arg(args, 1).to_display_string();
+        let open = format!("<{tag}>");
+        let close = format!("</{tag}>");
+        let result = input.find(&open).and_then(|start| {
+            let content_start = start + open.len();
+            input[content_start..]
+                .find(&close)
+                .map(|end| input[content_start..content_start + end].to_string())
+        });
+        Ok(match result {
+            Some(text) => Value::string(text),
+            None => Value::Null,
+        })
+    });
 
-    ctx.set_global("Xml", xml);
+    (
+        "Xml",
+        object([("toHtml", to_html), ("escape", escape), ("textOf", text_of)]),
+    )
 }
 
 /// The XSL-render substitute: every XML element becomes a `div` with a class
@@ -782,159 +773,126 @@ pub fn xml_to_html(xml: &str) -> String {
 
 // --- Regex -------------------------------------------------------------------
 
-fn install_regex(ctx: &Context) {
-    let regex = Value::new_object();
-    regex
-        .set_property(
-            "test",
-            Value::native(|_, args| {
-                let pattern = arg(args, 0).to_display_string();
-                let text = arg(args, 1).to_display_string();
-                let re = Regex::new(&pattern)
-                    .map_err(|e| ScriptError::Host(format!("bad pattern: {e}")))?;
-                Ok(Value::Bool(re.is_match(&text)))
-            }),
-        )
-        .unwrap();
-    regex
-        .set_property(
-            "find",
-            Value::native(|_, args| {
-                let pattern = arg(args, 0).to_display_string();
-                let text = arg(args, 1).to_display_string();
-                let re = Regex::new(&pattern)
-                    .map_err(|e| ScriptError::Host(format!("bad pattern: {e}")))?;
-                Ok(match re.find(&text) {
-                    Some((start, end)) => Value::string(&text[start..end]),
-                    None => Value::Null,
-                })
-            }),
-        )
-        .unwrap();
-    ctx.set_global("Regex", regex);
+fn regex_vocabulary() -> Global {
+    let test = Value::native(|_, args| {
+        let pattern = arg(args, 0).to_display_string();
+        let text = arg(args, 1).to_display_string();
+        let re =
+            Regex::new(&pattern).map_err(|e| ScriptError::Host(format!("bad pattern: {e}")))?;
+        Ok(Value::Bool(re.is_match(&text)))
+    });
+    let find = Value::native(|_, args| {
+        let pattern = arg(args, 0).to_display_string();
+        let text = arg(args, 1).to_display_string();
+        let re =
+            Regex::new(&pattern).map_err(|e| ScriptError::Host(format!("bad pattern: {e}")))?;
+        Ok(match re.find(&text) {
+            Some((start, end)) => Value::string(&text[start..end]),
+            None => Value::Null,
+        })
+    });
+    ("Regex", object([("test", test), ("find", find)]))
 }
 
 // --- Fetch -------------------------------------------------------------------
 
-fn install_fetch(ctx: &Context, exchange: &Exchange, hooks: &VocabHooks) {
-    let fetch_obj = Value::new_object();
-    let fetch = hooks.fetch.clone();
-    let ex = exchange.clone();
-    fetch_obj
-        .set_property(
-            "get",
-            Value::native(move |_, args| {
-                let Some(fetch) = &fetch else {
-                    return Err(ScriptError::Host("Fetch is not available".to_string()));
-                };
-                let url = arg(args, 0).to_display_string();
-                let uri =
-                    Uri::parse(&url).map_err(|e| ScriptError::Host(format!("Fetch.get: {e}")))?;
-                let mut request = Request::new(Method::Get, uri);
-                request.client_ip = ex.lock().request.client_ip;
-                let response = fetch(&request);
-                let result = Value::new_object();
-                result.set_property("status", Value::Number(response.status.as_u16() as f64))?;
-                result.set_property("contentType", Value::string(response.content_type()))?;
-                result.set_property("body", Value::new_bytes(response.body.to_bytes().to_vec()))?;
-                result.set_property("text", Value::string(response.body.to_text()))?;
-                Ok(result)
-            }),
-        )
-        .unwrap();
-    ctx.set_global("Fetch", fetch_obj);
+fn fetch_vocabulary(ex: &Exchange) -> Global {
+    let ex = ex.clone();
+    let get = Value::native(move |_, args| {
+        // The fetch may block, or panic: it runs with the cell unlocked.
+        let (fetch, client_ip) = {
+            let ex = ex.lock();
+            (ex.hooks.fetch.clone(), ex.request.client_ip)
+        };
+        let Some(fetch) = fetch else {
+            return Err(ScriptError::Host("Fetch is not available".to_string()));
+        };
+        let url = arg(args, 0).to_display_string();
+        let uri = Uri::parse(&url).map_err(|e| ScriptError::Host(format!("Fetch.get: {e}")))?;
+        let mut request = Request::new(Method::Get, uri);
+        request.client_ip = client_ip;
+        let response = fetch(&request);
+        let result = Value::new_object();
+        result.set_property("status", Value::Number(response.status.as_u16() as f64))?;
+        result.set_property("contentType", Value::string(response.content_type()))?;
+        result.set_property("body", Value::new_bytes(response.body.to_bytes().to_vec()))?;
+        result.set_property("text", Value::string(response.body.to_text()))?;
+        Ok(result)
+    });
+    ("Fetch", object([("get", get)]))
 }
 
 // --- HardState ---------------------------------------------------------------
 
-fn install_hard_state(ctx: &Context, exchange: &Exchange, hooks: &VocabHooks) {
-    let hard_state = Value::new_object();
-    let store = hooks.store.clone();
-    let ex = exchange.clone();
-    hard_state
-        .set_property(
-            "put",
-            Value::native(move |_, args| {
-                let Some(store) = &store else {
-                    return Err(ScriptError::Host("HardState is not available".to_string()));
-                };
-                let key = arg(args, 0).to_display_string();
-                let value = arg(args, 1).to_display_string();
-                let site = ex.lock().request.site();
-                store
-                    .put(&site, &key, &value)
-                    .map_err(|e| ScriptError::Host(e.to_string()))?;
-                Ok(Value::Undefined)
-            }),
-        )
-        .unwrap();
-
-    let store = hooks.store.clone();
-    let ex = exchange.clone();
-    hard_state
-        .set_property(
-            "get",
-            Value::native(move |_, args| {
-                let Some(store) = &store else {
-                    return Err(ScriptError::Host("HardState is not available".to_string()));
-                };
-                let key = arg(args, 0).to_display_string();
-                let site = ex.lock().request.site();
-                Ok(match store.get(&site, &key) {
-                    Some(v) => Value::string(v),
-                    None => Value::Null,
-                })
-            }),
-        )
-        .unwrap();
-
-    let store = hooks.store.clone();
-    let ex = exchange.clone();
-    hard_state
-        .set_property(
-            "keys",
-            Value::native(move |_, args| {
-                let Some(store) = &store else {
-                    return Err(ScriptError::Host("HardState is not available".to_string()));
-                };
-                let prefix = arg(args, 0).to_display_string();
-                let site = ex.lock().request.site();
-                Ok(Value::new_array(
+fn hard_state_vocabulary(ex: &Exchange) -> Global {
+    // Each operation acts on the requesting site's partition of the store.
+    let native = |f: fn(&SiteStore, &str, &[Value]) -> Result<Value, ScriptError>| {
+        let ex = ex.clone();
+        Value::native(move |_, args| {
+            let (store, site) = {
+                let ex = ex.lock();
+                (ex.hooks.store.clone(), ex.request.site())
+            };
+            let Some(store) = store else {
+                return Err(ScriptError::Host("HardState is not available".to_string()));
+            };
+            f(&store, &site, args)
+        })
+    };
+    (
+        "HardState",
+        object([
+            (
+                "put",
+                native(|store, site, args| {
+                    let key = arg(args, 0).to_display_string();
+                    let value = arg(args, 1).to_display_string();
                     store
-                        .keys_with_prefix(&site, &prefix)
-                        .into_iter()
-                        .map(Value::string)
-                        .collect(),
-                ))
-            }),
-        )
-        .unwrap();
-
-    ctx.set_global("HardState", hard_state);
+                        .put(site, &key, &value)
+                        .map_err(|e| ScriptError::Host(e.to_string()))?;
+                    Ok(Value::Undefined)
+                }),
+            ),
+            (
+                "get",
+                native(|store, site, args| {
+                    let key = arg(args, 0).to_display_string();
+                    Ok(match store.get(site, &key) {
+                        Some(v) => Value::string(v),
+                        None => Value::Null,
+                    })
+                }),
+            ),
+            (
+                "keys",
+                native(|store, site, args| {
+                    let prefix = arg(args, 0).to_display_string();
+                    Ok(Value::new_array(
+                        store
+                            .keys_with_prefix(site, &prefix)
+                            .into_iter()
+                            .map(Value::string)
+                            .collect(),
+                    ))
+                }),
+            ),
+        ]),
+    )
 }
 
 // --- Log ---------------------------------------------------------------------
 
-fn install_log(ctx: &Context, exchange: &Exchange, hooks: &VocabHooks) {
-    let log = Value::new_object();
-    let access_log = hooks.access_log.clone();
-    let ex = exchange.clone();
+fn log_vocabulary(ex: &Exchange) -> Global {
     // Log.post(url): the site script opts into edge-side access logging and
     // names the URL batched log entries should be POSTed to (paper §3.3).
-    log.set_property(
-        "post",
-        Value::native(move |_, args| {
-            let Some(access_log) = &access_log else {
-                return Ok(Value::Undefined);
-            };
+    let post = exchange_native(ex, |ex, args| {
+        if let Some(access_log) = &ex.hooks.access_log {
             let url = arg(args, 0).to_display_string();
-            let site = ex.lock().request.site();
-            access_log.configure_site(&site, Some(&url));
-            Ok(Value::Undefined)
-        }),
-    )
-    .unwrap();
-    ctx.set_global("Log", log);
+            access_log.configure_site(&ex.request.site(), Some(&url));
+        }
+        Ok(Value::Undefined)
+    });
+    ("Log", object([("post", post)]))
 }
 
 #[cfg(test)]
