@@ -17,8 +17,9 @@ use crate::policy::{DecisionTree, Matcher, Policy, PolicySet};
 use crate::programs::{CachedScript, ProgramCache, ScriptEngine};
 use crate::vocab::{ExchangeState, VocabHooks, Vocabularies};
 use nakika_http::{Request, Response, StatusCode};
-use nakika_script::{stdlib, Context, ContextPool, ResourceMeter, ScriptError, Value};
+use nakika_script::{stdlib, Context, ResourceMeter, ScriptError, Value};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,7 +82,7 @@ impl StageInstance {
         url: &str,
         script: &CachedScript,
         engine: ScriptEngine,
-        hooks: Arc<VocabHooks>,
+        hooks: VocabHooks,
     ) -> Result<(StageInstance, Vec<Policy>), ScriptError> {
         let ctx = Context::new();
         stdlib::install(&ctx);
@@ -131,8 +132,7 @@ impl CompiledStage {
         engine: ScriptEngine,
     ) -> Result<CompiledStage, ScriptError> {
         let script = programs.get_or_compile(source)?;
-        let (instance, registered) =
-            StageInstance::create(url, &script, engine, Arc::new(hooks.clone()))?;
+        let (instance, registered) = StageInstance::create(url, &script, engine, hooks.clone())?;
         let mut set = PolicySet::new();
         for policy in registered {
             set.push(policy);
@@ -160,15 +160,6 @@ impl CompiledStage {
         self.instantiations.load(Ordering::Relaxed)
     }
 
-    /// Where `policy`, a match this stage's matcher returned, was registered.
-    fn position_of(&self, policy: &Arc<Policy>) -> usize {
-        self.policies
-            .policies()
-            .iter()
-            .position(|p| Arc::ptr_eq(p, policy))
-            .expect("the matcher returns this stage's own policies")
-    }
-
     /// Takes the instance this thread returned last, else the one any thread
     /// returned last, else makes one by running the compiled program again
     /// (no parse, no compile) with `hooks`.
@@ -178,7 +169,7 @@ impl CompiledStage {
     /// pop whichever is on top keep handing them to each other's core
     /// (two pinned threads on one stage: 25 us per empty-handler pipeline
     /// with plain LIFO, 14 us with this, 12 us with a stage each).
-    fn check_out(&self, hooks: &Arc<VocabHooks>) -> Result<StageInstance, ScriptError> {
+    fn check_out(&self, hooks: &VocabHooks) -> Result<StageInstance, ScriptError> {
         {
             let me = std::thread::current().id();
             let mut idle = self.idle.lock();
@@ -356,10 +347,8 @@ pub struct PipelineOutcome {
     pub script_errors: Vec<ScriptError>,
 }
 
-/// The pipeline executor.
+/// The pipeline executor: the limits every handler execution runs under.
 pub struct PipelineRunner {
-    /// Scripting-context pool for per-request accounting contexts.
-    pub pool: Arc<ContextPool>,
     /// Fuel limit per handler execution.
     pub fuel_limit: u64,
     /// Memory cap per handler execution.
@@ -369,7 +358,6 @@ pub struct PipelineRunner {
 impl Default for PipelineRunner {
     fn default() -> Self {
         PipelineRunner {
-            pool: Arc::new(ContextPool::new(32)),
             fuel_limit: nakika_script::context::DEFAULT_FUEL,
             memory_limit: nakika_script::context::DEFAULT_MEMORY_LIMIT,
         }
@@ -398,18 +386,17 @@ impl PipelineRunner {
         hooks: &VocabHooks,
         meter: ResourceMeter,
     ) -> PipelineOutcome {
-        let hooks = Arc::new(hooks.clone());
         let mut state = ExchangeState::new(request, now, hooks.clone());
-        let mut accounting = self.pool.acquire();
+        // Carries the limits and the per-site meter to each handler run;
+        // nothing reads its globals.
+        let mut accounting = Context::with_limits(self.fuel_limit, self.memory_limit);
         accounting.meter = meter;
-        accounting.fuel_limit = self.fuel_limit;
-        accounting.memory_limit = self.memory_limit;
 
         // forward stack: POP order is client wall, site stage, server wall.
-        let mut forward: Vec<String> = vec![
-            server_wall_url.to_string(),
-            site_stage_url.to_string(),
-            client_wall_url.to_string(),
+        let mut forward: Vec<Cow<str>> = vec![
+            server_wall_url.into(),
+            site_stage_url.into(),
+            client_wall_url.into(),
         ];
         // Each scheduled stage with the position of its matched policy and
         // the instance this pipeline holds until the stage's onResponse ran.
@@ -429,13 +416,15 @@ impl PipelineRunner {
             let Some(stage) = loader.load(&stage_url, now) else {
                 continue;
             };
-            let Some(policy) = stage.find_closest_match(&state.request) else {
+            // The position is where the policy was registered, which is
+            // where every instance keeps its handlers.
+            let Some((position, policy)) = stage.matcher.closest(&state.request) else {
                 continue;
             };
+            let policy = policy.clone();
             stages_executed += 1;
-            match stage.check_out(&hooks) {
+            match stage.check_out(hooks) {
                 Ok(instance) => {
-                    let position = stage.position_of(&policy);
                     if let Some(handler) = &instance.handlers[position].on_request {
                         let ran = stage.run_handler(&instance, handler, &mut state, &accounting);
                         script_errors.extend(ran.err());
@@ -452,16 +441,17 @@ impl PipelineRunner {
             // Dynamically scheduled stages run next, before already scheduled
             // ones (PREPEND).
             for next in policy.next_stages.iter().rev() {
-                forward.push(next.clone());
+                forward.push(next.clone().into());
             }
         }
 
         // Obtain the response: generated by a script, or fetched.
         let generated_by_script = state.generated.is_some();
-        state.response = Some(match state.generated.take() {
+        let response = match state.generated.take() {
             Some(generated) => generated,
             None => fetch_resource(&state.request),
-        });
+        };
+        state.set_response(response);
 
         // Execute onResponse handlers in reverse order.
         while let Some((stage, position, instance)) = backward.pop() {
@@ -472,8 +462,6 @@ impl PipelineRunner {
             }
             stage.check_in(instance);
         }
-
-        self.pool.release(accounting);
 
         PipelineOutcome {
             response: state
@@ -1070,6 +1058,90 @@ mod tests {
                 1,
                 "one instance served all four"
             );
+        }
+    }
+
+    #[test]
+    fn what_one_stage_changes_the_next_stage_is_shown() {
+        // The data properties come from values the exchange keeps ready
+        // between handler starts, so a handler that changes what they are
+        // made from must make the next start — another stage's, in another
+        // instance — make them again: the URL rewritten on the way in, the
+        // status, type and length changed on the way out.
+        for engine in ENGINES {
+            let hooks = VocabHooks::default();
+            let programs = ProgramCache::new();
+            let mut loader = StaticStageLoader::new();
+            let mut add = |url: &str, source: &str| {
+                loader.add_compiled(
+                    CompiledStage::compile_with(url, source, &hooks, &programs, engine)
+                        .expect("the stage script compiles"),
+                );
+            };
+            add(
+                CLIENT_WALL_URL,
+                r#"
+                p = new Policy();
+                p.onRequest = function() {
+                    Request.setHeader('X-Before', Request.url + ' ' + Request.site);
+                    Request.setUrl('http://real.example:8080/data?v=2');
+                };
+                p.onResponse = function() {
+                    Response.setHeader('X-Wall-Saw', Response.status + ' ' +
+                        Response.contentType + ' ' + Response.contentLength);
+                };
+                p.register();
+                "#,
+            );
+            add(
+                "http://real.example:8080/nakika.js",
+                r#"
+                p = new Policy();
+                p.onRequest = function() {
+                    Request.setHeader('X-After', [Request.url, Request.path, Request.host,
+                        Request.site, Request.method, Request.clientIP].join(' '));
+                };
+                p.onResponse = function() {
+                    Response.setHeader('X-Site-Saw', Response.status + ' ' +
+                        Response.contentType + ' ' + Response.contentLength);
+                    Response.setStatus(203);
+                    Response.setHeader('Content-Type', 'text/plain');
+                    Response.write('rewritten body');
+                };
+                p.register();
+                "#,
+            );
+            let outcome = runner().execute(
+                Request::get("http://alias.example/data"),
+                100,
+                &loader,
+                "http://real.example:8080/nakika.js",
+                CLIENT_WALL_URL,
+                SERVER_WALL_URL,
+                &|_req: &Request| Response::ok("text/html", "data"),
+                &hooks,
+                ResourceMeter::new(),
+            );
+            assert!(
+                outcome.script_errors.is_empty(),
+                "{:?}",
+                outcome.script_errors
+            );
+            let sent = &outcome.final_request.headers;
+            assert_eq!(
+                sent.get("x-before"),
+                Some("http://alias.example/data alias.example")
+            );
+            assert_eq!(
+                sent.get("x-after"),
+                Some(
+                    "http://real.example:8080/data?v=2 /data real.example \
+                     real.example:8080 GET 0.0.0.0"
+                )
+            );
+            let replied = &outcome.response.headers;
+            assert_eq!(replied.get("x-site-saw"), Some("200 text/html 4"));
+            assert_eq!(replied.get("x-wall-saw"), Some("203 text/plain 14"));
         }
     }
 

@@ -225,13 +225,16 @@ impl LinearMatcher {
 
 impl Matcher for LinearMatcher {
     fn find_closest_match(&self, request: &Request) -> Option<Arc<Policy>> {
-        best_of(self.policies.iter(), request)
+        best_of(self.policies.iter().enumerate(), request).map(|(_, p)| p.clone())
     }
 
     fn len(&self) -> usize {
         self.policies.len()
     }
 }
+
+/// A policy with the position it was registered at.
+type Registered = (usize, Arc<Policy>);
 
 /// The decision tree: policies are bucketed by the components of their URL
 /// predicates' host names so that dynamic evaluation only scores the policies
@@ -245,20 +248,21 @@ impl Matcher for LinearMatcher {
 /// ablation bench.
 pub struct DecisionTree {
     /// host (lower-case, origin form) -> candidate policies.
-    by_host: HashMap<String, Vec<Arc<Policy>>>,
+    by_host: HashMap<String, Vec<Registered>>,
     /// Policies with no URL predicate: candidates for every request.
-    host_agnostic: Vec<Arc<Policy>>,
+    host_agnostic: Vec<Registered>,
     total: usize,
 }
 
 impl DecisionTree {
     /// Builds the tree from a policy set.
     pub fn build(set: &PolicySet) -> DecisionTree {
-        let mut by_host: HashMap<String, Vec<Arc<Policy>>> = HashMap::new();
+        let mut by_host: HashMap<String, Vec<Registered>> = HashMap::new();
         let mut host_agnostic = Vec::new();
-        for policy in &set.policies {
+        for (position, policy) in set.policies.iter().enumerate() {
+            let registered = (position, policy.clone());
             if policy.url.is_empty() {
-                host_agnostic.push(policy.clone());
+                host_agnostic.push(registered);
                 continue;
             }
             for prefix in &policy.url {
@@ -271,10 +275,10 @@ impl DecisionTree {
                     // A path-only predicate ("/api/motd") names no host, so
                     // it is a candidate for every request; Policy::matches
                     // still applies the path prefix.
-                    host_agnostic.push(policy.clone());
+                    host_agnostic.push(registered);
                     break;
                 }
-                by_host.entry(host).or_default().push(policy.clone());
+                by_host.entry(host).or_default().push(registered.clone());
             }
         }
         DecisionTree {
@@ -286,9 +290,9 @@ impl DecisionTree {
 
     /// Candidate policies for a request: those registered for any suffix of
     /// the request's host, plus the host-agnostic ones.
-    fn candidates(&self, request: &Request) -> Vec<&Arc<Policy>> {
+    fn candidates(&self, request: &Request) -> Vec<&Registered> {
         let host = request.uri.to_origin().host;
-        let mut out: Vec<&Arc<Policy>> = Vec::new();
+        let mut out: Vec<&Registered> = Vec::new();
         // Consider every domain suffix of the host ("a.b.c" -> "a.b.c",
         // "b.c", "c") because URL predicates may name a parent domain.
         let parts: Vec<&str> = host.split('.').collect();
@@ -301,11 +305,18 @@ impl DecisionTree {
         out.extend(self.host_agnostic.iter());
         out
     }
+
+    /// The closest-matching policy for a request and the position it was
+    /// registered at in the set this tree was built from.
+    pub fn closest(&self, request: &Request) -> Option<(usize, &Arc<Policy>)> {
+        let candidates = self.candidates(request);
+        best_of(candidates.into_iter().map(|(at, p)| (*at, p)), request)
+    }
 }
 
 impl Matcher for DecisionTree {
     fn find_closest_match(&self, request: &Request) -> Option<Arc<Policy>> {
-        best_of(self.candidates(request).into_iter(), request)
+        self.closest(request).map(|(_, p)| p.clone())
     }
 
     fn len(&self) -> usize {
@@ -313,22 +324,22 @@ impl Matcher for DecisionTree {
     }
 }
 
-/// Scores candidates and returns the most specific match; ties go to the
-/// policy registered first (stable registration order).
+/// Scores candidates and returns the most specific match with its position;
+/// ties go to the policy registered first (stable registration order).
 fn best_of<'a>(
-    policies: impl Iterator<Item = &'a Arc<Policy>>,
+    policies: impl Iterator<Item = (usize, &'a Arc<Policy>)>,
     request: &Request,
-) -> Option<Arc<Policy>> {
-    let mut best: Option<(Specificity, &'a Arc<Policy>)> = None;
-    for policy in policies {
-        if let Some(spec) = policy.matches(request) {
+) -> Option<(usize, &'a Arc<Policy>)> {
+    let mut best: Option<(Specificity, (usize, &'a Arc<Policy>))> = None;
+    for candidate in policies {
+        if let Some(spec) = candidate.1.matches(request) {
             match &best {
                 Some((best_spec, _)) if *best_spec >= spec => {}
-                _ => best = Some((spec, policy)),
+                _ => best = Some((spec, candidate)),
             }
         }
     }
-    best.map(|(_, p)| p.clone())
+    best.map(|(_, candidate)| candidate)
 }
 
 #[cfg(test)]

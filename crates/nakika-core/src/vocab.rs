@@ -15,6 +15,7 @@ use nakika_script::value::ObjectData;
 use nakika_script::{analysis, Context, ScriptError, Value};
 use nakika_state::{AccessLog, SiteStore};
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Callback used by the `Fetch` vocabulary (and by the pipeline itself) to
@@ -47,13 +48,22 @@ pub struct ExchangeState {
     pub now_secs: u64,
     /// The node services of the request being served (attached by
     /// [`install`], or by the pipeline for the exchange it runs).
-    hooks: Arc<VocabHooks>,
+    hooks: VocabHooks,
+    /// The six `Request` data properties as script values: made when a
+    /// handler start first needs them, handed out by reference count from
+    /// then on, and dropped by whatever rewrites the request URL (the
+    /// method and the client address never change).
+    request_values: Option<[Value; 6]>,
+    /// `Response.contentType` as a script value, likewise; dropped when the
+    /// response is installed or its `Content-Type` is set.  The other two
+    /// `Response` data properties are plain numbers, made on the spot.
+    content_type: Option<Value>,
 }
 
 impl ExchangeState {
     /// The state of an exchange that starts with `request` at `now_secs`,
     /// served with `hooks`.
-    pub(crate) fn new(request: Request, now_secs: u64, hooks: Arc<VocabHooks>) -> ExchangeState {
+    pub(crate) fn new(request: Request, now_secs: u64, hooks: VocabHooks) -> ExchangeState {
         ExchangeState {
             request,
             response: None,
@@ -63,7 +73,53 @@ impl ExchangeState {
             registered: Vec::new(),
             now_secs,
             hooks,
+            request_values: None,
+            content_type: None,
         }
+    }
+
+    /// Installs the response the `onResponse` handlers are to process.
+    pub(crate) fn set_response(&mut self, response: Response) {
+        self.response = Some(response);
+        self.content_type = None;
+    }
+
+    /// The data properties of `Request`, by name.
+    fn request_data(&mut self) -> [(&'static str, Value); 6] {
+        let values = self.request_values.get_or_insert_with(|| {
+            let origin = self.request.uri.to_origin();
+            [
+                Value::string(self.request.uri.to_string()),
+                Value::string(&self.request.uri.path),
+                Value::string(&origin.host),
+                Value::string(origin.site()),
+                Value::string(self.request.method.as_str()),
+                Value::string(self.request.client_ip.to_string()),
+            ]
+        });
+        let names = ["url", "path", "host", "site", "method", "clientIP"];
+        std::array::from_fn(|i| (names[i], values[i].clone()))
+    }
+
+    /// The data properties of `Response`, by name; those of no response
+    /// while the `onRequest` handlers run.
+    fn response_data(&mut self) -> [(&'static str, Value); 3] {
+        let (status, length) = match &self.response {
+            Some(response) => (response.status.as_u16(), response.body.len()),
+            None => (0, 0),
+        };
+        let content_type = self.content_type.get_or_insert_with(|| {
+            Value::string(
+                self.response
+                    .as_ref()
+                    .map_or_else(String::new, Response::content_type),
+            )
+        });
+        [
+            ("status", Value::Number(status as f64)),
+            ("contentType", content_type.clone()),
+            ("contentLength", Value::Number(length as f64)),
+        ]
     }
 
     /// Applies any `Response.write()` output to the response body (called by
@@ -88,7 +144,7 @@ pub fn new_exchange(request: Request, now_secs: u64) -> Exchange {
     Arc::new(Mutex::new(ExchangeState::new(
         request,
         now_secs,
-        Arc::default(),
+        VocabHooks::default(),
     )))
 }
 
@@ -114,8 +170,15 @@ pub struct VocabHooks {
 }
 
 /// Installs every vocabulary into `ctx`, bound to `exchange` and `hooks`.
+/// The data properties show the exchange as it is now, whatever its holder
+/// has written to it since an earlier install.
 pub fn install(ctx: &Context, exchange: &Exchange, hooks: &VocabHooks) {
-    exchange.lock().hooks = Arc::new(hooks.clone());
+    {
+        let mut state = exchange.lock();
+        state.hooks = hooks.clone();
+        state.request_values = None;
+        state.content_type = None;
+    }
     Vocabularies::install(ctx, exchange.clone());
 }
 
@@ -155,6 +218,10 @@ pub(crate) struct Vocabularies {
     binding: Exchange,
     /// `Request` and `Response` first: they carry the data properties.
     globals: [Global; 11],
+    /// What the context's global scope had counted in writes when the
+    /// eleven names were last pointed at this set's values: while the count
+    /// stands, they all still are.
+    pointed_at: Cell<u64>,
 }
 
 impl Vocabularies {
@@ -175,22 +242,29 @@ impl Vocabularies {
                 hard_state_vocabulary(&binding),
                 log_vocabulary(&binding),
             ],
+            // A count the scope never reports, so the first start points.
+            pointed_at: Cell::new(u64::MAX),
             binding,
         };
-        vocabularies.show(ctx, &vocabularies.binding.lock());
+        vocabularies.show(ctx, &mut vocabularies.binding.lock());
         vocabularies
     }
 
-    /// Makes `ctx`'s globals show `state`: each of the eleven names pointed
-    /// at this set's own value again (a script may have assigned over it),
-    /// and the nine data properties of `Request` and `Response` refreshed.
+    /// Makes `ctx`'s globals show `state`, as a fresh install would: each of
+    /// the eleven names pointed at this set's own value — done again only
+    /// if a script has written a global since, whichever it was — and the
+    /// nine data properties of `Request` and `Response` set from the values
+    /// the exchange keeps ready.  Once those exist this allocates nothing.
     /// What a script stored *inside* a vocabulary object stays there.
-    fn show(&self, ctx: &Context, state: &ExchangeState) {
-        for (name, global) in &self.globals {
-            ctx.set_global(name, global.clone());
+    fn show(&self, ctx: &Context, state: &mut ExchangeState) {
+        if ctx.globals.writes() != self.pointed_at.get() {
+            for (name, global) in &self.globals {
+                ctx.set_global(name, global.clone());
+            }
+            self.pointed_at.set(ctx.globals.writes());
         }
-        set_data(&self.globals[0].1, request_data(&state.request));
-        set_data(&self.globals[1].1, response_data(state.response.as_ref()));
+        set_data(&self.globals[0].1, state.request_data());
+        set_data(&self.globals[1].1, state.response_data());
     }
 
     /// Runs `handler_run` with `state` in the binding cell, so the natives
@@ -272,19 +346,6 @@ fn cache_vocabulary(ex: &Exchange) -> Global {
 
 // --- Request ---------------------------------------------------------------
 
-/// The data properties of `Request`, refreshed before every handler run.
-fn request_data(req: &Request) -> [(&'static str, Value); 6] {
-    let origin = req.uri.to_origin();
-    [
-        ("url", Value::string(req.uri.to_string())),
-        ("path", Value::string(&req.uri.path)),
-        ("host", Value::string(&origin.host)),
-        ("site", Value::string(origin.site())),
-        ("method", Value::string(req.method.as_str())),
-        ("clientIP", Value::string(req.client_ip.to_string())),
-    ]
-}
-
 fn request_vocabulary(ex: &Exchange) -> Global {
     let native = |f| exchange_native(ex, f);
     (
@@ -346,6 +407,7 @@ fn request_vocabulary(ex: &Exchange) -> Global {
                     let url = arg(args, 0).to_display_string();
                     ex.request.uri =
                         Uri::parse(&url).map_err(|e| ScriptError::Host(format!("setUrl: {e}")))?;
+                    ex.request_values = None;
                     Ok(Value::Undefined)
                 }),
             ),
@@ -375,23 +437,6 @@ fn request_vocabulary(ex: &Exchange) -> Global {
 }
 
 // --- Response ----------------------------------------------------------------
-
-/// The data properties of `Response`, refreshed before every handler run.
-fn response_data(response: Option<&Response>) -> [(&'static str, Value); 3] {
-    let (status, content_type, length) = match response {
-        Some(resp) => (
-            resp.status.as_u16() as f64,
-            Value::string(resp.content_type()),
-            resp.body.len() as f64,
-        ),
-        None => (0.0, Value::string(""), 0.0),
-    };
-    [
-        ("status", Value::Number(status)),
-        ("contentType", content_type),
-        ("contentLength", Value::Number(length)),
-    ]
-}
 
 fn response_vocabulary(ex: &Exchange) -> Global {
     let native = |f| exchange_native(ex, f);
@@ -450,6 +495,9 @@ fn response_vocabulary(ex: &Exchange) -> Global {
                 native(|ex, args| {
                     let name = arg(args, 0).to_display_string();
                     let value = arg(args, 1).to_display_string();
+                    if name.eq_ignore_ascii_case("content-type") {
+                        ex.content_type = None;
+                    }
                     if let Some(r) = ex.response.as_mut() {
                         r.headers.set(name, value);
                     }
@@ -1198,6 +1246,115 @@ mod tests {
         assert_eq!(v.to_display_string(), "y");
         let v = run_handler_script("Regex.find('[0-9]+', 'build 4127 ok')", &ex, &hooks);
         assert_eq!(v.to_display_string(), "4127");
+    }
+
+    // --- handler starts -----------------------------------------------------
+
+    /// The string a data property of the vocabulary object `global` holds.
+    fn shown(ctx: &Context, global: &str, property: &str) -> Arc<str> {
+        match ctx.get_global(global).unwrap().get_property(property) {
+            Value::Str(s) => s,
+            other => panic!("{global}.{property} is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_handler_start_reuses_the_exchanges_values_and_leaves_the_globals_alone() {
+        let ctx = Context::new();
+        stdlib::install(&ctx);
+        let binding = new_exchange(Request::get("http://load.example/nakika.js"), 0);
+        let vocabularies = Vocabularies::install(&ctx, binding);
+        let mut state = ExchangeState::new(
+            Request::get("http://site.example/a?b=1"),
+            1,
+            VocabHooks::default(),
+        );
+        vocabularies.with_exchange(&ctx, &mut state, || ());
+        let (url, written) = (shown(&ctx, "Request", "url"), ctx.globals.writes());
+        assert_eq!(&*url, "http://site.example/a?b=1");
+        assert_eq!(&*shown(&ctx, "Response", "contentType"), "");
+
+        // A second start for the same exchange: no global is written, and
+        // the very same strings are shown, not equal ones made again.
+        vocabularies.with_exchange(&ctx, &mut state, || ());
+        assert_eq!(ctx.globals.writes(), written);
+        assert!(Arc::ptr_eq(&shown(&ctx, "Request", "url"), &url));
+
+        // What a run changes is what the next start recomputes: the URL by
+        // `setUrl`, the content type by `setHeader`; numbers are always new.
+        state.set_response(Response::ok("text/html", "page"));
+        let program = parse_program(
+            "Request.setUrl('http://other.example:81/b'); \
+             Response.setHeader('content-type', 'text/plain; charset=x'); \
+             Response.setStatus(404); Response.write('longer page'); \
+             Request.url = 'clobbered'; Response = 7; unrelated = 1;",
+        )
+        .unwrap();
+        vocabularies.with_exchange(&ctx, &mut state, || {
+            Interpreter::new(&ctx).run(&program).unwrap();
+        });
+        state.commit_output();
+        assert_ne!(ctx.globals.writes(), written);
+        vocabularies.with_exchange(&ctx, &mut state, || ());
+        assert_eq!(&*shown(&ctx, "Request", "url"), "http://other.example:81/b");
+        assert_eq!(&*shown(&ctx, "Request", "path"), "/b");
+        assert_eq!(&*shown(&ctx, "Request", "host"), "other.example");
+        assert_eq!(&*shown(&ctx, "Request", "site"), "other.example:81");
+        assert_eq!(&*shown(&ctx, "Response", "contentType"), "text/plain");
+        let response = ctx.get_global("Response").unwrap();
+        assert_eq!(response.get_property("status"), Value::Number(404.0));
+        assert_eq!(response.get_property("contentLength"), Value::Number(11.0));
+    }
+
+    #[test]
+    fn the_benchmarks_site_handler_costs_exactly_2124_fuel() {
+        // The script, the request and the calls of the `scripted_hit`
+        // workload's `nakika-script.vm_fuel_per_call` probe (bench/src/sut.rs).
+        // 2124 is what it read at `bc0999c`, when the VM charged one unit per
+        // primitive instruction; superinstructions charge what they replace,
+        // so it reads 2124 for as long as the handler's source is the same.
+        let source = format!(
+            "{}p = new Policy();\np.url = [\"127.0.0.1\"];\np.onResponse = function() {{\n\
+             var acc = 0;\nfor (var i = 0; i < 100; i = i + 1) {{ acc = (acc + i * 3) % 9973; }}\n\
+             Response.setHeader('X-Script-Work', '' + acc);\n}};\np.register();\n",
+            crate::scripts::pred_n_stage(10)
+        );
+        let request = Request::get("http://127.0.0.1:9/page/0");
+        let hooks = VocabHooks::default();
+        let ctx = Context::new();
+        stdlib::install(&ctx);
+        let load_exchange = new_exchange(Request::get("http://127.0.0.1:9/nakika.js"), 0);
+        install(&ctx, &load_exchange, &hooks);
+        let script = crate::programs::ProgramCache::new()
+            .get_or_compile(&source)
+            .unwrap();
+        crate::programs::ScriptEngine::Vm
+            .run(&ctx, &script)
+            .unwrap();
+        let policies = std::mem::take(&mut load_exchange.lock().registered);
+        let handler = policies
+            .iter()
+            .find(|p| p.matches(&request).is_some())
+            .and_then(|p| p.on_response.clone())
+            .expect("one policy matches");
+
+        let exchange = new_exchange(request, 1);
+        exchange.lock().response = Some(Response::ok("text/html", vec![b'x'; 2096]));
+        install(&ctx, &exchange, &hooks);
+        let accounting = Context::new();
+        let mut vm = nakika_script::Vm::new(&accounting);
+        vm.call_function(&script.compiled, &handler, &Value::Undefined, &[])
+            .unwrap();
+        assert_eq!(vm.fuel_used(), 2124);
+        let work = exchange
+            .lock()
+            .response
+            .as_ref()
+            .unwrap()
+            .headers
+            .get("X-Script-Work")
+            .map(str::to_string);
+        assert_eq!(work.as_deref(), Some("4877"));
     }
 
     #[test]

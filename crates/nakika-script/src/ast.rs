@@ -253,6 +253,18 @@ pub enum BinaryOp {
     In,
 }
 
+impl BinaryOp {
+    /// True for the relational and equality operators: their result is a
+    /// boolean and computing it never allocates.
+    pub fn is_comparison(self) -> bool {
+        use BinaryOp::*;
+        matches!(
+            self,
+            Eq | NotEq | StrictEq | StrictNotEq | Lt | Gt | Le | Ge
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,6 +13,12 @@
 //! a dispatch loop.  The speedup over the interpreter comes from doing name
 //! resolution, constant interning, and control-flow layout once at compile
 //! time instead of on every execution.
+//!
+//! The compiler lowers to *primitive* instructions and then fuses the common
+//! numeric and store sequences into *superinstructions* (the last group of
+//! [`Op`]).  A superinstruction does exactly what the primitives it replaced
+//! did and charges their fuel ([`Op::weight`]), so fusing changes how fast a
+//! script runs and nothing else about it.
 
 use crate::ast::{BinaryOp, FunctionLiteral};
 use parking_lot::RwLock;
@@ -225,6 +231,106 @@ pub enum Op {
     /// Raise a type error whose message is string constant `k` (compile-time
     /// detected invalid assignment targets).
     Fail(u16),
+
+    // ---- superinstructions (made by the compiler's peephole pass) ----
+    /// `Num k; Bin op`: replace the top of stack with `top op k`. `1 -> 1`
+    BinNum {
+        /// The operator.
+        op: BinaryOp,
+        /// Constant-pool index of the right operand.
+        k: u16,
+    },
+    /// `LoadSlot slot; Num k; Bin op`: push `slot op k`. `0 -> 1`
+    SlotBinNum {
+        /// Frame slot of the left operand.
+        slot: u16,
+        /// The operator.
+        op: BinaryOp,
+        /// Constant-pool index of the right operand.
+        k: u16,
+    },
+    /// `Bin rel; JumpIfFalse target`: pop right then left; jump unless
+    /// `left rel right`. `2 -> 0`
+    JumpUnless {
+        /// A comparison ([`BinaryOp::is_comparison`]).
+        rel: BinaryOp,
+        /// Where to go when the comparison does not hold.
+        target: u32,
+    },
+    /// `Num k; Bin rel; JumpIfFalse target`: pop; jump unless
+    /// `popped rel k`. `1 -> 0`
+    JumpUnlessNum {
+        /// A comparison.
+        rel: BinaryOp,
+        /// Constant-pool index of the right operand.
+        k: u16,
+        /// Where to go when the comparison does not hold.
+        target: u32,
+    },
+    /// `LoadSlot slot; Num k; Bin rel; JumpIfFalse target`: jump unless
+    /// `slot rel k` (the head of a counting loop). `0 -> 0`
+    JumpUnlessSlotNum {
+        /// Frame slot of the left operand.
+        slot: u16,
+        /// A comparison.
+        rel: BinaryOp,
+        /// Constant-pool index of the right operand.
+        k: u16,
+        /// Where to go when the comparison does not hold.
+        target: u32,
+    },
+    /// `Dup; StoreSlot i; Pop`: an assignment whose value nothing uses.
+    /// `1 -> 0`
+    SetSlot(u16),
+    /// `Dup; StoreSlot i; StoreLast`: an assignment statement; its value
+    /// also becomes the frame's last value. `1 -> 0`
+    SetSlotLast(u16),
+}
+
+impl Op {
+    /// The fuel this instruction costs: the number of primitive instructions
+    /// it stands for.  The VM charges it before the instruction runs, so a
+    /// script's fuel is a function of its source, not of what was fused.
+    pub fn weight(&self) -> u64 {
+        match self {
+            Op::BinNum { .. } | Op::JumpUnless { .. } => 2,
+            Op::SlotBinNum { .. }
+            | Op::JumpUnlessNum { .. }
+            | Op::SetSlot(_)
+            | Op::SetSlotLast(_) => 3,
+            Op::JumpUnlessSlotNum { .. } => 4,
+            _ => 1,
+        }
+    }
+
+    /// The instruction indices this instruction can send control to (an
+    /// absent catch clause is not one).
+    pub fn jump_targets_mut(&mut self) -> [Option<&mut u32>; 3] {
+        match self {
+            Op::Jump(t)
+            | Op::JumpIfFalse(t)
+            | Op::JumpIfTrue(t)
+            | Op::ForInNext(t)
+            | Op::JumpUnless { target: t, .. }
+            | Op::JumpUnlessNum { target: t, .. }
+            | Op::JumpUnlessSlotNum { target: t, .. } => [Some(t), None, None],
+            Op::LoopEnter {
+                break_ip,
+                continue_ip,
+                ..
+            } => [Some(break_ip), Some(continue_ip), None],
+            Op::TryEnter {
+                catch_ip,
+                finally_ip,
+                exit_ip,
+            } => [
+                Some(catch_ip).filter(|ip| **ip != NO_CATCH),
+                Some(finally_ip),
+                Some(exit_ip),
+            ],
+            _ => [None, None, None],
+        }
+    }
 }
 
 /// Sentinel for [`Op::TryEnter::catch_ip`] when the `try` has no catch
@@ -267,6 +373,9 @@ pub struct CompiledFunction {
     pub this_slot: u16,
     /// Slot holding `arguments` in slotted mode.
     pub arguments_slot: u16,
+    /// True when the body mentions `arguments` anywhere (nested functions
+    /// included); only then is the array made, and accounted, per call.
+    pub uses_arguments: bool,
 }
 
 /// A whole program lowered to bytecode: the top-level chunk plus every

@@ -27,7 +27,11 @@
 //! * **Scope elision** — in dynamically scoped functions, blocks that
 //!   declare nothing skip the child-scope allocation entirely (lookups are
 //!   transparent through empty scopes, so this is unobservable).
+//! * **Superinstructions** — a peephole pass (`fuse`) over each lowered
+//!   function replaces the common numeric and store sequences with one
+//!   instruction each, which charges the fuel of the sequence it replaced.
 
+use crate::analysis;
 use crate::ast::*;
 use crate::bytecode::{CompiledFunction, CompiledProgram, Const, FrameMode, Op, NO_CATCH};
 use std::collections::HashMap;
@@ -152,6 +156,75 @@ fn block_declares(body: &[Stmt]) -> bool {
     })
 }
 
+/// The superinstruction that replaces the primitives at the head of
+/// `window`, and how many of them it replaces.  `joined[n]` is true when
+/// some jump lands on `window[n]`: such an instruction may start a fused
+/// group but never sit inside one.
+fn fuse_head(window: &[Op], joined: &[bool]) -> Option<(Op, usize)> {
+    let straight = |n: usize| !joined[1..n].contains(&true);
+    let fused = match *window {
+        [Op::LoadSlot(slot), Op::Num(k), Op::Bin(rel), Op::JumpIfFalse(target), ..]
+            if rel.is_comparison() && straight(4) =>
+        {
+            (
+                Op::JumpUnlessSlotNum {
+                    slot,
+                    rel,
+                    k,
+                    target,
+                },
+                4,
+            )
+        }
+        [Op::LoadSlot(slot), Op::Num(k), Op::Bin(op), ..] if straight(3) => {
+            (Op::SlotBinNum { slot, op, k }, 3)
+        }
+        [Op::Num(k), Op::Bin(rel), Op::JumpIfFalse(target), ..]
+            if rel.is_comparison() && straight(3) =>
+        {
+            (Op::JumpUnlessNum { rel, k, target }, 3)
+        }
+        [Op::Dup, Op::StoreSlot(slot), Op::Pop, ..] if straight(3) => (Op::SetSlot(slot), 3),
+        [Op::Dup, Op::StoreSlot(slot), Op::StoreLast, ..] if straight(3) => {
+            (Op::SetSlotLast(slot), 3)
+        }
+        [Op::Num(k), Op::Bin(op), ..] if straight(2) => (Op::BinNum { op, k }, 2),
+        [Op::Bin(rel), Op::JumpIfFalse(target), ..] if rel.is_comparison() && straight(2) => {
+            (Op::JumpUnless { rel, target }, 2)
+        }
+        _ => return None,
+    };
+    Some(fused)
+}
+
+/// The peephole pass: rewrites a lowered instruction stream into
+/// superinstructions, longest match first, and re-aims every jump operand
+/// at its instruction's new position.
+fn fuse(mut code: Vec<Op>) -> Vec<Op> {
+    let mut joined = vec![false; code.len() + 1];
+    for op in &mut code {
+        for target in op.jump_targets_mut().into_iter().flatten() {
+            joined[*target as usize] = true;
+        }
+    }
+    let mut fused = Vec::with_capacity(code.len());
+    let mut moved_to = vec![0u32; code.len() + 1];
+    let mut at = 0;
+    while at < code.len() {
+        moved_to[at] = fused.len() as u32;
+        let (op, replaced) = fuse_head(&code[at..], &joined[at..]).unwrap_or((code[at], 1));
+        fused.push(op);
+        at += replaced;
+    }
+    moved_to[code.len()] = fused.len() as u32;
+    for op in &mut fused {
+        for target in op.jump_targets_mut().into_iter().flatten() {
+            *target = moved_to[*target as usize];
+        }
+    }
+    fused
+}
+
 /// Per-function compiler state.
 struct FnCompiler {
     code: Vec<Op>,
@@ -220,7 +293,9 @@ impl FnCompiler {
         }
         c.emit(Op::Undef);
         c.emit(Op::Return);
+        let uses_arguments = analysis::function_mentions_ident(&literal, "arguments");
         let mut f = c.finish(Some(literal));
+        f.uses_arguments = uses_arguments;
         f.param_slots = param_slots;
         f.this_slot = this_slot;
         f.arguments_slot = arguments_slot;
@@ -228,9 +303,17 @@ impl FnCompiler {
     }
 
     fn finish(self, literal: Option<Arc<FunctionLiteral>>) -> CompiledFunction {
+        #[cfg(test)]
+        let code = if tests::UNFUSED.get() {
+            self.code
+        } else {
+            fuse(self.code)
+        };
+        #[cfg(not(test))]
+        let code = fuse(self.code);
         CompiledFunction {
             literal,
-            code: self.code,
+            code,
             consts: self.consts,
             funcs: self.funcs,
             mode: if self.slotted {
@@ -243,6 +326,7 @@ impl FnCompiler {
             param_slots: Vec::new(),
             this_slot: 0,
             arguments_slot: 0,
+            uses_arguments: false,
         }
     }
 
@@ -949,5 +1033,185 @@ impl FnCompiler {
             self.emit(Op::Swap);
         }
         self.emit(Op::Pop);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::parser::parse_program;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, [`FnCompiler::finish`] skips the peephole pass: how
+        /// the tests get the primitive stream to hold the fused one against.
+        pub(crate) static UNFUSED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Compiles `source` to primitive instructions only.
+    pub(crate) fn compile_unfused(source: &str) -> CompiledProgram {
+        let program = parse_program(source).expect("the source parses");
+        UNFUSED.set(true);
+        let compiled = compile(&program);
+        UNFUSED.set(false);
+        compiled
+    }
+
+    pub(crate) fn compile_fused(source: &str) -> CompiledProgram {
+        compile(&parse_program(source).expect("the source parses"))
+    }
+
+    /// The differential corpus (what of it parses), plus loops shaped like
+    /// the ones the pass exists for.
+    pub(crate) fn corpus() -> Vec<&'static str> {
+        const CORPUS: &[&str] = include!("../tests/corpus/fixed.rs");
+        let mut all = CORPUS.to_vec();
+        all.retain(|source| parse_program(source).is_ok());
+        all.extend([
+            "function f() { var acc = 0; for (var i = 0; i < 100; i = i + 1) { acc = (acc + i * 3) % 9973; } return '' + acc; } f()",
+            "function f(n) { var s = 0; var i = 0; while (i < n) { i++; if (i % 2 == 0) { continue; } s += i; } return s; } f(9)",
+            "function f(a, b) { var x = a; x = x + 1; if (x >= b) { x = x - b; } return x < 3 ? x * 2 : x; } '' + f(1, 2) + f(5, 9)",
+            "function f() { var t = 0; for (var i = 0; i < 4; i = i + 1) { try { if (i == 2) { throw 'two'; } t = t + i; } catch (e) { t = t * 10; } finally { t = t + 1; } } return t; } f()",
+        ]);
+        all
+    }
+
+    fn functions(program: &CompiledProgram) -> Vec<Arc<CompiledFunction>> {
+        let mut all = vec![program.main.clone()];
+        let mut next = 0;
+        while next < all.len() {
+            let nested = all[next].funcs.clone();
+            all.extend(nested);
+            next += 1;
+        }
+        all
+    }
+
+    fn targets_of(mut op: Op) -> Vec<u32> {
+        op.jump_targets_mut()
+            .into_iter()
+            .flatten()
+            .map(|t| *t)
+            .collect()
+    }
+
+    /// The primitives a (super)instruction stands for, jump operands as they
+    /// are in `op`.
+    fn primitives(op: Op) -> Vec<Op> {
+        match op {
+            Op::BinNum { op, k } => vec![Op::Num(k), Op::Bin(op)],
+            Op::SlotBinNum { slot, op, k } => vec![Op::LoadSlot(slot), Op::Num(k), Op::Bin(op)],
+            Op::JumpUnless { rel, target } => vec![Op::Bin(rel), Op::JumpIfFalse(target)],
+            Op::JumpUnlessNum { rel, k, target } => {
+                vec![Op::Num(k), Op::Bin(rel), Op::JumpIfFalse(target)]
+            }
+            Op::JumpUnlessSlotNum {
+                slot,
+                rel,
+                k,
+                target,
+            } => vec![
+                Op::LoadSlot(slot),
+                Op::Num(k),
+                Op::Bin(rel),
+                Op::JumpIfFalse(target),
+            ],
+            Op::SetSlot(slot) => vec![Op::Dup, Op::StoreSlot(slot), Op::Pop],
+            Op::SetSlotLast(slot) => vec![Op::Dup, Op::StoreSlot(slot), Op::StoreLast],
+            primitive => vec![primitive],
+        }
+    }
+
+    #[test]
+    fn fused_code_is_the_primitive_code_regrouped_with_every_jump_on_a_group_start() {
+        let mut fused_groups = 0;
+        for source in corpus() {
+            let plain = functions(&compile_unfused(source));
+            let fused = functions(&compile_fused(source));
+            assert_eq!(plain.len(), fused.len(), "{source:?}");
+            for (plain, fused) in plain.iter().zip(&fused) {
+                // Where each fused instruction's first primitive was.
+                let mut was_at = Vec::with_capacity(fused.code.len() + 1);
+                let mut at = 0u32;
+                for op in &fused.code {
+                    was_at.push(at);
+                    at += op.weight() as u32;
+                }
+                was_at.push(at);
+                assert_eq!(at as usize, plain.code.len(), "weights add up: {source:?}");
+
+                for (new_ip, op) in fused.code.iter().enumerate() {
+                    let old_ip = was_at[new_ip] as usize;
+                    let group = primitives(*op);
+                    assert_eq!(group.len() as u64, op.weight(), "{op:?}");
+                    fused_groups += usize::from(group.len() > 1);
+                    for (offset, primitive) in group.iter().enumerate() {
+                        let original = plain.code[old_ip + offset];
+                        // Same instruction, jump operands aside...
+                        let (mut a, mut b) = (*primitive, original);
+                        for t in a.jump_targets_mut().into_iter().flatten() {
+                            *t = 0;
+                        }
+                        for t in b.jump_targets_mut().into_iter().flatten() {
+                            *t = 0;
+                        }
+                        assert_eq!(a, b, "{source:?} at {old_ip}+{offset}");
+                        // ...and each operand the start of the group that
+                        // holds the instruction it used to name.
+                        let (now, before) = (targets_of(*primitive), targets_of(original));
+                        assert_eq!(now.len(), before.len());
+                        for (now, before) in now.iter().zip(&before) {
+                            assert!((*now as usize) < fused.code.len(), "{source:?}");
+                            assert_eq!(was_at[*now as usize], *before, "{source:?}");
+                        }
+                        // No jump lands inside a group.
+                        if offset > 0 {
+                            let inside = (old_ip + offset) as u32;
+                            assert!(
+                                plain
+                                    .code
+                                    .iter()
+                                    .all(|op| !targets_of(*op).contains(&inside)),
+                                "{source:?}: a jump to {inside} was fused over"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fused_groups >= 50, "the corpus exercises the pass");
+    }
+
+    #[test]
+    fn a_jump_target_is_never_fused_over() {
+        // The two arms of `c ? 0 : 1` meet at the `Bin` that consumes the
+        // value, so the second arm's `Num 1` and that `Bin` must stay two
+        // instructions (the compiler never lays code out like this today;
+        // the pass must not depend on that).
+        let code = vec![
+            Op::LoadSlot(0),
+            Op::JumpIfFalse(4),
+            Op::Num(0),
+            Op::Jump(5),
+            Op::Num(1),
+            Op::Bin(BinaryOp::Add),
+            Op::Return,
+        ];
+        let fused = fuse(code.clone());
+        assert_eq!(fused, code, "`Num 1; Bin` straddles a join");
+
+        let code = vec![
+            Op::Jump(2),
+            Op::Null,
+            Op::Dup,
+            Op::StoreSlot(3),
+            Op::Pop,
+            Op::Jump(2),
+        ];
+        assert_eq!(
+            fuse(code),
+            vec![Op::Jump(2), Op::Null, Op::SetSlot(3), Op::Jump(2)],
+            "a join may start a group, and operands follow it"
+        );
     }
 }

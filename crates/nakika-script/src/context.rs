@@ -25,6 +25,8 @@ pub struct Scope {
 struct ScopeData {
     vars: HashMap<String, Value>,
     parent: Option<Scope>,
+    /// Writes made to `vars` so far; see [`Scope::writes`].
+    writes: u64,
 }
 
 impl Scope {
@@ -37,15 +39,23 @@ impl Scope {
     pub fn child(&self) -> Scope {
         Scope {
             inner: Arc::new(RwLock::new(ScopeData {
-                vars: HashMap::new(),
                 parent: Some(self.clone()),
+                ..ScopeData::default()
             })),
         }
     }
 
-    /// Declares (or redeclares) a variable in *this* scope.
+    /// Declares (or redeclares) a variable in *this* scope.  Only a name the
+    /// scope does not have yet allocates.
     pub fn declare(&self, name: &str, value: Value) {
-        self.inner.write().vars.insert(name.to_string(), value);
+        let mut data = self.inner.write();
+        data.writes += 1;
+        match data.vars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                data.vars.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Looks a variable up through the scope chain.
@@ -64,24 +74,34 @@ impl Scope {
     /// matching JavaScript's sloppy-mode behaviour that the paper's example
     /// scripts rely on (`p = new Policy();` without `var`).
     pub fn assign(&self, name: &str, value: Value) {
-        if self.try_assign(name, &value) {
-            return;
+        if let Err(value) = self.try_assign(name, value) {
+            self.global().declare(name, value);
         }
-        self.global().declare(name, value);
     }
 
-    fn try_assign(&self, name: &str, value: &Value) -> bool {
+    /// Overwrites the innermost binding of `name`; hands the value back when
+    /// no scope in the chain has one.
+    fn try_assign(&self, name: &str, value: Value) -> Result<(), Value> {
         let mut data = self.inner.write();
-        if data.vars.contains_key(name) {
-            data.vars.insert(name.to_string(), value.clone());
-            return true;
+        if let Some(slot) = data.vars.get_mut(name) {
+            *slot = value;
+            data.writes += 1;
+            return Ok(());
         }
         let parent = data.parent.clone();
         drop(data);
         match parent {
             Some(p) => p.try_assign(name, value),
-            None => false,
+            None => Err(value),
         }
+    }
+
+    /// How many times a variable of *this* scope has been written
+    /// (declared, assigned or cleared).  Whoever installed this scope's
+    /// variables can tell from an unchanged count that they are all still
+    /// in place.
+    pub fn writes(&self) -> u64 {
+        self.inner.read().writes
     }
 
     /// The outermost scope in the chain.
@@ -101,7 +121,9 @@ impl Scope {
     /// Removes every variable declared directly in this scope (used when a
     /// pooled context is recycled).
     pub fn clear(&self) {
-        self.inner.write().vars.clear();
+        let mut data = self.inner.write();
+        data.writes += 1;
+        data.vars.clear();
     }
 
     /// Names declared directly in this scope (used by `for-in` over the
@@ -349,6 +371,27 @@ mod tests {
         inner.assign("fresh", Value::Bool(true));
         assert_eq!(global.get("fresh"), Some(Value::Bool(true)));
         assert_eq!(inner.local_count(), 0);
+    }
+
+    #[test]
+    fn assigning_an_existing_global_keeps_its_key_and_counts_the_write() {
+        // `tests/scope_writes.rs` shows that nothing is allocated; here, that
+        // the key the map holds is the one it was given first.
+        let global = Scope::new();
+        global.declare("x", Value::Number(0.0));
+        let key = || {
+            let data = global.inner.read();
+            data.vars.get_key_value("x").unwrap().0.as_ptr()
+        };
+        let (first_key, written) = (key(), global.writes());
+        let inner = global.child();
+        for n in 0..10_000 {
+            inner.assign("x", Value::Number(n as f64));
+        }
+        assert_eq!(key(), first_key);
+        assert_eq!(global.writes() - written, 10_000);
+        global.clear();
+        assert_eq!(global.writes() - written, 10_001, "emptying is a write");
     }
 
     #[test]

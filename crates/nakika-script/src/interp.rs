@@ -5,6 +5,7 @@
 //! bounding recursion depth — the sandbox properties Na Kika's resource
 //! controls build on.
 
+use crate::analysis;
 use crate::ast::*;
 use crate::context::{Context, Scope};
 use crate::error::ScriptError;
@@ -119,13 +120,19 @@ impl<'c> Interpreter<'c> {
                 if self.depth >= MAX_DEPTH {
                     return Err(ScriptError::StackOverflow);
                 }
-                self.depth += 1;
                 let scope = closure.scope.child();
                 for (i, param) in closure.literal.params.iter().enumerate() {
                     scope.declare(param, args.get(i).cloned().unwrap_or(Value::Undefined));
                 }
                 scope.declare("this", this.clone());
-                scope.declare("arguments", Value::new_array(args.to_vec()));
+                // Made, and charged to the memory limit, only for a body
+                // that can see it — exactly as the VM does.
+                if analysis::function_mentions_ident(&closure.literal, "arguments") {
+                    let arguments = Value::new_array(args.to_vec());
+                    self.account_alloc(&arguments)?;
+                    scope.declare("arguments", arguments);
+                }
+                self.depth += 1;
                 // Hoist nested function declarations.
                 for stmt in &closure.literal.body {
                     if let Stmt::FunctionDecl { name, func } = stmt {
@@ -445,7 +452,7 @@ impl<'c> Interpreter<'c> {
             Expr::Index { object, index } => {
                 let obj = self.eval(object, scope)?;
                 let idx = self.eval(index, scope)?;
-                Ok(obj.get_property(&idx.to_display_string()))
+                Ok(obj.get_index(&idx))
             }
             Expr::Call { callee, args } => {
                 let mut arg_values = Vec::with_capacity(args.len());
@@ -607,8 +614,8 @@ impl<'c> Interpreter<'c> {
             }
             Expr::Index { object, index } => {
                 let obj = self.eval(object, scope)?;
-                let key = self.eval(index, scope)?.to_display_string();
-                obj.set_property(&key, value)
+                let idx = self.eval(index, scope)?;
+                obj.set_index(&idx, value)
             }
             other => Err(ScriptError::Type(format!(
                 "invalid assignment target: {other:?}"
@@ -617,7 +624,7 @@ impl<'c> Interpreter<'c> {
     }
 
     fn binary(&mut self, op: BinaryOp, l: Value, r: Value) -> Result<Value, ScriptError> {
-        let (result, needs_account) = binary_values(op, l, r);
+        let (result, needs_account) = binary_values(op, &l, &r);
         if needs_account {
             self.account_alloc(&result)?;
         }
@@ -629,30 +636,30 @@ impl<'c> Interpreter<'c> {
 /// interpreter and the bytecode VM so the two engines cannot drift.  The
 /// returned flag is true when the result is a fresh heap allocation (string
 /// concatenation) that the caller must charge to its memory accounting.
-pub(crate) fn binary_values(op: BinaryOp, l: Value, r: Value) -> (Value, bool) {
+pub(crate) fn binary_values(op: BinaryOp, l: &Value, r: &Value) -> (Value, bool) {
+    if let (Value::Number(a), Value::Number(b)) = (l, r) {
+        return (number_binary(op, *a, *b), false);
+    }
     let result = match op {
-        BinaryOp::Add => match (&l, &r) {
-            (Value::Number(a), Value::Number(b)) => Value::Number(a + b),
-            _ => {
-                if matches!(l, Value::Str(_) | Value::Object(_) | Value::Array(_))
-                    || matches!(r, Value::Str(_) | Value::Object(_) | Value::Array(_))
-                {
-                    let s = format!("{}{}", l.to_display_string(), r.to_display_string());
-                    return (Value::string(s), true);
-                }
-                Value::Number(l.to_number() + r.to_number())
+        BinaryOp::Add => {
+            if matches!(l, Value::Str(_) | Value::Object(_) | Value::Array(_))
+                || matches!(r, Value::Str(_) | Value::Object(_) | Value::Array(_))
+            {
+                let s = format!("{}{}", l.to_display_string(), r.to_display_string());
+                return (Value::string(s), true);
             }
-        },
+            Value::Number(l.to_number() + r.to_number())
+        }
         BinaryOp::Sub => Value::Number(l.to_number() - r.to_number()),
         BinaryOp::Mul => Value::Number(l.to_number() * r.to_number()),
         BinaryOp::Div => Value::Number(l.to_number() / r.to_number()),
         BinaryOp::Rem => Value::Number(l.to_number() % r.to_number()),
-        BinaryOp::Eq => Value::Bool(l.loose_equals(&r)),
-        BinaryOp::NotEq => Value::Bool(!l.loose_equals(&r)),
-        BinaryOp::StrictEq => Value::Bool(l.strict_equals(&r)),
-        BinaryOp::StrictNotEq => Value::Bool(!l.strict_equals(&r)),
+        BinaryOp::Eq => Value::Bool(l.loose_equals(r)),
+        BinaryOp::NotEq => Value::Bool(!l.loose_equals(r)),
+        BinaryOp::StrictEq => Value::Bool(l.strict_equals(r)),
+        BinaryOp::StrictNotEq => Value::Bool(!l.strict_equals(r)),
         BinaryOp::Lt | BinaryOp::Gt | BinaryOp::Le | BinaryOp::Ge => {
-            let out = match (&l, &r) {
+            let out = match (l, r) {
                 (Value::Str(a), Value::Str(b)) => {
                     compare(op, a.as_ref().cmp(b.as_ref()) as i8 as f64, 0.0)
                 }
@@ -662,7 +669,7 @@ pub(crate) fn binary_values(op: BinaryOp, l: Value, r: Value) -> (Value, bool) {
         }
         BinaryOp::In => {
             let key = l.to_display_string();
-            match &r {
+            match r {
                 Value::Object(o) => Value::Bool(o.read().properties.contains_key(&key)),
                 Value::Array(a) => {
                     let idx: Option<usize> = key.parse().ok();
@@ -675,6 +682,25 @@ pub(crate) fn binary_values(op: BinaryOp, l: Value, r: Value) -> (Value, bool) {
     (result, false)
 }
 
+/// `a op b` for two numbers: what [`binary_values`] answers for them, and
+/// what the VM computes without taking the operands off its stack.
+#[inline]
+pub(crate) fn number_binary(op: BinaryOp, a: f64, b: f64) -> Value {
+    match op {
+        BinaryOp::Add => Value::Number(a + b),
+        BinaryOp::Sub => Value::Number(a - b),
+        BinaryOp::Mul => Value::Number(a * b),
+        BinaryOp::Div => Value::Number(a / b),
+        BinaryOp::Rem => Value::Number(a % b),
+        BinaryOp::Eq | BinaryOp::StrictEq => Value::Bool(a == b),
+        BinaryOp::NotEq | BinaryOp::StrictNotEq => Value::Bool(a != b),
+        BinaryOp::Lt | BinaryOp::Gt | BinaryOp::Le | BinaryOp::Ge => Value::Bool(compare(op, a, b)),
+        // A number has no properties to look a key up in.
+        BinaryOp::In => Value::Bool(false),
+    }
+}
+
+#[inline]
 fn compare(op: BinaryOp, a: f64, b: f64) -> bool {
     match op {
         BinaryOp::Lt => a < b,

@@ -330,6 +330,59 @@ impl Value {
         }
     }
 
+    /// `self[index]`: an element of an array, byte array or string when
+    /// `index` is a number naming one, else the property named by the
+    /// index's display string — the same answer without the string.
+    pub fn get_index(&self, index: &Value) -> Value {
+        if let Some(i) = index.as_element_index() {
+            let element = match self {
+                Value::Array(a) => a.read().get(i).cloned(),
+                Value::Bytes(b) => b.read().get(i).map(|byte| Value::Number(*byte as f64)),
+                Value::Str(s) => s.chars().nth(i).map(|c| Value::string(c.to_string())),
+                _ => None,
+            };
+            if let Some(element) = element {
+                return element;
+            }
+        }
+        self.get_property(&index.to_display_string())
+    }
+
+    /// `self[index] = value`: overwrites an existing element of an array or
+    /// byte array in place when `index` is a number naming one; everything
+    /// else (growth, named properties, errors) is [`Value::set_property`] on
+    /// the index's display string.
+    pub fn set_index(&self, index: &Value, value: Value) -> Result<(), ScriptError> {
+        if let Some(i) = index.as_element_index() {
+            match self {
+                Value::Array(a) => {
+                    if let Some(slot) = a.write().get_mut(i) {
+                        *slot = value;
+                        return Ok(());
+                    }
+                }
+                Value::Bytes(b) => {
+                    if let Some(byte) = b.write().get_mut(i) {
+                        *byte = value.to_number() as u8;
+                        return Ok(());
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.set_property(&index.to_display_string(), value)
+    }
+
+    /// The element position a number names: itself when it is a non-negative
+    /// integer (`-0` is `0`, as its display string is).
+    fn as_element_index(&self) -> Option<usize> {
+        let Value::Number(n) = self else {
+            return None;
+        };
+        let i = *n as usize;
+        (i as f64 == *n).then_some(i)
+    }
+
     /// Approximate heap footprint contributed by creating this value
     /// (shallow), used for the sandbox's memory accounting.
     pub fn shallow_size(&self) -> usize {

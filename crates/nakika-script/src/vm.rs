@@ -2,18 +2,20 @@
 //!
 //! Executes a [`CompiledProgram`] inside a [`Context`] under exactly the
 //! sandbox contract the tree-walking interpreter enforces: fuel is charged
-//! per instruction (with the same safepoint cadence for kill-flag polling),
-//! heap allocations are accounted against the context's memory limit, script
-//! call depth is bounded, and every failure surfaces as the same
-//! [`ScriptError`].  The differential property tests in
+//! per primitive instruction (a superinstruction charges, before it runs,
+//! the primitives it stands for; the kill flag is polled at the same
+//! safepoint cadence), heap allocations are accounted against the context's
+//! memory limit, script call depth is bounded, and every failure surfaces as
+//! the same [`ScriptError`].  The differential property tests in
 //! `tests/differential.rs` pin the two engines to identical values and
 //! errors.
 //!
 //! Fuel *counts* are the one sanctioned divergence: the interpreter charges
-//! per AST node visited, the VM per instruction dispatched, so the same
+//! per AST node visited, the VM per primitive instruction, so the same
 //! program consumes similar but not identical fuel on the two engines.  Both
 //! engines kill runaway scripts; callers must not depend on the exact step
-//! at which a limit trips.
+//! at which a limit trips.  What the VM charges a given source is fixed,
+//! though: it does not depend on which instructions the compiler fused.
 //!
 //! Control flow (`break` / `continue` / `return` / thrown errors) unwinds
 //! through a per-frame control stack seeded by `LoopEnter` / `TryEnter`
@@ -21,10 +23,11 @@
 //! "resource kills skip `catch` but still route through `finally`" rule are
 //! reproduced without the interpreter's Rust-level recursion.
 
+use crate::ast::BinaryOp;
 use crate::bytecode::{CompiledFunction, CompiledProgram, Const, FrameMode, Op, NO_CATCH};
 use crate::context::{Context, Scope};
 use crate::error::ScriptError;
-use crate::interp::{binary_values, MAX_DEPTH, SAFEPOINT_INTERVAL};
+use crate::interp::{binary_values, number_binary, MAX_DEPTH, SAFEPOINT_INTERVAL};
 use crate::stdlib;
 use crate::value::{Closure, ObjectData, Value};
 use parking_lot::RwLock;
@@ -108,6 +111,10 @@ impl Frame {
 
     fn pop(&mut self) -> Value {
         self.stack.pop().expect("vm stack underflow")
+    }
+
+    fn top_mut(&mut self) -> &mut Value {
+        self.stack.last_mut().expect("vm stack underflow")
     }
 
     fn scope(&self) -> &Scope {
@@ -305,12 +312,25 @@ fn forin_keys(v: &Value) -> Vec<String> {
     }
 }
 
+/// True when `l rel r` holds, for a comparison `rel`: numbers compared where
+/// they lie, everything else through the shared `binary_values`.
+#[inline(always)]
+fn holds(rel: BinaryOp, l: &Value, r: &Value) -> bool {
+    match (l, r) {
+        (Value::Number(a), Value::Number(b)) => number_binary(rel, *a, *b).truthy(),
+        _ => binary_values(rel, l, r).0.truthy(),
+    }
+}
+
 /// The bytecode VM.  Cheap to create; holds per-run accounting, mirroring
 /// [`crate::Interpreter`]'s public surface.
 pub struct Vm<'c> {
     ctx: &'c Context,
     fuel_used: u64,
     fuel_reported: u64,
+    /// The fuel count at which charging has more to do than count: the next
+    /// safepoint or the first unit past the limit, whichever comes first.
+    fuel_event: u64,
     mem_used: usize,
     depth: usize,
 }
@@ -318,13 +338,16 @@ pub struct Vm<'c> {
 impl<'c> Vm<'c> {
     /// Creates a VM bound to `ctx`.
     pub fn new(ctx: &'c Context) -> Vm<'c> {
-        Vm {
+        let mut vm = Vm {
             ctx,
             fuel_used: 0,
             fuel_reported: 0,
+            fuel_event: 0,
             mem_used: 0,
             depth: 0,
-        }
+        };
+        vm.aim_fuel_event();
+        vm
     }
 
     /// Reports any not-yet-reported fuel to the context's meter.
@@ -334,10 +357,12 @@ impl<'c> Vm<'c> {
                 .meter
                 .add_steps(self.fuel_used - self.fuel_reported);
             self.fuel_reported = self.fuel_used;
+            self.aim_fuel_event();
         }
     }
 
-    /// Fuel consumed so far in this run (instructions dispatched).
+    /// Fuel consumed so far in this run (primitive instructions dispatched;
+    /// a superinstruction counts as the primitives it stands for).
     pub fn fuel_used(&self) -> u64 {
         self.fuel_used
     }
@@ -373,8 +398,25 @@ impl<'c> Vm<'c> {
 
     // ---- accounting (identical to the interpreter) -------------------------
 
-    fn charge(&mut self, steps: u64) -> Result<(), ScriptError> {
-        self.fuel_used += steps;
+    fn aim_fuel_event(&mut self) {
+        self.fuel_event =
+            (self.fuel_reported + SAFEPOINT_INTERVAL).min(self.ctx.fuel_limit.saturating_add(1));
+    }
+
+    /// Charges `fuel` for the instruction about to run.  One comparison
+    /// unless a safepoint or the limit has been reached; past the limit
+    /// every charge fails.
+    #[inline]
+    fn charge(&mut self, fuel: u64) -> Result<(), ScriptError> {
+        self.fuel_used += fuel;
+        if self.fuel_used < self.fuel_event {
+            return Ok(());
+        }
+        self.fuel_event_reached()
+    }
+
+    #[cold]
+    fn fuel_event_reached(&mut self) -> Result<(), ScriptError> {
         if self.fuel_used - self.fuel_reported >= SAFEPOINT_INTERVAL {
             self.flush_meter();
             if self.ctx.meter.is_killed() {
@@ -397,6 +439,15 @@ impl<'c> Vm<'c> {
             });
         }
         Ok(())
+    }
+
+    /// `l op r` for operands that are not both numbers.
+    fn binary(&mut self, op: BinaryOp, l: &Value, r: &Value) -> Result<Value, ScriptError> {
+        let (v, needs_account) = binary_values(op, l, r);
+        if needs_account {
+            self.account_alloc(&v)?;
+        }
+        Ok(v)
     }
 
     // ---- calls -------------------------------------------------------------
@@ -440,6 +491,15 @@ impl<'c> Vm<'c> {
         this: &Value,
         args: &[Value],
     ) -> Result<Value, ScriptError> {
+        // Made, and charged to the memory limit, only for a body that can
+        // see it — exactly as the interpreter does.
+        let arguments = if func.uses_arguments {
+            let arguments = Value::new_array(args.to_vec());
+            self.account_alloc(&arguments)?;
+            Some(arguments)
+        } else {
+            None
+        };
         let mut frame = match func.mode {
             FrameMode::Slotted { n_slots } => {
                 let mut frame = Frame::new(n_slots as usize, vec![closure.scope.clone()]);
@@ -447,7 +507,9 @@ impl<'c> Vm<'c> {
                     frame.slots[*slot as usize] = args.get(i).cloned().unwrap_or(Value::Undefined);
                 }
                 frame.slots[func.this_slot as usize] = this.clone();
-                frame.slots[func.arguments_slot as usize] = Value::new_array(args.to_vec());
+                if let Some(arguments) = arguments {
+                    frame.slots[func.arguments_slot as usize] = arguments;
+                }
                 frame
             }
             FrameMode::Scoped => {
@@ -460,7 +522,9 @@ impl<'c> Vm<'c> {
                     scope.declare(param, args.get(i).cloned().unwrap_or(Value::Undefined));
                 }
                 scope.declare("this", this.clone());
-                scope.declare("arguments", Value::new_array(args.to_vec()));
+                if let Some(arguments) = arguments {
+                    scope.declare("arguments", arguments);
+                }
                 Frame::new(0, vec![scope])
             }
         };
@@ -530,18 +594,155 @@ impl<'c> Vm<'c> {
 
     // ---- the dispatch loop -------------------------------------------------
 
+    /// Runs `func` in `frame` until it returns or an error escapes it.
+    ///
+    /// Each instruction's weight is charged before it runs, so a limit that
+    /// falls inside a superinstruction stops the script before any part of
+    /// it has happened.  The instructions that cannot fail and call nothing
+    /// — constants, slots, jumps, arithmetic and comparison of numbers —
+    /// run right here on the frame's stack and build no `Result`; the rest
+    /// go through [`Vm::step`], and a failure goes to the frame's unwinder,
+    /// which finds it a handler (the loop goes on from there) or ends the
+    /// frame with it.
     fn run_frame(
         &mut self,
         program: &CompiledProgram,
         func: &CompiledFunction,
         frame: &mut Frame,
     ) -> Result<Value, ScriptError> {
+        let code = func.code.as_slice();
         loop {
-            let op = func.code[frame.ip];
+            let op = &code[frame.ip];
             frame.ip += 1;
-            let stepped = match self.charge(1) {
-                Ok(()) => self.step(program, func, frame, op),
+            let stepped = match self.charge(op.weight()) {
                 Err(e) => Err(e),
+                Ok(()) => match *op {
+                    Op::Num(k) => {
+                        frame.stack.push(Value::Number(cnum(func, k)));
+                        continue;
+                    }
+                    Op::LoadSlot(i) => {
+                        frame.stack.push(frame.slots[i as usize].clone());
+                        continue;
+                    }
+                    Op::StoreSlot(i) | Op::DeclSlot(i) | Op::SetSlot(i) => {
+                        frame.slots[i as usize] = frame.pop();
+                        continue;
+                    }
+                    Op::SetSlotLast(i) => {
+                        let v = frame.pop();
+                        frame.slots[i as usize] = v.clone();
+                        frame.last = v;
+                        continue;
+                    }
+                    Op::Pop => {
+                        frame.pop();
+                        continue;
+                    }
+                    Op::Dup => {
+                        let v = frame.top_mut().clone();
+                        frame.stack.push(v);
+                        continue;
+                    }
+                    Op::StoreLast => {
+                        frame.last = frame.pop();
+                        continue;
+                    }
+                    Op::SetLastUndef => {
+                        frame.last = Value::Undefined;
+                        continue;
+                    }
+                    Op::Jump(t) => {
+                        frame.ip = t as usize;
+                        continue;
+                    }
+                    Op::JumpIfFalse(t) => {
+                        if !frame.pop().truthy() {
+                            frame.ip = t as usize;
+                        }
+                        continue;
+                    }
+                    Op::JumpIfTrue(t) => {
+                        if frame.pop().truthy() {
+                            frame.ip = t as usize;
+                        }
+                        continue;
+                    }
+                    Op::JumpUnless { rel, target } => {
+                        let r = frame.pop();
+                        let l = frame.pop();
+                        if !holds(rel, &l, &r) {
+                            frame.ip = target as usize;
+                        }
+                        continue;
+                    }
+                    Op::JumpUnlessNum { rel, k, target } => {
+                        let l = frame.pop();
+                        if !holds(rel, &l, &Value::Number(cnum(func, k))) {
+                            frame.ip = target as usize;
+                        }
+                        continue;
+                    }
+                    Op::JumpUnlessSlotNum {
+                        slot,
+                        rel,
+                        k,
+                        target,
+                    } => {
+                        let l = &frame.slots[slot as usize];
+                        if !holds(rel, l, &Value::Number(cnum(func, k))) {
+                            frame.ip = target as usize;
+                        }
+                        continue;
+                    }
+                    // Two numbers are combined where the left one lies; any
+                    // other pair takes the path the interpreter takes.
+                    Op::Bin(op) => {
+                        let r = frame.pop();
+                        let l = frame.top_mut();
+                        match (&*l, &r) {
+                            (Value::Number(a), Value::Number(b)) => {
+                                *l = number_binary(op, *a, *b);
+                                continue;
+                            }
+                            (l, r) => self.binary(op, l, r),
+                        }
+                        .map(|v| {
+                            *frame.top_mut() = v;
+                            None
+                        })
+                    }
+                    Op::BinNum { op, k } => {
+                        let k = cnum(func, k);
+                        let l = frame.top_mut();
+                        match &*l {
+                            Value::Number(a) => {
+                                *l = number_binary(op, *a, k);
+                                continue;
+                            }
+                            l => self.binary(op, l, &Value::Number(k)),
+                        }
+                        .map(|v| {
+                            *frame.top_mut() = v;
+                            None
+                        })
+                    }
+                    Op::SlotBinNum { slot, op, k } => {
+                        let k = cnum(func, k);
+                        match &frame.slots[slot as usize] {
+                            Value::Number(a) => {
+                                frame.stack.push(number_binary(op, *a, k));
+                                continue;
+                            }
+                            l => self.binary(op, l, &Value::Number(k)),
+                        }
+                        .map(|v| {
+                            frame.stack.push(v);
+                            None
+                        })
+                    }
+                    _ => self.step(program, func, frame, op),
+                },
             };
             match stepped {
                 Ok(None) => {}
@@ -551,18 +752,18 @@ impl<'c> Vm<'c> {
         }
     }
 
-    /// Executes one instruction.  `Ok(Some(v))` completes the frame;
-    /// `Err(e)` feeds the frame's unwinder.
+    /// Executes one of the instructions [`Vm::run_frame`] does not execute
+    /// itself: those that can fail, allocate, call out or unwind.
+    /// `Ok(Some(v))` completes the frame; `Err(e)` feeds its unwinder.
     fn step(
         &mut self,
         program: &CompiledProgram,
         func: &CompiledFunction,
         frame: &mut Frame,
-        op: Op,
+        op: &Op,
     ) -> Result<Option<Value>, ScriptError> {
-        match op {
+        match *op {
             // ---- constants and simple literals ----
-            Op::Num(k) => frame.stack.push(Value::Number(cnum(func, k))),
             Op::Str(k) => frame.stack.push(Value::Str(cstr(func, k).clone())),
             Op::True => frame.stack.push(Value::Bool(true)),
             Op::False => frame.stack.push(Value::Bool(false)),
@@ -570,23 +771,12 @@ impl<'c> Vm<'c> {
             Op::Undef => frame.stack.push(Value::Undefined),
 
             // ---- stack shuffling ----
-            Op::Pop => {
-                frame.pop();
-            }
-            Op::Dup => {
-                let v = frame.stack.last().expect("vm stack underflow").clone();
-                frame.stack.push(v);
-            }
             Op::Swap => {
                 let n = frame.stack.len();
                 frame.stack.swap(n - 1, n - 2);
             }
 
             // ---- variables ----
-            Op::LoadSlot(i) => frame.stack.push(frame.slots[i as usize].clone()),
-            Op::StoreSlot(i) | Op::DeclSlot(i) => {
-                frame.slots[i as usize] = frame.pop();
-            }
             Op::LoadName(k) => {
                 let name = cstr(func, k);
                 let v = frame
@@ -633,13 +823,9 @@ impl<'c> Vm<'c> {
             Op::MakeObject => frame.stack.push(Value::new_object()),
             Op::InitProp(k) => {
                 let v = frame.pop();
-                let obj = frame.stack.last().expect("vm stack underflow");
-                obj.set_property(cstr(func, k), v)?;
+                frame.top_mut().set_property(cstr(func, k), v)?;
             }
-            Op::AccountTop => {
-                let v = frame.stack.last().expect("vm stack underflow").clone();
-                self.account_alloc(&v)?;
-            }
+            Op::AccountTop => self.account_alloc(frame.top_mut())?,
             Op::MakeClosure(f) => {
                 let compiled = &func.funcs[f as usize];
                 let literal = compiled
@@ -654,82 +840,60 @@ impl<'c> Vm<'c> {
 
             // ---- property access ----
             Op::GetProp(k) => {
-                let obj = frame.pop();
-                frame.stack.push(obj.get_property(cstr(func, k)));
+                let top = frame.top_mut();
+                *top = top.get_property(cstr(func, k));
             }
             Op::SetProp(k) => {
                 let obj = frame.pop();
-                let v = frame.pop();
-                obj.set_property(cstr(func, k), v.clone())?;
-                frame.stack.push(v);
+                let v = frame.top_mut().clone();
+                obj.set_property(cstr(func, k), v)?;
             }
             Op::GetIndex => {
                 let idx = frame.pop();
-                let obj = frame.pop();
-                frame.stack.push(obj.get_property(&idx.to_display_string()));
+                let top = frame.top_mut();
+                *top = top.get_index(&idx);
             }
             Op::SetIndex => {
                 let idx = frame.pop();
                 let obj = frame.pop();
-                let v = frame.pop();
-                obj.set_property(&idx.to_display_string(), v.clone())?;
-                frame.stack.push(v);
+                let v = frame.top_mut().clone();
+                obj.set_index(&idx, v)?;
             }
             Op::DelProp(k) => {
-                let obj = frame.pop();
-                if let Value::Object(o) = obj {
+                let top = frame.top_mut();
+                if let Value::Object(o) = &*top {
                     o.write().properties.remove(cstr(func, k).as_ref());
                 }
-                frame.stack.push(Value::Bool(true));
+                *top = Value::Bool(true);
             }
             Op::DelIndex => {
                 let idx = frame.pop();
-                let obj = frame.pop();
-                if let Value::Object(o) = obj {
+                let top = frame.top_mut();
+                if let Value::Object(o) = &*top {
                     o.write().properties.remove(&idx.to_display_string());
                 }
-                frame.stack.push(Value::Bool(true));
+                *top = Value::Bool(true);
             }
 
             // ---- operators ----
-            Op::Bin(op) => {
-                let r = frame.pop();
-                let l = frame.pop();
-                let (v, needs_account) = binary_values(op, l, r);
-                if needs_account {
-                    self.account_alloc(&v)?;
-                }
-                frame.stack.push(v);
-            }
             Op::Neg => {
-                let v = frame.pop();
-                frame.stack.push(Value::Number(-v.to_number()));
+                let top = frame.top_mut();
+                *top = Value::Number(-top.to_number());
             }
             Op::Plus | Op::ToNumber => {
-                let v = frame.pop();
-                frame.stack.push(Value::Number(v.to_number()));
+                let top = frame.top_mut();
+                *top = Value::Number(top.to_number());
             }
             Op::Not => {
-                let v = frame.pop();
-                frame.stack.push(Value::Bool(!v.truthy()));
+                let top = frame.top_mut();
+                *top = Value::Bool(!top.truthy());
             }
             Op::Typeof => {
-                let v = frame.pop();
-                frame.stack.push(Value::string(v.type_name()));
+                let top = frame.top_mut();
+                *top = Value::string(top.type_name());
             }
 
             // ---- control flow ----
-            Op::Jump(t) => frame.ip = t as usize,
-            Op::JumpIfFalse(t) => {
-                if !frame.pop().truthy() {
-                    frame.ip = t as usize;
-                }
-            }
-            Op::JumpIfTrue(t) => {
-                if frame.pop().truthy() {
-                    frame.ip = t as usize;
-                }
-            }
             Op::LoopEnter {
                 break_ip,
                 continue_ip,
@@ -848,12 +1012,30 @@ impl<'c> Vm<'c> {
             }
 
             // ---- statement value tracking ----
-            Op::StoreLast => frame.last = frame.pop(),
-            Op::SetLastUndef => frame.last = Value::Undefined,
             Op::LoadLast => frame.stack.push(frame.last.clone()),
             Op::Fail(k) => {
                 return Err(ScriptError::Type(cstr(func, k).to_string()));
             }
+
+            Op::Num(_)
+            | Op::LoadSlot(_)
+            | Op::StoreSlot(_)
+            | Op::DeclSlot(_)
+            | Op::SetSlot(_)
+            | Op::SetSlotLast(_)
+            | Op::Pop
+            | Op::Dup
+            | Op::StoreLast
+            | Op::SetLastUndef
+            | Op::Jump(_)
+            | Op::JumpIfFalse(_)
+            | Op::JumpIfTrue(_)
+            | Op::JumpUnless { .. }
+            | Op::JumpUnlessNum { .. }
+            | Op::JumpUnlessSlotNum { .. }
+            | Op::Bin(_)
+            | Op::BinNum { .. }
+            | Op::SlotBinNum { .. } => unreachable!("{op:?} runs in the dispatch loop"),
         }
         Ok(None)
     }
@@ -1175,6 +1357,174 @@ mod tests {
         assert_eq!(
             run_ok("try { 'tried' } finally { 'ignored' }"),
             Value::string("tried")
+        );
+    }
+
+    // --- superinstructions: same fuel, same outcomes, same limits -------------
+
+    use crate::compile::tests::{compile_fused, compile_unfused, corpus};
+
+    /// The outcome of a run in comparable form, with the fuel it charged.
+    fn outcome_and_fuel(
+        program: &CompiledProgram,
+        ctx: &Context,
+    ) -> (Result<(&'static str, String), ScriptError>, u64) {
+        let mut vm = Vm::new(ctx);
+        let outcome = vm.run(program);
+        (
+            outcome.map(|v| (v.type_name(), v.to_display_string())),
+            vm.fuel_used(),
+        )
+    }
+
+    #[test]
+    fn fused_code_charges_what_its_primitives_charge() {
+        for source in corpus() {
+            let run = |program: CompiledProgram| {
+                let ctx = Context::new();
+                stdlib::install(&ctx);
+                outcome_and_fuel(&program, &ctx)
+            };
+            assert_eq!(
+                run(compile_fused(source)),
+                run(compile_unfused(source)),
+                "{source:?}"
+            );
+        }
+    }
+
+    /// Runs a slotted loop whose every iteration leaves a trace in `log`.
+    const TRACED_LOOP: &str = "var log = []; \
+        function f() { \
+            var acc = 0; \
+            for (var i = 0; i < 6; i = i + 1) { acc = (acc + i * 3) % 7; log.push(acc); } \
+            return acc; \
+        } \
+        f()";
+
+    #[test]
+    fn a_fuel_limit_inside_a_fused_instruction_stops_before_it() {
+        let log_after = |program: &CompiledProgram, limit: u64| {
+            let ctx = Context::with_limits(limit, crate::context::DEFAULT_MEMORY_LIMIT);
+            stdlib::install(&ctx);
+            let (outcome, _) = outcome_and_fuel(program, &ctx);
+            let log = ctx.get_global("log").map(|log| log.to_display_string());
+            (outcome, log)
+        };
+        let (fused, plain) = (compile_fused(TRACED_LOOP), compile_unfused(TRACED_LOOP));
+        let ctx = Context::new();
+        stdlib::install(&ctx);
+        let (_, enough) = outcome_and_fuel(&fused, &ctx);
+        let mut exhausted = 0;
+        for limit in 0..=enough {
+            let (outcome, log) = log_after(&fused, limit);
+            // Whatever the unfused stream did within the limit, the fused
+            // one did too: the same error and the same side effects.
+            assert_eq!((outcome.clone(), log), log_after(&plain, limit), "{limit}");
+            if limit < enough {
+                assert_eq!(outcome, Err(ScriptError::FuelExhausted), "{limit}");
+                exhausted += 1;
+            }
+        }
+        assert!(exhausted > 100);
+        assert_eq!(log_after(&fused, enough).0, Ok(("number", "3".to_string())));
+    }
+
+    #[test]
+    fn a_resource_kill_inside_fused_code_skips_catch_and_enters_finally() {
+        // A native that kills the pipeline from inside the handler, as the
+        // resource manager would from its own thread, and notes what the
+        // meter had been told by then.
+        let ctx = Context::new();
+        stdlib::install(&ctx);
+        let steps_at_kill = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let (meter, noted) = (ctx.meter.clone(), steps_at_kill.clone());
+        ctx.set_global(
+            "killMe",
+            Value::native(move |_, _| {
+                noted.store(meter.steps(), std::sync::atomic::Ordering::Relaxed);
+                meter.kill();
+                Ok(Value::Undefined)
+            }),
+        );
+        let program = compile_fused(
+            "var log = []; \
+             function f() { \
+                 var acc = 0; \
+                 try { \
+                     killMe(); \
+                     for (var i = 0; i < 100000; i = i + 1) { acc = (acc + i * 3) % 9973; } \
+                 } catch (e) { log.push('caught'); } finally { log.push('finally'); } \
+                 return acc; \
+             } \
+             f()",
+        );
+        let mut vm = Vm::new(&ctx);
+        assert_eq!(vm.run(&program), Err(ScriptError::Terminated));
+        assert_eq!(
+            ctx.get_global("log").unwrap().to_display_string(),
+            "finally"
+        );
+        // Noticed at the first safepoint after the kill: within the interval
+        // of the last report, give or take the one instruction (of weight at
+        // most 4) whose charge reached it and which did not run.  The
+        // `finally` code then ran on the next interval's budget.
+        let noticed = ctx.meter.steps() - steps_at_kill.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(noticed < 2 * (SAFEPOINT_INTERVAL + 4), "{noticed}");
+
+        // The same under a fuel limit: no budget is left for `finally` to
+        // run on, in either engine; the error is not catchable.
+        let ctx = Context::with_limits(2_000, crate::context::DEFAULT_MEMORY_LIMIT);
+        stdlib::install(&ctx);
+        ctx.set_global("killMe", Value::native(|_, _| Ok(Value::Undefined)));
+        assert_eq!(Vm::new(&ctx).run(&program), Err(ScriptError::FuelExhausted));
+        assert_eq!(ctx.get_global("log").unwrap().to_display_string(), "");
+    }
+
+    #[test]
+    fn the_kill_flag_is_polled_every_safepoint_interval_of_fuel() {
+        // Kill first, then count how far a fused loop gets: the first poll
+        // is due once `SAFEPOINT_INTERVAL` units have been charged, and the
+        // instruction whose weight reaches it is charged but does not run.
+        let program = compile_fused(
+            "function f() { var i = 0; while (i < 100000) { i = i + 3; } return i; } f()",
+        );
+        let ctx = Context::new();
+        stdlib::install(&ctx);
+        ctx.meter.kill();
+        let mut vm = Vm::new(&ctx);
+        assert_eq!(vm.run(&program), Err(ScriptError::Terminated));
+        assert!(
+            (SAFEPOINT_INTERVAL..SAFEPOINT_INTERVAL + 4).contains(&vm.fuel_used()),
+            "{}",
+            vm.fuel_used()
+        );
+    }
+
+    #[test]
+    fn arguments_is_made_and_accounted_only_for_bodies_that_mention_it() {
+        assert_eq!(
+            run_ok("function f() { return arguments.length + ':' + arguments[1]; } f(7, 8, 9)"),
+            Value::string("3:8")
+        );
+        // A closure-holding (scoped) function sees it too.
+        assert_eq!(
+            run_ok(
+                "function f() { var g = function() { return 1; }; return arguments[0] + g(); } f(4)"
+            ),
+            Value::Number(5.0)
+        );
+        let allocated = |source: &str| {
+            let ctx = Context::new();
+            stdlib::install(&ctx);
+            let mut vm = Vm::new(&ctx);
+            vm.run(&compile_fused(source)).unwrap();
+            vm.memory_used()
+        };
+        assert_eq!(allocated("function f(a, b) { return a; } f(1, 2)"), 0);
+        assert_eq!(
+            allocated("function f(a, b) { return arguments.length; } f(1, 2)"),
+            Value::new_array(vec![Value::Null; 2]).shallow_size()
         );
     }
 }

@@ -17,11 +17,18 @@
 //! Fuel *counts* are allowed to differ between the engines (per-AST-node vs
 //! per-instruction), so the generated programs use bounded loops under a
 //! generous fuel limit; resource-kill parity is asserted by dedicated tests
-//! with deterministic workloads.
+//! with deterministic workloads.  What the VM charges is pinned on its own:
+//! a script's fuel is the number of primitive instructions it executes,
+//! however the compiler fused them, so the counts recorded before there
+//! were superinstructions must never move.
 
+use nakika_script::bytecode::{CompiledFunction, Op};
 use nakika_script::context::DEFAULT_MEMORY_LIMIT;
-use nakika_script::{compile, parse_program, stdlib, Context, Interpreter, ScriptError, Value, Vm};
+use nakika_script::{
+    compile, parse_program, stdlib, CompiledProgram, Context, Interpreter, ScriptError, Value, Vm,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn run_interp(src: &str, fuel: u64, memory: usize) -> Result<Value, ScriptError> {
     let program = parse_program(src)?;
@@ -42,6 +49,11 @@ fn run_vm(src: &str, fuel: u64, memory: usize) -> Result<Value, ScriptError> {
 
 const GENEROUS_FUEL: u64 = 50_000_000;
 
+/// Semantically tricky programs (scope edge cases, `finally` flow
+/// precedence, double evaluation in compound member assignment,
+/// statement-value propagation); shared with the compiler's unit tests.
+const CORPUS: &[&str] = include!("corpus/fixed.rs");
+
 /// Collapses a run outcome to a comparable form: type tag plus display
 /// string for values (so `NaN == NaN` and structural equality applies to
 /// identical programs rather than `Arc` identity), the error itself
@@ -58,101 +70,7 @@ fn assert_engines_agree(src: &str) {
 
 #[test]
 fn fixed_corpus_agrees() {
-    let corpus: &[&str] = &[
-        // Statement values propagate through blocks, if, and try.
-        "1; 2; 3",
-        "if (true) { 42 }",
-        "if (false) { 1 } else { }",
-        "try { 'tried' } finally { 'ignored' }",
-        "var x = 9;",
-        "{ 5; }",
-        // Scope discipline: use-before-var goes to the enclosing chain.
-        "x = 1; var x; typeof x + ':' + x",
-        "function f() { x = 1; var x = 2; return x; } f(); typeof x + ':' + x",
-        "function g(a) { var b = a * 2; return b; } g(4); typeof b",
-        "var s = ''; if (true) { var inner = 'i'; s += inner; } typeof inner + ':' + s",
-        // Loops: break/continue, header scopes, per-iteration bodies.
-        "var s = 0; for (var i = 0; i < 10; i++) { if (i == 3) continue; if (i == 6) break; s += i; } s",
-        "var s = ''; for (var i = 0; i < 3; i++) { for (var j = 0; j < 3; j++) { if (j == 1) break; s += '' + i + j; } } s",
-        "var n = 0; while (n < 5) { n++; } n",
-        "var t = ''; var k; for (k in {b: 1, a: 2, c: 3}) { t += k; } t + ':' + k",
-        "var a = [10, 20, 30]; var s = 0; for (var i in a) { s += a[i]; } s",
-        "var s = ''; for (var c in 'hey') { s += c; } s",
-        "var s = ''; var i = 9; for (i = 0; i < 2; i++) { s += i; } s + ':' + i",
-        // Functions, closures, hoisting, recursion, this/arguments.
-        "var v = f(); function f() { return 9; } v",
-        "function fib(n) { if (n < 2) return n; return fib(n-1) + fib(n-2); } fib(11)",
-        "function counter() { var n = 0; return function() { n++; return n; }; } var c = counter(); c(); c(); c()",
-        "function f() { return arguments.length + ':' + arguments[1]; } f(7, 8, 9)",
-        "var o = { n: 2, double: function() { return this.n * 2; } }; o.double()",
-        "var fs = []; for (var i = 0; i < 3; i++) { fs.push(function() { return i; }); } '' + fs[0]() + fs[2]()",
-        "function outer() { function inner() { return 'deep'; } return inner(); } outer()",
-        // Constructors.
-        "function Point(x, y) { this.x = x; this.y = y; } var p = new Point(3, 4); p.x + p.y",
-        "function T() { return [1, 2]; } var t = new T(); t.length",
-        "function U() { return 5; } var u = new U(); typeof u",
-        // Compound/member assignment evaluates the object twice, value first.
-        "var n = 0; var o = {v: 5}; function get() { n++; return o; } get().v += 2; '' + o.v + ':' + n",
-        "var n = 0; var o = {v: 5}; function get() { n++; return o; } get().v++; '' + o.v + ':' + n",
-        "var a = [3]; a[0] += 4; a[0]",
-        "var i = 5; '' + i++ + ':' + i + ':' + ++i",
-        "u++; typeof u",
-        // Delete: non-member targets are not evaluated.
-        "var o = {a: 1}; delete o.a; typeof o.a",
-        "var o = {a: 1, b: 2}; var r = delete o['a']; '' + r + (('a' in o) ? 'y' : 'n')",
-        "var n = 0; function s() { n++; return 1; } var r = delete 4; '' + r + n",
-        // try/catch/finally flow precedence.
-        "var r = ''; try { throw 'boom'; } catch (e) { r = e; } r",
-        "var r = ''; try { undeclaredFn(); } catch (e) { r = 'caught:' + e.length; } r",
-        "function f() { try { return 1; } finally { return 2; } } f()",
-        "var log = ''; function f() { try { return 'body'; } finally { log += 'fin'; } } f() + ':' + log",
-        "var log = ''; for (var i = 0; i < 3; i++) { try { if (i == 1) break; log += i; } finally { log += 'f'; } } log",
-        "var log = ''; for (var i = 0; i < 3; i++) { try { if (i == 1) continue; log += i; } finally { log += 'f'; } } log",
-        "try { 1 } finally { throw 'late'; }",
-        "try { throw 'early'; } finally { throw 'late'; }",
-        "var r = ''; try { try { throw 'x'; } finally { r += 'a'; } } catch (e) { r += 'b' + e; } r",
-        "var r = ''; try { throw 'o'; } catch (e) { throw 'p'; } finally { r += 'f'; }",
-        "throw 'unhandled'",
-        "break",
-        "function f() { continue; } f()",
-        "try { break } catch (e) { 'nope' }",
-        // Operators, coercions, short-circuits.
-        "'a' + 'b' + 1",
-        "1 + 2 + 'x'",
-        "'10' * '4' - 2",
-        "1 == '1'",
-        "1 === '1'",
-        "null == undefined",
-        "null === undefined",
-        "'b' in {a: 1, b: 2}",
-        "'1' in [9, 8]",
-        "'abc' < 'abd'",
-        "0 || 'fallback'",
-        "1 && 2",
-        "0 && explode()",
-        "'x' || explode()",
-        "1 > 2 ? 'a' : 'b'",
-        "typeof function() {}",
-        "typeof neverDeclared",
-        "!null",
-        "-'3' + +'4'",
-        // Errors.
-        "missing + 1",
-        "5()",
-        "var o = {}; o.nothing()",
-        "var a = [1]; a.frobnicate()",
-        "new 7()",
-        "3 = 4",
-        "var q = 0; q += 1, 2",
-        // Builtin methods through both call paths.
-        "var b = new ByteArray(); b.append('abc'); b.length",
-        "'hello'.toUpperCase() + '-' + 'WORLD'['toLowerCase']()",
-        "[3, 1, 2].join('/')",
-        "var a = [1, 2]; a.push(9); a[2] + ':' + a.length",
-        // The Figure-2 idiom.
-        "var i = 0; var buff; var count = 0; function read() { i++; if (i > 3) return null; return 'chunk'; } while (buff = read()) { count++; } count",
-    ];
-    for src in corpus {
+    for src in CORPUS {
         assert_engines_agree(src);
     }
 }
@@ -202,6 +120,114 @@ fn kill_flag_abort_agrees() {
     ctx.meter.kill();
     let mut vm = Vm::new(&ctx);
     assert_eq!(vm.run(&compiled), Err(ScriptError::Terminated));
+}
+
+/// The fuel the VM charges for `src`, and the value it computes.
+fn vm_fuel(src: &str) -> (u64, String) {
+    let compiled = compile(&parse_program(src).unwrap());
+    let ctx = Context::new();
+    stdlib::install(&ctx);
+    let mut vm = Vm::new(&ctx);
+    let value = vm.run(&compiled).unwrap().to_display_string();
+    (vm.fuel_used(), value)
+}
+
+#[test]
+fn vm_fuel_is_what_the_unfused_instruction_stream_charged() {
+    // Recorded at `bc0999c`, the last commit whose VM ran one primitive
+    // instruction per unit of fuel.  A fused instruction charges the
+    // primitives it replaced, so none of these may ever change.
+    let pinned: &[(&str, u64, &str)] = &[
+        ("var s = 0; for (var i = 0; i < 10; i++) { if (i == 3) continue; if (i == 6) break; s += i; } s", 203, "12"),
+        ("var s = ''; for (var i = 0; i < 3; i++) { for (var j = 0; j < 3; j++) { if (j == 1) break; s += '' + i + j; } } s", 199, "001020"),
+        ("var n = 0; while (n < 5) { n++; } n", 84, "5"),
+        ("function fib(n) { if (n < 2) return n; return fib(n-1) + fib(n-2); } fib(11)", 3737, "89"),
+        ("function counter() { var n = 0; return function() { n++; return n; }; } var c = counter(); c(); c(); c()", 62, "3"),
+        ("var a = [10, 20, 30]; var s = 0; for (var i in a) { s += a[i]; } s", 57, "60"),
+        ("var log = ''; for (var i = 0; i < 3; i++) { try { if (i == 1) continue; log += i; } finally { log += 'f'; } } log", 123, "0ff2f"),
+        ("var i = 5; '' + i++ + ':' + i + ':' + ++i", 32, "5:6:7"),
+        ("function g(a) { var b = a * 2; return b; } g(4); typeof b", 21, "undefined"),
+        ("var i = 0; var buff; var count = 0; function read() { i++; if (i > 3) return null; return 'chunk'; } while (buff = read()) { count++; } count", 139, "3"),
+    ];
+    for (src, fuel, value) in pinned {
+        assert!(CORPUS.contains(src), "{src:?} is a corpus program");
+        assert_eq!(vm_fuel(src), (*fuel, value.to_string()), "{src:?}");
+    }
+}
+
+#[test]
+fn numeric_indexing_agrees_and_charges_the_same_fuel_as_the_string_round_trip() {
+    // `a[i]` with a number for `i` reads and writes the element directly;
+    // the answers and the fuel (recorded at `bc0999c`, when every access
+    // went through the index's display string) are unchanged.
+    let pinned: &[(&str, u64, &str)] = &[
+        (
+            "function f() { var a = [0]; for (var i = 1; i < 1000; i = i + 1) { a[i] = a[i - 1] + 1; } return a[999] + ':' + a.length; } f()",
+            22012,
+            "999:1000",
+        ),
+        // The Figure-2 idiom's inner half: walk a byte array, element by
+        // element, reading and overwriting.
+        (
+            "function f() { var body = new ByteArray(); body.append('The quick brown fox jumps over the lazy dog'); var sum = 0; for (var i = 0; i < body.length; i++) { sum = (sum + body[i] * (i + 1)) % 65521; body[i] = body[i] + 1; } return sum + ':' + body[0] + ':' + body.toString(); } f()",
+            1680,
+            "23993:85:Uif!rvjdl!cspxo!gpy!kvnqt!pwfs!uif!mb{z!eph",
+        ),
+    ];
+    for (src, fuel, value) in pinned {
+        assert_engines_agree(src);
+        assert_eq!(vm_fuel(src), (*fuel, value.to_string()), "{src:?}");
+    }
+    // Indices that do not name an existing element take the old path, and
+    // say what it said.
+    for src in [
+        "var a = [1, 2, 3]; '' + a[-1] + a[3] + a[1.5] + a[0/0] + a[-0] + a['1'] + a[true]",
+        "var a = [1]; a[3] = 9; a[1.5] = 7; a.length + ':' + a",
+        "var a = [1]; a[-1] = 2",
+        "var b = new ByteArray(); b.append('ab'); b[1] = 300; b[2] = 66; b[0] + ':' + b[1] + ':' + b[2] + ':' + b[7] + ':' + b.length",
+        "var s = 'héllo'; s[1] + s[4] + s[5] + s[-0]",
+        "var s = 'abc'; s[0] = 'x'",
+        "var o = {}; o[1] = 'one'; o[1.5] = 'half'; o[1] + o['1'] + o[1.5]",
+        "var n = 5; typeof n[0]",
+    ] {
+        assert_engines_agree(src);
+    }
+}
+
+#[test]
+fn arguments_is_an_allocation_both_engines_charge() {
+    for src in [
+        "function f() { return arguments.length + ':' + arguments[1]; } f(7, 8, 9)",
+        "function f(a) { arguments[0] = 5; return a + ':' + arguments[0]; } f(1)",
+        "function f() { var g = function() { return arguments.length; }; return g(1, 2) + arguments.length; } f(1)",
+        "function f(a) { return typeof arguments; } f() + (typeof arguments)",
+    ] {
+        assert_engines_agree(src);
+    }
+
+    // A deep recursion handing a long argument list down: nine numbers at
+    // sixty levels is 60 x (9 x 16 + 32) = 10,560 bytes of argument arrays
+    // and nothing else.  It used to run in any budget, because the arrays
+    // were made for every call and charged for none.
+    let hoarder = "function f(n, a, b, c, d, e, g, h, i) { \
+                       if (n == 0) { return arguments.length; } \
+                       return f(n - 1, a, b, c, d, e, g, h, i); \
+                   } f(59, 1, 2, 3, 4, 5, 6, 7, 8)";
+    assert_engines_agree(hoarder);
+    for result in [
+        run_interp(hoarder, GENEROUS_FUEL, 8_192),
+        run_vm(hoarder, GENEROUS_FUEL, 8_192),
+    ] {
+        assert_eq!(result, Err(ScriptError::MemoryExceeded { limit: 8_192 }));
+    }
+    // The same recursion without the mention makes no arrays to charge.
+    let frugal = hoarder.replace("arguments.length", "9");
+    for result in [
+        run_interp(&frugal, GENEROUS_FUEL, 8_192),
+        run_vm(&frugal, GENEROUS_FUEL, 8_192),
+    ] {
+        assert_eq!(result, Ok(Value::Number(9.0)));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +330,7 @@ impl Gen {
     /// One statement appended to `src`; every observable effect is traced
     /// into `out`.
     fn stmt(&mut self, src: &mut String, depth: usize) {
-        match self.below(if depth > 0 { 10 } else { 4 }) {
+        match self.below(if depth > 0 { 11 } else { 4 }) {
             0 => {
                 let name = self.fresh("v");
                 let init = self.expr(2);
@@ -393,6 +419,7 @@ impl Gen {
                 let (x, y) = (self.expr(1), self.expr(1));
                 src.push_str(&format!("out += '!' + {f}({x}, {y});\n"));
             }
+            9 => self.numeric_function(src),
             _ => {
                 let thrown = self.expr(1);
                 let guard = self.expr(2);
@@ -403,6 +430,46 @@ impl Gen {
                 src.push_str("} catch (e) {\nout += 'C' + e;\n} finally {\nout += 'F';\n}\n");
             }
         }
+    }
+
+    fn pick(&mut self, from: &[&'static str]) -> &'static str {
+        from[self.below(from.len())]
+    }
+
+    /// A function of numeric `for` / `while` loops over its own locals — the
+    /// shapes the compiler fuses — called with arbitrary arguments, so every
+    /// fused instruction also meets strings, booleans, `null`, `undefined`,
+    /// `NaN` and `-0` where it expects a number.
+    fn numeric_function(&mut self, src: &mut String) {
+        let f = self.fresh("n");
+        let start = self.pick(&["0", "1", "-0", "0 / 0", "'7'", "2.5", "a"]);
+        let (lo, hi) = (self.below(3), 2 + self.below(6));
+        let bound = self.pick(&["<", "<="]);
+        let update = self.pick(&["i = i + 1", "i += 2", "i++", "++i", "i = i + 0.5"]);
+        let op = self.pick(&["+", "-", "*", "%"]);
+        let factor = self.pick(&["3", "0", "'2'", "0.5", "b"]);
+        let modulus = self.pick(&["7", "9973", "0", "1", "2.5", "b"]);
+        let rel = self.pick(&["<", ">", "<=", ">=", "==", "!=", "===", "!=="]);
+        let limit = self.pick(&["4", "0", "b", "acc"]);
+        let mixed = self.pick(&["1", "'s'", "a", "-0", "0 / 0"]);
+        let spins = self.below(5);
+        let compound = self.pick(&["acc += w", "acc -= w", "acc *= w", "acc = acc % w"]);
+        src.push_str(&format!(
+            "function {f}(a, b) {{\n\
+             var acc = {start};\n\
+             for (var i = {lo}; i {bound} {hi}; {update}) {{\n\
+             acc = (acc {op} i * {factor}) % {modulus};\n\
+             if ((acc + i) {rel} {limit}) {{ acc = acc + {mixed}; }}\n\
+             if (a {rel} b) {{ acc = acc - 1; }}\n\
+             }}\n\
+             var w = {spins};\n\
+             while (w > 0) {{ w = w - 1; {compound}; }}\n\
+             return (acc % 1 == 0 ? 'int:' : 'other:') + acc;\n\
+             }}\n"
+        ));
+        let (x, y) = (self.expr(1), self.expr(1));
+        src.push_str(&format!("out += '~' + {f}({x}, {y}) + {f}({y}, 3);\n"));
+        self.funcs.push(f);
     }
 
     fn program(&mut self, stmts: usize) -> String {
@@ -416,8 +483,69 @@ impl Gen {
     }
 }
 
+/// Every function of a compiled program, the top level first.
+fn functions(program: &CompiledProgram) -> Vec<&CompiledFunction> {
+    let mut all = vec![&*program.main];
+    let mut next = 0;
+    while next < all.len() {
+        all.extend(all[next].funcs.iter().map(|f| &**f));
+        next += 1;
+    }
+    all
+}
+
+#[test]
+fn generated_programs_use_every_superinstruction() {
+    // No fused instruction may be exercised by the benchmark's handler
+    // alone: the generator's own programs — a fixed run of seeds, so the
+    // set is the same on every machine — must contain each of them.
+    let mut seen = BTreeSet::new();
+    for seed in 0..192 {
+        let src = Gen::new(seed).program(8);
+        let compiled = compile(&parse_program(&src).expect("generated programs parse"));
+        for function in functions(&compiled) {
+            seen.extend(function.code.iter().filter_map(|op| match op {
+                Op::BinNum { .. } => Some("BinNum"),
+                Op::SlotBinNum { .. } => Some("SlotBinNum"),
+                Op::JumpUnless { .. } => Some("JumpUnless"),
+                Op::JumpUnlessNum { .. } => Some("JumpUnlessNum"),
+                Op::JumpUnlessSlotNum { .. } => Some("JumpUnlessSlotNum"),
+                Op::SetSlot(_) => Some("SetSlot"),
+                Op::SetSlotLast(_) => Some("SetSlotLast"),
+                primitive => {
+                    assert_eq!(
+                        primitive.weight(),
+                        1,
+                        "{primitive:?} is fused: list it here"
+                    );
+                    None
+                }
+            }));
+        }
+    }
+    let all = [
+        "BinNum",
+        "JumpUnless",
+        "JumpUnlessNum",
+        "JumpUnlessSlotNum",
+        "SetSlot",
+        "SetSlotLast",
+        "SlotBinNum",
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+}
+
+/// Cases per property: 192 unless `PROPTEST_CASES` asks for another number
+/// (CI runs the release build with ten times as many).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|cases| cases.parse().ok())
+        .unwrap_or(192)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn generated_programs_agree(seed in any::<u64>()) {
