@@ -93,7 +93,7 @@ fn main() {
     println!("== end-to-end proxy throughput (real TCP), per scenario and transport ==");
     println!("(cold cache / warm keep-alive / warm close / 64-way concurrent keep-alive /");
     println!(" 1 MiB streamed bodies / mixed warm+slow-cold-origin / peer-answered misses /");
-    println!(" warm scripted pipeline under the bytecode VM and the interpreter,");
+    println!(" warm scripted pipeline,");
     println!(" threaded vs reactor, with the miss-heavy scenarios also measured as");
     println!(" reactor-splice — the event-loop origin splice, the production default;");
     println!(" see docs/BENCHMARKING.md for what each isolates)\n");
@@ -143,15 +143,6 @@ fn main() {
                 println!(
                     "peer-answered miss vs origin-answered miss (reactor): {:.2}x",
                     peer.requests_per_sec / cold.requests_per_sec.max(1e-9)
-                );
-            }
-            if let (Some(vm), Some(interp)) = (
-                suite.scenario("bench_scripted", "reactor"),
-                suite.scenario("bench_scripted_interp", "reactor"),
-            ) {
-                println!(
-                    "bytecode VM vs interpreter on the warm scripted pipeline (reactor): {:.2}x",
-                    vm.requests_per_sec / interp.requests_per_sec.max(1e-9)
                 );
             }
             match suite.write_json("BENCH_proxy.json") {

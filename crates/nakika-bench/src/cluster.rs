@@ -8,13 +8,12 @@
 //!   ephemeral port) for benchmarks and integration tests that want real
 //!   sockets without real processes.
 //! * [`node_main`] — the child entrypoint behind the `edge-node` binary and
-//!   the `edge_cluster` example: one OS process per node, coordinated over
-//!   a line-oriented stdin/stdout handshake (see [`node_main`] for the
-//!   protocol).
-//! * [`spawn_cluster`] / [`ClusterProc`] — the parent side of that
-//!   handshake: spawn N children, collect their `READY` lines, broadcast
-//!   the full roster, wait for `JOINED`, and shut everything down by
-//!   closing stdin on drop.
+//!   the `edge_cluster` example: one OS process per node, which prints
+//!   `READY <name> <base-url>` once listening and serves until its stdin
+//!   reaches EOF.
+//! * [`spawn_gossip_cluster`] / [`ClusterProc`] — the parent side: spawn a
+//!   seed and N-1 children that `--join` it, collect their `READY` lines,
+//!   and shut everything down by closing stdin on drop.
 //!
 //! Every node also serves its counters at [`STATS_PATH`] as plain text
 //! (`key value` per line) so tests and operators can assert cluster-wide
@@ -29,7 +28,7 @@ use nakika_server::{http_get_via_proxy, ProxyServer, TcpOrigin, Transport};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::Arc;
 
 /// Path every cluster node answers with its counters (plain text, one
@@ -156,8 +155,8 @@ fn parse_base_url(base_url: &str) -> Result<SocketAddr, NakikaError> {
 /// All nodes of one logical cluster share an [`Overlay`] instance (each
 /// process in a real deployment holds its own replica of the membership
 /// view; in-process they can simply share one), so this helper covers the
-/// peer-routing data path — DNS-free, fork-free — while `spawn_cluster`
-/// covers the full multi-process story.
+/// peer-routing data path — DNS-free, fork-free — while
+/// [`spawn_gossip_cluster`] covers the full multi-process story.
 pub struct LocalNode {
     /// The node's name (also its overlay identity: `key_for(name)`).
     pub name: String,
@@ -228,8 +227,7 @@ fn start_local_node_with(
     })
 }
 
-/// The `edge-node --help` text.  Printed verbatim; the deprecation note on
-/// the `PEERS` handshake is part of the operator contract.
+/// The `edge-node --help` text, printed verbatim.
 pub const NODE_USAGE: &str = "\
 usage: edge-node NAME [flags]
 
@@ -251,11 +249,8 @@ flags:
                            member with a 307 to that member instead of
                            relaying (counted as owner_redirects in stats)
 
-The node always prints `READY <name> <base-url>` on stdout once listening.
-DEPRECATED: the static stdio roster handshake (parent writes
-`PEERS <name>=<url>,...`, node answers `JOINED`) is still honoured as a
-compatibility path, but it neither detects failures nor admits new members;
-use --join, which subsumes it.
+The node prints `READY <name> <base-url>` on stdout once listening, and
+nothing after it; whatever arrives on stdin before EOF is ignored.
 ";
 
 /// Runs one cluster node as a child process until stdin closes.
@@ -264,12 +259,7 @@ use --join, which subsumes it.
 /// for the flags.  The node prints `READY <name> <base-url>` once it is
 /// listening and serves until stdin reaches EOF, then exits cleanly.
 ///
-/// Membership is learned over gossip from the `--join` seeds.  The legacy
-/// static handshake — parent writes `PEERS <name>=<url>,...` on stdin, the
-/// node answers `JOINED` — still works as a deprecated compatibility path:
-/// the roster entries are fed into the same membership machinery (as
-/// `introduce`d alive members), so gossip and failure detection pick them
-/// up from there.
+/// Membership is learned over gossip from the `--join` seeds.
 ///
 /// Returns an error string suitable for printing to stderr.
 pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> {
@@ -354,43 +344,23 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
     writeln!(stdout.lock(), "READY {name} {base_url}").map_err(|e| e.to_string())?;
     stdout.lock().flush().map_err(|e| e.to_string())?;
 
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        let Some(roster) = line.trim().strip_prefix("PEERS ") else {
-            continue;
-        };
-        // Deprecated compatibility path: feed the static roster into the
-        // membership as introduced alive members, so gossip and the failure
-        // detector take over from there.
-        for entry in roster.split(',').filter(|s| !s.trim().is_empty()) {
-            let Some((peer, url)) = entry.trim().split_once('=') else {
-                return Err(format!("bad roster entry {entry}"));
-            };
-            if peer != name {
-                let events = membership.introduce(peer, url);
-                nakika_core::gossip::apply_events(&overlay, &events);
-            }
-        }
-        writeln!(stdout.lock(), "JOINED").map_err(|e| e.to_string())?;
-        stdout.lock().flush().map_err(|e| e.to_string())?;
-    }
+    // Serve until stdin reaches EOF; nothing that arrives on it is read.
+    std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink()).map_err(|e| e.to_string())?;
     // Stdin closed: the parent is done with us.  Dropping the server (and
     // with it the node's replication worker) shuts the node down.
     drop(server);
     Ok(())
 }
 
-/// One child node spawned by [`spawn_cluster`], shut down on drop by
+/// One child node spawned by [`spawn_gossip_cluster`], shut down on drop by
 /// closing its stdin and waiting for it to exit.
 pub struct ClusterProc {
-    /// The node's name, as passed to [`spawn_cluster`].
+    /// The node's name, as passed to [`spawn_gossip_cluster`].
     pub name: String,
     /// `http://127.0.0.1:port`, as reported by the child's `READY` line.
     pub base_url: String,
     child: Child,
     stdin: Option<ChildStdin>,
-    stdout: BufReader<ChildStdout>,
 }
 
 impl ClusterProc {
@@ -419,98 +389,18 @@ impl Drop for ClusterProc {
     }
 }
 
-fn read_trimmed_line(reader: &mut BufReader<ChildStdout>) -> std::io::Result<String> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "cluster child exited during handshake",
-        ));
-    }
-    Ok(line.trim().to_string())
-}
-
-/// Spawns one `program` child per name in `names` and runs the cluster
-/// handshake described in [`node_main`]: collect every child's `READY`
-/// line, broadcast the complete roster to all of them, and wait for each
-/// `JOINED` acknowledgement.  `prefix_args` is inserted before the node
-/// name (the `edge_cluster` example re-invokes itself with `--node`;
-/// tests invoke the `edge-node` binary with no prefix); `extra_args` is
-/// appended after it (e.g. `--replicate 1`).
+/// Spawns one `program` child per name in `names`, a cluster that
+/// bootstraps itself over gossip: the first name becomes the seed (started
+/// with no `--join`), every later node is started with `--join <seed-url>`
+/// and learns the rest of the roster through the gossip exchange.  No roster
+/// is ever broadcast — follow with [`wait_for_members`] to block until the
+/// views converge.  `prefix_args` is inserted before the node name (the
+/// `edge_cluster` example re-invokes itself with `--node`; tests invoke the
+/// `edge-node` binary with no prefix); `extra_args` is appended after it
+/// (e.g. `--replicate 1`).
 ///
 /// The returned processes shut down (stdin EOF, then reaped) when
 /// dropped.
-pub fn spawn_cluster(
-    program: &std::path::Path,
-    prefix_args: &[&str],
-    names: &[&str],
-    extra_args: &[&str],
-) -> std::io::Result<Vec<ClusterProc>> {
-    let mut procs = Vec::with_capacity(names.len());
-    for name in names {
-        let mut child = Command::new(program)
-            .args(prefix_args)
-            .arg(name)
-            .args(extra_args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        procs.push(ClusterProc {
-            name: name.to_string(),
-            base_url: String::new(),
-            child,
-            stdin: Some(stdin),
-            stdout,
-        });
-    }
-    for proc in &mut procs {
-        let ready = read_trimmed_line(&mut proc.stdout)?;
-        let mut parts = ready.split_whitespace();
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some("READY"), Some(name), Some(url)) if name == proc.name => {
-                proc.base_url = url.to_string();
-            }
-            _ => {
-                return Err(std::io::Error::other(format!(
-                    "bad READY line from {}: {ready:?}",
-                    proc.name
-                )));
-            }
-        }
-    }
-    let roster = procs
-        .iter()
-        .map(|p| format!("{}={}", p.name, p.base_url))
-        .collect::<Vec<_>>()
-        .join(",");
-    for proc in &mut procs {
-        let stdin = proc.stdin.as_mut().expect("stdin open during handshake");
-        writeln!(stdin, "PEERS {roster}")?;
-        stdin.flush()?;
-    }
-    for proc in &mut procs {
-        let joined = read_trimmed_line(&mut proc.stdout)?;
-        if joined != "JOINED" {
-            return Err(std::io::Error::other(format!(
-                "bad JOINED line from {}: {joined:?}",
-                proc.name
-            )));
-        }
-    }
-    Ok(procs)
-}
-
-/// Spawns a cluster that bootstraps itself over gossip instead of the
-/// static `PEERS` handshake: the first name becomes the seed (started with
-/// no `--join`), every later node is started with `--join <seed-url>` and
-/// learns the rest of the roster through the gossip exchange.  No roster is
-/// ever broadcast — follow with [`wait_for_members`] to block until the
-/// views converge.  `prefix_args` and `extra_args` are as in
-/// [`spawn_cluster`].
 pub fn spawn_gossip_cluster(
     program: &std::path::Path,
     prefix_args: &[&str],
@@ -530,8 +420,9 @@ pub fn spawn_gossip_cluster(
             .stderr(Stdio::inherit())
             .spawn()?;
         let stdin = child.stdin.take().expect("piped stdin");
-        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let ready = read_trimmed_line(&mut stdout)?;
+        // Empty if the child exited before it was listening.
+        let mut ready = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout")).read_line(&mut ready)?;
         let mut parts = ready.split_whitespace();
         let base_url = match (parts.next(), parts.next(), parts.next()) {
             (Some("READY"), Some(n), Some(url)) if n == *name => url.to_string(),
@@ -546,7 +437,6 @@ pub fn spawn_gossip_cluster(
             base_url,
             child,
             stdin: Some(stdin),
-            stdout,
         });
     }
     Ok(procs)
@@ -594,6 +484,15 @@ pub fn wait_for_members(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_flag_the_node_does_not_know_is_refused_before_anything_is_bound() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let refused = node_main(args(&["n", "--peers", "a=http://a"]));
+        assert_eq!(refused, Err("unknown flag --peers".to_string()));
+        let refused = node_main(args(&["n", "--join"]));
+        assert_eq!(refused, Err("--join needs a value".to_string()));
+    }
 
     #[test]
     fn stats_round_trip_through_the_text_format() {

@@ -13,7 +13,7 @@ pub mod hostile;
 
 use hist::LatencyRecorder;
 use nakika_core::service::{service_fn, NakikaError};
-use nakika_core::{scripts, NodeBuilder, ScriptEngine};
+use nakika_core::{scripts, NodeBuilder};
 use nakika_http::{Request, Response};
 use nakika_server::{
     http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, TcpOrigin, Transport,
@@ -181,9 +181,9 @@ pub const STREAM_SCENARIO_BODY_BYTES: usize = 1024 * 1024;
 pub const MIXED_SCENARIO_ORIGIN_DELAY_MS: u64 = 25;
 
 /// Iterations of the numeric loop the `bench_scripted` site handler runs on
-/// every response — enough script work that execution strategy (bytecode VM
-/// versus tree-walking interpreter) dominates the per-request cost, small
-/// enough that a single request stays far under the pipeline fuel budget.
+/// every response — enough script work that executing it dominates the
+/// per-request cost, small enough that a single request stays far under the
+/// pipeline fuel budget.
 pub const SCRIPTED_SCENARIO_LOOP_ITERS: usize = 600;
 
 /// The `transport` field value recorded for a scenario.
@@ -456,18 +456,13 @@ fn run_peer_scenario(
 /// over a keep-alive connection.  Every request re-runs the wall and site
 /// handlers — [`SCRIPTED_SCENARIO_LOOP_ITERS`] loop iterations of script
 /// work per response — while the page itself is a cache hit, so the number
-/// isolates script-execution cost on the warm path.  Run once per
-/// [`ScriptEngine`] (`bench_scripted` = bytecode VM, `bench_scripted_interp`
-/// = reference interpreter), the pair measures what compiling to bytecode
-/// buys.  The run fails loudly if the handler did not actually execute or
-/// if any stage script was recompiled after warm-up (which would mean the
-/// program cache — the thing that makes per-request compilation disappear —
-/// silently regressed).
+/// isolates script-execution cost on the warm path.  The run fails loudly
+/// if the handler did not actually execute or if any stage script was
+/// recompiled after warm-up (which would mean the program cache — the thing
+/// that makes per-request compilation disappear — silently regressed).
 fn run_scripted_scenario(
-    name: &str,
     transport: BenchTransport,
     requests: usize,
-    engine: ScriptEngine,
 ) -> Result<ProxyBenchScenario, NakikaError> {
     let site_script = format!(
         r#"
@@ -502,7 +497,6 @@ p.register();
     .map_err(internal("scripted origin failed to start"))?;
     let base = origin.base_url();
     let edge = NodeBuilder::scripted("bench-scripted")
-        .script_engine(engine)
         .wall_urls(
             &format!("{base}/clientwall.js"),
             &format!("{base}/serverwall.js"),
@@ -535,7 +529,7 @@ p.register();
         )));
     }
     Ok(scenario_result(
-        name,
+        "bench_scripted",
         transport,
         requests,
         1,
@@ -564,10 +558,9 @@ p.register();
 /// - `bench_peer` — a second edge node answers every miss over the
 ///   peer-fetch protocol; the cost of a cooperative (peer-answered) miss
 ///   versus an origin-answered one.
-/// - `bench_scripted` / `bench_scripted_interp` — a warm scripted pipeline
-///   (walls + a compute-heavy site handler on every response) under the
-///   bytecode VM and under the reference interpreter; the pair isolates
-///   what compiling NkScript to bytecode buys on the hot path.
+/// - `bench_scripted` — a warm scripted pipeline (walls + a compute-heavy
+///   site handler on every response): script-execution cost on the hot
+///   path.
 ///
 /// Every scenario runs on `threaded` and `reactor` (the reactor's
 /// worker-pool miss offload, pinned with `splice_origin = false`); the
@@ -686,24 +679,12 @@ pub fn bench_proxy_suite(
             .scenarios
             .push(run_peer_scenario(transport, requests)?);
 
-        // bench_scripted: the warm scripted pipeline under both script
-        // engines — the VM-vs-interpreter ratio is the headline number of
-        // the bytecode compiler.
-        // Half (not a quarter) of the scaling knob, for the same
-        // percentile-stability reason as bench_stream.
-        let scripted_requests = (requests / 2).max(8);
-        suite.scenarios.push(run_scripted_scenario(
-            "bench_scripted",
-            transport,
-            scripted_requests,
-            ScriptEngine::Vm,
-        )?);
-        suite.scenarios.push(run_scripted_scenario(
-            "bench_scripted_interp",
-            transport,
-            scripted_requests,
-            ScriptEngine::Interp,
-        )?);
+        // bench_scripted: the warm scripted pipeline.  Half (not a
+        // quarter) of the scaling knob, for the same percentile-stability
+        // reason as bench_stream.
+        suite
+            .scenarios
+            .push(run_scripted_scenario(transport, (requests / 2).max(8))?);
     }
 
     // The splice variant: re-measure the scenarios a cache-miss relay
@@ -903,13 +884,10 @@ mod tests {
     }
 
     #[test]
-    fn scripted_scenario_runs_under_both_engines() {
-        for engine in [ScriptEngine::Vm, ScriptEngine::Interp] {
-            let scenario =
-                run_scripted_scenario("bench_scripted", BenchTransport::Threaded, 8, engine)
-                    .expect("scripted scenario runs");
-            assert_eq!(scenario.requests, 8);
-            assert!(scenario.requests_per_sec > 0.0);
-        }
+    fn scripted_scenario_runs() {
+        let scenario =
+            run_scripted_scenario(BenchTransport::Threaded, 8).expect("scripted scenario runs");
+        assert_eq!(scenario.requests, 8);
+        assert!(scenario.requests_per_sec > 0.0);
     }
 }

@@ -25,7 +25,6 @@ use crate::middleware::RedirectLayer;
 use crate::node::{origin_from_fn, NaKikaNode, NodeConfig, NodeMode, OriginFetch};
 use crate::peering;
 use crate::pipeline::{CLIENT_WALL_URL, SERVER_WALL_URL};
-use crate::programs::ScriptEngine;
 use crate::resource::{ResourceKind, ResourceManagerConfig};
 use crate::service::{
     layered, DispatchHint, HttpService, Layer, NakikaError, RelayPlan, RequestCtx,
@@ -341,7 +340,6 @@ impl NodeBuilder {
                 resource,
                 control_period_secs: 5,
                 hard_state_quota: 16 * 1024 * 1024,
-                script_engine: ScriptEngine::default(),
             },
             overlay: None,
             origin: None,
@@ -423,16 +421,6 @@ impl NodeBuilder {
     /// Per-site hard-state quota in bytes.
     pub fn hard_state_quota(mut self, bytes: usize) -> NodeBuilder {
         self.config.hard_state_quota = bytes;
-        self
-    }
-
-    /// Which engine executes NkScript on this node.  The default is the
-    /// bytecode VM ([`ScriptEngine::Vm`]); [`ScriptEngine::Interp`] selects
-    /// the tree-walking reference interpreter (used for debugging and as
-    /// the `bench_scripted` ablation baseline — interpreter-run pipelines
-    /// are always dispatched `MayBlock`).
-    pub fn script_engine(mut self, engine: ScriptEngine) -> NodeBuilder {
-        self.config.script_engine = engine;
         self
     }
 

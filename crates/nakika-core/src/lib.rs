@@ -26,9 +26,8 @@
 //! * **Na Kika Pages** ([`pages`]) — the `<?nkp ... ?>` markup model layered
 //!   on the event model.
 //! * **Compiled programs** ([`programs`]) — the hash-keyed cache of NkScript
-//!   programs lowered to bytecode (compile once, execute many) and the
-//!   node's [`programs::ScriptEngine`] selector between the bytecode VM and
-//!   the reference tree-walking interpreter.
+//!   programs lowered to bytecode (compile once, execute many); the
+//!   bytecode VM is the one engine that runs them.
 //! * **The node façade** ([`node`]) — [`node::NaKikaNode`] wires the pieces
 //!   into a single proxy that mediates one HTTP exchange at a time, in any of
 //!   the configurations the paper's evaluation exercises (plain proxy, proxy

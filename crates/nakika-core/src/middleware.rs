@@ -719,7 +719,7 @@ mod tests {
             nakika_overlay::MembershipConfig::default(),
         ));
         membership.set_self_addr("http://edge-a.example");
-        membership.introduce("edge-b", "http://edge-b.example");
+        membership.merge_digest("self edge-b http://edge-b.example 0");
         let stack = RedirectLayer::owner_aware(
             Arc::clone(&overlay),
             me,

@@ -16,7 +16,7 @@ use crate::peering;
 use crate::pipeline::{
     CompiledStage, PipelineOutcome, PipelineRunner, StageCache, StageLoader, StageLookup,
 };
-use crate::programs::{ProgramCache, ScriptEngine};
+use crate::programs::ProgramCache;
 use crate::resource::{Admission, ResourceKind, ResourceManager, ResourceManagerConfig};
 use crate::service::{DispatchHint, NakikaError, RelayAttempt, RelayPlan};
 use crate::vocab::{FetchFn, VocabHooks};
@@ -104,10 +104,6 @@ pub struct NodeConfig {
     pub control_period_secs: u64,
     /// Per-site hard-state quota in bytes.
     pub hard_state_quota: usize,
-    /// Which engine executes NkScript on this node (the bytecode VM by
-    /// default; the tree-walking interpreter remains selectable as the
-    /// reference engine and the `bench_scripted` ablation baseline).
-    pub script_engine: ScriptEngine,
 }
 
 /// Statistics a node accumulates, consumed by the experiment harness.
@@ -449,7 +445,6 @@ struct NodeStageLoader<'a> {
     fetcher: &'a ResourceFetcher,
     stage_cache: &'a StageCache,
     programs: &'a ProgramCache,
-    engine: ScriptEngine,
     hooks: &'a VocabHooks,
     script_ttl: Duration,
 }
@@ -475,13 +470,8 @@ impl StageLoader for NodeStageLoader<'_> {
             self.stage_cache.put_absent(url, fresh_until);
             return None;
         }
-        match CompiledStage::compile_with(
-            url,
-            &response.body.to_text(),
-            self.hooks,
-            self.programs,
-            self.engine,
-        ) {
+        match CompiledStage::compile_with(url, &response.body.to_text(), self.hooks, self.programs)
+        {
             Ok(stage) => {
                 let stage = Arc::new(stage);
                 self.stage_cache.put(url, stage.clone(), fresh_until);
@@ -679,9 +669,7 @@ impl NaKikaNode {
     /// (or known absent), no matched handler can call the blocking `Fetch`
     /// vocabulary or schedule further stages, and the response itself needs
     /// no fetch (fresh in cache, or an `onRequest` handler unconditionally
-    /// generates it).  Pipelines executing on the reference interpreter
-    /// stay `MayBlock` — tree-walking a handler is CPU work that does not
-    /// belong on an event loop.
+    /// generates it).
     ///
     /// The probe is a heuristic, not a lock: an entry can expire or be
     /// evicted between the probe and the call, in which case an `Inline`
@@ -695,9 +683,6 @@ impl NaKikaNode {
         }
         let mut always_generates = false;
         if self.config.mode == NodeMode::Scripted {
-            if self.config.script_engine != ScriptEngine::Vm {
-                return DispatchHint::MayBlock;
-            }
             // Rendering a page runs a fresh script compile per body; keep
             // it off the event loop.
             if pages::is_nkp(request.uri.extension(), None) {
@@ -975,7 +960,6 @@ impl NaKikaNode {
             fetcher: &fetcher,
             stage_cache: &self.stage_cache,
             programs: &self.programs,
-            engine: self.config.script_engine,
             hooks: &hooks,
             script_ttl: self.config.script_ttl,
         };
@@ -1033,7 +1017,6 @@ impl NaKikaNode {
             match run_page(
                 &compiled,
                 &self.programs,
-                self.config.script_engine,
                 &hooks,
                 &outcome.final_request,
                 now_secs,
@@ -1071,7 +1054,6 @@ impl NaKikaNode {
 fn run_page(
     compiled: &str,
     programs: &ProgramCache,
-    engine: ScriptEngine,
     hooks: &VocabHooks,
     request: &Request,
     now_secs: u64,
@@ -1081,7 +1063,9 @@ fn run_page(
     let exchange = crate::vocab::new_exchange(request.clone(), now_secs);
     crate::vocab::install(&ctx, &exchange, hooks);
     let script = programs.get_or_compile(compiled)?;
-    Ok(engine.run(&ctx, &script)?.to_display_string())
+    Ok(nakika_script::Vm::new(&ctx)
+        .run(&script.compiled)?
+        .to_display_string())
 }
 
 /// A convenience [`OriginFetch`] built from a closure — used by tests,
@@ -1312,28 +1296,6 @@ mod tests {
         // The page is fresh in cache, but the matched handler mentions
         // Fetch, so the pipeline may block on an embedded fetch.
         assert!(edge.node().cache().contains_fresh(&cache_key(&request), 20));
-        assert_eq!(
-            edge.node().dispatch_hint(&request, 20),
-            DispatchHint::MayBlock
-        );
-    }
-
-    #[test]
-    fn interpreter_engine_pipelines_always_dispatch_may_block() {
-        let site_script = r#"
-            p = new Policy();
-            p.url = ["site.example"];
-            p.onRequest = function() { Request.respond('text/html', 'generated'); };
-            p.register();
-        "#;
-        let origin = TestOrigin::new(Some(site_script));
-        let edge = NodeBuilder::scripted("edge-1")
-            .script_engine(crate::programs::ScriptEngine::Interp)
-            .origin(origin.clone())
-            .build();
-        let request = Request::get("http://site.example/page");
-        let resp = edge.call(request.clone(), &RequestCtx::at(10)).unwrap();
-        assert_eq!(resp.body.to_text(), "generated", "interp engine serves");
         assert_eq!(
             edge.node().dispatch_hint(&request, 20),
             DispatchHint::MayBlock
@@ -1993,11 +1955,11 @@ mod tests {
         }
     }
 
-    fn concurrent_requests_never_see_each_others_exchange(engine: ScriptEngine) {
+    #[test]
+    fn concurrent_requests_never_see_each_others_exchange() {
         const THREADS: u64 = 8;
         const REQUESTS: u64 = 2_000;
         let edge = NodeBuilder::scripted("edge-1")
-            .script_engine(engine)
             .without_resource_controls()
             .origin(Arc::new(EchoOrigin))
             .build();
@@ -2059,16 +2021,6 @@ mod tests {
                 stage.instantiations()
             );
         }
-    }
-
-    #[test]
-    fn concurrent_requests_never_see_each_others_exchange_vm() {
-        concurrent_requests_never_see_each_others_exchange(ScriptEngine::Vm);
-    }
-
-    #[test]
-    fn concurrent_requests_never_see_each_others_exchange_interp() {
-        concurrent_requests_never_see_each_others_exchange(ScriptEngine::Interp);
     }
 
     #[test]

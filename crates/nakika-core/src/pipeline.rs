@@ -14,10 +14,10 @@
 //! nothing did, and then runs the `onResponse` handlers in reverse order.
 
 use crate::policy::{DecisionTree, Matcher, Policy, PolicySet};
-use crate::programs::{CachedScript, ProgramCache, ScriptEngine};
+use crate::programs::{CachedScript, ProgramCache};
 use crate::vocab::{ExchangeState, VocabHooks, Vocabularies};
 use nakika_http::{Request, Response, StatusCode};
-use nakika_script::{stdlib, Context, ResourceMeter, ScriptError, Value};
+use nakika_script::{stdlib, Context, ResourceMeter, ScriptError, Value, Vm};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -34,7 +34,7 @@ pub const SERVER_WALL_URL: &str = "http://nakika.net/serverwall.js";
 const MAX_IDLE_INSTANCES: usize = 32;
 
 /// A stage script compiled and ready for matching: the part every pipeline
-/// shares (URL, program, matcher) plus a free list of [`StageInstance`]s, one
+/// shares (URL, program, matcher) plus a free list of `StageInstance`s, one
 /// of which a pipeline holds while it runs the stage's handlers.
 pub struct CompiledStage {
     /// The script's URL.
@@ -45,10 +45,8 @@ pub struct CompiledStage {
     /// Their handler values belong to the first instance; a pipeline runs
     /// the handlers its own instance registered at the same positions.
     pub policies: PolicySet,
-    /// The parsed and lowered script; an instance is made by running it.
+    /// The lowered script; an instance is made by running it.
     script: Arc<CachedScript>,
-    /// Which engine runs this stage's script and handlers.
-    engine: ScriptEngine,
     /// Instances no pipeline holds, most recently returned last, each with
     /// the thread that returned it.
     idle: Mutex<Vec<(ThreadId, StageInstance)>>,
@@ -81,14 +79,13 @@ impl StageInstance {
     fn create(
         url: &str,
         script: &CachedScript,
-        engine: ScriptEngine,
         hooks: VocabHooks,
     ) -> Result<(StageInstance, Vec<Policy>), ScriptError> {
         let ctx = Context::new();
         stdlib::install(&ctx);
         let binding = Arc::new(Mutex::new(ExchangeState::new(Request::get(url), 0, hooks)));
         let vocabularies = Vocabularies::install(&ctx, binding.clone());
-        engine.run(&ctx, script)?;
+        Vm::new(&ctx).run(&script.compiled)?;
         let registered = std::mem::take(&mut binding.lock().registered);
         let handlers = registered
             .iter()
@@ -107,32 +104,31 @@ impl StageInstance {
 }
 
 impl CompiledStage {
-    /// Compiles a stage from script source with a private program cache and
-    /// the default engine — the convenience entry used by tests and ad-hoc
-    /// loaders.  Nodes use [`CompiledStage::compile_with`] so all stages
-    /// share one hash-keyed program cache.
+    /// Compiles a stage from script source with a private program cache —
+    /// the convenience entry used by tests and ad-hoc loaders.  Nodes use
+    /// [`CompiledStage::compile_with`] so all stages share one hash-keyed
+    /// program cache.
     pub fn compile(
         url: &str,
         source: &str,
         hooks: &VocabHooks,
     ) -> Result<CompiledStage, ScriptError> {
-        CompiledStage::compile_with(url, source, hooks, &ProgramCache::new(), ScriptEngine::Vm)
+        CompiledStage::compile_with(url, source, hooks, &ProgramCache::new())
     }
 
     /// Compiles a stage from script source.  The script is parsed and
     /// lowered through `programs` (so an unchanged script costs one cache
-    /// hit, not a recompile), then runs once via `engine` — in a sandboxed
-    /// context with a throwaway exchange — to register its policies.  That
+    /// hit, not a recompile), then runs once — in a sandboxed context with a
+    /// throwaway exchange — to register its policies.  That
     /// run is the stage's first instance.
     pub fn compile_with(
         url: &str,
         source: &str,
         hooks: &VocabHooks,
         programs: &ProgramCache,
-        engine: ScriptEngine,
     ) -> Result<CompiledStage, ScriptError> {
         let script = programs.get_or_compile(source)?;
-        let (instance, registered) = StageInstance::create(url, &script, engine, hooks.clone())?;
+        let (instance, registered) = StageInstance::create(url, &script, hooks.clone())?;
         let mut set = PolicySet::new();
         for policy in registered {
             set.push(policy);
@@ -142,7 +138,6 @@ impl CompiledStage {
             matcher: Arc::new(set.compile()),
             policies: set,
             script,
-            engine,
             idle: Mutex::new(vec![(std::thread::current().id(), instance)]),
             instantiations: AtomicU64::new(1),
         })
@@ -178,8 +173,7 @@ impl CompiledStage {
                 return Ok(instance);
             }
         }
-        let (instance, registered) =
-            StageInstance::create(&self.url, &self.script, self.engine, hooks.clone())?;
+        let (instance, registered) = StageInstance::create(&self.url, &self.script, hooks.clone())?;
         self.instantiations.fetch_add(1, Ordering::Relaxed);
         // Handlers are paired with the shared policies by position, so a
         // script whose registrations vary from run to run cannot be used.
@@ -217,8 +211,7 @@ impl CompiledStage {
         instance
             .vocabularies
             .with_exchange(&instance.ctx, state, || {
-                self.engine.call(
-                    accounting,
+                Vm::new(accounting).call_function(
                     &self.script.compiled,
                     handler,
                     &Value::Undefined,
@@ -844,18 +837,16 @@ mod tests {
     // --- stage instances ----------------------------------------------------
 
     const SITE_STAGE: &str = "http://site.example/nakika.js";
-    const ENGINES: [ScriptEngine; 2] = [ScriptEngine::Vm, ScriptEngine::Interp];
 
-    /// A loader holding `source` as the site stage, run by `engine`.
+    /// A loader holding `source` as the site stage.
     fn site_loader(
         source: &str,
         load_hooks: &VocabHooks,
         programs: &ProgramCache,
-        engine: ScriptEngine,
     ) -> Arc<StaticStageLoader> {
         let mut loader = StaticStageLoader::new();
         loader.add_compiled(
-            CompiledStage::compile_with(SITE_STAGE, source, load_hooks, programs, engine)
+            CompiledStage::compile_with(SITE_STAGE, source, load_hooks, programs)
                 .expect("the stage script compiles"),
         );
         Arc::new(loader)
@@ -919,146 +910,177 @@ mod tests {
             }
         }
 
-        for engine in ENGINES {
-            let loader = site_loader(
-                r#"
-                p = new Policy();
-                p.onResponse = function() {
-                    Response.setHeader('X-Met', Fetch.get('http://peer.example/').text);
-                };
-                p.register();
-                "#,
-                &VocabHooks::default(),
-                &ProgramCache::new(),
-                engine,
-            );
-            let rendezvous = Arc::new(Rendezvous {
-                arrived: Mutex::new(0),
-                both_here: Condvar::new(),
-            });
-            let hooks = fetch_hook(move |_req| {
-                let met = if rendezvous.meet() { "met" } else { "alone" };
-                Response::ok("text/plain", met)
-            });
-            let outcomes: Vec<PipelineOutcome> = std::thread::scope(|s| {
-                let threads: Vec<_> = (0..2)
-                    .map(|_| s.spawn(|| serve(&loader, "http://site.example/page", 1, &hooks)))
-                    .collect();
-                threads.into_iter().map(|t| t.join().unwrap()).collect()
-            });
-            for outcome in outcomes {
-                assert!(outcome.script_errors.is_empty());
-                assert_eq!(outcome.response.headers.get("x-met"), Some("met"));
-            }
-            assert_eq!(site_stage(&loader).instantiations(), 2, "one instance each");
+        let loader = site_loader(
+            r#"
+            p = new Policy();
+            p.onResponse = function() {
+                Response.setHeader('X-Met', Fetch.get('http://peer.example/').text);
+            };
+            p.register();
+            "#,
+            &VocabHooks::default(),
+            &ProgramCache::new(),
+        );
+        let rendezvous = Arc::new(Rendezvous {
+            arrived: Mutex::new(0),
+            both_here: Condvar::new(),
+        });
+        let hooks = fetch_hook(move |_req| {
+            let met = if rendezvous.meet() { "met" } else { "alone" };
+            Response::ok("text/plain", met)
+        });
+        let outcomes: Vec<PipelineOutcome> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| serve(&loader, "http://site.example/page", 1, &hooks)))
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for outcome in outcomes {
+            assert!(outcome.script_errors.is_empty());
+            assert_eq!(outcome.response.headers.get("x-met"), Some("met"));
         }
+        assert_eq!(site_stage(&loader).instantiations(), 2, "one instance each");
     }
 
     #[test]
     fn handlers_see_the_request_they_serve_not_the_load_time_bindings() {
-        for engine in ENGINES {
-            // Two entries under the key the script reads: one that went
-            // stale long before the request, one stored just before it.
-            let cache = Arc::new(crate::cache::ProxyCache::new(
-                1 << 20,
-                std::time::Duration::from_secs(60),
-            ));
-            let short_lived =
-                Response::ok("text/plain", "v").with_header("Cache-Control", "max-age=10");
-            cache.put(
-                "script:site.example:old",
-                &nakika_http::Method::Get,
-                &short_lived,
-                0,
-            );
-            cache.put(
-                "script:site.example:new",
-                &nakika_http::Method::Get,
-                &short_lived,
-                995,
-            );
-            let load_hooks = fetch_hook(|_req| Response::ok("text/plain", "load-time"));
-            let loader = site_loader(
-                r#"
-                p = new Policy();
-                p.onRequest = function() { Request.setUrl('http://site.example/rewritten'); };
-                p.onResponse = function() {
-                    Response.setHeader('X-Time', '' + System.time());
-                    Response.setHeader('X-Fetched', Fetch.get('http://other.example/').text);
-                    Response.setHeader('X-Old', '' + (Cache.get('old') == null));
-                    Response.setHeader('X-New', '' + (Cache.get('new') == null));
-                    Response.setHeader('X-Url', Request.url);
-                };
-                p.register();
-                "#,
-                &load_hooks,
-                &ProgramCache::new(),
-                engine,
-            );
-            let hooks = VocabHooks {
-                cache: Some(cache),
-                ..fetch_hook(|_req| Response::ok("text/plain", "per-request"))
+        // Two entries under the key the script reads: one that went
+        // stale long before the request, one stored just before it.
+        let cache = Arc::new(crate::cache::ProxyCache::new(
+            1 << 20,
+            std::time::Duration::from_secs(60),
+        ));
+        let short_lived =
+            Response::ok("text/plain", "v").with_header("Cache-Control", "max-age=10");
+        cache.put(
+            "script:site.example:old",
+            &nakika_http::Method::Get,
+            &short_lived,
+            0,
+        );
+        cache.put(
+            "script:site.example:new",
+            &nakika_http::Method::Get,
+            &short_lived,
+            995,
+        );
+        let load_hooks = fetch_hook(|_req| Response::ok("text/plain", "load-time"));
+        let loader = site_loader(
+            r#"
+            p = new Policy();
+            p.onRequest = function() { Request.setUrl('http://site.example/rewritten'); };
+            p.onResponse = function() {
+                Response.setHeader('X-Time', '' + System.time());
+                Response.setHeader('X-Fetched', Fetch.get('http://other.example/').text);
+                Response.setHeader('X-Old', '' + (Cache.get('old') == null));
+                Response.setHeader('X-New', '' + (Cache.get('new') == null));
+                Response.setHeader('X-Url', Request.url);
             };
-            let outcome = serve(&loader, "http://site.example/page", 1000, &hooks);
+            p.register();
+            "#,
+            &load_hooks,
+            &ProgramCache::new(),
+        );
+        let hooks = VocabHooks {
+            cache: Some(cache),
+            ..fetch_hook(|_req| Response::ok("text/plain", "per-request"))
+        };
+        let outcome = serve(&loader, "http://site.example/page", 1000, &hooks);
+        assert!(
+            outcome.script_errors.is_empty(),
+            "{:?}",
+            outcome.script_errors
+        );
+        let headers = &outcome.response.headers;
+        assert_eq!(headers.get("x-time"), Some("1000"));
+        assert_eq!(headers.get("x-fetched"), Some("per-request"));
+        assert_eq!(headers.get("x-old"), Some("true"), "stale at 1000");
+        assert_eq!(headers.get("x-new"), Some("false"), "fresh at 1000");
+        // onResponse sees the URL as onRequest rewrote it.
+        assert_eq!(headers.get("x-url"), Some("http://site.example/rewritten"));
+    }
+
+    #[test]
+    fn globals_and_data_properties_are_restored_before_every_handler_run() {
+        // A page under /vandal overwrites two globals and two data
+        // properties on its way out; every handler run after that, in
+        // the same instance, must find them as a fresh install has them.
+        let loader = site_loader(
+            r#"
+            p = new Policy();
+            p.onRequest = function() { Request.setHeader('X-Seen-Url', Request.url); };
+            p.onResponse = function() {
+                Response.setHeader('X-Url', Request.getHeader('X-Seen-Url'));
+                Response.setHeader('X-Status', '' + Response.status);
+                if (Request.path == '/vandal') {
+                    Request.url = 'clobbered';
+                    Response.status = 'clobbered';
+                    Request = null;
+                    System = 5;
+                }
+            };
+            p.register();
+            "#,
+            &VocabHooks::default(),
+            &ProgramCache::new(),
+        );
+        let hooks = VocabHooks::default();
+        for path in ["/vandal", "/next", "/vandal", "/after"] {
+            let url = format!("http://site.example{path}");
+            let outcome = serve(&loader, &url, 1, &hooks);
             assert!(
                 outcome.script_errors.is_empty(),
                 "{:?}",
                 outcome.script_errors
             );
-            let headers = &outcome.response.headers;
-            assert_eq!(headers.get("x-time"), Some("1000"));
-            assert_eq!(headers.get("x-fetched"), Some("per-request"));
-            assert_eq!(headers.get("x-old"), Some("true"), "stale at 1000");
-            assert_eq!(headers.get("x-new"), Some("false"), "fresh at 1000");
-            // onResponse sees the URL as onRequest rewrote it.
-            assert_eq!(headers.get("x-url"), Some("http://site.example/rewritten"));
+            assert_eq!(outcome.response.headers.get("x-url"), Some(url.as_str()));
+            assert_eq!(outcome.response.headers.get("x-status"), Some("200"));
         }
+        assert_eq!(
+            site_stage(&loader).instantiations(),
+            1,
+            "one instance served all four"
+        );
     }
 
     #[test]
-    fn globals_and_data_properties_are_restored_before_every_handler_run() {
-        for engine in ENGINES {
-            // A page under /vandal overwrites two globals and two data
-            // properties on its way out; every handler run after that, in
-            // the same instance, must find them as a fresh install has them.
-            let loader = site_loader(
-                r#"
-                p = new Policy();
-                p.onRequest = function() { Request.setHeader('X-Seen-Url', Request.url); };
-                p.onResponse = function() {
-                    Response.setHeader('X-Url', Request.getHeader('X-Seen-Url'));
-                    Response.setHeader('X-Status', '' + Response.status);
-                    if (Request.path == '/vandal') {
-                        Request.url = 'clobbered';
-                        Response.status = 'clobbered';
-                        Request = null;
-                        System = 5;
-                    }
-                };
-                p.register();
-                "#,
-                &VocabHooks::default(),
-                &ProgramCache::new(),
-                engine,
+    fn script_globals_live_in_the_instance_from_one_handler_run_to_the_next() {
+        // The handlers closed over the scope the stage script ran in: what
+        // onRequest leaves there onResponse finds, and so does the next
+        // exchange served by the same instance.
+        let loader = site_loader(
+            r#"
+            served = 0;
+            last = 'nothing';
+            p = new Policy();
+            p.onRequest = function() {
+                served = served + 1;
+                previous = last;
+                last = Request.path;
+            };
+            p.onResponse = function() {
+                Response.setHeader('X-Served', served + ' after ' + previous);
+            };
+            p.register();
+            "#,
+            &VocabHooks::default(),
+            &ProgramCache::new(),
+        );
+        let hooks = VocabHooks::default();
+        for (path, expected) in [
+            ("/a", "1 after nothing"),
+            ("/b", "2 after /a"),
+            ("/c", "3 after /b"),
+        ] {
+            let outcome = serve(&loader, &format!("http://site.example{path}"), 1, &hooks);
+            assert!(
+                outcome.script_errors.is_empty(),
+                "{:?}",
+                outcome.script_errors
             );
-            let hooks = VocabHooks::default();
-            for path in ["/vandal", "/next", "/vandal", "/after"] {
-                let url = format!("http://site.example{path}");
-                let outcome = serve(&loader, &url, 1, &hooks);
-                assert!(
-                    outcome.script_errors.is_empty(),
-                    "{:?}",
-                    outcome.script_errors
-                );
-                assert_eq!(outcome.response.headers.get("x-url"), Some(url.as_str()));
-                assert_eq!(outcome.response.headers.get("x-status"), Some("200"));
-            }
-            assert_eq!(
-                site_stage(&loader).instantiations(),
-                1,
-                "one instance served all four"
-            );
+            assert_eq!(outcome.response.headers.get("x-served"), Some(expected));
         }
+        assert_eq!(site_stage(&loader).instantiations(), 1);
     }
 
     #[test]
@@ -1068,179 +1090,171 @@ mod tests {
         // made from must make the next start — another stage's, in another
         // instance — make them again: the URL rewritten on the way in, the
         // status, type and length changed on the way out.
-        for engine in ENGINES {
-            let hooks = VocabHooks::default();
-            let programs = ProgramCache::new();
-            let mut loader = StaticStageLoader::new();
-            let mut add = |url: &str, source: &str| {
-                loader.add_compiled(
-                    CompiledStage::compile_with(url, source, &hooks, &programs, engine)
-                        .expect("the stage script compiles"),
-                );
+        let hooks = VocabHooks::default();
+        let programs = ProgramCache::new();
+        let mut loader = StaticStageLoader::new();
+        let mut add = |url: &str, source: &str| {
+            loader.add_compiled(
+                CompiledStage::compile_with(url, source, &hooks, &programs)
+                    .expect("the stage script compiles"),
+            );
+        };
+        add(
+            CLIENT_WALL_URL,
+            r#"
+            p = new Policy();
+            p.onRequest = function() {
+                Request.setHeader('X-Before', Request.url + ' ' + Request.site);
+                Request.setUrl('http://real.example:8080/data?v=2');
             };
-            add(
-                CLIENT_WALL_URL,
-                r#"
-                p = new Policy();
-                p.onRequest = function() {
-                    Request.setHeader('X-Before', Request.url + ' ' + Request.site);
-                    Request.setUrl('http://real.example:8080/data?v=2');
-                };
-                p.onResponse = function() {
-                    Response.setHeader('X-Wall-Saw', Response.status + ' ' +
-                        Response.contentType + ' ' + Response.contentLength);
-                };
-                p.register();
-                "#,
-            );
-            add(
-                "http://real.example:8080/nakika.js",
-                r#"
-                p = new Policy();
-                p.onRequest = function() {
-                    Request.setHeader('X-After', [Request.url, Request.path, Request.host,
-                        Request.site, Request.method, Request.clientIP].join(' '));
-                };
-                p.onResponse = function() {
-                    Response.setHeader('X-Site-Saw', Response.status + ' ' +
-                        Response.contentType + ' ' + Response.contentLength);
-                    Response.setStatus(203);
-                    Response.setHeader('Content-Type', 'text/plain');
-                    Response.write('rewritten body');
-                };
-                p.register();
-                "#,
-            );
-            let outcome = runner().execute(
-                Request::get("http://alias.example/data"),
-                100,
-                &loader,
-                "http://real.example:8080/nakika.js",
-                CLIENT_WALL_URL,
-                SERVER_WALL_URL,
-                &|_req: &Request| Response::ok("text/html", "data"),
-                &hooks,
-                ResourceMeter::new(),
-            );
+            p.onResponse = function() {
+                Response.setHeader('X-Wall-Saw', Response.status + ' ' +
+                    Response.contentType + ' ' + Response.contentLength);
+            };
+            p.register();
+            "#,
+        );
+        add(
+            "http://real.example:8080/nakika.js",
+            r#"
+            p = new Policy();
+            p.onRequest = function() {
+                Request.setHeader('X-After', [Request.url, Request.path, Request.host,
+                    Request.site, Request.method, Request.clientIP].join(' '));
+            };
+            p.onResponse = function() {
+                Response.setHeader('X-Site-Saw', Response.status + ' ' +
+                    Response.contentType + ' ' + Response.contentLength);
+                Response.setStatus(203);
+                Response.setHeader('Content-Type', 'text/plain');
+                Response.write('rewritten body');
+            };
+            p.register();
+            "#,
+        );
+        let outcome = runner().execute(
+            Request::get("http://alias.example/data"),
+            100,
+            &loader,
+            "http://real.example:8080/nakika.js",
+            CLIENT_WALL_URL,
+            SERVER_WALL_URL,
+            &|_req: &Request| Response::ok("text/html", "data"),
+            &hooks,
+            ResourceMeter::new(),
+        );
+        assert!(
+            outcome.script_errors.is_empty(),
+            "{:?}",
+            outcome.script_errors
+        );
+        let sent = &outcome.final_request.headers;
+        assert_eq!(
+            sent.get("x-before"),
+            Some("http://alias.example/data alias.example")
+        );
+        assert_eq!(
+            sent.get("x-after"),
+            Some(
+                "http://real.example:8080/data?v=2 /data real.example \
+                 real.example:8080 GET 0.0.0.0"
+            )
+        );
+        let replied = &outcome.response.headers;
+        assert_eq!(replied.get("x-site-saw"), Some("200 text/html 4"));
+        assert_eq!(replied.get("x-wall-saw"), Some("203 text/plain 14"));
+    }
+
+    #[test]
+    fn what_a_script_stores_inside_a_vocabulary_stays_in_that_instance() {
+        // Soft state: the first pipeline breaks `Response.setHeader` in
+        // the instance it holds.  A pipeline that holds another instance
+        // at the same time is untouched; one that later gets the broken
+        // instance reports a script error and still serves the page.
+        let loader = site_loader(
+            r#"
+            p = new Policy();
+            p.onRequest = function() {
+                if (Request.path == '/vandal') { Fetch.get('http://pause.example/'); }
+            };
+            p.onResponse = function() {
+                Response.setHeader('X-Edge', 'yes');
+                if (Request.path == '/vandal') { Response.setHeader = 1; }
+            };
+            p.register();
+            "#,
+            &VocabHooks::default(),
+            &ProgramCache::new(),
+        );
+        // While the vandal's onRequest is inside Fetch.get it holds the
+        // stage's only instance, so the bystander gets a second one.
+        let bystander = {
+            let loader = loader.clone();
+            fetch_hook(move |_req| {
+                let outcome = serve(
+                    &loader,
+                    "http://site.example/bystander",
+                    1,
+                    &VocabHooks::default(),
+                );
+                assert!(outcome.script_errors.is_empty());
+                assert_eq!(outcome.response.headers.get("x-edge"), Some("yes"));
+                Response::ok("text/plain", "")
+            })
+        };
+        let vandal = serve(&loader, "http://site.example/vandal", 1, &bystander);
+        assert!(vandal.script_errors.is_empty());
+        assert_eq!(site_stage(&loader).instantiations(), 2);
+        // LIFO: the vandal's instance was returned last and is next out.
+        let victim = serve(
+            &loader,
+            "http://site.example/victim",
+            1,
+            &VocabHooks::default(),
+        );
+        assert_eq!(victim.script_errors.len(), 1);
+        assert_eq!(victim.response.body.to_text(), "page");
+    }
+
+    #[test]
+    fn an_instance_whose_holder_panicked_is_discarded() {
+        let programs = ProgramCache::new();
+        let loader = site_loader(
+            r#"
+            served = 0;
+            p = new Policy();
+            p.onResponse = function() {
+                served = served + 1;
+                Response.setHeader('X-Fetched', Fetch.get('http://other.example/').text);
+                Response.setHeader('X-Url', Request.url);
+            };
+            p.register();
+            "#,
+            &VocabHooks::default(),
+            &programs,
+        );
+        let panicking = fetch_hook(|_req| panic!("the fetch hook dies mid-handler"));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve(&loader, "http://site.example/fatal", 1, &panicking)
+        }));
+        assert!(died.is_err(), "the panic reaches the caller");
+
+        let healthy = fetch_hook(|_req| Response::ok("text/plain", "fetched"));
+        for n in 0..100 {
+            let url = format!("http://site.example/page/{n}");
+            let outcome = serve(&loader, &url, 1, &healthy);
             assert!(
                 outcome.script_errors.is_empty(),
                 "{:?}",
                 outcome.script_errors
             );
-            let sent = &outcome.final_request.headers;
-            assert_eq!(
-                sent.get("x-before"),
-                Some("http://alias.example/data alias.example")
-            );
-            assert_eq!(
-                sent.get("x-after"),
-                Some(
-                    "http://real.example:8080/data?v=2 /data real.example \
-                     real.example:8080 GET 0.0.0.0"
-                )
-            );
-            let replied = &outcome.response.headers;
-            assert_eq!(replied.get("x-site-saw"), Some("200 text/html 4"));
-            assert_eq!(replied.get("x-wall-saw"), Some("203 text/plain 14"));
+            assert_eq!(outcome.response.headers.get("x-fetched"), Some("fetched"));
+            assert_eq!(outcome.response.headers.get("x-url"), Some(url.as_str()));
         }
-    }
-
-    #[test]
-    fn what_a_script_stores_inside_a_vocabulary_stays_in_that_instance() {
-        for engine in ENGINES {
-            // Soft state: the first pipeline breaks `Response.setHeader` in
-            // the instance it holds.  A pipeline that holds another instance
-            // at the same time is untouched; one that later gets the broken
-            // instance reports a script error and still serves the page.
-            let loader = site_loader(
-                r#"
-                p = new Policy();
-                p.onRequest = function() {
-                    if (Request.path == '/vandal') { Fetch.get('http://pause.example/'); }
-                };
-                p.onResponse = function() {
-                    Response.setHeader('X-Edge', 'yes');
-                    if (Request.path == '/vandal') { Response.setHeader = 1; }
-                };
-                p.register();
-                "#,
-                &VocabHooks::default(),
-                &ProgramCache::new(),
-                engine,
-            );
-            // While the vandal's onRequest is inside Fetch.get it holds the
-            // stage's only instance, so the bystander gets a second one.
-            let bystander = {
-                let loader = loader.clone();
-                fetch_hook(move |_req| {
-                    let outcome = serve(
-                        &loader,
-                        "http://site.example/bystander",
-                        1,
-                        &VocabHooks::default(),
-                    );
-                    assert!(outcome.script_errors.is_empty());
-                    assert_eq!(outcome.response.headers.get("x-edge"), Some("yes"));
-                    Response::ok("text/plain", "")
-                })
-            };
-            let vandal = serve(&loader, "http://site.example/vandal", 1, &bystander);
-            assert!(vandal.script_errors.is_empty());
-            assert_eq!(site_stage(&loader).instantiations(), 2);
-            // LIFO: the vandal's instance was returned last and is next out.
-            let victim = serve(
-                &loader,
-                "http://site.example/victim",
-                1,
-                &VocabHooks::default(),
-            );
-            assert_eq!(victim.script_errors.len(), 1);
-            assert_eq!(victim.response.body.to_text(), "page");
-        }
-    }
-
-    #[test]
-    fn an_instance_whose_holder_panicked_is_discarded() {
-        for engine in ENGINES {
-            let programs = ProgramCache::new();
-            let loader = site_loader(
-                r#"
-                served = 0;
-                p = new Policy();
-                p.onResponse = function() {
-                    served = served + 1;
-                    Response.setHeader('X-Fetched', Fetch.get('http://other.example/').text);
-                    Response.setHeader('X-Url', Request.url);
-                };
-                p.register();
-                "#,
-                &VocabHooks::default(),
-                &programs,
-                engine,
-            );
-            let panicking = fetch_hook(|_req| panic!("the fetch hook dies mid-handler"));
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                serve(&loader, "http://site.example/fatal", 1, &panicking)
-            }));
-            assert!(died.is_err(), "the panic reaches the caller");
-
-            let healthy = fetch_hook(|_req| Response::ok("text/plain", "fetched"));
-            for n in 0..100 {
-                let url = format!("http://site.example/page/{n}");
-                let outcome = serve(&loader, &url, 1, &healthy);
-                assert!(
-                    outcome.script_errors.is_empty(),
-                    "{:?}",
-                    outcome.script_errors
-                );
-                assert_eq!(outcome.response.headers.get("x-fetched"), Some("fetched"));
-                assert_eq!(outcome.response.headers.get("x-url"), Some(url.as_str()));
-            }
-            // The instance the panic interrupted never came back: exactly
-            // one replacement was made, by re-running the compiled program.
-            assert_eq!(site_stage(&loader).instantiations(), 2);
-            assert_eq!(programs.counters().0, 1, "no second compile");
-        }
+        // The instance the panic interrupted never came back: exactly
+        // one replacement was made, by re-running the compiled program.
+        assert_eq!(site_stage(&loader).instantiations(), 2);
+        assert_eq!(programs.counters().0, 1, "no second compile");
     }
 
     #[test]
@@ -1253,7 +1267,6 @@ mod tests {
             "#,
             &VocabHooks::default(),
             &ProgramCache::new(),
-            ScriptEngine::Vm,
         );
         for _ in 0..3 {
             let outcome = serve(&loader, "http://site.example/x", 1, &VocabHooks::default());
@@ -1281,7 +1294,6 @@ mod tests {
             "#,
             &hooks,
             &ProgramCache::new(),
-            ScriptEngine::Vm,
         );
         store.put("site.example", "loaded", "yes").unwrap();
         // The outer pipeline holds the only instance while its hook serves

@@ -1,5 +1,4 @@
-//! The hash-keyed cache of compiled NkScript programs, and the node's choice
-//! of execution engine.
+//! The hash-keyed cache of compiled NkScript programs.
 //!
 //! Every script a node runs — wall scripts, site stages, Na Kika Pages —
 //! arrives as source text.  Before this cache existed the node reparsed (and
@@ -12,69 +11,34 @@
 //! cluster endpoint, so the "compile once, execute many" property is
 //! observable in production, not just asserted in tests.
 
-use nakika_script::ast::Program;
-use nakika_script::{
-    compile, parse_program, CompiledProgram, Context, Interpreter, ScriptError, Value, Vm,
-};
+use nakika_script::{compile, parse_program, CompiledProgram, Context, ScriptError, Value, Vm};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which execution engine runs NkScript on this node.
-///
-/// Both engines honour the identical sandbox contract (fuel, heap
-/// accounting, the asynchronous kill flag) and are pinned to identical
-/// values and errors by the differential property tests in
-/// `nakika-script/tests/differential.rs`; they differ only in speed.  The
-/// interpreter remains selectable as the reference engine for debugging and
-/// for the `bench_scripted` ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Kept only because the frozen benchmark harness (`bench/src/sut.rs`)
+/// writes `ScriptEngine::Vm.run(&ctx, &script)`; the node itself calls
+/// [`Vm`] directly.  ROADMAP lists it for deletion by the next
+/// `[benchmark]` PR.
+#[derive(Debug, Clone, Copy)]
 pub enum ScriptEngine {
-    /// The stack-based bytecode VM (the default): scripts are lowered once
-    /// to bytecode and executed at event-loop speed.
-    #[default]
+    /// The bytecode VM, the node's one script engine.
     Vm,
-    /// The tree-walking interpreter: executes the AST directly, reference
-    /// semantics, several times slower on compute-heavy handlers.
-    Interp,
-}
-
-/// One cached script: the parsed AST (still needed by the interpreter engine
-/// and by load-time policy analysis) alongside its bytecode lowering.
-pub struct CachedScript {
-    /// The parsed program.
-    pub ast: Arc<Program>,
-    /// The bytecode lowering of the same program.
-    pub compiled: Arc<CompiledProgram>,
 }
 
 impl ScriptEngine {
     /// Runs a cached script's top level in `ctx`, returning the value of its
     /// last expression statement.
     pub fn run(self, ctx: &Context, script: &CachedScript) -> Result<Value, ScriptError> {
-        match self {
-            ScriptEngine::Vm => Vm::new(ctx).run(&script.compiled),
-            ScriptEngine::Interp => Interpreter::new(ctx).run(&script.ast),
-        }
+        Vm::new(ctx).run(&script.compiled)
     }
+}
 
-    /// Calls a script function value (an event handler) under `ctx`.
-    /// `program` supplies the bytecode for the handler's function literal
-    /// when the VM engine is selected; the interpreter ignores it.
-    pub fn call(
-        self,
-        ctx: &Context,
-        program: &CompiledProgram,
-        callee: &Value,
-        this: &Value,
-        args: &[Value],
-    ) -> Result<Value, ScriptError> {
-        match self {
-            ScriptEngine::Vm => Vm::new(ctx).call_function(program, callee, this, args),
-            ScriptEngine::Interp => Interpreter::new(ctx).call_function(callee, this, args),
-        }
-    }
+/// One cached script: the bytecode lowering of its source.
+pub struct CachedScript {
+    /// The program, lowered to bytecode.
+    pub compiled: Arc<CompiledProgram>,
 }
 
 /// 64-bit FNV-1a over the script source — the program cache's key.
@@ -91,7 +55,7 @@ fn fnv1a(source: &str) -> u64 {
 /// compilations only costs recompiles, never correctness).
 const MAX_ENTRIES: usize = 1024;
 
-/// The compiled-program cache: source hash → parsed AST + bytecode.
+/// The compiled-program cache: source hash → bytecode.
 #[derive(Default)]
 pub struct ProgramCache {
     entries: Mutex<HashMap<(u64, usize), Arc<CachedScript>>>,
@@ -117,9 +81,8 @@ impl ProgramCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(cached.clone());
         }
-        let ast = Arc::new(parse_program(source)?);
-        let compiled = Arc::new(compile(&ast));
-        let cached = Arc::new(CachedScript { ast, compiled });
+        let compiled = Arc::new(compile(&parse_program(source)?));
+        let cached = Arc::new(CachedScript { compiled });
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries.lock();
         if entries.len() >= MAX_ENTRIES {
@@ -174,13 +137,14 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_run_a_cached_script() {
+    fn the_harness_entry_point_runs_a_cached_script() {
         let cache = ProgramCache::new();
         let script = cache.get_or_compile("var x = 20; x * 2 + 2").unwrap();
-        for engine in [ScriptEngine::Vm, ScriptEngine::Interp] {
-            let ctx = Context::new();
-            nakika_script::stdlib::install(&ctx);
-            assert_eq!(engine.run(&ctx, &script).unwrap(), Value::Number(42.0));
-        }
+        let ctx = Context::new();
+        nakika_script::stdlib::install(&ctx);
+        assert_eq!(
+            ScriptEngine::Vm.run(&ctx, &script).unwrap(),
+            Value::Number(42.0)
+        );
     }
 }

@@ -946,15 +946,19 @@ fn log_vocabulary(ex: &Exchange) -> Global {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nakika_script::{parse_program, stdlib, Interpreter};
+    use nakika_script::{compile, parse_program, stdlib, Vm};
+
+    /// Runs `src` in `ctx` on the engine the node runs.
+    fn run_vm(ctx: &Context, src: &str) -> Result<Value, ScriptError> {
+        let program = compile(&parse_program(src).expect("script parses"));
+        Vm::new(ctx).run(&program)
+    }
 
     fn run_handler_script(src: &str, exchange: &Exchange, hooks: &VocabHooks) -> Value {
         let ctx = Context::new();
         stdlib::install(&ctx);
         install(&ctx, exchange, hooks);
-        let program = parse_program(src).expect("script parses");
-        let mut interp = Interpreter::new(&ctx);
-        interp.run(&program).expect("script runs")
+        run_vm(&ctx, src).expect("script runs")
     }
 
     #[test]
@@ -1162,9 +1166,10 @@ mod tests {
         nakika_script::stdlib::install(&ctx);
         let ex = new_exchange(Request::get("http://a.com/"), 0);
         install(&ctx, &ex, &VocabHooks::default());
-        let program = parse_program("Fetch.get('http://x/')").unwrap();
-        let mut interp = Interpreter::new(&ctx);
-        assert!(matches!(interp.run(&program), Err(ScriptError::Host(_))));
+        assert!(matches!(
+            run_vm(&ctx, "Fetch.get('http://x/')"),
+            Err(ScriptError::Host(_))
+        ));
     }
 
     #[test]
@@ -1283,15 +1288,15 @@ mod tests {
         // What a run changes is what the next start recomputes: the URL by
         // `setUrl`, the content type by `setHeader`; numbers are always new.
         state.set_response(Response::ok("text/html", "page"));
-        let program = parse_program(
-            "Request.setUrl('http://other.example:81/b'); \
-             Response.setHeader('content-type', 'text/plain; charset=x'); \
-             Response.setStatus(404); Response.write('longer page'); \
-             Request.url = 'clobbered'; Response = 7; unrelated = 1;",
-        )
-        .unwrap();
         vocabularies.with_exchange(&ctx, &mut state, || {
-            Interpreter::new(&ctx).run(&program).unwrap();
+            run_vm(
+                &ctx,
+                "Request.setUrl('http://other.example:81/b'); \
+                 Response.setHeader('content-type', 'text/plain; charset=x'); \
+                 Response.setStatus(404); Response.write('longer page'); \
+                 Request.url = 'clobbered'; Response = 7; unrelated = 1;",
+            )
+            .unwrap();
         });
         state.commit_output();
         assert_ne!(ctx.globals.writes(), written);

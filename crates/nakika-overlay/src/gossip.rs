@@ -256,25 +256,6 @@ impl Membership {
         }
     }
 
-    /// Merges a statically configured peer (the deprecated `PEERS` roster
-    /// handshake) as if an `alive` digest entry had arrived for it.
-    pub fn introduce(&self, name: &str, addr: &str) -> Vec<MembershipEvent> {
-        let now = self.now_ms();
-        let mut inner = self.inner.lock();
-        let mut events = Vec::new();
-        merge_entry(
-            &self.name,
-            &mut inner,
-            &mut events,
-            PeerState::Alive,
-            name,
-            addr,
-            0,
-            now,
-        );
-        events
-    }
-
     /// Negative evidence from the data path: a peer fetch to `peer` (a base
     /// URL or node name) failed.  The hint is queued and converted into
     /// suspicion on the next [`poll`](Self::poll) — suspicion, not a

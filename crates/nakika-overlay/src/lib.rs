@@ -9,9 +9,11 @@
 //!
 //! This crate implements that substrate from scratch: XOR-metric key-based
 //! routing, TTL'd sloppy storage with per-key value limits, Coral-style
-//! locality clusters, and a latency-aware redirector.  The interface is
-//! deliberately the small `put / get / nodes_for_key / redirect` surface the
-//! rest of Na Kika consumes.
+//! locality clusters, and latency-ordered node lookup
+//! ([`Overlay::nearest_nodes`], which `nakika-core`'s `RedirectLayer` answers
+//! redirects from).  The interface is deliberately the small
+//! `put / get / nodes_for_key / nearest_nodes` surface the rest of Na Kika
+//! consumes.
 //!
 //! The registry itself always runs in-process, but it serves two deployment
 //! styles:
@@ -53,7 +55,6 @@ pub mod cluster;
 pub mod dht;
 pub mod gossip;
 pub mod id;
-pub mod redirect;
 
 pub use cluster::{ClusterLevel, Location};
 pub use dht::{Member, Overlay, OverlayConfig, OverlayStats, StoredValue};
@@ -61,4 +62,3 @@ pub use gossip::{
     GossipStats, Membership, MembershipConfig, MembershipEvent, PeerInfo, PeerState, ProbeAction,
 };
 pub use id::{key_for, NodeId};
-pub use redirect::Redirector;

@@ -1,5 +1,4 @@
-//! Scripting contexts: lexical scopes, per-context resource accounting, and a
-//! pool that reuses contexts across event-handler executions.
+//! Scripting contexts: lexical scopes and per-context resource accounting.
 //!
 //! In the paper's prototype, each pipeline runs in its own Apache process and
 //! each script in its own user-level thread with its own SpiderMonkey context
@@ -7,10 +6,12 @@
 //! amortise the ~1.5 ms creation cost down to ~3 µs (paper §4–5.1).  The
 //! monitoring process observes each pipeline's CPU, memory and network use
 //! and can throttle or kill it.  Here the same roles are played by
-//! [`Context`], [`ResourceMeter`], and [`ContextPool`].
+//! [`Context`] and [`ResourceMeter`]; reuse is the node's business — a stage
+//! instance keeps the context its script ran in (`nakika-core`'s
+//! `pipeline.rs`).
 
 use crate::value::Value;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,14 +119,6 @@ impl Scope {
         self.inner.read().vars.len()
     }
 
-    /// Removes every variable declared directly in this scope (used when a
-    /// pooled context is recycled).
-    pub fn clear(&self) {
-        let mut data = self.inner.write();
-        data.writes += 1;
-        data.vars.clear();
-    }
-
     /// Names declared directly in this scope (used by `for-in` over the
     /// global object and by tests).
     pub fn local_names(&self) -> Vec<String> {
@@ -230,8 +223,6 @@ pub struct Context {
     pub fuel_limit: u64,
     /// Hard memory cap in bytes.
     pub memory_limit: usize,
-    /// Generation counter bumped on every reuse, for diagnostics.
-    generation: Arc<AtomicU64>,
 }
 
 impl Default for Context {
@@ -248,7 +239,6 @@ impl Context {
             meter: ResourceMeter::new(),
             fuel_limit: DEFAULT_FUEL,
             memory_limit: DEFAULT_MEMORY_LIMIT,
-            generation: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -269,78 +259,6 @@ impl Context {
     /// Reads a global, if defined.
     pub fn get_global(&self, name: &str) -> Option<Value> {
         self.globals.get(name)
-    }
-
-    /// How many times this context has been recycled.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    /// Prepares the context for reuse by a new event-handler execution:
-    /// clears script-defined globals but keeps the allocation itself (the
-    /// cheap path the paper measures at ~3 µs versus ~1.5 ms for creation).
-    pub fn recycle(&self) {
-        self.globals.clear();
-        self.generation.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A pool of reusable scripting contexts.
-///
-/// `acquire` returns a recycled context when one is available and otherwise
-/// creates a new one; `release` returns a context to the pool.  The pool is
-/// bounded so that idle contexts do not pin memory forever.
-pub struct ContextPool {
-    free: Mutex<Vec<Context>>,
-    capacity: usize,
-    created: AtomicU64,
-    reused: AtomicU64,
-}
-
-impl ContextPool {
-    /// Creates a pool holding at most `capacity` idle contexts.
-    pub fn new(capacity: usize) -> ContextPool {
-        ContextPool {
-            free: Mutex::new(Vec::new()),
-            capacity,
-            created: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes a context from the pool (recycled) or creates a fresh one.
-    pub fn acquire(&self) -> Context {
-        if let Some(ctx) = self.free.lock().pop() {
-            ctx.recycle();
-            self.reused.fetch_add(1, Ordering::Relaxed);
-            ctx
-        } else {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            Context::new()
-        }
-    }
-
-    /// Returns a context to the pool; dropped if the pool is full.
-    pub fn release(&self, ctx: Context) {
-        let mut free = self.free.lock();
-        if free.len() < self.capacity {
-            free.push(ctx);
-        }
-    }
-
-    /// Number of contexts created from scratch.
-    pub fn created(&self) -> u64 {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Number of acquisitions served by reuse.
-    pub fn reused(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
-    }
-
-    /// Number of idle contexts currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free.lock().len()
     }
 }
 
@@ -390,8 +308,6 @@ mod tests {
         }
         assert_eq!(key(), first_key);
         assert_eq!(global.writes() - written, 10_000);
-        global.clear();
-        assert_eq!(global.writes() - written, 10_001, "emptying is a write");
     }
 
     #[test]
@@ -409,30 +325,5 @@ mod tests {
         m.reset();
         assert!(!m.is_killed());
         assert_eq!(m.steps(), 0);
-    }
-
-    #[test]
-    fn context_recycle_clears_globals_and_bumps_generation() {
-        let ctx = Context::new();
-        ctx.set_global("a", Value::Number(1.0));
-        assert!(ctx.get_global("a").is_some());
-        assert_eq!(ctx.generation(), 0);
-        ctx.recycle();
-        assert!(ctx.get_global("a").is_none());
-        assert_eq!(ctx.generation(), 1);
-    }
-
-    #[test]
-    fn pool_reuses_up_to_capacity() {
-        let pool = ContextPool::new(1);
-        let a = pool.acquire();
-        let b = pool.acquire();
-        assert_eq!(pool.created(), 2);
-        pool.release(a);
-        pool.release(b); // dropped, capacity 1
-        assert_eq!(pool.idle(), 1);
-        let _c = pool.acquire();
-        assert_eq!(pool.reused(), 1);
-        assert_eq!(pool.idle(), 0);
     }
 }

@@ -1,4 +1,11 @@
-//! The NkScript tree-walking interpreter.
+//! The NkScript tree-walking interpreter: the language's executable
+//! specification and the oracle of `tests/differential.rs`.
+//!
+//! **Oracle only.**  No node, tool or other crate runs it (CI greps for the
+//! name outside this crate); what ships is [`crate::Vm`].  It stays public
+//! because the differential suite is an integration test and compares the
+//! VM's values, errors and fuel to this module's, and the VM shares its
+//! operator semantics (`binary_values`, `number_binary`).
 //!
 //! Executes the AST inside a [`Context`], charging fuel for every evaluation
 //! step, accounting heap allocations, honouring the context's kill flag, and
@@ -105,8 +112,8 @@ impl<'c> Interpreter<'c> {
     }
 
     /// Calls a script or native function value with an explicit `this` and
-    /// arguments.  This is how Na Kika's pipeline invokes `onRequest` /
-    /// `onResponse` event handlers.
+    /// arguments: the oracle for [`crate::Vm::call_function`], which is how
+    /// Na Kika's pipeline invokes `onRequest` / `onResponse` event handlers.
     pub fn call_function(
         &mut self,
         callee: &Value,

@@ -3,7 +3,7 @@
 //! resource-kill error surface (fuel exhaustion, memory limits, the
 //! asynchronous kill flag).
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! 1. A fixed corpus of semantically tricky programs (scope edge cases,
 //!    `finally` flow precedence, double evaluation in compound member
@@ -13,6 +13,10 @@
 //!    seed and asserting outcome equality.  Generated programs funnel every
 //!    observation into a string accumulator `out` so the compared value is a
 //!    deep, order-sensitive trace of execution, not just a final scalar.
+//! 3. Handlers registered by one run and called later through
+//!    `call_function` — the only way a node runs script functions — with a
+//!    captured scope that was written in between, the `this` the pipeline
+//!    passes, `arguments`, and a fuel limit met inside `try`/`finally`.
 //!
 //! Fuel *counts* are allowed to differ between the engines (per-AST-node vs
 //! per-instruction), so the generated programs use bounded loops under a
@@ -228,6 +232,190 @@ fn arguments_is_an_allocation_both_engines_charge() {
     ] {
         assert_eq!(result, Ok(Value::Number(9.0)));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Handlers registered by one run and called later.
+// ---------------------------------------------------------------------------
+
+/// One later call: the value or error, then the global `seen` of the scope
+/// the handler closed over.
+type Called = (Result<(String, String), ScriptError>, String);
+
+/// Runs `load` on each engine, then calls the function it left in the global
+/// `handler` once per `(arguments, fuel)` the way the pipeline calls an
+/// `onRequest`: later, `this` undefined, under a context of its own that
+/// carries only the limits and the meter.  Asserts the engines agree on
+/// every call.  They count fuel in different units, so charges are compared
+/// where they can be: each engine charges the same when everything is done
+/// again, never runs past the limit by more than one instruction (weight
+/// at most 4), and the VM's meter is told what was charged.
+fn later_calls(load: &str, calls: &[(&[Value], u64)]) -> Vec<Called> {
+    let ast = parse_program(load).expect("the load script parses");
+    let compiled = compile(&ast);
+    let run = |on_vm: bool| -> (Vec<Called>, Vec<u64>) {
+        let ctx = Context::new();
+        stdlib::install(&ctx);
+        let loaded = if on_vm {
+            Vm::new(&ctx).run(&compiled)
+        } else {
+            Interpreter::new(&ctx).run(&ast)
+        };
+        loaded.expect("the load script runs");
+        let handler = ctx.get_global("handler").expect("a handler is registered");
+        let call = |(args, fuel): &(&[Value], u64)| {
+            let accounting = Context::with_limits(*fuel, DEFAULT_MEMORY_LIMIT);
+            let (result, charged) = if on_vm {
+                let mut vm = Vm::new(&accounting);
+                let result = vm.call_function(&compiled, &handler, &Value::Undefined, args);
+                assert_eq!(accounting.meter.steps(), vm.fuel_used());
+                (result, vm.fuel_used())
+            } else {
+                let mut interp = Interpreter::new(&accounting);
+                let result = interp.call_function(&handler, &Value::Undefined, args);
+                (result, interp.fuel_used())
+            };
+            assert!(charged <= fuel.saturating_add(4), "{charged} > {fuel}");
+            let seen = ctx.get_global("seen").expect("the script declares `seen`");
+            ((outcome(result), seen.to_display_string()), charged)
+        };
+        calls.iter().map(call).unzip()
+    };
+    let (by_interp, by_vm) = (run(false), run(true));
+    assert_eq!(by_interp, run(false), "the interpreter is not repeatable");
+    assert_eq!(by_vm, run(true), "the VM is not repeatable");
+    assert_eq!(by_interp.0, by_vm.0, "engines disagree on {load}");
+    by_vm.0
+}
+
+fn text(s: &str) -> Result<(String, String), ScriptError> {
+    Ok(("string".to_string(), s.to_string()))
+}
+
+#[test]
+fn a_registered_closure_sees_its_globals_as_later_writes_left_them() {
+    // `count` is written after the closure was made: by the rest of the
+    // load script, then by the first call.
+    let calls = later_calls(
+        "var count = 0; var seen = '';
+         function bump(by) { count = count + by; return count; }
+         handler = function(by) { seen = seen + count + ','; return bump(by) + ':' + typeof this; };
+         count = 40;",
+        &[
+            (&[Value::Number(2.0)], GENEROUS_FUEL),
+            (&[Value::Number(5.0)], GENEROUS_FUEL),
+        ],
+    );
+    assert_eq!(calls[0], (text("42:undefined"), "40,".to_string()));
+    assert_eq!(calls[1], (text("47:undefined"), "40,42,".to_string()));
+}
+
+#[test]
+fn a_registered_handler_reads_the_arguments_of_the_call_it_serves() {
+    let xyz = ["x", "y", "z"].map(Value::string);
+    let calls = later_calls(
+        "var seen = '';
+         handler = function(a) {
+             var s = arguments.length + ':';
+             for (var i = 0; i < arguments.length; i++) { s = s + arguments[i] + '|'; }
+             arguments[0] = 'changed';
+             seen = seen + arguments.length;
+             return s + a;
+         };",
+        // The third has too little fuel to get through the loop.
+        &[(&xyz, GENEROUS_FUEL), (&[], GENEROUS_FUEL), (&xyz, 12)],
+    );
+    assert_eq!(calls[0].0, text("3:x|y|z|x"));
+    assert_eq!(calls[1].0, text("0:undefined"));
+    assert_eq!(
+        calls[2],
+        (Err(ScriptError::FuelExhausted), "31".to_string())
+    );
+}
+
+#[test]
+fn a_registered_handler_that_throws_in_try_finally_agrees_under_a_fuel_limit() {
+    let (spin, throw) = ([Value::Bool(true)], [Value::Bool(false)]);
+    let calls = later_calls(
+        "var seen = '';
+         handler = function(spin) {
+             try {
+                 try {
+                     seen = seen + 'try,';
+                     if (!spin) { throw 'boom'; }
+                     while (true) { }
+                 } finally { seen = seen + 'finally,'; }
+             } catch (e) { seen = seen + 'caught ' + e + ','; throw 're-' + e; }
+         };",
+        // In budget: thrown, seen by `finally`, caught, thrown again.  Out
+        // of fuel inside the `try`: neither `finally` nor `catch` gets to
+        // write.  Out of fuel before the `throw` is reached.
+        &[(&throw, GENEROUS_FUEL), (&spin, 5_000), (&throw, 6)],
+    );
+    let thrown = Err(ScriptError::Thrown("re-boom".into()));
+    assert_eq!(calls[0], (thrown, "try,finally,caught boom,".to_string()));
+    let killed = Err(ScriptError::FuelExhausted);
+    assert_eq!(calls[1], (killed.clone(), format!("{}try,", calls[0].1)));
+    assert_eq!(calls[2].0, killed);
+}
+
+#[test]
+fn a_registered_handler_hoists_its_declarations_and_can_hand_back_another_handler() {
+    // The interpreter hoists a called function's declarations in
+    // `call_function` itself, apart from the path script-to-script calls
+    // take.  `inner` is a closure made during one later call and run by
+    // the next ones.
+    let calls = later_calls(
+        "var seen = ''; var inner = null;
+         function outer(n) {
+             seen = seen + helper(n) + ',';
+             function helper(k) { return k * 2; }
+             var base = helper(n);
+             return function(m) { base = base + m; seen = seen + base + ','; return base; };
+         }
+         handler = function(x) {
+             if (inner == null) { inner = outer(x); return typeof inner; }
+             return '' + inner(x);
+         };",
+        &[
+            (&[Value::Number(4.0)], GENEROUS_FUEL),
+            (&[Value::Number(1.0)], GENEROUS_FUEL),
+            (&[Value::Number(2.0)], GENEROUS_FUEL),
+        ],
+    );
+    assert_eq!(calls[0].0, text("function"));
+    assert_eq!(calls[2], (text("11"), "8,9,11,".to_string()));
+}
+
+#[test]
+fn what_is_registered_need_not_be_a_script_function() {
+    // A native is called with the arguments as given; anything else is the
+    // same type error.
+    let px = [Value::string("42px")];
+    let calls = later_calls(
+        "var seen = ''; handler = parseInt;",
+        &[(&px, GENEROUS_FUEL)],
+    );
+    assert_eq!(calls[0].0, Ok(("number".into(), "42".into())));
+    let calls = later_calls("var seen = ''; handler = {};", &[(&[], GENEROUS_FUEL)]);
+    let refused = ScriptError::Type("object is not a function".into());
+    assert_eq!(calls[0].0, Err(refused));
+}
+
+#[test]
+fn a_registered_handler_overflows_the_stack_at_the_same_depth() {
+    // The later call is itself a level, on both engines: every depth either
+    // fits on both or overflows on both, and some depth under 100 does.
+    let depths: Vec<[Value; 1]> = (1..100).map(|n| [Value::Number(n as f64)]).collect();
+    let calls: Vec<(&[Value], u64)> = depths.iter().map(|d| (&d[..], GENEROUS_FUEL)).collect();
+    let outcomes = later_calls(
+        "var seen = '';
+         function down(n) { if (n == 0) { return 'bottom'; } return down(n - 1); }
+         handler = function(n) { return down(n); };",
+        &calls,
+    );
+    assert_eq!(outcomes[30].0, text("bottom"));
+    assert_eq!(outcomes[98].0, Err(ScriptError::StackOverflow));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ Usage: compare_bench.py BASELINE CURRENT [--threshold PCT] [--p99-threshold PCT]
 
 Scenarios are matched by (name, transport) — currently cold-cache,
 warm-keepalive, warm-close, warm-concurrent, bench_stream, bench_mixed,
-bench_peer, bench_scripted and bench_scripted_interp on threaded and
-reactor, plus the reactor-splice rows (cold-cache, bench_stream,
-bench_mixed with the event-loop origin splice enabled; the plain
+bench_peer and bench_scripted on threaded and reactor, plus the
+reactor-splice rows (cold-cache, bench_stream, bench_mixed with the
+event-loop origin splice enabled; the plain
 reactor rows pin splice off so they keep measuring the worker-pool
 offload path) — docs/BENCHMARKING.md describes each.  Two gates:
 

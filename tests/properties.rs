@@ -8,7 +8,7 @@ use nakika_core::ProxyCache;
 use nakika_http::{parse_request, parse_response, serialize_request, serialize_response};
 use nakika_http::{Method, ParseOutcome, Request, Response, Uri};
 use nakika_overlay::{key_for, Location, Overlay};
-use nakika_script::{Context, Interpreter, Value};
+use nakika_script::{Context, Value, Vm};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -241,16 +241,16 @@ proptest! {
     fn script_sandbox_always_terminates_within_its_fuel_budget(
         iterations in 1u64..10_000,
     ) {
-        // Whatever the loop bound, the interpreter either finishes or stops at
-        // the fuel limit — it never runs away.
+        // Whatever the loop bound, the VM either finishes or stops at the
+        // fuel limit — it never runs away.
         let ctx = Context::with_limits(20_000, 1 << 20);
         nakika_script::stdlib::install(&ctx);
-        let program = nakika_script::parse_program(
+        let program = nakika_script::compile(&nakika_script::parse_program(
             &format!("var s = 0; for (var i = 0; i < {iterations}; i++) {{ s = s + i; }} s"),
-        ).unwrap();
-        let mut interp = Interpreter::new(&ctx);
-        let result = interp.run(&program);
-        prop_assert!(interp.fuel_used() <= 20_000 + 16);
+        ).unwrap());
+        let mut vm = Vm::new(&ctx);
+        let result = vm.run(&program);
+        prop_assert!(vm.fuel_used() <= 20_000 + 16);
         match result {
             Ok(Value::Number(_)) => {}
             Err(nakika_script::ScriptError::FuelExhausted) => {}
