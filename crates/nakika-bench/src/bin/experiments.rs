@@ -12,7 +12,6 @@ use nakika_bench::{
     bench_proxy_suite, format_proxy_suite, format_resource_controls, format_simm, format_spec,
     format_splice_comparison, format_table2,
 };
-use nakika_server::Transport;
 use nakika_sim::experiments;
 
 fn main() {
@@ -90,12 +89,12 @@ fn main() {
     let rows = experiments::specweb(if quick { 40 } else { 160 }, spec_requests, 5);
     println!("{}", format_spec(&rows));
 
-    println!("== end-to-end proxy throughput (real TCP), per scenario and transport ==");
+    println!("== end-to-end proxy throughput (real TCP), per scenario ==");
     println!("(cold cache / warm keep-alive / warm close / 64-way concurrent keep-alive /");
     println!(" 1 MiB streamed bodies / mixed warm+slow-cold-origin / peer-answered misses /");
     println!(" warm scripted pipeline,");
-    println!(" threaded vs reactor, with the miss-heavy scenarios also measured as");
-    println!(" reactor-splice — the event-loop origin splice, the production default;");
+    println!(" as `reactor` — misses pinned to the worker pool — with the miss-heavy");
+    println!(" scenarios also measured as `reactor-splice`, the production default;");
     println!(" see docs/BENCHMARKING.md for what each isolates)\n");
     match bench_proxy_suite(if quick { 240 } else { 2_048 }, 64) {
         Ok(suite) => {
@@ -104,16 +103,6 @@ fn main() {
             if !splice_vs_offload.is_empty() {
                 println!("cache-miss relay, event-loop splice vs worker-pool offload:");
                 println!("{splice_vs_offload}");
-            }
-            if let (Some(threaded), Some(reactor)) = (
-                suite.scenario("warm-concurrent", "threaded"),
-                suite.scenario("warm-concurrent", "reactor"),
-            ) {
-                println!(
-                    "reactor vs threaded at {} keep-alive clients: {:.2}x",
-                    reactor.concurrency,
-                    reactor.requests_per_sec / threaded.requests_per_sec.max(1e-9)
-                );
             }
             if let (Some(pure), Some(mixed)) = (
                 suite.scenario("warm-concurrent", "reactor"),
@@ -168,22 +157,20 @@ fn main() {
     {
         knobs.soak_connections = conns;
     }
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        match run_hostile_suite(transport, knobs) {
-            Ok(report) => {
-                print!("{}", format_hostile_report(&report));
-                if report.soak.dropped > 0 {
-                    eprintln!(
-                        "HOSTILE REGRESSION: {} polite soak connections dropped on {:?}",
-                        report.soak.dropped, transport
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("hostile suite failed on {transport:?}: {e}");
+    match run_hostile_suite(knobs) {
+        Ok(report) => {
+            print!("{}", format_hostile_report(&report));
+            if report.soak.dropped > 0 {
+                eprintln!(
+                    "HOSTILE REGRESSION: {} polite soak connections dropped",
+                    report.soak.dropped
+                );
                 std::process::exit(1);
             }
+        }
+        Err(e) => {
+            eprintln!("hostile suite failed: {e}");
+            std::process::exit(1);
         }
     }
 }

@@ -24,7 +24,7 @@ use nakika_core::service::{DispatchHint, HttpService, NakikaError, RequestCtx};
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Location, Membership, MembershipConfig, Overlay};
-use nakika_server::{http_get_via_proxy, ProxyServer, TcpOrigin, Transport};
+use nakika_server::{http_get_via_proxy, ProxyServer, ReactorConfig, TcpOrigin};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -170,39 +170,15 @@ pub struct LocalNode {
 
 /// Starts an in-process edge node named `name`, joins it to `overlay`
 /// with its listening address announced, and returns it ready to serve.
-/// `replicate` optionally enables hot-entry replication as
-/// `(successors, threshold)`.
+/// `config` configures its front-end (benchmarks pin `splice_origin` so the
+/// pooled-offload and event-loop-splice miss paths can be measured side by
+/// side; everything else passes the default).  `replicate` optionally
+/// enables hot-entry replication as `(successors, threshold)`.
 pub fn start_local_node(
     name: &str,
     overlay: &Arc<Overlay>,
-    transport: Transport,
+    config: ReactorConfig,
     replicate: Option<(usize, u32)>,
-) -> Result<LocalNode, NakikaError> {
-    start_local_node_with(name, overlay, replicate, |service| {
-        ProxyServer::start_with(0, service, transport)
-    })
-}
-
-/// As [`start_local_node`], but the front-end runs the reactor transport
-/// with an explicit [`nakika_server::ReactorConfig`] — benchmarks use this
-/// to pin `splice_origin` so the pooled-offload and event-loop-splice miss
-/// paths can be measured side by side.
-pub fn start_local_reactor_node(
-    name: &str,
-    overlay: &Arc<Overlay>,
-    config: nakika_server::ReactorConfig,
-    replicate: Option<(usize, u32)>,
-) -> Result<LocalNode, NakikaError> {
-    start_local_node_with(name, overlay, replicate, |service| {
-        ProxyServer::start_reactor(0, service, config)
-    })
-}
-
-fn start_local_node_with(
-    name: &str,
-    overlay: &Arc<Overlay>,
-    replicate: Option<(usize, u32)>,
-    front: impl FnOnce(Arc<dyn HttpService>) -> std::io::Result<ProxyServer>,
 ) -> Result<LocalNode, NakikaError> {
     let id = key_for(name);
     overlay.join(id, Location::new(0.0, 0.0));
@@ -214,7 +190,7 @@ fn start_local_node_with(
     }
     let handle = Arc::new(builder.build());
     let service = Arc::new(ClusterService::new(Arc::clone(&handle), name));
-    let server = front(service)
+    let server = ProxyServer::start_reactor(0, service, config)
         .map_err(|e| NakikaError::Internal(format!("node {name} failed to listen: {e}")))?;
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
@@ -237,7 +213,6 @@ and exits cleanly when stdin reaches EOF.
 
 flags:
   --port P                 listen port (0 = ephemeral, the default)
-  --transport T            threaded | reactor (default reactor)
   --replicate N            hot-entry replication onto N successors (0 = off)
   --threshold T            local hits before an entry counts as hot
   --join URL               gossip seed to bootstrap the roster from; repeat
@@ -270,7 +245,6 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
         return Ok(());
     }
     let mut port = 0u16;
-    let mut transport = Transport::Reactor;
     let mut replicate = 0usize;
     let mut threshold = 2u32;
     let mut joins: Vec<String> = Vec::new();
@@ -284,13 +258,6 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
             "--port" => port = value()?.parse().map_err(|e| format!("--port: {e}"))?,
-            "--transport" => {
-                transport = match value()?.as_str() {
-                    "threaded" => Transport::Threaded,
-                    "reactor" => Transport::Reactor,
-                    other => return Err(format!("unknown transport {other}")),
-                }
-            }
             "--replicate" => {
                 replicate = value()?.parse().map_err(|e| format!("--replicate: {e}"))?
             }
@@ -329,8 +296,7 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
     }
     let handle = Arc::new(builder.build());
     let service = Arc::new(ClusterService::new(Arc::clone(&handle), &name));
-    let server = ProxyServer::start_with(port, service, transport)
-        .map_err(|e| format!("listen failed: {e}"))?;
+    let server = ProxyServer::start(port, service).map_err(|e| format!("listen failed: {e}"))?;
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
     overlay.set_addr(id, &base_url);
@@ -492,6 +458,13 @@ mod tests {
         assert_eq!(refused, Err("unknown flag --peers".to_string()));
         let refused = node_main(args(&["n", "--join"]));
         assert_eq!(refused, Err("--join needs a value".to_string()));
+    }
+
+    #[test]
+    fn there_is_no_transport_to_choose() {
+        let args = ["n", "--transport", "reactor"].map(str::to_string);
+        assert_eq!(node_main(args), Err("unknown flag --transport".to_string()));
+        assert!(!NODE_USAGE.contains("--transport"), "{NODE_USAGE}");
     }
 
     #[test]

@@ -29,7 +29,8 @@ use nakika_core::service::{service_fn, NakikaError};
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response};
 use nakika_server::{
-    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ServerOptions, TcpOrigin, Transport,
+    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, ServerOptions,
+    TcpOrigin,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -604,11 +605,9 @@ impl HostileKnobs {
     }
 }
 
-/// Everything [`run_hostile_suite`] measures on one transport.
+/// Everything [`run_hostile_suite`] measures.
 #[derive(Debug, Clone)]
 pub struct HostileSuiteReport {
-    /// `threaded` or `reactor`.
-    pub transport: String,
     /// Flash-crowd throughput (requests per second).
     pub flash_rps: f64,
     /// Flash-crowd p99 latency, µs.
@@ -629,10 +628,7 @@ pub struct HostileSuiteReport {
 /// 1-second progress deadline so the attack phases resolve quickly; the
 /// soak gets its own front-end with the default deadline (round-robin
 /// over thousands of connections makes polite clients slow by nature).
-pub fn run_hostile_suite(
-    transport: Transport,
-    knobs: HostileKnobs,
-) -> Result<HostileSuiteReport, NakikaError> {
+pub fn run_hostile_suite(knobs: HostileKnobs) -> Result<HostileSuiteReport, NakikaError> {
     let internal = |context: &str| {
         let context = context.to_string();
         move |e: std::io::Error| NakikaError::Internal(format!("{context}: {e}"))
@@ -648,13 +644,15 @@ pub fn run_hostile_suite(
     let edge = NodeBuilder::plain_proxy("hostile-bench")
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy = ProxyServer::start_with_options(
+    let proxy = ProxyServer::start_reactor(
         0,
         edge.service(),
-        transport,
-        ServerOptions {
-            idle_timeout_ms: 1_000,
-            ..ServerOptions::default()
+        ReactorConfig {
+            options: ServerOptions {
+                idle_timeout_ms: 1_000,
+                ..ServerOptions::default()
+            },
+            ..ReactorConfig::default()
         },
     )
     .map_err(internal("hostile proxy failed to start"))?;
@@ -686,27 +684,18 @@ pub fn run_hostile_suite(
     )?;
 
     // The soak: thousands of polite keep-alive sessions, zero drops
-    // allowed.  The threaded transport parks one OS thread per
-    // connection, so its soak is capped; the reactor takes the full ask.
-    // It runs against a second front-end with the *default* progress
+    // allowed.  It runs against a second front-end with the *default* progress
     // deadline: one client round-robining thousands of connections
     // leaves each one idle for whole seconds between its requests, so
     // the barrage proxy's deliberately aggressive 1-second deadline
     // would evict polite clients for being patient.
-    let soak_proxy = ProxyServer::start_with(0, edge.service(), transport)
+    let soak_proxy = ProxyServer::start(0, edge.service())
         .map_err(internal("hostile soak proxy failed to start"))?;
-    let conns = match transport {
-        Transport::Threaded => knobs.soak_connections.min(128),
-        Transport::Reactor => fd_budget_connections(knobs.soak_connections),
-    };
+    let conns = fd_budget_connections(knobs.soak_connections);
     http_get_via_proxy(soak_proxy.addr(), &hot_url)?;
     let soak = keepalive_soak(soak_proxy.addr(), &hot_url, conns, knobs.soak_rounds)?;
 
     Ok(HostileSuiteReport {
-        transport: match transport {
-            Transport::Threaded => "threaded".to_string(),
-            Transport::Reactor => "reactor".to_string(),
-        },
         flash_rps: knobs.flash_requests as f64 / flash_secs,
         flash_p99_us: flash_hist.percentile_us(0.99),
         barrage,
@@ -717,11 +706,10 @@ pub fn run_hostile_suite(
 }
 
 /// Formats one [`HostileSuiteReport`] as the block the experiments
-/// harness prints per transport.
+/// harness prints.
 pub fn format_hostile_report(r: &HostileSuiteReport) -> String {
     format!(
-        "{transport}:\n\
-         \x20 flash crowd: {flash_rps:.0} rps, p99 {flash_p99} us\n\
+        "\x20 flash crowd: {flash_rps:.0} rps, p99 {flash_p99} us\n\
          \x20 barrage: polite p50/p99 {b50}/{b99} us clean -> {a50}/{a99} us under attack \
          ({ratio:.2}x p99)\n\
          \x20 attackers: {loris_evicted}/{loris_launched} slow-loris evicted, \
@@ -729,7 +717,6 @@ pub fn format_hostile_report(r: &HostileSuiteReport) -> String {
          \x20 soak: {conns} keep-alive connections x {completed} requests, {dropped} dropped, \
          p99 {soak_p99} us in {elapsed:.1} s\n\
          \x20 server counters: {timeouts} deadline evictions, {over_cap} over-cap refusals\n",
-        transport = r.transport,
         flash_rps = r.flash_rps,
         flash_p99 = r.flash_p99_us,
         b50 = r.barrage.baseline_p50_us,

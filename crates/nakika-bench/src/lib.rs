@@ -1,9 +1,8 @@
 //! Shared helpers for the Na Kika benchmark and experiment harness.
 //!
 //! The interesting code lives in the `nakika-experiments` binary (which
-//! regenerates every table and figure of the paper), in the Criterion benches
-//! under `benches/`, and in the workspace-level examples and integration
-//! tests this package hosts.
+//! regenerates every table and figure of the paper) and in the
+//! workspace-level examples and integration tests this package hosts.
 
 #![forbid(unsafe_code)]
 
@@ -16,15 +15,15 @@ use nakika_core::service::{service_fn, NakikaError};
 use nakika_core::{scripts, NodeBuilder};
 use nakika_http::{Request, Response};
 use nakika_server::{
-    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, TcpOrigin, Transport,
+    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, TcpOrigin,
 };
 use nakika_sim::experiments::{MicroRow, ResourceControlRow, SimmResult, SpecResult};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which proxy front-end a benchmark scenario measures.
+/// How the proxy front-end a benchmark scenario measures relays misses.
 ///
-/// The reactor transport appears twice because its cache-miss path has two
+/// The server appears twice because its cache-miss path has two
 /// implementations: [`BenchTransport::Reactor`] pins the historical
 /// worker-pool offload (`splice_origin = false`), keeping the `reactor`
 /// rows in `BENCH_proxy.json` comparable across runs, while
@@ -34,8 +33,6 @@ use std::time::Instant;
 /// delta is recorded side by side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchTransport {
-    /// One blocking thread per connection.
-    Threaded,
     /// Reactor with misses offloaded to the worker pool (recorded as
     /// `reactor`).
     Reactor,
@@ -44,13 +41,13 @@ pub enum BenchTransport {
     ReactorSplice,
 }
 
-/// One measured proxy-path scenario: a named workload against one transport.
+/// One measured proxy-path scenario: a named workload against one miss path.
 #[derive(Debug, Clone)]
 pub struct ProxyBenchScenario {
     /// Workload name (`cold-cache`, `warm-keepalive`, `warm-close`,
     /// `warm-concurrent`).
     pub name: String,
-    /// Transport under test (`threaded`, `reactor`, or `reactor-splice`).
+    /// Miss path under test (`reactor` or `reactor-splice`).
     pub transport: String,
     /// Total requests issued through the proxy.
     pub requests: usize,
@@ -189,36 +186,22 @@ pub const SCRIPTED_SCENARIO_LOOP_ITERS: usize = 600;
 /// The `transport` field value recorded for a scenario.
 fn transport_name(transport: BenchTransport) -> String {
     match transport {
-        BenchTransport::Threaded => "threaded".to_string(),
         BenchTransport::Reactor => "reactor".to_string(),
         BenchTransport::ReactorSplice => "reactor-splice".to_string(),
     }
 }
 
-/// Starts the proxy front-end a scenario measures through.
-fn front(
-    service: Arc<dyn nakika_core::service::HttpService>,
-    transport: BenchTransport,
-) -> std::io::Result<ProxyServer> {
-    match transport {
-        BenchTransport::Threaded => ProxyServer::start_with(0, service, Transport::Threaded),
-        BenchTransport::Reactor => ProxyServer::start_reactor(
-            0,
-            service,
-            ReactorConfig {
-                splice_origin: false,
-                ..ReactorConfig::default()
-            },
-        ),
-        BenchTransport::ReactorSplice => {
-            ProxyServer::start_reactor(0, service, ReactorConfig::default())
-        }
+/// The server configuration a scenario's front-end runs with.
+fn reactor_config(transport: BenchTransport) -> ReactorConfig {
+    ReactorConfig {
+        splice_origin: transport == BenchTransport::ReactorSplice,
+        ..ReactorConfig::default()
     }
 }
 
 /// Stands up the deployment every scenario measures against: an origin
 /// serving `origin_service`, a plain-proxy edge fetching through
-/// `TcpOrigin`, and a front-end on `transport`.
+/// `TcpOrigin`, and a front-end relaying misses as `transport` says.
 fn stand_up(
     origin_service: Arc<dyn nakika_core::service::HttpService>,
     transport: BenchTransport,
@@ -228,7 +211,8 @@ fn stand_up(
     let edge = NodeBuilder::plain_proxy("bench-proxy")
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy = front(edge.service(), transport).map_err(internal("proxy failed to start"))?;
+    let proxy = ProxyServer::start_reactor(0, edge.service(), reactor_config(transport))
+        .map_err(internal("proxy failed to start"))?;
     Ok((origin, proxy))
 }
 
@@ -280,7 +264,7 @@ fn timed_get(
     Ok(response)
 }
 
-/// Measures `bench_mixed` on one transport: `concurrency` warm keep-alive
+/// Measures `bench_mixed` on one miss path: `concurrency` warm keep-alive
 /// clients hammer a cached URL while one background client keeps cold
 /// misses against a deliberately slow origin
 /// ([`MIXED_SCENARIO_ORIGIN_DELAY_MS`] per fetch) in flight for the whole
@@ -368,7 +352,7 @@ fn run_mixed_scenario(
     ))
 }
 
-/// Measures `bench_peer` on one transport: two cooperating edge nodes over
+/// Measures `bench_peer` on one miss path: two cooperating edge nodes over
 /// real TCP sharing one overlay view.  Distinct URLs are warmed through
 /// node A, then fetched once each through node B, whose local misses route
 /// to A over the peer-fetch path instead of the origin.  The recorded
@@ -376,32 +360,6 @@ fn run_mixed_scenario(
 /// `cold-cache` (origin-answered miss) and `warm-keepalive` (local hit).
 /// The run fails loudly if any measured request fell back to the origin —
 /// a silent fallback would quietly benchmark the wrong code path.
-/// Starts an overlay-joined edge node fronted by `transport` — the
-/// cluster-node counterpart of [`front`].
-fn start_bench_node(
-    name: &str,
-    overlay: &Arc<nakika_overlay::Overlay>,
-    transport: BenchTransport,
-) -> Result<cluster::LocalNode, NakikaError> {
-    match transport {
-        BenchTransport::Threaded => {
-            cluster::start_local_node(name, overlay, Transport::Threaded, None)
-        }
-        BenchTransport::Reactor => cluster::start_local_reactor_node(
-            name,
-            overlay,
-            ReactorConfig {
-                splice_origin: false,
-                ..ReactorConfig::default()
-            },
-            None,
-        ),
-        BenchTransport::ReactorSplice => {
-            cluster::start_local_reactor_node(name, overlay, ReactorConfig::default(), None)
-        }
-    }
-}
-
 fn run_peer_scenario(
     transport: BenchTransport,
     requests: usize,
@@ -415,7 +373,8 @@ fn run_peer_scenario(
     )
     .map_err(internal("peer origin failed to start"))?;
     let overlay = Arc::new(nakika_overlay::Overlay::with_defaults());
-    let node_a = start_bench_node("bench-peer-a", &overlay, transport)?;
+    let config = reactor_config(transport);
+    let node_a = cluster::start_local_node("bench-peer-a", &overlay, config, None)?;
     // Warm every key through A while it is the cluster's only member, so
     // all of them live in A's cache (were B already joined, keys B owns
     // would be forwarded to — and cached on — B during the warm-up).
@@ -426,7 +385,7 @@ fn run_peer_scenario(
     for i in 0..keys {
         http_get_via_proxy(node_a.server.addr(), &format!("{base}/peer/{i}.html"))?;
     }
-    let node_b = start_bench_node("bench-peer-b", &overlay, transport)?;
+    let node_b = cluster::start_local_node("bench-peer-b", &overlay, config, None)?;
     let hist = LatencyRecorder::new();
     let start = Instant::now();
     let mut client = ProxyClient::connect(node_b.server.addr())?;
@@ -451,7 +410,7 @@ fn run_peer_scenario(
     ))
 }
 
-/// Measures `bench_scripted` on one transport: a fully scripted edge node
+/// Measures `bench_scripted` on one miss path: a fully scripted edge node
 /// (walls plus a compute-heavy site `nakika.js`) serving one hot cached URL
 /// over a keep-alive connection.  Every request re-runs the wall and site
 /// handlers — [`SCRIPTED_SCENARIO_LOOP_ITERS`] loop iterations of script
@@ -503,8 +462,8 @@ p.register();
         )
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy =
-        front(edge.service(), transport).map_err(internal("scripted proxy failed to start"))?;
+    let proxy = ProxyServer::start_reactor(0, edge.service(), reactor_config(transport))
+        .map_err(internal("scripted proxy failed to start"))?;
     let url = format!("{base}/hot.html");
     // Warm-up: compiles the two walls and the site stage, caches the page.
     http_get_via_proxy(proxy.addr(), &url)?;
@@ -538,7 +497,7 @@ p.register();
     ))
 }
 
-/// Measures the proxy-path scenario suite on both transports:
+/// Measures the proxy-path scenario suite:
 ///
 /// - `cold-cache` — every request targets a distinct URL, so each one runs
 ///   the full parse → service → origin-fetch → store path.
@@ -562,8 +521,8 @@ p.register();
 ///   site handler on every response): script-execution cost on the hot
 ///   path.
 ///
-/// Every scenario runs on `threaded` and `reactor` (the reactor's
-/// worker-pool miss offload, pinned with `splice_origin = false`); the
+/// Every scenario runs as `reactor` (the worker-pool miss offload, pinned
+/// with `splice_origin = false`); the
 /// miss-dominated ones — `cold-cache`, `bench_stream`, `bench_mixed` —
 /// additionally run as `reactor-splice`, the production default that
 /// relays misses on the event loop, so the splice-vs-offload delta is
@@ -571,8 +530,7 @@ p.register();
 ///
 /// `requests` scales every scenario (the slower workloads run a fraction of
 /// it); `concurrency` is the client count for `warm-concurrent` and
-/// `bench_mixed`.  `docs/BENCHMARKING.md` documents each scenario and how
-/// CI gates on the recorded numbers.
+/// `bench_mixed`.  `docs/BENCHMARKING.md` documents each scenario.
 pub fn bench_proxy_suite(
     requests: usize,
     concurrency: usize,
@@ -580,112 +538,111 @@ pub fn bench_proxy_suite(
     let requests = requests.max(16);
     let concurrency = concurrency.max(1);
     let mut suite = ProxyBenchSuite::default();
-    for transport in [BenchTransport::Threaded, BenchTransport::Reactor] {
-        suite
-            .scenarios
-            .push(run_cold_scenario(transport, requests)?);
+    let transport = BenchTransport::Reactor;
+    suite
+        .scenarios
+        .push(run_cold_scenario(transport, requests)?);
 
-        suite.scenarios.push(run_scenario(
-            "warm-keepalive",
-            transport,
-            requests,
-            1,
-            2096,
-            |proxy, base, hist| {
-                let url = format!("{base}/hot.html");
-                let mut client = ProxyClient::connect(proxy.addr())?;
-                // The first request warms the cache; it is counted, and at
-                // these request counts its contribution is noise.
+    suite.scenarios.push(run_scenario(
+        "warm-keepalive",
+        transport,
+        requests,
+        1,
+        2096,
+        |proxy, base, hist| {
+            let url = format!("{base}/hot.html");
+            let mut client = ProxyClient::connect(proxy.addr())?;
+            // The first request warms the cache; it is counted, and at
+            // these request counts its contribution is noise.
+            timed_get(&mut client, &url, hist)?;
+            for _ in 1..requests {
                 timed_get(&mut client, &url, hist)?;
-                for _ in 1..requests {
-                    timed_get(&mut client, &url, hist)?;
-                }
-                Ok(())
-            },
-        )?);
+            }
+            Ok(())
+        },
+    )?);
 
-        let close_requests = requests / 2;
-        suite.scenarios.push(run_scenario(
-            "warm-close",
-            transport,
-            close_requests,
-            1,
-            2096,
-            |proxy, base, hist| {
-                let url = format!("{base}/hot.html");
-                for _ in 0..close_requests {
-                    let t = Instant::now();
-                    http_get_via_proxy(proxy.addr(), &url)?;
-                    hist.record(t.elapsed());
-                }
-                Ok(())
-            },
-        )?);
-
-        let per_client = (requests / concurrency).max(8);
-        let total = per_client * concurrency;
-        suite.scenarios.push(run_scenario(
-            "warm-concurrent",
-            transport,
-            total,
-            concurrency,
-            2096,
-            |proxy, base, hist| {
-                let url = format!("{base}/hot.html");
-                // Warm the cache before the clients pile in.
+    let close_requests = requests / 2;
+    suite.scenarios.push(run_scenario(
+        "warm-close",
+        transport,
+        close_requests,
+        1,
+        2096,
+        |proxy, base, hist| {
+            let url = format!("{base}/hot.html");
+            for _ in 0..close_requests {
+                let t = Instant::now();
                 http_get_via_proxy(proxy.addr(), &url)?;
-                std::thread::scope(|scope| {
-                    let workers: Vec<_> = (0..concurrency)
-                        .map(|_| {
-                            let url = url.clone();
-                            let addr = proxy.addr();
-                            // Per-thread recorders merged at join time, so
-                            // this scenario also exercises the merge path.
-                            scope.spawn(move || -> Result<LatencyRecorder, NakikaError> {
-                                let local = LatencyRecorder::new();
-                                let mut client = ProxyClient::connect(addr)?;
-                                for _ in 0..per_client {
-                                    timed_get(&mut client, &url, &local)?;
-                                }
-                                Ok(local)
-                            })
+                hist.record(t.elapsed());
+            }
+            Ok(())
+        },
+    )?);
+
+    let per_client = (requests / concurrency).max(8);
+    let total = per_client * concurrency;
+    suite.scenarios.push(run_scenario(
+        "warm-concurrent",
+        transport,
+        total,
+        concurrency,
+        2096,
+        |proxy, base, hist| {
+            let url = format!("{base}/hot.html");
+            // Warm the cache before the clients pile in.
+            http_get_via_proxy(proxy.addr(), &url)?;
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..concurrency)
+                    .map(|_| {
+                        let url = url.clone();
+                        let addr = proxy.addr();
+                        // Per-thread recorders merged at join time, so
+                        // this scenario also exercises the merge path.
+                        scope.spawn(move || -> Result<LatencyRecorder, NakikaError> {
+                            let local = LatencyRecorder::new();
+                            let mut client = ProxyClient::connect(addr)?;
+                            for _ in 0..per_client {
+                                timed_get(&mut client, &url, &local)?;
+                            }
+                            Ok(local)
                         })
-                        .collect();
-                    for worker in workers {
-                        let local = worker
-                            .join()
-                            .map_err(|_| NakikaError::Internal("bench client panicked".into()))??;
-                        hist.merge(&local);
-                    }
-                    Ok(())
-                })
-            },
-        )?);
+                    })
+                    .collect();
+                for worker in workers {
+                    let local = worker
+                        .join()
+                        .map_err(|_| NakikaError::Internal("bench client panicked".into()))??;
+                    hist.merge(&local);
+                }
+                Ok(())
+            })
+        },
+    )?);
 
-        suite
-            .scenarios
-            .push(run_stream_scenario(transport, requests)?);
+    suite
+        .scenarios
+        .push(run_stream_scenario(transport, requests)?);
 
-        // bench_mixed: warm concurrency under continuous slow cold misses —
-        // the workload that used to collapse the reactor to origin latency
-        // before cold fetches were offloaded from its event loop.
-        suite
-            .scenarios
-            .push(run_mixed_scenario(transport, requests, concurrency)?);
+    // bench_mixed: warm concurrency under continuous slow cold misses —
+    // the workload that used to collapse the reactor to origin latency
+    // before cold fetches were offloaded from its event loop.
+    suite
+        .scenarios
+        .push(run_mixed_scenario(transport, requests, concurrency)?);
 
-        // bench_peer: the cooperative data path — misses answered by a
-        // peer edge node over TCP rather than the origin.
-        suite
-            .scenarios
-            .push(run_peer_scenario(transport, requests)?);
+    // bench_peer: the cooperative data path — misses answered by a
+    // peer edge node over TCP rather than the origin.
+    suite
+        .scenarios
+        .push(run_peer_scenario(transport, requests)?);
 
-        // bench_scripted: the warm scripted pipeline.  Half (not a
-        // quarter) of the scaling knob, for the same percentile-stability
-        // reason as bench_stream.
-        suite
-            .scenarios
-            .push(run_scripted_scenario(transport, (requests / 2).max(8))?);
-    }
+    // bench_scripted: the warm scripted pipeline.  Half (not a
+    // quarter) of the scaling knob, for the same percentile-stability
+    // reason as bench_stream.
+    suite
+        .scenarios
+        .push(run_scripted_scenario(transport, (requests / 2).max(8))?);
 
     // The splice variant: re-measure the scenarios a cache-miss relay
     // actually dominates under the production default (the event-loop
@@ -886,7 +843,7 @@ mod tests {
     #[test]
     fn scripted_scenario_runs() {
         let scenario =
-            run_scripted_scenario(BenchTransport::Threaded, 8).expect("scripted scenario runs");
+            run_scripted_scenario(BenchTransport::Reactor, 8).expect("scripted scenario runs");
         assert_eq!(scenario.requests, 8);
         assert!(scenario.requests_per_sec > 0.0);
     }

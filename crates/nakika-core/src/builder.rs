@@ -381,18 +381,6 @@ impl NodeBuilder {
         self
     }
 
-    /// Heuristic freshness for responses without explicit expiration.
-    pub fn heuristic_ttl(mut self, ttl: Duration) -> NodeBuilder {
-        self.config.heuristic_ttl = ttl;
-        self
-    }
-
-    /// Freshness applied to compiled stages without explicit expiration.
-    pub fn script_ttl(mut self, ttl: Duration) -> NodeBuilder {
-        self.config.script_ttl = ttl;
-        self
-    }
-
     /// URLs of the client- and server-side administrative control scripts.
     pub fn wall_urls(mut self, client: &str, server: &str) -> NodeBuilder {
         self.config.client_wall_url = client.to_string();
@@ -406,21 +394,9 @@ impl NodeBuilder {
         self
     }
 
-    /// Replaces the set of local address blocks.
-    pub fn local_networks(mut self, cidrs: Vec<Cidr>) -> NodeBuilder {
-        self.config.local_networks = cidrs;
-        self
-    }
-
     /// Seconds between executions of the congestion-control procedure.
     pub fn control_period_secs(mut self, secs: u64) -> NodeBuilder {
         self.config.control_period_secs = secs;
-        self
-    }
-
-    /// Per-site hard-state quota in bytes.
-    pub fn hard_state_quota(mut self, bytes: usize) -> NodeBuilder {
-        self.config.hard_state_quota = bytes;
         self
     }
 

@@ -65,17 +65,14 @@ impl HttpService for AccessLogged {
             Ok(response) => (response.status.as_u16(), response.body.len()),
             Err(error) => (error.status().as_u16(), 0),
         };
-        self.log.record(
-            &site,
-            LogEntry {
-                timestamp: ctx.arrival_secs,
-                client: client.to_string(),
-                method,
-                url,
-                status,
-                bytes,
-            },
-        );
+        self.log.record(&site, || LogEntry {
+            timestamp: ctx.arrival_secs,
+            client: client.to_string(),
+            method,
+            url,
+            status,
+            bytes,
+        });
         result
     }
 }
@@ -549,6 +546,7 @@ mod tests {
     #[test]
     fn access_log_records_successes_and_rejections() {
         let log = Arc::new(AccessLog::new());
+        log.configure_site("site.example", Some("http://site.example/logs"));
         let base = service_fn(|req: Request, _ctx: &RequestCtx| {
             if req.uri.path.contains("fail") {
                 Err(NakikaError::Upstream {
@@ -568,7 +566,6 @@ mod tests {
             .call(Request::get("http://site.example/fail"), &ctx)
             .unwrap_err();
         assert_eq!(log.pending("site.example"), 2);
-        log.configure_site("site.example", Some("http://site.example/logs"));
         let batches = log.flush();
         assert!(batches[0].1.contains(" 200 "));
         assert!(batches[0].1.contains(" 502 "));

@@ -745,17 +745,14 @@ impl NaKikaNode {
     /// Records one finished exchange in the site's access log and charges
     /// the bytes it moved to the site.
     fn log_exchange(&self, site: &str, request: &Request, response: &Response, now_secs: u64) {
-        self.access_log.record(
-            site,
-            LogEntry {
-                timestamp: now_secs,
-                client: request.client_ip.to_string(),
-                method: request.method.as_str().to_string(),
-                url: request.uri.to_string(),
-                status: response.status.as_u16(),
-                bytes: response.body.len(),
-            },
-        );
+        self.access_log.record(site, || LogEntry {
+            timestamp: now_secs,
+            client: request.client_ip.to_string(),
+            method: request.method.as_str().to_string(),
+            url: request.uri.to_string(),
+            status: response.status.as_u16(),
+            bytes: response.body.len(),
+        });
         self.resource.record(
             site,
             ResourceKind::BytesTransferred,
@@ -1161,6 +1158,27 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.origin_fetches, 1);
+    }
+
+    #[test]
+    fn only_sites_that_registered_a_post_url_are_logged() {
+        let edge = NodeBuilder::plain_proxy("edge-1")
+            .origin(TestOrigin::new(None))
+            .build();
+        let log = edge.node().access_log();
+        log.configure_site("logged.example", Some("http://logged.example/sink"));
+        for i in 0..100 {
+            for site in ["logged.example", "silent.example"] {
+                let request = Request::get(&format!("http://{site}/{i}"));
+                edge.call(request, &RequestCtx::at(10)).unwrap();
+            }
+        }
+        assert_eq!(log.pending("logged.example"), 100);
+        assert_eq!(
+            log.pending("silent.example"),
+            0,
+            "entries no flush would post are never buffered"
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper's central architectural claim is that one edge node runs
 //! unchanged under Apache, the discrete-event simulator and plain unit tests
 //! because the service logic is cleanly separated from transport.  This
-//! module makes that seam explicit: every transport — the blocking TCP
-//! servers in `nakika-server`, the simulator's net layer in `nakika-sim`,
+//! module makes that seam explicit: every transport — the TCP server in
+//! `nakika-server`, the simulator's net layer in `nakika-sim`,
 //! and in-memory tests — drives the node through exactly one interface,
 //! [`HttpService::call`], and supplies the ambient facts of the exchange
 //! (who is asking, what time it is, which exchange this is) through a
@@ -284,7 +284,7 @@ pub struct RelayAttempt {
     /// Host to connect to — an IP literal in real deployments (peers
     /// announce base URLs with literal addresses; origins in the bench and
     /// test rigs are loopback).  Transports that cannot resolve this
-    /// without blocking fall back to the threaded fetch path.
+    /// without blocking fall back to the blocking fetch path ([`HttpService::call`]).
     pub host: String,
     /// Port to connect to.
     pub port: u16,
@@ -423,6 +423,7 @@ where
 /// use std::sync::Arc;
 ///
 /// let log = Arc::new(AccessLog::new());
+/// log.configure_site("a.example", Some("http://a.example/log-sink"));
 /// let base = service_fn(|_req, _ctx| Ok(Response::ok("text/plain", "hi")));
 /// let stack = layered(base, vec![Box::new(AccessLogLayer::new(log.clone()))]);
 /// stack.call(Request::get("http://a.example/"), &RequestCtx::at(7)).unwrap();

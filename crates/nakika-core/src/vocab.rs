@@ -1205,17 +1205,14 @@ mod tests {
         };
         let ex = new_exchange(Request::get("http://med.nyu.edu/simm/1"), 0);
         run_handler_script("Log.post('http://med.nyu.edu/log-sink');", &ex, &hooks);
-        log.record(
-            "med.nyu.edu",
-            nakika_state::LogEntry {
-                timestamp: 1,
-                client: "c".into(),
-                method: "GET".into(),
-                url: "/simm/1".into(),
-                status: 200,
-                bytes: 10,
-            },
-        );
+        log.record("med.nyu.edu", || nakika_state::LogEntry {
+            timestamp: 1,
+            client: "c".into(),
+            method: "GET".into(),
+            url: "/simm/1".into(),
+            status: 200,
+            bytes: 10,
+        });
         assert_eq!(log.flush().len(), 1);
     }
 

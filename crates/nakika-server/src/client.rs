@@ -138,7 +138,7 @@ impl Default for TcpOrigin {
 
 impl OriginFetch for TcpOrigin {
     /// Misses through this origin are plain outbound HTTP over TCP — the
-    /// reactor transport may serve them as an event-loop splice instead of
+    /// server may serve them as an event-loop splice instead of
     /// calling [`fetch_origin`](OriginFetch::fetch_origin) on a worker.
     fn relay_eligible(&self) -> bool {
         true

@@ -1,16 +1,13 @@
-//! The transport-independent half of an HTTP/1.1 server connection.
+//! The socket-free half of an HTTP/1.1 server connection.
 //!
-//! Both front-ends — the blocking thread-per-connection server and the
-//! readiness [`reactor`](crate::ReactorServer) — speak the same protocol:
-//! accumulate bytes, parse complete requests (including pipelined ones),
+//! Accumulate bytes, parse complete requests (including pipelined ones),
 //! dispatch each through the [`HttpService`] stack with a freshly minted
 //! [`RequestCtx`](nakika_core::service::RequestCtx), serialize the
 //! responses, and honor keep-alive.  This module holds that logic as a
 //! sans-IO state machine: [`HttpConn`] never touches a socket, it just
-//! consumes input bytes and produces output bytes, so the two transports
-//! differ only in *how* they move bytes — blocking reads on a dedicated
-//! thread versus readiness-driven non-blocking reads on a shared reactor
-//! thread.
+//! consumes input bytes and produces output bytes; the
+//! [reactor](crate::HttpServer) moves them with readiness-driven
+//! non-blocking reads and writes, and a test can move them by hand.
 //!
 //! # Streaming output
 //!
@@ -23,22 +20,18 @@
 //! buffered backlog stays under a bounded window
 //! ([`OUTPUT_WINDOW_BYTES`]).  Each flush of the socket makes room and
 //! pulls the next chunk, so an 8 MiB relay holds at most one window of
-//! bytes per connection, and on the reactor the pull rate is governed by
-//! the client's write-readiness (natural backpressure).  A body stream
+//! bytes per connection, and the pull rate is governed by the client's
+//! write-readiness (natural backpressure).  A body stream
 //! that fails mid-response cannot be turned into an error status (the head
 //! is already on the wire); the engine aborts the connection so the
 //! framing tells the client the message was truncated.
 //!
 //! # Offloading blocking work
 //!
-//! A blocking transport simply lets the engine run everything inline
-//! ([`HttpConn::dispatch`]): a service call or a streamed-body pull that
-//! blocks parks only its own thread.  An event-loop transport cannot
-//! afford that, so the engine has a second driving mode
-//! ([`HttpConn::offloading`]) in which it never performs a
-//! potentially-blocking operation itself.  Instead, [`HttpConn::advance`]
-//! runs as far as it can without blocking — parsing input, executing
-//! service calls the stack classified
+//! The engine is driven from an event loop, so it never performs a
+//! potentially-blocking operation itself.  [`HttpConn::advance`] runs as
+//! far as it can without blocking — parsing input, executing service calls
+//! the stack classified
 //! [`DispatchHint::Inline`](nakika_core::service::DispatchHint), pumping
 //! already-available output — and hands back a unit of [`Work`] whenever
 //! the next step might block:
@@ -100,10 +93,10 @@ const TAIL_THRESHOLD_BYTES: usize = 1024;
 /// Per-server high-water mark of serialized-but-unsent bytes across that
 /// server's connections — the instrumentation behind the large-body
 /// bounded-memory tests and `examples/streaming_brigade.rs`.  One gauge is
-/// created per server (threaded or reactor) and shared with every
-/// connection engine it spawns, so concurrently running servers (parallel
-/// tests!) no longer contaminate each other's measurements; read it with
-/// `HttpServer::peak_buffered_output` and friends.
+/// created per server and shared with every connection engine it spawns,
+/// so concurrently running servers (parallel tests!) do not contaminate
+/// each other's measurements; read it with
+/// `HttpServer::peak_buffered_output`.
 #[derive(Debug, Default)]
 pub(crate) struct OutputGauge {
     peak: AtomicUsize,
@@ -139,8 +132,8 @@ pub(crate) enum Work {
 
 /// Runs one service call with panic containment: a panicking service
 /// becomes an internal error (mapped to a 500) instead of unwinding the
-/// calling thread — which on the reactor would take a whole event loop
-/// (and every connection on it) down.
+/// calling thread — which for an inline call is a whole event loop (and
+/// every connection on it).
 fn contained_call(
     service: &dyn HttpService,
     request: nakika_http::Request,
@@ -217,8 +210,6 @@ pub(crate) struct HttpConn {
     open: bool,
     /// The transport saw EOF: whatever is buffered is the last input.
     eof: bool,
-    /// Offloading mode: never run a may-block operation inside the engine.
-    offload: bool,
     /// Keep-alive decision of the offloaded in-flight service call, if one
     /// is outstanding (input parsing pauses while it is).
     pending_call: Option<bool>,
@@ -236,9 +227,7 @@ pub(crate) struct HttpConn {
 }
 
 impl HttpConn {
-    /// A fresh inline-mode connection from `peer`: service calls and body
-    /// pulls run inside the engine, blocking the calling thread (the
-    /// threaded transport).
+    /// A fresh connection from `peer`.
     pub fn new(peer: IpAddr, gauge: Arc<OutputGauge>) -> HttpConn {
         HttpConn {
             peer,
@@ -251,7 +240,6 @@ impl HttpConn {
             queued: VecDeque::new(),
             open: true,
             eof: false,
-            offload: false,
             pending_call: None,
             pending_pull: false,
             pending_activation: None,
@@ -260,43 +248,17 @@ impl HttpConn {
         }
     }
 
-    /// A fresh offloading-mode connection from `peer`: may-block
-    /// operations are returned as [`Work`] instead of being executed (the
-    /// reactor transport).
-    pub fn offloading(peer: IpAddr, gauge: Arc<OutputGauge>) -> HttpConn {
-        HttpConn {
-            offload: true,
-            ..HttpConn::new(peer, gauge)
-        }
-    }
-
     /// Appends bytes read off the wire.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.inbuf.extend_from_slice(bytes);
     }
 
-    /// Inline-mode driver: parses and dispatches every complete request
-    /// currently buffered, queueing their responses in order (pipelined
-    /// requests are handled in one pass), then pumps response bytes into
-    /// the output buffer up to the window.  Returns the connection's
-    /// liveness: `false` means close once the pending output is flushed
-    /// (the client asked for it, the input was malformed and a 400 was
-    /// queued, or a relayed body stream failed mid-response).
-    pub fn dispatch(&mut self, service: &dyn HttpService, ctx_factory: &CtxFactory) -> bool {
-        debug_assert!(!self.offload, "dispatch() is the inline-mode driver");
-        let work = self.advance(service, ctx_factory);
-        debug_assert!(work.is_none(), "inline mode never offloads");
-        self.open
-    }
-
     /// Advances the engine as far as it can without risking a blocking
     /// operation: parses buffered input, runs inline-classified service
-    /// calls, and pumps response bytes into the output window.  In
-    /// offloading mode, returns the next unit of [`Work`] that must run
-    /// elsewhere (marking it in-flight — call `advance` again to keep
-    /// going; it returns `None` once nothing can proceed without a
-    /// completion, more input, or a flush).  In inline mode it executes
-    /// everything itself and always returns `None`.
+    /// calls, and pumps response bytes into the output window.  Returns the
+    /// next unit of [`Work`] that must run elsewhere (marking it in-flight
+    /// — call `advance` again to keep going; it returns `None` once nothing
+    /// can proceed without a completion, more input, or a flush).
     pub fn advance(&mut self, service: &dyn HttpService, ctx_factory: &CtxFactory) -> Option<Work> {
         if self.pending_call.is_none() {
             while self.open {
@@ -333,12 +295,10 @@ impl HttpConn {
                 request.client_ip = self.peer;
                 let keep_alive = request.headers.keep_alive(request.version_11);
                 let ctx = ctx_factory.make(self.peer);
-                if self.offload
-                    && matches!(
-                        service.dispatch_hint(&request, &ctx),
-                        DispatchHint::MayBlock
-                    )
-                {
+                if matches!(
+                    service.dispatch_hint(&request, &ctx),
+                    DispatchHint::MayBlock
+                ) {
                     // Park the input side until the call completes; the
                     // output side keeps pumping earlier responses.
                     self.pending_call = Some(keep_alive);
@@ -349,8 +309,8 @@ impl HttpConn {
                 }
                 // The wire is where platform errors become status codes —
                 // and panics become 500s rather than unwinding the thread
-                // driving this engine (on the reactor that thread is an
-                // event loop serving every other connection too).
+                // driving this engine (an event loop serving every other
+                // connection too).
                 let response = match contained_call(service, request, &ctx) {
                     Ok(response) => response,
                     Err(error) => error.to_response(),
@@ -426,12 +386,12 @@ impl HttpConn {
         }
     }
 
-    /// Moves response bytes into the output buffer until the window is full
-    /// or there is nothing left to emit (or, in offloading mode, the next
-    /// step might block — then that step is returned as [`Work`]).  Called
-    /// from [`advance`](HttpConn::advance) and, in inline mode, after every
-    /// flush, so a draining socket keeps pulling the next chunk of a
-    /// streamed body — and nothing pulls chunks faster than the socket
+    /// Moves response bytes into the output buffer until the window is
+    /// full, there is nothing left to emit, or the next step might block —
+    /// then that step is returned as [`Work`].  Called from
+    /// [`advance`](HttpConn::advance), which the transport calls again
+    /// after every flush, so a draining socket keeps pulling the next chunk
+    /// of a streamed body — and nothing pulls chunks faster than the socket
     /// drains them.
     fn pump(&mut self) -> Option<Work> {
         if self.pending_pull || self.pending_activation.is_some() {
@@ -448,8 +408,7 @@ impl HttpConn {
                 // An unknown-length stream bound for a 1.0 client must be
                 // buffered to learn its Content-Length — a blocking drain
                 // the reactor hands to a worker.
-                if self.offload
-                    && !response.version_11
+                if !response.version_11
                     && response.body.size_hint().is_none()
                     && response.body.may_block()
                 {
@@ -460,7 +419,7 @@ impl HttpConn {
                 self.active = Some(ResponseWriter::new(response));
             }
             let writer = self.active.as_mut().expect("writer installed above");
-            if self.offload && writer.next_pull_may_block() {
+            if writer.next_pull_may_block() {
                 self.pending_pull = true;
                 let body = writer.body_handle();
                 return Some(Work::Pull { body });
@@ -513,7 +472,7 @@ impl HttpConn {
     /// socket: the front buffer while it has unsent bytes, then each tail
     /// part in turn.  Looping `pending_output`/
     /// [`advance_output`](HttpConn::advance_output) sees every pending byte
-    /// exactly once.  Both transports flush with
+    /// exactly once.  The reactor flushes with
     /// [`output_slices`](HttpConn::output_slices) (one gathering write per
     /// pass — separate syscalls per run would emit separate TCP segments);
     /// this byte-wise view remains for the engine tests, which assert on
@@ -550,10 +509,9 @@ impl HttpConn {
         self.pending_len() > 0
     }
 
-    /// Records that `n` bytes of pending output reached the socket.  In
-    /// inline mode this also pulls more of the in-flight response into the
-    /// freed window; in offloading mode the transport drives refills
-    /// through [`advance`](HttpConn::advance) so pulls can be offloaded.
+    /// Records that `n` bytes of pending output reached the socket.  The
+    /// transport refills the freed window through
+    /// [`advance`](HttpConn::advance), so pulls can be offloaded.
     pub fn advance_output(&mut self, n: usize) {
         let mut n = n;
         let take = n.min(self.outbuf.len() - self.written);
@@ -574,19 +532,13 @@ impl HttpConn {
                 n = 0;
             }
         }
-        if !self.offload {
-            let work = self.pump();
-            debug_assert!(work.is_none(), "inline mode never offloads");
-        }
     }
 
     /// True while this connection still owes the client response bytes:
-    /// buffered output, an in-flight response, or queued ones.  In
-    /// offloading mode this can be true while
-    /// [`has_unsent_output`](HttpConn::has_unsent_output) is false (the
-    /// next bytes are on a worker); in inline mode the pump guarantees
-    /// this implies non-empty [`pending_output`](HttpConn::pending_output).
-    pub fn wants_write(&self) -> bool {
+    /// buffered output, an in-flight response, or queued ones.  Can be true
+    /// while [`has_unsent_output`](HttpConn::has_unsent_output) is false
+    /// (the next bytes are on a worker).
+    fn wants_write(&self) -> bool {
         self.pending_len() > 0 || self.active.is_some() || !self.queued.is_empty()
     }
 
@@ -604,13 +556,6 @@ impl HttpConn {
     /// connection closes after its pending output flushes.
     pub fn close(&mut self) {
         self.eof = true;
-    }
-
-    /// True until a request (or a parse error, or exhausted-after-EOF
-    /// input) decided the connection must close after the pending output
-    /// flushes.
-    pub fn is_open(&self) -> bool {
-        self.open
     }
 
     /// Number of complete requests parsed so far.  Deadline-driven
@@ -666,26 +611,37 @@ mod tests {
         Arc::new(OutputGauge::default())
     }
 
+    /// Drives the engine the way a transport with nowhere else to run work
+    /// would: every unit of [`Work`] that `advance` hands back runs on the
+    /// spot and its completion is fed straight in.
+    fn drive(conn: &mut HttpConn, service: &dyn HttpService, factory: &CtxFactory) {
+        while let Some(work) = conn.advance(service, factory) {
+            conn.complete(work.run(service));
+        }
+    }
+
     #[test]
     fn pipelined_requests_produce_in_order_responses() {
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(conn.dispatch(&*echo_path_service(), &factory()));
+        drive(&mut conn, &*echo_path_service(), &factory());
         let out = String::from_utf8_lossy(conn.pending_output()).to_string();
         let a = out.find("/a").expect("first response present");
         let b = out.find("/b").expect("second response present");
         assert!(a < b, "responses keep request order");
-        assert!(conn.is_open());
+        assert!(conn.open);
     }
 
     #[test]
     fn partial_requests_wait_for_more_bytes() {
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /a HTTP/1.1\r\nHo");
-        assert!(conn.dispatch(&*echo_path_service(), &factory()));
+        drive(&mut conn, &*echo_path_service(), &factory());
+        assert!(conn.open);
         assert!(!conn.wants_write());
         conn.feed(b"st: x\r\n\r\n");
-        assert!(conn.dispatch(&*echo_path_service(), &factory()));
+        drive(&mut conn, &*echo_path_service(), &factory());
+        assert!(conn.open);
         assert!(String::from_utf8_lossy(conn.pending_output()).contains("/a"));
     }
 
@@ -693,7 +649,8 @@ mod tests {
     fn connection_close_ends_the_session_after_flush() {
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /a HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
-        assert!(!conn.dispatch(&*echo_path_service(), &factory()));
+        drive(&mut conn, &*echo_path_service(), &factory());
+        assert!(!conn.open);
         assert!(!conn.done(), "output still pending");
         let n = conn.pending_output().len();
         conn.advance_output(n);
@@ -704,7 +661,8 @@ mod tests {
     fn malformed_input_queues_400_and_closes() {
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"NOT A VALID REQUEST\r\n\r\n");
-        assert!(!conn.dispatch(&*echo_path_service(), &factory()));
+        drive(&mut conn, &*echo_path_service(), &factory());
+        assert!(!conn.open);
         assert!(String::from_utf8_lossy(conn.pending_output()).starts_with("HTTP/1.1 400"));
     }
 
@@ -713,7 +671,8 @@ mod tests {
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /last HTTP/1.1\r\nHost: x\r\n\r\n");
         conn.close();
-        assert!(!conn.dispatch(&*echo_path_service(), &factory()));
+        drive(&mut conn, &*echo_path_service(), &factory());
+        assert!(!conn.open);
         assert!(String::from_utf8_lossy(conn.pending_output()).contains("/last"));
         let n = conn.pending_output().len();
         conn.advance_output(n);
@@ -727,13 +686,13 @@ mod tests {
         let factory = factory();
         for i in 0..3 {
             conn.feed(format!("GET /r{i} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes());
-            conn.dispatch(&*service, &factory);
+            drive(&mut conn, &*service, &factory);
             let n = conn.pending_output().len();
             conn.advance_output(n);
         }
         assert!(!conn.wants_write());
         conn.feed(b"GET /last HTTP/1.1\r\nHost: x\r\n\r\n");
-        conn.dispatch(&*service, &factory);
+        drive(&mut conn, &*service, &factory);
         let out = String::from_utf8_lossy(conn.pending_output()).to_string();
         assert!(out.contains("/last"));
         assert!(
@@ -768,7 +727,7 @@ mod tests {
         // Gather path: every pending byte appears exactly once, in order.
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /v HTTP/1.1\r\nHost: x\r\n\r\n");
-        conn.dispatch(&*service, &factory());
+        drive(&mut conn, &*service, &factory());
         let mut gathered = Vec::new();
         while conn.wants_write() {
             let slices = conn.output_slices();
@@ -792,7 +751,7 @@ mod tests {
         // Byte-wise path with awkward advances (splitting tail parts).
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /v HTTP/1.1\r\nHost: x\r\n\r\n");
-        conn.dispatch(&*service, &factory());
+        drive(&mut conn, &*service, &factory());
         let mut dribbled = Vec::new();
         while conn.wants_write() {
             let pending = conn.pending_output();
@@ -814,9 +773,10 @@ mod tests {
             resp.body = Body::stream_from_iter(chunks, Some(TOTAL as u64));
             Ok(resp)
         });
+        let factory = factory();
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /big HTTP/1.1\r\nHost: x\r\n\r\n");
-        conn.dispatch(&*service, &factory());
+        drive(&mut conn, &*service, &factory);
         let mut received = Vec::new();
         let mut iterations = 0usize;
         while conn.wants_write() {
@@ -831,6 +791,8 @@ mod tests {
             let take = (pending.len() / 2).max(1);
             received.extend_from_slice(&pending[..take]);
             conn.advance_output(take);
+            // The transport refills the freed window after every flush.
+            drive(&mut conn, &*service, &factory);
             iterations += 1;
             assert!(iterations < 1_000_000, "pump makes progress");
         }
@@ -862,17 +824,17 @@ mod tests {
         });
         let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /dies HTTP/1.1\r\nHost: x\r\n\r\n");
-        conn.dispatch(&*service, &factory());
+        drive(&mut conn, &*service, &factory());
         // The head (and the partial chunk) may be pending; the connection
         // must be marked for close so the client sees the truncation.
-        assert!(!conn.is_open());
+        assert!(!conn.open);
         let n = conn.pending_output().len();
         conn.advance_output(n);
         assert!(conn.done());
     }
 
     /// A service whose hint is `Inline` for `/warm/…` paths and `MayBlock`
-    /// otherwise, for driving the offload state machine by hand.
+    /// otherwise, for stepping through the work hand-off by hand.
     struct HintedEcho;
 
     impl HttpService for HintedEcho {
@@ -890,10 +852,10 @@ mod tests {
     }
 
     #[test]
-    fn offloading_mode_parks_may_block_calls_and_completes_them() {
+    fn may_block_calls_park_the_input_side_until_completed() {
         let service = HintedEcho;
         let factory = factory();
-        let mut conn = HttpConn::offloading(peer(), gauge());
+        let mut conn = HttpConn::new(peer(), gauge());
         // A warm request runs inline, no work produced.
         conn.feed(b"GET /warm/a HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(conn.advance(&service, &factory).is_none());
@@ -941,17 +903,17 @@ mod tests {
                 DispatchHint::Inline
             }
         }
-        let mut conn = HttpConn::offloading(peer(), gauge());
+        let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /boom HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(conn.advance(&Panicking, &factory()).is_none());
         let out = String::from_utf8_lossy(conn.pending_output()).to_string();
         assert!(out.starts_with("HTTP/1.1 500"), "out: {out}");
         assert!(out.contains("panicked"), "out: {out}");
-        assert!(conn.is_open(), "the connection survives the panic");
+        assert!(conn.open, "the connection survives the panic");
     }
 
     #[test]
-    fn offloading_mode_pulls_blocking_streams_through_work() {
+    fn blocking_streams_are_pulled_through_work() {
         /// An in-memory source that *claims* to block, standing in for an
         /// origin socket.
         struct BlockingIter {
@@ -987,7 +949,7 @@ mod tests {
 
         let service = StreamService;
         let factory = factory();
-        let mut conn = HttpConn::offloading(peer(), gauge());
+        let mut conn = HttpConn::new(peer(), gauge());
         conn.feed(b"GET /movie HTTP/1.1\r\nHost: x\r\n\r\n");
         // The head emits inline; each chunk comes back as Work::Pull.
         let mut pulls = 0;
@@ -1001,6 +963,6 @@ mod tests {
         let out = String::from_utf8_lossy(conn.pending_output()).to_string();
         assert!(out.contains("Content-Length: 11"), "out: {out}");
         assert!(out.ends_with("hello world"));
-        assert!(conn.is_open(), "keep-alive survives an offloaded stream");
+        assert!(conn.open, "keep-alive survives an offloaded stream");
     }
 }

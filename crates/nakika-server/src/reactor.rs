@@ -1,11 +1,9 @@
-//! The non-blocking reactor transport: readiness-driven HTTP/1.1 service
-//! over a handful of event-loop threads, with blocking origin I/O offloaded
-//! to a worker pool.
+//! The server: readiness-driven HTTP/1.1 service over a handful of
+//! event-loop threads, with blocking origin I/O offloaded to a worker pool.
 //!
 //! # Architecture
 //!
-//! A [`ReactorServer`] runs one blocking *acceptor* thread (the same
-//! accept/shutdown discipline as the threaded server), `N` *reactor*
+//! An [`HttpServer`] runs one blocking *acceptor* thread, `N` *reactor*
 //! threads, and one shared pool of `W` *offload workers* (both counts set
 //! by [`ReactorConfig`]).  Each reactor owns a [`Poller`] (epoll on Linux,
 //! poll elsewhere — see [`crate::sys`]) and the set of connections assigned
@@ -13,10 +11,9 @@
 //! and from then on all their *client-side* I/O happens on that reactor's
 //! thread, driven by readiness events.
 //!
-//! Per connection the reactor keeps a sans-IO [`HttpConn`] state machine
-//! (shared verbatim with the blocking transport): readable events feed
-//! bytes in, and the engine's `advance` parses complete requests,
-//! dispatches the ones the service stack classifies
+//! Per connection the reactor keeps a sans-IO [`HttpConn`] state machine:
+//! readable events feed bytes in, and the engine's `advance` parses
+//! complete requests, dispatches the ones the service stack classifies
 //! [`DispatchHint::Inline`](nakika_core::service::DispatchHint) — warm
 //! cache hits — right there on the reactor thread, and pumps serialized
 //! output, which drains through non-blocking writes with `EPOLLOUT`
@@ -53,7 +50,7 @@
 //! self-pipe trick): the acceptor (or a worker) pushes onto the reactor's
 //! injection/completion queue and writes one byte to the wake socket,
 //! which the poller reports like any other readable fd.  Shutdown reuses
-//! the same path, so dropping a [`ReactorServer`] joins every thread
+//! the same path, so dropping an [`HttpServer`] joins every thread
 //! deterministically — reactors first, then the worker pool.
 
 use crate::conn::{Done, HttpConn, OutputGauge, Work, OUTPUT_WINDOW_BYTES};
@@ -104,8 +101,7 @@ const WHEEL_TICK_MS: u64 = 10;
 /// are lazily re-filed as the sweep reaches them.
 const WHEEL_SLOTS: usize = 512;
 
-/// Sizing knobs for the reactor transport
-/// ([`Transport::Reactor`](crate::Transport)).
+/// Sizing knobs for [`HttpServer::start_reactor`].
 ///
 /// ```
 /// use nakika_server::ReactorConfig;
@@ -132,10 +128,9 @@ pub struct ReactorConfig {
     /// to overlap, not toward client concurrency — warm hits never enter
     /// the pool.
     pub workers: usize,
-    /// Survival knobs shared with the threaded transport: the
-    /// per-connection progress deadline (enforced here by the reactor's
-    /// timer wheel) and the server-wide connection cap (enforced at the
-    /// acceptor).
+    /// Survival knobs: the per-connection progress deadline (enforced by
+    /// the reactor's timer wheel) and the server-wide connection cap
+    /// (enforced at the acceptor).
     pub options: ServerOptions,
     /// Serve relayable cache misses as an event-loop *splice* (`true`, the
     /// default): when the service stack publishes a
@@ -603,7 +598,7 @@ impl Reactor {
             let deadline_ms = self.now_ms() + self.idle_ms;
             self.slab[idx] = Some(Conn {
                 stream,
-                engine: HttpConn::offloading(peer, self.gauge.clone()),
+                engine: HttpConn::new(peer, self.gauge.clone()),
                 interest: Interest::READ,
                 registered: true,
                 gen: self.next_gen,
@@ -957,44 +952,16 @@ impl Reactor {
     /// false — before any side effect — when the plan cannot be spliced
     /// (non-literal host), sending the call to the worker pool instead.
     fn start_splice(&mut self, idx: usize, gen: u64, plan: RelayPlan) -> bool {
-        use std::os::unix::io::AsRawFd;
-        if plan.attempts.is_empty() {
-            return false;
-        }
         // The event loop cannot afford blocking DNS: every attempt must
         // name a literal IPv4 host or the whole plan falls back.
-        let mut addrs = Vec::with_capacity(plan.attempts.len());
-        for attempt in &plan.attempts {
-            match attempt.host.parse::<Ipv4Addr>() {
-                Ok(ip) => addrs.push(SocketAddrV4::new(ip, attempt.port)),
-                Err(_) => return false,
-            }
+        let literal_hosts = plan
+            .attempts
+            .iter()
+            .all(|attempt| attempt.host.parse::<Ipv4Addr>().is_ok());
+        if plan.attempts.is_empty() || !literal_hosts {
+            return false;
         }
         (plan.on_start)();
-        let mut attempt = 0;
-        let mut last_error = String::from("no viable upstream");
-        let opened = loop {
-            if attempt >= plan.attempts.len() {
-                break None;
-            }
-            match connect_nonblocking_v4(addrs[attempt]) {
-                Ok((stream, ready)) => {
-                    let _ = stream.set_nodelay(true);
-                    break Some((stream, ready));
-                }
-                Err(e) => {
-                    last_error = format!("{}: connect failed: {e}", plan.attempts[attempt].label);
-                    if let Some(on_fail) = &plan.attempts[attempt].on_fail {
-                        on_fail();
-                    }
-                    attempt += 1;
-                }
-            }
-        };
-        let Some((stream, ready)) = opened else {
-            self.deliver_response(idx, gen, (plan.fail)(&last_error));
-            return true;
-        };
         let i = match self.upstream_free.pop() {
             Some(i) => i,
             None => {
@@ -1002,28 +969,81 @@ impl Reactor {
                 self.upstreams.len() - 1
             }
         };
-        self.next_gen += 1;
-        let ugen = self.next_gen;
+        self.open_attempt(i, 0, plan, (idx, gen), String::new());
+        true
+    }
+
+    /// Opens the first viable attempt of `plan` at or after index `from` as
+    /// upstream slot `i`, which the caller left empty: connect
+    /// non-blocking, register with the poller, arm the state and the
+    /// deadline, and point the client's splice record at the new upstream.
+    /// An attempt that cannot be opened — refused connect or failed
+    /// registration alike — runs its `on_fail` and yields to the next.
+    /// When none remains the slot is freed, the client (`(index,
+    /// generation)`) gets the plan's failure response (a 502, not a dropped
+    /// connection) and the result is false: the caller drives `progress`
+    /// (or is inside it already).
+    fn open_attempt(
+        &mut self,
+        i: usize,
+        from: usize,
+        plan: RelayPlan,
+        client: (usize, u64),
+        mut last_error: String,
+    ) -> bool {
+        use std::os::unix::io::AsRawFd;
+        let (client, client_gen) = client;
         let interest = Interest {
             readable: false,
             writable: true,
         };
-        if self
-            .poller
-            .add(stream.as_raw_fd(), UPSTREAM_BASE + i as u64, interest)
-            .is_err()
-        {
+        let mut attempt = from;
+        let opened = loop {
+            let Some(candidate) = plan.attempts.get(attempt) else {
+                break None;
+            };
+            let result = candidate
+                .host
+                .parse::<Ipv4Addr>()
+                .map_err(|_| "non-literal host".to_string())
+                .and_then(|ip| {
+                    connect_nonblocking_v4(SocketAddrV4::new(ip, candidate.port))
+                        .map_err(|e| format!("connect failed: {e}"))
+                })
+                .and_then(|(stream, ready)| {
+                    self.poller
+                        .add(stream.as_raw_fd(), UPSTREAM_BASE + i as u64, interest)
+                        .map_err(|_| "poller failure".to_string())?;
+                    Ok((stream, ready))
+                });
+            match result {
+                Ok(opened) => break Some(opened),
+                Err(cause) => {
+                    last_error = format!("{}: {cause}", candidate.label);
+                    if let Some(on_fail) = &candidate.on_fail {
+                        on_fail();
+                    }
+                    attempt += 1;
+                }
+            }
+        };
+        let Some((stream, ready)) = opened else {
             self.upstream_free.push(i);
-            self.deliver_response(idx, gen, (plan.fail)("upstream registration failed"));
-            return true;
-        }
+            self.deliver_response(client, client_gen, (plan.fail)(&last_error));
+            return false;
+        };
+        let _ = stream.set_nodelay(true);
+        // Fresh generation: an earlier attempt's wheel entry (possibly
+        // already fired) must not evict this one.
+        self.next_gen += 1;
+        let gen = self.next_gen;
         let deadline_ms = self.now_ms() + self.idle_ms;
         let shared = Arc::new(SpliceShared::default());
         self.upstreams[i] = Some(UpstreamConn {
             stream,
-            gen: ugen,
-            client: idx,
-            client_gen: gen,
+            gen,
+            client,
+            client_gen,
             state: if ready {
                 UpstreamState::Sending
             } else {
@@ -1040,13 +1060,13 @@ impl Reactor {
             head_delivered: false,
             deadline_ms,
         });
-        self.wheel.insert(UPSTREAM_BASE_IDX + i, ugen, deadline_ms);
-        if let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) {
-            if conn.gen == gen {
+        self.wheel.insert(UPSTREAM_BASE_IDX + i, gen, deadline_ms);
+        if let Some(conn) = self.slab.get_mut(client).and_then(Option::as_mut) {
+            if conn.gen == client_gen {
                 conn.splice = Some(ClientSplice {
                     shared,
                     upstream: i,
-                    upstream_gen: ugen,
+                    upstream_gen: gen,
                     body: None,
                     parked: None,
                 });
@@ -1055,11 +1075,13 @@ impl Reactor {
         true
     }
 
-    /// Feeds a ready response into the client engine, generation-guarded.
-    /// The caller drives `progress` (or is inside it already).
+    /// Ends the splice of the client at `idx` with a ready response,
+    /// generation-guarded.  The caller drives `progress` (or is inside it
+    /// already).
     fn deliver_response(&mut self, idx: usize, gen: u64, response: Response) {
         if let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) {
             if conn.gen == gen {
+                conn.splice = None;
                 conn.engine.complete(Done::Call(Ok(response)));
             }
         }
@@ -1290,117 +1312,23 @@ impl Reactor {
     /// delivered the failure belongs to `fail_stream` instead.
     fn fail_attempt(&mut self, i: usize, reason: String) {
         use std::os::unix::io::AsRawFd;
-        let head_delivered = match self.upstreams.get(i).and_then(Option::as_ref) {
-            Some(up) => up.head_delivered,
-            None => return,
-        };
-        if head_delivered {
+        let Some(up) = self
+            .upstreams
+            .get_mut(i)
+            .and_then(|slot| slot.take_if(|up| !up.head_delivered))
+        else {
             return self.fail_stream(i, reason);
-        }
-        let now = self.now_ms();
-        let idle = self.idle_ms;
-        let Some(up) = self.upstreams.get_mut(i).and_then(Option::as_mut) else {
-            return;
         };
         if let Some(on_fail) = &up.plan.attempts[up.attempt].on_fail {
             on_fail();
         }
         if up.registered {
             let _ = self.poller.remove(up.stream.as_raw_fd());
-            up.registered = false;
         }
-        up.attempt += 1;
-        let mut last_error = reason;
-        while up.attempt < up.plan.attempts.len() {
-            let attempt = &up.plan.attempts[up.attempt];
-            let addr = match attempt.host.parse::<Ipv4Addr>() {
-                Ok(ip) => SocketAddrV4::new(ip, attempt.port),
-                Err(_) => {
-                    // Cannot happen — start_splice vetted every host — but
-                    // treated as an attempt failure all the same.
-                    last_error = format!("{}: non-literal host", attempt.label);
-                    if let Some(on_fail) = &attempt.on_fail {
-                        on_fail();
-                    }
-                    up.attempt += 1;
-                    continue;
-                }
-            };
-            match connect_nonblocking_v4(addr) {
-                Ok((stream, ready)) => {
-                    let _ = stream.set_nodelay(true);
-                    // Fresh generation: the previous attempt's wheel entry
-                    // (possibly already fired) must not evict this one.
-                    self.next_gen += 1;
-                    let ugen = self.next_gen;
-                    let interest = Interest {
-                        readable: false,
-                        writable: true,
-                    };
-                    if self
-                        .poller
-                        .add(stream.as_raw_fd(), UPSTREAM_BASE + i as u64, interest)
-                        .is_err()
-                    {
-                        last_error = format!("{}: poller failure", attempt.label);
-                        if let Some(on_fail) = &attempt.on_fail {
-                            on_fail();
-                        }
-                        up.attempt += 1;
-                        continue;
-                    }
-                    up.stream = stream;
-                    up.gen = ugen;
-                    up.state = if ready {
-                        UpstreamState::Sending
-                    } else {
-                        UpstreamState::Connecting
-                    };
-                    up.wire_written = 0;
-                    up.relay = ResponseRelay::new(None);
-                    up.interest = interest;
-                    up.registered = true;
-                    up.paused = false;
-                    up.deadline_ms = now + idle;
-                    let client = up.client;
-                    let client_gen = up.client_gen;
-                    self.wheel.insert(UPSTREAM_BASE_IDX + i, ugen, now + idle);
-                    if let Some(splice) = self
-                        .slab
-                        .get_mut(client)
-                        .and_then(Option::as_mut)
-                        .filter(|conn| conn.gen == client_gen)
-                        .and_then(|conn| conn.splice.as_mut())
-                    {
-                        splice.upstream_gen = ugen;
-                    }
-                    return;
-                }
-                Err(e) => {
-                    last_error = format!("{}: connect failed: {e}", attempt.label);
-                    if let Some(on_fail) = &attempt.on_fail {
-                        on_fail();
-                    }
-                    up.attempt += 1;
-                }
-            }
+        let client = (up.client, up.client_gen);
+        if !self.open_attempt(i, up.attempt + 1, up.plan, client, reason) {
+            self.progress(client.0);
         }
-        // Every attempt failed before delivering a head: the client gets
-        // the plan's failure response (a 502, not a dropped connection).
-        let client = up.client;
-        let client_gen = up.client_gen;
-        let response = (up.plan.fail)(&last_error);
-        self.teardown_upstream(i);
-        if let Some(conn) = self
-            .slab
-            .get_mut(client)
-            .and_then(Option::as_mut)
-            .filter(|conn| conn.gen == client_gen)
-        {
-            conn.splice = None;
-            conn.engine.complete(Done::Call(Ok(response)));
-        }
-        self.progress(client);
     }
 
     /// The response head was already relayed when the upstream died: the
@@ -1484,19 +1412,8 @@ impl Reactor {
 /// A non-blocking HTTP/1.1 server fronting any [`HttpService`] with a small
 /// set of reactor threads plus an offload worker pool for blocking origin
 /// I/O (the design notes live at the top of `nakika-server/src/reactor.rs`;
-/// the narrative version is `docs/ARCHITECTURE.md`).
-///
-/// The public surface mirrors the threaded server — [`start`], [`addr`],
-/// [`base_url`] — plus [`start_with_config`] for pinning the thread counts
-/// ([`ReactorConfig`]); the usual way to get one is
-/// [`HttpServer::start_with`](crate::HttpServer::start_with) with
-/// [`Transport::Reactor`](crate::Transport).
-///
-/// [`start`]: ReactorServer::start
-/// [`start_with_config`]: ReactorServer::start_with_config
-/// [`addr`]: ReactorServer::addr
-/// [`base_url`]: ReactorServer::base_url
-pub struct ReactorServer {
+/// the narrative version is `docs/ARCHITECTURE.md`, "The server").
+pub struct HttpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -1509,20 +1426,24 @@ pub struct ReactorServer {
     _pool: Arc<WorkerPool>,
 }
 
-impl ReactorServer {
-    /// Starts a reactor server on `127.0.0.1:port` (port 0 picks a free
-    /// port) serving `service` until the value is dropped, with derived
-    /// thread counts ([`ReactorConfig::default`]).
-    pub fn start(port: u16, service: Arc<dyn HttpService>) -> io::Result<ReactorServer> {
-        ReactorServer::start_with_config(port, service, ReactorConfig::default())
+impl HttpServer {
+    /// Starts a server on `127.0.0.1:port` (port 0 picks a free port)
+    /// serving `service` until the value is dropped, with
+    /// [`ReactorConfig::default`].
+    pub fn start(port: u16, service: Arc<dyn HttpService>) -> io::Result<HttpServer> {
+        HttpServer::start_reactor(port, service, ReactorConfig::default())
     }
 
-    /// Starts a reactor server with explicit sizing knobs.
-    pub fn start_with_config(
+    /// Starts a server with an explicit [`ReactorConfig`] — thread counts,
+    /// survival knobs, and whether cache-miss origin relays are spliced on
+    /// the event loop (`splice_origin`) or offloaded to the worker pool.
+    /// There is one server; the name says "reactor" only because the frozen
+    /// benchmark harness (`bench/src/sut.rs`) calls it by that name.
+    pub fn start_reactor(
         port: u16,
         service: Arc<dyn HttpService>,
         config: ReactorConfig,
-    ) -> io::Result<ReactorServer> {
+    ) -> io::Result<HttpServer> {
         let reactor_count = config.resolved_reactors();
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
@@ -1577,8 +1498,8 @@ impl ReactorServer {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown_flag = shutdown.clone();
-        // Same accept discipline as the threaded server: block in accept,
-        // let Drop wake it with a bare connect so the flag check runs.
+        // The accept loop blocks — no polling.  Drop wakes it with a bare
+        // connect so the flag check below runs one last time.
         let accept_stats = stats.clone();
         let acceptor = std::thread::spawn(move || {
             let mut next = 0usize;
@@ -1602,7 +1523,7 @@ impl ReactorServer {
             }
         });
 
-        Ok(ReactorServer {
+        Ok(HttpServer {
             addr,
             shutdown,
             acceptor: Some(acceptor),
@@ -1623,9 +1544,11 @@ impl ReactorServer {
         format!("http://{}", self.addr)
     }
 
-    /// Highest number of serialized-but-unsent bytes any of this server's
-    /// connections has held — see
-    /// [`HttpServer::peak_buffered_output`](crate::HttpServer::peak_buffered_output).
+    /// Highest number of serialized-but-unsent bytes any of *this
+    /// server's* connections has held — the bounded-output-window
+    /// instrument (see [`OUTPUT_WINDOW_BYTES`]).  Scoped per server, so
+    /// concurrently running servers (e.g. parallel tests) do not
+    /// contaminate each other's measurements.
     pub fn peak_buffered_output(&self) -> usize {
         self.gauge.peak()
     }
@@ -1637,7 +1560,7 @@ impl ReactorServer {
     }
 }
 
-impl Drop for ReactorServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
         // Wake the blocking accept so the loop observes the flag and exits.
@@ -1677,7 +1600,7 @@ mod tests {
 
     #[test]
     fn reactor_round_trip() {
-        let server = ReactorServer::start(0, origin_service()).unwrap();
+        let server = HttpServer::start(0, origin_service()).unwrap();
         let response = http_get(&format!("{}/index.html", server.base_url())).unwrap();
         assert_eq!(response.status, StatusCode::OK);
         assert!(response.body.to_text().contains("/index.html"));
@@ -1685,7 +1608,7 @@ mod tests {
 
     #[test]
     fn reactor_keep_alive_serves_many_requests_on_one_connection() {
-        let server = ReactorServer::start(0, origin_service()).unwrap();
+        let server = HttpServer::start(0, origin_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         for i in 0..5 {
             let req = Request::get(&format!("http://{}/r{i}", server.addr()));
@@ -1708,7 +1631,7 @@ mod tests {
 
     #[test]
     fn reactor_answers_pipelined_requests_in_order() {
-        let server = ReactorServer::start(0, origin_service()).unwrap();
+        let server = HttpServer::start(0, origin_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let mut batch = Vec::new();
         for i in 0..3 {
@@ -1743,7 +1666,7 @@ mod tests {
         // one go, so the reactor can see the bytes and the FIN in a single
         // readiness event.  The buffered request must still be answered —
         // including when its service call is offloaded to a worker.
-        let server = ReactorServer::start(0, origin_service()).unwrap();
+        let server = HttpServer::start(0, origin_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let req = Request::get(&format!("http://{}/half-close", server.addr()));
         stream.write_all(&serialize_request(&req)).unwrap();
@@ -1767,7 +1690,7 @@ mod tests {
 
     #[test]
     fn reactor_rejects_malformed_requests_with_400() {
-        let server = ReactorServer::start(0, origin_service()).unwrap();
+        let server = HttpServer::start(0, origin_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.write_all(b"NOT A VALID REQUEST\r\n\r\n").unwrap();
         let mut buffer = Vec::new();
@@ -1783,7 +1706,7 @@ mod tests {
 
     #[test]
     fn dropped_reactor_stops_accepting_deterministically() {
-        let server = ReactorServer::start(0, origin_service()).unwrap();
+        let server = HttpServer::start(0, origin_service()).unwrap();
         let addr = server.addr();
         // Drop joins the acceptor, every reactor thread, and the offload
         // pool, so by the time it returns nothing serves the port — no
@@ -1828,7 +1751,7 @@ mod tests {
     fn offloaded_slow_call_does_not_stall_other_connections() {
         // One reactor thread, so without offloading the slow call would
         // freeze every connection on the server.
-        let server = ReactorServer::start_with_config(
+        let server = HttpServer::start_reactor(
             0,
             Arc::new(SlowColdService {
                 delay: Duration::from_millis(150),
@@ -1869,12 +1792,62 @@ mod tests {
         );
     }
 
+    #[test]
+    fn slow_calls_queue_on_the_pool_while_inline_calls_stay_fast() {
+        // What a thread per connection gave by construction, pinned for the
+        // default pool — including the case it did not have, more blocked
+        // calls than threads: four rounds of 100 ms calls all complete, and
+        // a request the stack answers inline is never behind them.
+        let workers = ReactorConfig::default().resolved_workers();
+        let server = HttpServer::start(
+            0,
+            Arc::new(SlowColdService {
+                delay: Duration::from_millis(100),
+            }),
+        )
+        .unwrap();
+        let base = server.base_url();
+        let slow_clients: Vec<_> = (0..4 * workers)
+            .map(|i| {
+                let url = format!("{base}/slow/{i}");
+                std::thread::spawn(move || http_get(&url).unwrap().body.to_text())
+            })
+            .collect();
+        // Probe only once every slow call is on the pool: all workers
+        // busy, three more rounds queued behind them.
+        while server.stats().worker_submissions() < 4 * workers as u64 {
+            std::thread::yield_now();
+        }
+        // Several probes, the quickest judged: a scheduler hiccup may delay
+        // one, a probe queued behind the pool would delay every one.
+        let mut quickest = Duration::MAX;
+        let mut slow_in_flight = false;
+        for probe in 0..3 {
+            let start = Instant::now();
+            let response = http_get(&format!("{base}/fast/{probe}")).unwrap();
+            quickest = quickest.min(start.elapsed());
+            assert_eq!(response.body.to_text(), format!("/fast/{probe}"));
+            slow_in_flight |= slow_clients.iter().any(|client| !client.is_finished());
+        }
+        assert!(
+            slow_in_flight,
+            "the probes ran while slow calls held the pool"
+        );
+        assert!(
+            quickest < Duration::from_millis(50),
+            "an inline call waited on the pool: {quickest:?}"
+        );
+        for (i, client) in slow_clients.into_iter().enumerate() {
+            assert_eq!(client.join().unwrap(), format!("/slow/{i}"));
+        }
+    }
+
     /// A service whose relay plan the test scripts directly: each attempt
-    /// names a loopback port and the wire to write there.  `call` is the
-    /// threaded fallback the splice exists to avoid — its marker body must
-    /// never reach a client while the reactor adopts the plan.
+    /// names a host, a port and the wire to write there.  `call` is the
+    /// worker-pool fallback the splice exists to avoid — its marker body
+    /// must never reach a client while the reactor adopts the plan.
     struct ScriptedPlan {
-        attempts: Vec<(u16, Vec<u8>)>,
+        attempts: Vec<(&'static str, u16, Vec<u8>)>,
         attempt_failures: Arc<AtomicU64>,
         /// Winning attempt index + 1 as seen by `finish`; 0 = never ran.
         winning_attempt: Arc<AtomicU64>,
@@ -1882,7 +1855,7 @@ mod tests {
 
     impl HttpService for ScriptedPlan {
         fn call(&self, _req: Request, _ctx: &RequestCtx) -> Result<Response, NakikaError> {
-            Ok(Response::ok("text/plain", "threaded fallback"))
+            Ok(Response::ok("text/plain", "pooled fallback"))
         }
 
         fn dispatch_hint(&self, _req: &Request, _ctx: &RequestCtx) -> DispatchHint {
@@ -1895,10 +1868,10 @@ mod tests {
                 attempts: self
                     .attempts
                     .iter()
-                    .map(|(port, wire)| {
+                    .map(|(host, port, wire)| {
                         let failures = self.attempt_failures.clone();
                         RelayAttempt {
-                            host: "127.0.0.1".to_string(),
+                            host: host.to_string(),
                             port: *port,
                             wire: wire.clone(),
                             label: format!("upstream :{port}"),
@@ -1946,6 +1919,8 @@ mod tests {
         port
     }
 
+    const LOOPBACK: &str = "127.0.0.1";
+
     /// A port with nothing listening behind it: bound, then released.
     fn refused_port() -> u16 {
         TcpListener::bind("127.0.0.1:0")
@@ -1955,8 +1930,8 @@ mod tests {
             .port()
     }
 
-    fn one_loop_splice_server(service: Arc<dyn HttpService>) -> ReactorServer {
-        ReactorServer::start_with_config(
+    fn one_loop_splice_server(service: Arc<dyn HttpService>) -> HttpServer {
+        HttpServer::start_reactor(
             0,
             service,
             ReactorConfig {
@@ -1969,36 +1944,51 @@ mod tests {
     }
 
     #[test]
-    fn refused_connect_falls_back_to_the_next_attempt() {
-        // The first upstream refuses the connection — either immediately or
-        // via the Connecting state's SO_ERROR check after EINPROGRESS — and
-        // the splice must move on to the second attempt, still with zero
-        // worker hand-offs.
-        let dead = refused_port();
-        let wire = serialize_request(
-            &Request::get(&format!("http://127.0.0.1:{dead}/f")).with_header("Connection", "close"),
-        );
-        let reply = b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\nfallback".to_vec();
-        let live = raw_origin(wire.len(), reply);
-        let failures = Arc::new(AtomicU64::new(0));
-        let winning = Arc::new(AtomicU64::new(0));
-        let service: Arc<dyn HttpService> = Arc::new(ScriptedPlan {
-            attempts: vec![(dead, wire.clone()), (live, wire)],
-            attempt_failures: failures.clone(),
-            winning_attempt: winning.clone(),
-        });
-        let server = one_loop_splice_server(service);
-        let response = http_get(&format!("{}/f", server.base_url())).unwrap();
-        assert_eq!(response.status, StatusCode::OK);
-        assert_eq!(response.body.to_text(), "fallback");
-        assert_eq!(failures.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            winning.load(Ordering::Relaxed),
-            2,
-            "finish saw attempt 1 win"
-        );
-        assert_eq!(server.stats().worker_submissions(), 0);
-        assert_eq!(server.stats().spliced_relays(), 1);
+    fn first_connect_failing_either_way_falls_back_to_the_next_attempt() {
+        // Both ways a first attempt can fail to open go through
+        // `open_attempt` and must end the same: the attempt's `on_fail`
+        // run once, the second attempt's 200 relayed, zero worker
+        // hand-offs.  A multicast host fails inside `connect(2)` itself
+        // (ENETUNREACH — TCP has no multicast); a closed loopback port
+        // answers EINPROGRESS and is refused later, via the Connecting
+        // state's SO_ERROR check.
+        for (first_host, first_port) in [("224.0.0.1", 9), (LOOPBACK, refused_port())] {
+            let wire = serialize_request(
+                &Request::get("http://origin.test/f").with_header("Connection", "close"),
+            );
+            let reply = b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\nfallback".to_vec();
+            let live = raw_origin(wire.len(), reply);
+            let failures = Arc::new(AtomicU64::new(0));
+            let winning = Arc::new(AtomicU64::new(0));
+            let service: Arc<dyn HttpService> = Arc::new(ScriptedPlan {
+                attempts: vec![
+                    (first_host, first_port, wire.clone()),
+                    (LOOPBACK, live, wire),
+                ],
+                attempt_failures: failures.clone(),
+                winning_attempt: winning.clone(),
+            });
+            let server = one_loop_splice_server(service);
+            let response = http_get(&format!("{}/f", server.base_url())).unwrap();
+            assert_eq!(
+                response.status,
+                StatusCode::OK,
+                "first attempt {first_host}"
+            );
+            assert_eq!(response.body.to_text(), "fallback");
+            assert_eq!(
+                failures.load(Ordering::Relaxed),
+                1,
+                "on_fail ran exactly once for {first_host}"
+            );
+            assert_eq!(
+                winning.load(Ordering::Relaxed),
+                2,
+                "finish saw attempt 1 win"
+            );
+            assert_eq!(server.stats().worker_submissions(), 0);
+            assert_eq!(server.stats().spliced_relays(), 1);
+        }
     }
 
     #[test]
@@ -2011,7 +2001,7 @@ mod tests {
         let failures = Arc::new(AtomicU64::new(0));
         let winning = Arc::new(AtomicU64::new(0));
         let service: Arc<dyn HttpService> = Arc::new(ScriptedPlan {
-            attempts: vec![(a, wire.clone()), (b, wire)],
+            attempts: vec![(LOOPBACK, a, wire.clone()), (LOOPBACK, b, wire)],
             attempt_failures: failures.clone(),
             winning_attempt: winning.clone(),
         });
@@ -2039,6 +2029,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_plan_leaves_its_connection_spliceable() {
+        // A plan that failed on every attempt must not leave its splice
+        // record on the client connection: the next miss on the same
+        // keep-alive connection is spliced again, not sent to the pool
+        // (whose marker body would be a 200).
+        let wire = serialize_request(&Request::get("http://origin.test/dead"));
+        let failures = Arc::new(AtomicU64::new(0));
+        let service: Arc<dyn HttpService> = Arc::new(ScriptedPlan {
+            attempts: vec![(LOOPBACK, refused_port(), wire)],
+            attempt_failures: failures.clone(),
+            winning_attempt: Arc::new(AtomicU64::new(0)),
+        });
+        let server = one_loop_splice_server(service);
+        let mut client = crate::ProxyClient::connect(server.addr()).unwrap();
+        for _ in 0..2 {
+            let response = client.get("http://origin.test/dead").unwrap();
+            assert_eq!(response.status, StatusCode::BAD_GATEWAY);
+        }
+        assert_eq!(failures.load(Ordering::Relaxed), 2);
+        assert_eq!(server.stats().worker_submissions(), 0);
+    }
+
+    #[test]
     fn giant_upstream_request_survives_partial_writes() {
         // An 8 MiB upstream wire cannot fit any loopback send buffer, so
         // the Sending state must hit WouldBlock and resume across many
@@ -2051,7 +2064,7 @@ mod tests {
         let failures = Arc::new(AtomicU64::new(0));
         let winning = Arc::new(AtomicU64::new(0));
         let service: Arc<dyn HttpService> = Arc::new(ScriptedPlan {
-            attempts: vec![(origin, wire)],
+            attempts: vec![(LOOPBACK, origin, wire)],
             attempt_failures: failures.clone(),
             winning_attempt: winning.clone(),
         });

@@ -9,8 +9,7 @@
 //! itself.  Like `HttpConn` it is one engine under two executors: the
 //! reactor feeds it from its readiness loop (the spliced miss), and every
 //! blocking client in [`crate::client`] — `TcpOrigin`, `http_fetch*`,
-//! `ProxyClient`, hence the threaded transport and the worker pool — feeds
-//! it from blocking reads.
+//! `ProxyClient`, hence the worker pool — feeds it from blocking reads.
 //!
 //! Framing starts from [`nakika_http::parse_response_head`]'s verdict:
 //! `Content-Length` bodies are counted out byte-by-byte and chunked bodies

@@ -1,5 +1,5 @@
-//! Readiness notification for the reactor transport, over a thin
-//! `extern "C"` FFI onto the platform's polling facility.
+//! Readiness notification for the reactor, over a thin `extern "C"` FFI
+//! onto the platform's polling facility.
 //!
 //! This build environment has no route to a crate registry, so instead of
 //! `mio`/`libc` the reactor talks to the kernel directly: `epoll(7)` on

@@ -37,10 +37,16 @@ impl LogEntry {
     }
 }
 
+/// Most entries one site may have buffered between flushes; a site at the
+/// cap loses its newest accesses (counted, see [`AccessLog::dropped`])
+/// rather than growing the node without bound when nothing flushes.
+pub const MAX_PENDING_ENTRIES: usize = 4096;
+
 #[derive(Default)]
 struct SiteLog {
     post_url: Option<String>,
     entries: Vec<LogEntry>,
+    dropped: u64,
 }
 
 /// The per-node access log, partitioned by site.
@@ -64,17 +70,20 @@ impl AccessLog {
         log.post_url = post_url.map(str::to_string);
     }
 
-    /// Records an access for `site`.  Entries for sites that never configured
-    /// a post URL are still buffered (the site may configure one later, and
-    /// the node's operator can inspect them), but they are dropped at flush
-    /// time.
-    pub fn record(&self, site: &str, entry: LogEntry) {
+    /// Records an access for `site`, building the entry only if it will be
+    /// kept: a site that has no post URL configured buffers nothing (its
+    /// entries would be thrown away at flush time anyway), and a site
+    /// already holding [`MAX_PENDING_ENTRIES`] counts the access as dropped.
+    pub fn record(&self, site: &str, entry: impl FnOnce() -> LogEntry) {
         let mut sites = self.sites.lock();
-        sites
-            .entry(site.to_string())
-            .or_default()
-            .entries
-            .push(entry);
+        let Some(log) = sites.get_mut(site).filter(|log| log.post_url.is_some()) else {
+            return;
+        };
+        if log.entries.len() < MAX_PENDING_ENTRIES {
+            log.entries.push(entry());
+        } else {
+            log.dropped += 1;
+        }
     }
 
     /// Number of buffered entries for a site.
@@ -86,9 +95,16 @@ impl AccessLog {
             .unwrap_or(0)
     }
 
+    /// Accesses of a site that were not buffered because it was already at
+    /// [`MAX_PENDING_ENTRIES`], over the log's lifetime.
+    pub fn dropped(&self, site: &str) -> u64 {
+        self.sites.lock().get(site).map(|l| l.dropped).unwrap_or(0)
+    }
+
     /// The periodic scan: drains every site's buffered entries and returns
-    /// `(post_url, batch_body)` pairs for the node to POST.  Sites without a
-    /// configured URL have their buffers cleared and produce nothing.
+    /// `(post_url, batch_body)` pairs for the node to POST.  A site whose
+    /// logging was disabled after it buffered entries has them cleared and
+    /// produces nothing.
     pub fn flush(&self) -> Vec<(String, String)> {
         let mut sites = self.sites.lock();
         let mut batches = Vec::new();
@@ -130,9 +146,9 @@ mod tests {
         let log = AccessLog::new();
         log.configure_site("med.nyu.edu", Some("http://med.nyu.edu/log-sink"));
         log.configure_site("other.org", Some("http://other.org/logs"));
-        log.record("med.nyu.edu", entry("/simm/1", 200));
-        log.record("med.nyu.edu", entry("/simm/2", 200));
-        log.record("other.org", entry("/x", 404));
+        log.record("med.nyu.edu", || entry("/simm/1", 200));
+        log.record("med.nyu.edu", || entry("/simm/2", 200));
+        log.record("other.org", || entry("/x", 404));
         assert_eq!(log.pending("med.nyu.edu"), 2);
 
         let mut batches = log.flush();
@@ -147,12 +163,33 @@ mod tests {
     }
 
     #[test]
-    fn unconfigured_sites_produce_no_batches() {
+    fn unconfigured_sites_buffer_nothing() {
         let log = AccessLog::new();
-        log.record("silent.org", entry("/a", 200));
-        assert_eq!(log.pending("silent.org"), 1);
+        log.configure_site("disabled.org", None);
+        for _ in 0..10_000 {
+            log.record("silent.org", || unreachable!("nobody reads this entry"));
+            log.record("disabled.org", || unreachable!("nobody reads this entry"));
+        }
+        assert_eq!(log.pending("silent.org"), 0);
+        assert_eq!(log.pending("disabled.org"), 0);
+        assert_eq!(log.dropped("silent.org"), 0, "not logging is not dropping");
         assert!(log.flush().is_empty());
-        assert_eq!(log.pending("silent.org"), 0, "buffer still cleared");
+    }
+
+    #[test]
+    fn configured_sites_stop_at_the_cap_and_count_the_rest() {
+        let log = AccessLog::new();
+        log.configure_site("busy.org", Some("http://busy.org/logs"));
+        for _ in 0..MAX_PENDING_ENTRIES + 7 {
+            log.record("busy.org", || entry("/a", 200));
+        }
+        assert_eq!(log.pending("busy.org"), MAX_PENDING_ENTRIES);
+        assert_eq!(log.dropped("busy.org"), 7);
+        // A flush makes room again; the count of what was lost stays.
+        assert_eq!(log.flush()[0].1.lines().count(), MAX_PENDING_ENTRIES);
+        log.record("busy.org", || entry("/b", 200));
+        assert_eq!(log.pending("busy.org"), 1);
+        assert_eq!(log.dropped("busy.org"), 7);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Reactor edge: the non-blocking transport and the sharded proxy cache,
-//! over real localhost TCP.
+//! Reactor edge: the event-loop server and the sharded proxy cache under
+//! concurrent load, over real localhost TCP.
 //!
 //! The deployment shape is the same as `medical_cdn`'s — an origin server
-//! behind a Na Kika edge proxy — but the front-end runs on
-//! [`Transport::Reactor`]: a few epoll-driven event-loop threads multiplex
-//! every connection, so the 32 simultaneous keep-alive clients below cost
-//! slab slots instead of parked threads, and the node's cache is split into
-//! 8 independently locked shards so those clients do not serialize on one
-//! mutex.
+//! behind a Na Kika edge proxy.  A few epoll-driven event-loop threads
+//! multiplex every connection, so the 32 simultaneous keep-alive clients
+//! below cost slab slots instead of parked threads, and the node's cache is
+//! split into 8 independently locked shards so those clients do not
+//! serialize on one mutex.
 //!
 //! ```text
 //! cargo run --example reactor_edge
@@ -16,7 +15,7 @@
 use nakika_core::service::service_fn;
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin, Transport};
+use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,7 +24,7 @@ const REQUESTS_PER_CLIENT: usize = 24;
 const PAGES: usize = 12;
 
 fn main() {
-    // 1. A threaded origin server: a dozen cacheable pages.
+    // 1. An origin server: a dozen cacheable pages.
     let origin = HttpServer::start(
         0,
         service_fn(|request: Request, _ctx| {
@@ -38,24 +37,15 @@ fn main() {
     )
     .expect("origin starts");
 
-    // 2. The edge: a plain proxy node with an 8-way sharded cache, served by
-    //    the reactor transport.  Swapping `Transport::Reactor` for
-    //    `Transport::Threaded` is the entire difference between the two
-    //    front-ends — the service stack is identical.
+    // 2. The edge: a plain proxy node with an 8-way sharded cache.
     let edge = Arc::new(
         NodeBuilder::plain_proxy("reactor-edge")
             .cache_shards(8)
             .origin(Arc::new(TcpOrigin::new()))
             .build(),
     );
-    let proxy = ProxyServer::start_with(0, edge.service(), Transport::Reactor)
-        .expect("reactor proxy starts");
-    println!(
-        "origin at {}, reactor proxy at {} ({:?} transport)\n",
-        origin.addr(),
-        proxy.addr(),
-        proxy.transport()
-    );
+    let proxy = ProxyServer::start(0, edge.service()).expect("proxy starts");
+    println!("origin at {}, proxy at {}\n", origin.addr(), proxy.addr());
 
     // 3. 32 keep-alive clients hammer the proxy concurrently.
     let start = Instant::now();

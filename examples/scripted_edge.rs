@@ -1,6 +1,6 @@
 //! Scripted edge: the full Na Kika pipeline — walls, a site `nakika.js`,
 //! the bytecode VM, and the compiled-program cache — over real localhost
-//! TCP on the reactor transport.
+//! TCP.
 //!
 //! The site script registers two policies: an API route whose `onRequest`
 //! *generates* the response on the edge (the origin is never contacted),
@@ -19,7 +19,7 @@
 use nakika_core::service::{service_fn, DispatchHint};
 use nakika_core::{scripts, NodeBuilder};
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin, Transport};
+use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin};
 use std::sync::Arc;
 
 const SITE_SCRIPT: &str = r#"
@@ -80,8 +80,7 @@ fn main() {
             .origin(Arc::new(TcpOrigin::new()))
             .build(),
     );
-    let proxy = ProxyServer::start_with(0, edge.service(), Transport::Reactor)
-        .expect("reactor proxy starts");
+    let proxy = ProxyServer::start(0, edge.service()).expect("proxy starts");
     println!(
         "origin at {}, scripted reactor edge at {}\n",
         origin.addr(),

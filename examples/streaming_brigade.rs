@@ -23,8 +23,7 @@ use nakika_core::service::{service_fn, NakikaError, RequestCtx};
 use nakika_core::{NodeBuilder, OriginFetch};
 use nakika_http::{ChunkSource, Request, Response, STREAM_CHUNK_BYTES};
 use nakika_server::{
-    http_fetch_streaming_via_proxy, HttpServer, ProxyServer, TcpOrigin, Transport,
-    OUTPUT_WINDOW_BYTES,
+    http_fetch_streaming_via_proxy, HttpServer, ProxyServer, TcpOrigin, OUTPUT_WINDOW_BYTES,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -98,8 +97,8 @@ fn main() -> Result<(), NakikaError> {
         .cache_capacity_bytes(1024 * 1024)
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy_a = ProxyServer::start_with(0, edge_a.service(), Transport::Threaded)
-        .map_err(fail("edge A failed to start"))?;
+    let proxy_a =
+        ProxyServer::start(0, edge_a.service()).map_err(fail("edge A failed to start"))?;
 
     let edge_b = NodeBuilder::plain_proxy("edge-b")
         .cache_capacity_bytes(1024 * 1024)
@@ -107,8 +106,8 @@ fn main() -> Result<(), NakikaError> {
             proxy: proxy_a.addr(),
         }))
         .build();
-    let proxy_b = ProxyServer::start_with(0, edge_b.service(), Transport::Reactor)
-        .map_err(fail("edge B failed to start"))?;
+    let proxy_b =
+        ProxyServer::start(0, edge_b.service()).map_err(fail("edge B failed to start"))?;
 
     println!(
         "brigade: client <- edge B ({}) <- edge A ({}) <- origin ({})",

@@ -1,7 +1,6 @@
 //! Hostile-workload survival: the proxy under attack must evict the
 //! attackers, answer the protocol-violation traffic with the right
-//! status codes, and keep serving polite clients byte-identically —
-//! on both transports.
+//! status codes, and keep serving polite clients byte-identically.
 //!
 //! The attack clients live in `nakika_bench::hostile`; the defenses
 //! under test are the per-connection progress deadlines and connection
@@ -14,8 +13,8 @@ use nakika_core::service::service_fn;
 use nakika_core::{NodeBuilder, RateLimitLayer};
 use nakika_http::{Request, Response, StatusCode};
 use nakika_server::{
-    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ServerOptions, TcpOrigin, Transport,
-    OUTPUT_WINDOW_BYTES,
+    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, ServerOptions,
+    TcpOrigin, OUTPUT_WINDOW_BYTES,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,13 +49,16 @@ fn start_origin() -> HttpServer {
     .expect("origin starts")
 }
 
-fn start_proxy(transport: Transport, options: ServerOptions) -> (HttpServer, ProxyServer) {
+fn start_proxy(options: ServerOptions) -> (HttpServer, ProxyServer) {
     let origin = start_origin();
     let edge = NodeBuilder::plain_proxy("hostile-edge")
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy =
-        ProxyServer::start_with_options(0, edge.service(), transport, options).expect("proxy");
+    let config = ReactorConfig {
+        options,
+        ..ReactorConfig::default()
+    };
+    let proxy = ProxyServer::start_reactor(0, edge.service(), config).expect("proxy");
     (origin, proxy)
 }
 
@@ -67,56 +69,45 @@ fn start_proxy(transport: Transport, options: ServerOptions) -> (HttpServer, Pro
 /// that client's deadline.
 #[test]
 fn slow_loris_is_evicted_while_polite_clients_stay_healthy() {
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        let (origin, proxy) = start_proxy(
-            transport,
-            ServerOptions {
-                idle_timeout_ms: 600,
-                ..ServerOptions::default()
-            },
-        );
-        let addr = proxy.addr();
-        let base = origin.base_url();
+    let (origin, proxy) = start_proxy(ServerOptions {
+        idle_timeout_ms: 600,
+        ..ServerOptions::default()
+    });
+    let addr = proxy.addr();
+    let base = origin.base_url();
 
-        let loris = std::thread::spawn(move || {
-            // 50 ms per byte: constant byte-level activity, zero protocol
-            // progress.  A byte-activity timer would never fire here.
-            slow_loris(addr, Duration::from_millis(50), Duration::from_secs(20))
-        });
+    let loris = std::thread::spawn(move || {
+        // 50 ms per byte: constant byte-level activity, zero protocol
+        // progress.  A byte-activity timer would never fire here.
+        slow_loris(addr, Duration::from_millis(50), Duration::from_secs(20))
+    });
 
-        let polite: Vec<_> = (0..64)
-            .map(|c| {
-                let base = base.clone();
-                std::thread::spawn(move || {
-                    let mut client = ProxyClient::connect(addr).expect("polite connect");
-                    for r in 0..8 {
-                        let i = (c + r) % 16;
-                        let url = format!("{base}/polite/{i}.html");
-                        let response = client.get(&url).expect("polite request survives attack");
-                        assert_eq!(response.status, StatusCode::OK);
-                        assert_eq!(
-                            response.body.to_text(),
-                            expected_body(i),
-                            "byte-identical under attack on {transport:?}"
-                        );
-                    }
-                })
+    let polite: Vec<_> = (0..64)
+        .map(|c| {
+            let base = base.clone();
+            std::thread::spawn(move || {
+                let mut client = ProxyClient::connect(addr).expect("polite connect");
+                for r in 0..8 {
+                    let i = (c + r) % 16;
+                    let url = format!("{base}/polite/{i}.html");
+                    let response = client.get(&url).expect("polite request survives attack");
+                    assert_eq!(response.status, StatusCode::OK);
+                    assert_eq!(
+                        response.body.to_text(),
+                        expected_body(i),
+                        "byte-identical under attack"
+                    );
+                }
             })
-            .collect();
-        for p in polite {
-            p.join().expect("polite client panicked");
-        }
-
-        let outcome = loris.join().expect("loris panicked");
-        assert!(
-            outcome.evicted,
-            "slow-loris survived its 20 s give-up on {transport:?}"
-        );
-        assert!(
-            proxy.stats().timeouts() >= 1,
-            "eviction not counted on {transport:?}"
-        );
+        })
+        .collect();
+    for p in polite {
+        p.join().expect("polite client panicked");
     }
+
+    let outcome = loris.join().expect("loris panicked");
+    assert!(outcome.evicted, "slow-loris survived its 20 s give-up");
+    assert!(proxy.stats().timeouts() >= 1, "eviction not counted");
 }
 
 /// Protocol-violation traffic is refused with the right status before it
@@ -124,23 +115,13 @@ fn slow_loris_is_evicted_while_polite_clients_stay_healthy() {
 /// the parser cap gets 413 — from the `Content-Length` alone.
 #[test]
 fn floods_are_refused_with_431_and_413() {
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        let (_origin, proxy) = start_proxy(transport, ServerOptions::default());
+    let (_origin, proxy) = start_proxy(ServerOptions::default());
 
-        let flood = header_flood(proxy.addr(), 512);
-        assert_eq!(
-            flood.status,
-            Some(431),
-            "512-header request must get 431 on {transport:?}"
-        );
+    let flood = header_flood(proxy.addr(), 512);
+    assert_eq!(flood.status, Some(431), "512-header request must get 431");
 
-        let body = oversized_body(proxy.addr(), 128 * 1024 * 1024);
-        assert_eq!(
-            body.status,
-            Some(413),
-            "128 MiB declared body must get 413 on {transport:?}"
-        );
-    }
+    let body = oversized_body(proxy.addr(), 128 * 1024 * 1024);
+    assert_eq!(body.status, Some(413), "128 MiB declared body must get 413");
 }
 
 /// A slow-read client asks for an 8 MiB cached body and drains one byte
@@ -152,38 +133,33 @@ fn floods_are_refused_with_431_and_413() {
 /// has hung up, so the client is the one witness that cannot be trusted.
 #[test]
 fn slow_reader_is_evicted_and_output_stays_bounded() {
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        let (origin, proxy) = start_proxy(
-            transport,
-            ServerOptions {
-                idle_timeout_ms: 500,
-                ..ServerOptions::default()
-            },
-        );
-        let url = format!("{}/big.bin", origin.base_url());
-        // Warm the cache politely first.
-        let response = http_get_via_proxy(proxy.addr(), &url).expect("warm fetch");
-        assert_eq!(response.body.len(), 8 << 20);
+    let (origin, proxy) = start_proxy(ServerOptions {
+        idle_timeout_ms: 500,
+        ..ServerOptions::default()
+    });
+    let url = format!("{}/big.bin", origin.base_url());
+    // Warm the cache politely first.
+    let response = http_get_via_proxy(proxy.addr(), &url).expect("warm fetch");
+    assert_eq!(response.body.len(), 8 << 20);
 
-        let reader = SlowReader::start(proxy.addr(), &url).expect("slow reader connects");
-        let drain = std::thread::spawn(move || {
-            reader.drain(Duration::from_millis(5), Duration::from_secs(8));
-        });
-        let deadline = std::time::Instant::now() + Duration::from_secs(15);
-        while proxy.stats().timeouts() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "slow reader never evicted on {transport:?}"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
+    let reader = SlowReader::start(proxy.addr(), &url).expect("slow reader connects");
+    let drain = std::thread::spawn(move || {
+        reader.drain(Duration::from_millis(5), Duration::from_secs(8));
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(15);
+    while proxy.stats().timeouts() == 0 {
         assert!(
-            proxy.peak_buffered_output() <= OUTPUT_WINDOW_BYTES,
-            "stalled reader ballooned the output buffer to {} on {transport:?}",
-            proxy.peak_buffered_output()
+            std::time::Instant::now() < deadline,
+            "slow reader never evicted"
         );
-        drain.join().expect("drain thread panicked");
+        std::thread::sleep(Duration::from_millis(25));
     }
+    assert!(
+        proxy.peak_buffered_output() <= OUTPUT_WINDOW_BYTES,
+        "stalled reader ballooned the output buffer to {}",
+        proxy.peak_buffered_output()
+    );
+    drain.join().expect("drain thread panicked");
 }
 
 /// The token-bucket rate limit is enforced at the service seam: a client
@@ -222,38 +198,33 @@ fn rate_limited_client_sees_429() {
 /// and the refusal is counted.  Existing connections are untouched.
 #[test]
 fn over_cap_connections_get_503() {
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        let (origin, proxy) = start_proxy(
-            transport,
-            ServerOptions {
-                max_connections: 4,
-                ..ServerOptions::default()
-            },
-        );
-        let url = format!("{}/polite/2.html", origin.base_url());
+    let (origin, proxy) = start_proxy(ServerOptions {
+        max_connections: 4,
+        ..ServerOptions::default()
+    });
+    let url = format!("{}/polite/2.html", origin.base_url());
 
-        // Fill the cap with live keep-alive sessions (a request each, so
-        // the slots are provably claimed before the fifth arrives).
-        let mut held: Vec<ProxyClient> = (0..4)
-            .map(|_| {
-                let mut c = ProxyClient::connect(proxy.addr()).expect("connect");
-                assert_eq!(c.get(&url).expect("in-cap request").status, StatusCode::OK);
-                c
-            })
-            .collect();
+    // Fill the cap with live keep-alive sessions (a request each, so
+    // the slots are provably claimed before the fifth arrives).
+    let mut held: Vec<ProxyClient> = (0..4)
+        .map(|_| {
+            let mut c = ProxyClient::connect(proxy.addr()).expect("connect");
+            assert_eq!(c.get(&url).expect("in-cap request").status, StatusCode::OK);
+            c
+        })
+        .collect();
 
-        let refused = http_get_via_proxy(proxy.addr(), &url).expect("over-cap exchange");
-        assert_eq!(
-            refused.status.as_u16(),
-            503,
-            "fifth connection must be refused on {transport:?}"
-        );
-        assert!(proxy.stats().rejected_over_cap() >= 1);
+    let refused = http_get_via_proxy(proxy.addr(), &url).expect("over-cap exchange");
+    assert_eq!(
+        refused.status.as_u16(),
+        503,
+        "fifth connection must be refused"
+    );
+    assert!(proxy.stats().rejected_over_cap() >= 1);
 
-        // The held connections still work after the refusal.
-        for c in held.iter_mut() {
-            assert_eq!(c.get(&url).expect("still served").status, StatusCode::OK);
-        }
+    // The held connections still work after the refusal.
+    for c in held.iter_mut() {
+        assert_eq!(c.get(&url).expect("still served").status, StatusCode::OK);
     }
 }
 
@@ -268,25 +239,17 @@ fn keepalive_soak_drops_no_polite_connections() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(200);
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        // The threaded transport parks one OS thread per connection;
-        // cap its side of the soak so the test exercises "many parked
-        // threads" without asking the box for thousands of them.
-        let conns = match transport {
-            Transport::Threaded => requested.min(128),
-            Transport::Reactor => nakika_bench::hostile::fd_budget_connections(requested),
-        };
-        let (origin, proxy) = start_proxy(transport, ServerOptions::default());
-        let url = format!("{}/polite/3.html", origin.base_url());
-        http_get_via_proxy(proxy.addr(), &url).expect("warm");
+    let conns = nakika_bench::hostile::fd_budget_connections(requested);
+    let (origin, proxy) = start_proxy(ServerOptions::default());
+    let url = format!("{}/polite/3.html", origin.base_url());
+    http_get_via_proxy(proxy.addr(), &url).expect("warm");
 
-        let report = keepalive_soak(proxy.addr(), &url, conns, 3).expect("soak runs");
-        assert_eq!(
-            report.dropped, 0,
-            "dropped {} of {} polite connections on {transport:?}",
-            report.dropped, report.connections
-        );
-        assert_eq!(report.completed, (conns * 3) as u64);
-        assert!(report.hist.count() == report.completed);
-    }
+    let report = keepalive_soak(proxy.addr(), &url, conns, 3).expect("soak runs");
+    assert_eq!(
+        report.dropped, 0,
+        "dropped {} of {} polite connections",
+        report.dropped, report.connections
+    );
+    assert_eq!(report.completed, (conns * 3) as u64);
+    assert!(report.hist.count() == report.completed);
 }

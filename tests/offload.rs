@@ -15,9 +15,7 @@
 use nakika_core::service::{service_fn, NakikaError};
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{
-    http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ReactorServer, TcpOrigin,
-};
+use nakika_server::{http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, TcpOrigin};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,7 +81,7 @@ fn slow_cold_origin_does_not_stall_warm_reactor_clients() {
     // One reactor thread: pre-offload, a single in-flight cold fetch
     // freezes *every* connection, so the regression cannot hide behind
     // multi-reactor luck.
-    let server = ReactorServer::start_with_config(
+    let server = HttpServer::start_reactor(
         0,
         edge.service(),
         ReactorConfig {

@@ -76,6 +76,8 @@ fn middleware_ordering_logging_wraps_admission_wraps_pipeline() {
         Ok(Response::ok("text/plain", "served"))
     });
     let log = Arc::new(AccessLog::new());
+    log.configure_site("hog.example", Some("http://hog.example/log-sink"));
+    log.configure_site("good.example", Some("http://good.example/log-sink"));
     let stack = layered(
         pipeline,
         vec![
@@ -103,7 +105,6 @@ fn middleware_ordering_logging_wraps_admission_wraps_pipeline() {
     assert_eq!(events.lock().as_slice(), ["pipeline"]);
     assert_eq!(log.pending("good.example"), 1);
 
-    log.configure_site("hog.example", Some("http://hog.example/log-sink"));
     let batches = log.flush();
     assert!(
         batches.iter().any(|(_, body)| body.contains(" 503 ")),

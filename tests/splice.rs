@@ -1,7 +1,6 @@
 //! Fault-injection and zero-hand-off pins for the reactor's origin splice.
 //!
-//! A cache miss on the reactor transport is answered by an event-loop
-//! relay: the reactor opens the origin connection itself, in the same
+//! A cache miss is answered by an event-loop relay: the reactor opens the origin connection itself, in the same
 //! poller as the clients, and splices bytes across with no worker-pool
 //! hand-off.  These tests pin the three properties that make that safe to
 //! rely on:
@@ -12,7 +11,7 @@
 //!    restores the pooled path with identical bytes.
 //! 2. **Truncation is surfaced** — an origin that dies mid-body aborts the
 //!    client connection (counted in `ServerStats::relay_aborts`), never
-//!    silently repairs the framing.  Both transports agree.
+//!    silently repairs the framing.  Both executors of a miss agree.
 //! 3. **Stalls are evicted** — an origin that accepts and then goes silent
 //!    is evicted by the reactor's timer wheel at `idle_timeout_ms` while
 //!    64 warm keep-alive clients on the same event loop keep receiving
@@ -22,8 +21,7 @@ use nakika_core::service::{service_fn, HttpService};
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_http::{Request, Response, StatusCode};
 use nakika_server::{
-    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, ReactorServer,
-    ServerOptions, TcpOrigin, Transport,
+    http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ServerOptions, TcpOrigin,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,6 +49,23 @@ fn edge_service() -> (NodeHandle, Arc<dyn HttpService>) {
     (edge, service)
 }
 
+/// A proxy on one event loop, relaying misses by the splice
+/// (`splice_origin`, the default) or by the blocking executor on the worker
+/// pool.
+fn one_loop_proxy(service: Arc<dyn HttpService>, splice_origin: bool) -> HttpServer {
+    HttpServer::start_reactor(
+        0,
+        service,
+        ReactorConfig {
+            reactors: 1,
+            workers: 2,
+            splice_origin,
+            ..ReactorConfig::default()
+        },
+    )
+    .unwrap()
+}
+
 #[test]
 fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
     let origin = cacheable_origin();
@@ -61,16 +76,7 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
     // Splice on (the default): every cold miss must be relayed on the
     // event loop — no worker-pool job for the call, none for body pulls.
     let (_edge, service) = edge_service();
-    let spliced = ReactorServer::start_with_config(
-        0,
-        service,
-        ReactorConfig {
-            reactors: 1,
-            workers: 2,
-            ..ReactorConfig::default()
-        },
-    )
-    .unwrap();
+    let spliced = one_loop_proxy(service, true);
     let mut spliced_bodies = Vec::new();
     for url in &urls {
         let response = http_get_via_proxy(spliced.addr(), url).unwrap();
@@ -94,17 +100,7 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
 
     // Splice off: the same workload rides the worker pool, byte-identical.
     let (_edge, service) = edge_service();
-    let pooled = ReactorServer::start_with_config(
-        0,
-        service,
-        ReactorConfig {
-            reactors: 1,
-            workers: 2,
-            splice_origin: false,
-            ..ReactorConfig::default()
-        },
-    )
-    .unwrap();
+    let pooled = one_loop_proxy(service, false);
     let mut pooled_bodies = Vec::new();
     for url in &urls {
         let response = http_get_via_proxy(pooled.addr(), url).unwrap();
@@ -117,14 +113,6 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
         "with the splice disabled every miss is a pool job"
     );
     assert_eq!(spliced_bodies, pooled_bodies, "paths are byte-identical");
-
-    // The threaded transport is untouched by all of this.
-    let (_edge, service) = edge_service();
-    let threaded = ProxyServer::start_with(0, service, Transport::Threaded).unwrap();
-    for (url, expected) in urls.iter().zip(&spliced_bodies) {
-        let response = http_get_via_proxy(threaded.addr(), url).unwrap();
-        assert_eq!(&response.body.to_text(), expected);
-    }
 }
 
 /// A raw TCP origin: reads each connection's request head (the tests only
@@ -185,62 +173,53 @@ fn raw_proxy_get(proxy: SocketAddr, url: &str) -> Vec<u8> {
 
 /// Asserts that `received` carries the truncating origin's head but was cut
 /// off before the declared body completed.
-fn assert_truncated(received: &[u8], declared: usize, transport: &str) {
+fn assert_truncated(received: &[u8], declared: usize, executor: &str) {
     let head_end = received
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
-        .unwrap_or_else(|| panic!("{transport}: no response head in {} bytes", received.len()));
+        .unwrap_or_else(|| panic!("{executor}: no response head in {} bytes", received.len()));
     let head = String::from_utf8_lossy(&received[..head_end]);
     assert!(
         head.starts_with("HTTP/1.1 200"),
-        "{transport}: the origin's head is relayed before the fault: {head}"
+        "{executor}: the origin's head is relayed before the fault: {head}"
     );
     assert!(
         head.contains(&format!("Content-Length: {declared}")),
-        "{transport}: framing is forwarded, not repaired: {head}"
+        "{executor}: framing is forwarded, not repaired: {head}"
     );
     let body_bytes = received.len() - head_end - 4;
     assert!(
         body_bytes < declared,
-        "{transport}: the client must observe the truncation \
+        "{executor}: the client must observe the truncation \
          (got {body_bytes} of {declared} declared bytes)"
     );
 }
 
 #[test]
-fn origin_death_mid_stream_aborts_the_client_on_both_transports() {
+fn origin_death_mid_stream_aborts_the_client_on_both_executors() {
     const DECLARED: usize = 256 * 1024;
     const SENT: usize = 8 * 1024;
     let origin = truncating_origin(DECLARED, SENT);
     let url = format!("http://{origin}/dead.html");
 
     let (_edge, service) = edge_service();
-    let reactor = ReactorServer::start_with_config(
-        0,
-        service,
-        ReactorConfig {
-            reactors: 1,
-            workers: 2,
-            ..ReactorConfig::default()
-        },
-    )
-    .unwrap();
-    let received = raw_proxy_get(reactor.addr(), &url);
-    assert_truncated(&received, DECLARED, "reactor");
+    let spliced = one_loop_proxy(service, true);
+    let received = raw_proxy_get(spliced.addr(), &url);
+    assert_truncated(&received, DECLARED, "splice");
     assert!(
-        reactor.stats().relay_aborts() >= 1,
+        spliced.stats().relay_aborts() >= 1,
         "the truncation is counted, not silently dropped"
     );
     assert_eq!(
-        reactor.stats().worker_submissions(),
+        spliced.stats().worker_submissions(),
         0,
         "the failing relay still never touched the worker pool"
     );
 
     let (_edge, service) = edge_service();
-    let threaded = ProxyServer::start_with(0, service, Transport::Threaded).unwrap();
-    let received = raw_proxy_get(threaded.addr(), &url);
-    assert_truncated(&received, DECLARED, "threaded");
+    let pooled = one_loop_proxy(service, false);
+    let received = raw_proxy_get(pooled.addr(), &url);
+    assert_truncated(&received, DECLARED, "blocking executor");
 }
 
 /// A raw TCP origin in the HTTP/1.0 style: a head with neither
@@ -258,40 +237,31 @@ fn close_delimited_bodies_are_relayed_and_cached_on_both_executors() {
     let origin = close_delimiting_origin(BODY);
     let url = format!("http://{origin}/legacy.html");
 
-    let (reactor_edge, service) = edge_service();
-    let reactor = ReactorServer::start_with_config(
-        0,
-        service,
-        ReactorConfig {
-            reactors: 1,
-            workers: 2,
-            ..ReactorConfig::default()
-        },
-    )
-    .unwrap();
-    let (threaded_edge, service) = edge_service();
-    let threaded = ProxyServer::start_with(0, service, Transport::Threaded).unwrap();
+    let (spliced_edge, service) = edge_service();
+    let spliced = one_loop_proxy(service, true);
+    let (pooled_edge, service) = edge_service();
+    let pooled = one_loop_proxy(service, false);
 
-    for (proxy, edge, transport) in [
-        (reactor.addr(), &reactor_edge, "reactor splice"),
-        (threaded.addr(), &threaded_edge, "threaded"),
+    for (proxy, edge, executor) in [
+        (spliced.addr(), &spliced_edge, "splice"),
+        (pooled.addr(), &pooled_edge, "blocking executor"),
     ] {
         let first = http_get_via_proxy(proxy, &url).unwrap();
-        assert_eq!(first.status, StatusCode::OK, "{transport}");
+        assert_eq!(first.status, StatusCode::OK, "{executor}");
         assert_eq!(
             first.body.to_bytes().as_ref(),
             BODY,
-            "{transport}: the body runs to the upstream's EOF"
+            "{executor}: the body runs to the upstream's EOF"
         );
         let second = http_get_via_proxy(proxy, &url).unwrap();
-        assert_eq!(second.body.to_bytes().as_ref(), BODY, "{transport}");
+        assert_eq!(second.body.to_bytes().as_ref(), BODY, "{executor}");
         let stats = edge.node().cache_stats();
-        assert_eq!(stats.inserts, 1, "{transport}: the full instance is cached");
-        assert_eq!(stats.hits, 1, "{transport}: the second request is a hit");
-        assert_eq!(edge.node().stats().origin_fetches, 1, "{transport}");
+        assert_eq!(stats.inserts, 1, "{executor}: the full instance is cached");
+        assert_eq!(stats.hits, 1, "{executor}: the second request is a hit");
+        assert_eq!(edge.node().stats().origin_fetches, 1, "{executor}");
     }
-    assert_eq!(reactor.stats().spliced_relays(), 1);
-    assert_eq!(reactor.stats().worker_submissions(), 0);
+    assert_eq!(spliced.stats().spliced_relays(), 1);
+    assert_eq!(spliced.stats().worker_submissions(), 0);
 }
 
 /// A raw TCP origin that accepts, reads the request, and then never
@@ -324,7 +294,7 @@ fn stalled_origin_is_evicted_while_warm_clients_stay_byte_identical() {
     // One reactor thread: the stalled upstream shares its event loop with
     // every warm client, so any mishandling (a blocking wait, a leaked
     // slot wedging the poller) would show up as warm-path corruption.
-    let server = ReactorServer::start_with_config(
+    let server = HttpServer::start_reactor(
         0,
         service,
         ReactorConfig {

@@ -1,7 +1,6 @@
 //! End-to-end tests of the v2 streaming `Body` path: truncated upstreams
-//! surface as typed errors, and large responses relay through both
-//! transports byte-identically while per-connection buffering stays under
-//! the bounded window.
+//! surface as typed errors, and large responses relay byte-identically
+//! while per-connection buffering stays under the bounded window.
 
 use bytes::Bytes;
 use nakika_core::service::{buffered_body, service_fn, NakikaError};
@@ -9,7 +8,7 @@ use nakika_core::NodeBuilder;
 use nakika_http::{Body, ChunkSource, Request, Response, StatusCode, STREAM_CHUNK_BYTES};
 use nakika_server::{
     http_fetch, http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ProxyServer,
-    TcpOrigin, Transport, OUTPUT_WINDOW_BYTES,
+    TcpOrigin, OUTPUT_WINDOW_BYTES,
 };
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -130,65 +129,63 @@ fn pattern_origin(declare_length: bool) -> Arc<dyn nakika_core::service::HttpSer
 
 #[test]
 fn large_bodies_relay_byte_identical_with_bounded_buffering() {
-    // Both transports, and both wire framings: a declared Content-Length
-    // and an undeclared (chunked) stream.
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        for declare_length in [true, false] {
-            let origin = HttpServer::start(0, pattern_origin(declare_length)).unwrap();
-            // A small cache keeps the 8 MiB relay out of the tee budget, so
-            // this test isolates pure transport buffering.
-            let edge = Arc::new(
-                NodeBuilder::plain_proxy("large-body-edge")
-                    .cache_capacity_bytes(64 * 1024)
-                    .origin(Arc::new(TcpOrigin::new()))
-                    .build(),
-            );
-            let proxy = ProxyServer::start_with(0, edge.service(), transport).unwrap();
-            let url = format!("{}/large.bin", origin.base_url());
+    // Both wire framings: a declared Content-Length and an undeclared
+    // (chunked) stream.
+    for declare_length in [true, false] {
+        let origin = HttpServer::start(0, pattern_origin(declare_length)).unwrap();
+        // A small cache keeps the 8 MiB relay out of the tee budget, so
+        // this test isolates pure transport buffering.
+        let edge = Arc::new(
+            NodeBuilder::plain_proxy("large-body-edge")
+                .cache_capacity_bytes(64 * 1024)
+                .origin(Arc::new(TcpOrigin::new()))
+                .build(),
+        );
+        let proxy = ProxyServer::start(0, edge.service()).unwrap();
+        let url = format!("{}/large.bin", origin.base_url());
 
-            // Each server carries its own high-water gauge (freshly zero for
-            // these just-started servers), so concurrently running tests
-            // cannot contaminate the measurement.
-            let mut response =
-                http_fetch_streaming_via_proxy(proxy.addr(), &Request::get(&url)).unwrap();
-            assert_eq!(response.status, StatusCode::OK);
+        // Each server carries its own high-water gauge (freshly zero for
+        // these just-started servers), so concurrently running tests
+        // cannot contaminate the measurement.
+        let mut response =
+            http_fetch_streaming_via_proxy(proxy.addr(), &Request::get(&url)).unwrap();
+        assert_eq!(response.status, StatusCode::OK);
 
-            // Drain the stream chunk by chunk, verifying the pattern so the
-            // test never holds the 8 MiB body either.
-            let mut offset = 0usize;
-            let mut body = std::mem::take(&mut response.body);
-            while let Some(chunk) = body.read_chunk().unwrap() {
-                for (i, byte) in chunk.iter().enumerate() {
-                    assert_eq!(
-                        *byte,
-                        pattern_byte(offset + i),
-                        "byte {} differs ({transport:?}, declared={declare_length})",
-                        offset + i
-                    );
-                }
-                offset += chunk.len();
+        // Drain the stream chunk by chunk, verifying the pattern so the
+        // test never holds the 8 MiB body either.
+        let mut offset = 0usize;
+        let mut body = std::mem::take(&mut response.body);
+        while let Some(chunk) = body.read_chunk().unwrap() {
+            for (i, byte) in chunk.iter().enumerate() {
+                assert_eq!(
+                    *byte,
+                    pattern_byte(offset + i),
+                    "byte {} differs (declared={declare_length})",
+                    offset + i
+                );
             }
-            assert_eq!(
-                offset, LARGE_BODY_BYTES,
-                "full body arrived ({transport:?}, declared={declare_length})"
-            );
-
-            // The instrumented chunk accounting across *every* connection in
-            // the chain (origin server + proxy, both nakika transports) must
-            // stay under the bounded output window.
-            let peak = origin
-                .peak_buffered_output()
-                .max(proxy.peak_buffered_output());
-            assert!(
-                peak <= OUTPUT_WINDOW_BYTES,
-                "peak buffered output {peak} exceeds the {OUTPUT_WINDOW_BYTES} window \
-                 ({transport:?}, declared={declare_length})"
-            );
-            assert!(peak > 0, "the workload exercised the instrumented path");
-            // An 8 MiB body never fit the 64 KiB cache: it streamed through
-            // uncached rather than being buffered for admission.
-            assert_eq!(edge.node().cache_stats().inserts, 0);
+            offset += chunk.len();
         }
+        assert_eq!(
+            offset, LARGE_BODY_BYTES,
+            "full body arrived (declared={declare_length})"
+        );
+
+        // The instrumented chunk accounting across *every* connection in
+        // the chain (origin server + proxy) must
+        // stay under the bounded output window.
+        let peak = origin
+            .peak_buffered_output()
+            .max(proxy.peak_buffered_output());
+        assert!(
+            peak <= OUTPUT_WINDOW_BYTES,
+            "peak buffered output {peak} exceeds the {OUTPUT_WINDOW_BYTES} window \
+             (declared={declare_length})"
+        );
+        assert!(peak > 0, "the workload exercised the instrumented path");
+        // An 8 MiB body never fit the 64 KiB cache: it streamed through
+        // uncached rather than being buffered for admission.
+        assert_eq!(edge.node().cache_stats().inserts, 0);
     }
 }
 

@@ -1,17 +1,12 @@
-//! Concurrency soak: 64 simultaneous keep-alive clients against both
-//! transports, asserting byte-identical responses and coherent aggregated
-//! cache statistics across the sharded proxy cache.
-//!
-//! This is the test the reactor transport exists to pass: the threaded
-//! server holds 64 parked threads, the reactor holds 64 slab slots — both
-//! must serve exactly the same bytes through exactly the same
-//! `HttpService` stack, and the sharded cache must account every lookup.
+//! Concurrency soak: 64 simultaneous keep-alive clients against one proxy,
+//! asserting byte-identical responses and coherent aggregated cache
+//! statistics across the sharded proxy cache.
 
 use nakika_core::service::service_fn;
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin, Transport};
-use std::collections::BTreeMap;
+use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const CLIENTS: usize = 64;
@@ -42,9 +37,8 @@ fn start_origin() -> HttpServer {
     .expect("origin starts")
 }
 
-/// Runs the soak against one transport and returns the url → body map the
-/// clients observed.
-fn soak(transport: Transport) -> BTreeMap<String, String> {
+#[test]
+fn sixty_four_keepalive_clients_get_identical_bytes() {
     let origin = start_origin();
     let edge = Arc::new(
         NodeBuilder::plain_proxy("soak-edge")
@@ -52,7 +46,7 @@ fn soak(transport: Transport) -> BTreeMap<String, String> {
             .origin(Arc::new(TcpOrigin::new()))
             .build(),
     );
-    let proxy = ProxyServer::start_with(0, edge.service(), transport).expect("proxy starts");
+    let proxy = ProxyServer::start(0, edge.service()).expect("proxy starts");
 
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
@@ -60,26 +54,25 @@ fn soak(transport: Transport) -> BTreeMap<String, String> {
             let base = origin.base_url();
             std::thread::spawn(move || {
                 let mut client = ProxyClient::connect(addr).expect("client connects");
-                let mut seen = BTreeMap::new();
+                let mut seen = BTreeSet::new();
                 for r in 0..REQUESTS_PER_CLIENT {
                     let i = (c + r) % DISTINCT_URLS;
                     let url = format!("{base}/soak/{i}.html");
                     let response = client.get(&url).expect("exchange succeeds");
                     assert_eq!(response.status, StatusCode::OK);
-                    let body = response.body.to_text();
                     assert_eq!(
-                        body,
+                        response.body.to_text(),
                         expected_body(i),
-                        "byte-identical response for {url} on {transport:?}"
+                        "byte-identical response for {url}"
                     );
-                    seen.insert(format!("/soak/{i}.html"), body);
+                    seen.insert(i);
                 }
                 seen
             })
         })
         .collect();
 
-    let mut all = BTreeMap::new();
+    let mut all = BTreeSet::new();
     for worker in workers {
         all.extend(worker.join().expect("soak client panicked"));
     }
@@ -91,21 +84,15 @@ fn soak(transport: Transport) -> BTreeMap<String, String> {
     assert_eq!(
         stats.hits + stats.misses,
         total,
-        "every request is one lookup ({transport:?})"
+        "every request is one lookup"
     );
     assert!(
         stats.misses >= DISTINCT_URLS as u64,
-        "each distinct URL missed at least once ({transport:?})"
+        "each distinct URL missed at least once"
     );
-    assert!(
-        stats.hits >= total - stats.misses,
-        "the rest were hits ({transport:?})"
-    );
-    assert_eq!(
-        stats.inserts, stats.misses,
-        "every miss fetched and stored ({transport:?})"
-    );
-    assert_eq!(stats.evictions, 0, "nothing evicted ({transport:?})");
+    assert!(stats.hits >= total - stats.misses, "the rest were hits");
+    assert_eq!(stats.inserts, stats.misses, "every miss fetched and stored");
+    assert_eq!(stats.evictions, 0, "nothing evicted");
 
     // The per-shard breakdown sums exactly to the aggregate, and the keys
     // actually spread across shards.
@@ -114,22 +101,11 @@ fn soak(transport: Transport) -> BTreeMap<String, String> {
     let summed = per_shard
         .iter()
         .fold(nakika_core::cache::CacheStats::default(), |a, s| a.merge(s));
-    assert_eq!(summed, stats, "shard stats aggregate ({transport:?})");
+    assert_eq!(summed, stats, "shard stats aggregate");
     assert!(
         per_shard.iter().filter(|s| s.hits + s.misses > 0).count() > 1,
-        "lookups spread across shards ({transport:?})"
+        "lookups spread across shards"
     );
 
     assert_eq!(all.len(), DISTINCT_URLS);
-    all
-}
-
-#[test]
-fn sixty_four_keepalive_clients_get_identical_bytes_on_both_transports() {
-    let threaded = soak(Transport::Threaded);
-    let reactor = soak(Transport::Reactor);
-    assert_eq!(
-        threaded, reactor,
-        "the two transports serve byte-identical responses"
-    );
 }
