@@ -3,15 +3,12 @@
 //! Run with `cargo run --release -p nakika-bench --bin nakika-experiments`.
 //! Pass `--quick` for a faster, lower-precision run (used in CI and while
 //! iterating).  The output of a full run is recorded in EXPERIMENTS.md.
-//! Every run also measures end-to-end requests/sec through the real TCP
-//! proxy path and records it in `BENCH_proxy.json`, so the performance
-//! trajectory of the transport stack is tracked PR over PR.
+//! Every run ends with the hostile suite over real TCP and exits non-zero if
+//! a polite keep-alive soak connection is dropped.  Nothing is written to
+//! disk; end-to-end numbers come from the `bench/` harness.
 
 use nakika_bench::hostile::{format_hostile_report, run_hostile_suite, HostileKnobs};
-use nakika_bench::{
-    bench_proxy_suite, format_proxy_suite, format_resource_controls, format_simm, format_spec,
-    format_splice_comparison, format_table2,
-};
+use nakika_bench::{format_resource_controls, format_simm, format_spec, format_table2};
 use nakika_sim::experiments;
 
 fn main() {
@@ -88,59 +85,6 @@ fn main() {
     println!("(paper: PHP server 13.7 s mean / 10.8 rps vs Na Kika 4.3 s / 34.3 rps — ~3x)\n");
     let rows = experiments::specweb(if quick { 40 } else { 160 }, spec_requests, 5);
     println!("{}", format_spec(&rows));
-
-    println!("== end-to-end proxy throughput (real TCP), per scenario ==");
-    println!("(cold cache / warm keep-alive / warm close / 64-way concurrent keep-alive /");
-    println!(" 1 MiB streamed bodies / mixed warm+slow-cold-origin / peer-answered misses /");
-    println!(" warm scripted pipeline,");
-    println!(" as `reactor` — misses pinned to the worker pool — with the miss-heavy");
-    println!(" scenarios also measured as `reactor-splice`, the production default;");
-    println!(" see docs/BENCHMARKING.md for what each isolates)\n");
-    match bench_proxy_suite(if quick { 240 } else { 2_048 }, 64) {
-        Ok(suite) => {
-            println!("{}", format_proxy_suite(&suite));
-            let splice_vs_offload = format_splice_comparison(&suite);
-            if !splice_vs_offload.is_empty() {
-                println!("cache-miss relay, event-loop splice vs worker-pool offload:");
-                println!("{splice_vs_offload}");
-            }
-            if let (Some(pure), Some(mixed)) = (
-                suite.scenario("warm-concurrent", "reactor"),
-                suite.scenario("bench_mixed", "reactor"),
-            ) {
-                println!(
-                    "reactor warm throughput retained under slow cold misses: {:.0}%",
-                    100.0 * mixed.requests_per_sec / pure.requests_per_sec.max(1e-9)
-                );
-            }
-            // The warm path is identical whichever way misses are relayed,
-            // so the splice's retention is judged against the same
-            // pure-warm `reactor` baseline.
-            if let (Some(pure), Some(mixed)) = (
-                suite.scenario("warm-concurrent", "reactor"),
-                suite.scenario("bench_mixed", "reactor-splice"),
-            ) {
-                println!(
-                    "splice warm throughput retained under slow cold misses: {:.0}%",
-                    100.0 * mixed.requests_per_sec / pure.requests_per_sec.max(1e-9)
-                );
-            }
-            if let (Some(cold), Some(peer)) = (
-                suite.scenario("cold-cache", "reactor"),
-                suite.scenario("bench_peer", "reactor"),
-            ) {
-                println!(
-                    "peer-answered miss vs origin-answered miss (reactor): {:.2}x",
-                    peer.requests_per_sec / cold.requests_per_sec.max(1e-9)
-                );
-            }
-            match suite.write_json("BENCH_proxy.json") {
-                Ok(()) => println!("recorded in BENCH_proxy.json"),
-                Err(e) => eprintln!("could not write BENCH_proxy.json: {e}"),
-            }
-        }
-        Err(e) => eprintln!("proxy throughput bench failed: {e}"),
-    }
 
     println!("\n== hostile workloads: flash crowd, slow-loris/flood barrage, keep-alive soak ==");
     println!("(the survival numbers: polite p99 under active attack, attacker evictions,");

@@ -24,7 +24,7 @@ use nakika_core::service::{DispatchHint, HttpService, NakikaError, RequestCtx};
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Location, Membership, MembershipConfig, Overlay};
-use nakika_server::{http_get_via_proxy, ProxyServer, ReactorConfig, TcpOrigin};
+use nakika_server::{http_get_via_proxy, ProxyServer, TcpOrigin};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -170,14 +170,11 @@ pub struct LocalNode {
 
 /// Starts an in-process edge node named `name`, joins it to `overlay`
 /// with its listening address announced, and returns it ready to serve.
-/// `config` configures its front-end (benchmarks pin `splice_origin` so the
-/// pooled-offload and event-loop-splice miss paths can be measured side by
-/// side; everything else passes the default).  `replicate` optionally
-/// enables hot-entry replication as `(successors, threshold)`.
+/// `replicate` optionally enables hot-entry replication as
+/// `(successors, threshold)`.
 pub fn start_local_node(
     name: &str,
     overlay: &Arc<Overlay>,
-    config: ReactorConfig,
     replicate: Option<(usize, u32)>,
 ) -> Result<LocalNode, NakikaError> {
     let id = key_for(name);
@@ -190,7 +187,7 @@ pub fn start_local_node(
     }
     let handle = Arc::new(builder.build());
     let service = Arc::new(ClusterService::new(Arc::clone(&handle), name));
-    let server = ProxyServer::start_reactor(0, service, config)
+    let server = ProxyServer::start(0, service)
         .map_err(|e| NakikaError::Internal(format!("node {name} failed to listen: {e}")))?;
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);

@@ -1,9 +1,9 @@
 //! A log-bucketed latency histogram for the benchmark harness.
 //!
 //! Mean throughput hides tail pain: a transport can post the same
-//! requests/sec while its p99 triples under hostile load.  Every bench
-//! scenario therefore records per-request latency into a
-//! [`LatencyRecorder`] and reports p50/p99/p999 next to throughput.
+//! requests/sec while its p99 triples under hostile load.  The hostile
+//! suite therefore records per-request latency into a
+//! [`LatencyRecorder`] and reports percentiles next to throughput.
 //!
 //! The design is the standard HdrHistogram-style log-linear bucketing:
 //! values below [`SUBBUCKETS`] microseconds get one exact bucket each;
@@ -11,7 +11,7 @@
 //! linear sub-buckets, bounding relative error at `1/SUBBUCKETS`
 //! (6.25%).  Buckets are `AtomicU64`s bumped with relaxed `fetch_add`,
 //! so a single recorder can be shared by value-free `&self` across
-//! every client thread of a scenario — no lock, no per-thread
+//! every client thread of a workload — no lock, no per-thread
 //! flush protocol.  Recorders are also mergeable ([`LatencyRecorder::merge`])
 //! for harnesses that prefer one recorder per thread.
 
@@ -160,7 +160,7 @@ impl LatencyRecorder {
             .collect()
     }
 
-    /// The (p50, p99, p999) triple every bench scenario reports.
+    /// The (p50, p99, p999) triple, in microseconds.
     pub fn summary_us(&self) -> (u64, u64, u64) {
         (
             self.percentile_us(0.50),

@@ -1,8 +1,8 @@
 //! Hostile-workload generators and attack clients for the bench harness.
 //!
-//! The throughput scenarios in the crate root measure the proxy on its
-//! best day: polite keep-alive clients, complete requests, drained
-//! responses.  This module measures its worst day — the traffic mixes
+//! `bench/`'s workloads measure the proxy on its best day: polite
+//! keep-alive clients, complete requests, drained responses.  This
+//! module measures its worst day — the traffic mixes
 //! that killed unguarded event loops in practice:
 //!
 //! * **Skewed load** — [`ZipfKeys`] and [`FlashCrowd`] port the

@@ -113,7 +113,7 @@ const WHEEL_SLOTS: usize = 512;
 /// let pinned = ReactorConfig { reactors: 1, workers: 16, ..ReactorConfig::default() };
 /// # let _ = (auto, pinned);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// Number of event-loop threads.  `0` (the default) derives
     /// `min(available cores, 4)`: event loops are CPU-bound and a handful
@@ -132,26 +132,6 @@ pub struct ReactorConfig {
     /// the reactor's timer wheel) and the server-wide connection cap
     /// (enforced at the acceptor).
     pub options: ServerOptions,
-    /// Serve relayable cache misses as an event-loop *splice* (`true`, the
-    /// default): when the service stack publishes a
-    /// [`RelayPlan`](nakika_core::service::RelayPlan) for a miss, the
-    /// reactor opens the origin connection itself — non-blocking, in the
-    /// same slab and poller as the client sockets — and relays the
-    /// response with zero worker hand-offs.  `false` routes every miss
-    /// through the worker pool (the pre-splice behaviour; the benchmark
-    /// suite uses this to keep a comparable baseline).
-    pub splice_origin: bool,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> ReactorConfig {
-        ReactorConfig {
-            reactors: 0,
-            workers: 0,
-            options: ServerOptions::default(),
-            splice_origin: true,
-        }
-    }
 }
 
 impl ReactorConfig {
@@ -421,9 +401,6 @@ struct Reactor {
     /// [`UPSTREAM_BASE`]-offset tokens.
     upstreams: Vec<Option<UpstreamConn>>,
     upstream_free: Vec<usize>,
-    /// [`ReactorConfig::splice_origin`]: false sends every miss through
-    /// the worker pool.
-    splice_origin: bool,
     service: Arc<dyn HttpService>,
     ctx_factory: Arc<CtxFactory>,
     injector: Arc<Injector>,
@@ -827,12 +804,11 @@ impl Reactor {
     fn route_work(&mut self, idx: usize, gen: u64, work: Work) {
         match work {
             Work::Call { request, ctx } => {
-                let spliceable = self.splice_origin
-                    && self
-                        .slab
-                        .get(idx)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|conn| conn.splice.is_none());
+                let spliceable = self
+                    .slab
+                    .get(idx)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|conn| conn.splice.is_none());
                 if spliceable {
                     if let Some(plan) = self.service.relay_plan(&request, &ctx) {
                         if self.start_splice(idx, gen, plan) {
@@ -1434,11 +1410,10 @@ impl HttpServer {
         HttpServer::start_reactor(port, service, ReactorConfig::default())
     }
 
-    /// Starts a server with an explicit [`ReactorConfig`] — thread counts,
-    /// survival knobs, and whether cache-miss origin relays are spliced on
-    /// the event loop (`splice_origin`) or offloaded to the worker pool.
-    /// There is one server; the name says "reactor" only because the frozen
-    /// benchmark harness (`bench/src/sut.rs`) calls it by that name.
+    /// Starts a server with an explicit [`ReactorConfig`] — thread counts
+    /// and survival knobs.  There is one server; the name says "reactor"
+    /// only because the frozen benchmark harness (`bench/src/sut.rs`)
+    /// calls it by that name.
     pub fn start_reactor(
         port: u16,
         service: Arc<dyn HttpService>,
@@ -1473,7 +1448,6 @@ impl HttpServer {
                 free: Vec::new(),
                 upstreams: Vec::new(),
                 upstream_free: Vec::new(),
-                splice_origin: config.splice_origin,
                 service: service.clone(),
                 ctx_factory: ctx_factory.clone(),
                 injector,

@@ -13,8 +13,7 @@ use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Location, Overlay};
 use nakika_server::{
-    http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ProxyServer, ReactorConfig,
-    TcpOrigin,
+    http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ProxyServer, TcpOrigin,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +47,7 @@ fn get_key(url: &str) -> String {
 fn a_miss_is_answered_by_the_peer_that_cached_the_key() {
     let (origin, origin_hits) = counting_origin();
     let overlay = Arc::new(Overlay::with_defaults());
-    let a = start_local_node("peer-a", &overlay, ReactorConfig::default(), None).expect("node a");
+    let a = start_local_node("peer-a", &overlay, None).expect("node a");
 
     // A fetches and caches the key while it is the only member, so which
     // node the key's consistent hash favors cannot matter yet.
@@ -57,7 +56,7 @@ fn a_miss_is_answered_by_the_peer_that_cached_the_key() {
     assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
 
     // Now B joins.
-    let b = start_local_node("peer-b", &overlay, ReactorConfig::default(), None).expect("node b");
+    let b = start_local_node("peer-b", &overlay, None).expect("node b");
 
     // B has never seen the key: its miss must route to A over TCP, not to
     // the origin, and the bytes must be identical.
@@ -86,8 +85,7 @@ fn a_miss_is_answered_by_the_peer_that_cached_the_key() {
 fn a_dead_peer_falls_back_to_the_origin_and_is_counted() {
     let (origin, origin_hits) = counting_origin();
     let overlay = Arc::new(Overlay::with_defaults());
-    let a =
-        start_local_node("fallback-a", &overlay, ReactorConfig::default(), None).expect("node a");
+    let a = start_local_node("fallback-a", &overlay, None).expect("node a");
 
     // Plant a consistent-hash owner for the key whose address nothing
     // listens on (bind an ephemeral port, then free it).
@@ -118,13 +116,13 @@ fn a_dead_peer_falls_back_to_the_origin_and_is_counted() {
 fn hop_budget_and_via_trail_stop_loops_at_the_tcp_boundary() {
     let (origin, origin_hits) = counting_origin();
     let overlay = Arc::new(Overlay::with_defaults());
-    let a = start_local_node("loop-a", &overlay, ReactorConfig::default(), None).expect("node a");
+    let a = start_local_node("loop-a", &overlay, None).expect("node a");
 
     // Plant an owner peer for both keys.  If either loop guard fails, the
     // request routes here and shows up in the peer counters.
     let exhausted_url = format!("{}/exhausted.html", origin.base_url());
     let revisited_url = format!("{}/revisited.html", origin.base_url());
-    let b = start_local_node("loop-b", &overlay, ReactorConfig::default(), None).expect("node b");
+    let b = start_local_node("loop-b", &overlay, None).expect("node b");
     for url in [&exhausted_url, &revisited_url] {
         overlay.join_with_addr(key_for(&get_key(url)), Location::new(0.0, 0.0), &b.base_url);
     }
@@ -158,7 +156,7 @@ fn hop_budget_and_via_trail_stop_loops_at_the_tcp_boundary() {
 fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
     let (origin, origin_hits) = counting_origin();
     let overlay = Arc::new(Overlay::with_defaults());
-    let a = start_local_node("pool-a", &overlay, ReactorConfig::default(), None).expect("node a");
+    let a = start_local_node("pool-a", &overlay, None).expect("node a");
 
     // Warm three keys into A's cache, then plant each key's consistent-hash
     // owner at A's address so B's misses all route there.
@@ -217,10 +215,8 @@ fn hot_keys_replicate_to_the_successor_peer() {
     let (origin, origin_hits) = counting_origin();
     let overlay = Arc::new(Overlay::with_defaults());
     // threshold 1: the first local cache hit at the owner marks the key hot.
-    let a = start_local_node("repl-a", &overlay, ReactorConfig::default(), Some((1, 1)))
-        .expect("node a");
-    let b = start_local_node("repl-b", &overlay, ReactorConfig::default(), Some((1, 1)))
-        .expect("node b");
+    let a = start_local_node("repl-a", &overlay, Some((1, 1))).expect("node a");
+    let b = start_local_node("repl-b", &overlay, Some((1, 1))).expect("node b");
 
     let url = format!("{}/hot.html", origin.base_url());
     let owner_member = overlay.owner_of(&get_key(&url)).expect("owner");

@@ -6,9 +6,9 @@
 //! rely on:
 //!
 //! 1. **Zero hand-offs** — a reactor cold miss completes without a single
-//!    worker-pool submission (`ServerStats::worker_submissions`), and
-//!    turning the splice off (`ReactorConfig::splice_origin = false`)
-//!    restores the pooled path with identical bytes.
+//!    worker-pool submission (`ServerStats::worker_submissions`), and a
+//!    service that publishes no relay plan for the same miss is answered
+//!    by the blocking executor on the worker pool with identical bytes.
 //! 2. **Truncation is surfaced** — an origin that dies mid-body aborts the
 //!    client connection (counted in `ServerStats::relay_aborts`), never
 //!    silently repairs the framing.  Both executors of a miss agree.
@@ -17,7 +17,7 @@
 //!    64 warm keep-alive clients on the same event loop keep receiving
 //!    byte-identical responses.
 
-use nakika_core::service::{service_fn, HttpService};
+use nakika_core::service::{service_fn, DispatchHint, HttpService, NakikaError, RequestCtx};
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_http::{Request, Response, StatusCode};
 use nakika_server::{
@@ -49,17 +49,31 @@ fn edge_service() -> (NodeHandle, Arc<dyn HttpService>) {
     (edge, service)
 }
 
-/// A proxy on one event loop, relaying misses by the splice
-/// (`splice_origin`, the default) or by the blocking executor on the worker
-/// pool.
-fn one_loop_proxy(service: Arc<dyn HttpService>, splice_origin: bool) -> HttpServer {
+/// The edge service with its relay plan withheld: it keeps the trait's
+/// default `relay_plan` (`None`), so every miss is one the splice refuses
+/// and runs on the blocking executor in the worker pool.
+struct Unplanned(Arc<dyn HttpService>);
+
+impl HttpService for Unplanned {
+    fn call(&self, req: Request, ctx: &RequestCtx) -> Result<Response, NakikaError> {
+        self.0.call(req, ctx)
+    }
+
+    fn dispatch_hint(&self, req: &Request, ctx: &RequestCtx) -> DispatchHint {
+        self.0.dispatch_hint(req, ctx)
+    }
+}
+
+/// A proxy on one event loop, relaying misses by the splice when `service`
+/// publishes a plan and by the blocking executor on the worker pool when
+/// it does not.
+fn one_loop_proxy(service: Arc<dyn HttpService>) -> HttpServer {
     HttpServer::start_reactor(
         0,
         service,
         ReactorConfig {
             reactors: 1,
             workers: 2,
-            splice_origin,
             ..ReactorConfig::default()
         },
     )
@@ -73,10 +87,10 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
         .map(|i| format!("{}/cold/{i}.html", origin.base_url()))
         .collect();
 
-    // Splice on (the default): every cold miss must be relayed on the
-    // event loop — no worker-pool job for the call, none for body pulls.
+    // A plan for every miss: each must be relayed on the event loop — no
+    // worker-pool job for the call, none for body pulls.
     let (_edge, service) = edge_service();
-    let spliced = one_loop_proxy(service, true);
+    let spliced = one_loop_proxy(service);
     let mut spliced_bodies = Vec::new();
     for url in &urls {
         let response = http_get_via_proxy(spliced.addr(), url).unwrap();
@@ -98,9 +112,9 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
     );
     assert_eq!(spliced.stats().relay_aborts(), 0);
 
-    // Splice off: the same workload rides the worker pool, byte-identical.
+    // No plan: the same workload rides the worker pool, byte-identical.
     let (_edge, service) = edge_service();
-    let pooled = one_loop_proxy(service, false);
+    let pooled = one_loop_proxy(Arc::new(Unplanned(service)));
     let mut pooled_bodies = Vec::new();
     for url in &urls {
         let response = http_get_via_proxy(pooled.addr(), url).unwrap();
@@ -110,7 +124,7 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
     assert_eq!(pooled.stats().spliced_relays(), 0);
     assert!(
         pooled.stats().worker_submissions() >= urls.len() as u64,
-        "with the splice disabled every miss is a pool job"
+        "without a relay plan every miss is a pool job"
     );
     assert_eq!(spliced_bodies, pooled_bodies, "paths are byte-identical");
 }
@@ -203,7 +217,7 @@ fn origin_death_mid_stream_aborts_the_client_on_both_executors() {
     let url = format!("http://{origin}/dead.html");
 
     let (_edge, service) = edge_service();
-    let spliced = one_loop_proxy(service, true);
+    let spliced = one_loop_proxy(service);
     let received = raw_proxy_get(spliced.addr(), &url);
     assert_truncated(&received, DECLARED, "splice");
     assert!(
@@ -217,7 +231,7 @@ fn origin_death_mid_stream_aborts_the_client_on_both_executors() {
     );
 
     let (_edge, service) = edge_service();
-    let pooled = one_loop_proxy(service, false);
+    let pooled = one_loop_proxy(Arc::new(Unplanned(service)));
     let received = raw_proxy_get(pooled.addr(), &url);
     assert_truncated(&received, DECLARED, "blocking executor");
 }
@@ -238,9 +252,9 @@ fn close_delimited_bodies_are_relayed_and_cached_on_both_executors() {
     let url = format!("http://{origin}/legacy.html");
 
     let (spliced_edge, service) = edge_service();
-    let spliced = one_loop_proxy(service, true);
+    let spliced = one_loop_proxy(service);
     let (pooled_edge, service) = edge_service();
-    let pooled = one_loop_proxy(service, false);
+    let pooled = one_loop_proxy(Arc::new(Unplanned(service)));
 
     for (proxy, edge, executor) in [
         (spliced.addr(), &spliced_edge, "splice"),
@@ -304,7 +318,6 @@ fn stalled_origin_is_evicted_while_warm_clients_stay_byte_identical() {
                 idle_timeout_ms: IDLE_TIMEOUT_MS,
                 max_connections: 0,
             },
-            ..ReactorConfig::default()
         },
     )
     .unwrap();
