@@ -802,8 +802,9 @@ impl NaKikaNode {
         let mut unconnectable = Vec::new();
         for attempt in fetcher.attempts(&key, request, now_secs) {
             let mut outbound = attempt.request.into_owned();
-            // Spliced upstream sockets are single-exchange by construction.
-            outbound.headers.set("Connection", "close");
+            // Connection management is the executor's own business, as in
+            // `TcpOrigin::fetch`: the splice keeps the socket for the next miss.
+            outbound.headers.remove("Connection");
             match attempt.upstream {
                 Upstream::Peer(peer) => match peering::peer_host_port(&peer) {
                     Some((host, port)) => attempts.push(RelayAttempt {

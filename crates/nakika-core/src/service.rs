@@ -288,8 +288,10 @@ pub struct RelayAttempt {
     pub host: String,
     /// Port to connect to.
     pub port: u16,
-    /// The serialized request to write upstream, `Connection: close` wire —
-    /// spliced upstream sockets are single-exchange by construction.
+    /// The serialized request to write upstream.  It carries no
+    /// `Connection` header: whether the socket outlives the exchange is the
+    /// transport's business (the reactor parks a reusable one for the next
+    /// miss to the same `host:port`).
     pub wire: Vec<u8>,
     /// Label naming the upstream in error messages ("peer http://…" or the
     /// origin URL).

@@ -13,7 +13,7 @@ use nakika_core::peering;
 use nakika_core::service::NakikaError;
 use nakika_core::OriginFetch;
 use nakika_http::serialize::{serialize_request, serialize_request_absolute};
-use nakika_http::{Body, ChunkSource, Request, Response};
+use nakika_http::{Body, ChunkSource, Method, Request, Response};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -116,17 +116,18 @@ impl TcpOrigin {
     /// retried: by then chunks may already be relayed.)
     fn exchange(&self, key: &HostPort, wire: &[u8], request: &Request) -> Result<Response, String> {
         let park = || Some((self.pool.clone(), key.clone()));
+        let head_request = request.method == Method::Head;
         if request.method.is_idempotent() {
             let pooled = self.pool.idle.lock().get_mut(key).and_then(Vec::pop);
             if let Some(stream) = pooled {
-                if let Ok(response) = exchange_streaming(stream, wire, park()) {
+                if let Ok(response) = exchange_streaming(stream, wire, head_request, park()) {
                     return Ok(response);
                 }
             }
         }
         let stream = TcpStream::connect((key.0.as_str(), key.1))
             .map_err(|e| format!("connect failed: {e}"))?;
-        exchange_streaming(stream, wire, park())
+        exchange_streaming(stream, wire, head_request, park())
     }
 }
 
@@ -176,7 +177,8 @@ impl OriginFetch for TcpOrigin {
 }
 
 /// The blocking executor of a [`ResponseRelay`]: pulls bytes from `reader`
-/// whenever the relay has no event left to hand out.  As a [`ChunkSource`]
+/// whenever the relay has no event left to hand out (`head_request` says the
+/// response answers a HEAD, so it ends at its head).  As a [`ChunkSource`]
 /// it is the streamed body of the response it read the head of; a clean end
 /// of body on a reusable connection hands the reader back through `park`,
 /// an early close surfaces as an error naming the byte counts — never a
@@ -195,11 +197,12 @@ impl<R: Read> BlockingRelay<R> {
     pub(crate) fn new(
         reader: R,
         decode_limit: Option<usize>,
+        head_request: bool,
         park: Option<Box<dyn FnOnce(R) + Send>>,
     ) -> BlockingRelay<R> {
         BlockingRelay {
             reader: Some(reader),
-            relay: ResponseRelay::new(decode_limit),
+            relay: ResponseRelay::new(decode_limit, head_request),
             events: Vec::new().into_iter(),
             buf: vec![0u8; 16 * 1024].into_boxed_slice(),
             park,
@@ -304,13 +307,14 @@ impl<R: Read + Send> ChunkSource for BlockingRelay<R> {
     }
 }
 
-/// Writes `wire` to `stream` and hands the socket to a [`BlockingRelay`]
-/// for the response.  When `park` names a pool and the response leaves the
-/// connection reusable, the socket returns there once the body reaches a
-/// clean end.
+/// Writes `wire` (a HEAD request when `head_request`) to `stream` and hands
+/// the socket to a [`BlockingRelay`] for the response.  When `park` names a
+/// pool and the response leaves the connection reusable, the socket returns
+/// there once the body reaches a clean end.
 fn exchange_streaming(
     mut stream: TcpStream,
     wire: &[u8],
+    head_request: bool,
     park: Option<(Arc<PoolInner>, HostPort)>,
 ) -> Result<Response, String> {
     stream
@@ -322,7 +326,7 @@ fn exchange_streaming(
     let park = park.map(|(pool, key)| {
         Box::new(move |stream| pool.park(&key, stream)) as Box<dyn FnOnce(TcpStream) + Send>
     });
-    BlockingRelay::new(stream, None, park).streaming()
+    BlockingRelay::new(stream, None, head_request, park).streaming()
 }
 
 /// Performs a one-shot blocking HTTP request (`Connection: close`) to the
@@ -335,7 +339,8 @@ pub fn http_fetch_streaming(request: &Request) -> Result<Response, NakikaError> 
     let url = outbound.uri.to_string();
     let stream = TcpStream::connect((outbound.uri.host.as_str(), outbound.uri.port))
         .map_err(|e| upstream(&url, format!("connect failed: {e}")))?;
-    exchange_streaming(stream, &serialize_request(&outbound), None)
+    let head_request = outbound.method == Method::Head;
+    exchange_streaming(stream, &serialize_request(&outbound), head_request, None)
         .map_err(|reason| upstream(&url, reason))
 }
 
@@ -397,6 +402,7 @@ impl ProxyClient {
         BlockingRelay::new(
             &mut self.stream,
             Some(nakika_http::parse::MAX_BODY_BYTES),
+            request.method == Method::Head,
             None,
         )
         .buffered()
@@ -429,6 +435,12 @@ pub fn http_fetch_streaming_via_proxy(
     outbound.headers.set("Connection", "close");
     let stream =
         TcpStream::connect(proxy).map_err(|e| upstream(&url, format!("connect failed: {e}")))?;
-    exchange_streaming(stream, &serialize_request_absolute(&outbound), None)
-        .map_err(|reason| upstream(&url, reason))
+    let head_request = outbound.method == Method::Head;
+    exchange_streaming(
+        stream,
+        &serialize_request_absolute(&outbound),
+        head_request,
+        None,
+    )
+    .map_err(|reason| upstream(&url, reason))
 }

@@ -46,6 +46,23 @@
 //! running, and the slot may be reused by a new connection before the
 //! stale completion arrives.  The generation check drops such orphans.
 //!
+//! # Upstream connections, kept alive
+//!
+//! A miss the service publishes a [`RelayPlan`] for never reaches the pool:
+//! the reactor opens the upstream connection itself, in an *upstream slab*
+//! on the same poller and timer wheel, and splices the response straight
+//! to the client.  When the relay ends cleanly on a connection that can
+//! carry another exchange, the reactor keeps the socket idle on a list
+//! keyed by `host:port` (at most [`MAX_IDLE_PER_UPSTREAM`] per key, reused
+//! last-in first-out), and the next miss to that `host:port` writes its
+//! request there instead of connecting.  An idle socket stays registered
+//! for reading: readiness means the upstream closed it (or sent bytes
+//! nobody asked for), and it is closed.  Unused for the idle timeout, it is
+//! closed quietly.  A reused socket that fails before the first response
+//! byte — a write error, EOF or a reset — went stale while idle: the
+//! attempt runs once more on a fresh connection, which is safe because
+//! relay plans carry bodiless GET/HEAD requests.
+//!
 //! Reactors are woken for new work through a loopback socket pair (the
 //! self-pipe trick): the acceptor (or a worker) pushes onto the reactor's
 //! injection/completion queue and writes one byte to the wake socket,
@@ -63,9 +80,9 @@ use crate::{
 };
 use bytes::Bytes;
 use nakika_core::service::RelayPlan;
-use nakika_http::{Body, ChunkSource, Response};
+use nakika_http::{Body, ChunkSource, Method, Response};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,6 +109,15 @@ const SPLICE_HIGH_WATER_BYTES: usize = OUTPUT_WINDOW_BYTES;
 
 /// Reads resume once the client drains the splice queue below this.
 const SPLICE_LOW_WATER_BYTES: usize = 64 * 1024;
+
+/// Idle upstream connections one reactor keeps per `host:port`; a
+/// connection finishing its exchange beyond this is closed.  The same
+/// number `TcpOrigin`'s pool keeps per host.
+const MAX_IDLE_PER_UPSTREAM: usize = 4;
+
+/// Where an upstream connection goes: a relay attempt's literal IPv4 host
+/// and its port.
+type UpstreamKey = (Ipv4Addr, u16);
 
 /// Timer-wheel granularity.  Deadlines fire within one tick of their due
 /// time; 10 ms is far below any sane idle timeout.
@@ -327,7 +353,11 @@ struct ClientSplice {
     parked: Option<Work>,
 }
 
-/// Where an upstream connection is in its single exchange.
+/// Where an upstream connection is in the exchange it carries.  A fresh
+/// connection starts in `Connecting` (or `Sending`, when the connect
+/// completed at once); one reused from the idle list starts in `Sending`.
+/// After a clean end the connection goes idle ([`Upstream::Idle`]) or is
+/// closed.
 enum UpstreamState {
     /// `connect(2)` returned `EINPROGRESS`; waiting for writability.
     Connecting,
@@ -337,23 +367,30 @@ enum UpstreamState {
     Reading,
 }
 
-/// One origin-side connection being spliced to a client: same slab, poller
-/// and timer-wheel treatment as a client [`Conn`], addressed by
-/// [`UPSTREAM_BASE`]-offset tokens.
+/// One origin-side connection carrying an exchange spliced to a client:
+/// same slab, poller and timer-wheel treatment as a client [`Conn`],
+/// addressed by [`UPSTREAM_BASE`]-offset tokens.  Everything but the socket
+/// belongs to the exchange and is dropped when the connection goes idle.
 struct UpstreamConn {
     stream: TcpStream,
     gen: u64,
+    key: UpstreamKey,
     client: usize,
     client_gen: u64,
     state: UpstreamState,
     plan: RelayPlan,
     /// Index into `plan.attempts` currently being tried.
     attempt: usize,
+    /// The client asked with HEAD: every attempt's response ends at its head.
+    head_request: bool,
     wire_written: usize,
     relay: ResponseRelay,
     shared: Arc<SpliceShared>,
     interest: Interest,
     registered: bool,
+    /// The socket came off the idle list and no response byte has arrived
+    /// on it yet: a failure now means it went stale while idle.
+    reused: bool,
     /// True while reading is suspended because the client is not draining
     /// the queue (high-water mark).  A paused upstream is deregistered and
     /// its deadline is excused — the client is the slow side.
@@ -362,6 +399,34 @@ struct UpstreamConn {
     /// aborts (poisoned queue), not attempt fallbacks.
     head_delivered: bool,
     deadline_ms: u64,
+}
+
+/// An upstream connection between exchanges, on the reactor's idle list
+/// for its `key`.  It owns its socket and nothing of the exchange it
+/// finished; it stays registered for reading, and its slot's timer-wheel
+/// entry closes it at `deadline_ms`.
+struct IdleUpstream {
+    stream: TcpStream,
+    gen: u64,
+    key: UpstreamKey,
+    deadline_ms: u64,
+}
+
+/// One slot of the upstream slab.  Slots are reused, so the slab's stride
+/// is the busy variant's size either way; boxing it would only add an
+/// allocation per exchange.
+#[allow(clippy::large_enum_variant)]
+enum Upstream {
+    Busy(UpstreamConn),
+    Idle(IdleUpstream),
+}
+
+/// The exchange-carrying connection in an upstream slab slot, if any.
+fn busy(slot: &mut Option<Upstream>) -> Option<&mut UpstreamConn> {
+    match slot {
+        Some(Upstream::Busy(up)) => Some(up),
+        _ => None,
+    }
 }
 
 /// One registered connection: its socket, protocol state machine, the
@@ -397,10 +462,13 @@ struct Reactor {
     poller: Poller,
     slab: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Origin-side connections for in-flight splices, addressed by
+    /// Origin-side connections, carrying a splice or idle, addressed by
     /// [`UPSTREAM_BASE`]-offset tokens.
-    upstreams: Vec<Option<UpstreamConn>>,
+    upstreams: Vec<Option<Upstream>>,
     upstream_free: Vec<usize>,
+    /// Slots of the idle upstream connections per `host:port`, most
+    /// recently idled last; never an empty list.
+    idle: HashMap<UpstreamKey, Vec<usize>>,
     service: Arc<dyn HttpService>,
     ctx_factory: Arc<CtxFactory>,
     injector: Arc<Injector>,
@@ -478,22 +546,22 @@ impl Reactor {
         let upstreams = &self.upstreams;
         let fired = self.wheel.expire(now, |entry| {
             if entry.idx >= UPSTREAM_BASE_IDX {
-                let i = entry.idx - UPSTREAM_BASE_IDX;
-                let Some(up) = upstreams.get(i).and_then(Option::as_ref) else {
-                    return TimerVerdict::Drop;
+                let deadline_ms = match upstreams.get(entry.idx - UPSTREAM_BASE_IDX) {
+                    Some(Some(Upstream::Busy(up))) if up.gen == entry.gen => {
+                        if up.paused {
+                            // The client is the slow side; the origin owes
+                            // nothing while reads are suspended.
+                            return TimerVerdict::Refile(now + idle);
+                        }
+                        up.deadline_ms
+                    }
+                    Some(Some(Upstream::Idle(up))) if up.gen == entry.gen => up.deadline_ms,
+                    _ => return TimerVerdict::Drop,
                 };
-                if up.gen != entry.gen {
-                    return TimerVerdict::Drop;
-                }
-                if up.paused {
-                    // The client is the slow side; the origin owes nothing
-                    // while reads are suspended.
-                    return TimerVerdict::Refile(now + idle);
-                }
-                return if up.deadline_ms <= now {
+                return if deadline_ms <= now {
                     TimerVerdict::Fire
                 } else {
-                    TimerVerdict::Refile(up.deadline_ms)
+                    TimerVerdict::Refile(deadline_ms)
                 };
             }
             let Some(conn) = slab.get(entry.idx).and_then(Option::as_ref) else {
@@ -514,14 +582,17 @@ impl Reactor {
         for entry in fired {
             if entry.idx >= UPSTREAM_BASE_IDX {
                 let i = entry.idx - UPSTREAM_BASE_IDX;
-                let live = self
-                    .upstreams
-                    .get(i)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|up| up.gen == entry.gen);
-                if live {
-                    self.stats.note_timeout();
-                    self.fail_attempt(i, "stalled past the progress deadline".to_string());
+                match self.upstreams.get(i) {
+                    Some(Some(Upstream::Busy(up))) if up.gen == entry.gen => {
+                        self.stats.note_timeout();
+                        self.fail_attempt(i, "stalled past the progress deadline".to_string());
+                    }
+                    // Unused for the idle timeout: closed quietly, it owes
+                    // nobody anything.
+                    Some(Some(Upstream::Idle(up))) if up.gen == entry.gen => {
+                        self.teardown_upstream(i)
+                    }
+                    _ => {}
                 }
                 continue;
             }
@@ -780,11 +851,12 @@ impl Reactor {
             }
             if let Some(splice) = conn.splice {
                 // A dying client takes its origin-side half with it; the
-                // generation check skips upstreams already replaced.
+                // generation check skips upstreams already replaced, and an
+                // upstream that went idle finished its exchange cleanly.
                 let paired = self
                     .upstreams
-                    .get(splice.upstream)
-                    .and_then(Option::as_ref)
+                    .get_mut(splice.upstream)
+                    .and_then(busy)
                     .is_some_and(|up| up.gen == splice.upstream_gen);
                 if paired {
                     self.teardown_upstream(splice.upstream);
@@ -811,7 +883,8 @@ impl Reactor {
                     .is_some_and(|conn| conn.splice.is_none());
                 if spliceable {
                     if let Some(plan) = self.service.relay_plan(&request, &ctx) {
-                        if self.start_splice(idx, gen, plan) {
+                        let head_request = request.method == Method::Head;
+                        if self.start_splice(idx, gen, plan, head_request) {
                             return;
                         }
                     }
@@ -923,11 +996,13 @@ impl Reactor {
         }
     }
 
-    /// Adopts a relay plan for the client at `idx`: opens the first viable
-    /// upstream non-blocking and registers it with the poller.  Returns
-    /// false — before any side effect — when the plan cannot be spliced
-    /// (non-literal host), sending the call to the worker pool instead.
-    fn start_splice(&mut self, idx: usize, gen: u64, plan: RelayPlan) -> bool {
+    /// Adopts a relay plan for the client at `idx` (whose request was HEAD
+    /// when `head_request`): opens the first viable upstream — an idle one
+    /// when the reactor keeps one for its `host:port` — and registers it
+    /// with the poller.  Returns false — before any side effect — when the
+    /// plan cannot be spliced (non-literal host), sending the call to the
+    /// worker pool instead.
+    fn start_splice(&mut self, idx: usize, gen: u64, plan: RelayPlan, head_request: bool) -> bool {
         // The event loop cannot afford blocking DNS: every attempt must
         // name a literal IPv4 host or the whole plan falls back.
         let literal_hosts = plan
@@ -938,60 +1013,48 @@ impl Reactor {
             return false;
         }
         (plan.on_start)();
-        let i = match self.upstream_free.pop() {
-            Some(i) => i,
-            None => {
-                self.upstreams.push(None);
-                self.upstreams.len() - 1
-            }
-        };
-        self.open_attempt(i, 0, plan, (idx, gen), String::new());
+        self.open_attempt(0, plan, (idx, gen), head_request, String::new(), true);
         true
     }
 
-    /// Opens the first viable attempt of `plan` at or after index `from` as
-    /// upstream slot `i`, which the caller left empty: connect
-    /// non-blocking, register with the poller, arm the state and the
-    /// deadline, and point the client's splice record at the new upstream.
-    /// An attempt that cannot be opened — refused connect or failed
-    /// registration alike — runs its `on_fail` and yields to the next.
-    /// When none remains the slot is freed, the client (`(index,
-    /// generation)`) gets the plan's failure response (a 502, not a dropped
-    /// connection) and the result is false: the caller drives `progress`
-    /// (or is inside it already).
+    /// Opens the first viable attempt of `plan` at or after index `from` in
+    /// an upstream slot: the most recently idled connection to the
+    /// attempt's `host:port` when `reuse` allows and one exists, else a
+    /// fresh non-blocking connect.  Arms the state and the deadline and
+    /// points the client's splice record at the upstream.  An attempt that
+    /// cannot be opened — refused connect or failed registration alike —
+    /// runs its `on_fail` and yields to the next.  When none remains the
+    /// client (`(index, generation)`) gets the plan's failure response (a
+    /// 502, not a dropped connection) and the result is false: the caller
+    /// drives `progress` (or is inside it already).
     fn open_attempt(
         &mut self,
-        i: usize,
         from: usize,
         plan: RelayPlan,
         client: (usize, u64),
+        head_request: bool,
         mut last_error: String,
+        reuse: bool,
     ) -> bool {
-        use std::os::unix::io::AsRawFd;
         let (client, client_gen) = client;
-        let interest = Interest {
-            readable: false,
-            writable: true,
-        };
         let mut attempt = from;
         let opened = loop {
             let Some(candidate) = plan.attempts.get(attempt) else {
                 break None;
             };
-            let result = candidate
-                .host
-                .parse::<Ipv4Addr>()
-                .map_err(|_| "non-literal host".to_string())
-                .and_then(|ip| {
-                    connect_nonblocking_v4(SocketAddrV4::new(ip, candidate.port))
-                        .map_err(|e| format!("connect failed: {e}"))
-                })
-                .and_then(|(stream, ready)| {
-                    self.poller
-                        .add(stream.as_raw_fd(), UPSTREAM_BASE + i as u64, interest)
-                        .map_err(|_| "poller failure".to_string())?;
-                    Ok((stream, ready))
-                });
+            let result = match candidate.host.parse::<Ipv4Addr>() {
+                Err(_) => Err("non-literal host".to_string()),
+                Ok(ip) => {
+                    let key = (ip, candidate.port);
+                    let idle = if reuse { self.pop_idle(key) } else { None };
+                    match idle {
+                        Some((i, stream)) => Ok((i, stream, key, true, true)),
+                        None => self
+                            .connect_upstream(key)
+                            .map(|(i, stream, ready)| (i, stream, key, ready, false)),
+                    }
+                }
+            };
             match result {
                 Ok(opened) => break Some(opened),
                 Err(cause) => {
@@ -1003,21 +1066,21 @@ impl Reactor {
                 }
             }
         };
-        let Some((stream, ready)) = opened else {
-            self.upstream_free.push(i);
+        let Some((i, stream, key, ready, reused)) = opened else {
             self.deliver_response(client, client_gen, (plan.fail)(&last_error));
             return false;
         };
-        let _ = stream.set_nodelay(true);
-        // Fresh generation: an earlier attempt's wheel entry (possibly
-        // already fired) must not evict this one.
+        // Fresh generation: an earlier exchange's wheel entry (possibly
+        // already fired) must not evict this one, nor may the client of an
+        // earlier exchange on a reused socket still address it.
         self.next_gen += 1;
         let gen = self.next_gen;
         let deadline_ms = self.now_ms() + self.idle_ms;
         let shared = Arc::new(SpliceShared::default());
-        self.upstreams[i] = Some(UpstreamConn {
+        self.upstreams[i] = Some(Upstream::Busy(UpstreamConn {
             stream,
             gen,
+            key,
             client,
             client_gen,
             state: if ready {
@@ -1027,15 +1090,17 @@ impl Reactor {
             },
             plan,
             attempt,
+            head_request,
             wire_written: 0,
-            relay: ResponseRelay::new(None),
+            relay: ResponseRelay::new(None, head_request),
             shared: shared.clone(),
-            interest,
+            interest: Interest::WRITE,
             registered: true,
+            reused,
             paused: false,
             head_delivered: false,
             deadline_ms,
-        });
+        }));
         self.wheel.insert(UPSTREAM_BASE_IDX + i, gen, deadline_ms);
         if let Some(conn) = self.slab.get_mut(client).and_then(Option::as_mut) {
             if conn.gen == client_gen {
@@ -1049,6 +1114,59 @@ impl Reactor {
             }
         }
         true
+    }
+
+    /// Takes the most recently idled connection to `key` off the idle list
+    /// and re-arms it for writing: its slot and socket.
+    fn pop_idle(&mut self, key: UpstreamKey) -> Option<(usize, TcpStream)> {
+        use std::os::unix::io::AsRawFd;
+        let list = self.idle.get_mut(&key)?;
+        let i = list.pop()?;
+        if list.is_empty() {
+            self.idle.remove(&key);
+        }
+        // Listed slots are idle by construction.
+        let Some(Upstream::Idle(idle)) = self.upstreams[i].take() else {
+            return None;
+        };
+        let token = UPSTREAM_BASE + i as u64;
+        if self
+            .poller
+            .modify(idle.stream.as_raw_fd(), token, Interest::WRITE)
+            .is_err()
+        {
+            let _ = self.poller.remove(idle.stream.as_raw_fd());
+            self.upstream_free.push(i);
+            return None;
+        }
+        Some((i, idle.stream))
+    }
+
+    /// Starts a non-blocking connect to `key` in a free upstream slot,
+    /// registered for writability: the slot, the socket, and whether the
+    /// connect already completed.
+    fn connect_upstream(&mut self, key: UpstreamKey) -> Result<(usize, TcpStream, bool), String> {
+        use std::os::unix::io::AsRawFd;
+        let (stream, ready) = connect_nonblocking_v4(SocketAddrV4::new(key.0, key.1))
+            .map_err(|e| format!("connect failed: {e}"))?;
+        let i = match self.upstream_free.pop() {
+            Some(i) => i,
+            None => {
+                self.upstreams.push(None);
+                self.upstreams.len() - 1
+            }
+        };
+        let token = UPSTREAM_BASE + i as u64;
+        if self
+            .poller
+            .add(stream.as_raw_fd(), token, Interest::WRITE)
+            .is_err()
+        {
+            self.upstream_free.push(i);
+            return Err("poller failure".to_string());
+        }
+        let _ = stream.set_nodelay(true);
+        Ok((i, stream, ready))
     }
 
     /// Ends the splice of the client at `idx` with a ready response,
@@ -1065,13 +1183,16 @@ impl Reactor {
 
     /// Handles one readiness event for an upstream connection: finish the
     /// non-blocking connect, write the request, read and relay the
-    /// response.
+    /// response.  An idle connection that turns readable is closed: the
+    /// upstream hung up, or sent bytes nobody asked for.
     fn drive_upstream(&mut self, i: usize, readable: bool, writable: bool) {
         use std::os::unix::io::AsRawFd;
         let now = self.now_ms();
         let idle = self.idle_ms;
-        let Some(up) = self.upstreams.get_mut(i).and_then(Option::as_mut) else {
-            return;
+        let up = match self.upstreams.get_mut(i) {
+            Some(Some(Upstream::Busy(up))) => up,
+            Some(Some(Upstream::Idle(_))) => return self.teardown_upstream(i),
+            _ => return,
         };
         if !up.registered {
             return;
@@ -1101,6 +1222,7 @@ impl Reactor {
                     break;
                 }
                 match up.stream.write(&wire[up.wire_written..]) {
+                    Ok(0) if up.reused => return self.retry_stale(i),
                     Ok(0) => {
                         let label = up.plan.attempts[up.attempt].label.clone();
                         return self.fail_attempt(i, format!("{label}: closed during request"));
@@ -1111,6 +1233,7 @@ impl Reactor {
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) if up.reused => return self.retry_stale(i),
                     Err(e) => {
                         let label = up.plan.attempts[up.attempt].label.clone();
                         return self.fail_attempt(i, format!("{label}: write failed: {e}"));
@@ -1158,6 +1281,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     read_bytes += n;
+                    up.reused = false;
                     if let Err(e) = up.relay.feed(&chunk[..n], &mut events) {
                         outcome = Err(e);
                         break;
@@ -1181,6 +1305,10 @@ impl Reactor {
         if read_bytes > 0 {
             up.deadline_ms = now + idle;
         }
+        if up.reused && outcome.is_err() {
+            // EOF or a reset before a single response byte.
+            return self.retry_stale(i);
+        }
         self.handle_upstream_events(i, events, outcome);
     }
 
@@ -1195,7 +1323,7 @@ impl Reactor {
     ) {
         let mut touched_client = None;
         for event in events {
-            let Some(up) = self.upstreams.get_mut(i).and_then(Option::as_mut) else {
+            let Some(up) = self.upstreams.get_mut(i).and_then(busy) else {
                 return; // torn down mid-batch
             };
             match event {
@@ -1231,7 +1359,10 @@ impl Reactor {
                         .and_then(Option::as_mut)
                         .filter(|conn| conn.gen == client_gen)
                         .map(|conn| {
-                            if let Some(splice) = conn.splice.as_mut() {
+                            if !has_body {
+                                // Nothing will be pulled: the splice ends here.
+                                conn.splice = None;
+                            } else if let Some(splice) = conn.splice.as_mut() {
                                 splice.body = Some(body_handle);
                             }
                             conn.engine.complete(Done::Call(Ok(response)));
@@ -1252,7 +1383,7 @@ impl Reactor {
                 RelayEvent::BodyDone => {
                     up.shared.set_eof();
                     touched_client = Some(up.client);
-                    self.teardown_upstream(i);
+                    self.keep_or_teardown(i);
                 }
             }
         }
@@ -1260,14 +1391,14 @@ impl Reactor {
             Ok(false) => {}
             Ok(true) => {
                 // Clean end of the exchange; a no-op when BodyDone already
-                // tore the slot down.
-                if let Some(up) = self.upstreams.get(i).and_then(Option::as_ref) {
+                // released the slot.
+                if let Some(up) = self.upstreams.get_mut(i).and_then(busy) {
                     touched_client = Some(up.client);
                     self.teardown_upstream(i);
                 }
             }
             Err(reason) => {
-                if let Some(up) = self.upstreams.get(i).and_then(Option::as_ref) {
+                if let Some(up) = self.upstreams.get_mut(i).and_then(busy) {
                     let label = up.plan.attempts[up.attempt].label.clone();
                     touched_client = Some(up.client);
                     self.fail_attempt(i, format!("{label}: {reason}"));
@@ -1287,31 +1418,75 @@ impl Reactor {
     /// the plan's failure response when none remain.  After a head was
     /// delivered the failure belongs to `fail_stream` instead.
     fn fail_attempt(&mut self, i: usize, reason: String) {
-        use std::os::unix::io::AsRawFd;
-        let Some(up) = self
-            .upstreams
-            .get_mut(i)
-            .and_then(|slot| slot.take_if(|up| !up.head_delivered))
-        else {
+        let Some(up) = self.release_busy(i, |up| !up.head_delivered) else {
             return self.fail_stream(i, reason);
         };
         if let Some(on_fail) = &up.plan.attempts[up.attempt].on_fail {
             on_fail();
         }
+        let client = (up.client, up.client_gen);
+        if !self.open_attempt(
+            up.attempt + 1,
+            up.plan,
+            client,
+            up.head_request,
+            reason,
+            true,
+        ) {
+            self.progress(client.0);
+        }
+    }
+
+    /// A connection reused from the idle list failed before a single
+    /// response byte: the upstream closed or reset it while it sat idle.
+    /// The same attempt runs once more on a fresh connection, and nothing
+    /// is counted — not an attempt failure (no `on_fail`), not a timeout,
+    /// not an abort.  Relay plans carry bodiless GET/HEAD requests, so the
+    /// replay is safe.
+    fn retry_stale(&mut self, i: usize) {
+        let Some(up) = self.release_busy(i, |_| true) else {
+            return;
+        };
+        let client = (up.client, up.client_gen);
+        if !self.open_attempt(
+            up.attempt,
+            up.plan,
+            client,
+            up.head_request,
+            String::new(),
+            false,
+        ) {
+            self.progress(client.0);
+        }
+    }
+
+    /// Takes upstream slot `i` out of the slab when it carries an exchange
+    /// that `pred` accepts, deregistering the socket and freeing the slot.
+    fn release_busy(
+        &mut self,
+        i: usize,
+        pred: impl FnOnce(&UpstreamConn) -> bool,
+    ) -> Option<UpstreamConn> {
+        use std::os::unix::io::AsRawFd;
+        let slot = self.upstreams.get_mut(i)?;
+        if !matches!(slot, Some(Upstream::Busy(up)) if pred(up)) {
+            return None;
+        }
+        let Some(Upstream::Busy(up)) = slot.take() else {
+            return None;
+        };
         if up.registered {
             let _ = self.poller.remove(up.stream.as_raw_fd());
         }
-        let client = (up.client, up.client_gen);
-        if !self.open_attempt(i, up.attempt + 1, up.plan, client, reason) {
-            self.progress(client.0);
-        }
+        self.upstream_free.push(i);
+        Some(up)
     }
 
     /// The response head was already relayed when the upstream died: the
     /// client's framing cannot be repaired, so poison the queue — the next
     /// body pull aborts the connection, a truncation the client detects.
     fn fail_stream(&mut self, i: usize, reason: String) {
-        let Some(up) = self.upstreams.get(i).and_then(Option::as_ref) else {
+        let Some(up) = self.upstreams.get_mut(i).and_then(busy) else {
             return;
         };
         let client = up.client;
@@ -1322,23 +1497,66 @@ impl Reactor {
         self.progress(client);
     }
 
+    /// Ends the exchange on upstream `i` after its clean `BodyDone`.  A
+    /// connection that can carry another exchange goes idle on the list for
+    /// its `host:port`, unless that list is full; the exchange's plan,
+    /// relay and splice queue are dropped either way.
+    fn keep_or_teardown(&mut self, i: usize) {
+        let deadline_ms = self.now_ms() + self.idle_ms;
+        let keep = self.upstreams.get_mut(i).and_then(busy).is_some_and(|up| {
+            up.relay.reusable()
+                && self.idle.get(&up.key).map_or(0, Vec::len) < MAX_IDLE_PER_UPSTREAM
+        });
+        if !keep {
+            return self.teardown_upstream(i);
+        }
+        let Some(Upstream::Busy(up)) = self.upstreams[i].take() else {
+            return;
+        };
+        // Still registered for READ from the read that ended the exchange;
+        // the slot's wheel entry (same generation) now judges it against
+        // the idle deadline.
+        self.idle.entry(up.key).or_default().push(i);
+        self.upstreams[i] = Some(Upstream::Idle(IdleUpstream {
+            stream: up.stream,
+            gen: up.gen,
+            key: up.key,
+            deadline_ms,
+        }));
+    }
+
+    /// Closes upstream slot `i` — an exchange's connection or an idle one —
+    /// and frees the slot.
     fn teardown_upstream(&mut self, i: usize) {
         use std::os::unix::io::AsRawFd;
-        if let Some(up) = self.upstreams.get_mut(i).and_then(Option::take) {
-            if up.registered {
-                let _ = self.poller.remove(up.stream.as_raw_fd());
+        let Some(upstream) = self.upstreams.get_mut(i).and_then(Option::take) else {
+            return;
+        };
+        let (stream, registered) = match upstream {
+            Upstream::Busy(up) => (up.stream, up.registered),
+            Upstream::Idle(up) => {
+                if let Some(list) = self.idle.get_mut(&up.key) {
+                    list.retain(|&slot| slot != i);
+                    if list.is_empty() {
+                        self.idle.remove(&up.key);
+                    }
+                }
+                (up.stream, true)
             }
-            self.upstream_free.push(i);
-            // The slot's wheel entry drops at its next sweep: the slot is
-            // now empty or regenerated, both judged `Drop`.
+        };
+        if registered {
+            let _ = self.poller.remove(stream.as_raw_fd());
         }
+        self.upstream_free.push(i);
+        // The slot's wheel entry drops at its next sweep: the slot is now
+        // empty or regenerated, both judged `Drop`.
     }
 
     /// Suspends upstream reads while the client's splice queue is over the
     /// high-water mark.
     fn pause_upstream(&mut self, i: usize) {
         use std::os::unix::io::AsRawFd;
-        if let Some(up) = self.upstreams.get_mut(i).and_then(Option::as_mut) {
+        if let Some(up) = self.upstreams.get_mut(i).and_then(busy) {
             if up.registered {
                 let _ = self.poller.remove(up.stream.as_raw_fd());
                 up.registered = false;
@@ -1350,13 +1568,9 @@ impl Reactor {
     /// Resumes a paused upstream once the client drained the queue below
     /// the low-water mark.
     fn maybe_resume_upstream(&mut self, i: usize, gen: u64) {
-        let drained = self
-            .upstreams
-            .get(i)
-            .and_then(Option::as_ref)
-            .is_some_and(|up| {
-                up.gen == gen && up.paused && up.shared.queued() < SPLICE_LOW_WATER_BYTES
-            });
+        let drained = self.upstreams.get_mut(i).and_then(busy).is_some_and(|up| {
+            up.gen == gen && up.paused && up.shared.queued() < SPLICE_LOW_WATER_BYTES
+        });
         if drained {
             self.resume_upstream(i, gen);
         }
@@ -1366,7 +1580,7 @@ impl Reactor {
     /// buffering the whole body).
     fn resume_upstream(&mut self, i: usize, gen: u64) {
         use std::os::unix::io::AsRawFd;
-        let Some(up) = self.upstreams.get_mut(i).and_then(Option::as_mut) else {
+        let Some(up) = self.upstreams.get_mut(i).and_then(busy) else {
             return;
         };
         if up.gen != gen || !up.paused {
@@ -1448,6 +1662,7 @@ impl HttpServer {
                 free: Vec::new(),
                 upstreams: Vec::new(),
                 upstream_free: Vec::new(),
+                idle: HashMap::new(),
                 service: service.clone(),
                 ctx_factory: ctx_factory.clone(),
                 injector,
@@ -1548,6 +1763,7 @@ impl Drop for HttpServer {
                 let _ = handle.join();
             }
         }
+        crate::sys::release_free_memory();
         // self.pool drops after this, joining the offload workers; any job
         // still queued is discarded (its completion has no audience).
     }

@@ -18,13 +18,20 @@
 //! status but 1xx/204/304 — and the connection will not be reused
 //! (`Connection: close`, or HTTP/1.0 without `keep-alive`): the body runs
 //! to EOF.  On a keep-alive connection the same head carries no body, as in
-//! the one-shot `parse_response`.  An early EOF in any other state is an
-//! error whose message pins down exactly how far the upstream got — the
-//! fault-injection tests assert on these strings.
+//! the one-shot `parse_response`.  The response to a HEAD request ends at
+//! its head whatever its framing headers declare (RFC 9110 §9.3.2).  An
+//! early EOF in any other state is an error whose message pins down exactly
+//! how far the upstream got — the fault-injection tests assert on these
+//! strings.
+//!
+//! The head the relay hands on carries no hop-by-hop headers: `Connection`,
+//! `Keep-Alive` and every header `Connection` names describe the upstream
+//! connection, so they are read (for [`ResponseRelay::reusable`]) and then
+//! removed — never relayed to a client, never cached.
 
 use bytes::Bytes;
 use nakika_http::parse::{parse_response_head, BodyFraming, ChunkedDecoder, ParseOutcome};
-use nakika_http::Response;
+use nakika_http::{Headers, Response};
 
 /// What a [`ResponseRelay::feed`] call learned from the upstream's bytes.
 #[derive(Debug)]
@@ -71,6 +78,8 @@ pub(crate) struct ResponseRelay {
     /// materialize it; pass-through relays leave it `None` (their memory is
     /// bounded by the chunk window, not the body).
     decode_limit: Option<usize>,
+    /// The request was HEAD: the response is its head alone.
+    head_request: bool,
     /// The head left the connection open for another exchange.
     keep_alive: bool,
     /// Bytes arrived past the end of the response.
@@ -78,11 +87,13 @@ pub(crate) struct ResponseRelay {
 }
 
 impl ResponseRelay {
-    /// A relay positioned before the response's status line.
-    pub(crate) fn new(decode_limit: Option<usize>) -> ResponseRelay {
+    /// A relay positioned before the status line of the response to a
+    /// request that was HEAD when `head_request` is true.
+    pub(crate) fn new(decode_limit: Option<usize>, head_request: bool) -> ResponseRelay {
         ResponseRelay {
             state: State::Head { buf: Vec::new() },
             decode_limit,
+            head_request,
             keep_alive: false,
             surplus: false,
         }
@@ -132,11 +143,13 @@ impl ResponseRelay {
                             return Err(format!("origin sent a malformed response: {e}"));
                         }
                     };
-                    let response = head.response;
+                    let mut response = head.response;
                     self.keep_alive = response.headers.keep_alive(response.version_11);
+                    strip_hop_by_hop(&mut response.headers);
                     let may_carry_body = !response.status.is_informational()
                         && !matches!(response.status.as_u16(), 204 | 304);
                     let (state, declared) = match head.framing {
+                        _ if self.head_request => (State::Done, Some(0)),
                         BodyFraming::Length(n) if n > 0 => (
                             State::Length {
                                 remaining: n,
@@ -242,6 +255,25 @@ impl ResponseRelay {
     }
 }
 
+/// Removes `Connection`, `Keep-Alive` and every header `Connection` names
+/// (RFC 9110 §7.6.1) from an upstream head.
+fn strip_hop_by_hop(headers: &mut Headers) {
+    let named: Vec<String> = headers
+        .get_all("connection")
+        .iter()
+        .flat_map(|value| value.split(','))
+        .map(|name| name.trim().to_string())
+        .filter(|name| !name.is_empty())
+        .collect();
+    for name in named
+        .iter()
+        .map(String::as_str)
+        .chain(["connection", "keep-alive"])
+    {
+        headers.remove(name);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,7 +320,7 @@ mod tests {
     /// The blocking executor's view of `wire` split at `cuts`: the head and
     /// the drained body, or the error that ended the response early.
     fn run_blocking(wire: &[u8], cuts: &[usize]) -> Result<(Response, Vec<u8>), String> {
-        let mut relay = BlockingRelay::new(SplitReader::new(wire, cuts), None, None);
+        let mut relay = BlockingRelay::new(SplitReader::new(wire, cuts), None, false, None);
         let (response, _) = relay.head()?;
         let mut body = Vec::new();
         while let Some(data) = relay.next_data()? {
@@ -301,7 +333,7 @@ mod tests {
     /// saw clean BodyDone) — after checking that the blocking executor,
     /// reading the same fragments, agrees byte for byte.
     fn run_split(wire: &[u8], cuts: &[usize]) -> (Response, Vec<u8>, bool) {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         let mut last = 0;
         for &cut in cuts {
@@ -403,7 +435,7 @@ mod tests {
                 assert_eq!(resp.status.as_u16(), status);
                 assert!(body.is_empty());
             }
-            let mut relay = ResponseRelay::new(None);
+            let mut relay = ResponseRelay::new(None, false);
             relay.feed(wire, &mut Vec::new()).unwrap();
             assert!(relay.is_done(), "complete without waiting for EOF");
         }
@@ -427,7 +459,7 @@ mod tests {
                 assert_eq!(resp.status.as_u16(), 200);
                 assert_eq!(got, body, "cuts {cuts:?}");
             }
-            let mut relay = ResponseRelay::new(None);
+            let mut relay = ResponseRelay::new(None, false);
             let mut events = Vec::new();
             relay.feed(&wire, &mut events).unwrap();
             assert!(!relay.is_done(), "only EOF ends the body");
@@ -471,7 +503,7 @@ mod tests {
     #[test]
     fn only_cleanly_ended_keep_alive_responses_leave_a_reusable_connection() {
         let reusable = |wire: &[u8]| {
-            let mut relay = ResponseRelay::new(None);
+            let mut relay = ResponseRelay::new(None, false);
             relay.feed(wire, &mut Vec::new()).unwrap();
             relay.reusable()
         };
@@ -484,11 +516,60 @@ mod tests {
     }
 
     #[test]
+    fn the_response_to_head_ends_at_its_head() {
+        // An RFC-compliant origin declares the GET body's framing and sends
+        // no body: waiting for those bytes would wedge the exchange.
+        for wire in [
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 28\r\n\r\n"[..],
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+        ] {
+            let mut relay = ResponseRelay::new(None, true);
+            let mut events = Vec::new();
+            relay.feed(wire, &mut events).unwrap();
+            match &events[0] {
+                RelayEvent::Head {
+                    declared, has_body, ..
+                } => assert_eq!((*declared, *has_body), (Some(0), false)),
+                other => panic!("expected head, got {other:?}"),
+            }
+            assert!(matches!(events[1], RelayEvent::BodyDone));
+            assert!(relay.reusable(), "the connection carries the next exchange");
+            let mut relay = BlockingRelay::new(SplitReader::new(wire, &[]), None, true, None);
+            relay.head().unwrap();
+            assert_eq!(relay.next_data().unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn hop_by_hop_headers_are_read_then_stripped() {
+        let head = |wire: &[u8]| {
+            let mut relay = ResponseRelay::new(None, false);
+            let mut events = Vec::new();
+            relay.feed(wire, &mut events).unwrap();
+            let (response, _, _) = collect(events);
+            (response, relay.reusable())
+        };
+        let (response, reusable) = head(
+            b"HTTP/1.1 200 OK\r\nConnection: keep-alive, X-Hop\r\nKeep-Alive: timeout=5\r\n\
+              X-Hop: 1\r\nX-End: 2\r\nContent-Length: 2\r\n\r\nok",
+        );
+        assert!(reusable);
+        let names: Vec<&str> = response.headers.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["X-End", "Content-Length"]);
+        let (response, reusable) =
+            head(b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok");
+        assert!(!reusable, "the verdict is read before the strip");
+        assert_eq!(response.headers.get("connection"), None);
+    }
+
+    #[test]
     fn decode_limit_caps_chunked_bodies() {
         let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6\r\nhello \r\n0\r\n\r\n";
         let mut events = Vec::new();
-        assert!(ResponseRelay::new(Some(6)).feed(wire, &mut events).is_ok());
-        let err = ResponseRelay::new(Some(5))
+        assert!(ResponseRelay::new(Some(6), false)
+            .feed(wire, &mut events)
+            .is_ok());
+        let err = ResponseRelay::new(Some(5), false)
             .feed(wire, &mut events)
             .unwrap_err();
         assert!(err.contains("chunked"), "{err}");
@@ -497,7 +578,7 @@ mod tests {
     #[test]
     fn content_length_zero_emits_body_done_with_head() {
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n";
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay.feed(wire, &mut events).unwrap();
         let (resp, body, done) = collect(events);
@@ -510,7 +591,7 @@ mod tests {
     #[test]
     fn head_event_reports_framing() {
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nabcde";
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay.feed(wire, &mut events).unwrap();
         match &events[0] {
@@ -523,7 +604,7 @@ mod tests {
             other => panic!("expected head, got {other:?}"),
         }
         let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n";
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay.feed(wire, &mut events).unwrap();
         match &events[0] {
@@ -539,7 +620,7 @@ mod tests {
 
     #[test]
     fn eof_before_any_bytes_is_an_error() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         let err = relay.close(&mut events).unwrap_err();
         assert!(err.contains("before sending a response"), "{err}");
@@ -547,7 +628,7 @@ mod tests {
 
     #[test]
     fn eof_mid_head_is_an_error() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay
             .feed(b"HTTP/1.1 200 OK\r\nContent-", &mut events)
@@ -560,7 +641,7 @@ mod tests {
 
     #[test]
     fn eof_mid_content_length_body_reports_progress() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay
             .feed(
@@ -577,7 +658,7 @@ mod tests {
 
     #[test]
     fn eof_mid_chunked_body_is_an_error() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay
             .feed(
@@ -591,7 +672,7 @@ mod tests {
 
     #[test]
     fn garbage_head_is_an_error() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         let err = relay
             .feed(b"NOT HTTP AT ALL\r\n\r\n", &mut events)
@@ -603,7 +684,7 @@ mod tests {
 
     #[test]
     fn bad_chunk_framing_is_an_error() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         let err = relay
             .feed(
@@ -616,7 +697,7 @@ mod tests {
 
     #[test]
     fn oversized_head_is_rejected() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
         // Far past MAX_HEADER_BYTES without ever completing the head.
@@ -629,7 +710,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_done_are_dropped() {
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay
             .feed(
@@ -710,7 +791,7 @@ mod tests {
     fn chunk_data_arrives_incrementally_before_body_done() {
         // A relay must emit Data as bytes arrive, not hold them until the
         // terminator: that is the whole point of the splice.
-        let mut relay = ResponseRelay::new(None);
+        let mut relay = ResponseRelay::new(None, false);
         let mut events = Vec::new();
         relay
             .feed(

@@ -12,6 +12,9 @@
 //! Level-triggered semantics on both backends: a ready fd keeps being
 //! reported until the reactor drains it, which keeps the connection state
 //! machine simple (no starvation bookkeeping for edge-triggered wakeups).
+//!
+//! Two more calls live here for the same reason: a non-blocking IPv4
+//! connect, and [`release_free_memory`] for a server that stopped.
 
 #![allow(unsafe_code)]
 
@@ -46,6 +49,12 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
+    };
+
+    /// Write-only interest — an upstream connection with a request to send.
+    pub const WRITE: Interest = Interest {
+        readable: false,
+        writable: true,
     };
 }
 
@@ -361,6 +370,29 @@ pub(crate) fn connect_nonblocking_v4(
     stream.set_nonblocking(true)?;
     Ok((stream, true))
 }
+
+/// Hands the heap memory the allocator holds free back to the kernel
+/// (glibc's `malloc_trim(3)`), for a server that just stopped.  glibc keeps
+/// what a thread allocated in that thread's arena and trims an arena only
+/// when a later free in it happens to trigger it; once a server's reactor
+/// threads are gone, nothing may ever free into their arenas again, and
+/// everything they allocated — a whole cache's worth of bodies — would stay
+/// resident in a process that goes on without them.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+pub(crate) fn release_free_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> c_int;
+    }
+    // SAFETY: malloc_trim takes no pointers and touches only allocator
+    // state, which it walks under the allocator's own locks.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Other allocators return freed memory by their own policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+pub(crate) fn release_free_memory() {}
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,8 @@ use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Location, Overlay};
 use nakika_server::{
-    http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ProxyServer, TcpOrigin,
+    http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ProxyServer, ReactorConfig,
+    TcpOrigin,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -207,6 +208,72 @@ fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
         fetcher.idle_connections(&peer_addr.ip().to_string(), peer_addr.port()),
         1,
         "peer fetches must share one pooled keep-alive connection"
+    );
+}
+
+#[test]
+fn spliced_peer_misses_reuse_the_connections_their_reactors_keep() {
+    const MISSES: usize = 8;
+    const B_REACTORS: usize = 2;
+    let (origin, origin_hits) = counting_origin();
+    let overlay = Arc::new(Overlay::with_defaults());
+    let a = start_local_node("kept-a", &overlay, None).expect("node a");
+    let urls: Vec<String> = (0..MISSES)
+        .map(|i| format!("{}/kept/{i}.html", origin.base_url()))
+        .collect();
+    for url in &urls {
+        http_get_via_proxy(a.server.addr(), url).expect("warm a");
+        overlay.join_with_addr(key_for(&get_key(url)), Location::new(0.0, 0.0), &a.base_url);
+    }
+
+    // B serves the node stack itself, which publishes relay plans: its
+    // misses are spliced on B's event loops, not run on its worker pool.
+    let id = key_for("kept-b");
+    overlay.join(id, Location::new(0.0, 0.0));
+    let handle = NodeBuilder::proxy_with_dht("kept-b")
+        .overlay(Arc::clone(&overlay), id)
+        .origin(Arc::new(TcpOrigin::new()))
+        .build();
+    let b = HttpServer::start_reactor(
+        0,
+        handle.service(),
+        ReactorConfig {
+            reactors: B_REACTORS,
+            ..ReactorConfig::default()
+        },
+    )
+    .expect("node b");
+    let base_url = format!("http://{}", b.addr());
+    handle.node().set_public_addr(&base_url);
+    overlay.set_addr(id, &base_url);
+
+    // A closes the warm-up clients' connections on its own schedule.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while a.server.stats().open_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "warm-up connections never closed"
+        );
+        std::thread::yield_now();
+    }
+    // One-shot clients land on B's reactors in turn; each reactor keeps
+    // the connection it opened to A and reuses it for its next miss.
+    for url in &urls {
+        let response = http_get_via_proxy(b.addr(), url).expect("fetch via b");
+        assert!(response.status.is_success());
+        let open = a.server.stats().open_connections();
+        assert!(
+            open <= B_REACTORS,
+            "{open} connections into A from {B_REACTORS} reactors"
+        );
+    }
+    assert_eq!(origin_hits.load(Ordering::SeqCst), MISSES as u64);
+    assert_eq!(handle.node().stats().peer_hits, MISSES as u64);
+    assert_eq!(b.stats().spliced_relays(), MISSES as u64);
+    assert_eq!(b.stats().worker_submissions(), 0);
+    assert!(
+        a.server.stats().open_connections() >= 1,
+        "B keeps its connections into A open between misses"
     );
 }
 

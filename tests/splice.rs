@@ -16,16 +16,23 @@
 //!    is evicted by the reactor's timer wheel at `idle_timeout_ms` while
 //!    64 warm keep-alive clients on the same event loop keep receiving
 //!    byte-identical responses.
+//! 4. **Upstreams are kept alive, and only when they can be** — a reactor
+//!    keeps a cleanly finished upstream connection idle (at most four per
+//!    `host:port`) and the next miss reuses it; a response that forbids
+//!    reuse closes it; a kept connection that went stale is retried on a
+//!    fresh one without a 502; idle ones close at the idle timeout and
+//!    with the server, quietly.
 
 use nakika_core::service::{service_fn, DispatchHint, HttpService, NakikaError, RequestCtx};
 use nakika_core::{NodeBuilder, NodeHandle};
-use nakika_http::{Request, Response, StatusCode};
+use nakika_http::{parse_response, ParseOutcome, Request, Response, StatusCode};
 use nakika_server::{
     http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ServerOptions, TcpOrigin,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn cacheable_origin() -> HttpServer {
@@ -380,4 +387,402 @@ fn stalled_origin_is_evicted_while_warm_clients_stay_byte_identical() {
         0,
         "no head was delivered, so nothing was aborted mid-stream"
     );
+}
+
+/// What a [`keep_alive_origin`] does with a connection after a reply.
+#[derive(Clone, Copy, PartialEq)]
+enum After {
+    /// Wait for the next request.
+    Keep,
+    /// Hang up at once.
+    Close,
+    /// Hang up when the next request arrives, unanswered — an upstream
+    /// whose keep-alive timeout raced the edge's reuse.
+    CloseAtNextRequest,
+}
+
+/// A raw TCP origin serving any number of requests per connection, one
+/// thread per connection.  `answer` gets each request's method and path
+/// and returns the reply bytes and what to do next.
+struct KeepAliveOrigin {
+    addr: SocketAddr,
+    /// Connections accepted.
+    accepts: Arc<AtomicUsize>,
+    /// One message per connection the edge closed (EOF or reset).
+    edge_closed: mpsc::Receiver<()>,
+}
+
+fn keep_alive_origin(
+    answer: impl Fn(&str, &str) -> (Vec<u8>, After) + Send + Sync + 'static,
+) -> KeepAliveOrigin {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let (closed_tx, edge_closed) = mpsc::channel();
+    let answer = Arc::new(answer);
+    let counter = accepts.clone();
+    std::thread::spawn(move || {
+        while let Ok((mut stream, _)) = listener.accept() {
+            counter.fetch_add(1, Ordering::SeqCst);
+            let (answer, closed_tx) = (answer.clone(), closed_tx.clone());
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 4096];
+                let mut hang_up_at_next = false;
+                loop {
+                    let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+                        match stream.read(&mut chunk) {
+                            Ok(0) | Err(_) => {
+                                let _ = closed_tx.send(());
+                                return;
+                            }
+                            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                        }
+                        continue;
+                    };
+                    if hang_up_at_next {
+                        return;
+                    }
+                    let head = String::from_utf8_lossy(&buf[..end]).into_owned();
+                    buf.drain(..end + 4);
+                    let mut line = head.split(' ');
+                    let (method, target) = (line.next().unwrap(), line.next().unwrap());
+                    // Absolute-form targets carry the authority first.
+                    let path = target.trim_start_matches("http://");
+                    let path = &path[path.find('/').unwrap_or(0)..];
+                    let (reply, after) = answer(method, path);
+                    if stream.write_all(&reply).is_err() || after == After::Close {
+                        return;
+                    }
+                    hang_up_at_next = after == After::CloseAtNextRequest;
+                }
+            });
+        }
+    });
+    KeepAliveOrigin {
+        addr,
+        accepts,
+        edge_closed,
+    }
+}
+
+impl KeepAliveOrigin {
+    fn url(&self, path: &str) -> String {
+        format!("http://{}{path}", self.addr)
+    }
+
+    fn accepts(&self) -> usize {
+        self.accepts.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the edge closed one more connection (or panics after a
+    /// generous bound).
+    fn await_edge_close(&self) {
+        self.edge_closed
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the edge closed an upstream connection");
+    }
+}
+
+/// A cacheable 200 whose body names `path`, framed by `Content-Length`.
+fn page(path: &str) -> Vec<u8> {
+    let body = page_body(path);
+    format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nCache-Control: max-age=600\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+fn page_body(path: &str) -> String {
+    format!("kept-alive origin page {path}")
+}
+
+/// A one-loop splicing proxy (`idle_timeout_ms` 0 = the default).
+fn kept_alive_proxy(idle_timeout_ms: u64) -> (NodeHandle, HttpServer) {
+    let (edge, service) = edge_service();
+    let server = HttpServer::start_reactor(
+        0,
+        service,
+        ReactorConfig {
+            reactors: 1,
+            workers: 2,
+            options: ServerOptions {
+                idle_timeout_ms,
+                max_connections: 0,
+            },
+        },
+    )
+    .unwrap();
+    (edge, server)
+}
+
+#[test]
+fn sequential_misses_reuse_one_upstream_connection() {
+    const MISSES: usize = 200;
+    let origin = keep_alive_origin(|_, path| (page(path), After::Keep));
+    let (_edge, proxy) = kept_alive_proxy(0);
+    let mut client = ProxyClient::connect(proxy.addr()).unwrap();
+    for i in 0..MISSES {
+        let path = format!("/seq/{i}");
+        let response = client.get(&origin.url(&path)).unwrap();
+        assert_eq!(response.status, StatusCode::OK);
+        assert_eq!(response.body.to_text(), page_body(&path), "miss {i}");
+    }
+    assert_eq!(
+        origin.accepts(),
+        1,
+        "one upstream connection carried every miss"
+    );
+    assert_eq!(proxy.stats().spliced_relays(), MISSES as u64);
+    assert_eq!(proxy.stats().worker_submissions(), 0);
+    assert_eq!(proxy.stats().relay_aborts(), 0);
+}
+
+#[test]
+fn kept_connections_the_upstream_hung_up_are_retried_not_failed() {
+    // Hung up right after the reply, the idle connection is usually closed
+    // on its EOF before the next miss; hung up when the next request
+    // arrives, every reuse finds it stale.  Either way each miss gets its
+    // page over exactly one fresh connection, and nothing is counted.
+    const MISSES: usize = 200;
+    for after in [After::Close, After::CloseAtNextRequest] {
+        let origin = keep_alive_origin(move |_, path| (page(path), after));
+        let (_edge, proxy) = kept_alive_proxy(0);
+        let mut client = ProxyClient::connect(proxy.addr()).unwrap();
+        for i in 0..MISSES {
+            let path = format!("/stale/{i}");
+            let response = client.get(&origin.url(&path)).unwrap();
+            assert_eq!(response.status, StatusCode::OK, "miss {i}");
+            assert_eq!(response.body.to_text(), page_body(&path));
+        }
+        assert_eq!(origin.accepts(), MISSES);
+        assert_eq!(proxy.stats().spliced_relays(), MISSES as u64);
+        assert_eq!(proxy.stats().relay_aborts(), 0);
+        assert_eq!(proxy.stats().timeouts(), 0);
+        assert_eq!(proxy.stats().worker_submissions(), 0);
+    }
+}
+
+#[test]
+fn responses_that_forbid_reuse_are_never_kept() {
+    const MISSES: usize = 3;
+    let cases: [(&str, &'static [u8], After); 4] = [
+        (
+            "Connection: close",
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+            After::Close,
+        ),
+        (
+            "HTTP/1.0",
+            b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+            After::Keep,
+        ),
+        (
+            "surplus bytes",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokEXTRA",
+            After::Keep,
+        ),
+        (
+            "close-delimited",
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nok",
+            After::Close,
+        ),
+    ];
+    for (case, reply, after) in cases {
+        let origin = keep_alive_origin(move |_, _| (reply.to_vec(), after));
+        let (_edge, proxy) = kept_alive_proxy(0);
+        let mut client = ProxyClient::connect(proxy.addr()).unwrap();
+        for i in 0..MISSES {
+            let response = client.get(&origin.url(&format!("/no-reuse/{i}"))).unwrap();
+            assert_eq!(response.status, StatusCode::OK, "{case}");
+            assert_eq!(response.body.to_text(), "ok", "{case}");
+        }
+        assert_eq!(origin.accepts(), MISSES, "{case}: one connection per miss");
+        assert_eq!(proxy.stats().relay_aborts(), 0, "{case}");
+    }
+}
+
+#[test]
+fn an_idle_upstream_closes_quietly_at_the_idle_timeout() {
+    const IDLE_TIMEOUT_MS: u64 = 200;
+    let origin = keep_alive_origin(|_, path| (page(path), After::Keep));
+    let (_edge, proxy) = kept_alive_proxy(IDLE_TIMEOUT_MS);
+    // A one-shot client, so no client connection is left to time out.
+    let response = http_get_via_proxy(proxy.addr(), &origin.url("/idle")).unwrap();
+    let idled = Instant::now();
+    assert_eq!(response.status, StatusCode::OK);
+    origin.await_edge_close();
+    assert!(
+        idled.elapsed() >= Duration::from_millis(IDLE_TIMEOUT_MS / 2),
+        "closed by its deadline, not at once ({:?})",
+        idled.elapsed()
+    );
+    assert_eq!(origin.accepts(), 1);
+    assert_eq!(proxy.stats().timeouts(), 0, "idle expiry is not a timeout");
+    assert_eq!(proxy.stats().relay_aborts(), 0);
+}
+
+#[test]
+fn dropping_the_server_closes_its_idle_upstreams() {
+    let origin = keep_alive_origin(|_, path| (page(path), After::Keep));
+    let (_edge, proxy) = kept_alive_proxy(0);
+    let response = http_get_via_proxy(proxy.addr(), &origin.url("/drop")).unwrap();
+    assert_eq!(response.status, StatusCode::OK);
+    assert!(
+        origin.edge_closed.try_recv().is_err(),
+        "the upstream connection is kept while the server runs"
+    );
+    drop(proxy);
+    origin.await_edge_close();
+    assert_eq!(origin.accepts(), 1);
+}
+
+#[test]
+fn at_most_four_idle_connections_per_upstream_are_kept() {
+    const CONCURRENT: usize = 8;
+    const KEPT: usize = 4;
+    // The origin holds its first replies until every concurrent miss has
+    // arrived, so the edge must open one connection per miss.
+    let barrier = Arc::new(Barrier::new(CONCURRENT));
+    let answered = Arc::new(AtomicUsize::new(0));
+    let origin = keep_alive_origin(move |_, path| {
+        if answered.fetch_add(1, Ordering::SeqCst) < CONCURRENT {
+            barrier.wait();
+        }
+        (page(path), After::Keep)
+    });
+    let (_edge, proxy) = kept_alive_proxy(0);
+    let clients: Vec<_> = (0..CONCURRENT)
+        .map(|i| {
+            let (addr, url) = (proxy.addr(), origin.url(&format!("/burst/{i}")));
+            std::thread::spawn(move || http_get_via_proxy(addr, &url).unwrap().status)
+        })
+        .collect();
+    for client in clients {
+        assert_eq!(client.join().unwrap(), StatusCode::OK);
+    }
+    assert_eq!(origin.accepts(), CONCURRENT);
+    for _ in KEPT..CONCURRENT {
+        origin.await_edge_close();
+    }
+    // The four kept connections carry the next misses; nothing reconnects.
+    let mut client = ProxyClient::connect(proxy.addr()).unwrap();
+    for i in 0..KEPT {
+        let path = format!("/after/{i}");
+        assert_eq!(
+            client.get(&origin.url(&path)).unwrap().body.to_text(),
+            page_body(&path)
+        );
+    }
+    assert_eq!(origin.accepts(), CONCURRENT);
+    assert!(
+        origin.edge_closed.try_recv().is_err(),
+        "only the extras were closed"
+    );
+    drop(client);
+    drop(proxy);
+    for _ in 0..KEPT {
+        origin.await_edge_close();
+    }
+}
+
+/// One request written raw on `stream`, its reply read back with the
+/// one-shot parser — which, unlike the crate's clients, strips no header.
+fn raw_exchange(stream: &mut TcpStream, request: &str) -> Response {
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Ok(ParseOutcome::Complete { message, .. }) = parse_response(&buf) {
+            return message;
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the proxy closed mid-reply");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+#[test]
+fn a_head_miss_ends_at_its_head_on_both_executors() {
+    // An RFC-compliant origin answers HEAD with the GET's framing headers
+    // and no body.
+    let origin = keep_alive_origin(|method, path| {
+        let mut reply = page(path);
+        if method == "HEAD" {
+            let end = reply.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+            reply.truncate(end + 4);
+        }
+        (reply, After::Keep)
+    });
+    let (_edge, service) = edge_service();
+    let spliced = one_loop_proxy(service);
+    let (_edge, service) = edge_service();
+    let pooled = one_loop_proxy(Arc::new(Unplanned(service)));
+    for (proxy, executor) in [(&spliced, "splice"), (&pooled, "pool")] {
+        let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .unwrap();
+        for i in 0..2 {
+            let url = origin.url(&format!("/{executor}/head/{i}"));
+            let started = Instant::now();
+            let response = raw_exchange(
+                &mut stream,
+                &format!("HEAD {url} HTTP/1.1\r\nHost: {}\r\n\r\n", origin.addr),
+            );
+            assert_eq!(response.status, StatusCode::OK, "{executor}");
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{executor}: the reply waited on a body that never comes ({:?})",
+                started.elapsed()
+            );
+        }
+        assert_eq!(proxy.stats().relay_aborts(), 0, "{executor}");
+    }
+    assert_eq!(spliced.stats().spliced_relays(), 2);
+    assert_eq!(spliced.stats().worker_submissions(), 0);
+    assert_eq!(
+        origin.accepts(),
+        2,
+        "each executor carried both HEADs on one kept connection"
+    );
+}
+
+#[test]
+fn upstream_hop_by_hop_headers_are_neither_relayed_nor_cached() {
+    let origin = keep_alive_origin(|_, _| {
+        let reply = b"HTTP/1.1 200 OK\r\nConnection: keep-alive, X-Hop\r\n\
+                      Keep-Alive: timeout=5\r\nX-Hop: secret\r\nX-End: kept\r\n\
+                      Cache-Control: max-age=600\r\nContent-Length: 4\r\n\r\nbody";
+        (reply.to_vec(), After::Keep)
+    });
+    let url = origin.url("/hop.html");
+    let (spliced_edge, service) = edge_service();
+    let spliced = one_loop_proxy(service);
+    let (pooled_edge, service) = edge_service();
+    let pooled = one_loop_proxy(Arc::new(Unplanned(service)));
+    for (proxy, edge, executor) in [
+        (&spliced, &spliced_edge, "splice"),
+        (&pooled, &pooled_edge, "blocking executor"),
+    ] {
+        let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+        for reply in ["miss", "hit"] {
+            let response = raw_exchange(
+                &mut stream,
+                &format!("GET {url} HTTP/1.1\r\nHost: {}\r\n\r\n", origin.addr),
+            );
+            assert_eq!(response.body.to_text(), "body", "{executor} {reply}");
+            assert_eq!(response.headers.get("X-End"), Some("kept"));
+            for hop in ["Connection", "Keep-Alive", "X-Hop"] {
+                assert_eq!(
+                    response.headers.get(hop),
+                    None,
+                    "{executor}: the {reply} reply carries the upstream's {hop}"
+                );
+            }
+        }
+        assert_eq!(edge.node().cache_stats().hits, 1, "{executor}");
+    }
 }
