@@ -235,7 +235,11 @@ impl Body {
     ///
     /// Full bodies are handed out in bounded [`STREAM_CHUNK_BYTES`] slices so
     /// transports never queue more than one chunk of wire output at a time,
-    /// whatever the body's representation.  Returns `Ok(None)` at the end.
+    /// whatever the body's representation.  Each chunk, and the remainder
+    /// kept in `self`, is an O(1) view of the body's buffer
+    /// ([`Bytes::slice`]): serving a cached body copies none of it.  A view
+    /// keeps the whole buffer alive until it is dropped.  Returns `Ok(None)`
+    /// at the end.
     pub fn read_chunk(&mut self) -> io::Result<Option<Bytes>> {
         match self {
             Body::Full(bytes) => {
@@ -751,6 +755,25 @@ mod tests {
     }
 
     #[test]
+    fn full_body_chunks_are_views_of_the_cached_buffer() {
+        let data: Bytes = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
+        let mut b = Body::from_bytes(data.clone());
+        let mut k = 0;
+        while let Some(chunk) = b.read_chunk().unwrap() {
+            let offset = k * STREAM_CHUNK_BYTES;
+            assert_eq!(chunk.len(), STREAM_CHUNK_BYTES);
+            assert_eq!(
+                chunk.as_ptr(),
+                data.as_ptr().wrapping_add(offset),
+                "chunk {k} is a copy, not a view"
+            );
+            assert_eq!(&chunk[..], &data[offset..offset + STREAM_CHUNK_BYTES]);
+            k += 1;
+        }
+        assert_eq!(k, 16);
+    }
+
+    #[test]
     fn streaming_body_drains_and_buffers() {
         let chunks = vec![Bytes::from_static(b"ab"), Bytes::from_static(b"cd")];
         let mut b = Body::stream_from_iter(chunks, Some(4));
@@ -852,6 +875,16 @@ mod tests {
         assert_eq!(body.segment(0).unwrap().len(), SCRIPT_READ_CHUNK_BYTES);
         assert_eq!(body.segment(1).unwrap().len(), 5);
         assert!(body.segment(2).is_none());
+    }
+
+    #[test]
+    fn segments_are_views_of_the_buffered_body() {
+        let body = Body::from_bytes(vec![9u8; SCRIPT_READ_CHUNK_BYTES + 5]);
+        let whole = body.to_bytes();
+        assert_eq!(
+            body.segment(1).unwrap().as_ptr(),
+            whole.as_ptr().wrapping_add(SCRIPT_READ_CHUNK_BYTES)
+        );
     }
 
     #[test]

@@ -302,8 +302,10 @@ impl ResponseWriter {
     }
 
     /// Wire-frames one body chunk.  `Content-Length` framing passes the
-    /// chunk through untouched (zero-copy on the relay hot path); chunked
-    /// framing wraps it in its size line and CRLF.
+    /// chunk through untouched: zero-copy on the relay path, and on the
+    /// cache-hit path, where the chunk is a view of the cached body
+    /// ([`Body::read_chunk`]).  Chunked framing copies it behind its size
+    /// line and ahead of its CRLF.
     fn frame(&self, chunk: Bytes) -> Bytes {
         if self.chunked {
             let mut out = Vec::with_capacity(chunk.len() + 16);
@@ -499,6 +501,47 @@ mod tests {
         let text = String::from_utf8_lossy(&wire);
         assert!(text.ends_with("0123456789"), "wire: {text}");
         assert!(!text.contains("EXTRA"));
+    }
+
+    #[test]
+    fn writer_emits_views_of_a_full_body() {
+        use crate::message::STREAM_CHUNK_BYTES;
+        use bytes::Bytes;
+        let data: Bytes = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
+        let mut resp = Response::new(StatusCode::OK);
+        resp.body = Body::from_bytes(data.clone());
+        let mut writer = ResponseWriter::new(resp);
+        let head = writer.next_part().unwrap().expect("head");
+        let mut wire = head.to_vec();
+        let mut offset = 0;
+        while let Some(part) = writer.next_part().unwrap() {
+            assert_eq!(
+                part.as_ptr(),
+                data.as_ptr().wrapping_add(offset),
+                "body part at {offset} is a copy, not a view"
+            );
+            offset += part.len();
+            wire.extend_from_slice(&part);
+        }
+        assert_eq!(offset, data.len());
+        assert_eq!(offset / STREAM_CHUNK_BYTES, 16);
+        let mut expected = head.to_vec();
+        expected.extend_from_slice(&data);
+        assert_eq!(wire, expected);
+    }
+
+    #[test]
+    fn writer_truncates_an_over_delivering_chunk_in_place() {
+        use bytes::Bytes;
+        let chunk = Bytes::from(b"0123456789EXTRA".to_vec());
+        let mut resp = Response::new(StatusCode::OK);
+        resp.body = Body::stream_from_iter(vec![chunk.clone()], Some(10));
+        let mut writer = ResponseWriter::new(resp);
+        writer.next_part().unwrap().expect("head");
+        let part = writer.next_part().unwrap().expect("body");
+        assert_eq!(&part[..], b"0123456789");
+        assert_eq!(part.as_ptr(), chunk.as_ptr(), "the cut is a view");
+        assert!(writer.next_part().unwrap().is_none());
     }
 
     #[test]

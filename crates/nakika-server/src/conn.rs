@@ -965,4 +965,113 @@ mod tests {
         assert!(out.ends_with("hello world"));
         assert!(conn.open, "keep-alive survives an offloaded stream");
     }
+
+    mod partial_writes {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Answers `requests` pipelined GETs with `body` and drains the
+        /// connection like a socket that takes `writes[i]` bytes on its
+        /// i-th write (cycled).  Returns the wire bytes.
+        ///
+        /// Checks on the way: every tail run is a response head or a view
+        /// of `body`'s allocation, and after each write the new front run
+        /// starts exactly where the write stopped — a partially written
+        /// part is re-pointed, never copied.
+        fn drain(body: &Bytes, requests: usize, writes: &[usize]) -> Vec<u8> {
+            let served = body.clone();
+            let service = service_fn(move |_req: Request, _ctx| {
+                let mut resp = Response::new(StatusCode::OK);
+                resp.body = Body::from_bytes(served.clone());
+                Ok(resp)
+            });
+            let factory = factory();
+            let mut conn = HttpConn::new(peer(), gauge());
+            for _ in 0..requests {
+                conn.feed(b"GET /obj HTTP/1.1\r\nHost: x\r\n\r\n");
+            }
+            drive(&mut conn, &*service, &factory);
+            let body_range = body.as_ptr_range();
+            let mut wire = Vec::new();
+            let mut i = 0;
+            while conn.wants_write() {
+                let runs: Vec<(*const u8, usize)> = conn
+                    .output_slices()
+                    .iter()
+                    .map(|run| (run.as_ptr(), run.len()))
+                    .collect();
+                for (k, run) in conn.output_slices().iter().enumerate().skip(1) {
+                    let in_body = body_range.contains(&run.as_ptr())
+                        && run.as_ptr().wrapping_add(run.len()) <= body_range.end;
+                    assert!(
+                        in_body || run.starts_with(b"HTTP/1.1 "),
+                        "tail run {k} is neither a head nor a view of the body"
+                    );
+                }
+                let pending: usize = runs.iter().map(|&(_, len)| len).sum();
+                let n = writes[i % writes.len()].min(pending);
+                i += 1;
+                let mut left = n;
+                for run in conn.output_slices() {
+                    let take = left.min(run.len());
+                    wire.extend_from_slice(&run[..take]);
+                    left -= take;
+                }
+                conn.advance_output(n);
+                // Where the write stopped: `rest` bytes into some run.
+                let mut rest = n;
+                let cut = runs.iter().find_map(|&(ptr, len)| {
+                    if rest < len {
+                        Some(ptr.wrapping_add(rest))
+                    } else {
+                        rest -= len;
+                        None
+                    }
+                });
+                if let Some(expected) = cut {
+                    assert_eq!(
+                        conn.output_slices()[0].as_ptr(),
+                        expected,
+                        "the unwritten rest of a part moved"
+                    );
+                }
+                drive(&mut conn, &*service, &factory);
+                assert!(i < 1_000_000, "output drains");
+            }
+            wire
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// However the socket splits its writes, the wire carries the
+            /// same bytes as one unbroken drain, and no body byte is copied
+            /// on the way out.
+            #[test]
+            fn partial_writes_keep_the_wire_and_the_views(
+                len in 0usize..4 * STREAM_CHUNK_BYTES + 100,
+                pad in 0usize..100,
+                requests in 1usize..3,
+                raw_writes in prop::collection::vec(1usize..100_000, 1..8),
+            ) {
+                // The body is itself a view: `pad` bytes into a larger buffer.
+                let parent: Bytes = (0..pad + len).map(|i| (i % 251) as u8).collect();
+                let body = parent.slice(pad..);
+                let writes: Vec<usize> = raw_writes
+                    .iter()
+                    .map(|&w| if w % 4 == 0 { w % 700 + 1 } else { w })
+                    .collect();
+                let reference = drain(&body, requests, &[usize::MAX]);
+                let head_len = reference.len() / requests - len;
+                prop_assert!(reference.starts_with(b"HTTP/1.1 200"));
+                let mut expected = Vec::new();
+                for _ in 0..requests {
+                    expected.extend_from_slice(&reference[..head_len]);
+                    expected.extend_from_slice(&body);
+                }
+                prop_assert_eq!(&reference, &expected);
+                prop_assert_eq!(drain(&body, requests, &writes), reference);
+            }
+        }
+    }
 }
