@@ -5,8 +5,19 @@
 //! model for everything it caches — static resources, dynamically created
 //! content, and the scripts themselves (which is also how security-policy
 //! updates propagate: publish the new script and let cached copies expire).
-//! The cache is shared by all sites on a node and bounded in bytes, evicting
-//! the entries that expire soonest first and then the least recently used.
+//! The cache is shared by all sites on a node and bounded in bytes.
+//!
+//! # Eviction
+//!
+//! Each shard keeps its entries in a SIEVE ring (Zhang et al., "SIEVE is
+//! Simpler than LRU", NSDI '24): insertion order, newest at the head, plus
+//! one visited bit per entry that a hit sets.  To make room, a hand walks
+//! from the tail toward the head, clearing the visited bits it passes, and
+//! evicts the first entry that is unvisited or already expired; the hand
+//! stays where it stopped for the next eviction.  So an eviction costs
+//! O(1) amortized steps under the shard lock, however many entries the
+//! shard holds, and a hit is one `bool` store.  Expiry does not order the
+//! victims: an expired entry goes when the hand reaches it.
 //!
 //! # Sharding
 //!
@@ -22,9 +33,9 @@
 //! and an entry bigger than its shard's budget evicts the rest of the shard
 //! and lives there alone.  The global budget stays a hard invariant: a
 //! relaxed total-bytes counter notices when oversize entries push the
-//! aggregate past `capacity`, and a slow-path sweep then evicts globally,
-//! taking one shard lock at a time (never two, so it cannot deadlock with
-//! concurrent inserts).
+//! aggregate past `capacity`, and a slow-path sweep then advances the
+//! shards' hands in turn, taking one shard lock at a time (never two, so it
+//! cannot deadlock with concurrent inserts).
 //!
 //! The shard count is chosen from the byte capacity so that small caches
 //! (tests, constrained deployments) keep exact single-shard semantics, and
@@ -50,6 +61,7 @@ use nakika_http::{Method, Response};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cache statistics used throughout the evaluation harness.
@@ -121,21 +133,212 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone)]
-struct Entry {
+/// Slot index that names no entry: the end of a ring, or a hand that starts
+/// over from the tail.
+const NIL: usize = usize::MAX;
+
+/// One cached response and its place in its shard's SIEVE ring.
+struct Node {
+    key: Arc<str>,
     response: Response,
     fresh_until: u64,
-    last_used: u64,
     size: usize,
+    /// Set by a hit; cleared when the hand passes over the entry.
+    visited: bool,
+    /// The entry inserted just after this one (toward the head), or [`NIL`].
+    newer: usize,
+    /// The entry inserted just before this one (toward the tail), or [`NIL`].
+    older: usize,
 }
 
 /// One shard: entries, byte accounting and statistics behind a single lock,
 /// so a shard operation takes exactly one lock acquisition.
-#[derive(Default)]
+///
+/// The SIEVE ring (see the module docs) is a doubly linked list of slab
+/// indices, so it needs no `unsafe` and grows with the entries.
 struct ShardState {
-    entries: HashMap<String, Entry>,
+    index: HashMap<Arc<str>, usize>,
+    /// The slab: `None` marks a free slot, listed in `free`.
+    slots: Vec<Option<Node>>,
+    free: Vec<usize>,
+    /// Newest entry.
+    head: usize,
+    /// Oldest entry.
+    tail: usize,
+    /// Where the next victim search starts; [`NIL`] means the tail.
+    hand: usize,
     used_bytes: usize,
     stats: CacheStats,
+    /// Entries the hand has examined, for the complexity test.
+    #[cfg(test)]
+    hand_steps: u64,
+}
+
+impl Default for ShardState {
+    fn default() -> ShardState {
+        ShardState {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            hand: NIL,
+            used_bytes: 0,
+            stats: CacheStats::default(),
+            #[cfg(test)]
+            hand_steps: 0,
+        }
+    }
+}
+
+impl ShardState {
+    fn node(&self, slot: usize) -> &Node {
+        self.slots[slot]
+            .as_ref()
+            .expect("a linked slot holds an entry")
+    }
+
+    fn node_mut(&mut self, slot: usize) -> &mut Node {
+        self.slots[slot]
+            .as_mut()
+            .expect("a linked slot holds an entry")
+    }
+
+    /// Links a new entry in at the head, unvisited, and returns its slot.
+    fn push_head(
+        &mut self,
+        key: Arc<str>,
+        response: Response,
+        fresh_until: u64,
+        size: usize,
+    ) -> usize {
+        let node = Node {
+            key: Arc::clone(&key),
+            response,
+            fresh_until,
+            size,
+            visited: false,
+            newer: NIL,
+            older: self.head,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(node);
+                slot
+            }
+            None => {
+                self.slots.push(Some(node));
+                self.slots.len() - 1
+            }
+        };
+        match self.head {
+            NIL => self.tail = slot,
+            head => self.node_mut(head).newer = slot,
+        }
+        self.head = slot;
+        self.index.insert(key, slot);
+        self.used_bytes += size;
+        slot
+    }
+
+    /// Unlinks the entry in `slot`, moving the hand on if it pointed there,
+    /// and returns it.
+    fn remove(&mut self, slot: usize) -> Node {
+        let node = self.slots[slot]
+            .take()
+            .expect("a linked slot holds an entry");
+        match node.newer {
+            NIL => self.head = node.older,
+            newer => self.node_mut(newer).older = node.older,
+        }
+        match node.older {
+            NIL => self.tail = node.newer,
+            older => self.node_mut(older).newer = node.newer,
+        }
+        if self.hand == slot {
+            self.hand = node.newer;
+        }
+        self.free.push(slot);
+        self.index.remove(&node.key);
+        self.used_bytes -= node.size;
+        node
+    }
+
+    /// Advances the hand to the first entry that is unvisited or expired at
+    /// `now`, clearing the visited bits it passes, and evicts it.  The entry
+    /// in `protect` is never chosen.  Returns the evicted size, or `None`
+    /// when nothing but `protect` is left.
+    fn evict(&mut self, protect: Option<usize>, now: u64) -> Option<usize> {
+        if self.index.len() <= usize::from(protect.is_some()) {
+            return None;
+        }
+        let mut slot = if self.hand == NIL {
+            self.tail
+        } else {
+            self.hand
+        };
+        // Two passes at most: the first clears every visited bit it meets.
+        loop {
+            #[cfg(test)]
+            {
+                self.hand_steps += 1;
+            }
+            let tail = self.tail;
+            let node = self.node_mut(slot);
+            let next = if node.newer == NIL { tail } else { node.newer };
+            if Some(slot) != protect {
+                if !node.visited || node.fresh_until <= now {
+                    // `remove` moves the hand on to the victim's newer
+                    // neighbour, or back to the tail after the head.
+                    self.hand = slot;
+                    let size = self.remove(slot).size;
+                    self.stats.evictions += 1;
+                    return Some(size);
+                }
+                node.visited = false;
+            }
+            slot = next;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.hand = NIL;
+        self.used_bytes = 0;
+    }
+
+    /// Panics unless the ring, the index, the slab and the byte count agree.
+    #[cfg(test)]
+    fn check(&self) {
+        let mut linked = 0;
+        let mut bytes = 0;
+        let mut hand_linked = self.hand == NIL;
+        let (mut slot, mut prev) = (self.tail, NIL);
+        while slot != NIL {
+            let node = self.node(slot);
+            assert_eq!(node.older, prev, "ring links disagree at slot {slot}");
+            assert_eq!(
+                self.index.get(&node.key),
+                Some(&slot),
+                "index misses {}",
+                node.key
+            );
+            hand_linked |= self.hand == slot;
+            linked += 1;
+            bytes += node.size;
+            (prev, slot) = (slot, node.newer);
+        }
+        assert_eq!(prev, self.head, "the walk from the tail ends at the head");
+        assert_eq!(linked, self.index.len(), "ring length = map length");
+        assert_eq!(bytes, self.used_bytes, "sum of entry sizes = used_bytes");
+        assert!(hand_linked, "the hand points at a linked entry");
+        assert_eq!(linked + self.free.len(), self.slots.len());
+        assert!(self.free.iter().all(|&slot| self.slots[slot].is_none()));
+    }
 }
 
 /// A bounded, expiration-based response cache, sharded by key hash.
@@ -150,6 +353,8 @@ pub struct ProxyCache {
     /// per-shard accounting; lets `put` notice a global overshoot without
     /// touching the other shards' locks.
     used_total: AtomicUsize,
+    /// The shard whose hand the global sweep advances next.
+    sweep_cursor: AtomicUsize,
     /// Heuristic freshness applied when the origin gives no expiration
     /// information (the deployment knob; the evaluation's cold/warm contrast
     /// only needs *some* positive lifetime).
@@ -188,6 +393,7 @@ impl ProxyCache {
             capacity_bytes,
             shard_capacity: (capacity_bytes / shard_count).max(1),
             used_total: AtomicUsize::new(0),
+            sweep_cursor: AtomicUsize::new(0),
             heuristic,
         }
     }
@@ -211,15 +417,20 @@ impl ProxyCache {
         self.capacity_bytes
     }
 
-    /// The shard responsible for `key` (FNV-1a over the key bytes — cheap,
-    /// deterministic, and good enough dispersion for URL-shaped keys).
-    fn shard(&self, key: &str) -> &Mutex<ShardState> {
+    /// Index of the shard responsible for `key` (FNV-1a over the key bytes
+    /// — cheap, deterministic, and good enough dispersion for URL-shaped
+    /// keys).
+    fn shard_index(&self, key: &str) -> usize {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in key.as_bytes() {
             hash ^= u64::from(*byte);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        &self.shards[(hash % self.shards.len() as u64) as usize]
+        (hash % self.shards.len() as u64) as usize
+    }
+
+    fn shard(&self, key: &str) -> &Mutex<ShardState> {
+        &self.shards[self.shard_index(key)]
     }
 
     /// Non-mutating freshness probe: true when a fresh entry for `key`
@@ -232,9 +443,9 @@ impl ProxyCache {
     pub fn contains_fresh(&self, key: &str, now_secs: u64) -> bool {
         let shard = self.shard(key).lock();
         shard
-            .entries
+            .index
             .get(key)
-            .is_some_and(|entry| entry.fresh_until > now_secs)
+            .is_some_and(|&slot| shard.node(slot).fresh_until > now_secs)
     }
 
     /// Records a miss for `key` without touching the entry map.  A
@@ -247,15 +458,21 @@ impl ProxyCache {
         self.shard(key).lock().stats.misses += 1;
     }
 
-    /// Looks up a fresh response for `key` at time `now_secs`.
+    /// Looks up a fresh response for `key` at time `now_secs`.  A hit marks
+    /// the entry visited, so the next eviction pass spares it once.
     pub fn get(&self, key: &str, now_secs: u64) -> Option<Response> {
         let mut shard = self.shard(key).lock();
-        let result = match shard.entries.get_mut(key) {
-            Some(entry) if entry.fresh_until > now_secs => {
-                entry.last_used = now_secs;
-                Some(entry.response.clone())
+        let result = match shard.index.get(key).copied() {
+            Some(slot) => {
+                let node = shard.node_mut(slot);
+                if node.fresh_until > now_secs {
+                    node.visited = true;
+                    Some(node.response.clone())
+                } else {
+                    None
+                }
             }
-            _ => None,
+            None => None,
         };
         if result.is_some() {
             shard.stats.hits += 1;
@@ -292,82 +509,69 @@ impl ProxyCache {
         if size > self.capacity_bytes {
             return false;
         }
-        let entry = Entry {
-            response: response.clone(),
-            fresh_until: now_secs + lifetime.as_secs().max(1),
-            last_used: now_secs,
-            size,
-        };
+        let response = response.clone();
+        let fresh_until = now_secs.saturating_add(lifetime.as_secs().max(1));
         let mut shard = self.shard(key).lock();
-        if let Some(old) = shard.entries.insert(key.to_string(), entry) {
-            shard.used_bytes -= old.size;
-            self.used_total.fetch_sub(old.size, Ordering::Relaxed);
-        }
-        shard.used_bytes += size;
+        // A resident key is updated in place and keeps its ring position;
+        // storing it again is a request for it, so it counts as visited.  A
+        // new key enters at the head, unvisited.
+        let slot = match shard.index.get(key).copied() {
+            Some(slot) => {
+                let node = shard.node_mut(slot);
+                let old_size = std::mem::replace(&mut node.size, size);
+                node.response = response;
+                node.fresh_until = fresh_until;
+                node.visited = true;
+                shard.used_bytes = shard.used_bytes - old_size + size;
+                self.used_total.fetch_sub(old_size, Ordering::Relaxed);
+                slot
+            }
+            None => shard.push_head(Arc::from(key), response, fresh_until, size),
+        };
         self.used_total.fetch_add(size, Ordering::Relaxed);
-        // Evict while over the shard's budget: expired first, then
-        // soonest-to-expire / least recently used.  Shard-local by design —
-        // no other shard's lock is touched on this hot path.
-        let mut evictions = 0u64;
+        // Evict while over the shard's budget, wherever the hand finds an
+        // unvisited or expired entry.  Shard-local by design — no other
+        // shard's lock is touched on this hot path — and the new entry is
+        // protected, so it survives its own eviction.
         while shard.used_bytes > self.shard_capacity {
-            let victim = shard
-                .entries
-                .iter()
-                .filter(|(k, _)| k.as_str() != key)
-                .min_by_key(|(_, e)| (e.fresh_until, e.last_used))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    if let Some(e) = shard.entries.remove(&k) {
-                        shard.used_bytes -= e.size;
-                        self.used_total.fetch_sub(e.size, Ordering::Relaxed);
-                        evictions += 1;
-                    }
+            match shard.evict(Some(slot), now_secs) {
+                Some(size) => {
+                    self.used_total.fetch_sub(size, Ordering::Relaxed);
                 }
                 None => break,
             }
         }
         shard.stats.inserts += 1;
-        shard.stats.evictions += evictions;
         drop(shard);
         // Oversize entries (bigger than one shard's budget) can push the
         // aggregate past the total capacity even though every shard honored
         // its own budget as far as it could; the slow-path sweep restores
         // the global invariant.
         if self.used_total.load(Ordering::Relaxed) > self.capacity_bytes {
-            self.enforce_global_budget(key);
+            self.enforce_global_budget(key, now_secs);
         }
         true
     }
 
-    /// Evicts globally — worst victim across all shards, one shard lock at
-    /// a time — until total usage fits the capacity again.  `protect` (the
-    /// key just inserted) is never chosen, mirroring the shard-local loop.
-    fn enforce_global_budget(&self, protect: &str) {
-        while self.used_total.load(Ordering::Relaxed) > self.capacity_bytes {
-            let mut victim: Option<(usize, String, (u64, u64))> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard = shard.lock();
-                if let Some((k, e)) = shard
-                    .entries
-                    .iter()
-                    .filter(|(k, _)| k.as_str() != protect)
-                    .min_by_key(|(_, e)| (e.fresh_until, e.last_used))
-                {
-                    let score = (e.fresh_until, e.last_used);
-                    if victim.as_ref().is_none_or(|(_, _, best)| score < *best) {
-                        victim = Some((i, k.clone(), score));
-                    }
-                }
-            }
-            let Some((i, key, _)) = victim else {
-                break; // nothing evictable remains
-            };
+    /// Evicts globally until total usage fits the capacity again: advances
+    /// one shard's hand at a time, round-robin from a shared cursor, taking
+    /// one shard lock at a time.  `protect` (the key just inserted) is never
+    /// chosen, mirroring the shard-local loop; the sweep gives up after a
+    /// full round of shards that had nothing to evict.
+    fn enforce_global_budget(&self, protect: &str, now_secs: u64) {
+        let mut idle = 0;
+        while idle < self.shards.len()
+            && self.used_total.load(Ordering::Relaxed) > self.capacity_bytes
+        {
+            let i = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
             let mut shard = self.shards[i].lock();
-            if let Some(e) = shard.entries.remove(&key) {
-                shard.used_bytes -= e.size;
-                shard.stats.evictions += 1;
-                self.used_total.fetch_sub(e.size, Ordering::Relaxed);
+            let protect = shard.index.get(protect).copied();
+            match shard.evict(protect, now_secs) {
+                Some(size) => {
+                    self.used_total.fetch_sub(size, Ordering::Relaxed);
+                    idle = 0;
+                }
+                None => idle += 1,
             }
         }
     }
@@ -376,12 +580,13 @@ impl ProxyCache {
     /// content).
     pub fn invalidate(&self, key: &str) -> bool {
         let mut shard = self.shard(key).lock();
-        if let Some(e) = shard.entries.remove(key) {
-            shard.used_bytes -= e.size;
-            self.used_total.fetch_sub(e.size, Ordering::Relaxed);
-            true
-        } else {
-            false
+        match shard.index.get(key).copied() {
+            Some(slot) => {
+                let size = shard.remove(slot).size;
+                self.used_total.fetch_sub(size, Ordering::Relaxed);
+                true
+            }
+            None => false,
         }
     }
 
@@ -389,16 +594,15 @@ impl ProxyCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            shard.entries.clear();
             self.used_total
                 .fetch_sub(shard.used_bytes, Ordering::Relaxed);
-            shard.used_bytes = 0;
+            shard.clear();
         }
     }
 
     /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.lock().index.len()).sum()
     }
 
     /// True when the cache holds nothing.
@@ -610,5 +814,228 @@ mod tests {
         }
         assert!(cache.used_bytes() <= 64 * 1024);
         assert!(cache.stats().evictions > 0);
+    }
+
+    #[test]
+    fn a_lifetime_beyond_u64_is_stored_and_served() {
+        let cache = ProxyCache::with_defaults();
+        let resp = cacheable("forever", u64::MAX);
+        assert!(cache.put("http://a.com/", &Method::Get, &resp, 100));
+        assert!(cache.get("http://a.com/", 101).is_some());
+        // Read as 2^31 seconds, the most a delta-seconds value may say.
+        assert!(cache.contains_fresh("http://a.com/", 1 << 31));
+    }
+
+    /// A single-shard cache with room for exactly `entries` entries of
+    /// `page`'s size.
+    fn cache_for(entries: usize, page: &Response) -> ProxyCache {
+        let size = page.body.len() + 512;
+        ProxyCache::with_shards(entries * size, Duration::from_secs(60), 1)
+    }
+
+    fn key(i: usize) -> String {
+        format!("http://ring.example/{i}")
+    }
+
+    #[test]
+    fn a_hit_spares_an_entry_from_the_next_eviction() {
+        let page = cacheable("p", 1000);
+        let cache = cache_for(3, &page);
+        for i in 0..3 {
+            cache.put(&key(i), &Method::Get, &page, 0);
+        }
+        assert!(cache.get(&key(0), 1).is_some());
+        cache.put(&key(3), &Method::Get, &page, 2);
+        // The oldest entry was visited, so the hand cleared its bit and took
+        // the next one instead.
+        assert!(cache.contains_fresh(&key(0), 2));
+        assert!(!cache.contains_fresh(&key(1), 2));
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn expired_entries_go_when_the_hand_reaches_them_even_if_visited() {
+        let short = cacheable("s", 10);
+        let cache = cache_for(3, &short);
+        cache.put(&key(0), &Method::Get, &short, 0);
+        cache.put(&key(1), &Method::Get, &cacheable("l", 1000), 0);
+        cache.put(&key(2), &Method::Get, &cacheable("l", 1000), 0);
+        assert!(cache.get(&key(0), 5).is_some());
+        cache.put(&key(3), &Method::Get, &cacheable("l", 1000), 20);
+        // The hand starts at the oldest entry, which is visited but expired.
+        assert!(!cache.shards[0].lock().index.contains_key(key(0).as_str()));
+        assert!(cache.contains_fresh(&key(1), 20));
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_re_put_keeps_its_ring_position_and_counts_as_a_visit() {
+        let page = cacheable("p", 1000);
+        let cache = cache_for(3, &page);
+        for i in 0..3 {
+            cache.put(&key(i), &Method::Get, &page, 0);
+        }
+        // Storing key 1 again does not move it to the head, but marks it.
+        assert!(cache.put(&key(1), &Method::Get, &page, 1));
+        cache.put(&key(3), &Method::Get, &page, 2);
+        cache.put(&key(4), &Method::Get, &page, 3);
+        assert!(!cache.contains_fresh(&key(0), 3));
+        assert!(cache.contains_fresh(&key(1), 3));
+        assert!(!cache.contains_fresh(&key(2), 3));
+        cache.shards[0].lock().check();
+    }
+
+    #[test]
+    fn evicting_puts_take_amortized_constant_hand_steps() {
+        let page = cacheable(&"c".repeat(2_096), 1_000_000);
+        let entries = 6_400;
+        let cache = cache_for(entries, &page);
+        for i in 0..entries {
+            cache.put(&key(i), &Method::Get, &page, 0);
+        }
+        for i in (0..entries).step_by(2) {
+            assert!(cache.get(&key(i), 1).is_some());
+        }
+        assert_eq!(cache.stats().evictions, 0, "the shard is exactly full");
+        for i in entries..entries + 10_000 {
+            cache.put(&key(i), &Method::Get, &page, 2);
+        }
+        let shard = cache.shards[0].lock();
+        let evictions = shard.stats.evictions;
+        assert_eq!(evictions, 10_000, "one victim per insert");
+        assert!(
+            shard.hand_steps <= 2 * evictions + entries as u64,
+            "{} hand steps for {evictions} evictions",
+            shard.hand_steps
+        );
+        shard.check();
+    }
+
+    /// The same trace's hit ratio under the eviction this ring replaced,
+    /// which scanned the shard for the entry to expire soonest and then the
+    /// least recently used one (recency in whole seconds).
+    const SCAN_ZIPF_HIT_RATIO: f64 = 0.6296;
+
+    /// Hit ratio of a single-shard cache holding about 1,000 entries under a
+    /// Zipf (s = 1.0) trace over 10,000 keys, with `now` = request index.
+    fn zipf_hit_ratio() -> f64 {
+        const KEYS: usize = 10_000;
+        const REQUESTS: u64 = 100_000;
+        let mut cdf = Vec::with_capacity(KEYS);
+        let mut total = 0.0;
+        for rank in 1..=KEYS {
+            total += 1.0 / rank as f64;
+            cdf.push(total);
+        }
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let cache = ProxyCache::with_shards(1_000 * 1_024, Duration::from_secs(60), 1);
+        let page = cacheable(&"z".repeat(512), 1_000_000);
+        for now in 0..REQUESTS {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let rank = cdf.partition_point(|&c| c < u);
+            let key = format!("http://zipf.example/{rank}");
+            if cache.get(&key, now).is_none() {
+                cache.put(&key, &Method::Get, &page, now);
+            }
+        }
+        cache.stats().hit_ratio()
+    }
+
+    #[test]
+    fn zipf_hit_ratio_is_no_worse_than_the_scan() {
+        let ratio = zipf_hit_ratio();
+        assert!(
+            ratio >= SCAN_ZIPF_HIT_RATIO - 0.01,
+            "hit ratio {ratio:.4} < {SCAN_ZIPF_HIT_RATIO} - 0.01"
+        );
+    }
+
+    /// Random puts (some larger than a shard's budget, some re-puts), hits,
+    /// invalidations and clears.  After every operation each shard's ring
+    /// must agree with its index and byte count and usage must fit the
+    /// capacity.  And an entry last hit (or stored again) at time `t` must
+    /// outlive every entry of its shard that was inserted before `t` and
+    /// never hit since: the hand has to pass such an entry before it can
+    /// come back to a visited one.  FIFO breaks this; SIEVE does not.
+    #[test]
+    fn ring_invariants_hold_under_random_operations() {
+        for shards in [1, 8] {
+            for case in 0..32u64 {
+                let mut state = 0x2545_f491_4f6c_dd1d ^ (case << 8 | shards);
+                let mut next = move |bound: u64| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state % bound
+                };
+                let capacity = 16 * 1024;
+                let cache =
+                    ProxyCache::with_shards(capacity, Duration::from_secs(60), shards as usize);
+                // Resident keys: (inserted at, last hit or re-put at).
+                let mut model: HashMap<String, (u64, Option<u64>)> = HashMap::new();
+                for now in 0..200 {
+                    let name = format!("http://a.com/{}", next(24));
+                    match next(20) {
+                        0..=9 => {
+                            // One in five bodies exceeds an 8-shard budget.
+                            let len = if next(5) == 0 {
+                                2_048 + next(8_192)
+                            } else {
+                                next(1_500)
+                            };
+                            let body = "x".repeat(len as usize);
+                            if cache.put(&name, &Method::Get, &cacheable(&body, 600), now) {
+                                model
+                                    .entry(name)
+                                    .and_modify(|e| e.1 = Some(now))
+                                    .or_insert((now, None));
+                            }
+                        }
+                        10..=16 => {
+                            let hit = cache.get(&name, now).is_some();
+                            assert_eq!(hit, model.contains_key(&name));
+                            if let Some(entry) = model.get_mut(&name) {
+                                entry.1 = Some(now);
+                            }
+                        }
+                        17..=18 => {
+                            assert_eq!(cache.invalidate(&name), model.remove(&name).is_some());
+                        }
+                        _ => {
+                            cache.clear();
+                            model.clear();
+                        }
+                    }
+                    for shard in &cache.shards {
+                        shard.lock().check();
+                    }
+                    assert!(cache.used_bytes() <= capacity);
+                    let evicted: Vec<(String, (u64, Option<u64>))> = model
+                        .iter()
+                        .filter(|(k, _)| !cache.contains_fresh(k, now))
+                        .map(|(k, v)| (k.clone(), *v))
+                        .collect();
+                    for (gone, _) in &evicted {
+                        model.remove(gone);
+                    }
+                    assert_eq!(cache.len(), model.len());
+                    for (gone, (_, hit)) in &evicted {
+                        let Some(hit) = *hit else { continue };
+                        for (kept, (inserted, kept_hit)) in &model {
+                            assert!(
+                                kept_hit.is_some()
+                                    || *inserted >= hit
+                                    || cache.shard_index(kept) != cache.shard_index(gone),
+                                "{gone}, hit at {hit}, was evicted before {kept}, \
+                                 inserted at {inserted} and never hit"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

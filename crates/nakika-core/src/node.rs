@@ -434,7 +434,7 @@ impl ResourceFetcher {
             // peers can fetch the copy over TCP; simulated nodes announce
             // their name and the simulator resolves it.
             let payload = self.public_addr.as_deref().unwrap_or(&self.node_name);
-            overlay.put(*node_id, key, payload, now + lifetime);
+            overlay.put(*node_id, key, payload, now.saturating_add(lifetime));
         }
     }
 }

@@ -51,8 +51,8 @@ impl CacheControl {
                     "private" => cc.private = true,
                     "public" => cc.public = true,
                     "must-revalidate" => cc.must_revalidate = true,
-                    "max-age" => cc.max_age = arg.and_then(|a| a.parse().ok()),
-                    "s-maxage" => cc.s_maxage = arg.and_then(|a| a.parse().ok()),
+                    "max-age" => cc.max_age = arg.as_deref().and_then(delta_seconds),
+                    "s-maxage" => cc.s_maxage = arg.as_deref().and_then(delta_seconds),
                     _ => {}
                 }
             }
@@ -65,6 +65,20 @@ impl CacheControl {
     pub fn shared_max_age(&self) -> Option<Duration> {
         self.s_maxage.or(self.max_age).map(Duration::from_secs)
     }
+}
+
+/// The largest lifetime a cache needs to represent: RFC 9111 §1.2.2 lets it
+/// read a larger delta-seconds value, or one that overflows, as 2^31
+/// seconds (about 68 years).
+const MAX_DELTA_SECONDS: u64 = 1 << 31;
+
+/// Parses a delta-seconds argument (`1*DIGIT`), capped at
+/// [`MAX_DELTA_SECONDS`]; `None` when it is not a number.
+fn delta_seconds(arg: &str) -> Option<u64> {
+    if arg.is_empty() || !arg.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    Some(arg.parse().unwrap_or(u64::MAX).min(MAX_DELTA_SECONDS))
 }
 
 /// The freshness decision for a response held in (or considered for) a cache.
@@ -111,7 +125,7 @@ pub fn freshness(method: &Method, resp: &Response, heuristic: Duration) -> Fresh
         seconds_header(&resp.headers, "date-seconds"),
     ) {
         return if expires > date {
-            Freshness::Fresh(Duration::from_secs(expires - date))
+            Freshness::Fresh(Duration::from_secs((expires - date).min(MAX_DELTA_SECONDS)))
         } else {
             Freshness::Revalidate
         };
@@ -140,7 +154,7 @@ pub fn set_absolute_expiry(resp: &mut Response, now_secs: u64, lifetime: Duratio
     resp.headers.set("Date-Seconds", now_secs.to_string());
     resp.headers.set(
         "Expires-Seconds",
-        (now_secs + lifetime.as_secs()).to_string(),
+        now_secs.saturating_add(lifetime.as_secs()).to_string(),
     );
 }
 
@@ -163,6 +177,39 @@ mod tests {
         assert_eq!(cc.max_age, Some(300));
         assert_eq!(cc.s_maxage, Some(600));
         assert_eq!(cc.shared_max_age(), Some(Duration::from_secs(600)));
+    }
+
+    #[test]
+    fn delta_seconds_are_capped_at_two_to_the_31() {
+        let cap = Some(Duration::from_secs(1 << 31));
+        for v in [
+            "max-age=18446744073709551615",
+            "max-age=99999999999999999999999",
+            "s-maxage=4294967296",
+        ] {
+            assert_eq!(
+                CacheControl::parse(&resp_with_cc(v).headers).shared_max_age(),
+                cap,
+                "{v}"
+            );
+        }
+        assert_eq!(
+            CacheControl::parse(&resp_with_cc("max-age=-1").headers).max_age,
+            None
+        );
+        let huge = Response::ok("text/html", "x")
+            .with_header("Date-Seconds", "0")
+            .with_header("Expires-Seconds", &u64::MAX.to_string());
+        assert_eq!(
+            freshness(&Method::Get, &huge, Duration::ZERO),
+            Freshness::Fresh(Duration::from_secs(1 << 31))
+        );
+        let mut resp = Response::ok("text/html", "x");
+        set_absolute_expiry(&mut resp, u64::MAX - 1, Duration::from_secs(10));
+        assert_eq!(
+            resp.headers.get("expires-seconds"),
+            Some(u64::MAX.to_string().as_str())
+        );
     }
 
     #[test]

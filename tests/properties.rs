@@ -10,6 +10,7 @@ use nakika_http::{Method, ParseOutcome, Request, Response, Uri};
 use nakika_overlay::{key_for, Location, Overlay};
 use nakika_script::{Context, Value, Vm};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::time::Duration;
 
 fn header_value() -> impl Strategy<Value = String> {
@@ -193,18 +194,69 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// Random puts (some larger than a shard's budget, some of a resident
+    /// key), hits, invalidations and clears on a 1- or 8-shard cache.
+    /// After every operation usage fits the capacity and the cache holds
+    /// exactly the entries the model says.  With one shard, where every key
+    /// shares one eviction ring, an entry last hit (or stored again) at `t`
+    /// also outlives every entry inserted before `t` and never hit since.
     #[test]
     fn cache_usage_never_exceeds_capacity(
-        inserts in prop::collection::vec((path_segment(), 1usize..4000), 1..30),
+        eight_shards in 0usize..2,
+        ops in prop::collection::vec((0u8..20, 0usize..24, 0usize..1500, 0u8..5), 1..200),
     ) {
+        let shards = if eight_shards == 1 { 8 } else { 1 };
         let capacity = 16 * 1024;
-        let cache = ProxyCache::new(capacity, Duration::from_secs(60));
-        for (i, (name, size)) in inserts.iter().enumerate() {
-            let response = Response::ok("text/plain", vec![b'x'; *size])
-                .with_header("Cache-Control", "max-age=600");
-            cache.put(&format!("http://a.com/{name}{i}"), &Method::Get, &response, i as u64);
+        let cache = ProxyCache::with_shards(capacity, Duration::from_secs(60), shards);
+        // Resident keys: (inserted at, last hit or re-put at).
+        let mut model: HashMap<String, (u64, Option<u64>)> = HashMap::new();
+        for (now, &(op, name, len, big)) in (0u64..).zip(&ops) {
+            let key = format!("http://a.com/{name}");
+            match op {
+                0..=9 => {
+                    // One body in five exceeds an 8-shard budget (2 KiB).
+                    let len = if big == 0 { 2048 + 5 * len } else { len };
+                    let response = Response::ok("text/plain", vec![b'x'; len])
+                        .with_header("Cache-Control", "max-age=600");
+                    if cache.put(&key, &Method::Get, &response, now) {
+                        model.entry(key).and_modify(|e| e.1 = Some(now)).or_insert((now, None));
+                    }
+                }
+                10..=16 => {
+                    prop_assert_eq!(cache.get(&key, now).is_some(), model.contains_key(&key));
+                    if let Some(entry) = model.get_mut(&key) {
+                        entry.1 = Some(now);
+                    }
+                }
+                17..=18 => prop_assert_eq!(cache.invalidate(&key), model.remove(&key).is_some()),
+                _ => {
+                    cache.clear();
+                    model.clear();
+                }
+            }
             prop_assert!(cache.used_bytes() <= capacity,
                 "used {} exceeds capacity {capacity}", cache.used_bytes());
+            let evicted: Vec<(String, (u64, Option<u64>))> = model
+                .iter()
+                .filter(|(k, _)| !cache.contains_fresh(k, now))
+                .map(|(k, v)| (k.clone(), *v))
+                .collect();
+            for (gone, _) in &evicted {
+                model.remove(gone);
+            }
+            prop_assert_eq!(cache.len(), model.len());
+            if shards > 1 {
+                continue;
+            }
+            for (gone, (_, hit)) in &evicted {
+                let Some(hit) = *hit else { continue };
+                for (kept, (inserted, kept_hit)) in &model {
+                    prop_assert!(
+                        kept_hit.is_some() || *inserted >= hit,
+                        "{} was evicted before the older, never-hit {}", gone, kept
+                    );
+                }
+            }
         }
     }
 
