@@ -21,8 +21,8 @@
 //!   does to the warm-path p99 of clients that did nothing wrong.
 //!
 //! Everything here is a *client*: the defenses under test (progress
-//! deadlines, header caps, rate limits, connection caps) live in
-//! `nakika-server` and `nakika-core`.
+//! deadlines, header caps, connection caps) live in `nakika-server` and
+//! `nakika-http`.
 
 use crate::hist::LatencyRecorder;
 use nakika_core::service::{service_fn, NakikaError};

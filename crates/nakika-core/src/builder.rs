@@ -1,10 +1,10 @@
-//! Fluent construction of Na Kika nodes as [`HttpService`] stacks.
+//! Fluent construction of Na Kika nodes as [`HttpService`]s.
 //!
 //! [`NodeBuilder`] is the only way to configure a node: it owns the
 //! [`NodeConfig`] literal, binds the node to its origin fetch path, attaches
-//! the overlay, and wraps the resulting service in any middleware
-//! [`Layer`]s.  What comes out is a [`NodeHandle`]: the layered service plus
-//! a handle on the node for statistics and stores.
+//! the overlay and, when asked, the gossip membership and owner-aware
+//! redirection.  What comes out is a [`NodeHandle`]: the node's one
+//! service plus a handle on the node for statistics and stores.
 //!
 //! ```
 //! use nakika_core::builder::NodeBuilder;
@@ -21,27 +21,26 @@
 //! ```
 
 use crate::gossip::{apply_events, gossip_exchange, gossip_probe_via, GossipService};
-use crate::middleware::RedirectLayer;
 use crate::node::{origin_from_fn, NaKikaNode, NodeConfig, NodeMode, OriginFetch};
 use crate::peering;
 use crate::pipeline::{CLIENT_WALL_URL, SERVER_WALL_URL};
 use crate::resource::{ResourceKind, ResourceManagerConfig};
-use crate::service::{
-    layered, DispatchHint, HttpService, Layer, NakikaError, RelayPlan, RequestCtx,
-};
+use crate::service::{DispatchHint, HttpService, NakikaError, RelayPlan, RequestCtx};
 use nakika_http::pattern::Cidr;
 use nakika_http::{Request, Response};
-use nakika_overlay::{Membership, NodeId, Overlay, ProbeAction};
+use nakika_overlay::{key_for, Membership, NodeId, Overlay, PeerState, ProbeAction};
 use nakika_state::Update;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The service adapter over a [`NaKikaNode`]: binds the node to its origin
-/// fetch path so transports only ever see [`HttpService`].
+/// fetch path so transports only ever see [`HttpService`], and answers
+/// owner-aware redirects when [`NodeBuilder::redirect_to_owner`] is on.
 pub struct NodeService {
     node: Arc<NaKikaNode>,
     origin: Arc<dyn OriginFetch>,
+    owner_routing: Option<OwnerRouting>,
 }
 
 impl NodeService {
@@ -49,10 +48,19 @@ impl NodeService {
     pub fn node(&self) -> &Arc<NaKikaNode> {
         &self.node
     }
+
+    /// The `Location` of the `307` this node answers `req` with, if any.
+    fn owner_redirect(&self, req: &Request) -> Option<String> {
+        self.owner_routing.as_ref()?.redirect_target(req)
+    }
 }
 
 impl HttpService for NodeService {
     fn call(&self, mut req: Request, ctx: &RequestCtx) -> Result<Response, NakikaError> {
+        if let Some(target) = self.owner_redirect(&req) {
+            self.node.record_owner_redirect();
+            return Ok(Response::redirect_temporary(&target));
+        }
         if req.client_ip.is_unspecified() && !ctx.client_ip.is_unspecified() {
             req.client_ip = ctx.client_ip;
         }
@@ -60,11 +68,64 @@ impl HttpService for NodeService {
     }
 
     fn dispatch_hint(&self, req: &Request, ctx: &RequestCtx) -> DispatchHint {
+        // A redirect is a roster lookup: nothing to fetch, nothing to block on.
+        if self.owner_redirect(req).is_some() {
+            return DispatchHint::Inline;
+        }
         self.node.dispatch_hint(req, ctx.arrival_secs)
     }
 
     fn relay_plan(&self, req: &Request, ctx: &RequestCtx) -> Option<RelayPlan> {
+        if self.owner_redirect(req).is_some() {
+            return None;
+        }
         self.node.relay_plan(req, ctx.arrival_secs, &self.origin)
+    }
+}
+
+/// Owner-aware client redirection: a `307` sends the client straight to
+/// the live member that holds (or will hold) the cached copy, skipping the
+/// relay hop.  A suspect or faulty owner is never redirected to; the peer
+/// relay serves the request instead, so clients keep working through churn.
+struct OwnerRouting {
+    overlay: Arc<Overlay>,
+    self_id: NodeId,
+    membership: Arc<Membership>,
+}
+
+impl OwnerRouting {
+    /// The verdict for `req`: `Some(location)` when a different live
+    /// member owns the key, `None` to serve locally (relay fallback).
+    fn redirect_target(&self, req: &Request) -> Option<String> {
+        // Only client-facing cacheable traffic is redirected: internal
+        // exchanges (peer fetches, replication, gossip) must terminate
+        // here, and non-cacheable methods gain nothing from the owner.
+        if !req.method.is_cacheable()
+            || req.uri.path.starts_with(peering::INTERNAL_PREFIX)
+            || peering::has_internal_headers(req)
+        {
+            return None;
+        }
+        let owner = self.overlay.owner_of(&crate::node::cache_key(req))?;
+        if owner.id == self.self_id {
+            return None;
+        }
+        // "Alive" is the gossip membership's word, not the overlay's: a
+        // planted or suspect owner is served locally via the relay path.
+        let alive = self
+            .membership
+            .members()
+            .iter()
+            .any(|m| m.state == PeerState::Alive && key_for(&m.name) == owner.id);
+        if !alive {
+            return None;
+        }
+        let base = owner.addr?;
+        let base = base.trim_end_matches('/');
+        Some(match &req.uri.query {
+            Some(query) => format!("{base}{}?{query}", req.uri.path),
+            None => format!("{base}{}", req.uri.path),
+        })
     }
 }
 
@@ -263,10 +324,10 @@ fn push_to_successors(
     }
 }
 
-/// A built node: the layered [`HttpService`] stack plus the node it wraps.
+/// A built node: its [`HttpService`] plus the node it wraps.
 ///
 /// The handle itself implements [`HttpService`], so call sites can treat it
-/// as the service; [`NodeHandle::service`] clones out the stack for
+/// as the service; [`NodeHandle::service`] clones it out for
 /// transports that take `Arc<dyn HttpService>`.  Dropping the handle stops
 /// the node's replication worker, if one was configured.
 pub struct NodeHandle {
@@ -282,7 +343,7 @@ impl NodeHandle {
         &self.node
     }
 
-    /// The layered service stack.
+    /// The node's service.
     pub fn service(&self) -> Arc<dyn HttpService> {
         self.service.clone()
     }
@@ -313,7 +374,6 @@ pub struct NodeBuilder {
     config: NodeConfig,
     overlay: Option<(Arc<Overlay>, NodeId)>,
     origin: Option<Arc<dyn OriginFetch>>,
-    layers: Vec<Box<dyn Layer>>,
     public_addr: Option<String>,
     replicate: Option<(usize, u32)>,
     gossip: Option<Arc<Membership>>,
@@ -343,7 +403,6 @@ impl NodeBuilder {
             },
             overlay: None,
             origin: None,
-            layers: Vec::new(),
             public_addr: None,
             replicate: None,
             gossip: None,
@@ -453,8 +512,10 @@ impl NodeBuilder {
     }
 
     /// Answers cacheable client requests whose consistent-hash owner is
-    /// another live member with a `307` to that owner (see
-    /// [`RedirectLayer::route_to_owner`]) instead of relaying.  Requires
+    /// another live member with a `307` to that owner instead of relaying;
+    /// internal traffic (peer fetches, replication pushes, gossip) and
+    /// keys whose owner is suspect or faulty are served locally, and each
+    /// redirect is counted in the node's `owner_redirects`.  Requires
     /// [`overlay`](Self::overlay) and [`gossip`](Self::gossip) — without a
     /// live roster there is no "alive" to consult, so the setting is inert.
     pub fn redirect_to_owner(mut self) -> NodeBuilder {
@@ -476,14 +537,7 @@ impl NodeBuilder {
         self.origin(origin_from_fn(f))
     }
 
-    /// Wraps the node in a middleware layer.  The first layer added becomes
-    /// the outermost wrapper.
-    pub fn layer(mut self, layer: impl Layer + 'static) -> NodeBuilder {
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Builds the node and its layered service stack, spawning the
+    /// Builds the node and its service, spawning the
     /// replication worker when [`replicate_hot`](Self::replicate_hot) and an
     /// overlay are both configured.
     pub fn build(self) -> NodeHandle {
@@ -510,43 +564,39 @@ impl NodeBuilder {
         }
         let node = Arc::new(node);
         let origin = self.origin.unwrap_or_else(|| Arc::new(NoOrigin));
-        // Owner-aware redirection rides the layer stack, but it needs the
-        // built node (for its counter) and the live roster, so the builder
-        // assembles it here rather than asking the caller to.  Innermost of
-        // the caller's layers: access logging and admission still see the
-        // requests it answers.
-        let mut layers = self.layers;
-        if self.redirect_to_owner {
-            if let (Some((overlay, id)), Some(membership)) = (&self.overlay, &self.gossip) {
-                layers.push(Box::new(RedirectLayer::owner_aware(
-                    overlay.clone(),
-                    *id,
-                    membership.clone(),
-                    node.clone(),
-                )));
+        // Owner-aware redirection consults the live roster: inert without
+        // both an overlay and gossip.
+        let owner_routing = match (&self.overlay, &self.gossip) {
+            (Some((overlay, id)), Some(membership)) if self.redirect_to_owner => {
+                Some(OwnerRouting {
+                    overlay: overlay.clone(),
+                    self_id: *id,
+                    membership: membership.clone(),
+                })
             }
-        }
+            _ => None,
+        };
         let replication_worker = self.overlay.and_then(|(overlay, id)| {
             ReplicationWorker::spawn(node.clone(), overlay, id, origin.clone())
         });
-        let mut base: Arc<dyn HttpService> = Arc::new(NodeService {
+        let mut service: Arc<dyn HttpService> = Arc::new(NodeService {
             node: node.clone(),
             origin: origin.clone(),
+            owner_routing,
         });
         let mut gossip_worker = None;
         if let Some((membership, overlay)) = gossip {
-            // The gossip endpoint wraps the node directly — inside every
-            // middleware layer — so exchanges bypass redirection, admission
-            // and logging, and the node's request counters never see them.
-            base = Arc::new(GossipService::new(
-                base,
+            // The gossip endpoint wraps the node directly, so exchanges
+            // bypass redirection and the node's request counters never
+            // see them.
+            service = Arc::new(GossipService::new(
+                service,
                 membership.clone(),
                 overlay.clone(),
                 origin.clone(),
             ));
             gossip_worker = Some(GossipWorker::spawn(&name, membership, overlay, origin));
         }
-        let service = layered(base, layers);
         NodeHandle {
             node,
             service,
@@ -560,6 +610,8 @@ impl NodeBuilder {
 mod tests {
     use super::*;
     use nakika_http::StatusCode;
+    use nakika_overlay::cluster::sites;
+    use nakika_overlay::MembershipConfig;
 
     #[test]
     fn builder_defaults_mirror_the_paper_configurations() {
@@ -598,5 +650,72 @@ mod tests {
             Request::get("http://b.example/").with_client_ip("192.0.2.1".parse().unwrap());
         let resp = edge.call(explicit, &ctx).unwrap();
         assert_eq!(resp.body.to_text(), "192.0.2.1");
+    }
+
+    #[test]
+    fn owner_aware_node_redirects_to_live_owners_only() {
+        let overlay = Arc::new(Overlay::with_defaults());
+        let me = key_for("edge-a");
+        let peer = key_for("edge-b");
+        overlay.join(me, sites::US_EAST);
+        overlay.join_with_addr(peer, sites::ASIA, "http://edge-b.example");
+        // No self address: probing stays dormant, so only this test moves
+        // the roster.
+        let membership = Arc::new(Membership::with_manual_clock(
+            "edge-a",
+            MembershipConfig::default(),
+        ));
+        membership.merge_digest("self edge-b http://edge-b.example 0");
+        let edge = NodeBuilder::proxy_with_dht("edge-a")
+            .overlay(Arc::clone(&overlay), me)
+            .gossip(Arc::clone(&membership))
+            .redirect_to_owner()
+            .origin_fn(|_req| Response::ok("text/plain", "payload"))
+            .build();
+        let ctx = RequestCtx::at(0);
+
+        // Consistent hashing spreads keys across both members; pick one
+        // owned by each side.
+        let owned_by = |id: NodeId| {
+            (0..)
+                .map(|i| format!("http://site.example/page-{i}.html"))
+                .find(|url| {
+                    let key = crate::node::cache_key(&Request::get(url));
+                    overlay.owner_of(&key).is_some_and(|m| m.id == id)
+                })
+                .expect("some key hashes to the node")
+        };
+        let peers_url = owned_by(peer);
+        let own_url = owned_by(me);
+
+        // The peer's key is answered inline with a 307 to the owner, and
+        // counted.
+        let redirected = Request::get(&peers_url);
+        assert_eq!(edge.dispatch_hint(&redirected, &ctx), DispatchHint::Inline);
+        assert!(edge.relay_plan(&redirected, &ctx).is_none());
+        let resp = edge.call(redirected, &ctx).unwrap();
+        assert_eq!(resp.status, StatusCode::TEMPORARY_REDIRECT);
+        let expected = peers_url.replace("http://site.example", "http://edge-b.example");
+        assert_eq!(resp.headers.get("Location"), Some(expected.as_str()));
+        assert_eq!(edge.node().stats().owner_redirects, 1);
+
+        // Keys this node owns, internal peer exchanges, and internal paths
+        // are all served locally, never redirected.
+        for req in [
+            Request::get(&own_url),
+            Request::get(&peers_url).with_header(peering::PEER_HOP_HEADER, "3"),
+            Request::get("http://site.example/__nakika/stats"),
+        ] {
+            let resp = edge.call(req, &ctx).unwrap();
+            assert_eq!(resp.body.to_text(), "payload");
+        }
+        assert_eq!(edge.node().stats().owner_redirects, 1);
+
+        // A suspect owner is no longer redirected to — the local relay
+        // fallback takes over until gossip refutes or confirms the failure.
+        membership.on_probe_failed("edge-b");
+        let resp = edge.call(Request::get(&peers_url), &ctx).unwrap();
+        assert_eq!(resp.body.to_text(), "payload");
+        assert_eq!(edge.node().stats().owner_redirects, 1);
     }
 }

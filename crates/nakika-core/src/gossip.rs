@@ -19,8 +19,8 @@
 //!   indirection is one level deep by construction.
 //!
 //! [`GossipService`] serves the endpoint (wrapped immediately around the
-//! node, inside all middleware, so redirect/admission layers never touch
-//! gossip traffic), and the builder's background worker drives
+//! node service, so owner-aware redirection never touches gossip
+//! traffic), and the builder's background worker drives
 //! [`Membership::poll`] against it.  Roster events feed
 //! [`apply_events`], which re-homes key ownership in the overlay.
 
@@ -111,9 +111,9 @@ pub fn gossip_probe_via(
 }
 
 /// The service wrapper answering [`peering::GOSSIP_PATH`].  Sits directly
-/// around the node service (inside every middleware layer), so gossip
-/// exchanges bypass redirection, admission and logging — they are plumbing,
-/// not traffic — and the node's `requests` counter never sees them.
+/// around the node service, so gossip exchanges bypass redirection — they
+/// are plumbing, not traffic — and the node's `requests` counter never
+/// sees them.
 pub struct GossipService {
     inner: Arc<dyn HttpService>,
     membership: Arc<Membership>,

@@ -23,7 +23,7 @@
 //!   and processed content, compiled-stage (decision-tree) caching, negative
 //!   caching of absent `nakika.js` scripts, and cooperative lookups through
 //!   the structured overlay.
-//! * **Na Kika Pages** ([`pages`]) — the `<?nkp ... ?>` markup model layered
+//! * **Na Kika Pages** ([`pages`]) — the `<?nkp ... ?>` markup model built
 //!   on the event model.
 //! * **Compiled programs** ([`programs`]) — the hash-keyed cache of NkScript
 //!   programs lowered to bytecode (compile once, execute many); the
@@ -36,14 +36,14 @@
 //!   (`X-Nakika-Hops`, `X-Nakika-Via`) and replication marks a node stamps on
 //!   requests it forwards to the consistent-hash owner of a missed key, so
 //!   the cooperative network runs over real TCP without routing loops.
-//! * **The service boundary** ([`service`], [`middleware`], [`builder`]) —
+//! * **The service boundary** ([`service`], [`builder`]) —
 //!   [`service::HttpService`] is the single seam between transports and
 //!   everything else: transports mint a [`service::RequestCtx`] from their
-//!   [`service::Clock`] and call the stack a [`builder::NodeBuilder`]
-//!   produced, optionally wrapped in [`middleware`] layers (access logging,
-//!   admission, integrity verification, latency-aware redirection).
-//!   Platform failures travel as typed [`service::NakikaError`]s so each
-//!   transport decides its own status mapping.
+//!   [`service::Clock`] and call the one service a [`builder::NodeBuilder`]
+//!   produced — the node itself, which also answers owner-aware redirects,
+//!   wrapped only by the gossip endpoint when membership is on.  Platform
+//!   failures travel as typed [`service::NakikaError`]s so each transport
+//!   decides its own status mapping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,6 @@
 pub mod builder;
 pub mod cache;
 pub mod gossip;
-pub mod middleware;
 pub mod node;
 pub mod pages;
 pub mod peering;
@@ -66,16 +65,12 @@ pub mod vocab;
 pub use builder::{NodeBuilder, NodeHandle, NodeService};
 pub use cache::{CacheStats, ProxyCache};
 pub use gossip::GossipService;
-pub use middleware::{
-    AccessLogLayer, AdmissionLayer, IntegrityLayer, RateLimitLayer, RedirectLayer,
-};
 pub use node::{NaKikaNode, NodeConfig, NodeMode, OriginFetch};
 pub use pipeline::{PipelineOutcome, PipelineRunner};
 pub use policy::{Matcher, Policy, PolicySet};
 pub use programs::{ProgramCache, ScriptEngine};
 pub use resource::{ResourceKind, ResourceManager, ResourceManagerConfig, SiteUsage};
 pub use service::{
-    service_fn, Clock, CtxFactory, DispatchHint, HttpService, Layer, ManualClock, NakikaError,
-    RequestCtx,
+    service_fn, Clock, CtxFactory, DispatchHint, HttpService, ManualClock, NakikaError, RequestCtx,
 };
 pub use vocab::Exchange;

@@ -575,7 +575,7 @@ impl NaKikaNode {
         self.gossip.as_ref()
     }
 
-    /// Counts one owner-aware client redirect (the redirect layer's hook).
+    /// Counts one owner-aware client redirect.
     pub(crate) fn record_owner_redirect(&self) {
         self.stats.lock().owner_redirects += 1;
     }

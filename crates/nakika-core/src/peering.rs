@@ -32,8 +32,8 @@ pub const PEER_VIA_HEADER: &str = "X-Nakika-Via";
 /// Marks a request issued by the replication worker to pre-warm a successor.
 pub const REPLICATE_HEADER: &str = "X-Nakika-Replicate";
 
-/// Prefix of every internal (non-client) path a node serves; the owner-aware
-/// redirect layer and other client-facing machinery must leave these alone.
+/// Prefix of every internal (non-client) path a node serves; owner-aware
+/// redirection and other client-facing machinery must leave these alone.
 pub const INTERNAL_PREFIX: &str = "/__nakika/";
 
 /// Path of the gossip membership exchange endpoint.  A gossip probe is a

@@ -11,10 +11,10 @@
 //! [`RequestCtx`] minted from a [`Clock`].
 //!
 //! Failures the *platform* produces (admission rejections, unreachable
-//! origins, integrity violations) travel as typed [`NakikaError`] values so
-//! each transport decides its own status mapping; failures the *application*
-//! produces (a wall script answering 401, an origin answering 404) remain
-//! ordinary [`Response`]s.
+//! origins) travel as typed [`NakikaError`] values so each transport
+//! decides its own status mapping; failures the *application* produces (a
+//! wall script answering 401, an origin answering 404) remain ordinary
+//! [`Response`]s.
 
 use nakika_http::{HttpError, Request, Response, StatusCode};
 use std::net::{IpAddr, Ipv4Addr};
@@ -68,7 +68,7 @@ impl Clock for ManualClock {
     }
 }
 
-/// Per-exchange context a transport hands to the service stack: who is
+/// Per-exchange context a transport hands to the service: who is
 /// asking, when the request arrived, and a transport-unique id for log
 /// correlation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,26 +155,11 @@ pub enum NakikaError {
         /// Site whose pipelines were terminated.
         site: String,
     },
-    /// The client exceeded its request-rate budget
-    /// ([`RateLimitLayer`](crate::middleware::RateLimitLayer)); maps to
-    /// 429 so well-behaved clients know to back off while throttled
-    /// *sites* keep their distinct 503.
-    RateLimited {
-        /// The client that ran out of tokens.
-        client: std::net::IpAddr,
-    },
     /// An upstream fetch (origin server or peer node) failed.
     Upstream {
         /// URL of the fetch that failed.
         url: String,
         /// Human-readable reason (connect failure, read error, truncation).
-        reason: String,
-    },
-    /// A response failed content-integrity verification (paper §6).
-    Integrity {
-        /// URL of the offending response.
-        url: String,
-        /// What the verifier objected to.
         reason: String,
     },
     /// The HTTP substrate rejected a message.
@@ -189,9 +174,7 @@ impl NakikaError {
         match self {
             NakikaError::Throttled { .. } => "throttled",
             NakikaError::Terminated { .. } => "terminated",
-            NakikaError::RateLimited { .. } => "rate-limited",
             NakikaError::Upstream { .. } => "upstream",
-            NakikaError::Integrity { .. } => "integrity",
             NakikaError::Http(_) => "http",
             NakikaError::Internal(_) => "internal",
         }
@@ -203,8 +186,7 @@ impl NakikaError {
             NakikaError::Throttled { .. } | NakikaError::Terminated { .. } => {
                 StatusCode::SERVICE_UNAVAILABLE
             }
-            NakikaError::RateLimited { .. } => StatusCode::TOO_MANY_REQUESTS,
-            NakikaError::Upstream { .. } | NakikaError::Integrity { .. } => StatusCode::BAD_GATEWAY,
+            NakikaError::Upstream { .. } => StatusCode::BAD_GATEWAY,
             NakikaError::Http(_) => StatusCode::BAD_REQUEST,
             NakikaError::Internal(_) => StatusCode::INTERNAL_SERVER_ERROR,
         }
@@ -227,14 +209,8 @@ impl std::fmt::Display for NakikaError {
             NakikaError::Terminated { site } => {
                 write!(f, "server busy: pipelines of {site} were terminated")
             }
-            NakikaError::RateLimited { client } => {
-                write!(f, "too many requests: {client} exceeded its rate budget")
-            }
             NakikaError::Upstream { url, reason } => {
                 write!(f, "upstream fetch of {url} failed: {reason}")
-            }
-            NakikaError::Integrity { url, reason } => {
-                write!(f, "integrity verification of {url} failed: {reason}")
             }
             NakikaError::Http(e) => write!(f, "http error: {e}"),
             NakikaError::Internal(reason) => write!(f, "internal error: {reason}"),
@@ -368,8 +344,8 @@ pub trait HttpService: Send + Sync {
     /// by splicing bytes from an upstream socket it drives itself (see
     /// [`RelayPlan`]).  `None` — the default — means the transport must
     /// run [`call`](HttpService::call) instead: the service cannot express
-    /// this exchange as a plain relay (scripted pipelines, middleware
-    /// stacks, warm cache hits, non-idempotent methods).
+    /// this exchange as a plain relay (scripted pipelines, owner
+    /// redirects, warm cache hits, non-idempotent methods).
     fn relay_plan(&self, req: &Request, ctx: &RequestCtx) -> Option<RelayPlan> {
         let _ = (req, ctx);
         None
@@ -409,122 +385,6 @@ where
     F: Fn(Request, &RequestCtx) -> Result<Response, NakikaError> + Send + Sync + 'static,
 {
     Arc::new(ServiceFn(f))
-}
-
-/// A middleware: wraps an inner [`HttpService`] into a new one.
-///
-/// Layers compose; [`layered`] and [`crate::builder::NodeBuilder::layer`]
-/// apply a list of layers so the *first* layer listed becomes the
-/// *outermost* wrapper, matching reading order:
-///
-/// ```
-/// use nakika_core::middleware::AccessLogLayer;
-/// use nakika_core::service::{layered, service_fn, HttpService, RequestCtx};
-/// use nakika_http::{Request, Response};
-/// use nakika_state::AccessLog;
-/// use std::sync::Arc;
-///
-/// let log = Arc::new(AccessLog::new());
-/// log.configure_site("a.example", Some("http://a.example/log-sink"));
-/// let base = service_fn(|_req, _ctx| Ok(Response::ok("text/plain", "hi")));
-/// let stack = layered(base, vec![Box::new(AccessLogLayer::new(log.clone()))]);
-/// stack.call(Request::get("http://a.example/"), &RequestCtx::at(7)).unwrap();
-/// assert_eq!(log.pending("a.example"), 1);
-/// ```
-pub trait Layer: Send + Sync {
-    /// Wraps `inner`, returning the layered service.
-    fn wrap(&self, inner: Arc<dyn HttpService>) -> Arc<dyn HttpService>;
-
-    /// Whether this layer must see complete (buffered) response bodies.
-    ///
-    /// Since the v2 streaming redesign, responses may carry
-    /// [`Body::Stream`](nakika_http::Body) bodies that are pulled through
-    /// the transport one bounded chunk at a time.  Most layers — logging,
-    /// admission, redirection — operate on heads and declared sizes and
-    /// never touch body bytes, so they keep the stream intact.  A layer
-    /// that must inspect the whole body (integrity verification hashes it)
-    /// returns `true` here, and [`layered`] inserts a buffering point
-    /// *beneath* it so the stream is materialized exactly when — and only
-    /// when — such a layer demands it.
-    fn requires_full_body(&self) -> bool {
-        false
-    }
-}
-
-/// Applies `layers` around `base`; the first layer in the list ends up
-/// outermost.
-///
-/// Layers whose [`Layer::requires_full_body`] is true get a buffering
-/// adapter inserted beneath them: the inner service's streamed response is
-/// drained to a full body (surfacing mid-stream failures as
-/// [`NakikaError::Upstream`]) before the demanding layer runs.  The
-/// pipeline therefore buffers only when a layer asks, never by default.
-///
-/// The layered stack keeps `base`'s [`HttpService::dispatch_hint`]: layers
-/// wrap through closures (which cannot forward the hint) but are assumed
-/// non-blocking themselves — they log, reject, redirect, or hash bytes the
-/// inner call already produced — so the question "may this call block?" is
-/// answered by the service at the bottom of the stack.  Note the buffering
-/// adapter respects this too: it only ever drains a *stream*, and streams
-/// appear only on requests `base` already classified `MayBlock` (a warm
-/// cache hit is a buffered body).
-pub fn layered(base: Arc<dyn HttpService>, layers: Vec<Box<dyn Layer>>) -> Arc<dyn HttpService> {
-    if layers.is_empty() {
-        return base;
-    }
-    let classifier = base.clone();
-    let stack = layers.into_iter().rev().fold(base, |inner, layer| {
-        let inner = if layer.requires_full_body() {
-            buffered_body(inner)
-        } else {
-            inner
-        };
-        layer.wrap(inner)
-    });
-    Arc::new(HintPreserving { stack, classifier })
-}
-
-/// The adapter [`layered`] wraps its result in: calls go through the full
-/// layer stack, dispatch hints come from the base service (layers are
-/// non-blocking, so the base owns the answer).
-struct HintPreserving {
-    stack: Arc<dyn HttpService>,
-    classifier: Arc<dyn HttpService>,
-}
-
-impl HttpService for HintPreserving {
-    fn call(&self, req: Request, ctx: &RequestCtx) -> Result<Response, NakikaError> {
-        self.stack.call(req, ctx)
-    }
-
-    fn dispatch_hint(&self, req: &Request, ctx: &RequestCtx) -> DispatchHint {
-        self.classifier.dispatch_hint(req, ctx)
-    }
-
-    fn relay_plan(&self, req: &Request, ctx: &RequestCtx) -> Option<RelayPlan> {
-        // A layered stack must observe every exchange (logging, admission,
-        // redirection), and a splice bypasses `call` entirely — so the
-        // presence of any layer disables relay planning.  Hints can be
-        // forwarded past layers; relays cannot.
-        let _ = (req, ctx);
-        None
-    }
-}
-
-/// Wraps `inner` so that streamed response bodies are fully buffered before
-/// they propagate outward; a mid-stream failure (for example a peer that
-/// closed before `Content-Length` bytes arrived) surfaces as
-/// [`NakikaError::Upstream`] instead of a silently truncated body.
-pub fn buffered_body(inner: Arc<dyn HttpService>) -> Arc<dyn HttpService> {
-    service_fn(move |req: Request, ctx: &RequestCtx| {
-        let url = req.uri.to_string();
-        let mut response = inner.call(req, ctx)?;
-        response.body.buffer().map_err(|e| NakikaError::Upstream {
-            url,
-            reason: format!("body stream failed: {e}"),
-        })?;
-        Ok(response)
-    })
 }
 
 #[cfg(test)]
@@ -570,97 +430,5 @@ mod tests {
         assert_eq!(response.status, StatusCode::BAD_GATEWAY);
         assert_eq!(response.headers.get("X-Nakika-Error"), Some("upstream"));
         assert!(response.body.to_text().contains("connection refused"));
-    }
-
-    #[test]
-    fn full_body_layers_see_buffered_streams_others_see_the_stream() {
-        use bytes::Bytes;
-        use nakika_http::Body;
-
-        struct Probe {
-            wants_full: bool,
-        }
-        impl Layer for Probe {
-            fn wrap(&self, inner: Arc<dyn HttpService>) -> Arc<dyn HttpService> {
-                let wants_full = self.wants_full;
-                service_fn(move |req, ctx| {
-                    let resp = inner.call(req, ctx)?;
-                    assert_eq!(
-                        resp.body.is_stream(),
-                        !wants_full,
-                        "layer sees a stream exactly when it did not demand buffering"
-                    );
-                    Ok(resp)
-                })
-            }
-            fn requires_full_body(&self) -> bool {
-                self.wants_full
-            }
-        }
-
-        for wants_full in [false, true] {
-            let base = service_fn(|_req, _ctx| {
-                let mut resp = Response::ok("text/plain", "");
-                resp.body = Body::stream_from_iter(vec![Bytes::from_static(b"data")], Some(4));
-                Ok(resp)
-            });
-            let stack = layered(base, vec![Box::new(Probe { wants_full })]);
-            let resp = stack
-                .call(Request::get("http://a.example/"), &RequestCtx::at(0))
-                .unwrap();
-            assert_eq!(resp.body.to_text(), "data");
-        }
-    }
-
-    #[test]
-    fn buffered_body_surfaces_stream_failures_as_upstream() {
-        use bytes::Bytes;
-        use nakika_http::{Body, ChunkSource};
-
-        struct Failing(bool);
-        impl ChunkSource for Failing {
-            fn next_chunk(&mut self) -> std::io::Result<Option<Bytes>> {
-                if self.0 {
-                    return Err(std::io::Error::other("peer closed mid-body"));
-                }
-                self.0 = true;
-                Ok(Some(Bytes::from_static(b"partial")))
-            }
-        }
-        let base = service_fn(|_req, _ctx| {
-            let mut resp = Response::ok("text/plain", "");
-            resp.body = Body::stream(Failing(false), Some(100));
-            Ok(resp)
-        });
-        let stack = buffered_body(base);
-        match stack.call(Request::get("http://a.example/big"), &RequestCtx::at(0)) {
-            Err(NakikaError::Upstream { url, reason }) => {
-                assert_eq!(url, "http://a.example/big");
-                assert!(reason.contains("peer closed"), "reason: {reason}");
-            }
-            other => panic!("expected an upstream error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn service_fn_and_layering_compose() {
-        struct Tag(&'static str);
-        impl Layer for Tag {
-            fn wrap(&self, inner: Arc<dyn HttpService>) -> Arc<dyn HttpService> {
-                let name = self.0;
-                service_fn(move |req, ctx| {
-                    let resp = inner.call(req, ctx)?;
-                    let trail = format!("{} {name}", resp.headers.get("X-Trail").unwrap_or(""));
-                    Ok(resp.with_header("X-Trail", trail.trim()))
-                })
-            }
-        }
-        let base = service_fn(|_req, _ctx| Ok(Response::ok("text/plain", "ok")));
-        let stack = layered(base, vec![Box::new(Tag("outer")), Box::new(Tag("inner"))]);
-        let resp = stack
-            .call(Request::get("http://a.example/"), &RequestCtx::at(0))
-            .unwrap();
-        // The inner tag runs first on the way out, the outer tag appends last.
-        assert_eq!(resp.headers.get("X-Trail"), Some("inner outer"));
     }
 }

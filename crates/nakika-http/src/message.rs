@@ -285,8 +285,8 @@ impl Body {
 
     /// Drains a streaming body fully into memory, converting `self` into
     /// [`Body::Full`]; full bodies are untouched.  This is the explicit
-    /// buffering point layers opt into via
-    /// `Layer::requires_full_body` — an `Err` means the stream failed
+    /// buffering point for callers that need the whole body (scripts,
+    /// replication pushes, gossip digests) — an `Err` means the stream failed
     /// mid-body (for example a `Content-Length` mismatch from a peer that
     /// closed early) and carries the source's reason.
     ///
@@ -676,16 +676,8 @@ impl Response {
         r
     }
 
-    /// A redirect (302) to `location`.
-    pub fn redirect(location: &str) -> Response {
-        let mut r = Response::new(StatusCode::FOUND);
-        r.headers.set("Location", location);
-        r.headers.set("Content-Length", "0");
-        r
-    }
-
     /// A temporary redirect (307) to `location`: the client must retry
-    /// with the same method, unlike the method-rewriting 302.
+    /// with the same method, unlike a method-rewriting 302.
     pub fn redirect_temporary(location: &str) -> Response {
         let mut r = Response::new(StatusCode::TEMPORARY_REDIRECT);
         r.headers.set("Location", location);
@@ -912,8 +904,8 @@ mod tests {
         assert_eq!(r.headers.content_length(), Some(9));
         let e = Response::error(StatusCode::UNAUTHORIZED);
         assert!(e.body.to_text().contains("401"));
-        let d = Response::redirect("http://elsewhere/");
-        assert_eq!(d.status, StatusCode::FOUND);
+        let d = Response::redirect_temporary("http://elsewhere/");
+        assert_eq!(d.status, StatusCode::TEMPORARY_REDIRECT);
         assert_eq!(d.headers.get("location"), Some("http://elsewhere/"));
     }
 

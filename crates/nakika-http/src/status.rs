@@ -36,7 +36,7 @@ impl StatusCode {
     pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     /// 413 Payload Too Large
     pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
-    /// 429 Too Many Requests — emitted by `RateLimitLayer`.
+    /// 429 Too Many Requests
     pub const TOO_MANY_REQUESTS: StatusCode = StatusCode(429);
     /// 431 Request Header Fields Too Large — header count/size cap tripped.
     pub const REQUEST_HEADER_FIELDS_TOO_LARGE: StatusCode = StatusCode(431);

@@ -362,22 +362,6 @@ impl Overlay {
         }
     }
 
-    /// The `count` live nodes closest (by latency) to `location` — the
-    /// primitive behind DNS redirection.
-    pub fn nearest_nodes(&self, location: &Location, count: usize) -> Vec<(NodeId, Location)> {
-        let nodes = self.nodes.read();
-        let mut live: Vec<(NodeId, Location, f64)> = nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| (n.id, n.location, location.latency_ms(&n.location)))
-            .collect();
-        live.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
-        live.into_iter()
-            .take(count)
-            .map(|(id, loc, _)| (id, loc))
-            .collect()
-    }
-
     /// Snapshot of the accumulated statistics.
     pub fn stats(&self) -> OverlayStats {
         self.stats.read().clone()
@@ -512,15 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_nodes_orders_by_latency() {
-        let (overlay, ids) = overlay_with_nodes();
-        let nearest = overlay.nearest_nodes(&sites::ASIA, 2);
-        assert_eq!(nearest.len(), 2);
-        assert!(nearest.iter().any(|(id, _)| *id == ids[4]));
-        assert!(nearest.iter().any(|(id, _)| *id == ids[5]));
-    }
-
-    #[test]
     fn membership_carries_peer_addresses() {
         let overlay = Overlay::with_defaults();
         overlay.join_with_addr(NodeId(1), sites::US_EAST, "http://127.0.0.1:4001");
@@ -599,6 +574,6 @@ mod tests {
         // The only replica may have lived on the departed nodes; lookups must
         // still terminate and not error.
         let _ = overlay.get(ids[0], "http://asia-only/x", 10);
-        assert_eq!(overlay.nearest_nodes(&sites::ASIA, 10).len(), 4);
+        assert_eq!(overlay.members().len(), 4);
     }
 }

@@ -8,11 +8,12 @@
 //! DNS redirection of clients to nearby edge nodes.
 //!
 //! This crate implements that substrate from scratch: XOR-metric key-based
-//! routing, TTL'd sloppy storage with per-key value limits, Coral-style
-//! locality clusters, and latency-ordered node lookup
-//! ([`Overlay::nearest_nodes`], which `nakika-core`'s `RedirectLayer` answers
-//! redirects from).  The interface is deliberately the small
-//! `put / get / nodes_for_key / nearest_nodes` surface the rest of Na Kika
+//! routing, TTL'd sloppy storage with per-key value limits and Coral-style
+//! locality clusters.  Clients reach a nearby node by whatever front-end
+//! the deployment picks; the nodes themselves only redirect a client to a
+//! key's live owner (`nakika-core`'s owner-aware redirection, which asks
+//! [`Overlay::owner_of`]).  The interface is deliberately the small
+//! `put / get / nodes_for_key / owner_of` surface the rest of Na Kika
 //! consumes.
 //!
 //! The registry itself always runs in-process, but it serves two deployment

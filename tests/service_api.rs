@@ -1,17 +1,11 @@
 //! Tests of the `HttpService` boundary itself: time injection through
-//! `Clock`/`RequestCtx`, middleware composition order, and the typed
-//! `NakikaError` → status-code mapping both in-process and over real TCP.
+//! `Clock`/`RequestCtx`, and the typed `NakikaError` → status-code mapping
+//! both in-process and over real TCP.
 
-use nakika_core::middleware::{AccessLogLayer, AdmissionLayer};
-use nakika_core::resource::{ResourceKind, ResourceManager, ResourceManagerConfig};
-use nakika_core::service::{
-    layered, service_fn, Clock, CtxFactory, HttpService, ManualClock, NakikaError, RequestCtx,
-};
+use nakika_core::service::{service_fn, Clock, CtxFactory, HttpService, ManualClock, NakikaError};
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
 use nakika_server::{http_get, HttpServer};
-use nakika_state::AccessLog;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,67 +45,6 @@ fn manual_clock_drives_cache_expiry_through_request_ctx() {
     assert_eq!(edge.node().stats().cache_hits, 1);
 }
 
-/// Builds a resource manager whose `hog.example` site is deterministically
-/// terminated (congested across two control rounds).
-fn terminated_manager() -> Arc<ResourceManager> {
-    let mut config = ResourceManagerConfig::default();
-    config.capacity.insert(ResourceKind::Cpu, 1.0);
-    let resource = Arc::new(ResourceManager::new(config));
-    for _ in 0..2 {
-        resource.record("hog.example", ResourceKind::Cpu, 1_000.0);
-        resource.control();
-    }
-    resource
-}
-
-/// Logging wraps admission wraps the pipeline: the access log (outermost)
-/// records even the exchanges admission rejects, while the pipeline
-/// (innermost) never sees them.
-#[test]
-fn middleware_ordering_logging_wraps_admission_wraps_pipeline() {
-    let events: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-    let pipeline_events = events.clone();
-    let pipeline = service_fn(move |_req, _ctx| {
-        pipeline_events.lock().push("pipeline");
-        Ok(Response::ok("text/plain", "served"))
-    });
-    let log = Arc::new(AccessLog::new());
-    log.configure_site("hog.example", Some("http://hog.example/log-sink"));
-    log.configure_site("good.example", Some("http://good.example/log-sink"));
-    let stack = layered(
-        pipeline,
-        vec![
-            Box::new(AccessLogLayer::new(log.clone())),
-            Box::new(AdmissionLayer::new(terminated_manager())),
-        ],
-    );
-
-    // The terminated site: admission rejects before the pipeline runs, and
-    // the outer logging layer still records the rejection's status mapping.
-    let rejected = stack.call(Request::get("http://hog.example/x"), &RequestCtx::at(0));
-    assert!(matches!(
-        rejected,
-        Err(NakikaError::Terminated { ref site } | NakikaError::Throttled { ref site })
-            if site == "hog.example"
-    ));
-    assert!(events.lock().is_empty(), "the pipeline never ran");
-    assert_eq!(log.pending("hog.example"), 1, "the rejection was logged");
-
-    // A well-behaved site flows through all three layers.
-    let ok = stack
-        .call(Request::get("http://good.example/x"), &RequestCtx::at(0))
-        .unwrap();
-    assert_eq!(ok.status, StatusCode::OK);
-    assert_eq!(events.lock().as_slice(), ["pipeline"]);
-    assert_eq!(log.pending("good.example"), 1);
-
-    let batches = log.flush();
-    assert!(
-        batches.iter().any(|(_, body)| body.contains(" 503 ")),
-        "the logged rejection carries the 503 mapping: {batches:?}"
-    );
-}
-
 /// Each `NakikaError` variant maps to its documented status code, both via
 /// `to_response` and at the TCP wire where a real transport does the mapping.
 #[test]
@@ -133,13 +66,6 @@ fn typed_errors_map_to_status_codes_at_the_transport() {
             NakikaError::Upstream {
                 url: "http://o.example/x".into(),
                 reason: "connect failed".into(),
-            },
-            StatusCode::BAD_GATEWAY,
-        ),
-        (
-            NakikaError::Integrity {
-                url: "http://o.example/x".into(),
-                reason: "body hash mismatch".into(),
             },
             StatusCode::BAD_GATEWAY,
         ),

@@ -26,6 +26,7 @@
 use nakika_core::service::{service_fn, DispatchHint, HttpService, NakikaError, RequestCtx};
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_http::{parse_response, ParseOutcome, Request, Response, StatusCode};
+use nakika_overlay::{key_for, Location, Membership, MembershipConfig, Overlay};
 use nakika_server::{
     http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ServerOptions, TcpOrigin,
 };
@@ -134,6 +135,52 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
         "without a relay plan every miss is a pool job"
     );
     assert_eq!(spliced_bodies, pooled_bodies, "paths are byte-identical");
+}
+
+/// A node that redirects clients to live key owners still splices its own
+/// misses: the redirect is a roster lookup answered inline, and every
+/// other miss publishes a relay plan like any DHT proxy's.
+#[test]
+fn a_redirecting_node_splices_its_own_misses_and_redirects_inline() {
+    let origin = cacheable_origin();
+    let overlay = Arc::new(Overlay::with_defaults());
+    let me = key_for("edge-a");
+    let peer = key_for("edge-b");
+    overlay.join(me, Location::new(0.0, 0.0));
+    overlay.join_with_addr(peer, Location::new(0.0, 0.0), "http://edge-b.example");
+    // No self address: probing stays dormant, so edge-b stays alive.
+    let roster = Membership::with_manual_clock("edge-a", MembershipConfig::default());
+    roster.merge_digest("self edge-b http://edge-b.example 0");
+    let edge = NodeBuilder::proxy_with_dht("edge-a")
+        .overlay(Arc::clone(&overlay), me)
+        .gossip(Arc::new(roster))
+        .redirect_to_owner()
+        .origin(Arc::new(TcpOrigin::new()))
+        .build();
+    let proxy = one_loop_proxy(edge.service());
+
+    let owned_by = |id| {
+        (0..)
+            .map(|i| format!("{}/owner/{i}.html", origin.base_url()))
+            .find(|url| {
+                let key = format!("GET {}", Request::get(url).uri);
+                overlay.owner_of(&key).is_some_and(|m| m.id == id)
+            })
+            .expect("some key hashes to the node")
+    };
+
+    let own = http_get_via_proxy(proxy.addr(), &owned_by(me)).unwrap();
+    assert_eq!(own.status, StatusCode::OK);
+    assert_eq!(proxy.stats().spliced_relays(), 1, "an own miss is spliced");
+
+    let peers_url = owned_by(peer);
+    let redirect = http_get_via_proxy(proxy.addr(), &peers_url).unwrap();
+    assert_eq!(redirect.status, StatusCode::TEMPORARY_REDIRECT);
+    let expected = peers_url.replace(&origin.base_url(), "http://edge-b.example");
+    assert_eq!(redirect.headers.get("Location"), Some(expected.as_str()));
+    assert_eq!(edge.node().stats().owner_redirects, 1);
+    assert_eq!(proxy.stats().spliced_relays(), 1);
+    assert_eq!(proxy.stats().worker_submissions(), 0, "no pool jobs");
 }
 
 /// A raw TCP origin: reads each connection's request head (the tests only

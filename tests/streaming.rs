@@ -3,7 +3,7 @@
 //! while per-connection buffering stays under the bounded window.
 
 use bytes::Bytes;
-use nakika_core::service::{buffered_body, service_fn, NakikaError};
+use nakika_core::service::{service_fn, HttpService, NakikaError};
 use nakika_core::NodeBuilder;
 use nakika_http::{Body, ChunkSource, Request, Response, StatusCode, STREAM_CHUNK_BYTES};
 use nakika_server::{
@@ -67,22 +67,22 @@ fn content_length_mismatch_surfaces_as_upstream_error() {
 }
 
 #[test]
-fn node_buffering_point_converts_truncation_into_502() {
+fn draining_a_truncated_relay_names_the_missing_bytes_and_caches_nothing() {
     let origin = lying_origin(64 * 1024, 1024);
-    // A node relaying the lying origin, with an explicit buffering point
-    // stacked on top (the same adapter `Layer::requires_full_body` layers
-    // get): the stream failure becomes a typed error, not a short body.
+    // A node relaying the lying origin hands back a stream; draining it
+    // whole surfaces the truncation as an error, not a short body.
     let edge = NodeBuilder::plain_proxy("truncation-edge")
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let stack = buffered_body(edge.service());
     let request = Request::get(&format!("http://{origin}/big.bin"));
-    match stack.call(request, &nakika_core::service::RequestCtx::at(5)) {
-        Err(NakikaError::Upstream { reason, .. }) => {
-            assert!(reason.contains("got 1024 of 65536"), "reason: {reason}");
-        }
-        other => panic!("expected an upstream error, got {other:?}"),
-    }
+    let mut response = edge
+        .call(request, &nakika_core::service::RequestCtx::at(5))
+        .expect("the head arrived intact");
+    let error = response.body.buffer().expect_err("the body was truncated");
+    assert!(
+        error.to_string().contains("got 1024 of 65536"),
+        "error: {error}"
+    );
     // Nothing that failed mid-stream may have been cached.
     assert_eq!(edge.node().cache_stats().inserts, 0);
 }
