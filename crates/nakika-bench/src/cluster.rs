@@ -15,14 +15,15 @@
 //!   seed and N-1 children that `--join` it, collect their `READY` lines,
 //!   and shut everything down by closing stdin on drop.
 //!
-//! Every node also serves its counters at [`STATS_PATH`] as plain text
-//! (`key value` per line) so tests and operators can assert cluster-wide
-//! cache-stat consistency over the same HTTP port that serves traffic.
+//! Every node answers its counters at [`STATS_PATH`] itself (plain text,
+//! `key value` per line) on the port that serves traffic; [`fetch_stats`]
+//! reads them, so tests and operators can assert cluster-wide cache-stat
+//! consistency.
 //! `docs/CLUSTER.md` is the operator-facing guide to the same machinery.
 
-use nakika_core::service::{DispatchHint, HttpService, NakikaError, RequestCtx};
+use nakika_core::peering::STATS_PATH;
+use nakika_core::service::NakikaError;
 use nakika_core::{NodeBuilder, NodeHandle};
-use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Location, Membership, MembershipConfig, Overlay};
 use nakika_server::{http_get_via_proxy, ProxyServer, TcpOrigin};
 use std::collections::HashMap;
@@ -30,94 +31,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::Arc;
-
-/// Path every cluster node answers with its counters (plain text, one
-/// `key value` pair per line) instead of proxying.
-pub const STATS_PATH: &str = "/__nakika/stats";
-
-/// Wraps a node's service to answer [`STATS_PATH`] locally; everything
-/// else is forwarded untouched.  The stats response is assembled from
-/// in-memory counters, so it is safe to serve inline on the event loop.
-pub struct ClusterService {
-    handle: Arc<NodeHandle>,
-    name: String,
-}
-
-impl ClusterService {
-    /// Wraps `handle`, reporting stats under `name`.
-    pub fn new(handle: Arc<NodeHandle>, name: &str) -> ClusterService {
-        ClusterService {
-            handle,
-            name: name.to_string(),
-        }
-    }
-}
-
-impl HttpService for ClusterService {
-    fn call(&self, req: Request, ctx: &RequestCtx) -> Result<Response, NakikaError> {
-        if req.uri.path == STATS_PATH {
-            return Ok(Response::ok(
-                "text/plain",
-                stats_text(&self.handle, &self.name),
-            ));
-        }
-        self.handle.call(req, ctx)
-    }
-
-    fn dispatch_hint(&self, req: &Request, ctx: &RequestCtx) -> DispatchHint {
-        if req.uri.path == STATS_PATH {
-            DispatchHint::Inline
-        } else {
-            self.handle.dispatch_hint(req, ctx)
-        }
-    }
-}
-
-/// Renders the counters served at [`STATS_PATH`]: the node's request
-/// counters plus the cache shard totals, one `key value` pair per line
-/// (the `node` line carries the node's name instead of a number).  Nodes
-/// running gossip membership append their `gossip_*` counters.
-pub fn stats_text(handle: &NodeHandle, name: &str) -> String {
-    let stats = handle.node().stats();
-    let cache = handle.node().cache_stats();
-    let mut text = format!(
-        "node {name}\n\
-         requests {}\n\
-         cache_hits {}\n\
-         cache_misses {}\n\
-         cache_inserts {}\n\
-         peer_hits {}\n\
-         peer_misses {}\n\
-         origin_fetches {}\n\
-         replication_pushes {}\n\
-         owner_redirects {}\n\
-         script_compiles {}\n\
-         script_cache_hits {}\n",
-        stats.requests,
-        cache.hits,
-        cache.misses,
-        cache.inserts,
-        stats.peer_hits,
-        stats.peer_misses,
-        stats.origin_fetches,
-        stats.replication_pushes,
-        stats.owner_redirects,
-        cache.script_compiles,
-        cache.script_cache_hits,
-    );
-    if let Some(membership) = handle.membership() {
-        let gossip = membership.stats();
-        text.push_str(&format!(
-            "gossip_alive {}\n\
-             gossip_suspect {}\n\
-             gossip_faulty {}\n\
-             gossip_probes {}\n\
-             gossip_roster_version {}\n",
-            gossip.alive, gossip.suspect, gossip.faulty, gossip.probes_sent, gossip.roster_version,
-        ));
-    }
-    text
-}
 
 /// Parses a [`STATS_PATH`] response body back into a counter map.
 /// Non-numeric values (the `node` name line) are skipped.
@@ -163,7 +76,7 @@ pub struct LocalNode {
     /// `http://127.0.0.1:port` for this node's proxy front-end.
     pub base_url: String,
     /// The node stack behind the server, for direct stat inspection.
-    pub handle: Arc<NodeHandle>,
+    pub handle: NodeHandle,
     /// The listening front-end; dropping it stops the node.
     pub server: ProxyServer,
 }
@@ -185,9 +98,8 @@ pub fn start_local_node(
     if let Some((successors, threshold)) = replicate {
         builder = builder.replicate_hot(successors, threshold);
     }
-    let handle = Arc::new(builder.build());
-    let service = Arc::new(ClusterService::new(Arc::clone(&handle), name));
-    let server = ProxyServer::start(0, service)
+    let handle = builder.build();
+    let server = ProxyServer::start(0, handle.service())
         .map_err(|e| NakikaError::Internal(format!("node {name} failed to listen: {e}")))?;
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
@@ -291,9 +203,9 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
     if redirect_to_owner {
         builder = builder.redirect_to_owner();
     }
-    let handle = Arc::new(builder.build());
-    let service = Arc::new(ClusterService::new(Arc::clone(&handle), &name));
-    let server = ProxyServer::start(port, service).map_err(|e| format!("listen failed: {e}"))?;
+    let handle = builder.build();
+    let server =
+        ProxyServer::start(port, handle.service()).map_err(|e| format!("listen failed: {e}"))?;
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
     overlay.set_addr(id, &base_url);
@@ -309,9 +221,11 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
 
     // Serve until stdin reaches EOF; nothing that arrives on it is read.
     std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink()).map_err(|e| e.to_string())?;
-    // Stdin closed: the parent is done with us.  Dropping the server (and
-    // with it the node's replication worker) shuts the node down.
+    // Stdin closed: the parent is done with us.  Dropping the server stops
+    // serving, then dropping the handle stops the node's gossip and
+    // replication workers.
     drop(server);
+    drop(handle);
     Ok(())
 }
 
@@ -447,6 +361,8 @@ pub fn wait_for_members(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nakika_core::service::{HttpService, RequestCtx};
+    use nakika_http::Request;
 
     #[test]
     fn a_flag_the_node_does_not_know_is_refused_before_anything_is_bound() {
@@ -466,9 +382,10 @@ mod tests {
 
     #[test]
     fn stats_round_trip_through_the_text_format() {
-        let handle = Arc::new(NodeBuilder::plain_proxy("stats-node").build());
-        let text = stats_text(&handle, "stats-node");
-        let parsed = parse_stats(&text);
+        let handle = NodeBuilder::plain_proxy("stats-node").build();
+        let stats = Request::get(&format!("http://stats-node{STATS_PATH}"));
+        let response = handle.call(stats, &RequestCtx::at(1)).unwrap();
+        let parsed = parse_stats(&response.body.to_text());
         assert_eq!(parsed.get("requests"), Some(&0));
         assert_eq!(parsed.get("peer_hits"), Some(&0));
         assert_eq!(parsed.get("origin_fetches"), Some(&0));

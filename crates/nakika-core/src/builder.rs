@@ -20,7 +20,7 @@
 //! assert_eq!(edge.node().stats().cache_hits, 1);
 //! ```
 
-use crate::gossip::{apply_events, gossip_exchange, gossip_probe_via, GossipService};
+use crate::gossip::{apply_events, gossip_exchange, gossip_probe_via, handle_gossip};
 use crate::node::{origin_from_fn, NaKikaNode, NodeConfig, NodeMode, OriginFetch};
 use crate::peering;
 use crate::pipeline::{CLIENT_WALL_URL, SERVER_WALL_URL};
@@ -35,12 +35,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The service adapter over a [`NaKikaNode`]: binds the node to its origin
-/// fetch path so transports only ever see [`HttpService`], and answers
+/// fetch path so transports only ever see [`HttpService`], answers the
+/// node's own internal paths (gossip exchanges, stats), and answers
 /// owner-aware redirects when [`NodeBuilder::redirect_to_owner`] is on.
 pub struct NodeService {
     node: Arc<NaKikaNode>,
     origin: Arc<dyn OriginFetch>,
-    owner_routing: Option<OwnerRouting>,
+    roster: Option<Roster>,
+}
+
+/// An internal path the node answers itself instead of proxying.
+enum Internal<'a> {
+    /// [`peering::GOSSIP_PATH`] on a node with gossip membership.
+    Gossip(&'a Roster),
+    /// [`peering::STATS_PATH`], on every node.
+    Stats,
 }
 
 impl NodeService {
@@ -49,14 +58,43 @@ impl NodeService {
         &self.node
     }
 
+    /// Which internal path `req` names, if the node answers it itself.
+    /// Every other request, including other `/__nakika/` paths and gossip
+    /// on a node without membership, is served as traffic.
+    fn internal(&self, req: &Request) -> Option<Internal<'_>> {
+        let path = req.uri.path.as_str();
+        if !path.starts_with(peering::INTERNAL_PREFIX) {
+            return None;
+        }
+        match path {
+            peering::STATS_PATH => Some(Internal::Stats),
+            peering::GOSSIP_PATH => self.roster.as_ref().map(Internal::Gossip),
+            _ => None,
+        }
+    }
+
     /// The `Location` of the `307` this node answers `req` with, if any.
     fn owner_redirect(&self, req: &Request) -> Option<String> {
-        self.owner_routing.as_ref()?.redirect_target(req)
+        self.roster.as_ref()?.redirect_target(req)
     }
 }
 
 impl HttpService for NodeService {
     fn call(&self, mut req: Request, ctx: &RequestCtx) -> Result<Response, NakikaError> {
+        match self.internal(&req) {
+            Some(Internal::Gossip(roster)) => {
+                return Ok(handle_gossip(
+                    &roster.membership,
+                    &roster.overlay,
+                    &self.origin,
+                    &req,
+                ));
+            }
+            Some(Internal::Stats) => {
+                return Ok(Response::ok("text/plain", stats_text(&self.node)));
+            }
+            None => {}
+        }
         if let Some(target) = self.owner_redirect(&req) {
             self.node.record_owner_redirect();
             return Ok(Response::redirect_temporary(&target));
@@ -68,6 +106,16 @@ impl HttpService for NodeService {
     }
 
     fn dispatch_hint(&self, req: &Request, ctx: &RequestCtx) -> DispatchHint {
+        match self.internal(req) {
+            // A ping-req relay opens a socket to its target and must stay
+            // off the event loop.
+            Some(Internal::Gossip(_)) if req.headers.contains(peering::GOSSIP_PROBE_HEADER) => {
+                return DispatchHint::MayBlock;
+            }
+            // A plain exchange and the stats are in-memory state.
+            Some(_) => return DispatchHint::Inline,
+            None => {}
+        }
         // A redirect is a roster lookup: nothing to fetch, nothing to block on.
         if self.owner_redirect(req).is_some() {
             return DispatchHint::Inline;
@@ -76,31 +124,76 @@ impl HttpService for NodeService {
     }
 
     fn relay_plan(&self, req: &Request, ctx: &RequestCtx) -> Option<RelayPlan> {
-        if self.owner_redirect(req).is_some() {
+        // Internal paths and redirects are answered here, never relayed
+        // from an upstream socket.
+        if self.internal(req).is_some() || self.owner_redirect(req).is_some() {
             return None;
         }
         self.node.relay_plan(req, ctx.arrival_secs, &self.origin)
     }
 }
 
-/// Owner-aware client redirection: a `307` sends the client straight to
-/// the live member that holds (or will hold) the cached copy, skipping the
-/// relay hop.  A suspect or faulty owner is never redirected to; the peer
-/// relay serves the request instead, so clients keep working through churn.
-struct OwnerRouting {
+/// Renders the counters served at [`peering::STATS_PATH`]: the node's
+/// request counters plus the cache shard totals, one `key value` pair per
+/// line (the `node` line carries the node's name instead of a number).
+/// Nodes running gossip membership append their `gossip_*` counters.
+fn stats_text(node: &NaKikaNode) -> String {
+    let stats = node.stats();
+    let cache = node.cache_stats();
+    let mut counters = vec![
+        ("requests", stats.requests),
+        ("cache_hits", cache.hits),
+        ("cache_misses", cache.misses),
+        ("cache_inserts", cache.inserts),
+        ("peer_hits", stats.peer_hits),
+        ("peer_misses", stats.peer_misses),
+        ("origin_fetches", stats.origin_fetches),
+        ("replication_pushes", stats.replication_pushes),
+        ("owner_redirects", stats.owner_redirects),
+        ("script_compiles", cache.script_compiles),
+        ("script_cache_hits", cache.script_cache_hits),
+    ];
+    if let Some(membership) = node.gossip() {
+        let gossip = membership.stats();
+        counters.extend([
+            ("gossip_alive", gossip.alive),
+            ("gossip_suspect", gossip.suspect),
+            ("gossip_faulty", gossip.faulty),
+            ("gossip_probes", gossip.probes_sent),
+            ("gossip_roster_version", gossip.roster_version),
+        ]);
+    }
+    let mut text = format!("node {}\n", node.name());
+    for (key, value) in counters {
+        text.push_str(&format!("{key} {value}\n"));
+    }
+    text
+}
+
+/// A gossiping node's view of the cluster: the overlay its roster events
+/// re-home keys in, its own identity there, and the live roster.  With
+/// `redirect_to_owner` on it also drives owner-aware client redirection:
+/// a `307` sends the client straight to the live member that holds (or
+/// will hold) the cached copy, skipping the relay hop.  A suspect or
+/// faulty owner is never redirected to; the peer relay serves the request
+/// instead, so clients keep working through churn.
+struct Roster {
     overlay: Arc<Overlay>,
     self_id: NodeId,
     membership: Arc<Membership>,
+    redirect_to_owner: bool,
 }
 
-impl OwnerRouting {
-    /// The verdict for `req`: `Some(location)` when a different live
-    /// member owns the key, `None` to serve locally (relay fallback).
+impl Roster {
+    /// The verdict for `req`: `Some(location)` when redirection is on and
+    /// a different live member owns the key, `None` to serve locally
+    /// (relay fallback).
     fn redirect_target(&self, req: &Request) -> Option<String> {
         // Only client-facing cacheable traffic is redirected: internal
         // exchanges (peer fetches, replication, gossip) must terminate
         // here, and non-cacheable methods gain nothing from the owner.
-        if !req.method.is_cacheable()
+        if !self.redirect_to_owner
+            || !req.method.is_cacheable()
             || req.uri.path.starts_with(peering::INTERNAL_PREFIX)
             || peering::has_internal_headers(req)
         {
@@ -215,12 +308,8 @@ struct GossipWorker {
 }
 
 impl GossipWorker {
-    fn spawn(
-        name: &str,
-        membership: Arc<Membership>,
-        overlay: Arc<Overlay>,
-        origin: Arc<dyn OriginFetch>,
-    ) -> GossipWorker {
+    fn spawn(name: &str, roster: &Roster, origin: Arc<dyn OriginFetch>) -> GossipWorker {
+        let (membership, overlay) = (roster.membership.clone(), roster.overlay.clone());
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
         // Tick well below the probe interval so suspect timeouts and queued
@@ -324,15 +413,14 @@ fn push_to_successors(
     }
 }
 
-/// A built node: its [`HttpService`] plus the node it wraps.
+/// A built node: its [`NodeService`] plus the node's background workers.
 ///
 /// The handle itself implements [`HttpService`], so call sites can treat it
 /// as the service; [`NodeHandle::service`] clones it out for
 /// transports that take `Arc<dyn HttpService>`.  Dropping the handle stops
-/// the node's replication worker, if one was configured.
+/// the node's replication and gossip workers, if any were configured.
 pub struct NodeHandle {
-    node: Arc<NaKikaNode>,
-    service: Arc<dyn HttpService>,
+    service: Arc<NodeService>,
     _replication_worker: Option<ReplicationWorker>,
     _gossip_worker: Option<GossipWorker>,
 }
@@ -340,17 +428,12 @@ pub struct NodeHandle {
 impl NodeHandle {
     /// The node, for statistics, stores and cache inspection.
     pub fn node(&self) -> &Arc<NaKikaNode> {
-        &self.node
+        self.service.node()
     }
 
     /// The node's service.
     pub fn service(&self) -> Arc<dyn HttpService> {
         self.service.clone()
-    }
-
-    /// The gossip membership, if [`NodeBuilder::gossip`] configured one.
-    pub fn membership(&self) -> Option<Arc<Membership>> {
-        self.node.gossip().cloned()
     }
 }
 
@@ -554,52 +637,34 @@ impl NodeBuilder {
         if let Some(addr) = &self.public_addr {
             node.set_public_addr(addr);
         }
-        // Gossip needs an overlay to apply roster events to; inert without.
-        let gossip = match (&self.gossip, &self.overlay) {
-            (Some(membership), Some((overlay, _))) => Some((membership.clone(), overlay.clone())),
-            _ => None,
-        };
-        if let Some((membership, _)) = &gossip {
-            node.attach_gossip(membership.clone());
-        }
-        let node = Arc::new(node);
         let origin = self.origin.unwrap_or_else(|| Arc::new(NoOrigin));
-        // Owner-aware redirection consults the live roster: inert without
-        // both an overlay and gossip.
-        let owner_routing = match (&self.overlay, &self.gossip) {
-            (Some((overlay, id)), Some(membership)) if self.redirect_to_owner => {
-                Some(OwnerRouting {
+        // Gossip needs an overlay to apply roster events to, and owner-aware
+        // redirection consults the live roster: both inert without.
+        let roster = match (self.gossip, &self.overlay) {
+            (Some(membership), Some((overlay, id))) => {
+                node.attach_gossip(membership.clone());
+                Some(Roster {
                     overlay: overlay.clone(),
                     self_id: *id,
-                    membership: membership.clone(),
+                    membership,
+                    redirect_to_owner: self.redirect_to_owner,
                 })
             }
             _ => None,
         };
+        let node = Arc::new(node);
         let replication_worker = self.overlay.and_then(|(overlay, id)| {
             ReplicationWorker::spawn(node.clone(), overlay, id, origin.clone())
         });
-        let mut service: Arc<dyn HttpService> = Arc::new(NodeService {
-            node: node.clone(),
-            origin: origin.clone(),
-            owner_routing,
-        });
-        let mut gossip_worker = None;
-        if let Some((membership, overlay)) = gossip {
-            // The gossip endpoint wraps the node directly, so exchanges
-            // bypass redirection and the node's request counters never
-            // see them.
-            service = Arc::new(GossipService::new(
-                service,
-                membership.clone(),
-                overlay.clone(),
-                origin.clone(),
-            ));
-            gossip_worker = Some(GossipWorker::spawn(&name, membership, overlay, origin));
-        }
+        let gossip_worker = roster
+            .as_ref()
+            .map(|roster| GossipWorker::spawn(&name, roster, origin.clone()));
         NodeHandle {
-            node,
-            service,
+            service: Arc::new(NodeService {
+                node,
+                origin,
+                roster,
+            }),
             _replication_worker: replication_worker,
             _gossip_worker: gossip_worker,
         }
@@ -676,17 +741,17 @@ mod tests {
 
         // Consistent hashing spreads keys across both members; pick one
         // owned by each side.
-        let owned_by = |id: NodeId| {
+        let owned_by = |id: NodeId, path: &str| {
             (0..)
-                .map(|i| format!("http://site.example/page-{i}.html"))
+                .map(|i| format!("http://site.example{path}?v={i}"))
                 .find(|url| {
                     let key = crate::node::cache_key(&Request::get(url));
                     overlay.owner_of(&key).is_some_and(|m| m.id == id)
                 })
                 .expect("some key hashes to the node")
         };
-        let peers_url = owned_by(peer);
-        let own_url = owned_by(me);
+        let peers_url = owned_by(peer, "/page.html");
+        let own_url = owned_by(me, "/page.html");
 
         // The peer's key is answered inline with a 307 to the owner, and
         // counted.
@@ -704,10 +769,23 @@ mod tests {
         for req in [
             Request::get(&own_url),
             Request::get(&peers_url).with_header(peering::PEER_HOP_HEADER, "3"),
-            Request::get("http://site.example/__nakika/stats"),
+            Request::get("http://site.example/__nakika/other"),
         ] {
             let resp = edge.call(req, &ctx).unwrap();
             assert_eq!(resp.body.to_text(), "payload");
+        }
+        assert_eq!(edge.node().stats().owner_redirects, 1);
+
+        // The node's own internal paths are answered here, even where the
+        // key they hash to belongs to the live peer.
+        for (path, answer) in [
+            (peering::STATS_PATH, "node edge-a\n"),
+            (peering::GOSSIP_PATH, "self edge-a "),
+        ] {
+            let req = Request::get(&owned_by(peer, path));
+            assert_eq!(edge.dispatch_hint(&req, &ctx), DispatchHint::Inline);
+            let resp = edge.call(req, &ctx).unwrap();
+            assert!(resp.body.to_text().starts_with(answer));
         }
         assert_eq!(edge.node().stats().owner_redirects, 1);
 
@@ -717,5 +795,62 @@ mod tests {
         let resp = edge.call(Request::get(&peers_url), &ctx).unwrap();
         assert_eq!(resp.body.to_text(), "payload");
         assert_eq!(edge.node().stats().owner_redirects, 1);
+    }
+
+    /// An origin the event loop may splice, counting the fetches that
+    /// reach it through the call path.
+    struct SpliceableOrigin(std::sync::atomic::AtomicU64);
+
+    impl OriginFetch for SpliceableOrigin {
+        fn fetch_origin(&self, _request: &Request) -> Response {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Response::ok("text/plain", "payload")
+        }
+        fn relay_eligible(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn nodes_answer_their_stats_locally_in_a_fixed_key_order() {
+        let zeros = |keys: &str| -> String {
+            keys.split_whitespace()
+                .map(|k| format!("{k} 0\n"))
+                .collect()
+        };
+        let counters = zeros("requests cache_hits cache_misses cache_inserts peer_hits peer_misses origin_fetches replication_pushes owner_redirects script_compiles script_cache_hits");
+        let gossip = zeros("gossip_suspect gossip_faulty gossip_probes gossip_roster_version");
+        let origin = Arc::new(SpliceableOrigin(Default::default()));
+        let plain = NodeBuilder::plain_proxy("p").origin(origin.clone()).build();
+        let membership = Membership::with_manual_clock("g", MembershipConfig::default());
+        let gossiping = NodeBuilder::proxy_with_dht("g")
+            .overlay(Arc::new(Overlay::with_defaults()), key_for("g"))
+            .gossip(Arc::new(membership))
+            .origin(origin.clone())
+            .build();
+        let ctx = RequestCtx::at(1);
+        let url = |path: &str| format!("http://site.example{path}");
+
+        for (edge, text) in [
+            (&plain, format!("node p\n{counters}")),
+            (
+                &gossiping,
+                format!("node g\n{counters}gossip_alive 1\n{gossip}"),
+            ),
+        ] {
+            let stats = Request::get(&url(peering::STATS_PATH));
+            assert_eq!(edge.dispatch_hint(&stats, &ctx), DispatchHint::Inline);
+            assert!(edge.relay_plan(&stats, &ctx).is_none());
+            assert_eq!(edge.call(stats, &ctx).unwrap().body.to_text(), text);
+            assert_eq!(edge.node().stats().requests, 0);
+        }
+        assert_eq!(origin.0.load(Ordering::SeqCst), 0);
+
+        // Without membership the gossip path is a page like any other:
+        // planned for the splice and fetched from the origin.
+        let gossip = Request::get(&url(peering::GOSSIP_PATH));
+        assert!(plain.relay_plan(&gossip, &ctx).is_some());
+        assert_eq!(plain.call(gossip, &ctx).unwrap().body.to_text(), "payload");
+        assert_eq!(origin.0.load(Ordering::SeqCst), 1);
     }
 }

@@ -18,15 +18,15 @@
 //!   Relayed exchanges never carry the probe header themselves, so the
 //!   indirection is one level deep by construction.
 //!
-//! [`GossipService`] serves the endpoint (wrapped immediately around the
-//! node service, so owner-aware redirection never touches gossip
-//! traffic), and the builder's background worker drives
+//! The node's own service ([`NodeService`](crate::NodeService)) answers the
+//! endpoint before owner-aware redirection is consulted, so redirection
+//! never touches gossip traffic, and the builder's background worker drives
 //! [`Membership::poll`] against it.  Roster events feed
 //! [`apply_events`], which re-homes key ownership in the overlay.
 
 use crate::node::OriginFetch;
 use crate::peering;
-use crate::service::{DispatchHint, HttpService, NakikaError, RelayPlan, RequestCtx};
+use crate::service::NakikaError;
 use nakika_http::{Request, Response, StatusCode};
 use nakika_overlay::{key_for, Location, Membership, MembershipEvent, Overlay};
 use std::sync::Arc;
@@ -110,107 +110,72 @@ pub fn gossip_probe_via(
     Ok(())
 }
 
-/// The service wrapper answering [`peering::GOSSIP_PATH`].  Sits directly
-/// around the node service, so gossip exchanges bypass redirection — they
-/// are plumbing, not traffic — and the node's `requests` counter never
-/// sees them.
-pub struct GossipService {
-    inner: Arc<dyn HttpService>,
-    membership: Arc<Membership>,
-    overlay: Arc<Overlay>,
-    origin: Arc<dyn OriginFetch>,
-}
-
-impl GossipService {
-    /// Wraps `inner`, answering gossip exchanges with `membership` and
-    /// relaying indirect probes through `origin`.
-    pub fn new(
-        inner: Arc<dyn HttpService>,
-        membership: Arc<Membership>,
-        overlay: Arc<Overlay>,
-        origin: Arc<dyn OriginFetch>,
-    ) -> GossipService {
-        GossipService {
-            inner,
-            membership,
-            overlay,
-            origin,
+/// Answers one request to [`peering::GOSSIP_PATH`]: merges the prober's
+/// digest, relays a ping-req to its target through `origin`, and answers
+/// with the local digest (`502` when a relayed target did not answer).
+/// Gossip exchanges are plumbing, not traffic: the node's `requests`
+/// counter never sees them.
+pub(crate) fn handle_gossip(
+    membership: &Membership,
+    overlay: &Overlay,
+    origin: &Arc<dyn OriginFetch>,
+    req: &Request,
+) -> Response {
+    // Merge the prober's digest first: even a probe that is really a
+    // ping-req teaches us the requester's view of the roster.
+    if let Some(digest) = req.headers.get(peering::GOSSIP_HEADER) {
+        let events = membership.merge_digest(digest);
+        apply_events(overlay, &events);
+    }
+    if let Some(target) = req.headers.get(peering::GOSSIP_PROBE_HEADER) {
+        // Ping-req relay: probe the target on the requester's behalf.
+        if gossip_exchange(membership, overlay, origin, target.trim()).is_err() {
+            return Response::error(StatusCode::BAD_GATEWAY);
         }
     }
-
-    fn handle_gossip(&self, req: &Request) -> Response {
-        // Merge the prober's digest first: even a probe that is really a
-        // ping-req teaches us the requester's view of the roster.
-        if let Some(digest) = req.headers.get(peering::GOSSIP_HEADER) {
-            let events = self.membership.merge_digest(digest);
-            apply_events(&self.overlay, &events);
-        }
-        if let Some(target) = req.headers.get(peering::GOSSIP_PROBE_HEADER) {
-            // Ping-req relay: probe the target on the requester's behalf.
-            let target = target.trim().to_string();
-            if gossip_exchange(&self.membership, &self.overlay, &self.origin, &target).is_err() {
-                return Response::error(StatusCode::BAD_GATEWAY);
-            }
-        }
-        Response::ok("text/plain", self.membership.digest())
-    }
-}
-
-impl HttpService for GossipService {
-    fn call(&self, req: Request, _ctx: &RequestCtx) -> Result<Response, NakikaError> {
-        if req.uri.path == peering::GOSSIP_PATH {
-            return Ok(self.handle_gossip(&req));
-        }
-        self.inner.call(req, _ctx)
-    }
-
-    fn dispatch_hint(&self, req: &Request, ctx: &RequestCtx) -> DispatchHint {
-        if req.uri.path == peering::GOSSIP_PATH {
-            // A plain exchange is pure in-memory state; a ping-req relay
-            // opens a socket to the target and must stay off the event loop.
-            return if req.headers.contains(peering::GOSSIP_PROBE_HEADER) {
-                DispatchHint::MayBlock
-            } else {
-                DispatchHint::Inline
-            };
-        }
-        self.inner.dispatch_hint(req, ctx)
-    }
-
-    fn relay_plan(&self, req: &Request, ctx: &RequestCtx) -> Option<RelayPlan> {
-        // Gossip exchanges are answered from membership state, never
-        // relayed from an upstream socket.
-        if req.uri.path == peering::GOSSIP_PATH {
-            return None;
-        }
-        self.inner.relay_plan(req, ctx)
-    }
+    Response::ok("text/plain", membership.digest())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{NodeBuilder, NodeHandle};
     use crate::node::origin_from_fn;
-    use crate::service::service_fn;
+    use crate::service::{DispatchHint, HttpService, RequestCtx};
     use nakika_overlay::MembershipConfig;
     use parking_lot::Mutex;
 
-    fn service(name: &str) -> (GossipService, Arc<Membership>, Arc<Overlay>) {
+    /// A gossiping DHT node named `name` on a fresh overlay, fetching
+    /// through `origin`.  No self address: probing stays dormant, so only
+    /// the test moves the roster.
+    fn node(
+        name: &str,
+        origin: Arc<dyn OriginFetch>,
+    ) -> (NodeHandle, Arc<Membership>, Arc<Overlay>) {
         let membership = Arc::new(Membership::with_manual_clock(
             name,
             MembershipConfig::default(),
         ));
-        membership.set_self_addr(&format!("http://{name}.example"));
         let overlay = Arc::new(Overlay::with_defaults());
-        let inner = service_fn(|_req, _ctx| Ok(Response::ok("text/plain", "inner")));
-        let origin = origin_from_fn(|_req| Response::error(StatusCode::BAD_GATEWAY));
-        let svc = GossipService::new(inner, membership.clone(), overlay.clone(), origin);
-        (svc, membership, overlay)
+        let node = NodeBuilder::proxy_with_dht(name)
+            .overlay(overlay.clone(), key_for(name))
+            .gossip(membership.clone())
+            .origin(origin)
+            .build();
+        (node, membership, overlay)
+    }
+
+    /// Serves `/page`; every other fetch, peer fetches included, fails.
+    fn page_origin() -> Arc<dyn OriginFetch> {
+        origin_from_fn(|req| match req.uri.path.as_str() {
+            "/page" => Response::ok("text/plain", "origin"),
+            _ => Response::error(StatusCode::BAD_GATEWAY),
+        })
     }
 
     #[test]
     fn exchange_merges_the_probers_digest_and_answers_with_ours() {
-        let (svc, membership, overlay) = service("alpha");
+        let (svc, membership, overlay) = node("alpha", page_origin());
         let req = Request::get(&format!("http://alpha.example{}", peering::GOSSIP_PATH))
             .with_header(peering::GOSSIP_HEADER, "self beta http://beta.example 0");
         let resp = svc.call(req, &RequestCtx::at(1)).unwrap();
@@ -225,20 +190,23 @@ mod tests {
             overlay.addr_of(key_for("beta")).as_deref(),
             Some("http://beta.example")
         );
+        // Gossip is plumbing, not traffic.
+        assert_eq!(svc.node().stats().requests, 0);
     }
 
     #[test]
     fn non_gossip_paths_pass_through_untouched() {
-        let (svc, _, _) = service("alpha");
+        let (svc, _, _) = node("alpha", page_origin());
         let resp = svc
             .call(Request::get("http://site.example/page"), &RequestCtx::at(1))
             .unwrap();
-        assert_eq!(resp.body.to_text(), "inner");
+        assert_eq!(resp.body.to_text(), "origin");
+        assert_eq!(svc.node().stats().origin_fetches, 1);
     }
 
     #[test]
     fn failed_relay_probe_answers_bad_gateway() {
-        let (svc, _, _) = service("alpha");
+        let (svc, _, _) = node("alpha", page_origin());
         let req = Request::get(&format!("http://alpha.example{}", peering::GOSSIP_PATH))
             .with_header(peering::GOSSIP_PROBE_HEADER, "http://dead.example");
         let resp = svc.call(req, &RequestCtx::at(1)).unwrap();
@@ -247,13 +215,6 @@ mod tests {
 
     #[test]
     fn relay_probe_reaches_the_target_through_fetch_peer() {
-        let membership = Arc::new(Membership::with_manual_clock(
-            "relay",
-            MembershipConfig::default(),
-        ));
-        membership.set_self_addr("http://relay.example");
-        let overlay = Arc::new(Overlay::with_defaults());
-        let inner = service_fn(|_req, _ctx| Ok(Response::ok("text/plain", "inner")));
         // An origin whose peer path mimics the target's gossip endpoint.
         struct TargetOrigin {
             calls: Mutex<Vec<String>>,
@@ -273,7 +234,7 @@ mod tests {
         let origin = Arc::new(TargetOrigin {
             calls: Mutex::new(Vec::new()),
         });
-        let svc = GossipService::new(inner, membership.clone(), overlay, origin.clone());
+        let (svc, membership, _) = node("relay", origin.clone());
         let req = Request::get(&format!("http://relay.example{}", peering::GOSSIP_PATH))
             .with_header(peering::GOSSIP_PROBE_HEADER, "http://target.example");
         let resp = svc.call(req, &RequestCtx::at(1)).unwrap();
@@ -285,7 +246,7 @@ mod tests {
 
     #[test]
     fn gossip_dispatches_inline_unless_it_relays() {
-        let (svc, _, _) = service("alpha");
+        let (svc, _, _) = node("alpha", page_origin());
         let plain = Request::get(&format!("http://a{}", peering::GOSSIP_PATH));
         assert_eq!(
             svc.dispatch_hint(&plain, &RequestCtx::at(1)),

@@ -40,8 +40,8 @@
 //!   [`service::HttpService`] is the single seam between transports and
 //!   everything else: transports mint a [`service::RequestCtx`] from their
 //!   [`service::Clock`] and call the one service a [`builder::NodeBuilder`]
-//!   produced — the node itself, which also answers owner-aware redirects,
-//!   wrapped only by the gossip endpoint when membership is on.  Platform
+//!   produced — the node itself, which also answers its own internal paths
+//!   (gossip exchanges, stats) and owner-aware redirects.  Platform
 //!   failures travel as typed [`service::NakikaError`]s so each transport
 //!   decides its own status mapping.
 
@@ -64,7 +64,6 @@ pub mod vocab;
 
 pub use builder::{NodeBuilder, NodeHandle, NodeService};
 pub use cache::{CacheStats, ProxyCache};
-pub use gossip::GossipService;
 pub use node::{NaKikaNode, NodeConfig, NodeMode, OriginFetch};
 pub use pipeline::{PipelineOutcome, PipelineRunner};
 pub use policy::{Matcher, Policy, PolicySet};

@@ -43,6 +43,11 @@ pub const INTERNAL_PREFIX: &str = "/__nakika/";
 /// keeps the exchange on the pooled keep-alive connections.
 pub const GOSSIP_PATH: &str = "/__nakika/gossip";
 
+/// Path every node answers with its counters (plain text, one `key value`
+/// pair per line) instead of proxying, on the same port that serves
+/// traffic.
+pub const STATS_PATH: &str = "/__nakika/stats";
+
 /// Request header carrying the prober's roster digest on a gossip exchange.
 pub const GOSSIP_HEADER: &str = "X-Nakika-Gossip";
 

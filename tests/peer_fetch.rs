@@ -6,9 +6,9 @@
 //! stdio handshake) lives in `tests/edge_cluster.rs`; the protocol itself
 //! is documented in `docs/CLUSTER.md`.
 
-use nakika_bench::cluster::{fetch_stats, start_local_node, ClusterService, LocalNode};
+use nakika_bench::cluster::{fetch_stats, start_local_node, LocalNode};
 use nakika_core::peering::{PEER_HOP_HEADER, PEER_VIA_HEADER};
-use nakika_core::service::service_fn;
+use nakika_core::service::{service_fn, HttpService};
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Location, Overlay};
@@ -171,18 +171,20 @@ fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
     assert_eq!(origin_hits.load(Ordering::SeqCst), 3);
 
     // B is assembled by hand (instead of through `start_local_node`) so the
-    // test keeps a handle on its `TcpOrigin` and can watch the pool.
+    // test keeps a handle on its `TcpOrigin` and can watch the pool.  It is
+    // served through a `service_fn`, which publishes no relay plan, so its
+    // misses take the blocking fetch path on the worker pool, as scripted
+    // nodes' misses do; the spliced twin of this test is the next one.
     let fetcher = Arc::new(TcpOrigin::new());
     let id = key_for("pool-b");
     overlay.join(id, Location::new(0.0, 0.0));
-    let handle = Arc::new(
-        NodeBuilder::proxy_with_dht("pool-b")
-            .overlay(Arc::clone(&overlay), id)
-            .origin(fetcher.clone())
-            .build(),
-    );
-    let service = Arc::new(ClusterService::new(Arc::clone(&handle), "pool-b"));
-    let server = ProxyServer::start(0, service).expect("node b");
+    let handle = NodeBuilder::proxy_with_dht("pool-b")
+        .overlay(Arc::clone(&overlay), id)
+        .origin(fetcher.clone())
+        .build();
+    let service = handle.service();
+    let unplanned = service_fn(move |req, ctx| service.call(req, ctx));
+    let server = ProxyServer::start(0, unplanned).expect("node b");
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
     overlay.set_addr(id, &base_url);
@@ -199,6 +201,7 @@ fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
     );
     let stats = fetch_stats(&base_url).expect("stats via b");
     assert_eq!(stats["peer_hits"], 3);
+    assert_eq!(server.stats().spliced_relays(), 0);
 
     // One socket carried all three peer fetches: the connection was parked
     // after the first and reused — not re-dialed — by the rest.  A fetcher
@@ -275,6 +278,30 @@ fn spliced_peer_misses_reuse_the_connections_their_reactors_keep() {
         a.server.stats().open_connections() >= 1,
         "B keeps its connections into A open between misses"
     );
+}
+
+#[test]
+fn a_local_cluster_node_splices_its_misses_and_answers_its_stats() {
+    const MISSES: u64 = 20;
+    let (origin, origin_hits) = counting_origin();
+    let overlay = Arc::new(Overlay::with_defaults());
+    let a = start_local_node("bare-a", &overlay, None).expect("node");
+    // A DHT proxy runs without resource controls, so only a wrapper around
+    // its service could keep its misses off the splice.
+    assert!(!a.handle.node().config().resource.enabled);
+
+    for i in 0..MISSES {
+        let url = format!("{}/cold/{i}.html", origin.base_url());
+        let response = http_get_via_proxy(a.server.addr(), &url).expect("fetch");
+        assert!(response.status.is_success());
+    }
+    assert_eq!(origin_hits.load(Ordering::SeqCst), MISSES);
+    assert_eq!(a.server.stats().spliced_relays(), MISSES);
+    assert_eq!(a.server.stats().worker_submissions(), 0);
+
+    // The same port still answers the node's counters.
+    let stats = fetch_stats(&a.base_url).expect("stats");
+    assert_eq!(stats["origin_fetches"], MISSES);
 }
 
 #[test]
