@@ -576,8 +576,8 @@ impl ProxyCache {
         }
     }
 
-    /// Removes an entry (used when integrity verification rejects cached
-    /// content).
+    /// Removes the entry stored under `key` and releases its bytes; returns
+    /// whether there was one.
     pub fn invalidate(&self, key: &str) -> bool {
         let mut shard = self.shard(key).lock();
         match shard.index.get(key).copied() {

@@ -4,8 +4,9 @@
 //! original and processed content, and its administrative control scripts are
 //! themselves distributed by letting cached copies expire (paper §3.2).  This
 //! module implements freshness computation from `Cache-Control`, `Expires`,
-//! `Date`, and `Age`, plus the absolute-expiration requirement of the
-//! content-integrity extension (paper §6).
+//! `Date`, and `Age`, plus two non-standard integral-seconds headers,
+//! `Expires-Seconds` and `Date-Seconds`, honoured from any upstream.  No code
+//! in this workspace produces them; ROADMAP item 18a decides whether they stay.
 
 use crate::headers::Headers;
 use crate::message::Response;
@@ -117,9 +118,10 @@ pub fn freshness(method: &Method, resp: &Response, heuristic: Duration) -> Fresh
             Freshness::Fresh(age)
         };
     }
-    // Expires relative to Date; both are modelled as integral seconds since an
-    // arbitrary epoch (the simulator's clock) via `Expires-Seconds` /
-    // `Date-Seconds` when produced internally, or as HTTP-dates otherwise.
+    // Expires relative to Date, as the non-standard integral-seconds headers
+    // `Expires-Seconds` / `Date-Seconds`.  They are honoured from any upstream
+    // although nothing here emits them (ROADMAP item 18a decides whether they
+    // stay); an HTTP-date `Expires` is handled below.
     if let (Some(expires), Some(date)) = (
         seconds_header(&resp.headers, "expires-seconds"),
         seconds_header(&resp.headers, "date-seconds"),
@@ -143,19 +145,6 @@ pub fn freshness(method: &Method, resp: &Response, heuristic: Duration) -> Fresh
 
 fn seconds_header(headers: &Headers, name: &str) -> Option<u64> {
     headers.get(name).and_then(|v| v.trim().parse().ok())
-}
-
-/// Rewrites a response's cache metadata to use an *absolute* expiration time
-/// (in seconds on the caller's clock), as required by the content-integrity
-/// scheme: untrusted nodes cannot be trusted to decrement relative lifetimes
-/// (paper §6).
-pub fn set_absolute_expiry(resp: &mut Response, now_secs: u64, lifetime: Duration) {
-    resp.headers.remove("cache-control");
-    resp.headers.set("Date-Seconds", now_secs.to_string());
-    resp.headers.set(
-        "Expires-Seconds",
-        now_secs.saturating_add(lifetime.as_secs()).to_string(),
-    );
 }
 
 #[cfg(test)]
@@ -203,12 +192,6 @@ mod tests {
         assert_eq!(
             freshness(&Method::Get, &huge, Duration::ZERO),
             Freshness::Fresh(Duration::from_secs(1 << 31))
-        );
-        let mut resp = Response::ok("text/html", "x");
-        set_absolute_expiry(&mut resp, u64::MAX - 1, Duration::from_secs(10));
-        assert_eq!(
-            resp.headers.get("expires-seconds"),
-            Some(u64::MAX.to_string().as_str())
         );
     }
 
@@ -276,15 +259,15 @@ mod tests {
 
     #[test]
     fn absolute_expiry_round_trips() {
-        let mut r = Response::ok("text/html", "x").with_header("Cache-Control", "max-age=5");
-        set_absolute_expiry(&mut r, 1000, Duration::from_secs(300));
-        assert!(!r.headers.contains("cache-control"));
+        let mut r = Response::ok("text/html", "x")
+            .with_header("Date-Seconds", "1000")
+            .with_header("Expires-Seconds", "1300");
         assert_eq!(
             freshness(&Method::Get, &r, Duration::ZERO),
             Freshness::Fresh(Duration::from_secs(300))
         );
         // Expired absolute time → revalidate.
-        set_absolute_expiry(&mut r, 1000, Duration::ZERO);
+        r.headers.set("Expires-Seconds", "1000");
         assert_eq!(
             freshness(&Method::Get, &r, Duration::ZERO),
             Freshness::Revalidate

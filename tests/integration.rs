@@ -1,5 +1,5 @@
 //! Workspace integration tests spanning crates: a whole Na Kika deployment
-//! (overlay + several nodes + hard state + integrity) exercised through the
+//! (overlay + several nodes + hard state) exercised through the
 //! public APIs, plus the paper's three §5.4 extensions composed end to end.
 
 use nakika_core::node::{origin_from_fn, OriginFetch};
@@ -9,7 +9,6 @@ use nakika_core::vocab::make_image;
 use nakika_core::NodeBuilder;
 use nakika_http::pattern::Cidr;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_integrity::{sign_response, verify_response, SigningKey};
 use nakika_overlay::{key_for, Location, Overlay};
 use nakika_state::{MessageBus, ReplicationManager, ReplicationStrategy, SiteStore, Update};
 use std::sync::Arc;
@@ -216,21 +215,6 @@ fn hard_state_replicates_across_nodes_and_survives_conflicts() {
             "last writer wins everywhere"
         );
     }
-}
-
-#[test]
-fn content_integrity_protects_against_a_tampering_cache() {
-    let key = SigningKey::new(b"med-school-origin-key");
-    let mut response = Response::ok("text/html", "<p>study: treatment works</p>");
-    sign_response(&mut response, &key, 1_000, 3_600);
-    // An honest edge node forwards the response unchanged.
-    assert!(verify_response(&response, &key, 2_000).is_ok());
-    // A malicious node falsifies the study results.
-    let mut tampered = response.clone();
-    tampered.set_body("<p>study: treatment is useless</p>");
-    assert!(verify_response(&tampered, &key, 2_000).is_err());
-    // Stale replay after expiration is also caught.
-    assert!(verify_response(&response, &key, 10_000).is_err());
 }
 
 #[test]

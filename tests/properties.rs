@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants:
 //! HTTP message round-trips, URI rewriting, policy-matcher agreement, cache
-//! accounting, overlay lookups, the script engine's sandbox, and SHA-256.
+//! accounting, overlay lookups, and the script engine's sandbox.
 
 use nakika_bench::hist::LatencyRecorder;
 use nakika_core::policy::{LinearMatcher, Matcher, Policy, PolicySet};
@@ -307,20 +307,6 @@ proptest! {
             Ok(Value::Number(_)) => {}
             Err(nakika_script::ScriptError::FuelExhausted) => {}
             other => prop_assert!(false, "unexpected outcome: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sha256_is_deterministic_and_sensitive(
-        data in prop::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let a = nakika_integrity::sha256_hex(&data);
-        let b = nakika_integrity::sha256_hex(&data);
-        prop_assert_eq!(&a, &b);
-        let mut flipped = data.clone();
-        if let Some(first) = flipped.first_mut() {
-            *first ^= 0x01;
-            prop_assert_ne!(a, nakika_integrity::sha256_hex(&flipped));
         }
     }
 
