@@ -346,6 +346,14 @@ fn cache_vocabulary(ex: &Exchange) -> Global {
 
 // --- Request ---------------------------------------------------------------
 
+/// The script error for a `setHeader` field that [`Headers`] refuses: a name
+/// that is not a token, or a value that could split the message.
+///
+/// [`Headers`]: nakika_http::Headers
+fn refused_header(name: &str, value: &str) -> ScriptError {
+    ScriptError::Host(format!("setHeader: refused field {name:?}: {value:?}"))
+}
+
 fn request_vocabulary(ex: &Exchange) -> Global {
     let native = |f| exchange_native(ex, f);
     (
@@ -366,7 +374,9 @@ fn request_vocabulary(ex: &Exchange) -> Global {
                 native(|ex, args| {
                     let name = arg(args, 0).to_display_string();
                     let value = arg(args, 1).to_display_string();
-                    ex.request.headers.set(name, value);
+                    if !ex.request.headers.set(&name, &value) {
+                        return Err(refused_header(&name, &value));
+                    }
                     Ok(Value::Undefined)
                 }),
             ),
@@ -495,11 +505,13 @@ fn response_vocabulary(ex: &Exchange) -> Global {
                 native(|ex, args| {
                     let name = arg(args, 0).to_display_string();
                     let value = arg(args, 1).to_display_string();
+                    if let Some(r) = ex.response.as_mut() {
+                        if !r.headers.set(&name, &value) {
+                            return Err(refused_header(&name, &value));
+                        }
+                    }
                     if name.eq_ignore_ascii_case("content-type") {
                         ex.content_type = None;
-                    }
-                    if let Some(r) = ex.response.as_mut() {
-                        r.headers.set(name, value);
                     }
                     Ok(Value::Undefined)
                 }),
@@ -1357,6 +1369,47 @@ mod tests {
             .get("X-Script-Work")
             .map(str::to_string);
         assert_eq!(work.as_deref(), Some("4877"));
+    }
+
+    /// Untrusted site scripts share a client's keep-alive connection with
+    /// other sites, so a header value that carries CR or LF would let one
+    /// site inject a whole response (or request) into another's stream.
+    #[test]
+    fn set_header_cannot_split_the_message() {
+        use nakika_http::serialize::{serialize_request, ResponseWriter};
+
+        let injections = [
+            "'a\\r\\n\\r\\nHTTP/1.1 200 OK\\r\\nSet-Cookie: stolen=1'",
+            "'a\\nSet-Cookie: stolen=1'",
+            "'a\\rSet-Cookie: stolen=1'",
+            "'a\\0Set-Cookie: stolen=1'",
+        ];
+        let calls = injections.iter().flat_map(|value| {
+            ["Response", "Request"].map(|object| format!("{object}.setHeader('X-Note', {value});"))
+        });
+        let bad_names = ["'X Note'", "'X-Note\\r\\nSet-Cookie'", "''"]
+            .map(|name| format!("Response.setHeader({name}, 'stolen=1');"));
+        for call in calls.chain(bad_names) {
+            let ex = new_exchange(Request::get("http://a.com/page"), 0);
+            ex.lock().response = Some(Response::ok("text/html", b"page".to_vec()));
+            let ctx = Context::new();
+            stdlib::install(&ctx);
+            install(&ctx, &ex, &VocabHooks::default());
+            let outcome = run_vm(&ctx, &call);
+            assert!(outcome.is_err(), "{call} was accepted");
+
+            let (request, response) = {
+                let ex = ex.lock();
+                (ex.request.clone(), ex.response.clone().unwrap())
+            };
+            let mut writer = ResponseWriter::new(response);
+            let mut wire = serialize_request(&request);
+            while let Some(part) = writer.next_part().unwrap() {
+                wire.extend_from_slice(&part);
+            }
+            let wire = String::from_utf8_lossy(&wire);
+            assert!(!wire.contains("stolen"), "{call} reached the wire:\n{wire}");
+        }
     }
 
     #[test]

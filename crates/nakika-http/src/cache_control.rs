@@ -2,11 +2,21 @@
 //!
 //! Na Kika deliberately builds on HTTP's expiration-based caching for both
 //! original and processed content, and its administrative control scripts are
-//! themselves distributed by letting cached copies expire (paper §3.2).  This
-//! module implements freshness computation from `Cache-Control`, `Expires`,
-//! `Date`, and `Age`, plus two non-standard integral-seconds headers,
-//! `Expires-Seconds` and `Date-Seconds`, honoured from any upstream.  No code
-//! in this workspace produces them; ROADMAP item 18a decides whether they stay.
+//! themselves distributed by letting cached copies expire (paper §3.2).
+//!
+//! What [`freshness`] reads, in order:
+//! - `Cache-Control`: `no-store` and `private` make a response uncacheable,
+//!   `no-cache` means revalidate, and `s-maxage`, else `max-age`, is the
+//!   lifetime;
+//! - two non-standard integral-seconds headers, `Expires-Seconds` and
+//!   `Date-Seconds`, honoured from any upstream, whose difference is the
+//!   lifetime.  No code in this workspace produces them;
+//! - `Expires`, but only for its presence: there is no HTTP-date parser, so
+//!   an `Expires` without the `Expires-Seconds` pair means `Revalidate`.
+//!
+//! `Date` and `Age` are never read, so an entry is stored with its whole
+//! lifetime however old it already is.  ROADMAP item 28a makes `Age` count;
+//! item 28b parses HTTP dates and deletes the integral-seconds pair.
 
 use crate::headers::Headers;
 use crate::message::Response;
@@ -120,8 +130,8 @@ pub fn freshness(method: &Method, resp: &Response, heuristic: Duration) -> Fresh
     }
     // Expires relative to Date, as the non-standard integral-seconds headers
     // `Expires-Seconds` / `Date-Seconds`.  They are honoured from any upstream
-    // although nothing here emits them (ROADMAP item 18a decides whether they
-    // stay); an HTTP-date `Expires` is handled below.
+    // although nothing here emits them (ROADMAP item 28b deletes them); an
+    // HTTP-date `Expires` is handled below.
     if let (Some(expires), Some(date)) = (
         seconds_header(&resp.headers, "expires-seconds"),
         seconds_header(&resp.headers, "date-seconds"),

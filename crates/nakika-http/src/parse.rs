@@ -48,10 +48,7 @@ pub fn parse_request(input: &[u8]) -> Result<ParseOutcome<Request>> {
     };
     let text = std::str::from_utf8(&input[..head])
         .map_err(|_| HttpError::MalformedHeader("non-utf8 header block".to_string()))?;
-    let mut lines = text.split("\r\n");
-    let start = lines
-        .next()
-        .ok_or_else(|| HttpError::MalformedStartLine("empty".to_string()))?;
+    let (start, fields) = text.split_once("\r\n").unwrap_or((text, ""));
     let mut parts = start.split_whitespace();
     let method = Method::parse(parts.next().unwrap_or(""))?;
     let target = parts
@@ -61,7 +58,7 @@ pub fn parse_request(input: &[u8]) -> Result<ParseOutcome<Request>> {
         .next()
         .ok_or_else(|| HttpError::MalformedStartLine(start.to_string()))?;
     let version_11 = parse_version(version)?;
-    let headers = parse_headers(lines)?;
+    let headers = parse_headers(fields)?;
     let uri = resolve_request_uri(target, &headers)?;
 
     let body_start = head + 4;
@@ -119,10 +116,7 @@ pub fn parse_response_head(input: &[u8]) -> Result<ParseOutcome<ResponseHead>> {
     };
     let text = std::str::from_utf8(&input[..head])
         .map_err(|_| HttpError::MalformedHeader("non-utf8 header block".to_string()))?;
-    let mut lines = text.split("\r\n");
-    let start = lines
-        .next()
-        .ok_or_else(|| HttpError::MalformedStartLine("empty".to_string()))?;
+    let (start, fields) = text.split_once("\r\n").unwrap_or((text, ""));
     let mut parts = start.splitn(3, ' ');
     let version = parts
         .next()
@@ -133,7 +127,7 @@ pub fn parse_response_head(input: &[u8]) -> Result<ParseOutcome<ResponseHead>> {
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| HttpError::MalformedStartLine(start.to_string()))?;
     let status = StatusCode::new(code)?;
-    let headers = parse_headers(lines)?;
+    let headers = parse_headers(fields)?;
     let framing = if headers.is_chunked() {
         BodyFraming::Chunked
     } else {
@@ -214,10 +208,15 @@ fn parse_version(v: &str) -> Result<bool> {
     }
 }
 
-fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers> {
-    let mut headers = Headers::new();
+/// Parses the field lines of a head (`block` ends before the blank line).
+/// A field the map refuses (see [`Headers`]) makes the head malformed.
+fn parse_headers(block: &str) -> Result<Headers> {
+    // Each field is one line, and its name and value fit in the block, so
+    // the map is sized once.
+    let lines = 1 + block.bytes().filter(|&b| b == b'\n').count();
+    let mut headers = Headers::with_capacity(lines.min(MAX_HEADER_COUNT), block.len());
     let mut count = 0usize;
-    for line in lines {
+    for line in block.split("\r\n") {
         if line.is_empty() {
             continue;
         }
@@ -227,14 +226,12 @@ fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers> {
                 limit: MAX_HEADER_COUNT,
             });
         }
-        let idx = line
-            .find(':')
-            .ok_or_else(|| HttpError::MalformedHeader(line.to_string()))?;
-        let name = line[..idx].trim();
-        if name.is_empty() {
+        let stored = line
+            .split_once(':')
+            .is_some_and(|(name, value)| headers.append(name.trim(), value.trim()));
+        if !stored {
             return Err(HttpError::MalformedHeader(line.to_string()));
         }
-        headers.append(name, line[idx + 1..].trim());
     }
     Ok(headers)
 }
@@ -511,6 +508,34 @@ mod tests {
         assert_eq!(req.uri.path, "/index.html");
         assert!(req.version_11);
         assert_eq!(req.headers.get("user-agent"), Some("nakika"));
+    }
+
+    #[test]
+    fn refuses_heads_whose_fields_could_split_a_message() {
+        for field in [
+            "X-A: a\nSet-Cookie: b",
+            "X-A: a\rb",
+            "X-A: a\0b",
+            "X A: b",
+            ": b",
+        ] {
+            let raw = format!("GET / HTTP/1.1\r\nHost: a\r\n{field}\r\n\r\n");
+            assert!(
+                matches!(
+                    parse_request(raw.as_bytes()),
+                    Err(HttpError::MalformedHeader(_))
+                ),
+                "{field:?}"
+            );
+            let raw = format!("HTTP/1.1 200 OK\r\n{field}\r\nContent-Length: 0\r\n\r\n");
+            assert!(
+                matches!(
+                    parse_response_head(raw.as_bytes()),
+                    Err(HttpError::MalformedHeader(_))
+                ),
+                "{field:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::message::{Body, Request, Response};
 use bytes::Bytes;
-use std::io;
+use std::io::{self, Write};
 
 /// Serializes a request in origin-form (path on the request line, `Host`
 /// header carrying the authority), which is what a proxy forwards upstream.
@@ -30,37 +30,65 @@ fn serialize_request_with_form(req: &Request, absolute: bool) -> Vec<u8> {
     } else {
         "HTTP/1.0"
     };
-    let target = if absolute {
-        req.uri.to_string()
-    } else {
-        req.uri.path_and_query()
-    };
     // Request bodies stay buffered in this stack (they are uploads the
     // scripting pipeline inspects whole), so draining here is cheap.
     let body = req.body.to_bytes();
     let mut out = Vec::with_capacity(128 + body.len());
-    out.extend_from_slice(format!("{} {} {}\r\n", req.method, target, version).as_bytes());
+    out.extend_from_slice(req.method.as_str().as_bytes());
+    out.push(b' ');
+    if absolute {
+        write_display(&mut out, &req.uri);
+    } else {
+        out.extend_from_slice(req.uri.path.as_bytes());
+        if let Some(query) = &req.uri.query {
+            out.push(b'?');
+            out.extend_from_slice(query.as_bytes());
+        }
+    }
+    out.push(b' ');
+    out.extend_from_slice(version.as_bytes());
+    out.extend_from_slice(b"\r\n");
     if !req.headers.contains("host") && !req.uri.host.is_empty() {
-        out.extend_from_slice(format!("Host: {}\r\n", req.uri.authority()).as_bytes());
+        write_field(&mut out, "Host", &req.uri.authority());
     }
     let body_len = body.len();
     let mut wrote_length = false;
-    for (name, value) in req.headers.iter() {
+    for (name, value) in &req.headers {
         if name.eq_ignore_ascii_case("content-length") {
             // Always emit a Content-Length consistent with the actual body, a
             // script may have rewritten the body without fixing the header.
-            out.extend_from_slice(format!("Content-Length: {body_len}\r\n").as_bytes());
+            write_content_length(&mut out, body_len as u64);
             wrote_length = true;
         } else {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            write_field(&mut out, name, value);
         }
     }
     if !wrote_length && body_len > 0 {
-        out.extend_from_slice(format!("Content-Length: {body_len}\r\n").as_bytes());
+        write_content_length(&mut out, body_len as u64);
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&body);
     out
+}
+
+/// Appends `name: value` and its line end.
+fn write_field(out: &mut Vec<u8>, name: &str, value: &str) {
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(b": ");
+    out.extend_from_slice(value.as_bytes());
+    out.extend_from_slice(b"\r\n");
+}
+
+fn write_content_length(out: &mut Vec<u8>, n: u64) {
+    out.extend_from_slice(b"Content-Length: ");
+    write_display(out, &n);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Formats `value` straight into `out`, with no intermediate `String`.
+fn write_display(out: &mut Vec<u8>, value: &dyn std::fmt::Display) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{value}");
 }
 
 /// Serializes a response to its wire format in one buffer, draining a
@@ -92,30 +120,23 @@ fn response_head(resp: &Response, framing: Framing) -> Vec<u8> {
         "HTTP/1.0"
     };
     let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(
-        format!(
-            "{} {} {}\r\n",
-            version,
-            resp.status.as_u16(),
-            resp.status.reason()
-        )
-        .as_bytes(),
-    );
-    for (name, value) in resp.headers.iter() {
+    out.extend_from_slice(version.as_bytes());
+    out.push(b' ');
+    write_display(&mut out, &resp.status.as_u16());
+    out.push(b' ');
+    out.extend_from_slice(resp.status.reason().as_bytes());
+    out.extend_from_slice(b"\r\n");
+    for (name, value) in &resp.headers {
         if name.eq_ignore_ascii_case("transfer-encoding")
             || name.eq_ignore_ascii_case("content-length")
         {
             continue;
         }
-        out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+        write_field(&mut out, name, value);
     }
     match framing {
-        Framing::Length(n) => {
-            out.extend_from_slice(format!("Content-Length: {n}\r\n").as_bytes());
-        }
-        Framing::Chunked => {
-            out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
-        }
+        Framing::Length(n) => write_content_length(&mut out, n),
+        Framing::Chunked => out.extend_from_slice(b"Transfer-Encoding: chunked\r\n"),
     }
     out.extend_from_slice(b"\r\n");
     out
@@ -309,7 +330,7 @@ impl ResponseWriter {
     fn frame(&self, chunk: Bytes) -> Bytes {
         if self.chunked {
             let mut out = Vec::with_capacity(chunk.len() + 16);
-            out.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+            let _ = write!(out, "{:x}\r\n", chunk.len());
             out.extend_from_slice(&chunk);
             out.extend_from_slice(b"\r\n");
             Bytes::from(out)
