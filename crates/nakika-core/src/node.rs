@@ -375,9 +375,10 @@ impl ResourceFetcher {
     /// it into memory.  A buffered body is stored right away (the historical
     /// path — simulator, tests, script-generated content).  A *streamed*
     /// body is instead teed: chunks flow onward to whoever is relaying them,
-    /// a bounded side copy accumulates, and only when the stream completes
-    /// cleanly within the cache's entry budget does the copy get stored and
-    /// announced.  Oversized or failed streams pass through uncached.
+    /// the tee keeps the chunks it forwards, charged against the cache's
+    /// entry budget, and only when the stream completes cleanly within that
+    /// budget do the kept chunks get stored, uncopied, and announced.
+    /// Oversized or failed streams pass through uncached.
     fn capture(&self, key: &str, method: &Method, mut response: Response, now: u64) -> Response {
         if !response.body.is_stream() {
             self.store_and_announce(key, method, &response, now);
@@ -385,7 +386,7 @@ impl ResourceFetcher {
         }
         // Don't bother teeing what the cache would refuse anyway — including
         // a body whose declared length already exceeds the entry budget,
-        // which would otherwise accumulate a side copy only to discard it.
+        // which would otherwise keep its chunks only to discard them.
         let budget = self.cache.capacity_bytes();
         if !method.is_cacheable()
             || !matches!(
@@ -409,13 +410,13 @@ impl ResourceFetcher {
         let key = key.to_string();
         let method = method.clone();
         let body = std::mem::take(&mut response.body);
-        response.body = body.tee(budget, move |bytes| {
+        response.body = body.tee(budget, move |body| {
             let mut full = head;
             // The stored copy is a complete instance: fix the framing
             // metadata the streamed original carried.
             full.headers.remove("Transfer-Encoding");
-            full.headers.set("Content-Length", bytes.len().to_string());
-            full.body = Body::from_bytes(bytes);
+            full.headers.set("Content-Length", body.len().to_string());
+            full.body = body;
             fetcher.store_and_announce(&key, &method, &full, now);
         });
         response

@@ -1412,6 +1412,38 @@ mod tests {
         }
     }
 
+    /// `Request.setUrl` rewrites the URL the upstream request line and
+    /// `Host` field are written from, so a URL carrying CR/LF would let a
+    /// site script smuggle a second request to the origin.
+    #[test]
+    fn set_url_cannot_split_the_request() {
+        use nakika_http::serialize::serialize_request;
+
+        let injections = [
+            "'http://a.com/x HTTP/1.1\\r\\nX-Injected: 1\\r\\n\\r\\nGET /evil'",
+            "'http://a.com\\r\\nX-Injected: 1/x'",
+            "'http://a.com/x\\nX-Injected: 1'",
+            "'/x y'",
+        ];
+        for url in injections {
+            let call = format!("Request.setUrl({url});");
+            let ex = new_exchange(Request::get("http://a.com/page"), 0);
+            let ctx = Context::new();
+            stdlib::install(&ctx);
+            install(&ctx, &ex, &VocabHooks::default());
+            assert!(run_vm(&ctx, &call).is_err(), "{call} was accepted");
+
+            let request = ex.lock().request.clone();
+            assert_eq!(request.uri, Uri::parse("http://a.com/page").unwrap());
+            let wire = String::from_utf8_lossy(&serialize_request(&request)).into_owned();
+            assert!(
+                !wire.contains("Injected"),
+                "{call} reached the wire:\n{wire}"
+            );
+            assert!(!wire.contains("evil"), "{call} reached the wire:\n{wire}");
+        }
+    }
+
     #[test]
     fn synthetic_image_round_trip() {
         let img = make_image("png", 320, 240);

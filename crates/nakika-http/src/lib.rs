@@ -30,7 +30,9 @@ pub mod uri;
 pub use cache_control::{CacheControl, Freshness};
 pub use error::{HttpError, Result};
 pub use headers::Headers;
-pub use message::{Body, BodyStream, ChunkSource, Request, Response, STREAM_CHUNK_BYTES};
+pub use message::{
+    Body, BodyParts, BodyStream, ChunkSource, Request, Response, STREAM_CHUNK_BYTES,
+};
 pub use method::Method;
 pub use parse::{
     parse_request, parse_response, parse_response_head, BodyFraming, ChunkedDecoder, ParseOutcome,

@@ -6,8 +6,10 @@
 //! (`Response.read()` in the paper's Figure 2) so that cut-through routing is
 //! possible.  [`Body`] models both endpoints of that spectrum: a fully
 //! materialized [`Body::Full`] buffer for messages that live in memory
-//! (requests, cached entries, script-generated responses), and a
-//! [`Body::Stream`] whose chunks are pulled incrementally from a
+//! (requests, cached entries, script-generated responses), the
+//! [`Body::Parts`] a cache capture keeps (the chunks it relayed, held as
+//! they arrived), and a [`Body::Stream`] whose chunks are pulled
+//! incrementally from a
 //! [`ChunkSource`] — typically an upstream socket — so a large multimedia
 //! response flows through the proxy one bounded chunk at a time instead of
 //! being materialized twice.
@@ -36,6 +38,27 @@ pub const SCRIPT_READ_CHUNK_BYTES: usize = 8 * 1024;
 /// consumption via [`Body::read_chunk`] is not subject to it: a relay's
 /// memory is bounded by its chunk window, not by body size.
 pub const MAX_BUFFERED_BODY_BYTES: usize = 64 * 1024 * 1024;
+
+/// What [`Body::tee`] charges for each chunk it keeps beyond the chunk's
+/// bytes: the `Bytes` handle in the parts list and the allocation header of
+/// the chunk's buffer.  A stream of tiny chunks thus reaches the tee's
+/// budget and passes through uncached instead of pinning many times its
+/// own size.
+const KEPT_PART_OVERHEAD_BYTES: usize = 64;
+
+/// Average part size below which a captured body is stored as one joined
+/// copy rather than as its parts, so a trickled or finely chunked origin
+/// is stored compactly and read out in few chunks.
+const MIN_KEPT_PART_BYTES: usize = 4 * 1024;
+
+/// Copies `slices`, `len` bytes in all, into one buffer.
+fn join<'a>(slices: impl Iterator<Item = &'a [u8]>, len: usize) -> Bytes {
+    let mut buf = Vec::with_capacity(len);
+    for slice in slices {
+        buf.extend_from_slice(slice);
+    }
+    Bytes::from(buf)
+}
 
 /// Drains `source` to a clean end, enforcing [`MAX_BUFFERED_BODY_BYTES`].
 /// The initial allocation is clamped — `declared` comes from a peer's
@@ -130,11 +153,68 @@ impl Clone for BodyStream {
     }
 }
 
-/// An HTTP message body: fully materialized, or streamed from a source.
+/// The parts variant of [`Body`]: a whole body held as the list of chunks
+/// it arrived in, plus a read cursor.  Clones share the list.
+#[derive(Clone)]
+pub struct BodyParts {
+    /// The chunks, in order; none is empty or longer than
+    /// [`STREAM_CHUNK_BYTES`], so each read hands out one whole part and
+    /// the cursor needs no offset into a part (one would make every
+    /// `Body`, cached or in flight, 8 bytes larger).
+    parts: Arc<[Bytes]>,
+    /// Index of the next part to read.
+    next: usize,
+    /// Bytes not yet read.
+    remaining: usize,
+}
+
+impl BodyParts {
+    /// The unread parts.
+    fn unread(&self) -> &[Bytes] {
+        &self.parts[self.next..]
+    }
+
+    /// The next unread part, as a view.
+    fn read(&mut self) -> Option<Bytes> {
+        let part = self.parts.get(self.next)?.clone();
+        self.next += 1;
+        self.remaining -= part.len();
+        Some(part)
+    }
+
+    /// The unread bytes `start..end` (`end <= remaining`): a view when
+    /// they lie in one part, else a copy of just that range.
+    fn range(&self, start: usize, end: usize) -> Bytes {
+        let mut skip = start;
+        let mut copy = Vec::new();
+        for part in self.unread() {
+            if skip >= part.len() {
+                skip -= part.len();
+                continue;
+            }
+            let take = (part.len() - skip).min(end - start - copy.len());
+            if copy.is_empty() && take == end - start {
+                return part.slice(skip..skip + take);
+            }
+            copy.extend_from_slice(&part[skip..skip + take]);
+            if copy.len() == end - start {
+                break;
+            }
+            skip = 0;
+        }
+        Bytes::from(copy)
+    }
+}
+
+/// An HTTP message body: fully materialized, kept as parts, or streamed
+/// from a source.
 #[derive(Clone)]
 pub enum Body {
     /// The whole body, in memory.
     Full(Bytes),
+    /// The whole body, in memory as the chunks a [`Body::tee`] kept while
+    /// relaying it.  Reads hand the parts out in turn without copying.
+    Parts(BodyParts),
     /// A body whose chunks are pulled incrementally from a [`ChunkSource`].
     Stream(BodyStream),
 }
@@ -156,13 +236,54 @@ impl Body {
             0 => Body::empty(),
             1 => Body::Full(chunks.into_iter().next().unwrap()),
             _ => {
-                let mut buf = Vec::with_capacity(chunks.iter().map(Bytes::len).sum());
-                for c in &chunks {
-                    buf.extend_from_slice(c);
-                }
-                Body::Full(Bytes::from(buf))
+                let len = chunks.iter().map(Bytes::len).sum();
+                Body::Full(join(chunks.iter().map(|c| &c[..]), len))
             }
         }
+    }
+
+    /// The body a tee stores for the non-empty `parts` it kept (`len`
+    /// bytes in all): one part is stored as itself, parts averaging under
+    /// [`MIN_KEPT_PART_BYTES`] as one joined copy, others as they are (a
+    /// part longer than [`STREAM_CHUNK_BYTES`] as views of that size).
+    fn from_kept(mut parts: Vec<Bytes>, len: usize) -> Body {
+        match parts.len() {
+            0 => Body::empty(),
+            1 => Body::Full(parts.pop().unwrap()),
+            n if len / n < MIN_KEPT_PART_BYTES => {
+                Body::Full(join(parts.iter().map(|p| &p[..]), len))
+            }
+            _ => {
+                let parts: Arc<[Bytes]> = if parts.iter().all(|p| p.len() <= STREAM_CHUNK_BYTES) {
+                    parts.into()
+                } else {
+                    let views = |p: &Bytes| {
+                        let p = p.clone();
+                        (0..p.len())
+                            .step_by(STREAM_CHUNK_BYTES)
+                            .map(move |at| p.slice(at..p.len().min(at + STREAM_CHUNK_BYTES)))
+                    };
+                    parts.iter().flat_map(views).collect()
+                };
+                Body::Parts(BodyParts {
+                    parts,
+                    next: 0,
+                    remaining: len,
+                })
+            }
+        }
+    }
+
+    /// The in-memory contents, in order; nothing for a stream.
+    fn slices(&self) -> impl Iterator<Item = &[u8]> {
+        let (whole, parts) = match self {
+            Body::Full(bytes) => (Some(&bytes[..]), None),
+            Body::Parts(parts) => (None, Some(parts.unread())),
+            Body::Stream(_) => (None, None),
+        };
+        whole
+            .into_iter()
+            .chain(parts.into_iter().flatten().map(|p| &p[..]))
     }
 
     /// A streaming body over `source`.  `declared_len` is the length the
@@ -191,11 +312,11 @@ impl Body {
 
     /// True when consuming the next chunk of this body may block on
     /// external I/O (the [`ChunkSource::may_block`] of a still-active
-    /// stream).  Full and already-buffered bodies never block; neither do
-    /// failed streams (they report their stored error immediately).
+    /// stream).  In-memory and already-buffered bodies never block; neither
+    /// do failed streams (they report their stored error immediately).
     pub fn may_block(&self) -> bool {
         match self {
-            Body::Full(_) => false,
+            Body::Full(_) | Body::Parts(_) => false,
             Body::Stream(stream) => match &*stream.state.lock().unwrap() {
                 StreamState::Active(source) => source.may_block(),
                 StreamState::Buffered(_) | StreamState::Failed(_) => false,
@@ -203,13 +324,15 @@ impl Body {
         }
     }
 
-    /// Number of body bytes *known* to this message: the buffer length for a
-    /// full body, the declared length for a stream (0 when undeclared).
+    /// Number of body bytes *known* to this message: the unread length of
+    /// an in-memory body, the declared length for a stream (0 when
+    /// undeclared).
     /// Accounting code (logs, resource charging) uses this; exact byte
     /// counts for undeclared streams require draining the body.
     pub fn len(&self) -> usize {
         match self {
             Body::Full(b) => b.len(),
+            Body::Parts(p) => p.remaining,
             Body::Stream(s) => s.declared_len.unwrap_or(0) as usize,
         }
     }
@@ -218,6 +341,7 @@ impl Body {
     pub fn size_hint(&self) -> Option<u64> {
         match self {
             Body::Full(b) => Some(b.len() as u64),
+            Body::Parts(p) => Some(p.remaining as u64),
             Body::Stream(s) => s.declared_len,
         }
     }
@@ -227,6 +351,7 @@ impl Body {
     pub fn is_empty(&self) -> bool {
         match self {
             Body::Full(b) => b.is_empty(),
+            Body::Parts(p) => p.remaining == 0,
             Body::Stream(s) => s.declared_len == Some(0),
         }
     }
@@ -238,8 +363,8 @@ impl Body {
     /// whatever the body's representation.  Each chunk, and the remainder
     /// kept in `self`, is an O(1) view of the body's buffer
     /// ([`Bytes::slice`]): serving a cached body copies none of it.  A view
-    /// keeps the whole buffer alive until it is dropped.  Returns `Ok(None)`
-    /// at the end.
+    /// keeps the whole buffer alive until it is dropped.  A parts body hands
+    /// out its parts in turn, as views.  Returns `Ok(None)` at the end.
     pub fn read_chunk(&mut self) -> io::Result<Option<Bytes>> {
         match self {
             Body::Full(bytes) => {
@@ -253,6 +378,7 @@ impl Body {
                 *bytes = bytes.slice(STREAM_CHUNK_BYTES..);
                 Ok(Some(chunk))
             }
+            Body::Parts(parts) => Ok(parts.read()),
             Body::Stream(stream) => {
                 let mut state = stream.state.lock().unwrap();
                 match &mut *state {
@@ -284,11 +410,11 @@ impl Body {
     }
 
     /// Drains a streaming body fully into memory, converting `self` into
-    /// [`Body::Full`]; full bodies are untouched.  This is the explicit
-    /// buffering point for callers that need the whole body (scripts,
-    /// replication pushes, gossip digests) — an `Err` means the stream failed
-    /// mid-body (for example a `Content-Length` mismatch from a peer that
-    /// closed early) and carries the source's reason.
+    /// [`Body::Full`]; in-memory bodies, full or parts, are untouched.  This
+    /// is the explicit buffering point for callers that need the whole body
+    /// (scripts, replication pushes, gossip digests) — an `Err` means the
+    /// stream failed mid-body (for example a `Content-Length` mismatch from
+    /// a peer that closed early) and carries the source's reason.
     ///
     /// Buffering is capped at [`MAX_BUFFERED_BODY_BYTES`]: an instance that
     /// must live in memory whole cannot be unbounded, whatever the peer
@@ -325,10 +451,12 @@ impl Body {
     /// empty buffer when the stream fails; use [`Body::buffer`] when
     /// stream errors must surface (transports and layers do).  Tests and
     /// scripts — which operate on complete instances — use this
-    /// convenience.
+    /// convenience.  A parts body is joined into a fresh buffer on every
+    /// call.
     pub fn to_bytes(&self) -> Bytes {
         match self {
             Body::Full(b) => b.clone(),
+            Body::Parts(_) => join(self.slices(), self.len()),
             Body::Stream(stream) => {
                 let declared = stream.declared_len;
                 let mut state = stream.state.lock().unwrap();
@@ -359,10 +487,19 @@ impl Body {
     /// The `index`-th [`SCRIPT_READ_CHUNK_BYTES`] segment of a buffered
     /// body, or `None` past the end — the backend of the script-facing
     /// `Response.read()` iteration.  Streaming bodies are buffered first
-    /// (scripts operate on complete instances, paper §3.1).
+    /// (scripts operate on complete instances, paper §3.1); a parts body
+    /// is walked, and only a segment that spans two parts is copied.
     pub fn segment(&self, index: usize) -> Option<Bytes> {
-        let bytes = self.to_bytes();
         let start = index.checked_mul(SCRIPT_READ_CHUNK_BYTES)?;
+        if let Body::Parts(parts) = self {
+            return (start < parts.remaining).then(|| {
+                parts.range(
+                    start,
+                    (start + SCRIPT_READ_CHUNK_BYTES).min(parts.remaining),
+                )
+            });
+        }
+        let bytes = self.to_bytes();
         if start >= bytes.len() {
             return None;
         }
@@ -397,51 +534,58 @@ impl Body {
         *self = Body::empty();
     }
 
-    /// Wraps the body in a tee: chunks flow through unchanged, and a copy
-    /// accumulates on the side.  When the stream finishes *cleanly* and the
-    /// accumulated copy stayed within `cap` bytes, `on_complete` fires with
-    /// the full body — this is how the proxy cache captures a streamed
-    /// response while forwarding it.  Oversized or failed streams simply
-    /// never fire the callback (they stream through uncached).
+    /// Wraps the body in a tee: chunks flow through unchanged, and the tee
+    /// keeps the chunks it forwards, charged against the same budget: each
+    /// kept chunk costs its length plus a fixed per-part overhead.  When the
+    /// stream finishes *cleanly* and the charge stayed within `cap` bytes,
+    /// `on_complete` fires with the whole body built from the kept chunks,
+    /// without copying them (one chunk is stored as itself, many as a
+    /// [`Body::Parts`], many tiny ones as one joined copy) — this is how
+    /// the proxy cache captures a streamed response while forwarding it.
+    /// Oversized or failed streams simply never fire the callback (they
+    /// stream through uncached).
     ///
-    /// Full bodies fire the callback immediately (when within `cap`) and are
-    /// returned unchanged.
-    pub fn tee(self, cap: usize, on_complete: impl FnOnce(Bytes) + Send + 'static) -> Body {
-        match self {
-            Body::Full(bytes) => {
-                if bytes.len() <= cap {
-                    on_complete(bytes.clone());
-                }
-                Body::Full(bytes)
+    /// In-memory bodies fire the callback immediately (when within `cap`)
+    /// and are returned unchanged.
+    pub fn tee(self, cap: usize, on_complete: impl FnOnce(Body) + Send + 'static) -> Body {
+        let Body::Stream(stream) = self else {
+            if self.len() <= cap {
+                on_complete(self.clone());
             }
-            Body::Stream(stream) => {
-                let declared = stream.declared_len;
-                Body::stream(
-                    TeeSource {
-                        inner: Body::Stream(stream),
-                        copy: Some(Vec::new()),
-                        cap,
-                        declared,
-                        on_complete: Some(Box::new(on_complete)),
-                    },
-                    declared,
-                )
-            }
-        }
+            return self;
+        };
+        let declared = stream.declared_len;
+        Body::stream(
+            TeeSource {
+                inner: Body::Stream(stream),
+                kept: Some(Vec::new()),
+                kept_bytes: 0,
+                cap,
+                declared,
+                on_complete: Some(Box::new(on_complete)),
+            },
+            declared,
+        )
     }
 }
 
 /// The [`ChunkSource`] behind [`Body::tee`].
 struct TeeSource {
     inner: Body,
-    /// The accumulating side copy; dropped the moment it would exceed `cap`.
-    copy: Option<Vec<u8>>,
+    /// The non-empty chunks forwarded so far, kept as views of the chunks
+    /// themselves; dropped the moment their charge would exceed `cap`.  A
+    /// chunk is charged its own length, so a source whose chunks are views
+    /// of larger buffers pins more than it is charged; the relays' chunks
+    /// are exact-size copies of what they read.
+    kept: Option<Vec<Bytes>>,
+    /// Bytes in `kept`.
+    kept_bytes: usize,
     cap: usize,
     /// The length the message framing promised, if any: a clean end that
     /// does not match it must not fire the callback (a short instance is
     /// not a complete instance, however cleanly its source stopped).
     declared: Option<u64>,
-    on_complete: Option<Box<dyn FnOnce(Bytes) + Send>>,
+    on_complete: Option<Box<dyn FnOnce(Body) + Send>>,
 }
 
 impl ChunkSource for TeeSource {
@@ -454,25 +598,28 @@ impl ChunkSource for TeeSource {
     fn next_chunk(&mut self) -> io::Result<Option<Bytes>> {
         match self.inner.read_chunk() {
             Ok(Some(chunk)) => {
-                if let Some(copy) = &mut self.copy {
-                    if copy.len() + chunk.len() > self.cap {
-                        self.copy = None; // over budget: stream through uncached
+                if let Some(kept) = self.kept.as_mut().filter(|_| !chunk.is_empty()) {
+                    let charge =
+                        self.kept_bytes + chunk.len() + (kept.len() + 1) * KEPT_PART_OVERHEAD_BYTES;
+                    if charge > self.cap {
+                        self.kept = None; // over budget: stream through uncached
                     } else {
-                        copy.extend_from_slice(&chunk);
+                        self.kept_bytes += chunk.len();
+                        kept.push(chunk.clone());
                     }
                 }
                 Ok(Some(chunk))
             }
             Ok(None) => {
-                if let (Some(copy), Some(callback)) = (self.copy.take(), self.on_complete.take()) {
-                    if self.declared.is_none_or(|n| copy.len() as u64 == n) {
-                        callback(Bytes::from(copy));
+                if let (Some(kept), Some(callback)) = (self.kept.take(), self.on_complete.take()) {
+                    if self.declared.is_none_or(|n| self.kept_bytes as u64 == n) {
+                        callback(Body::from_kept(kept, self.kept_bytes));
                     }
                 }
                 Ok(None)
             }
             Err(e) => {
-                self.copy = None;
+                self.kept = None;
                 self.on_complete = None;
                 Err(e)
             }
@@ -490,6 +637,11 @@ impl fmt::Debug for Body {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Body::Full(b) => f.debug_tuple("Body::Full").field(&b.len()).finish(),
+            Body::Parts(p) => f
+                .debug_struct("Body::Parts")
+                .field("parts", &p.unread().len())
+                .field("len", &p.remaining)
+                .finish(),
             Body::Stream(s) => f
                 .debug_struct("Body::Stream")
                 .field("declared_len", &s.declared_len)
@@ -498,14 +650,16 @@ impl fmt::Debug for Body {
     }
 }
 
-/// Full bodies compare by content; streaming bodies compare by identity
-/// (two handles are equal only when they share the same underlying stream).
+/// In-memory bodies compare by content, whether full or parts; streaming
+/// bodies compare by identity (two handles are equal only when they share
+/// the same underlying stream).
 impl PartialEq for Body {
     fn eq(&self, other: &Body) -> bool {
         match (self, other) {
             (Body::Full(a), Body::Full(b)) => a == b,
             (Body::Stream(a), Body::Stream(b)) => Arc::ptr_eq(&a.state, &b.state),
-            _ => false,
+            (Body::Stream(_), _) | (_, Body::Stream(_)) => false,
+            _ => self.len() == other.len() && self.slices().flatten().eq(other.slices().flatten()),
         }
     }
 }
@@ -816,8 +970,8 @@ mod tests {
             vec![Bytes::from_static(b"hello "), Bytes::from_static(b"world")],
             None,
         );
-        let teed = body.tee(1024, move |bytes| {
-            assert_eq!(&bytes[..], b"hello world");
+        let teed = body.tee(1024, move |body| {
+            assert_eq!(body.to_text(), "hello world");
             flag.store(true, Ordering::SeqCst);
         });
         assert_eq!(teed.to_text(), "hello world");
@@ -877,6 +1031,222 @@ mod tests {
             body.segment(1).unwrap().as_ptr(),
             whole.as_ptr().wrapping_add(SCRIPT_READ_CHUNK_BYTES)
         );
+    }
+
+    /// A body with `n` bytes that differ from their neighbours.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Cuts `data` into chunks of the given sizes.
+    fn cut(data: &[u8], sizes: impl IntoIterator<Item = usize>) -> Vec<Bytes> {
+        let mut rest = data;
+        let chunks: Vec<Bytes> = sizes
+            .into_iter()
+            .map(|n| {
+                let (chunk, tail) = rest.split_at(n);
+                rest = tail;
+                Bytes::copy_from_slice(chunk)
+            })
+            .collect();
+        assert!(rest.is_empty());
+        chunks
+    }
+
+    /// Streams `source` through a tee with budget `cap`, returning what
+    /// came out of the tee (or the error that ended it) and what the tee
+    /// stored, if anything.
+    fn tee_through(
+        source: impl ChunkSource + 'static,
+        declared: Option<u64>,
+        cap: usize,
+    ) -> (io::Result<Vec<u8>>, Option<Body>) {
+        let stored = Arc::new(Mutex::new(None));
+        let slot = stored.clone();
+        let mut teed =
+            Body::stream(source, declared).tee(cap, move |body| *slot.lock().unwrap() = Some(body));
+        let mut out = Vec::new();
+        let streamed = loop {
+            match teed.read_chunk() {
+                Ok(Some(chunk)) => out.extend_from_slice(&chunk),
+                Ok(None) => break Ok(out),
+                Err(e) => break Err(e),
+            }
+        };
+        let stored = stored.lock().unwrap().take();
+        (streamed, stored)
+    }
+
+    /// Reads `body` to its end with `read_chunk`.
+    fn drain(mut body: Body) -> Vec<u8> {
+        let mut out = Vec::new();
+        while let Some(chunk) = body.read_chunk().unwrap() {
+            assert!(!chunk.is_empty());
+            out.extend_from_slice(&chunk);
+        }
+        out
+    }
+
+    /// Asserts the tee streamed `data` and stored exactly it.
+    fn assert_stores(chunks: Vec<Bytes>, data: &[u8]) -> Body {
+        let (streamed, stored) = tee_through(chunks.into_iter(), Some(data.len() as u64), 1 << 30);
+        assert_eq!(streamed.unwrap(), data);
+        let stored = stored.expect("a clean, complete stream is stored");
+        assert_eq!(stored.len(), data.len());
+        assert_eq!(stored.size_hint(), Some(data.len() as u64));
+        assert_eq!(stored.to_bytes(), data);
+        assert_eq!(stored, Body::from_bytes(data.to_vec()));
+        assert_eq!(drain(stored.clone()), data);
+        stored
+    }
+
+    #[test]
+    fn tee_stores_what_it_streamed_however_it_was_chunked() {
+        let mib = pattern(1 << 20);
+        let one = assert_stores(cut(&mib, [1 << 20]), &mib);
+        assert!(matches!(one, Body::Full(_)));
+        let parts = assert_stores(cut(&mib, [16 * 1024; 64]), &mib);
+        assert!(matches!(parts, Body::Parts(_)), "{parts:?}");
+
+        let short = pattern(3000);
+        let bytewise = assert_stores(cut(&short, [1; 3000]), &short);
+        assert!(matches!(bytewise, Body::Full(_)), "tiny parts are joined");
+
+        let data = pattern(40);
+        for i in 0..=data.len() {
+            for j in i..=data.len() {
+                assert_stores(cut(&data, [i, j - i, data.len() - j]), &data);
+            }
+        }
+    }
+
+    #[test]
+    fn tee_stores_only_clean_complete_streams_within_budget() {
+        let data = pattern(64 * 1024);
+        let chunks = || cut(&data, [16 * 1024; 4]).into_iter();
+        // Short of the declared length.
+        let (streamed, stored) = tee_through(chunks(), Some(data.len() as u64 + 1), 1 << 20);
+        assert_eq!(streamed.unwrap(), data);
+        assert!(stored.is_none());
+        // Over budget: the bytes alone fit, the per-part charge does not.
+        let (streamed, stored) = tee_through(chunks(), None, data.len() + 3 * 64);
+        assert_eq!(streamed.unwrap(), data);
+        assert!(stored.is_none());
+        let (_, stored) = tee_through(chunks(), None, data.len() + 4 * 64);
+        assert_eq!(stored.unwrap(), Body::from_bytes(data.clone()));
+        // Failed mid-body.
+        struct FailsAfter(Vec<Bytes>);
+        impl ChunkSource for FailsAfter {
+            fn next_chunk(&mut self) -> io::Result<Option<Bytes>> {
+                match self.0.pop() {
+                    Some(chunk) => Ok(Some(chunk)),
+                    None => Err(io::Error::other("peer closed mid-body")),
+                }
+            }
+        }
+        let (streamed, stored) = tee_through(FailsAfter(chunks().collect()), None, 1 << 20);
+        assert!(streamed.is_err());
+        assert!(stored.is_none());
+    }
+
+    #[test]
+    fn a_one_chunk_capture_is_the_chunk_itself() {
+        let chunk = Bytes::from(pattern(2096));
+        let (_, stored) = tee_through(std::iter::once(chunk.clone()), Some(2096), 1 << 20);
+        assert_eq!(stored.unwrap().to_bytes().as_ptr(), chunk.as_ptr());
+    }
+
+    #[test]
+    fn parts_and_contiguous_bodies_agree() {
+        let data = pattern(5000 + 9000 + 3000 + 70_000 + 1);
+        let sizes = [5000, 9000, 3000, 70_000, 1];
+        let chunks = cut(&data, sizes);
+        let parts = Body::from_kept(chunks.clone(), data.len());
+        let full = Body::from_bytes(data.clone());
+        assert!(matches!(parts, Body::Parts(_)));
+        assert!(!parts.is_stream() && !parts.may_block() && !parts.is_empty());
+        assert_eq!(parts, full);
+        assert_eq!(full, parts);
+        assert_ne!(parts, Body::from_bytes(pattern(data.len() - 1)));
+        assert_ne!(parts, Body::from_bytes(vec![0; data.len()]));
+        assert_eq!(parts.to_bytes(), full.to_bytes());
+        for i in 0..=data.len().div_ceil(SCRIPT_READ_CHUNK_BYTES) {
+            assert_eq!(parts.segment(i), full.segment(i), "segment {i}");
+        }
+        // A segment inside one part (bytes 17,000..87,000) is a view of it.
+        assert_eq!(
+            parts.segment(3).unwrap().as_ptr(),
+            chunks[3]
+                .as_ptr()
+                .wrapping_add(3 * SCRIPT_READ_CHUNK_BYTES - 17_000)
+        );
+
+        // Reads hand out the parts in turn, a part over the chunk size in
+        // bounded views; a half-read body compares by what is left.
+        let mut reading = parts.clone();
+        let mut sizes_read = Vec::new();
+        while let Some(chunk) = reading.read_chunk().unwrap() {
+            sizes_read.push(chunk.len());
+            let read: usize = sizes_read.iter().sum();
+            assert_eq!(reading.len(), data.len() - read);
+            let rest = Body::from_bytes(data[read..].to_vec());
+            assert_eq!(reading, rest);
+            assert_eq!(reading.to_bytes(), data[read..]);
+            assert_eq!(reading.segment(0), rest.segment(0));
+            assert_eq!(reading.segment(1), rest.segment(1));
+        }
+        assert_eq!(
+            sizes_read,
+            [
+                5000,
+                9000,
+                3000,
+                STREAM_CHUNK_BYTES,
+                70_000 - STREAM_CHUNK_BYTES,
+                1
+            ]
+        );
+        assert!(reading.is_empty() && reading.segment(0).is_none());
+        assert_eq!(reading, Body::empty());
+        assert_eq!(drain(parts.clone()), data);
+
+        // A tee of an in-memory parts body fires at once with it.
+        let stored = Arc::new(Mutex::new(None));
+        let slot = stored.clone();
+        let teed = parts.tee(1 << 20, move |body| *slot.lock().unwrap() = Some(body));
+        assert_eq!(teed, full);
+        assert_eq!(stored.lock().unwrap().take().unwrap(), full);
+    }
+
+    #[test]
+    fn a_stream_of_tiny_chunks_stops_capturing_at_the_per_part_charge() {
+        let parts_within_cap = 1000;
+        let cap = parts_within_cap * (1 + KEPT_PART_OVERHEAD_BYTES);
+        let fired = Arc::new(AtomicBool::new(false));
+        let flag = fired.clone();
+        let mut tee = TeeSource {
+            inner: Body::stream_from_iter((0..100_000).map(|_| Bytes::from_static(b"x")), None),
+            kept: Some(Vec::new()),
+            kept_bytes: 0,
+            cap,
+            declared: None,
+            on_complete: Some(Box::new(move |_| flag.store(true, Ordering::SeqCst))),
+        };
+        for _ in 0..parts_within_cap {
+            tee.next_chunk().unwrap().unwrap();
+        }
+        assert_eq!(tee.kept.as_ref().map(Vec::len), Some(parts_within_cap));
+        tee.next_chunk().unwrap().unwrap();
+        assert!(
+            tee.kept.is_none(),
+            "the part past the charge stops the capture"
+        );
+        let mut streamed = parts_within_cap + 1;
+        while tee.next_chunk().unwrap().is_some() {
+            streamed += 1;
+        }
+        assert_eq!(streamed, 100_000);
+        assert!(!fired.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -539,6 +539,12 @@ mod tests {
     }
 
     #[test]
+    fn refuses_a_host_field_with_a_space() {
+        let raw = b"GET /x HTTP/1.1\r\nHost: a.com evil\r\n\r\n";
+        assert!(matches!(parse_request(raw), Err(HttpError::InvalidUri(_))));
+    }
+
+    #[test]
     fn parses_absolute_form_request() {
         let raw = b"GET http://med.nyu.edu/simm/1 HTTP/1.0\r\n\r\n";
         let (req, _) = complete(parse_request(raw).unwrap());

@@ -29,10 +29,21 @@ pub const NAKIKA_SUFFIX: &str = ".nakika.net";
 impl Uri {
     /// Parses an absolute URI (`http://host[:port]/path?query`) or an
     /// origin-form path (`/path?query`, in which case `host` is empty).
+    ///
+    /// An ASCII control character or space inside the trimmed input is
+    /// refused: RFC 3986 URIs contain none, and a CR/LF kept in the path or
+    /// host would let whoever supplied the URI split the request line or the
+    /// `Host` field when the request is serialized.
     pub fn parse(input: &str) -> Result<Uri> {
         let input = input.trim();
         if input.is_empty() {
             return Err(HttpError::InvalidUri("empty".to_string()));
+        }
+        if input.bytes().any(|b| b.is_ascii_control() || b == b' ') {
+            return Err(HttpError::InvalidUri(format!(
+                "control character or space in: {}",
+                input.escape_debug()
+            )));
         }
         if let Some(rest) = input.strip_prefix('/') {
             let (path, query) = split_query(&format!("/{rest}"));
@@ -277,6 +288,23 @@ mod tests {
         assert!(Uri::parse("ftp://a.com/").is_err());
         assert!(Uri::parse("http:///path").is_err());
         assert!(Uri::parse("http://a.com:notaport/").is_err());
+    }
+
+    #[test]
+    fn rejects_control_characters_and_spaces_inside() {
+        for bad in [
+            "http://a.com/x HTTP/1.1\r\nX-Injected: 1\r\n\r\nGET /evil",
+            "http://a.com/x\ny",
+            "http://a.com\r\nX: 1/x",
+            "http://a .com/",
+            "/x\ty",
+            "/x\0y",
+            "/x\x7fy",
+        ] {
+            assert!(Uri::parse(bad).is_err(), "{bad:?} was accepted");
+        }
+        // The ends are still trimmed.
+        assert_eq!(Uri::parse(" /x\r\n").unwrap().path, "/x");
     }
 
     #[test]

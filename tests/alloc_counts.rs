@@ -5,16 +5,18 @@
 //! run in parallel do not see each other's allocations.  Each test prints
 //! what it counted before asserting, so a regression names its new count.
 
+use bytes::Bytes;
 use nakika_core::service::{CtxFactory, DispatchHint, HttpService};
 use nakika_core::NodeBuilder;
 use nakika_http::{
-    parse_request, parse_response_head, Headers, ParseOutcome, Request, Response, ResponseWriter,
+    parse_request, parse_response_head, Body, Headers, ParseOutcome, Request, Response,
+    ResponseWriter,
 };
 use nakika_server::WallClock;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 struct Counting;
 
@@ -178,4 +180,33 @@ fn parsed_one_header_head_has_two_header_allocations() {
     eprintln!("one-header response head: parse {parsing:?}");
     assert!(matches!(head, Ok(ParseOutcome::Complete { .. })));
     assert_eq!(parsing.allocs, 2);
+}
+
+/// A cache capture keeps the chunks it relays: teeing a 1 MiB body that
+/// arrives as 64 chunks of 16 KiB allocates the list that holds them, not
+/// a second copy of the body.
+#[test]
+fn teeing_a_mib_body_copies_none_of_it() {
+    const MIB: usize = 1 << 20;
+    let chunks: Vec<Bytes> = (0..64u8).map(|i| Bytes::from(vec![i; 16 * 1024])).collect();
+    let stored = Arc::new(Mutex::new(None));
+    let slot = stored.clone();
+    let mut teed = Body::stream_from_iter(chunks, Some(MIB as u64))
+        .tee(32 * MIB, move |body| *slot.lock().unwrap() = Some(body));
+    let (drained, counts) = counted(|| {
+        let mut drained = 0;
+        while let Some(chunk) = teed.read_chunk().expect("the body drains") {
+            drained += chunk.len();
+        }
+        drained
+    });
+    eprintln!("1 MiB tee, 64 x 16 KiB chunks: {counts:?}");
+    assert_eq!(drained, MIB);
+    let stored = stored.lock().unwrap().take().expect("the capture fired");
+    assert_eq!(stored.len(), MIB);
+    assert!(
+        counts.bytes <= 8 * 1024,
+        "teeing 1 MiB allocated {} B",
+        counts.bytes
+    );
 }
