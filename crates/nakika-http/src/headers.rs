@@ -28,7 +28,7 @@ struct Span {
 ///
 /// Invariant: `text` is exactly the live fields' names and values,
 /// concatenated in order, so the derived `Clone` and `PartialEq` are exact.
-#[derive(Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Headers {
     text: String,
     spans: Vec<Span>,

@@ -8,9 +8,7 @@ use std::fmt;
 /// Na Kika's policy objects can predicate on the request method (the paper
 /// gives methods third precedence after resource URLs and client addresses),
 /// so the type implements cheap equality and ordering.
-#[derive(
-    Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Method {
     /// `GET` — safe, cacheable retrieval.
     Get,

@@ -4,9 +4,7 @@ use crate::error::{HttpError, Result};
 use std::fmt;
 
 /// An HTTP response status code (100..=599).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatusCode(u16);
 
 impl StatusCode {

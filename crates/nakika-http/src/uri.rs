@@ -9,7 +9,7 @@ use std::fmt;
 /// the architecture rewrites hostnames by appending `.nakika.net` so that the
 /// network's name servers can redirect clients to nearby edge nodes
 /// (paper §3).  This type supports both uses.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Uri {
     /// URI scheme, lower-cased (`http` or `https`).
     pub scheme: String,

@@ -8,10 +8,8 @@
 //! cooperative caching and uses the same locality information for DNS
 //! redirection.
 
-use serde::{Deserialize, Serialize};
-
 /// Cluster levels, from global to most local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ClusterLevel {
     /// The whole network (no RTT bound).
     Global,
@@ -50,7 +48,7 @@ impl ClusterLevel {
 /// to one-way latency in milliseconds — a standard network-coordinate
 /// abstraction that is accurate enough to reproduce the paper's east-coast /
 /// west-coast / Asia layout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Location {
     /// X coordinate (ms).
     pub x: f64,

@@ -8,9 +8,7 @@ use std::fmt;
 /// function give the same uniform-distribution and XOR-metric properties at
 /// the scales exercised here (hundreds of nodes, millions of keys) while
 /// keeping arithmetic cheap.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 
 impl NodeId {

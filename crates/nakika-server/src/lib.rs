@@ -321,7 +321,7 @@ mod tests {
                 .origin(Arc::new(TcpOrigin::new()))
                 .build(),
         );
-        let proxy = ProxyServer::start(0, edge.service()).unwrap();
+        let proxy = HttpServer::start(0, edge.service()).unwrap();
 
         let url = format!("{}/page.html", origin.base_url());
         let first = http_get_via_proxy(proxy.addr(), &url).unwrap();
@@ -384,7 +384,7 @@ mod tests {
                 .origin(Arc::new(TcpOrigin::new()))
                 .build(),
         );
-        let proxy = ProxyServer::start(0, edge.service()).unwrap();
+        let proxy = HttpServer::start(0, edge.service()).unwrap();
         let mut client = ProxyClient::connect(proxy.addr()).unwrap();
         let url = format!("{}/ka.html", origin.base_url());
         for _ in 0..4 {

@@ -11,7 +11,7 @@
 use nakika_core::service::service_fn;
 use nakika_core::{scripts, NodeBuilder};
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{http_get_via_proxy, HttpServer, ProxyServer, TcpOrigin};
+use nakika_server::{http_get_via_proxy, HttpServer, TcpOrigin};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let edge = NodeBuilder::scripted("medical-edge")
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy = ProxyServer::start(0, edge.service())?;
+    let proxy = HttpServer::start(0, edge.service())?;
 
     // The annotation stage URL in nakika.js points at 127.0.0.1 without a
     // port; rewrite requests by asking for the real annotation server URL.

@@ -15,7 +15,7 @@
 use nakika_core::service::service_fn;
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin};
+use nakika_server::{HttpServer, ProxyClient, TcpOrigin};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,7 +44,7 @@ fn main() {
             .origin(Arc::new(TcpOrigin::new()))
             .build(),
     );
-    let proxy = ProxyServer::start(0, edge.service()).expect("proxy starts");
+    let proxy = HttpServer::start(0, edge.service()).expect("proxy starts");
     println!("origin at {}, proxy at {}\n", origin.addr(), proxy.addr());
 
     // 3. 32 keep-alive clients hammer the proxy concurrently.

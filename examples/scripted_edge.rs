@@ -19,7 +19,7 @@
 use nakika_core::service::{service_fn, DispatchHint};
 use nakika_core::{scripts, NodeBuilder};
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin};
+use nakika_server::{HttpServer, ProxyClient, TcpOrigin};
 use std::sync::Arc;
 
 const SITE_SCRIPT: &str = r#"
@@ -80,7 +80,7 @@ fn main() {
             .origin(Arc::new(TcpOrigin::new()))
             .build(),
     );
-    let proxy = ProxyServer::start(0, edge.service()).expect("proxy starts");
+    let proxy = HttpServer::start(0, edge.service()).expect("proxy starts");
     println!(
         "origin at {}, scripted reactor edge at {}\n",
         origin.addr(),

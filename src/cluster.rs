@@ -4,7 +4,7 @@
 //! here, in three layers:
 //!
 //! * [`LocalNode`] — an in-process edge node (overlay-joined
-//!   [`nakika_core::NaKikaNode`] + [`TcpOrigin`] + [`ProxyServer`] on an
+//!   [`nakika_core::NaKikaNode`] + [`TcpOrigin`] + [`HttpServer`] on an
 //!   ephemeral port) for benchmarks and integration tests that want real
 //!   sockets without real processes.
 //! * [`node_main`] — the child entrypoint behind the `edge-node` binary and
@@ -25,7 +25,7 @@ use nakika_core::peering::STATS_PATH;
 use nakika_core::service::NakikaError;
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_overlay::{key_for, Location, Membership, MembershipConfig, Overlay};
-use nakika_server::{http_get_via_proxy, ProxyServer, TcpOrigin};
+use nakika_server::{http_get_via_proxy, HttpServer, TcpOrigin};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -78,7 +78,7 @@ pub struct LocalNode {
     /// The node stack behind the server, for direct stat inspection.
     pub handle: NodeHandle,
     /// The listening front-end; dropping it stops the node.
-    pub server: ProxyServer,
+    pub server: HttpServer,
 }
 
 /// Starts an in-process edge node named `name`, joins it to `overlay`
@@ -99,7 +99,7 @@ pub fn start_local_node(
         builder = builder.replicate_hot(successors, threshold);
     }
     let handle = builder.build();
-    let server = ProxyServer::start(0, handle.service())
+    let server = HttpServer::start(0, handle.service())
         .map_err(|e| NakikaError::Internal(format!("node {name} failed to listen: {e}")))?;
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
@@ -205,7 +205,7 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
     }
     let handle = builder.build();
     let server =
-        ProxyServer::start(port, handle.service()).map_err(|e| format!("listen failed: {e}"))?;
+        HttpServer::start(port, handle.service()).map_err(|e| format!("listen failed: {e}"))?;
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
     overlay.set_addr(id, &base_url);

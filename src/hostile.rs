@@ -29,8 +29,7 @@ use nakika_core::service::{service_fn, NakikaError};
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response};
 use nakika_server::{
-    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, ServerOptions,
-    TcpOrigin,
+    http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ServerOptions, TcpOrigin,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -644,7 +643,7 @@ pub fn run_hostile_suite(knobs: HostileKnobs) -> Result<HostileSuiteReport, Naki
     let edge = NodeBuilder::plain_proxy("hostile-bench")
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy = ProxyServer::start_reactor(
+    let proxy = HttpServer::start_reactor(
         0,
         edge.service(),
         ReactorConfig {
@@ -689,7 +688,7 @@ pub fn run_hostile_suite(knobs: HostileKnobs) -> Result<HostileSuiteReport, Naki
     // leaves each one idle for whole seconds between its requests, so
     // the barrage proxy's deliberately aggressive 1-second deadline
     // would evict polite clients for being patient.
-    let soak_proxy = ProxyServer::start(0, edge.service())
+    let soak_proxy = HttpServer::start(0, edge.service())
         .map_err(internal("hostile soak proxy failed to start"))?;
     let conns = fd_budget_connections(knobs.soak_connections);
     http_get_via_proxy(soak_proxy.addr(), &hot_url)?;

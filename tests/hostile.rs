@@ -12,8 +12,8 @@ use nakika_core::service::service_fn;
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
 use nakika_server::{
-    http_get_via_proxy, HttpServer, ProxyClient, ProxyServer, ReactorConfig, ServerOptions,
-    TcpOrigin, OUTPUT_WINDOW_BYTES,
+    http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ServerOptions, TcpOrigin,
+    OUTPUT_WINDOW_BYTES,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,7 +48,7 @@ fn start_origin() -> HttpServer {
     .expect("origin starts")
 }
 
-fn start_proxy(options: ServerOptions) -> (HttpServer, ProxyServer) {
+fn start_proxy(options: ServerOptions) -> (HttpServer, HttpServer) {
     let origin = start_origin();
     let edge = NodeBuilder::plain_proxy("hostile-edge")
         .origin(Arc::new(TcpOrigin::new()))
@@ -57,7 +57,7 @@ fn start_proxy(options: ServerOptions) -> (HttpServer, ProxyServer) {
         options,
         ..ReactorConfig::default()
     };
-    let proxy = ProxyServer::start_reactor(0, edge.service(), config).expect("proxy");
+    let proxy = HttpServer::start_reactor(0, edge.service(), config).expect("proxy");
     (origin, proxy)
 }
 

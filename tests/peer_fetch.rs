@@ -13,8 +13,7 @@ use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Location, Overlay};
 use nakika_server::{
-    http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ProxyServer, ReactorConfig,
-    TcpOrigin,
+    http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ReactorConfig, TcpOrigin,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -184,7 +183,7 @@ fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
         .build();
     let service = handle.service();
     let unplanned = service_fn(move |req, ctx| service.call(req, ctx));
-    let server = ProxyServer::start(0, unplanned).expect("node b");
+    let server = HttpServer::start(0, unplanned).expect("node b");
     let base_url = format!("http://{}", server.addr());
     handle.node().set_public_addr(&base_url);
     overlay.set_addr(id, &base_url);

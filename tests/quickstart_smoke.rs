@@ -1,13 +1,13 @@
 //! Smoke test covering the quickstart example's path end-to-end over real
 //! localhost TCP: an [`HttpServer`] origin publishes a site `nakika.js`, a
-//! scripted [`NaKikaNode`] sits behind a [`ProxyServer`], and a client fetches
+//! scripted [`NaKikaNode`] sits behind an [`HttpServer`], and a client fetches
 //! through the proxy — so `cargo test` exercises the same wiring as
 //! `cargo run --example quickstart` plus the real-socket layer around it.
 
 use nakika_core::service::service_fn;
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{http_get_via_proxy, HttpServer, ProxyServer, TcpOrigin};
+use nakika_server::{http_get_via_proxy, HttpServer, TcpOrigin};
 use std::sync::Arc;
 
 fn origin_handler(request: &Request) -> Response {
@@ -43,7 +43,7 @@ fn quickstart_flow_over_localhost_tcp() {
     let edge = NodeBuilder::scripted("smoke-edge")
         .origin(Arc::new(TcpOrigin::new()))
         .build();
-    let proxy = ProxyServer::start(0, edge.service()).expect("proxy server starts");
+    let proxy = HttpServer::start(0, edge.service()).expect("proxy server starts");
 
     let page_url = format!("{}/welcome.html", origin.base_url());
     let first = http_get_via_proxy(proxy.addr(), &page_url).expect("first fetch succeeds");

@@ -7,8 +7,8 @@ use nakika_core::service::{service_fn, HttpService, NakikaError};
 use nakika_core::NodeBuilder;
 use nakika_http::{Body, ChunkSource, Request, Response, StatusCode, STREAM_CHUNK_BYTES};
 use nakika_server::{
-    http_fetch, http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ProxyServer,
-    TcpOrigin, OUTPUT_WINDOW_BYTES,
+    http_fetch, http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, TcpOrigin,
+    OUTPUT_WINDOW_BYTES,
 };
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -141,7 +141,7 @@ fn large_bodies_relay_byte_identical_with_bounded_buffering() {
                 .origin(Arc::new(TcpOrigin::new()))
                 .build(),
         );
-        let proxy = ProxyServer::start(0, edge.service()).unwrap();
+        let proxy = HttpServer::start(0, edge.service()).unwrap();
         let url = format!("{}/large.bin", origin.base_url());
 
         // Each server carries its own high-water gauge (freshly zero for
@@ -215,7 +215,7 @@ fn streamed_responses_within_budget_still_warm_the_cache() {
             .origin(Arc::new(TcpOrigin::new()))
             .build(),
     );
-    let proxy = ProxyServer::start(0, edge.service()).unwrap();
+    let proxy = HttpServer::start(0, edge.service()).unwrap();
     let url = format!("{}/warm.bin", origin.base_url());
 
     let first = http_get_via_proxy(proxy.addr(), &url).unwrap();

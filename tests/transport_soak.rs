@@ -5,7 +5,7 @@
 use nakika_core::service::service_fn;
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_server::{HttpServer, ProxyClient, ProxyServer, TcpOrigin};
+use nakika_server::{HttpServer, ProxyClient, TcpOrigin};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ fn sixty_four_keepalive_clients_get_identical_bytes() {
             .origin(Arc::new(TcpOrigin::new()))
             .build(),
     );
-    let proxy = ProxyServer::start(0, edge.service()).expect("proxy starts");
+    let proxy = HttpServer::start(0, edge.service()).expect("proxy starts");
 
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
