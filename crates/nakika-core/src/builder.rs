@@ -21,7 +21,7 @@
 //! ```
 
 use crate::gossip::{apply_events, gossip_exchange, gossip_probe_via, handle_gossip};
-use crate::node::{origin_from_fn, NaKikaNode, NodeConfig, NodeMode, OriginFetch};
+use crate::node::{origin_from_fn, HotEntry, NaKikaNode, NodeConfig, NodeMode, OriginFetch};
 use crate::peering;
 use crate::pipeline::{CLIENT_WALL_URL, SERVER_WALL_URL};
 use crate::resource::{ResourceKind, ResourceManagerConfig};
@@ -29,9 +29,8 @@ use crate::service::{DispatchHint, HttpService, NakikaError, RelayPlan, RequestC
 use nakika_http::pattern::Cidr;
 use nakika_http::{Request, Response};
 use nakika_overlay::{key_for, Membership, NodeId, Overlay, PeerState, ProbeAction};
-use nakika_state::Update;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// The service adapter over a [`NaKikaNode`]: binds the node to its origin
@@ -237,12 +236,13 @@ impl OriginFetch for NoOrigin {
 
 /// The background thread pushing hot cache entries to successor peers.
 ///
-/// It drains the node's replication bus (fed by the fetch path when a key
-/// this node owns crosses the hot threshold) and issues one peer fetch per
-/// successor, fully draining each response so the successor's cache tee
-/// completes.  Stops and joins when the owning [`NodeHandle`] drops.
+/// It receives the hot entries the fetch path sends and issues one peer
+/// fetch per successor, fully draining each response so the successor's
+/// cache tee completes.  Stops and joins when the owning [`NodeHandle`]
+/// drops, abandoning any entries still queued.
 struct ReplicationWorker {
     stop: Arc<AtomicBool>,
+    wake: crate::node::HotEntrySender,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -252,36 +252,26 @@ impl ReplicationWorker {
         overlay: Arc<Overlay>,
         id: NodeId,
         origin: Arc<dyn OriginFetch>,
+        hot_entries: mpsc::Receiver<Option<HotEntry>>,
     ) -> Option<ReplicationWorker> {
         let shared = node.replication()?.clone();
+        let wake = shared.hot_entries.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
-        let subscription = shared
-            .bus
-            .subscribe(&shared.topic, &format!("{}#worker", node.name()));
         let handle = std::thread::Builder::new()
             .name(format!("nakika-repl-{}", node.name()))
             .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    let mut idle = true;
-                    while let Some(message) = shared.bus.receive(&subscription) {
-                        idle = false;
-                        if let Some(update) = Update::decode(&message.payload) {
-                            push_to_successors(&update, &overlay, id, &origin, &node, &shared);
-                        }
-                        shared.bus.ack(&subscription, message.sequence);
-                        if stop_flag.load(Ordering::Relaxed) {
-                            return;
-                        }
+                while let Ok(Some(entry)) = hot_entries.recv() {
+                    if stop_flag.load(Ordering::Relaxed) {
+                        return;
                     }
-                    if idle {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+                    push_to_successors(&entry, &overlay, id, &origin, &node, &shared);
                 }
             })
             .expect("failed to spawn the replication worker thread");
         Some(ReplicationWorker {
             stop,
+            wake,
             handle: Some(handle),
         })
     }
@@ -290,6 +280,7 @@ impl ReplicationWorker {
 impl Drop for ReplicationWorker {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        let _ = self.wake.send(None);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -384,7 +375,7 @@ fn run_probe(
 /// into its own cache.  The [`peering::REPLICATE_HEADER`] mark keeps the
 /// push from re-triggering hot-entry accounting downstream.
 fn push_to_successors(
-    update: &Update,
+    entry: &HotEntry,
     overlay: &Arc<Overlay>,
     self_id: NodeId,
     origin: &Arc<dyn OriginFetch>,
@@ -392,7 +383,7 @@ fn push_to_successors(
     shared: &crate::node::ReplicationShared,
 ) {
     let own_addr = node.public_addr();
-    for member in overlay.successors_of(&update.key, shared.successors) {
+    for member in overlay.successors_of(&entry.key, shared.successors) {
         if member.id == self_id {
             continue;
         }
@@ -402,7 +393,7 @@ fn push_to_successors(
         if own_addr.as_deref() == Some(addr.as_str()) {
             continue;
         }
-        let request = Request::get(&update.value).with_header(peering::REPLICATE_HEADER, "1");
+        let request = Request::get(&entry.url).with_header(peering::REPLICATE_HEADER, "1");
         if let Ok(mut response) = origin.fetch_peer(&addr, &request) {
             // Drain the streamed body so the successor's cache tee completes;
             // only then has the entry actually been replicated.
@@ -629,11 +620,12 @@ impl NodeBuilder {
         if let Some((overlay, id)) = &self.overlay {
             node.attach_overlay(overlay.clone(), *id);
         }
-        if let Some((successors, threshold)) = self.replicate {
-            node.attach_replication(Arc::new(crate::node::ReplicationShared::new(
-                &name, successors, threshold,
-            )));
-        }
+        let hot_entries = self.replicate.map(|(successors, threshold)| {
+            let (sender, receiver) = mpsc::channel();
+            let shared = crate::node::ReplicationShared::new(sender, successors, threshold);
+            node.attach_replication(Arc::new(shared));
+            receiver
+        });
         if let Some(addr) = &self.public_addr {
             node.set_public_addr(addr);
         }
@@ -653,9 +645,12 @@ impl NodeBuilder {
             _ => None,
         };
         let node = Arc::new(node);
-        let replication_worker = self.overlay.and_then(|(overlay, id)| {
-            ReplicationWorker::spawn(node.clone(), overlay, id, origin.clone())
-        });
+        let replication_worker = self
+            .overlay
+            .zip(hot_entries)
+            .and_then(|((overlay, id), rx)| {
+                ReplicationWorker::spawn(node.clone(), overlay, id, origin.clone(), rx)
+            });
         let gossip_worker = roster
             .as_ref()
             .map(|roster| GossipWorker::spawn(&name, roster, origin.clone()));

@@ -26,11 +26,11 @@ use nakika_http::serialize::{serialize_request, serialize_request_absolute};
 use nakika_http::{Body, Method, Request, Response};
 use nakika_overlay::{Membership, NodeId, Overlay};
 use nakika_script::ResourceMeter;
-use nakika_state::{AccessLog, LogEntry, MessageBus, SiteStore, Update};
+use nakika_state::{AccessLog, LogEntry, SiteStore};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// How a node obtains resources it does not have cached.
@@ -137,32 +137,36 @@ pub struct NodeStats {
     pub pages_rendered: u64,
 }
 
+/// One hot cache entry handed from the fetch path to the replication
+/// worker: its cache key (which locates the successors) and the URL the
+/// successors fetch to warm their caches.
+pub(crate) struct HotEntry {
+    pub(crate) key: String,
+    pub(crate) url: String,
+}
+
+/// The replication worker's channel; `None` is its stop sentinel.
+pub(crate) type HotEntrySender = mpsc::Sender<Option<HotEntry>>;
+
 /// Hot-entry replication state shared between the fetch path (which detects
-/// hot keys at their consistent-hash owner and publishes them) and the
-/// per-node worker thread (which drains the bus and pushes the entries to
-/// the key's successor peers).
+/// hot keys at their consistent-hash owner and sends them down the channel)
+/// and the per-node worker thread (which receives them and pushes the
+/// entries to the key's successor peers).
 pub(crate) struct ReplicationShared {
-    /// The per-node bus carrying hot-key announcements to the worker.
-    pub(crate) bus: MessageBus,
-    /// Topic the announcements travel on.
-    pub(crate) topic: String,
-    /// Publisher identity (distinct from the worker's subscription, so the
-    /// bus does not suppress the messages as self-sends).
-    pub(crate) publisher: String,
+    /// The worker's channel.
+    pub(crate) hot_entries: HotEntrySender,
     /// Local cache hits at the owner before an entry counts as hot.
     pub(crate) threshold: u32,
     /// How many successor peers receive each hot entry.
     pub(crate) successors: usize,
-    /// Per-key hit counts; `u32::MAX` marks an already-published key.
+    /// Per-key hit counts; `u32::MAX` marks an already-sent key.
     hot: Mutex<HashMap<String, u32>>,
 }
 
 impl ReplicationShared {
-    pub(crate) fn new(name: &str, successors: usize, threshold: u32) -> ReplicationShared {
+    pub(crate) fn new(sender: HotEntrySender, successors: usize, threshold: u32) -> Self {
         ReplicationShared {
-            bus: MessageBus::new(),
-            topic: "nakika/replicate".to_string(),
-            publisher: format!("{name}#fetch"),
+            hot_entries: sender,
             threshold: threshold.max(1),
             successors: successors.max(1),
             hot: Mutex::new(HashMap::new()),
@@ -216,7 +220,7 @@ impl ResourceFetcher {
         if request.method.is_cacheable() {
             if let Some(cached) = self.cache.get(&key, now) {
                 self.stats.lock().cache_hits += 1;
-                self.note_cache_hit(&key, request, now);
+                self.note_cache_hit(&key, request);
                 return cached;
             }
         }
@@ -325,11 +329,11 @@ impl ResourceFetcher {
     }
 
     /// Hot-entry detection at the consistent-hash owner: after `threshold`
-    /// local cache hits for a key this node owns, publish the entry on the
-    /// replication bus for the worker to push to the key's successors.
+    /// local cache hits for a key this node owns, hand the entry to the
+    /// replication worker to push to the key's successors.
     /// Replication pushes themselves are exempt, so a push warming a
     /// successor never re-triggers replication there.
-    fn note_cache_hit(&self, key: &str, request: &Request, now: u64) {
+    fn note_cache_hit(&self, key: &str, request: &Request) {
         let Some(replication) = &self.replication else {
             return;
         };
@@ -357,18 +361,11 @@ impl ResourceFetcher {
         }
         *count = u32::MAX;
         drop(hot);
-        let update = Update {
-            site: request.site(),
+        // The send fails only once the worker has stopped: nothing to do.
+        let _ = replication.hot_entries.send(Some(HotEntry {
             key: key.to_string(),
-            value: request.uri.to_origin().to_string(),
-            timestamp: now,
-        };
-        replication.bus.publish(
-            &replication.topic,
-            &update.site,
-            &replication.publisher,
-            &update.encode(),
-        );
+            url: request.uri.to_origin().to_string(),
+        }));
     }
 
     /// Puts a fetched response on the path to the cache without ever forcing

@@ -1914,6 +1914,44 @@ mod tests {
         assert!(refused, "no handler should serve after drop");
     }
 
+    /// Answers every request inline with the id of the thread that ran it.
+    struct ThreadEcho;
+
+    impl HttpService for ThreadEcho {
+        fn call(&self, _req: Request, _ctx: &RequestCtx) -> Result<Response, NakikaError> {
+            Ok(Response::ok(
+                "text/plain",
+                format!("{:?}", std::thread::current().id()),
+            ))
+        }
+
+        fn dispatch_hint(&self, _req: &Request, _ctx: &RequestCtx) -> DispatchHint {
+            DispatchHint::Inline
+        }
+    }
+
+    #[test]
+    fn accepted_connections_are_placed_round_robin() {
+        // The benchmark's keep-alive connections, one per core, need a reactor each.
+        let config = ReactorConfig {
+            reactors: 2,
+            ..ReactorConfig::default()
+        };
+        let server = HttpServer::start_reactor(0, Arc::new(ThreadEcho), config).unwrap();
+        let url = format!("{}/who", server.base_url());
+        let mut clients = Vec::new();
+        let mut threads = Vec::new();
+        for _ in 0..4 {
+            let mut client = crate::ProxyClient::connect(server.addr()).unwrap();
+            threads.push(client.get(&url).unwrap().body.to_text());
+            clients.push(client);
+        }
+        // Consecutive connections land on different reactors, two apiece.
+        assert_ne!(threads[0], threads[1]);
+        assert_eq!(threads[0], threads[2]);
+        assert_eq!(threads[1], threads[3]);
+    }
+
     /// A service whose `/slow/…` calls block for `delay` (always classified
     /// `MayBlock`) while everything else answers instantly inline.
     struct SlowColdService {

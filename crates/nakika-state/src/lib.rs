@@ -1,60 +1,37 @@
-//! Hard state for Na Kika (paper §3.3).
+//! Hard state for Na Kika (paper §3.3), node-local.
 //!
 //! The web's expiration-based consistency is enough for most edge-side
 //! content, but a complete platform also needs *hard state*: edge-side
-//! access logs posted back to content producers, and replicated application
-//! state (such as the SPECweb99 user registrations in the paper's
-//! evaluation).  Na Kika builds its replication out of three pieces, all
-//! reproduced here:
+//! access logs posted back to content producers, and application state
+//! that outlives a request.  This crate holds both, on one node:
 //!
 //! * a per-site partitioned local store with a storage quota
-//!   ([`store::SiteStore`], the MySQL substitute),
-//! * a reliable, ordered messaging service for propagating updates between
-//!   nodes ([`messaging::MessageBus`], the JORAM substitute), and
-//! * a replication manager that applies updates locally and forwards them —
-//!   the update-processing logic itself belongs to site scripts, so the
-//!   manager exposes exactly the accept/apply/propagate hooks those scripts
-//!   drive ([`replication::ReplicationManager`]).
+//!   ([`store::SiteStore`], the MySQL substitute), behind the scripts'
+//!   `HardState` vocabulary, and
+//! * access logging ([`logging::AccessLog`]), which batches per-site entries
+//!   and periodically posts them to the URL the site's script configured.
 //!
-//! Access logging ([`logging::AccessLog`]) batches per-site entries and
-//! periodically posts them to the URL the site's script configured.
+//! The paper's prototype also replicated hard state between nodes through a
+//! message broker.  Nothing here does: a `HardState` write on one node is
+//! not visible on another.
 //!
-//! Beyond site scripts, the edge node itself rides the same machinery: when
-//! cache replication is enabled (`NodeBuilder::replicate_hot` in
-//! `nakika-core`), the consistent-hash owner of a hot key publishes an
-//! [`Update`] describing the entry on a bus topic, and a per-node worker
-//! drains the topic and pushes the entry to the key's successor peers over
-//! TCP.  The [`Update::encode`]/[`Update::decode`] wire format is public for
-//! exactly that reuse.
-//!
-//! # Example: propagating an update between two nodes
+//! # Example: one site's partition
 //!
 //! ```
-//! use nakika_state::{MessageBus, Update};
+//! use nakika_state::SiteStore;
 //!
-//! let bus = MessageBus::new();
-//! let sub = bus.subscribe("nakika/replicate", "edge-b");
-//! let update = Update {
-//!     site: "origin.example".into(),
-//!     key: "GET http://origin.example/hot".into(),
-//!     value: "http://origin.example/hot".into(),
-//!     timestamp: 42,
-//! };
-//! bus.publish("nakika/replicate", &update.site, "edge-a", &update.encode());
-//! let message = bus.receive(&sub).unwrap();
-//! assert_eq!(Update::decode(&message.payload), Some(update));
-//! bus.ack(&sub, message.sequence);
+//! let store = SiteStore::new(16);
+//! store.put("spec.example.org", "user:alice", "v1").unwrap();
+//! assert_eq!(store.get("spec.example.org", "user:alice").as_deref(), Some("v1"));
+//! assert_eq!(store.get("other.example.org", "user:alice"), None);
+//! assert!(store.put("spec.example.org", "user:bob", "over quota").is_err());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod logging;
-pub mod messaging;
-pub mod replication;
 pub mod store;
 
 pub use logging::{AccessLog, LogEntry};
-pub use messaging::{Message, MessageBus, Subscription};
-pub use replication::{ReplicationManager, ReplicationStrategy, Update};
 pub use store::{SiteStore, StoreError};

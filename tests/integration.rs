@@ -10,7 +10,6 @@ use nakika_core::NodeBuilder;
 use nakika_http::pattern::Cidr;
 use nakika_http::{Request, Response, StatusCode};
 use nakika_overlay::{key_for, Location, Overlay};
-use nakika_state::{MessageBus, ReplicationManager, ReplicationStrategy, SiteStore, Update};
 use std::sync::Arc;
 
 fn scripted_origin(site_script: &'static str) -> Arc<dyn OriginFetch> {
@@ -170,51 +169,6 @@ fn security_policies_and_resource_controls_protect_a_node() {
         )
         .unwrap();
     assert_eq!(allowed.status, StatusCode::OK);
-}
-
-#[test]
-fn hard_state_replicates_across_nodes_and_survives_conflicts() {
-    let bus = MessageBus::new();
-    let managers: Vec<ReplicationManager> = (0..3)
-        .map(|i| {
-            ReplicationManager::new(
-                &format!("edge-{i}"),
-                "spec.example.org",
-                Arc::new(SiteStore::new(1 << 20)),
-                bus.clone(),
-                ReplicationStrategy::AllNodes,
-                "edge-0",
-            )
-        })
-        .collect();
-    managers[0]
-        .accept_local_update(&Update {
-            site: "spec.example.org".into(),
-            key: "user:alice".into(),
-            value: "profile-v1".into(),
-            timestamp: 10,
-        })
-        .unwrap();
-    managers[2]
-        .accept_local_update(&Update {
-            site: "spec.example.org".into(),
-            key: "user:alice".into(),
-            value: "profile-v2".into(),
-            timestamp: 20,
-        })
-        .unwrap();
-    for _ in 0..2 {
-        for m in &managers {
-            m.process_incoming();
-        }
-    }
-    for m in &managers {
-        assert_eq!(
-            m.get("spec.example.org", "user:alice").as_deref(),
-            Some("profile-v2"),
-            "last writer wins everywhere"
-        );
-    }
 }
 
 #[test]
