@@ -7,8 +7,8 @@
 //! service plus a handle on the node for statistics and stores.
 //!
 //! ```
-//! use nakika_core::builder::NodeBuilder;
 //! use nakika_core::service::{HttpService, RequestCtx};
+//! use nakika_core::NodeBuilder;
 //! use nakika_http::{Request, Response};
 //!
 //! let edge = NodeBuilder::plain_proxy("edge-1")
@@ -37,7 +37,7 @@ use std::time::Duration;
 /// fetch path so transports only ever see [`HttpService`], answers the
 /// node's own internal paths (gossip exchanges, stats), and answers
 /// owner-aware redirects when [`NodeBuilder::redirect_to_owner`] is on.
-pub struct NodeService {
+pub(crate) struct NodeService {
     node: Arc<NaKikaNode>,
     origin: Arc<dyn OriginFetch>,
     roster: Option<Roster>,
@@ -53,7 +53,7 @@ enum Internal<'a> {
 
 impl NodeService {
     /// The wrapped node.
-    pub fn node(&self) -> &Arc<NaKikaNode> {
+    pub(crate) fn node(&self) -> &Arc<NaKikaNode> {
         &self.node
     }
 
@@ -404,7 +404,7 @@ fn push_to_successors(
     }
 }
 
-/// A built node: its [`NodeService`] plus the node's background workers.
+/// A built node: its `NodeService` plus the node's background workers.
 ///
 /// The handle itself implements [`HttpService`], so call sites can treat it
 /// as the service; [`NodeHandle::service`] clones it out for
@@ -442,13 +442,11 @@ impl HttpService for NodeHandle {
     }
 }
 
-/// Fluent builder for Na Kika nodes; see the [module docs](self) for an
-/// example.
+/// Fluent builder for Na Kika nodes.
 pub struct NodeBuilder {
     config: NodeConfig,
     overlay: Option<(Arc<Overlay>, NodeId)>,
     origin: Option<Arc<dyn OriginFetch>>,
-    public_addr: Option<String>,
     replicate: Option<(usize, u32)>,
     gossip: Option<Arc<Membership>>,
     redirect_to_owner: bool,
@@ -477,7 +475,6 @@ impl NodeBuilder {
             },
             overlay: None,
             origin: None,
-            public_addr: None,
             replicate: None,
             gossip: None,
             redirect_to_owner: false,
@@ -553,14 +550,6 @@ impl NodeBuilder {
         self
     }
 
-    /// The base URL where the node's proxy front-end will be reachable, when
-    /// known at build time.  Deployments binding to an ephemeral port call
-    /// `NaKikaNode::set_public_addr` after the server starts instead.
-    pub fn public_addr(mut self, addr: &str) -> NodeBuilder {
-        self.public_addr = Some(addr.to_string());
-        self
-    }
-
     /// Enables hot-entry replication: after `threshold` local cache hits for
     /// a key this node owns under consistent hashing, a background worker
     /// pushes the entry to the key's `successors` next-closest peers, so the
@@ -626,9 +615,6 @@ impl NodeBuilder {
             node.attach_replication(Arc::new(shared));
             receiver
         });
-        if let Some(addr) = &self.public_addr {
-            node.set_public_addr(addr);
-        }
         let origin = self.origin.unwrap_or_else(|| Arc::new(NoOrigin));
         // Gossip needs an overlay to apply roster events to, and owner-aware
         // redirection consults the live roster: both inert without.

@@ -48,7 +48,7 @@
 //! use std::time::Duration;
 //!
 //! let cache = ProxyCache::with_shards(1 << 20, Duration::from_secs(60), 8);
-//! assert_eq!(cache.shard_count(), 8);
+//! assert_eq!(cache.shard_stats().len(), 8);
 //! let page = Response::ok("text/html", "hi").with_header("Cache-Control", "max-age=60");
 //! cache.put("http://a.example/", &Method::Get, &page, 100);
 //! assert!(cache.get("http://a.example/", 110).is_some());
@@ -85,15 +85,15 @@ pub struct CacheStats {
     /// a peer-answered request as a plain miss.  [`ProxyCache::stats`] always
     /// reports `0`; `NaKikaNode::cache_stats` overlays the node's counter so
     /// operators read one coherent snapshot.
-    pub peer_hits: u64,
+    pub(crate) peer_hits: u64,
     /// Peer fetches attempted but not answered (peer down, non-success, or
     /// loop-guarded), each falling back to the origin.  Like
     /// [`peer_hits`](CacheStats::peer_hits), maintained by the node.
-    pub peer_misses: u64,
+    pub(crate) peer_misses: u64,
     /// Client requests 307-redirected to the key's live consistent-hash
     /// owner instead of being relayed.  Like
     /// [`peer_hits`](CacheStats::peer_hits), maintained by the node.
-    pub owner_redirects: u64,
+    pub(crate) owner_redirects: u64,
     /// Scripts parsed and lowered to bytecode — one per distinct source the
     /// node has ever run (walls, site stages, pages).  Maintained by the
     /// node's compiled-program cache, not the shards; [`ProxyCache::stats`]
@@ -398,14 +398,16 @@ impl ProxyCache {
         }
     }
 
-    /// A cache with defaults suitable for tests and examples: 256 MiB and a
-    /// 60-second heuristic lifetime.
-    pub fn with_defaults() -> ProxyCache {
+    /// A cache with defaults suitable for tests: 256 MiB and a 60-second
+    /// heuristic lifetime.
+    #[cfg(test)]
+    pub(crate) fn with_defaults() -> ProxyCache {
         ProxyCache::new(256 * 1024 * 1024, Duration::from_secs(60))
     }
 
     /// Number of shards the key space is partitioned into.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -413,7 +415,7 @@ impl ProxyCache {
     /// and therefore the budget a streaming tee may buffer on the side
     /// before giving up on caching a response (see
     /// [`NaKikaNode`](crate::node::NaKikaNode)'s fetch path).
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
     }
 
@@ -454,7 +456,7 @@ impl ProxyCache {
     /// the exchange must still account one cache lookup (see
     /// `NaKikaNode::relay_plan`); counting it at adoption time keeps
     /// `hits + misses` equal to requests served on every transport.
-    pub fn record_miss(&self, key: &str) {
+    pub(crate) fn record_miss(&self, key: &str) {
         self.shard(key).lock().stats.misses += 1;
     }
 

@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// consistent-hash ring under `key_for(name)` carrying the member's base
 /// URL; a faulty verdict fails the node out, so ownership and successor
 /// sets re-home to the survivors on the next lookup.
-pub fn apply_events(overlay: &Overlay, events: &[MembershipEvent]) {
+pub(crate) fn apply_events(overlay: &Overlay, events: &[MembershipEvent]) {
     for event in events {
         match event {
             MembershipEvent::Joined { name, addr } | MembershipEvent::Recovered { name, addr } => {
@@ -56,7 +56,7 @@ fn gossip_url(addr: &str) -> String {
 /// digest, merges the peer's digest from the response body, and applies the
 /// resulting roster events to `overlay`.  An error or non-success response
 /// means the peer did not answer the probe.
-pub fn gossip_exchange(
+pub(crate) fn gossip_exchange(
     membership: &Membership,
     overlay: &Overlay,
     origin: &Arc<dyn OriginFetch>,
@@ -86,7 +86,7 @@ pub fn gossip_exchange(
 /// perform a direct exchange with `target_addr` on our behalf.  `Ok` means
 /// the relay reached the target; the relay's digest (which now reflects the
 /// target's) is merged either way the body arrives.
-pub fn gossip_probe_via(
+pub(crate) fn gossip_probe_via(
     membership: &Membership,
     overlay: &Overlay,
     origin: &Arc<dyn OriginFetch>,

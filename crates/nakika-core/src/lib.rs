@@ -23,9 +23,9 @@
 //!   and processed content, compiled-stage (decision-tree) caching, negative
 //!   caching of absent `nakika.js` scripts, and cooperative lookups through
 //!   the structured overlay.
-//! * **Na Kika Pages** ([`pages`]) — the `<?nkp ... ?>` markup model built
+//! * **Na Kika Pages** (`pages`) — the `<?nkp ... ?>` markup model built
 //!   on the event model.
-//! * **Compiled programs** ([`programs`]) — the hash-keyed cache of NkScript
+//! * **Compiled programs** ([`ProgramCache`]) — the hash-keyed cache of NkScript
 //!   programs lowered to bytecode (compile once, execute many); the
 //!   bytecode VM is the one engine that runs them.
 //! * **The node façade** ([`node`]) — [`node::NaKikaNode`] wires the pieces
@@ -36,10 +36,10 @@
 //!   (`X-Nakika-Hops`, `X-Nakika-Via`) and replication marks a node stamps on
 //!   requests it forwards to the consistent-hash owner of a missed key, so
 //!   the cooperative network runs over real TCP without routing loops.
-//! * **The service boundary** ([`service`], [`builder`]) —
+//! * **The service boundary** ([`service`], [`NodeBuilder`]) —
 //!   [`service::HttpService`] is the single seam between transports and
 //!   everything else: transports mint a [`service::RequestCtx`] from their
-//!   [`service::Clock`] and call the one service a [`builder::NodeBuilder`]
+//!   [`service::Clock`] and call the one service a [`NodeBuilder`]
 //!   produced — the node itself, which also answers its own internal paths
 //!   (gossip exchanges, stats) and owner-aware redirects.  Platform
 //!   failures travel as typed [`service::NakikaError`]s so each transport
@@ -47,29 +47,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod builder;
+pub(crate) mod builder;
 pub mod cache;
-pub mod gossip;
+pub(crate) mod gossip;
 pub mod node;
-pub mod pages;
+pub(crate) mod pages;
 pub mod peering;
 pub mod pipeline;
 pub mod policy;
-pub mod programs;
+pub(crate) mod programs;
 pub mod resource;
 pub mod scripts;
 pub mod service;
 pub mod vocab;
 
-pub use builder::{NodeBuilder, NodeHandle, NodeService};
-pub use cache::{CacheStats, ProxyCache};
-pub use node::{NaKikaNode, NodeConfig, NodeMode, OriginFetch};
-pub use pipeline::{PipelineOutcome, PipelineRunner};
-pub use policy::{Matcher, Policy, PolicySet};
+pub use builder::{NodeBuilder, NodeHandle};
+pub use cache::ProxyCache;
+pub use node::OriginFetch;
+pub use pipeline::PipelineRunner;
 pub use programs::{ProgramCache, ScriptEngine};
-pub use resource::{ResourceKind, ResourceManager, ResourceManagerConfig, SiteUsage};
-pub use service::{
-    service_fn, Clock, CtxFactory, DispatchHint, HttpService, ManualClock, NakikaError, RequestCtx,
-};
-pub use vocab::Exchange;

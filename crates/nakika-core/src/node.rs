@@ -79,31 +79,31 @@ pub enum NodeMode {
 #[derive(Clone)]
 pub struct NodeConfig {
     /// Node name (also the payload announced to the overlay).
-    pub name: String,
+    pub(crate) name: String,
     /// Operating mode.
-    pub mode: NodeMode,
+    pub(crate) mode: NodeMode,
     /// URL of the client-side administrative control script.
-    pub client_wall_url: String,
+    pub(crate) client_wall_url: String,
     /// URL of the server-side administrative control script.
-    pub server_wall_url: String,
+    pub(crate) server_wall_url: String,
     /// Proxy-cache capacity in bytes.
-    pub cache_capacity_bytes: usize,
+    pub(crate) cache_capacity_bytes: usize,
     /// Number of proxy-cache shards; `0` derives the count from the
     /// capacity (see [`ProxyCache::new`]).
-    pub cache_shards: usize,
+    pub(crate) cache_shards: usize,
     /// Heuristic freshness for responses without explicit expiration.
-    pub heuristic_ttl: Duration,
+    pub(crate) heuristic_ttl: Duration,
     /// Freshness applied to compiled stages whose script response carries no
     /// explicit expiration, and to negative `nakika.js` entries.
-    pub script_ttl: Duration,
+    pub(crate) script_ttl: Duration,
     /// Address blocks considered local to the hosting organisation.
-    pub local_networks: Vec<Cidr>,
+    pub(crate) local_networks: Vec<Cidr>,
     /// Resource-manager configuration.
     pub resource: ResourceManagerConfig,
     /// Seconds between executions of the congestion-control procedure.
-    pub control_period_secs: u64,
+    pub(crate) control_period_secs: u64,
     /// Per-site hard-state quota in bytes.
-    pub hard_state_quota: usize,
+    pub(crate) hard_state_quota: usize,
 }
 
 /// Statistics a node accumulates, consumed by the experiment harness.
@@ -117,7 +117,7 @@ pub struct NodeStats {
     pub peer_hits: u64,
     /// Peer fetches that failed (peer down, error response), each falling
     /// back to the origin.
-    pub peer_misses: u64,
+    pub(crate) peer_misses: u64,
     /// Responses fetched from the origin server.
     pub origin_fetches: u64,
     /// Hot cache entries this node pushed to successor peers.
@@ -126,7 +126,7 @@ pub struct NodeStats {
     /// owner instead of being relayed (owner-aware redirection).
     pub owner_redirects: u64,
     /// Responses generated entirely by scripts (no fetch at all).
-    pub script_generated: u64,
+    pub(crate) script_generated: u64,
     /// Requests rejected by throttling (server busy).
     pub throttled: u64,
     /// Requests rejected because the site's pipelines were terminated.
@@ -134,7 +134,7 @@ pub struct NodeStats {
     /// Script errors observed while processing requests.
     pub script_errors: u64,
     /// Na Kika Pages rendered.
-    pub pages_rendered: u64,
+    pub(crate) pages_rendered: u64,
 }
 
 /// One hot cache entry handed from the fetch path to the replication
@@ -569,7 +569,7 @@ impl NaKikaNode {
     }
 
     /// The gossip membership, if dynamic membership is configured.
-    pub fn gossip(&self) -> Option<&Arc<Membership>> {
+    pub(crate) fn gossip(&self) -> Option<&Arc<Membership>> {
         self.gossip.as_ref()
     }
 
@@ -590,12 +590,12 @@ impl NaKikaNode {
 
     /// The announced base URL, if [`set_public_addr`](Self::set_public_addr)
     /// was called.
-    pub fn public_addr(&self) -> Option<String> {
+    pub(crate) fn public_addr(&self) -> Option<String> {
         self.public_addr.lock().clone()
     }
 
     /// The node's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.config.name
     }
 
@@ -610,17 +610,14 @@ impl NaKikaNode {
     }
 
     /// The node's resource manager.
-    pub fn resource_manager(&self) -> &Arc<ResourceManager> {
+    #[cfg(test)]
+    pub(crate) fn resource_manager(&self) -> &Arc<ResourceManager> {
         &self.resource
     }
 
-    /// The node's hard-state store.
-    pub fn store(&self) -> &Arc<SiteStore> {
-        &self.store
-    }
-
     /// The node's access log.
-    pub fn access_log(&self) -> &Arc<AccessLog> {
+    #[cfg(test)]
+    pub(crate) fn access_log(&self) -> &Arc<AccessLog> {
         &self.access_log
     }
 
@@ -643,11 +640,6 @@ impl NaKikaNode {
         stats
     }
 
-    /// The node's compiled-program cache (exposed for statistics and tests).
-    pub fn programs(&self) -> &Arc<ProgramCache> {
-        &self.programs
-    }
-
     /// Node statistics snapshot.
     pub fn stats(&self) -> NodeStats {
         *self.stats.lock()
@@ -657,7 +649,7 @@ impl NaKikaNode {
     /// (see [`DispatchHint`]): [`DispatchHint::Inline`] when the node can
     /// answer `request` at `now_secs` without any origin, peer, or script
     /// I/O — the probes ([`contains_fresh`](ProxyCache::contains_fresh),
-    /// [`StageCache::probe`]) mutate nothing — and
+    /// `StageCache::probe`) mutate nothing — and
     /// [`DispatchHint::MayBlock`] otherwise.
     ///
     /// Scripted nodes used to answer `MayBlock` unconditionally.  With the
@@ -1066,7 +1058,7 @@ fn run_page(
 
 /// A convenience [`OriginFetch`] built from a closure — used by tests,
 /// examples and the benchmark harness.
-pub struct FnOrigin<F>(pub F);
+pub(crate) struct FnOrigin<F>(pub(crate) F);
 
 impl<F> OriginFetch for FnOrigin<F>
 where

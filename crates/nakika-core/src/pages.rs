@@ -8,14 +8,12 @@
 //! code blocks, `<?nkp= expr ?>` for expression interpolation) and the node's
 //! site stage runs that program when it sees an NKP response.
 
-use nakika_script::ScriptError;
-
 /// Name of the output-accumulation variable in compiled pages.
 const OUT_VAR: &str = "__nkp_out";
 
 /// Compiles an NKP page into NkScript source whose final expression is the
 /// rendered page text.
-pub fn compile_page(page: &str) -> String {
+pub(crate) fn compile_page(page: &str) -> String {
     let mut script = String::with_capacity(page.len() * 2);
     script.push_str(&format!("var {OUT_VAR} = '';\n"));
     script.push_str(&format!(
@@ -62,18 +60,10 @@ fn emit_literal(text: &str) -> String {
     format!("echo('{escaped}');\n")
 }
 
-/// Renders a page in a fresh sandboxed context with only the standard library
-/// installed — a convenience for tests and tooling; the node renders pages in
-/// request contexts with the full vocabularies available.
-pub fn render_page(page: &str) -> Result<String, ScriptError> {
-    let script = compile_page(page);
-    Ok(nakika_script::eval(&script)?.to_display_string())
-}
-
 /// True if a resource should be treated as a Na Kika Page, judged from its
 /// URL extension and/or content type (paper: the `nkp` extension or the
 /// `text/nkp` MIME type).
-pub fn is_nkp(extension: Option<&str>, content_type: Option<&str>) -> bool {
+pub(crate) fn is_nkp(extension: Option<&str>, content_type: Option<&str>) -> bool {
     extension
         .map(|e| e.eq_ignore_ascii_case("nkp"))
         .unwrap_or(false)
@@ -85,6 +75,15 @@ pub fn is_nkp(extension: Option<&str>, content_type: Option<&str>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nakika_script::ScriptError;
+
+    /// Renders a page in a fresh sandboxed context with only the standard
+    /// library installed; the node renders pages in request contexts with
+    /// the full vocabularies available.
+    fn render_page(page: &str) -> Result<String, ScriptError> {
+        let script = compile_page(page);
+        Ok(nakika_script::eval(&script)?.to_display_string())
+    }
 
     #[test]
     fn static_pages_pass_through() {

@@ -7,7 +7,7 @@
 //!
 //! * [`PEER_HOP_HEADER`] (`X-Nakika-Hops`) — how many node-to-node forwards
 //!   the request has already taken.  A node never peer-routes a request that
-//!   has used up its [`MAX_PEER_HOPS`] budget; it goes to the origin instead.
+//!   has used up its `MAX_PEER_HOPS` budget; it goes to the origin instead.
 //! * [`PEER_VIA_HEADER`] (`X-Nakika-Via`) — the comma-separated names of the
 //!   nodes the request has passed through.  A node that finds itself on the
 //!   list answers from its own cache or the origin, never a peer.
@@ -18,7 +18,7 @@
 //! cooperative network for an origin server.
 //!
 //! Replication pushes (the owner warming a hot key's successors) carry
-//! [`REPLICATE_HEADER`] so the receiving node can tell a push from organic
+//! `REPLICATE_HEADER` so the receiving node can tell a push from organic
 //! client traffic and skip hot-entry accounting on it.
 
 use nakika_http::Request;
@@ -30,18 +30,18 @@ pub const PEER_HOP_HEADER: &str = "X-Nakika-Hops";
 pub const PEER_VIA_HEADER: &str = "X-Nakika-Via";
 
 /// Marks a request issued by the replication worker to pre-warm a successor.
-pub const REPLICATE_HEADER: &str = "X-Nakika-Replicate";
+pub(crate) const REPLICATE_HEADER: &str = "X-Nakika-Replicate";
 
 /// Prefix of every internal (non-client) path a node serves; owner-aware
 /// redirection and other client-facing machinery must leave these alone.
-pub const INTERNAL_PREFIX: &str = "/__nakika/";
+pub(crate) const INTERNAL_PREFIX: &str = "/__nakika/";
 
 /// Path of the gossip membership exchange endpoint.  A gossip probe is a
 /// plain GET to this path carrying the prober's roster digest in
 /// [`GOSSIP_HEADER`]; the response body is the responder's digest.  Riding
 /// the existing HTTP plane means no extra listener, and GET (idempotent)
 /// keeps the exchange on the pooled keep-alive connections.
-pub const GOSSIP_PATH: &str = "/__nakika/gossip";
+pub(crate) const GOSSIP_PATH: &str = "/__nakika/gossip";
 
 /// Path every node answers with its counters (plain text, one `key value`
 /// pair per line) instead of proxying, on the same port that serves
@@ -49,22 +49,22 @@ pub const GOSSIP_PATH: &str = "/__nakika/gossip";
 pub const STATS_PATH: &str = "/__nakika/stats";
 
 /// Request header carrying the prober's roster digest on a gossip exchange.
-pub const GOSSIP_HEADER: &str = "X-Nakika-Gossip";
+pub(crate) const GOSSIP_HEADER: &str = "X-Nakika-Gossip";
 
 /// Header asking a relay to probe a third node on the requester's behalf
 /// (SWIM's ping-req).  The value is the target's base URL; the relay
 /// answers 200 with its own digest if the target responded, 502 otherwise.
 /// Relayed exchanges never carry this header themselves, so indirection is
 /// a single level deep by construction.
-pub const GOSSIP_PROBE_HEADER: &str = "X-Nakika-Gossip-Probe";
+pub(crate) const GOSSIP_PROBE_HEADER: &str = "X-Nakika-Gossip-Probe";
 
 /// Hop budget: how many times a request may be forwarded between peers.
 /// One hop reaches the key's owner; the second tolerates a briefly divergent
 /// membership view during joins and leaves.
-pub const MAX_PEER_HOPS: u64 = 2;
+pub(crate) const MAX_PEER_HOPS: u64 = 2;
 
 /// Number of node-to-node forwards `request` has already taken.
-pub fn hops(request: &Request) -> u64 {
+pub(crate) fn hops(request: &Request) -> u64 {
     request
         .headers
         .get(PEER_HOP_HEADER)
@@ -74,7 +74,7 @@ pub fn hops(request: &Request) -> u64 {
 
 /// True if `node` already forwarded this request (it appears in the Via
 /// list), in which case routing it back would loop.
-pub fn via_contains(request: &Request, node: &str) -> bool {
+pub(crate) fn via_contains(request: &Request, node: &str) -> bool {
     request
         .headers
         .get(PEER_VIA_HEADER)
@@ -83,13 +83,13 @@ pub fn via_contains(request: &Request, node: &str) -> bool {
 }
 
 /// True if the request may still be forwarded to a peer by `node`.
-pub fn may_forward(request: &Request, node: &str) -> bool {
+pub(crate) fn may_forward(request: &Request, node: &str) -> bool {
     hops(request) < MAX_PEER_HOPS && !via_contains(request, node)
 }
 
 /// Stamps the loop-prevention headers onto a request about to be forwarded
 /// by `node`: increments the hop count and appends `node` to the Via list.
-pub fn mark_forwarded(request: &mut Request, node: &str) {
+pub(crate) fn mark_forwarded(request: &mut Request, node: &str) {
     let next = hops(request) + 1;
     request.headers.set(PEER_HOP_HEADER, next.to_string());
     let via = match request.headers.get(PEER_VIA_HEADER) {
@@ -100,13 +100,13 @@ pub fn mark_forwarded(request: &mut Request, node: &str) {
 }
 
 /// True if `request` is a replication push rather than organic traffic.
-pub fn is_replication_push(request: &Request) -> bool {
+pub(crate) fn is_replication_push(request: &Request) -> bool {
     request.headers.contains(REPLICATE_HEADER)
 }
 
 /// True if the request carries any of the cooperative network's internal
 /// headers (cheap pre-check before cloning a request to strip them).
-pub fn has_internal_headers(request: &Request) -> bool {
+pub(crate) fn has_internal_headers(request: &Request) -> bool {
     request.headers.contains(PEER_HOP_HEADER)
         || request.headers.contains(PEER_VIA_HEADER)
         || request.headers.contains(REPLICATE_HEADER)
@@ -116,7 +116,7 @@ pub fn has_internal_headers(request: &Request) -> bool {
 
 /// Removes the cooperative network's internal headers; called before a
 /// request leaves for an origin server.
-pub fn strip_internal_headers(request: &mut Request) {
+pub(crate) fn strip_internal_headers(request: &mut Request) {
     request.headers.remove(PEER_HOP_HEADER);
     request.headers.remove(PEER_VIA_HEADER);
     request.headers.remove(REPLICATE_HEADER);

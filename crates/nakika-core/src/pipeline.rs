@@ -26,9 +26,9 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 
 /// Well-known URL of the client-side administrative control script.
-pub const CLIENT_WALL_URL: &str = "http://nakika.net/clientwall.js";
+pub(crate) const CLIENT_WALL_URL: &str = "http://nakika.net/clientwall.js";
 /// Well-known URL of the server-side administrative control script.
-pub const SERVER_WALL_URL: &str = "http://nakika.net/serverwall.js";
+pub(crate) const SERVER_WALL_URL: &str = "http://nakika.net/serverwall.js";
 
 /// Idle instances a stage keeps for reuse; more are dropped when returned.
 const MAX_IDLE_INSTANCES: usize = 32;
@@ -38,13 +38,13 @@ const MAX_IDLE_INSTANCES: usize = 32;
 /// of which a pipeline holds while it runs the stage's handlers.
 pub struct CompiledStage {
     /// The script's URL.
-    pub url: String,
+    pub(crate) url: String,
     /// Decision tree over the stage's registered policies.
-    pub matcher: Arc<DecisionTree>,
+    pub(crate) matcher: Arc<DecisionTree>,
     /// The registered policies (kept for introspection and statistics).
     /// Their handler values belong to the first instance; a pipeline runs
     /// the handlers its own instance registered at the same positions.
-    pub policies: PolicySet,
+    pub(crate) policies: PolicySet,
     /// The lowered script; an instance is made by running it.
     script: Arc<CachedScript>,
     /// Instances no pipeline holds, most recently returned last, each with
@@ -106,7 +106,7 @@ impl StageInstance {
 impl CompiledStage {
     /// Compiles a stage from script source with a private program cache —
     /// the convenience entry used by tests and ad-hoc loaders.  Nodes use
-    /// [`CompiledStage::compile_with`] so all stages share one hash-keyed
+    /// `CompiledStage::compile_with` so all stages share one hash-keyed
     /// program cache.
     pub fn compile(
         url: &str,
@@ -121,7 +121,7 @@ impl CompiledStage {
     /// hit, not a recompile), then runs once — in a sandboxed context with a
     /// throwaway exchange — to register its policies.  That
     /// run is the stage's first instance.
-    pub fn compile_with(
+    pub(crate) fn compile_with(
         url: &str,
         source: &str,
         hooks: &VocabHooks,
@@ -151,7 +151,8 @@ impl CompiledStage {
     /// How many instances of this stage have been made, the one compilation
     /// made included: at most one per pipeline that ever ran it concurrently
     /// with the others, plus replacements for discarded ones.
-    pub fn instantiations(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn instantiations(&self) -> u64 {
         self.instantiations.load(Ordering::Relaxed)
     }
 
@@ -232,7 +233,7 @@ enum StageEntry {
 
 /// The dedicated in-memory cache of compiled stages / decision trees.
 #[derive(Default)]
-pub struct StageCache {
+pub(crate) struct StageCache {
     entries: RwLock<HashMap<String, StageEntry>>,
     /// Counting lookups that found a fresh entry, for the evaluation.
     hits: AtomicU64,
@@ -241,7 +242,7 @@ pub struct StageCache {
 }
 
 /// Result of a stage-cache lookup.
-pub enum StageLookup {
+pub(crate) enum StageLookup {
     /// A fresh compiled stage.
     Hit(Arc<CompiledStage>),
     /// A fresh negative entry.
@@ -252,12 +253,12 @@ pub enum StageLookup {
 
 impl StageCache {
     /// Creates an empty cache.
-    pub fn new() -> StageCache {
+    pub(crate) fn new() -> StageCache {
         StageCache::default()
     }
 
     /// Looks up a compiled stage and counts the outcome.
-    pub fn get(&self, url: &str, now: u64) -> StageLookup {
+    pub(crate) fn get(&self, url: &str, now: u64) -> StageLookup {
         let result = self.probe(url, now);
         let counter = match result {
             StageLookup::Miss => &self.misses,
@@ -271,7 +272,7 @@ impl StageCache {
     /// hit/miss counters untouched.  `dispatch_hint` probes the cache with
     /// this so classifying a request never skews the statistics the
     /// evaluation reads.
-    pub fn probe(&self, url: &str, now: u64) -> StageLookup {
+    pub(crate) fn probe(&self, url: &str, now: u64) -> StageLookup {
         match self.entries.read().get(url) {
             Some(StageEntry::Compiled(stage, fresh_until)) if *fresh_until > now => {
                 StageLookup::Hit(stage.clone())
@@ -282,7 +283,7 @@ impl StageCache {
     }
 
     /// Inserts a compiled stage valid until `fresh_until`.
-    pub fn put(&self, url: &str, stage: Arc<CompiledStage>, fresh_until: u64) {
+    pub(crate) fn put(&self, url: &str, stage: Arc<CompiledStage>, fresh_until: u64) {
         self.entries
             .write()
             .insert(url.to_string(), StageEntry::Compiled(stage, fresh_until));
@@ -290,14 +291,15 @@ impl StageCache {
 
     /// Records that `url` serves no script, valid until `fresh_until`
     /// (avoiding repeated checks for `nakika.js`).
-    pub fn put_absent(&self, url: &str, fresh_until: u64) {
+    pub(crate) fn put_absent(&self, url: &str, fresh_until: u64) {
         self.entries
             .write()
             .insert(url.to_string(), StageEntry::Absent(fresh_until));
     }
 
     /// `(hits, misses)` counters.
-    pub fn counters(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
@@ -305,13 +307,9 @@ impl StageCache {
     }
 
     /// Number of cached entries (positive and negative).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.read().len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -325,27 +323,24 @@ pub trait StageLoader: Send + Sync {
 /// Outcome of executing a pipeline.
 pub struct PipelineOutcome {
     /// The response to return to the client.
-    pub response: Response,
+    pub(crate) response: Response,
     /// True if an `onRequest` handler produced the response (no origin fetch).
-    pub generated_by_script: bool,
-    /// True if the request was fetched from the origin (or peer) rather than
-    /// produced by a script.
-    pub fetched: bool,
+    pub(crate) generated_by_script: bool,
     /// The request in its final (possibly rewritten) form.
-    pub final_request: Request,
+    pub(crate) final_request: Request,
     /// Number of stages whose handlers actually executed.
     pub stages_executed: usize,
     /// Errors raised by handlers (the pipeline continues past script errors,
     /// but reports them).
-    pub script_errors: Vec<ScriptError>,
+    pub(crate) script_errors: Vec<ScriptError>,
 }
 
 /// The pipeline executor: the limits every handler execution runs under.
 pub struct PipelineRunner {
     /// Fuel limit per handler execution.
-    pub fuel_limit: u64,
+    pub(crate) fuel_limit: u64,
     /// Memory cap per handler execution.
-    pub memory_limit: usize,
+    pub(crate) memory_limit: usize,
 }
 
 impl Default for PipelineRunner {
@@ -461,7 +456,6 @@ impl PipelineRunner {
                 .response
                 .unwrap_or_else(|| Response::error(StatusCode::INTERNAL_SERVER_ERROR)),
             generated_by_script,
-            fetched: !generated_by_script,
             final_request: state.request,
             stages_executed,
             script_errors,
@@ -490,7 +484,8 @@ impl StaticStageLoader {
     }
 
     /// Registers an already compiled stage.
-    pub fn add_compiled(&mut self, stage: CompiledStage) {
+    #[cfg(test)]
+    pub(crate) fn add_compiled(&mut self, stage: CompiledStage) {
         self.stages.insert(stage.url.clone(), Arc::new(stage));
     }
 }
@@ -609,7 +604,7 @@ mod tests {
             "http://plain.example/nakika.js",
             &|_req| Response::ok("text/html", "origin content"),
         );
-        assert!(outcome.fetched);
+        assert!(!outcome.generated_by_script);
         assert!(!outcome.generated_by_script);
         assert_eq!(outcome.stages_executed, 0);
         assert_eq!(outcome.response.body.to_text(), "origin content");

@@ -26,27 +26,27 @@ pub struct Policy {
     /// Allowable resource URL prefixes (`host[/path-prefix]`); empty = any.
     pub url: Vec<String>,
     /// Allowable client patterns (CIDR or domain suffix); empty = any.
-    pub client: Vec<ClientPattern>,
+    pub(crate) client: Vec<ClientPattern>,
     /// Allowable HTTP methods; empty = any.
-    pub methods: Vec<Method>,
+    pub(crate) methods: Vec<Method>,
     /// Header predicates: `(header name, compiled pattern)`; all must match.
-    pub headers: Vec<(String, Arc<Regex>)>,
+    pub(crate) headers: Vec<(String, Arc<Regex>)>,
     /// The `onRequest` handler (a script function value), if any.
     pub on_request: Option<Value>,
     /// The `onResponse` handler, if any.
     pub on_response: Option<Value>,
     /// URLs of additional pipeline stages to schedule after this stage.
-    pub next_stages: Vec<String>,
+    pub(crate) next_stages: Vec<String>,
     /// True when a handler of this policy might call a blocking vocabulary
     /// entry point (it mentions `Fetch` somewhere).  Computed once at
     /// registration by a conservative static analysis; see
     /// [`nakika_script::analysis::function_mentions_ident`].
-    pub blocking_fetch: bool,
+    pub(crate) blocking_fetch: bool,
     /// True when the `onRequest` handler unconditionally generates a
     /// response (`Request.respond` / `Request.terminate` as a top-level
     /// statement), so a pipeline selecting it never reaches the origin.
     /// See [`nakika_script::analysis::function_always_calls`].
-    pub always_generates: bool,
+    pub(crate) always_generates: bool,
 }
 
 impl Policy {
@@ -118,25 +118,19 @@ impl Policy {
 
         Some(spec)
     }
-
-    /// True if the policy carries no handlers and schedules nothing — a
-    /// registration mistake worth reporting to script authors.
-    pub fn is_inert(&self) -> bool {
-        self.on_request.is_none() && self.on_response.is_none() && self.next_stages.is_empty()
-    }
 }
 
 /// Match specificity, ordered by the paper's precedence rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Specificity {
     /// URL-prefix match length (+1), 0 when the policy has no URL predicate.
-    pub url: u32,
+    pub(crate) url: u32,
     /// Client match strength, 0 when the policy has no client predicate.
-    pub client: u32,
+    pub(crate) client: u32,
     /// 1 when a method predicate matched.
-    pub method: u32,
+    pub(crate) method: u32,
     /// Number of matching header predicates.
-    pub headers: u32,
+    pub(crate) headers: u32,
 }
 
 impl PartialOrd for Specificity {
@@ -176,18 +170,8 @@ impl PolicySet {
     }
 
     /// Number of registered policies.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.policies.len()
-    }
-
-    /// True when no policies are registered.
-    pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
-    }
-
-    /// The registered policies.
-    pub fn policies(&self) -> &[Arc<Policy>] {
-        &self.policies
     }
 
     /// Compiles the set into the decision-tree matcher.
@@ -256,7 +240,7 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Builds the tree from a policy set.
-    pub fn build(set: &PolicySet) -> DecisionTree {
+    pub(crate) fn build(set: &PolicySet) -> DecisionTree {
         let mut by_host: HashMap<String, Vec<Registered>> = HashMap::new();
         let mut host_agnostic = Vec::new();
         for (position, policy) in set.policies.iter().enumerate() {
@@ -308,7 +292,7 @@ impl DecisionTree {
 
     /// The closest-matching policy for a request and the position it was
     /// registered at in the set this tree was built from.
-    pub fn closest(&self, request: &Request) -> Option<(usize, &Arc<Policy>)> {
+    pub(crate) fn closest(&self, request: &Request) -> Option<(usize, &Arc<Policy>)> {
         let candidates = self.candidates(request);
         best_of(candidates.into_iter().map(|(at, p)| (*at, p)), request)
     }
@@ -385,7 +369,6 @@ mod tests {
             p.matches(&req("http://anything.example/")),
             Some(Specificity::default())
         );
-        assert!(p.is_inert());
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl ProgramCache {
 
     /// `(compiles, hits)` counters: scripts compiled from source, and
     /// lookups answered from the cache.
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (
             self.compiles.load(Ordering::Relaxed),
             self.hits.load(Ordering::Relaxed),
@@ -102,12 +102,14 @@ impl ProgramCache {
     }
 
     /// Number of cached programs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.lock().len()
     }
 
     /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -33,7 +33,7 @@ pub enum ResourceKind {
 
 impl ResourceKind {
     /// All tracked resources.
-    pub const ALL: [ResourceKind; 5] = [
+    pub(crate) const ALL: [ResourceKind; 5] = [
         ResourceKind::Cpu,
         ResourceKind::Memory,
         ResourceKind::Bandwidth,
@@ -43,7 +43,7 @@ impl ResourceKind {
 
     /// Renewable resources are replenished every control period; only their
     /// consumption *under overutilization* counts against a site.
-    pub fn is_renewable(&self) -> bool {
+    pub(crate) fn is_renewable(&self) -> bool {
         matches!(
             self,
             ResourceKind::Cpu | ResourceKind::Memory | ResourceKind::Bandwidth
@@ -51,7 +51,7 @@ impl ResourceKind {
     }
 
     /// Short name used by `System.congestion(name)`.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ResourceKind::Cpu => "cpu",
             ResourceKind::Memory => "memory",
@@ -62,14 +62,14 @@ impl ResourceKind {
     }
 
     /// Parses a resource name.
-    pub fn parse(name: &str) -> Option<ResourceKind> {
+    pub(crate) fn parse(name: &str) -> Option<ResourceKind> {
         ResourceKind::ALL.iter().copied().find(|k| k.name() == name)
     }
 }
 
 /// Admission decision for a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Process the request normally.
     Accept,
     /// Reject with "server busy" (503) because the site is being throttled.
@@ -85,12 +85,12 @@ pub struct ResourceManagerConfig {
     /// tracked (the "without resource controls" experimental arm).
     pub enabled: bool,
     /// Node capacity per control period for each resource.
-    pub capacity: HashMap<ResourceKind, f64>,
+    pub(crate) capacity: HashMap<ResourceKind, f64>,
     /// Weight of present consumption in the exponentially weighted average
     /// (the paper's "weighted average of past and present consumption").
-    pub ewma_alpha: f64,
+    pub(crate) ewma_alpha: f64,
     /// Upper bound on the per-site rejection probability while throttling.
-    pub max_reject_fraction: f64,
+    pub(crate) max_reject_fraction: f64,
 }
 
 impl Default for ResourceManagerConfig {
@@ -128,33 +128,20 @@ struct SiteState {
     meters: Vec<(u64, ResourceMeter)>,
 }
 
-/// Per-site usage snapshot exposed for statistics and tests.
+/// Per-site usage snapshot.
+#[cfg(test)]
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct SiteUsage {
+pub(crate) struct SiteUsage {
     /// Weighted-average consumption per resource.
-    pub average: HashMap<ResourceKind, f64>,
+    pub(crate) average: HashMap<ResourceKind, f64>,
     /// Current rejection probability.
-    pub reject_fraction: f64,
+    pub(crate) reject_fraction: f64,
     /// True if the site was terminated in the current round.
-    pub terminated: bool,
-}
-
-/// Statistics the evaluation reports (paper §5.1: "<0.55% rejected due to
-/// throttling, <0.08% dropped due to termination").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResourceStats {
-    /// Requests admitted.
-    pub accepted: u64,
-    /// Requests rejected by throttling.
-    pub throttled: u64,
-    /// Requests dropped because the site was terminated.
-    pub terminated: u64,
-    /// Pipelines killed by the controller.
-    pub kills: u64,
+    pub(crate) terminated: bool,
 }
 
 /// The congestion controller.
-pub struct ResourceManager {
+pub(crate) struct ResourceManager {
     config: ResourceManagerConfig,
     sites: Mutex<HashMap<String, SiteState>>,
     /// Node-wide consumption in the current period.
@@ -162,14 +149,13 @@ pub struct ResourceManager {
     /// Resources that were congested in the previous control round (if still
     /// congested now, the top offender is terminated).
     previously_congested: Mutex<Vec<ResourceKind>>,
-    stats: Mutex<ResourceStats>,
     /// Source of the tickets meter registrations are listed under.
     next_ticket: AtomicU64,
 }
 
 /// A pipeline's entry in its site's list of running meters; dropping it
 /// removes the entry (a terminated site's list is already empty).
-pub struct MeterRegistration<'a> {
+pub(crate) struct MeterRegistration<'a> {
     manager: &'a ResourceManager,
     site: &'a str,
     ticket: u64,
@@ -185,44 +171,30 @@ impl Drop for MeterRegistration<'_> {
 
 impl ResourceManager {
     /// Creates a manager with the given configuration.
-    pub fn new(config: ResourceManagerConfig) -> ResourceManager {
+    pub(crate) fn new(config: ResourceManagerConfig) -> ResourceManager {
         ResourceManager {
             config,
             sites: Mutex::new(HashMap::new()),
             node_current: Mutex::new(HashMap::new()),
             previously_congested: Mutex::new(Vec::new()),
-            stats: Mutex::new(ResourceStats::default()),
             next_ticket: AtomicU64::new(0),
         }
     }
 
-    /// Creates a manager with default capacities.
-    pub fn with_defaults() -> ResourceManager {
-        ResourceManager::new(ResourceManagerConfig::default())
-    }
-
-    /// A disabled manager (the "without resource controls" arm).
-    pub fn disabled() -> ResourceManager {
-        ResourceManager::new(ResourceManagerConfig {
-            enabled: false,
-            ..ResourceManagerConfig::default()
-        })
-    }
-
     /// True when congestion control is active.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.config.enabled
     }
 
     /// Admission control for a request to `site`, applied *before* resources
     /// are expended (the paper's "drop requests early" principle).
-    pub fn admit(&self, site: &str) -> Admission {
+    pub(crate) fn admit(&self, site: &str) -> Admission {
         if !self.config.enabled {
             return Admission::Accept;
         }
         let mut sites = self.sites.lock();
         let state = sites.entry(site.to_string()).or_default();
-        let decision = if state.terminated {
+        if state.terminated {
             Admission::Terminate
         } else if state.reject_fraction > 0.0 {
             state.reject_accumulator += state.reject_fraction;
@@ -234,19 +206,11 @@ impl ResourceManager {
             }
         } else {
             Admission::Accept
-        };
-        drop(sites);
-        let mut stats = self.stats.lock();
-        match decision {
-            Admission::Accept => stats.accepted += 1,
-            Admission::Throttle => stats.throttled += 1,
-            Admission::Terminate => stats.terminated += 1,
         }
-        decision
     }
 
     /// Records consumption of `amount` of `kind` by `site`.
-    pub fn record(&self, site: &str, kind: ResourceKind, amount: f64) {
+    pub(crate) fn record(&self, site: &str, kind: ResourceKind, amount: f64) {
         if !self.config.enabled || amount <= 0.0 {
             return;
         }
@@ -266,7 +230,7 @@ impl ResourceManager {
     /// meter stays listed until the returned registration is dropped; a
     /// disabled manager lists nothing and returns `None`.
     #[must_use = "the meter is unregistered when the registration is dropped"]
-    pub fn register_meter<'a>(
+    pub(crate) fn register_meter<'a>(
         &'a self,
         site: &'a str,
         meter: ResourceMeter,
@@ -289,14 +253,15 @@ impl ResourceManager {
     }
 
     /// Number of pipelines of `site` executing right now (registered meters).
-    pub fn live_meters(&self, site: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_meters(&self, site: &str) -> usize {
         self.sites.lock().get(site).map_or(0, |s| s.meters.len())
     }
 
     /// The congestion level of a resource: node consumption this period
     /// divided by capacity (values above 1.0 mean overutilization).  Exposed
     /// to scripts as `System.congestion(name)`.
-    pub fn congestion_level(&self, kind: ResourceKind) -> f64 {
+    pub(crate) fn congestion_level(&self, kind: ResourceKind) -> f64 {
         let used = *self.node_current.lock().get(&kind).unwrap_or(&0.0);
         let capacity = *self.config.capacity.get(&kind).unwrap_or(&f64::INFINITY);
         if capacity <= 0.0 || capacity.is_infinite() {
@@ -315,14 +280,13 @@ impl ResourceManager {
     /// previous round as well (throttling did not relieve it), terminate the
     /// largest contributor.  Non-congested renewable resources are simply
     /// reset; nonrenewable resources are always charged.
-    pub fn control(&self) {
+    pub(crate) fn control(&self) {
         if !self.config.enabled {
             return;
         }
         let mut sites = self.sites.lock();
         let mut node_current = self.node_current.lock();
         let mut previously = self.previously_congested.lock();
-        let mut kills = 0u64;
 
         // Lift last round's throttling and termination; persistent offenders
         // are re-penalised below from fresh measurements.
@@ -388,7 +352,6 @@ impl ResourceManager {
                         for (_, meter) in state.meters.drain(..) {
                             meter.kill();
                         }
-                        kills += 1;
                     }
                 }
             }
@@ -404,11 +367,11 @@ impl ResourceManager {
         drop(previously);
         drop(node_current);
         drop(sites);
-        self.stats.lock().kills += kills;
     }
 
-    /// Snapshot of a site's usage (for scripts, statistics and tests).
-    pub fn site_usage(&self, site: &str) -> SiteUsage {
+    /// Snapshot of a site's usage.
+    #[cfg(test)]
+    pub(crate) fn site_usage(&self, site: &str) -> SiteUsage {
         let sites = self.sites.lock();
         match sites.get(site) {
             Some(state) => SiteUsage {
@@ -418,11 +381,6 @@ impl ResourceManager {
             },
             None => SiteUsage::default(),
         }
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> ResourceStats {
-        *self.stats.lock()
     }
 }
 
@@ -457,7 +415,10 @@ mod tests {
 
     #[test]
     fn disabled_manager_accepts_everything() {
-        let manager = ResourceManager::disabled();
+        let manager = ResourceManager::new(ResourceManagerConfig {
+            enabled: false,
+            ..ResourceManagerConfig::default()
+        });
         manager.record("a.com", ResourceKind::Cpu, 1e12);
         manager.control();
         assert_eq!(manager.admit("a.com"), Admission::Accept);
@@ -531,7 +492,6 @@ mod tests {
         );
         assert_eq!(manager.admit("hog.com"), Admission::Terminate);
         assert_eq!(manager.admit("small.org"), Admission::Accept);
-        assert_eq!(manager.stats().kills, 1);
         // Its registration outlived the list it was on; dropping it is a no-op.
         drop(running);
         assert_eq!(manager.live_meters("hog.com"), 0);
@@ -583,15 +543,5 @@ mod tests {
         manager.control();
         let usage = manager.site_usage("a.com");
         assert!(*usage.average.get(&ResourceKind::BytesTransferred).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn admission_statistics_are_counted() {
-        let manager = ResourceManager::new(tiny_config());
-        for _ in 0..10 {
-            manager.admit("a.com");
-        }
-        assert_eq!(manager.stats().accepted, 10);
-        assert_eq!(manager.stats().throttled, 0);
     }
 }

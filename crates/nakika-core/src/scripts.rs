@@ -1,42 +1,11 @@
-//! Default administrative-control scripts and the extension scripts the paper
+//! Administrative-control scripts and the extension scripts the paper
 //! evaluates (§3.2, §5.4), shipped as embedded sources.
 //!
 //! In a deployment these live at well-known URLs (`nakika.net/clientwall.js`,
 //! `nakika.net/serverwall.js`) and on the sites that publish them; they are
 //! fetched and cached through ordinary HTTP, which is how security-policy
-//! updates propagate.  The constants here are the defaults a node falls back
-//! to when those URLs are unreachable, and the building blocks the examples
-//! and experiments serve from their simulated origins.
-
-/// Default client-side administrative control (admission control): accepts
-/// everything but rejects requests for obviously abusive URL shapes.  Real
-/// deployments extend this via the same predicate mechanism.
-pub const DEFAULT_CLIENT_WALL: &str = r#"
-p = new Policy();
-p.onRequest = function() {
-    // Reject requests whose URL smuggles credentials or grows absurdly long
-    // (two abuse patterns reported by CoDeeN's operators).
-    if (Request.url.indexOf('@') != -1 || Request.url.length > 2048) {
-        Request.terminate(403);
-    }
-};
-p.register();
-"#;
-
-/// Default server-side administrative control (emission control): forbids
-/// hosted scripts from reaching private address space through Na Kika.
-pub const DEFAULT_SERVER_WALL: &str = r#"
-p = new Policy();
-p.onRequest = function() {
-    if (Request.host == 'localhost' ||
-        Request.host.indexOf('127.0.0.1') == 0 ||
-        Request.host.indexOf('10.') == 0 ||
-        Request.host.indexOf('192.168.') == 0) {
-        Request.terminate(403);
-    }
-};
-p.register();
-"#;
+//! updates propagate.  The constants here are the building blocks the
+//! examples and experiments serve from their simulated origins.
 
 /// A wall that matches every request with empty handlers — the `Admin`
 /// micro-benchmark configuration (Table 1: "evaluating one matching predicate
@@ -189,8 +158,6 @@ mod tests {
 
     #[test]
     fn all_embedded_scripts_compile() {
-        assert_eq!(compiles(DEFAULT_CLIENT_WALL), 1);
-        assert_eq!(compiles(DEFAULT_SERVER_WALL), 1);
         assert_eq!(compiles(EMPTY_WALL), 1);
         assert_eq!(compiles(DIGITAL_LIBRARY_POLICY), 1);
         assert_eq!(compiles(IMAGE_TRANSCODER), 1);

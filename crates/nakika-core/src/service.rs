@@ -76,12 +76,12 @@ pub struct RequestCtx {
     /// Address of the client that sent the request.  When this is specified
     /// and the [`Request`]'s own `client_ip` is not, the node fills the
     /// request in from here, so policy predicates see the transport's view.
-    pub client_ip: IpAddr,
+    pub(crate) client_ip: IpAddr,
     /// Time the request arrived, read from the transport's [`Clock`].
-    pub arrival_secs: u64,
+    pub(crate) arrival_secs: u64,
     /// Identifier of this exchange, unique per [`CtxFactory`]; `0` for
     /// ad-hoc contexts made with [`RequestCtx::at`].
-    pub request_id: u64,
+    pub(crate) request_id: u64,
 }
 
 impl RequestCtx {
@@ -99,11 +99,6 @@ impl RequestCtx {
     pub fn with_client_ip(mut self, ip: IpAddr) -> RequestCtx {
         self.client_ip = ip;
         self
-    }
-
-    /// A context at `now_secs` for `request`, adopting its client address.
-    pub fn for_request(now_secs: u64, request: &Request) -> RequestCtx {
-        RequestCtx::at(now_secs).with_client_ip(request.client_ip)
     }
 }
 
@@ -130,11 +125,6 @@ impl CtxFactory {
             arrival_secs: self.clock.now_secs(),
             request_id: self.next_id.fetch_add(1, Ordering::Relaxed),
         }
-    }
-
-    /// The factory's clock.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
     }
 }
 
@@ -367,7 +357,7 @@ impl HttpService for Arc<dyn HttpService> {
 }
 
 /// An [`HttpService`] built from a closure.
-pub struct ServiceFn<F>(pub F);
+pub(crate) struct ServiceFn<F>(pub(crate) F);
 
 impl<F> HttpService for ServiceFn<F>
 where

@@ -2,7 +2,7 @@
 //!
 //! Scripts can only affect the outside world through these global objects
 //! (paper §3.1–3.2).  Each event-handler execution gets vocabularies bound to
-//! an [`Exchange`] — the HTTP request/response pair being processed — and to
+//! an `Exchange` — the HTTP request/response pair being processed — and to
 //! the node services the deployment makes available (`Fetch`, `Cache`,
 //! `HardState`, `Log`).  The set mirrors the paper: URL components, cookies,
 //! the proxy cache, fetching other web resources, managing hard state,
@@ -20,23 +20,23 @@ use std::sync::Arc;
 
 /// Callback used by the `Fetch` vocabulary (and by the pipeline itself) to
 /// retrieve a web resource on behalf of a script.
-pub type FetchFn = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
+pub(crate) type FetchFn = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// Callback used by the `System` vocabulary to report the node's congestion
 /// level for a named resource in `[0, 1+]`.
-pub type CongestionFn = Arc<dyn Fn(&str) -> f64 + Send + Sync>;
+pub(crate) type CongestionFn = Arc<dyn Fn(&str) -> f64 + Send + Sync>;
 
 /// The state of one HTTP exchange as seen by the scripts processing it, and
 /// the node services bound to it: everything a vocabulary native reads.
 pub struct ExchangeState {
     /// The request, possibly rewritten by `onRequest` handlers.
-    pub request: Request,
+    pub(crate) request: Request,
     /// The response being processed by `onResponse` handlers (set once the
     /// resource has been fetched or generated).
     pub response: Option<Response>,
     /// A response generated by an `onRequest` handler (short-circuits the
     /// pipeline) or by `Request.terminate`.
-    pub generated: Option<Response>,
+    pub(crate) generated: Option<Response>,
     /// Cursor into the response body's chunks for `Response.read()`.
     read_pos: usize,
     /// Bytes written by `Response.write()`; replaces the body when non-empty
@@ -45,7 +45,7 @@ pub struct ExchangeState {
     /// Policies registered by the script currently executing.
     pub registered: Vec<Policy>,
     /// Wall/virtual time in seconds, provided by the node.
-    pub now_secs: u64,
+    pub(crate) now_secs: u64,
     /// The node services of the request being served (attached by
     /// [`install`], or by the pipeline for the exchange it runs).
     hooks: VocabHooks,
@@ -124,7 +124,7 @@ impl ExchangeState {
 
     /// Applies any `Response.write()` output to the response body (called by
     /// the pipeline after each `onResponse` handler finishes).
-    pub fn commit_output(&mut self) {
+    pub(crate) fn commit_output(&mut self) {
         if self.output.is_empty() {
             return;
         }
@@ -137,7 +137,7 @@ impl ExchangeState {
 
 /// Shared handle on an exchange: the cell the natives of one installed
 /// vocabulary set read through.
-pub type Exchange = Arc<Mutex<ExchangeState>>;
+pub(crate) type Exchange = Arc<Mutex<ExchangeState>>;
 
 /// Creates an exchange for a request at the given time.
 pub fn new_exchange(request: Request, now_secs: u64) -> Exchange {
@@ -153,20 +153,20 @@ pub fn new_exchange(request: Request, now_secs: u64) -> Exchange {
 #[derive(Clone, Default)]
 pub struct VocabHooks {
     /// Fetches other web resources (`Fetch.get`), through the node's cache.
-    pub fetch: Option<FetchFn>,
+    pub(crate) fetch: Option<FetchFn>,
     /// Per-site hard-state store (`HardState`).
-    pub store: Option<Arc<SiteStore>>,
+    pub(crate) store: Option<Arc<SiteStore>>,
     /// Access log (`Log.post`).
-    pub access_log: Option<Arc<AccessLog>>,
+    pub(crate) access_log: Option<Arc<AccessLog>>,
     /// The node's proxy cache (`Cache.get` / `Cache.put`), used by scripts to
     /// cache transformed content alongside original content.
-    pub cache: Option<Arc<crate::cache::ProxyCache>>,
+    pub(crate) cache: Option<Arc<crate::cache::ProxyCache>>,
     /// Address blocks considered local to the hosting organisation
     /// (`System.isLocal`).
-    pub local_networks: Arc<Vec<Cidr>>,
+    pub(crate) local_networks: Arc<Vec<Cidr>>,
     /// Reports the node's congestion level for a resource name in `[0, 1+]`
     /// (`System.congestion`), letting scripts adapt to system load.
-    pub congestion: Option<CongestionFn>,
+    pub(crate) congestion: Option<CongestionFn>,
 }
 
 /// Installs every vocabulary into `ctx`, bound to `exchange` and `hooks`.
@@ -659,7 +659,7 @@ fn value_to_string_list(value: &Value) -> Vec<String> {
 /// Magic prefix of the synthetic image format used in place of real codecs.
 /// Layout: `NKIMG;<format>;<width>;<height>;` followed by payload bytes whose
 /// length is proportional to the pixel count.
-pub const IMAGE_MAGIC: &str = "NKIMG";
+pub(crate) const IMAGE_MAGIC: &str = "NKIMG";
 
 /// Builds a synthetic image body of the given format and dimensions, used by
 /// workload generators and tests.
@@ -796,7 +796,7 @@ fn xml_vocabulary() -> Global {
 
 /// The XSL-render substitute: every XML element becomes a `div` with a class
 /// of the element name; text nodes are copied through.
-pub fn xml_to_html(xml: &str) -> String {
+pub(crate) fn xml_to_html(xml: &str) -> String {
     let mut html = String::with_capacity(xml.len() * 2);
     html.push_str("<html><body>");
     let mut chars = xml.chars().peekable();

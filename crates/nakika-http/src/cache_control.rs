@@ -25,26 +25,26 @@ use std::time::Duration;
 
 /// Parsed `Cache-Control` directives relevant to a shared cache.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheControl {
+pub(crate) struct CacheControl {
     /// `no-store` — must not be cached at all.
-    pub no_store: bool,
+    pub(crate) no_store: bool,
     /// `no-cache` — must be revalidated before use.
-    pub no_cache: bool,
+    pub(crate) no_cache: bool,
     /// `private` — not cacheable by shared caches (like Na Kika proxies).
-    pub private: bool,
+    pub(crate) private: bool,
     /// `public` — explicitly cacheable.
-    pub public: bool,
+    pub(crate) public: bool,
     /// `max-age` in seconds.
-    pub max_age: Option<u64>,
+    pub(crate) max_age: Option<u64>,
     /// `s-maxage` in seconds (overrides `max-age` for shared caches).
-    pub s_maxage: Option<u64>,
+    pub(crate) s_maxage: Option<u64>,
     /// `must-revalidate`.
-    pub must_revalidate: bool,
+    pub(crate) must_revalidate: bool,
 }
 
 impl CacheControl {
     /// Parses all `Cache-Control` headers in `headers`.
-    pub fn parse(headers: &Headers) -> CacheControl {
+    pub(crate) fn parse(headers: &Headers) -> CacheControl {
         let mut cc = CacheControl::default();
         for value in headers.get_all("cache-control") {
             for directive in value.split(',') {
@@ -73,7 +73,7 @@ impl CacheControl {
 
     /// The effective freshness lifetime for a shared cache, if any directive
     /// specifies one.
-    pub fn shared_max_age(&self) -> Option<Duration> {
+    pub(crate) fn shared_max_age(&self) -> Option<Duration> {
         self.s_maxage.or(self.max_age).map(Duration::from_secs)
     }
 }

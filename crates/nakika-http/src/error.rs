@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias used throughout the HTTP substrate.
-pub type Result<T> = std::result::Result<T, HttpError>;
+pub(crate) type Result<T> = std::result::Result<T, HttpError>;
 
 /// Errors produced while parsing or constructing HTTP messages.
 #[derive(Debug, Clone, PartialEq, Eq)]

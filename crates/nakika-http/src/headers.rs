@@ -50,7 +50,7 @@ impl Headers {
 
     /// Creates an empty map with room for `fields` fields whose names and
     /// values total `text_bytes`.
-    pub fn with_capacity(fields: usize, text_bytes: usize) -> Headers {
+    pub(crate) fn with_capacity(fields: usize, text_bytes: usize) -> Headers {
         Headers {
             text: String::with_capacity(text_bytes),
             spans: Vec::with_capacity(fields),
@@ -58,13 +58,9 @@ impl Headers {
     }
 
     /// Number of header entries (counting duplicates separately).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.spans.len()
-    }
-
-    /// True if there are no headers.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
     }
 
     /// Returns the first value for `name`, if any.
@@ -171,7 +167,7 @@ impl Headers {
 
     /// Returns the value of `Content-Length` parsed as an integer, if present
     /// and valid.
-    pub fn content_length(&self) -> Option<usize> {
+    pub(crate) fn content_length(&self) -> Option<usize> {
         self.get("content-length")
             .and_then(|v| v.trim().parse().ok())
     }
@@ -183,7 +179,7 @@ impl Headers {
     }
 
     /// True if the message uses chunked transfer encoding.
-    pub fn is_chunked(&self) -> bool {
+    pub(crate) fn is_chunked(&self) -> bool {
         self.get("transfer-encoding")
             .map(|v| v.to_ascii_lowercase().contains("chunked"))
             .unwrap_or(false)

@@ -15,29 +15,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cache_control;
-pub mod error;
-pub mod headers;
-pub mod message;
-pub mod method;
+pub(crate) mod error;
+pub(crate) mod headers;
+pub(crate) mod message;
+pub(crate) mod method;
 pub mod parse;
 pub mod pattern;
 pub mod serialize;
-pub mod status;
-pub mod uri;
+pub(crate) mod status;
+pub(crate) mod uri;
 
-pub use cache_control::{CacheControl, Freshness};
-pub use error::{HttpError, Result};
+pub use error::HttpError;
 pub use headers::Headers;
-pub use message::{
-    Body, BodyParts, BodyStream, ChunkSource, Request, Response, STREAM_CHUNK_BYTES,
-};
+pub use message::{Body, ChunkSource, Request, Response, STREAM_CHUNK_BYTES};
 pub use method::Method;
-pub use parse::{
-    parse_request, parse_response, parse_response_head, BodyFraming, ChunkedDecoder, ParseOutcome,
-    ResponseHead,
-};
+pub use parse::{parse_request, parse_response, parse_response_head, ChunkedDecoder, ParseOutcome};
 pub use serialize::{serialize_request, serialize_response, ResponseWriter};
 pub use status::StatusCode;
 pub use uri::Uri;

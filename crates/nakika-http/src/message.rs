@@ -31,13 +31,13 @@ pub const STREAM_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Segment size used by the script-facing `Response.read()` iteration over a
 /// buffered body (the Figure-2 idiom reads a body piece by piece).
-pub const SCRIPT_READ_CHUNK_BYTES: usize = 8 * 1024;
+pub(crate) const SCRIPT_READ_CHUNK_BYTES: usize = 8 * 1024;
 
 /// Largest body [`Body::buffer`]/[`Body::to_bytes`] will materialize
 /// (64 MiB — the same bound the one-shot parser enforces).  Streaming
 /// consumption via [`Body::read_chunk`] is not subject to it: a relay's
 /// memory is bounded by its chunk window, not by body size.
-pub const MAX_BUFFERED_BODY_BYTES: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_BUFFERED_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// What [`Body::tee`] charges for each chunk it keeps beyond the chunk's
 /// bytes: the `Bytes` handle in the parts list and the allocation header of
@@ -136,14 +136,6 @@ pub struct BodyStream {
     state: Arc<Mutex<StreamState>>,
 }
 
-impl BodyStream {
-    /// The body length declared by the message framing (`Content-Length`),
-    /// or `None` for chunked/unknown-length streams.
-    pub fn declared_len(&self) -> Option<u64> {
-        self.declared_len
-    }
-}
-
 impl Clone for BodyStream {
     fn clone(&self) -> BodyStream {
         BodyStream {
@@ -231,7 +223,7 @@ impl Body {
     }
 
     /// A body built by concatenating a list of chunks.
-    pub fn from_chunks(chunks: Vec<Bytes>) -> Body {
+    pub(crate) fn from_chunks(chunks: Vec<Bytes>) -> Body {
         match chunks.len() {
             0 => Body::empty(),
             1 => Body::Full(chunks.into_iter().next().unwrap()),
@@ -416,7 +408,7 @@ impl Body {
     /// stream failed mid-body (for example a `Content-Length` mismatch from
     /// a peer that closed early) and carries the source's reason.
     ///
-    /// Buffering is capped at [`MAX_BUFFERED_BODY_BYTES`]: an instance that
+    /// Buffering is capped at `MAX_BUFFERED_BODY_BYTES`: an instance that
     /// must live in memory whole cannot be unbounded, whatever the peer
     /// declares or streams.  Relays that only forward chunks
     /// ([`Body::read_chunk`]) have no such cap.
@@ -447,7 +439,7 @@ impl Body {
     /// Collapses the body into a single contiguous buffer.
     ///
     /// For a streaming body this *drains the stream* (same
-    /// [`MAX_BUFFERED_BODY_BYTES`] cap as [`Body::buffer`]), yielding an
+    /// `MAX_BUFFERED_BODY_BYTES` cap as [`Body::buffer`]), yielding an
     /// empty buffer when the stream fails; use [`Body::buffer`] when
     /// stream errors must surface (transports and layers do).  Tests and
     /// scripts — which operate on complete instances — use this
@@ -484,7 +476,7 @@ impl Body {
         String::from_utf8_lossy(&self.to_bytes()).into_owned()
     }
 
-    /// The `index`-th [`SCRIPT_READ_CHUNK_BYTES`] segment of a buffered
+    /// The `index`-th `SCRIPT_READ_CHUNK_BYTES` segment of a buffered
     /// body, or `None` past the end — the backend of the script-facing
     /// `Response.read()` iteration.  Streaming bodies are buffered first
     /// (scripts operate on complete instances, paper §3.1); a parts body
@@ -505,33 +497,6 @@ impl Body {
         }
         let end = (start + SCRIPT_READ_CHUNK_BYTES).min(bytes.len());
         Some(bytes.slice(start..end))
-    }
-
-    /// Appends data to the body, buffering a stream first.
-    pub fn push(&mut self, chunk: impl Into<Bytes>) {
-        let chunk = chunk.into();
-        if chunk.is_empty() {
-            return;
-        }
-        let existing = self.to_bytes();
-        if existing.is_empty() {
-            *self = Body::Full(chunk);
-            return;
-        }
-        let mut buf = Vec::with_capacity(existing.len() + chunk.len());
-        buf.extend_from_slice(&existing);
-        buf.extend_from_slice(&chunk);
-        *self = Body::Full(Bytes::from(buf));
-    }
-
-    /// Replaces the body content.
-    pub fn replace(&mut self, data: impl Into<Bytes>) {
-        *self = Body::Full(data.into());
-    }
-
-    /// Removes all content.
-    pub fn clear(&mut self) {
-        *self = Body::empty();
     }
 
     /// Wraps the body in a tee: chunks flow through unchanged, and the tee
@@ -758,14 +723,6 @@ impl Request {
     pub fn site(&self) -> String {
         self.uri.to_origin().site()
     }
-
-    /// The `Host` header value to send, synthesised from the URI if missing.
-    pub fn host_header(&self) -> String {
-        self.headers
-            .get("host")
-            .map(str::to_string)
-            .unwrap_or_else(|| self.uri.authority())
-    }
 }
 
 /// An HTTP response as seen by Na Kika's scripting pipeline.
@@ -866,21 +823,6 @@ impl Response {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-
-    #[test]
-    fn body_accounting_and_edits() {
-        let mut b = Body::empty();
-        assert!(b.is_empty());
-        b.push(Bytes::from_static(b"hello "));
-        b.push(Bytes::from_static(b""));
-        b.push(Bytes::from_static(b"world"));
-        assert_eq!(b.len(), 11);
-        assert_eq!(b.to_text(), "hello world");
-        b.replace("x");
-        assert_eq!(b.to_text(), "x");
-        b.clear();
-        assert!(b.is_empty());
-    }
 
     #[test]
     fn body_single_buffer_is_zero_copy() {
@@ -1258,7 +1200,6 @@ mod tests {
         assert_eq!(r.site(), "med.nyu.edu");
         assert_eq!(r.headers.get("user-agent"), Some("test"));
         assert_eq!(r.headers.content_length(), Some(4));
-        assert_eq!(r.host_header(), "med.nyu.edu");
     }
 
     #[test]

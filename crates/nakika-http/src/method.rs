@@ -77,7 +77,7 @@ impl Method {
     }
 
     /// True for methods considered safe (no server-side state change).
-    pub fn is_safe(&self) -> bool {
+    pub(crate) fn is_safe(&self) -> bool {
         matches!(
             self,
             Method::Get | Method::Head | Method::Options | Method::Trace

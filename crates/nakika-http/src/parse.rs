@@ -16,7 +16,7 @@ use std::net::{IpAddr, Ipv4Addr};
 
 /// Maximum accepted header block size (64 KiB), a defence against
 /// client-initiated resource exhaustion at the admission-control stage.
-pub const MAX_HEADER_BYTES: usize = 64 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 64 * 1024;
 
 /// Default maximum body size accepted by the parser (64 MiB).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
@@ -24,7 +24,7 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 /// Maximum number of header fields accepted per message.  Header floods
 /// (endless short `X-Flood-N: x` lines) stay under [`MAX_HEADER_BYTES`]
 /// for a long time; the count cap rejects them after one parse attempt.
-pub const MAX_HEADER_COUNT: usize = 128;
+pub(crate) const MAX_HEADER_COUNT: usize = 128;
 
 /// Outcome of a parse attempt.
 #[derive(Debug, Clone, PartialEq)]

@@ -140,7 +140,6 @@ pub struct Regex {
     nodes: Vec<Node>,
     anchored_start: bool,
     anchored_end: bool,
-    source: String,
 }
 
 #[derive(Debug, Clone)]
@@ -187,13 +186,7 @@ impl Regex {
             nodes,
             anchored_start,
             anchored_end,
-            source: pattern.to_string(),
         })
-    }
-
-    /// The original pattern text.
-    pub fn as_str(&self) -> &str {
-        &self.source
     }
 
     /// True if the pattern matches anywhere in `text` (or at the anchors if

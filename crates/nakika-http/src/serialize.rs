@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn empty_body_still_emits_length() {
-        let resp = Response::new(StatusCode::NO_CONTENT);
+        let resp = Response::new(StatusCode::new(204).unwrap());
         let raw = serialize_response(&resp);
         assert!(String::from_utf8_lossy(&raw).contains("Content-Length: 0"));
     }

@@ -10,16 +10,6 @@ pub struct StatusCode(u16);
 impl StatusCode {
     /// 200 OK
     pub const OK: StatusCode = StatusCode(200);
-    /// 204 No Content
-    pub const NO_CONTENT: StatusCode = StatusCode(204);
-    /// 206 Partial Content
-    pub const PARTIAL_CONTENT: StatusCode = StatusCode(206);
-    /// 301 Moved Permanently
-    pub const MOVED_PERMANENTLY: StatusCode = StatusCode(301);
-    /// 302 Found
-    pub const FOUND: StatusCode = StatusCode(302);
-    /// 304 Not Modified
-    pub const NOT_MODIFIED: StatusCode = StatusCode(304);
     /// 307 Temporary Redirect — same method, same body, try over there.
     pub const TEMPORARY_REDIRECT: StatusCode = StatusCode(307);
     /// 400 Bad Request
@@ -30,12 +20,8 @@ impl StatusCode {
     pub const FORBIDDEN: StatusCode = StatusCode(403);
     /// 404 Not Found
     pub const NOT_FOUND: StatusCode = StatusCode(404);
-    /// 408 Request Timeout — the connection idled past its deadline.
-    pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     /// 413 Payload Too Large
     pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
-    /// 429 Too Many Requests
-    pub const TOO_MANY_REQUESTS: StatusCode = StatusCode(429);
     /// 431 Request Header Fields Too Large — header count/size cap tripped.
     pub const REQUEST_HEADER_FIELDS_TOO_LARGE: StatusCode = StatusCode(431);
     /// 500 Internal Server Error
@@ -44,8 +30,6 @@ impl StatusCode {
     pub const BAD_GATEWAY: StatusCode = StatusCode(502);
     /// 503 Service Unavailable — used by Na Kika's throttling ("server busy").
     pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
-    /// 504 Gateway Timeout
-    pub const GATEWAY_TIMEOUT: StatusCode = StatusCode(504);
 
     /// Constructs a status code, validating the 100..=599 range.
     pub fn new(code: u16) -> Result<StatusCode> {
@@ -71,24 +55,9 @@ impl StatusCode {
         (200..300).contains(&self.0)
     }
 
-    /// True for 3xx codes.
-    pub fn is_redirect(&self) -> bool {
-        (300..400).contains(&self.0)
-    }
-
-    /// True for 4xx codes.
-    pub fn is_client_error(&self) -> bool {
-        (400..500).contains(&self.0)
-    }
-
-    /// True for 5xx codes.
-    pub fn is_server_error(&self) -> bool {
-        (500..600).contains(&self.0)
-    }
-
     /// True if responses with this status are cacheable by default
     /// (RFC 7231 §6.1 heuristic set).
-    pub fn is_cacheable_by_default(&self) -> bool {
+    pub(crate) fn is_cacheable_by_default(&self) -> bool {
         matches!(
             self.0,
             200 | 203 | 204 | 206 | 300 | 301 | 404 | 405 | 410 | 414 | 501
@@ -96,7 +65,7 @@ impl StatusCode {
     }
 
     /// The canonical reason phrase for this status.
-    pub fn reason(&self) -> &'static str {
+    pub(crate) fn reason(&self) -> &'static str {
         match self.0 {
             100 => "Continue",
             101 => "Switching Protocols",
@@ -155,9 +124,6 @@ mod tests {
     #[test]
     fn classification() {
         assert!(StatusCode::OK.is_success());
-        assert!(StatusCode::FOUND.is_redirect());
-        assert!(StatusCode::UNAUTHORIZED.is_client_error());
-        assert!(StatusCode::SERVICE_UNAVAILABLE.is_server_error());
         assert!(StatusCode::new(100).unwrap().is_informational());
     }
 

@@ -12,7 +12,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Uri {
     /// URI scheme, lower-cased (`http` or `https`).
-    pub scheme: String,
+    pub(crate) scheme: String,
     /// Host name, lower-cased.
     pub host: String,
     /// Port; defaults to 80 for http and 443 for https.
@@ -24,7 +24,7 @@ pub struct Uri {
 }
 
 /// The domain suffix appended to hostnames to route requests through Na Kika.
-pub const NAKIKA_SUFFIX: &str = ".nakika.net";
+pub(crate) const NAKIKA_SUFFIX: &str = ".nakika.net";
 
 impl Uri {
     /// Parses an absolute URI (`http://host[:port]/path?query`) or an
@@ -95,7 +95,7 @@ impl Uri {
     }
 
     /// Builds a URI from parts with scheme `http`.
-    pub fn http(host: &str, port: u16, path: &str) -> Uri {
+    pub(crate) fn http(host: &str, port: u16, path: &str) -> Uri {
         let (path, query) = split_query(path);
         Uri {
             scheme: "http".to_string(),
@@ -107,7 +107,7 @@ impl Uri {
     }
 
     /// `host:port` authority form, omitting the default port.
-    pub fn authority(&self) -> String {
+    pub(crate) fn authority(&self) -> String {
         let default = if self.scheme == "https" { 443 } else { 80 };
         if self.port == default {
             self.host.clone()
@@ -117,7 +117,7 @@ impl Uri {
     }
 
     /// Path plus query string, as used on the request line.
-    pub fn path_and_query(&self) -> String {
+    pub(crate) fn path_and_query(&self) -> String {
         match &self.query {
             Some(q) => format!("{}?{}", self.path, q),
             None => self.path.clone(),

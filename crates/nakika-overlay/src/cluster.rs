@@ -13,33 +13,24 @@
 pub enum ClusterLevel {
     /// The whole network (no RTT bound).
     Global,
-    /// Regional cluster (RTT below [`REGIONAL_RTT_MS`]).
+    /// Regional cluster (RTT below `REGIONAL_RTT_MS`).
     Regional,
-    /// Local cluster (RTT below [`LOCAL_RTT_MS`]).
+    /// Local cluster (RTT below `LOCAL_RTT_MS`).
     Local,
 }
 
 /// RTT threshold for regional clusters, in milliseconds (Coral's level 1).
-pub const REGIONAL_RTT_MS: f64 = 100.0;
+pub(crate) const REGIONAL_RTT_MS: f64 = 100.0;
 /// RTT threshold for local clusters, in milliseconds (Coral's level 2).
-pub const LOCAL_RTT_MS: f64 = 30.0;
+pub(crate) const LOCAL_RTT_MS: f64 = 30.0;
 
 impl ClusterLevel {
     /// Levels ordered from most local to global — the lookup order.
-    pub const LOOKUP_ORDER: [ClusterLevel; 3] = [
+    pub(crate) const LOOKUP_ORDER: [ClusterLevel; 3] = [
         ClusterLevel::Local,
         ClusterLevel::Regional,
         ClusterLevel::Global,
     ];
-
-    /// The RTT bound (in ms) for membership at this level.
-    pub fn rtt_bound_ms(&self) -> f64 {
-        match self {
-            ClusterLevel::Global => f64::INFINITY,
-            ClusterLevel::Regional => REGIONAL_RTT_MS,
-            ClusterLevel::Local => LOCAL_RTT_MS,
-        }
-    }
 }
 
 /// A node's position in a simple 2-D latency space.
@@ -53,7 +44,7 @@ pub struct Location {
     /// X coordinate (ms).
     pub x: f64,
     /// Y coordinate (ms).
-    pub y: f64,
+    pub(crate) y: f64,
 }
 
 impl Location {
@@ -70,12 +61,12 @@ impl Location {
     }
 
     /// Round-trip time in milliseconds to another location.
-    pub fn rtt_ms(&self, other: &Location) -> f64 {
+    pub(crate) fn rtt_ms(&self, other: &Location) -> f64 {
         2.0 * self.latency_ms(other)
     }
 
     /// The most local cluster level this location shares with another.
-    pub fn shared_level(&self, other: &Location) -> ClusterLevel {
+    pub(crate) fn shared_level(&self, other: &Location) -> ClusterLevel {
         let rtt = self.rtt_ms(other);
         if rtt <= LOCAL_RTT_MS {
             ClusterLevel::Local
@@ -127,7 +118,5 @@ mod tests {
     fn lookup_order_is_most_local_first() {
         assert_eq!(ClusterLevel::LOOKUP_ORDER[0], ClusterLevel::Local);
         assert_eq!(ClusterLevel::LOOKUP_ORDER[2], ClusterLevel::Global);
-        assert!(ClusterLevel::Local.rtt_bound_ms() < ClusterLevel::Regional.rtt_bound_ms());
-        assert!(ClusterLevel::Global.rtt_bound_ms().is_infinite());
     }
 }

@@ -6,8 +6,7 @@
 //! spilling outward only when local nodes are saturated for that key — this
 //! is Coral's "sloppy" storage, which prevents hot keys from overloading
 //! their home node.  A `get` walks the cluster levels from local to global
-//! and returns the freshest values it finds, counting the (simulated)
-//! network hops so experiments can account for lookup latency.
+//! and returns the freshest values it finds.
 
 use crate::cluster::{ClusterLevel, Location};
 use crate::id::{key_for, NodeId};
@@ -21,21 +20,21 @@ pub struct StoredValue {
     /// of the proxy holding a cached copy.
     pub payload: String,
     /// Absolute expiration time (seconds on the caller's clock).
-    pub expires_at: u64,
+    pub(crate) expires_at: u64,
     /// The node that inserted the value.
-    pub origin: NodeId,
+    pub(crate) origin: NodeId,
 }
 
 /// Configuration knobs for the overlay.
 #[derive(Debug, Clone)]
-pub struct OverlayConfig {
+pub(crate) struct OverlayConfig {
     /// How many nodes near the key hold each value.
-    pub replication: usize,
+    pub(crate) replication: usize,
     /// Per-node cap on values stored under a single key (Coral's sloppiness
     /// bound); additional puts spill to the next-closest node.
-    pub values_per_key: usize,
+    pub(crate) values_per_key: usize,
     /// Maximum nodes contacted during one lookup at one cluster level.
-    pub lookup_fanout: usize,
+    pub(crate) lookup_fanout: usize,
 }
 
 impl Default for OverlayConfig {
@@ -46,19 +45,6 @@ impl Default for OverlayConfig {
             lookup_fanout: 8,
         }
     }
-}
-
-/// Statistics accumulated by the overlay, used by the experiment harness.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OverlayStats {
-    /// Total put operations.
-    pub puts: u64,
-    /// Total get operations.
-    pub gets: u64,
-    /// Gets that found at least one unexpired value.
-    pub hits: u64,
-    /// Total (simulated) node-to-node hops across all operations.
-    pub hops: u64,
 }
 
 struct NodeState {
@@ -83,7 +69,7 @@ pub struct Member {
     /// The member's overlay identifier.
     pub id: NodeId,
     /// The member's position in the latency space.
-    pub location: Location,
+    pub(crate) location: Location,
     /// Base URL of the member's proxy front-end, if it serves real traffic.
     pub addr: Option<String>,
 }
@@ -95,16 +81,14 @@ pub struct Member {
 pub struct Overlay {
     nodes: RwLock<Vec<NodeState>>,
     config: OverlayConfig,
-    stats: RwLock<OverlayStats>,
 }
 
 impl Overlay {
     /// Creates an empty overlay.
-    pub fn new(config: OverlayConfig) -> Overlay {
+    pub(crate) fn new(config: OverlayConfig) -> Overlay {
         Overlay {
             nodes: RwLock::new(Vec::new()),
             config,
-            stats: RwLock::new(OverlayStats::default()),
         }
     }
 
@@ -173,7 +157,8 @@ impl Overlay {
     }
 
     /// Snapshot of the live membership.
-    pub fn members(&self) -> Vec<Member> {
+    #[cfg(test)]
+    pub(crate) fn members(&self) -> Vec<Member> {
         self.nodes
             .read()
             .iter()
@@ -190,7 +175,7 @@ impl Overlay {
     /// the XOR metric.  The first entry is the key's *owner* (the node a
     /// cache miss is routed to); the rest are its successors, which hot
     /// entries replicate onto.
-    pub fn nodes_for_key(&self, key_str: &str, count: usize) -> Vec<Member> {
+    pub(crate) fn nodes_for_key(&self, key_str: &str, count: usize) -> Vec<Member> {
         let key = key_for(key_str);
         let nodes = self.nodes.read();
         let mut live: Vec<&NodeState> = nodes.iter().filter(|n| n.alive).collect();
@@ -222,7 +207,7 @@ impl Overlay {
 
     /// Marks a node as departed; its stored values become unreachable (soft
     /// state: they simply expire elsewhere).
-    pub fn leave(&self, id: NodeId) {
+    pub(crate) fn leave(&self, id: NodeId) {
         if let Some(n) = self.nodes.write().iter_mut().find(|n| n.id == id) {
             n.alive = false;
         }
@@ -230,7 +215,7 @@ impl Overlay {
 
     /// Marks a node as failed.  This is the failure detector's entry point
     /// (gossip membership declaring a peer faulty): mechanically identical
-    /// to [`leave`](Self::leave), but named for the involuntary case —
+    /// to `leave`, but named for the involuntary case —
     /// ownership and successor sets re-home to the surviving nodes on the
     /// next lookup.
     pub fn fail(&self, id: NodeId) {
@@ -278,12 +263,10 @@ impl Overlay {
         });
 
         let mut written = 0usize;
-        let mut hops = 0u64;
         for (idx, _, _) in order {
             if written >= self.config.replication {
                 break;
             }
-            hops += 1;
             let node = &mut nodes[idx];
             let values = node.store.entry(key.0).or_default();
             // Sloppiness: a node already holding `values_per_key` entries for
@@ -301,15 +284,11 @@ impl Overlay {
             });
             written += 1;
         }
-        let mut stats = self.stats.write();
-        stats.puts += 1;
-        stats.hops += hops;
         written
     }
 
     /// Looks up `key_str` on behalf of `from` at time `now`.  Returns the
-    /// unexpired values found, ordered from the most local cluster outward,
-    /// and records the hop count.
+    /// unexpired values found, ordered from the most local cluster outward.
     pub fn get(&self, from: NodeId, key_str: &str, now: u64) -> Vec<StoredValue> {
         let key = key_for(key_str);
         let nodes = self.nodes.read();
@@ -318,7 +297,6 @@ impl Overlay {
             None => return Vec::new(),
         };
         let mut results = Vec::new();
-        let mut hops = 0u64;
         for level in ClusterLevel::LOOKUP_ORDER {
             // Nodes in this cluster level, nearest the key first.
             let mut candidates: Vec<&NodeState> = nodes
@@ -327,7 +305,6 @@ impl Overlay {
                 .collect();
             candidates.sort_by_key(|n| n.id.distance(&key));
             for node in candidates.into_iter().take(self.config.lookup_fanout) {
-                hops += 1;
                 if let Some(values) = node.store.get(&key.0) {
                     for v in values {
                         if v.expires_at > now && !results.contains(v) {
@@ -340,31 +317,7 @@ impl Overlay {
                 break;
             }
         }
-        drop(nodes);
-        let mut stats = self.stats.write();
-        stats.gets += 1;
-        stats.hops += hops;
-        if !results.is_empty() {
-            stats.hits += 1;
-        }
         results
-    }
-
-    /// Removes expired values everywhere (housekeeping the simulator calls
-    /// periodically; a real deployment relies on lazy expiry plus this sweep).
-    pub fn expire(&self, now: u64) {
-        let mut nodes = self.nodes.write();
-        for node in nodes.iter_mut() {
-            for values in node.store.values_mut() {
-                values.retain(|v| v.expires_at > now);
-            }
-            node.store.retain(|_, v| !v.is_empty());
-        }
-    }
-
-    /// Snapshot of the accumulated statistics.
-    pub fn stats(&self) -> OverlayStats {
-        self.stats.read().clone()
     }
 }
 
@@ -412,30 +365,20 @@ mod tests {
         let values = overlay.get(ids[1], "http://med.nyu.edu/simm/1", 50);
         assert!(!values.is_empty());
         assert_eq!(values[0].payload, "proxy-east");
-        let stats = overlay.stats();
-        assert_eq!(stats.puts, 1);
-        assert_eq!(stats.gets, 1);
-        assert_eq!(stats.hits, 1);
-        assert!(stats.hops > 0);
     }
 
     #[test]
     fn values_expire() {
         let (overlay, ids) = overlay_with_nodes();
         overlay.put(ids[0], "http://a.com/x", "proxy-1", 100);
+        assert!(!overlay.get(ids[0], "http://a.com/x", 99).is_empty());
         assert!(overlay.get(ids[0], "http://a.com/x", 150).is_empty());
-        overlay.expire(150);
-        // After the sweep the value is physically gone too.
-        assert!(overlay.get(ids[0], "http://a.com/x", 50).is_empty());
     }
 
     #[test]
-    fn missing_key_returns_empty_and_counts_miss() {
+    fn missing_key_returns_empty() {
         let (overlay, ids) = overlay_with_nodes();
         assert!(overlay.get(ids[2], "http://nowhere/", 10).is_empty());
-        let stats = overlay.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.gets, 1);
     }
 
     #[test]

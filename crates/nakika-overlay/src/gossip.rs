@@ -41,7 +41,7 @@ pub struct MembershipConfig {
     pub suspect_timeout_ms: u64,
     /// How many relays are asked to probe indirectly when a direct probe
     /// fails (SWIM's `k`).
-    pub indirect_probes: usize,
+    pub(crate) indirect_probes: usize,
 }
 
 impl Default for MembershipConfig {
@@ -74,7 +74,7 @@ pub struct PeerInfo {
     pub addr: String,
     /// The peer's incarnation number (bumped by the peer itself to refute
     /// suspicion; higher incarnations supersede lower ones everywhere).
-    pub incarnation: u64,
+    pub(crate) incarnation: u64,
     /// Current failure-detector verdict.
     pub state: PeerState,
 }
@@ -182,8 +182,8 @@ impl Membership {
         Membership::with_clock(name, config, ClockSource::Wall(Instant::now()))
     }
 
-    /// A membership timed by [`advance`](Self::advance) instead of the wall
-    /// clock, so tests pin suspect/faulty transitions deterministically.
+    /// A membership timed by a manual clock instead of the wall clock, so
+    /// tests pin suspect/faulty transitions deterministically.
     pub fn with_manual_clock(name: &str, config: MembershipConfig) -> Membership {
         Membership::with_clock(name, config, ClockSource::Manual(AtomicU64::new(0)))
     }
@@ -207,18 +207,14 @@ impl Membership {
         }
     }
 
-    /// The local node's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The configured timing knobs.
     pub fn config(&self) -> &MembershipConfig {
         &self.config
     }
 
     /// Advances the manual clock by `ms`.  No-op on a wall-clock membership.
-    pub fn advance(&self, ms: u64) {
+    #[cfg(test)]
+    pub(crate) fn advance(&self, ms: u64) {
         if let ClockSource::Manual(now) = &self.clock {
             now.fetch_add(ms, Ordering::SeqCst);
         }
@@ -238,11 +234,6 @@ impl Membership {
         let mut inner = self.inner.lock();
         inner.self_addr = Some(addr.to_string());
         inner.roster_version += 1;
-    }
-
-    /// The announced local base URL, if known yet.
-    pub fn self_addr(&self) -> Option<String> {
-        self.inner.lock().self_addr.clone()
     }
 
     /// Adds a bootstrap seed address.  Seeds are probed whenever the roster

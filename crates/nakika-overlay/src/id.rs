@@ -13,19 +13,8 @@ pub struct NodeId(pub u64);
 
 impl NodeId {
     /// XOR distance to another identifier.
-    pub fn distance(&self, other: &NodeId) -> u64 {
+    pub(crate) fn distance(&self, other: &NodeId) -> u64 {
         self.0 ^ other.0
-    }
-
-    /// Index of the highest differing bit (0..64), used for bucket placement;
-    /// `None` when the identifiers are equal.
-    pub fn bucket_index(&self, other: &NodeId) -> Option<u32> {
-        let d = self.distance(other);
-        if d == 0 {
-            None
-        } else {
-            Some(63 - d.leading_zeros())
-        }
     }
 }
 
@@ -62,15 +51,6 @@ mod tests {
         assert_eq!(a.distance(&b), b.distance(&a));
         assert_eq!(a.distance(&a), 0);
         assert_eq!(a.distance(&b), 0b1100);
-    }
-
-    #[test]
-    fn bucket_index_is_highest_differing_bit() {
-        let a = NodeId(0);
-        assert_eq!(a.bucket_index(&NodeId(1)), Some(0));
-        assert_eq!(a.bucket_index(&NodeId(0b1000)), Some(3));
-        assert_eq!(a.bucket_index(&NodeId(u64::MAX)), Some(63));
-        assert_eq!(a.bucket_index(&a), None);
     }
 
     #[test]

@@ -51,15 +51,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cluster;
-pub mod dht;
-pub mod gossip;
-pub mod id;
+pub(crate) mod dht;
+pub(crate) mod gossip;
+pub(crate) mod id;
 
-pub use cluster::{ClusterLevel, Location};
-pub use dht::{Member, Overlay, OverlayConfig, OverlayStats, StoredValue};
-pub use gossip::{
-    GossipStats, Membership, MembershipConfig, MembershipEvent, PeerInfo, PeerState, ProbeAction,
-};
+pub use cluster::Location;
+pub use dht::Overlay;
+pub use gossip::{Membership, MembershipConfig, MembershipEvent, PeerState, ProbeAction};
 pub use id::{key_for, NodeId};

@@ -6,12 +6,12 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Top-level statements in source order.
-    pub body: Vec<Stmt>,
+    pub(crate) body: Vec<Stmt>,
 }
 
 /// A statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `var name = init;` (also covers `let` / `const`).
     VarDecl {
         /// Variable name.
@@ -94,16 +94,16 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionLiteral {
     /// Parameter names.
-    pub params: Vec<String>,
+    pub(crate) params: Vec<String>,
     /// Function body statements.
-    pub body: Vec<Stmt>,
+    pub(crate) body: Vec<Stmt>,
     /// Optional name (for declarations and named expressions).
-    pub name: Option<String>,
+    pub(crate) name: Option<String>,
 }
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Numeric literal.
     Number(f64),
     /// String literal.
@@ -211,7 +211,7 @@ pub enum Expr {
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
+pub(crate) enum UnaryOp {
     /// Arithmetic negation.
     Neg,
     /// Logical not.
@@ -256,7 +256,7 @@ pub enum BinaryOp {
 impl BinaryOp {
     /// True for the relational and equality operators: their result is a
     /// boolean and computing it never allocates.
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         use BinaryOp::*;
         matches!(
             self,

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 /// A constant-pool entry.
 #[derive(Debug, Clone)]
-pub enum Const {
+pub(crate) enum Const {
     /// A numeric literal.
     Num(f64),
     /// A string literal, property name, or identifier name (interned once at
@@ -207,7 +207,7 @@ pub enum Op {
     // ---- try / catch / finally ----
     /// Enter a protected region, recording unwind levels.
     TryEnter {
-        /// Catch handler entry, or [`NO_CATCH`] when the clause is absent.
+        /// Catch handler entry, or `NO_CATCH` when the clause is absent.
         catch_ip: u32,
         /// Finally entry (always present; may be just [`Op::TryExit`]).
         finally_ip: u32,
@@ -252,7 +252,7 @@ pub enum Op {
     /// `Bin rel; JumpIfFalse target`: pop right then left; jump unless
     /// `left rel right`. `2 -> 0`
     JumpUnless {
-        /// A comparison ([`BinaryOp::is_comparison`]).
+        /// A comparison (`BinaryOp::is_comparison`).
         rel: BinaryOp,
         /// Where to go when the comparison does not hold.
         target: u32,
@@ -305,7 +305,7 @@ impl Op {
 
     /// The instruction indices this instruction can send control to (an
     /// absent catch clause is not one).
-    pub fn jump_targets_mut(&mut self) -> [Option<&mut u32>; 3] {
+    pub(crate) fn jump_targets_mut(&mut self) -> [Option<&mut u32>; 3] {
         match self {
             Op::Jump(t)
             | Op::JumpIfFalse(t)
@@ -335,11 +335,11 @@ impl Op {
 
 /// Sentinel for [`Op::TryEnter::catch_ip`] when the `try` has no catch
 /// clause.
-pub const NO_CATCH: u32 = u32::MAX;
+pub(crate) const NO_CATCH: u32 = u32::MAX;
 
 /// How a compiled function stores its local variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameMode {
+pub(crate) enum FrameMode {
     /// Every local binding is a numbered frame slot; the scope chain is only
     /// consulted for free names.  Chosen when the function contains no nested
     /// function, so no closure can capture its locals.
@@ -358,24 +358,24 @@ pub enum FrameMode {
 pub struct CompiledFunction {
     /// The source literal, kept for closure creation and identity; `None`
     /// for the program's top-level chunk.
-    pub literal: Option<Arc<FunctionLiteral>>,
+    pub(crate) literal: Option<Arc<FunctionLiteral>>,
     /// The instruction stream.
     pub code: Vec<Op>,
     /// The constant pool.
-    pub consts: Vec<Const>,
+    pub(crate) consts: Vec<Const>,
     /// Nested functions referenced by [`Op::MakeClosure`].
     pub funcs: Vec<Arc<CompiledFunction>>,
     /// Local-variable storage strategy.
-    pub mode: FrameMode,
+    pub(crate) mode: FrameMode,
     /// Slot indices for the parameters (slotted mode only; empty otherwise).
-    pub param_slots: Vec<u16>,
+    pub(crate) param_slots: Vec<u16>,
     /// Slot holding `this` in slotted mode.
-    pub this_slot: u16,
+    pub(crate) this_slot: u16,
     /// Slot holding `arguments` in slotted mode.
-    pub arguments_slot: u16,
+    pub(crate) arguments_slot: u16,
     /// True when the body mentions `arguments` anywhere (nested functions
     /// included); only then is the array made, and accounted, per call.
-    pub uses_arguments: bool,
+    pub(crate) uses_arguments: bool,
 }
 
 /// A whole program lowered to bytecode: the top-level chunk plus every
@@ -422,7 +422,7 @@ impl CompiledProgram {
 
     /// Returns the compiled form of `literal`, lowering and caching it if
     /// this program has not seen it before.
-    pub fn function_for(&self, literal: &Arc<FunctionLiteral>) -> Arc<CompiledFunction> {
+    pub(crate) fn function_for(&self, literal: &Arc<FunctionLiteral>) -> Arc<CompiledFunction> {
         let key = Arc::as_ptr(literal) as usize;
         if let Some(f) = self.by_literal.read().get(&key) {
             return f.clone();
@@ -430,17 +430,6 @@ impl CompiledProgram {
         let compiled = Arc::new(crate::compile::compile_function(literal.clone()));
         self.register_tree(&compiled);
         compiled
-    }
-
-    /// Total instructions across the top level and all compiled functions
-    /// (diagnostics and tests).
-    pub fn instruction_count(&self) -> usize {
-        self.by_literal
-            .read()
-            .values()
-            .map(|f| f.code.len())
-            .sum::<usize>()
-            + self.main.code.len()
     }
 }
 

@@ -106,7 +106,7 @@ impl Scope {
     }
 
     /// The outermost scope in the chain.
-    pub fn global(&self) -> Scope {
+    pub(crate) fn global(&self) -> Scope {
         let parent = self.inner.read().parent.clone();
         match parent {
             Some(p) => p.global(),
@@ -115,14 +115,9 @@ impl Scope {
     }
 
     /// Number of variables declared directly in this scope.
-    pub fn local_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn local_count(&self) -> usize {
         self.inner.read().vars.len()
-    }
-
-    /// Names declared directly in this scope (used by `for-in` over the
-    /// global object and by tests).
-    pub fn local_names(&self) -> Vec<String> {
-        self.inner.read().vars.keys().cloned().collect()
     }
 }
 
@@ -155,17 +150,17 @@ impl ResourceMeter {
     }
 
     /// Adds evaluation steps.
-    pub fn add_steps(&self, n: u64) {
+    pub(crate) fn add_steps(&self, n: u64) {
         self.inner.steps.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds allocated heap bytes.
-    pub fn add_allocated(&self, n: u64) {
+    pub(crate) fn add_allocated(&self, n: u64) {
         self.inner.allocated.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds transferred bytes (body reads/writes, sub-fetches).
-    pub fn add_transferred(&self, n: u64) {
+    pub(crate) fn add_transferred(&self, n: u64) {
         self.inner.transferred.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -180,7 +175,8 @@ impl ResourceMeter {
     }
 
     /// Total transferred bytes so far.
-    pub fn transferred(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn transferred(&self) -> u64 {
         self.inner.transferred.load(Ordering::Relaxed)
     }
 
@@ -193,15 +189,6 @@ impl ResourceMeter {
     /// True once [`ResourceMeter::kill`] has been called.
     pub fn is_killed(&self) -> bool {
         self.inner.killed.load(Ordering::Relaxed)
-    }
-
-    /// Clears the kill flag and counters (when a site recovers from
-    /// penalisation, per the paper's weighted-average recovery).
-    pub fn reset(&self) {
-        self.inner.steps.store(0, Ordering::Relaxed);
-        self.inner.allocated.store(0, Ordering::Relaxed);
-        self.inner.transferred.store(0, Ordering::Relaxed);
-        self.inner.killed.store(false, Ordering::Relaxed);
     }
 }
 
@@ -220,9 +207,9 @@ pub struct Context {
     /// Resource meter shared with the node's resource manager.
     pub meter: ResourceMeter,
     /// Fuel budget for a single run.
-    pub fuel_limit: u64,
+    pub(crate) fuel_limit: u64,
     /// Hard memory cap in bytes.
-    pub memory_limit: usize,
+    pub(crate) memory_limit: usize,
 }
 
 impl Default for Context {
@@ -322,8 +309,5 @@ mod tests {
         assert!(!m.is_killed());
         m.kill();
         assert!(m.is_killed());
-        m.reset();
-        assert!(!m.is_killed());
-        assert_eq!(m.steps(), 0);
     }
 }

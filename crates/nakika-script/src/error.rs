@@ -42,22 +42,6 @@ pub enum ScriptError {
 }
 
 impl ScriptError {
-    /// Short classification tag, useful for statistics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ScriptError::Lex { .. } => "lex",
-            ScriptError::Parse { .. } => "parse",
-            ScriptError::Type(_) => "type",
-            ScriptError::Reference(_) => "reference",
-            ScriptError::Thrown(_) => "thrown",
-            ScriptError::FuelExhausted => "fuel",
-            ScriptError::MemoryExceeded { .. } => "memory",
-            ScriptError::Terminated => "terminated",
-            ScriptError::Host(_) => "host",
-            ScriptError::StackOverflow => "stack",
-        }
-    }
-
     /// True if this error was caused by resource-control intervention rather
     /// than a bug in the script.
     pub fn is_resource_kill(&self) -> bool {
@@ -98,9 +82,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_and_display() {
-        assert_eq!(ScriptError::FuelExhausted.kind(), "fuel");
-        assert_eq!(ScriptError::Type("x".into()).kind(), "type");
+    fn display_names_the_culprit() {
         assert!(ScriptError::Reference("foo".into())
             .to_string()
             .contains("foo"));

@@ -64,7 +64,7 @@ impl<'c> Interpreter<'c> {
 
     /// Reports any not-yet-reported fuel to the context's meter, so the
     /// resource manager sees the full consumption of a handler execution.
-    pub fn flush_meter(&mut self) {
+    pub(crate) fn flush_meter(&mut self) {
         if self.fuel_used > self.fuel_reported {
             self.ctx
                 .meter
@@ -76,11 +76,6 @@ impl<'c> Interpreter<'c> {
     /// Fuel consumed so far in this run.
     pub fn fuel_used(&self) -> u64 {
         self.fuel_used
-    }
-
-    /// Approximate bytes allocated so far in this run.
-    pub fn memory_used(&self) -> usize {
-        self.mem_used
     }
 
     /// Runs a whole program in the context's global scope, returning the

@@ -4,16 +4,16 @@ use crate::error::ScriptError;
 
 /// A lexical token with its source line (for error reporting).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// 1-based line on which the token starts.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// The kinds of token NkScript recognises.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Numeric literal (all numbers are f64, like JavaScript).
     Number(f64),
     /// String literal (single- or double-quoted).
@@ -30,7 +30,7 @@ pub enum TokenKind {
 
 /// Reserved words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Keyword {
+pub(crate) enum Keyword {
     /// `var`
     Var,
     /// `function`
@@ -78,7 +78,7 @@ pub enum Keyword {
 /// Operators and punctuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum Punct {
+pub(crate) enum Punct {
     LParen,
     RParen,
     LBrace,
@@ -119,7 +119,7 @@ pub enum Punct {
 
 /// Tokenizes `source`, returning the token stream terminated by
 /// [`TokenKind::Eof`].
-pub fn tokenize(source: &str) -> Result<Vec<Token>, ScriptError> {
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, ScriptError> {
     let chars: Vec<char> = source.chars().collect();
     let mut tokens = Vec::new();
     let mut pos = 0usize;

@@ -32,19 +32,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
-pub mod ast;
+pub(crate) mod ast;
 pub mod bytecode;
 pub mod compile;
 pub mod context;
-pub mod error;
-pub mod interp;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod error;
+pub(crate) mod interp;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 pub mod stdlib;
 pub mod value;
-pub mod vm;
+pub(crate) mod vm;
 
 pub use bytecode::CompiledProgram;
 pub use compile::compile;
@@ -52,7 +53,7 @@ pub use context::{Context, ResourceMeter};
 pub use error::ScriptError;
 pub use interp::Interpreter;
 pub use parser::parse_program;
-pub use value::{NativeFn, ObjectRef, Value};
+pub use value::Value;
 pub use vm::Vm;
 
 /// Convenience: parse and evaluate `source` in a fresh default context,

@@ -172,7 +172,7 @@ fn arg(args: &[Value], i: usize) -> Value {
 /// Dispatches built-in methods on primitive values (strings, numbers, arrays,
 /// byte arrays).  Returns `None` when no such method exists, so the caller
 /// can report a type error.
-pub fn call_builtin_method(
+pub(crate) fn call_builtin_method(
     this: &Value,
     name: &str,
     args: &[Value],

@@ -25,10 +25,10 @@ pub type NativeFn =
 pub type ObjectRef = Arc<RwLock<ObjectData>>;
 
 /// Shared, mutable array storage.
-pub type ArrayRef = Arc<RwLock<Vec<Value>>>;
+pub(crate) type ArrayRef = Arc<RwLock<Vec<Value>>>;
 
 /// Shared, mutable byte-array storage (the paper's SpiderMonkey extension).
-pub type BytesRef = Arc<RwLock<Vec<u8>>>;
+pub(crate) type BytesRef = Arc<RwLock<Vec<u8>>>;
 
 /// Property map of a script object.
 #[derive(Default)]
@@ -37,12 +37,12 @@ pub struct ObjectData {
     pub properties: BTreeMap<String, Value>,
     /// Class tag for objects created by `new Name()` — lets vocabularies such
     /// as `Policy` recognise their own instances.
-    pub class: Option<String>,
+    pub(crate) class: Option<String>,
 }
 
 impl ObjectData {
     /// Creates an empty object with the given class tag.
-    pub fn with_class(class: &str) -> ObjectData {
+    pub(crate) fn with_class(class: &str) -> ObjectData {
         ObjectData {
             properties: BTreeMap::new(),
             class: Some(class.to_string()),
@@ -55,7 +55,7 @@ pub struct Closure {
     /// The function's parameters and body.
     pub literal: Arc<FunctionLiteral>,
     /// The lexical scope captured at creation time.
-    pub scope: Scope,
+    pub(crate) scope: Scope,
 }
 
 /// A runtime value.
@@ -113,7 +113,7 @@ impl Value {
     }
 
     /// JavaScript-style truthiness.
-    pub fn truthy(&self) -> bool {
+    pub(crate) fn truthy(&self) -> bool {
         match self {
             Value::Undefined | Value::Null => false,
             Value::Bool(b) => *b,
@@ -200,7 +200,7 @@ impl Value {
     }
 
     /// Strict (`===`) equality.
-    pub fn strict_equals(&self, other: &Value) -> bool {
+    pub(crate) fn strict_equals(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Undefined, Value::Undefined) => true,
             (Value::Null, Value::Null) => true,
@@ -218,7 +218,7 @@ impl Value {
 
     /// Loose (`==`) equality: like strict equality plus number/string/bool
     /// coercions and `null == undefined`.
-    pub fn loose_equals(&self, other: &Value) -> bool {
+    pub(crate) fn loose_equals(&self, other: &Value) -> bool {
         if self.strict_equals(other) {
             return true;
         }
@@ -333,7 +333,7 @@ impl Value {
     /// `self[index]`: an element of an array, byte array or string when
     /// `index` is a number naming one, else the property named by the
     /// index's display string — the same answer without the string.
-    pub fn get_index(&self, index: &Value) -> Value {
+    pub(crate) fn get_index(&self, index: &Value) -> Value {
         if let Some(i) = index.as_element_index() {
             let element = match self {
                 Value::Array(a) => a.read().get(i).cloned(),
@@ -352,7 +352,7 @@ impl Value {
     /// byte array in place when `index` is a number naming one; everything
     /// else (growth, named properties, errors) is [`Value::set_property`] on
     /// the index's display string.
-    pub fn set_index(&self, index: &Value, value: Value) -> Result<(), ScriptError> {
+    pub(crate) fn set_index(&self, index: &Value, value: Value) -> Result<(), ScriptError> {
         if let Some(i) = index.as_element_index() {
             match self {
                 Value::Array(a) => {
@@ -385,7 +385,7 @@ impl Value {
 
     /// Approximate heap footprint contributed by creating this value
     /// (shallow), used for the sandbox's memory accounting.
-    pub fn shallow_size(&self) -> usize {
+    pub(crate) fn shallow_size(&self) -> usize {
         match self {
             Value::Str(s) => s.len() + 24,
             Value::Bytes(b) => b.read().len() + 32,
@@ -416,7 +416,7 @@ impl Value {
     }
 
     /// Returns the array reference if this value is an array.
-    pub fn as_array(&self) -> Option<ArrayRef> {
+    pub(crate) fn as_array(&self) -> Option<ArrayRef> {
         match self {
             Value::Array(a) => Some(a.clone()),
             _ => None,
@@ -443,7 +443,7 @@ impl std::fmt::Debug for Value {
 
 /// Formats a number the way JavaScript's `toString` does for the common
 /// cases: integers without a decimal point, NaN/Infinity spelled out.
-pub fn number_to_string(n: f64) -> String {
+pub(crate) fn number_to_string(n: f64) -> String {
     if n.is_nan() {
         "NaN".to_string()
     } else if n.is_infinite() {

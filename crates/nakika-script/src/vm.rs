@@ -351,7 +351,7 @@ impl<'c> Vm<'c> {
     }
 
     /// Reports any not-yet-reported fuel to the context's meter.
-    pub fn flush_meter(&mut self) {
+    pub(crate) fn flush_meter(&mut self) {
         if self.fuel_used > self.fuel_reported {
             self.ctx
                 .meter
@@ -368,7 +368,8 @@ impl<'c> Vm<'c> {
     }
 
     /// Approximate bytes allocated so far in this run.
-    pub fn memory_used(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn memory_used(&self) -> usize {
         self.mem_used
     }
 

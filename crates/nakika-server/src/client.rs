@@ -332,7 +332,7 @@ fn exchange_streaming(
 /// Performs a one-shot blocking HTTP request (`Connection: close`) to the
 /// host named in `request`'s URI, returning a response whose body streams
 /// from the socket as it is consumed.
-pub fn http_fetch_streaming(request: &Request) -> Result<Response, NakikaError> {
+pub(crate) fn http_fetch_streaming(request: &Request) -> Result<Response, NakikaError> {
     let mut outbound = request.clone();
     outbound.uri = request.uri.to_origin();
     outbound.headers.set("Connection", "close");

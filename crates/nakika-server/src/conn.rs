@@ -228,7 +228,7 @@ pub(crate) struct HttpConn {
 
 impl HttpConn {
     /// A fresh connection from `peer`.
-    pub fn new(peer: IpAddr, gauge: Arc<OutputGauge>) -> HttpConn {
+    pub(crate) fn new(peer: IpAddr, gauge: Arc<OutputGauge>) -> HttpConn {
         HttpConn {
             peer,
             inbuf: Vec::new(),
@@ -249,7 +249,7 @@ impl HttpConn {
     }
 
     /// Appends bytes read off the wire.
-    pub fn feed(&mut self, bytes: &[u8]) {
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
         self.inbuf.extend_from_slice(bytes);
     }
 
@@ -259,7 +259,11 @@ impl HttpConn {
     /// next unit of [`Work`] that must run elsewhere (marking it in-flight
     /// — call `advance` again to keep going; it returns `None` once nothing
     /// can proceed without a completion, more input, or a flush).
-    pub fn advance(&mut self, service: &dyn HttpService, ctx_factory: &CtxFactory) -> Option<Work> {
+    pub(crate) fn advance(
+        &mut self,
+        service: &dyn HttpService,
+        ctx_factory: &CtxFactory,
+    ) -> Option<Work> {
         if self.pending_call.is_none() {
             while self.open {
                 let (mut request, consumed) = match parse_request(&self.inbuf) {
@@ -328,7 +332,7 @@ impl HttpConn {
     /// engine.  The caller should [`advance`](HttpConn::advance) (and
     /// flush) afterwards — a completed call unparks input parsing, a
     /// completed pull usually makes the next pull possible.
-    pub fn complete(&mut self, done: Done) {
+    pub(crate) fn complete(&mut self, done: Done) {
         match done {
             Done::Call(result) => {
                 let keep_alive = self
@@ -478,7 +482,7 @@ impl HttpConn {
     /// this byte-wise view remains for the engine tests, which assert on
     /// output without a socket.
     #[cfg(test)]
-    pub fn pending_output(&self) -> &[u8] {
+    pub(crate) fn pending_output(&self) -> &[u8] {
         let front = &self.outbuf[self.written..];
         if !front.is_empty() {
             return front;
@@ -487,7 +491,7 @@ impl HttpConn {
     }
 
     /// Every pending output run, in wire order, as `writev` iovecs.
-    pub fn output_slices(&self) -> Vec<io::IoSlice<'_>> {
+    pub(crate) fn output_slices(&self) -> Vec<io::IoSlice<'_>> {
         let mut slices = Vec::with_capacity(1 + self.tail.len());
         let front = &self.outbuf[self.written..];
         if !front.is_empty() {
@@ -505,14 +509,14 @@ impl HttpConn {
     /// the condition under which a readiness transport registers write
     /// interest (unlike [`wants_write`](HttpConn::wants_write), this is
     /// false while the next bytes are still being produced by a worker).
-    pub fn has_unsent_output(&self) -> bool {
+    pub(crate) fn has_unsent_output(&self) -> bool {
         self.pending_len() > 0
     }
 
     /// Records that `n` bytes of pending output reached the socket.  The
     /// transport refills the freed window through
     /// [`advance`](HttpConn::advance), so pulls can be offloaded.
-    pub fn advance_output(&mut self, n: usize) {
+    pub(crate) fn advance_output(&mut self, n: usize) {
         let mut n = n;
         let take = n.min(self.outbuf.len() - self.written);
         self.written += take;
@@ -545,7 +549,7 @@ impl HttpConn {
     /// True while the engine can make use of more input bytes: the
     /// connection is protocol-open, the transport has not seen EOF, and
     /// input parsing is not parked behind an offloaded service call.
-    pub fn wants_read(&self) -> bool {
+    pub(crate) fn wants_read(&self) -> bool {
         self.open && !self.eof && self.pending_call.is_none()
     }
 
@@ -554,14 +558,14 @@ impl HttpConn {
     /// may write a complete request and half-close in the same packet —
     /// but once the buffered input no longer holds a complete request the
     /// connection closes after its pending output flushes.
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.eof = true;
     }
 
     /// Number of complete requests parsed so far.  Deadline-driven
     /// transports treat an advance of this counter as proof of protocol
     /// progress; see the field doc on `requests_parsed`.
-    pub fn requests_parsed(&self) -> u64 {
+    pub(crate) fn requests_parsed(&self) -> u64 {
         self.requests_parsed
     }
 
@@ -569,18 +573,18 @@ impl HttpConn {
     /// mid-emission, nothing queued, nothing buffered unsent.  At such a
     /// boundary a transport evicting the connection can still write a
     /// framing-safe courtesy response (408).
-    pub fn at_response_boundary(&self) -> bool {
+    pub(crate) fn at_response_boundary(&self) -> bool {
         self.active.is_none() && self.queued.is_empty() && !self.has_unsent_output()
     }
 
     /// True while an offloaded unit of [`Work`] is outstanding.
-    pub fn has_pending_work(&self) -> bool {
+    pub(crate) fn has_pending_work(&self) -> bool {
         self.pending_call.is_some() || self.pending_pull || self.pending_activation.is_some()
     }
 
     /// True when the connection is finished: close decided, output fully
     /// flushed, and no offloaded work still in flight.
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         !self.open && !self.wants_write() && !self.has_pending_work()
     }
 }

@@ -11,7 +11,7 @@
 //! origin never stalls the other connections.
 //!
 //! An [`HttpServer`] fronts any [`HttpService`] (an origin built with
-//! [`service_fn`](nakika_core::service_fn), or a full node stack from
+//! [`service_fn`](nakika_core::service::service_fn), or a full node stack from
 //! [`NodeBuilder`](nakika_core::NodeBuilder)), mints a
 //! [`RequestCtx`](nakika_core::service::RequestCtx) per exchange from the
 //! [`WallClock`], and maps typed
@@ -33,6 +33,7 @@
 // `unsafe` is confined to the readiness FFI in `sys`, which opts back in.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod client;
 mod conn;
@@ -42,8 +43,8 @@ mod sys;
 mod timer;
 
 pub use client::{
-    http_fetch, http_fetch_streaming, http_fetch_streaming_via_proxy, http_get, http_get_via_proxy,
-    ProxyClient, TcpOrigin,
+    http_fetch, http_fetch_streaming_via_proxy, http_get, http_get_via_proxy, ProxyClient,
+    TcpOrigin,
 };
 pub use conn::OUTPUT_WINDOW_BYTES;
 pub use reactor::{HttpServer, ReactorConfig};
@@ -79,7 +80,7 @@ pub struct ServerOptions {
     /// [`ServerStats::timeouts`]; a 408 is sent when the connection is at
     /// a request boundary).  Raw bytes are *not* progress: a slow-loris
     /// client dripping header bytes is evicted all the same.  `0` (the
-    /// default) means [`DEFAULT_IDLE_TIMEOUT_MS`].
+    /// default) means `DEFAULT_IDLE_TIMEOUT_MS` (30 s).
     pub idle_timeout_ms: u64,
     /// Hard cap on concurrently open client connections.  Arrivals past
     /// the cap are answered with a canned `503` and closed immediately
@@ -91,7 +92,7 @@ pub struct ServerOptions {
 /// Default per-connection progress deadline (30 s), generous enough for
 /// polite keep-alive reuse and origin stalls, short enough to reclaim
 /// slab slots from abandoned or adversarial peers.
-pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 30_000;
+pub(crate) const DEFAULT_IDLE_TIMEOUT_MS: u64 = 30_000;
 
 impl ServerOptions {
     pub(crate) fn resolved_idle_timeout_ms(&self) -> u64 {
@@ -104,7 +105,7 @@ impl ServerOptions {
 }
 
 /// Survival counters for one server, in the same always-on spirit as
-/// [`CacheStats`](nakika_core::CacheStats): cheap atomics bumped on the
+/// [`CacheStats`](nakika_core::cache::CacheStats): cheap atomics bumped on the
 /// serving paths, snapshot by accessor.
 #[derive(Debug, Default)]
 pub struct ServerStats {

@@ -26,33 +26,33 @@ use std::os::unix::io::RawFd;
 /// Errors and hang-ups are folded into `readable` so the state machine
 /// discovers them from the subsequent `read` returning 0 or an error.
 #[derive(Debug, Clone, Copy)]
-pub struct PollEvent {
+pub(crate) struct PollEvent {
     /// The token the fd was registered under.
-    pub token: u64,
+    pub(crate) token: u64,
     /// The fd is readable (or in an error/hang-up state).
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// The fd is writable.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 /// The interest set for a registered fd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the fd becomes readable.
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// Wake when the fd becomes writable.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 impl Interest {
     /// Read-only interest — the steady state of a keep-alive connection.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
     };
 
     /// Write-only interest — an upstream connection with a request to send.
-    pub const WRITE: Interest = Interest {
+    pub(crate) const WRITE: Interest = Interest {
         readable: false,
         writable: true,
     };
@@ -95,7 +95,7 @@ mod backend {
     }
 
     /// An `epoll(7)` instance.
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: RawFd,
     }
 
@@ -127,32 +127,32 @@ mod backend {
 
     impl Poller {
         /// Creates the epoll instance (`EPOLL_CLOEXEC`).
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             let epfd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             Ok(Poller { epfd })
         }
 
         /// Registers `fd` under `token` with the given interest.
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             let mut ev = event_for(interest, token);
             check(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) }).map(|_| ())
         }
 
         /// Changes the interest set of a registered fd.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             let mut ev = event_for(interest, token);
             check(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, &mut ev) }).map(|_| ())
         }
 
         /// Deregisters `fd`.
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn remove(&self, fd: RawFd) -> io::Result<()> {
             let mut ev = event_for(Interest::READ, 0);
             check(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
         }
 
         /// Blocks until at least one registered fd is ready (`timeout_ms < 0`
         /// waits forever), filling `out` with the ready set.
-        pub fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
+        pub(crate) fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
             out.clear();
             let mut events = [EpollEvent { events: 0, data: 0 }; 64];
             let n = loop {
@@ -216,37 +216,37 @@ mod backend {
 
     /// A `poll(2)`-backed poller for non-Linux Unixes: the registration
     /// table lives in userspace and is replayed on every wait.
-    pub struct Poller {
+    pub(crate) struct Poller {
         registered: Mutex<HashMap<RawFd, (u64, Interest)>>,
     }
 
     impl Poller {
         /// Creates the poller.
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             Ok(Poller {
                 registered: Mutex::new(HashMap::new()),
             })
         }
 
         /// Registers `fd` under `token` with the given interest.
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.registered.lock().insert(fd, (token, interest));
             Ok(())
         }
 
         /// Changes the interest set of a registered fd.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.add(fd, token, interest)
         }
 
         /// Deregisters `fd`.
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn remove(&self, fd: RawFd) -> io::Result<()> {
             self.registered.lock().remove(&fd);
             Ok(())
         }
 
         /// Blocks until at least one registered fd is ready.
-        pub fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
+        pub(crate) fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
             out.clear();
             let (mut fds, tokens): (Vec<PollFd>, Vec<u64>) = {
                 let registered = self.registered.lock();
@@ -299,7 +299,7 @@ mod backend {
     }
 }
 
-pub use backend::Poller;
+pub(crate) use backend::Poller;
 
 /// Starts a TCP connect without blocking the event loop.  Returns the
 /// non-blocking stream plus whether the connect already completed: `false`

@@ -30,9 +30,9 @@
 /// time it was filed (the generation defends against slab-slot reuse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TimerEntry {
-    pub idx: usize,
-    pub gen: u64,
-    pub deadline_ms: u64,
+    pub(crate) idx: usize,
+    pub(crate) gen: u64,
+    pub(crate) deadline_ms: u64,
 }
 
 /// Verdict of the caller's validation closure for a surfaced entry.
@@ -57,7 +57,7 @@ pub(crate) struct TimerWheel {
 }
 
 impl TimerWheel {
-    pub fn new(tick_ms: u64, slots: usize, now_ms: u64) -> TimerWheel {
+    pub(crate) fn new(tick_ms: u64, slots: usize, now_ms: u64) -> TimerWheel {
         assert!(tick_ms > 0 && slots > 1);
         TimerWheel {
             slots: (0..slots).map(|_| Vec::new()).collect(),
@@ -68,13 +68,13 @@ impl TimerWheel {
     }
 
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Files a deadline.  Deadlines already in the past land in the next
     /// sweepable tick rather than being lost.
-    pub fn insert(&mut self, idx: usize, gen: u64, deadline_ms: u64) {
+    pub(crate) fn insert(&mut self, idx: usize, gen: u64, deadline_ms: u64) {
         let tick = (deadline_ms / self.tick_ms).max(self.swept_tick + 1);
         let slot = (tick as usize) % self.slots.len();
         self.slots[slot].push(TimerEntry {
@@ -90,7 +90,7 @@ impl TimerWheel {
     /// a lower bound: an entry hashed into a near slot by a far-future
     /// deadline may cause an early wakeup (the sweep just re-files it),
     /// but a due deadline is never reported later than one tick.
-    pub fn next_deadline_ms(&self, now_ms: u64) -> Option<u64> {
+    pub(crate) fn next_deadline_ms(&self, now_ms: u64) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -105,7 +105,7 @@ impl TimerWheel {
     /// `judge`.  `Fire` entries are returned (the caller evicts),
     /// `Refile` entries are re-filed at their new deadline, `Drop`
     /// entries vanish.
-    pub fn expire(
+    pub(crate) fn expire(
         &mut self,
         now_ms: u64,
         mut judge: impl FnMut(&TimerEntry) -> TimerVerdict,

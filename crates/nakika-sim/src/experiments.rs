@@ -26,7 +26,7 @@ use std::time::Instant;
 
 /// The nine micro-benchmark configurations of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MicroConfig {
+pub(crate) enum MicroConfig {
     /// A regular Apache proxy.
     Proxy,
     /// The proxy with an integrated DHT.
@@ -42,7 +42,7 @@ pub enum MicroConfig {
 
 impl MicroConfig {
     /// All configurations in the order Table 2 reports them.
-    pub fn all() -> Vec<MicroConfig> {
+    pub(crate) fn all() -> Vec<MicroConfig> {
         vec![
             MicroConfig::Proxy,
             MicroConfig::Dht,
@@ -57,7 +57,7 @@ impl MicroConfig {
     }
 
     /// The configuration's display name as used in Table 2.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             MicroConfig::Proxy => "Proxy".to_string(),
             MicroConfig::Dht => "DHT".to_string(),
@@ -339,20 +339,20 @@ pub struct SimmResult {
 #[derive(Debug, Clone)]
 pub struct SimmScenario {
     /// Number of clients.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Accesses per client.
-    pub accesses_per_client: usize,
+    pub(crate) accesses_per_client: usize,
     /// Client-to-proxy link.
-    pub client_link: LinkModel,
+    pub(crate) client_link: LinkModel,
     /// Proxy-to-origin (and client-to-origin, for the single server) link.
-    pub origin_link: LinkModel,
+    pub(crate) origin_link: LinkModel,
     /// Origin service time for a personalised XML page (content creation).
-    pub origin_dynamic_ms: f64,
+    pub(crate) origin_dynamic_ms: f64,
     /// Origin service time for rendering XML to HTML (offloaded to the edge
     /// in the Na Kika port).
-    pub origin_render_ms: f64,
+    pub(crate) origin_render_ms: f64,
     /// Client think time between accesses.
-    pub think_ms: f64,
+    pub(crate) think_ms: f64,
 }
 
 impl SimmScenario {
@@ -383,7 +383,7 @@ impl SimmScenario {
 
     /// The PlanetLab-style wide-area setup: clients on the US East Coast,
     /// West Coast and Asia; origin in New York; per-slice bandwidth limited.
-    pub fn wide_area(clients: usize) -> SimmScenario {
+    pub(crate) fn wide_area(clients: usize) -> SimmScenario {
         SimmScenario {
             clients,
             accesses_per_client: 6,
@@ -487,7 +487,6 @@ pub fn simm_nakika(scenario: &SimmScenario, proxies: usize, warm: bool) -> SimmR
             .build();
         sim_proxies.push(SimProxy::new(
             handle,
-            location,
             scenario.client_link,
             LinkModel {
                 latency_ms: location
@@ -644,7 +643,6 @@ pub fn specweb(connections: usize, requests: usize, edge_nodes: usize) -> Vec<Sp
             .build();
         proxies.push(SimProxy::new(
             handle,
-            location,
             local,
             coast_to_coast,
             ServerModel {

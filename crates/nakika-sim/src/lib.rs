@@ -14,11 +14,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
-pub mod net;
-pub mod stats;
-pub mod workload;
-
-pub use net::{LinkModel, ServerModel, SimProxy};
-pub use stats::{Cdf, Summary};
+pub(crate) mod net;
+pub(crate) mod stats;
+pub(crate) mod workload;

@@ -20,20 +20,20 @@ use std::sync::Arc;
 /// The simulator's [`Clock`]: virtual seconds advanced by the experiment
 /// harness, never by wall time.  Same mechanics as the test transport's
 /// manually driven clock, re-exported under its domain name.
-pub use nakika_core::service::ManualClock as VirtualClock;
+pub(crate) use nakika_core::service::ManualClock as VirtualClock;
 
 /// A point-to-point link: propagation latency plus bandwidth.
 #[derive(Debug, Clone, Copy)]
-pub struct LinkModel {
+pub(crate) struct LinkModel {
     /// One-way propagation latency in milliseconds.
-    pub latency_ms: f64,
+    pub(crate) latency_ms: f64,
     /// Bandwidth in bits per second.
-    pub bandwidth_bps: f64,
+    pub(crate) bandwidth_bps: f64,
 }
 
 impl LinkModel {
     /// A link between two locations with the given bandwidth.
-    pub fn between(a: &Location, b: &Location, bandwidth_bps: f64) -> LinkModel {
+    pub(crate) fn between(a: &Location, b: &Location, bandwidth_bps: f64) -> LinkModel {
         LinkModel {
             latency_ms: a.latency_ms(b),
             bandwidth_bps,
@@ -42,7 +42,7 @@ impl LinkModel {
 
     /// A LAN link: sub-millisecond latency, 100 Mbit/s (the paper's
     /// micro-benchmark setup).
-    pub fn lan() -> LinkModel {
+    pub(crate) fn lan() -> LinkModel {
         LinkModel {
             latency_ms: 0.2,
             bandwidth_bps: 100e6,
@@ -52,7 +52,7 @@ impl LinkModel {
     /// Time in milliseconds for one request/response exchange of
     /// `request_bytes` up and `response_bytes` down, including one round
     /// trip of propagation.
-    pub fn exchange_ms(&self, request_bytes: usize, response_bytes: usize) -> f64 {
+    pub(crate) fn exchange_ms(&self, request_bytes: usize, response_bytes: usize) -> f64 {
         2.0 * self.latency_ms
             + transfer_ms(request_bytes, self.bandwidth_bps)
             + transfer_ms(response_bytes, self.bandwidth_bps)
@@ -61,7 +61,7 @@ impl LinkModel {
     /// The bandwidth a transfer of `bytes` effectively sees when the transfer
     /// also pays the link's round-trip time, in kilobits per second — the
     /// metric the SIMM experiments report for video playback.
-    pub fn effective_kbps(&self, bytes: usize) -> f64 {
+    pub(crate) fn effective_kbps(&self, bytes: usize) -> f64 {
         let ms = self.exchange_ms(200, bytes);
         if ms <= 0.0 {
             return f64::INFINITY;
@@ -71,7 +71,7 @@ impl LinkModel {
 }
 
 /// Time to push `bytes` through `bandwidth_bps`, in milliseconds.
-pub fn transfer_ms(bytes: usize, bandwidth_bps: f64) -> f64 {
+pub(crate) fn transfer_ms(bytes: usize, bandwidth_bps: f64) -> f64 {
     if bandwidth_bps <= 0.0 {
         return f64::INFINITY;
     }
@@ -85,38 +85,33 @@ pub fn transfer_ms(bytes: usize, bandwidth_bps: f64) -> f64 {
 /// linearly with population — which is exactly the "single dynamic web server
 /// collapses under load" behaviour the paper's §5.2/§5.3 baselines show.
 #[derive(Debug, Clone, Copy)]
-pub struct ServerModel {
+pub(crate) struct ServerModel {
     /// Service demand per request at the server, in milliseconds.
-    pub service_ms: f64,
+    pub(crate) service_ms: f64,
     /// Client think time between requests, in milliseconds.
-    pub think_ms: f64,
+    pub(crate) think_ms: f64,
 }
 
 impl ServerModel {
     /// Server capacity in requests per second.
-    pub fn capacity_rps(&self) -> f64 {
+    pub(crate) fn capacity_rps(&self) -> f64 {
         1000.0 / self.service_ms
     }
 
     /// Throughput (requests per second) with `n_clients` closed-loop clients.
-    pub fn throughput_rps(&self, n_clients: usize) -> f64 {
+    pub(crate) fn throughput_rps(&self, n_clients: usize) -> f64 {
         let unsaturated = n_clients as f64 * 1000.0 / (self.service_ms + self.think_ms);
         unsaturated.min(self.capacity_rps())
     }
 
     /// Mean response time in milliseconds with `n_clients` clients
     /// (interactive response-time law `R = N/X - Z`).
-    pub fn response_ms(&self, n_clients: usize) -> f64 {
+    pub(crate) fn response_ms(&self, n_clients: usize) -> f64 {
         if n_clients == 0 {
             return self.service_ms;
         }
         let x = self.throughput_rps(n_clients) / 1000.0; // req per ms
         (n_clients as f64 / x - self.think_ms).max(self.service_ms)
-    }
-
-    /// Utilisation in `[0, 1]` with `n_clients` clients.
-    pub fn utilisation(&self, n_clients: usize) -> f64 {
-        (self.throughput_rps(n_clients) / self.capacity_rps()).min(1.0)
     }
 }
 
@@ -124,48 +119,37 @@ impl ServerModel {
 /// origin server; wraps a real node's [`HttpService`] stack and converts its
 /// observable behaviour (cache hit, peer fetch, origin fetch, script work)
 /// into client-perceived latency.
-pub struct SimProxy {
+pub(crate) struct SimProxy {
     handle: NodeHandle,
     clock: Arc<VirtualClock>,
     ctx_factory: CtxFactory,
-    /// Where the proxy sits in latency space.
-    pub location: Location,
     /// Link from clients (assumed co-located with the proxy's region) to the
     /// proxy.
-    pub client_link: LinkModel,
+    pub(crate) client_link: LinkModel,
     /// Link from the proxy to the origin server.
-    pub origin_link: LinkModel,
+    pub(crate) origin_link: LinkModel,
     /// Origin service model (shared with the single-server baseline).
-    pub origin_model: ServerModel,
+    pub(crate) origin_model: ServerModel,
     /// Per-request CPU overhead of the scripting pipeline on this node, in
     /// milliseconds (calibrated from the component micro-benchmarks).
-    pub pipeline_overhead_ms: f64,
+    pub(crate) pipeline_overhead_ms: f64,
 }
 
 /// Latency breakdown of one simulated request through a proxy.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RequestTiming {
+pub(crate) struct RequestTiming {
     /// Total client-perceived latency in milliseconds.
-    pub total_ms: f64,
-    /// True if the proxy answered from its local cache.
-    pub local_hit: bool,
-    /// True if a peer copy (overlay) avoided the origin.
-    pub peer_hit: bool,
+    pub(crate) total_ms: f64,
     /// Number of origin accesses the request caused (scripts included).
-    pub origin_accesses: u64,
-    /// True if the request was rejected (server busy).
-    pub rejected: bool,
-    /// The HTTP response.
-    pub status: u16,
+    pub(crate) origin_accesses: u64,
     /// Response body size in bytes.
-    pub response_bytes: usize,
+    pub(crate) response_bytes: usize,
 }
 
 impl SimProxy {
-    /// Places `handle` at `location` behind the given link and server models.
-    pub fn new(
+    /// Places `handle` behind the given link and server models.
+    pub(crate) fn new(
         handle: NodeHandle,
-        location: Location,
         client_link: LinkModel,
         origin_link: LinkModel,
         origin_model: ServerModel,
@@ -177,7 +161,6 @@ impl SimProxy {
             handle,
             clock,
             ctx_factory,
-            location,
             client_link,
             origin_link,
             origin_model,
@@ -185,15 +168,10 @@ impl SimProxy {
         }
     }
 
-    /// The wrapped node's handle (statistics, cache, stores).
-    pub fn handle(&self) -> &NodeHandle {
-        &self.handle
-    }
-
     /// Runs one request through the proxy at virtual time `now_secs`,
     /// charging link and server latencies according to what the node actually
     /// did, with `origin_load` concurrent clients loading the origin.
-    pub fn run_request(
+    pub(crate) fn run_request(
         &self,
         request: Request,
         now_secs: u64,
@@ -209,7 +187,6 @@ impl SimProxy {
 
         let origin_accesses = after.origin_fetches - before.origin_fetches;
         let peer_fetches = after.peer_hits - before.peer_hits;
-        let cache_hits = after.cache_hits - before.cache_hits;
         // The transport decides the status mapping for platform errors.
         let (response, rejected) = match result {
             Ok(response) => (response, false),
@@ -237,16 +214,11 @@ impl SimProxy {
             // clusters).
             total_ms += peer_fetches as f64
                 * (2.0 * self.client_link.exchange_ms(400, response.body.len()));
-            let _ = cache_hits;
         }
 
         let timing = RequestTiming {
             total_ms,
-            local_hit: cache_hits > 0 && origin_accesses == 0 && peer_fetches == 0,
-            peer_hit: peer_fetches > 0,
             origin_accesses,
-            rejected,
-            status: response.status.as_u16(),
             response_bytes: response.body.len(),
         };
         (response, timing)
@@ -304,8 +276,6 @@ mod tests {
         // growing roughly linearly.
         assert!((model.throughput_rps(1000) - 100.0).abs() < 1e-9);
         assert!(model.response_ms(1000) > model.response_ms(100) * 5.0);
-        assert!(model.utilisation(1000) >= 0.99);
-        assert!(model.utilisation(1) < 0.2);
     }
 
     #[test]
@@ -318,7 +288,6 @@ mod tests {
             .build();
         let proxy = SimProxy::new(
             handle,
-            sites::US_WEST,
             LinkModel::lan(),
             LinkModel::between(&sites::US_WEST, &sites::US_EAST, 8e6),
             ServerModel {
@@ -329,8 +298,8 @@ mod tests {
         );
         let (_, cold) = proxy.run_request(Request::get("http://site.example/"), 10, 1);
         let (_, warm) = proxy.run_request(Request::get("http://site.example/"), 20, 1);
-        assert!(cold.origin_accesses == 1 && !cold.local_hit);
-        assert!(warm.local_hit && warm.origin_accesses == 0);
+        assert_eq!(cold.origin_accesses, 1);
+        assert_eq!(warm.origin_accesses, 0);
         assert!(
             cold.total_ms > warm.total_ms * 5.0,
             "cold {} should dwarf warm {}",

@@ -1,36 +1,38 @@
-//! Latency and throughput statistics: means, percentiles, CDFs.
+//! Latency statistics: means, percentiles, CDFs.
 
 /// A collection of samples with summary statistics.
 #[derive(Debug, Clone, Default)]
-pub struct Summary {
+pub(crate) struct Summary {
     samples: Vec<f64>,
     sorted: bool,
 }
 
 impl Summary {
     /// Creates an empty summary.
-    pub fn new() -> Summary {
+    pub(crate) fn new() -> Summary {
         Summary::default()
     }
 
     /// Adds a sample.
-    pub fn add(&mut self, value: f64) {
+    pub(crate) fn add(&mut self, value: f64) {
         self.samples.push(value);
         self.sorted = false;
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
     /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 
     /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             0.0
         } else {
@@ -48,7 +50,7 @@ impl Summary {
     }
 
     /// The `p`-th percentile (p in 0..=100), using nearest-rank.
-    pub fn percentile(&mut self, p: f64) -> f64 {
+    pub(crate) fn percentile(&mut self, p: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -58,22 +60,25 @@ impl Summary {
     }
 
     /// Median (50th percentile).
-    pub fn median(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn median(&mut self) -> f64 {
         self.percentile(50.0)
     }
 
     /// Maximum sample (0 when empty).
-    pub fn max(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max(&mut self) -> f64 {
         self.sorted_samples().last().copied().unwrap_or(0.0)
     }
 
     /// Minimum sample (0 when empty).
-    pub fn min(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min(&mut self) -> f64 {
         self.sorted_samples().first().copied().unwrap_or(0.0)
     }
 
     /// Fraction of samples satisfying `predicate`.
-    pub fn fraction(&self, predicate: impl Fn(f64) -> bool) -> f64 {
+    pub(crate) fn fraction(&self, predicate: impl Fn(f64) -> bool) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -82,7 +87,7 @@ impl Summary {
 
     /// Builds a CDF over the samples with `points` evenly spaced probability
     /// steps.
-    pub fn cdf(&mut self, points: usize) -> Cdf {
+    pub(crate) fn cdf(&mut self, points: usize) -> Cdf {
         let mut steps = Vec::with_capacity(points);
         if self.samples.is_empty() || points == 0 {
             return Cdf { steps };
@@ -105,53 +110,13 @@ pub struct Cdf {
 
 impl Cdf {
     /// The fraction of samples at or below `value`.
-    pub fn probability_at(&self, value: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability_at(&self, value: f64) -> f64 {
         self.steps
             .iter()
             .filter(|(v, _)| *v <= value)
             .map(|(_, p)| *p)
             .fold(0.0, f64::max)
-    }
-
-    /// Renders the CDF as `value<TAB>probability` lines for plotting.
-    pub fn to_table(&self) -> String {
-        self.steps
-            .iter()
-            .map(|(v, p)| format!("{v:.3}\t{p:.3}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
-/// Throughput bookkeeping for load experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Throughput {
-    /// Completed requests.
-    pub completed: u64,
-    /// Requests rejected (throttled or dropped).
-    pub rejected: u64,
-    /// Virtual duration of the run in seconds.
-    pub duration_secs: f64,
-}
-
-impl Throughput {
-    /// Completed requests per second.
-    pub fn rps(&self) -> f64 {
-        if self.duration_secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / self.duration_secs
-        }
-    }
-
-    /// Fraction of all offered requests that were rejected.
-    pub fn rejection_rate(&self) -> f64 {
-        let offered = self.completed + self.rejected;
-        if offered == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / offered as f64
-        }
     }
 }
 
@@ -197,19 +162,5 @@ mod tests {
         assert!((cdf.probability_at(250.0) - 0.5).abs() < 1e-9);
         assert_eq!(cdf.probability_at(50.0), 0.0);
         assert!((cdf.probability_at(1000.0) - 1.0).abs() < 1e-9);
-        assert!(cdf.to_table().contains('\t'));
-    }
-
-    #[test]
-    fn throughput_math() {
-        let t = Throughput {
-            completed: 600,
-            rejected: 3,
-            duration_secs: 2.0,
-        };
-        assert!((t.rps() - 300.0).abs() < 1e-9);
-        assert!((t.rejection_rate() - 3.0 / 603.0).abs() < 1e-9);
-        assert_eq!(Throughput::default().rps(), 0.0);
-        assert_eq!(Throughput::default().rejection_rate(), 0.0);
     }
 }

@@ -23,11 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The size of the micro-benchmark's static page (paper §5.1).
-pub const MICRO_PAGE_BYTES: usize = 2_096;
+pub(crate) const MICRO_PAGE_BYTES: usize = 2_096;
 
 /// A configurable simulated origin server: a map from URL paths to responses
 /// plus a default page, counting every access.
-pub struct ScriptedOrigin {
+pub(crate) struct ScriptedOrigin {
     routes: Mutex<HashMap<String, Response>>,
     default_body: Vec<u8>,
     default_type: String,
@@ -38,7 +38,7 @@ pub struct ScriptedOrigin {
 impl ScriptedOrigin {
     /// Creates an origin whose default response is a cacheable page of
     /// `MICRO_PAGE_BYTES` bytes.
-    pub fn micro_benchmark() -> ScriptedOrigin {
+    pub(crate) fn micro_benchmark() -> ScriptedOrigin {
         ScriptedOrigin {
             routes: Mutex::new(HashMap::new()),
             default_body: vec![b'g'; MICRO_PAGE_BYTES],
@@ -49,7 +49,11 @@ impl ScriptedOrigin {
     }
 
     /// Creates an origin with an arbitrary default page.
-    pub fn with_default(body: Vec<u8>, content_type: &str, cache_control: &str) -> ScriptedOrigin {
+    pub(crate) fn with_default(
+        body: Vec<u8>,
+        content_type: &str,
+        cache_control: &str,
+    ) -> ScriptedOrigin {
         ScriptedOrigin {
             routes: Mutex::new(HashMap::new()),
             default_body: body,
@@ -61,27 +65,28 @@ impl ScriptedOrigin {
 
     /// Serves `body` with `content_type` at `path` (exact match on the URL
     /// path), cacheable for `max_age` seconds.
-    pub fn route(&self, path: &str, content_type: &str, body: &str, max_age: u64) {
+    pub(crate) fn route(&self, path: &str, content_type: &str, body: &str, max_age: u64) {
         let response = Response::ok(content_type, body)
             .with_header("Cache-Control", &format!("max-age={max_age}"));
         self.routes.lock().insert(path.to_string(), response);
     }
 
     /// Serves a Na Kika script at `path`.
-    pub fn route_script(&self, path: &str, source: &str) {
+    pub(crate) fn route_script(&self, path: &str, source: &str) {
         self.route(path, "application/javascript", source, 300);
     }
 
     /// Installs the empty-handler walls at the well-known wall paths (the
     /// `Admin` baseline of Table 1).
-    pub fn with_empty_walls(self) -> ScriptedOrigin {
+    pub(crate) fn with_empty_walls(self) -> ScriptedOrigin {
         self.route_script("/clientwall.js", scripts::EMPTY_WALL);
         self.route_script("/serverwall.js", scripts::EMPTY_WALL);
         self
     }
 
     /// Number of requests the origin has served.
-    pub fn hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 }
@@ -107,19 +112,19 @@ impl OriginFetch for ScriptedOrigin {
 
 /// Parameters of the synthetic SIMM workload.
 #[derive(Debug, Clone)]
-pub struct SimmWorkload {
+pub(crate) struct SimmWorkload {
     /// Number of modules (the paper has five).
-    pub modules: usize,
+    pub(crate) modules: usize,
     /// Lecture pages per module.
-    pub pages_per_module: usize,
+    pub(crate) pages_per_module: usize,
     /// Size of a rendered HTML/XML lecture page in bytes.
-    pub html_bytes: usize,
+    pub(crate) html_bytes: usize,
     /// Size of one multimedia (video) segment in bytes.
-    pub video_bytes: usize,
+    pub(crate) video_bytes: usize,
     /// Fraction of accesses that go to multimedia content.
-    pub video_fraction: f64,
+    pub(crate) video_fraction: f64,
     /// Deterministic seed for session generation.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for SimmWorkload {
@@ -137,7 +142,7 @@ impl Default for SimmWorkload {
 
 /// One request of a SIMM session.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimmAccess {
+pub(crate) enum SimmAccess {
     /// A personalised lecture page for `student`.
     Html {
         /// Module index.
@@ -158,7 +163,7 @@ pub enum SimmAccess {
 
 impl SimmAccess {
     /// The request this access issues against the SIMM site.
-    pub fn to_request(&self, client_ip: IpAddr) -> Request {
+    pub(crate) fn to_request(&self, client_ip: IpAddr) -> Request {
         let url = match self {
             SimmAccess::Html {
                 module,
@@ -175,7 +180,7 @@ impl SimmAccess {
     }
 
     /// True for multimedia accesses.
-    pub fn is_video(&self) -> bool {
+    pub(crate) fn is_video(&self) -> bool {
         matches!(self, SimmAccess::Video { .. })
     }
 }
@@ -184,7 +189,7 @@ impl SimmWorkload {
     /// Generates a log-replay-style access sequence for `students` students
     /// issuing `accesses_per_student` requests each (module popularity is
     /// Zipf-like: earlier modules are used more, as in a curriculum).
-    pub fn generate(&self, students: usize, accesses_per_student: usize) -> Vec<SimmAccess> {
+    pub(crate) fn generate(&self, students: usize, accesses_per_student: usize) -> Vec<SimmAccess> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut accesses = Vec::with_capacity(students * accesses_per_student);
         for student in 0..students {
@@ -213,7 +218,7 @@ impl SimmWorkload {
     /// Pages (XML rendered on the edge), shared video segments as large
     /// cacheable binaries, and a `nakika.js` that renders lecture XML to HTML
     /// and opts into access logging.
-    pub fn origin(&self) -> Arc<ScriptedOrigin> {
+    pub(crate) fn origin(&self) -> Arc<ScriptedOrigin> {
         let origin =
             ScriptedOrigin::with_default(vec![b'v'; self.video_bytes], "video/mp4", "max-age=3600")
                 .with_empty_walls();
@@ -262,17 +267,17 @@ impl SimmWorkload {
 
 /// Parameters of the SPECweb99-like workload.
 #[derive(Debug, Clone)]
-pub struct SpecWorkload {
+pub(crate) struct SpecWorkload {
     /// Fraction of requests that are dynamic (the paper uses 80%).
-    pub dynamic_fraction: f64,
+    pub(crate) dynamic_fraction: f64,
     /// Fraction of dynamic requests that are POSTs updating user state.
-    pub post_fraction: f64,
+    pub(crate) post_fraction: f64,
     /// Number of distinct static files.
-    pub static_files: usize,
+    pub(crate) static_files: usize,
     /// Static file size in bytes.
-    pub static_bytes: usize,
+    pub(crate) static_bytes: usize,
     /// Deterministic seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for SpecWorkload {
@@ -289,7 +294,7 @@ impl Default for SpecWorkload {
 
 /// One SPECweb99-like request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecAccess {
+pub(crate) enum SpecAccess {
     /// A static file fetch.
     Static {
         /// File index.
@@ -309,7 +314,7 @@ pub enum SpecAccess {
 
 impl SpecAccess {
     /// The request this access issues.
-    pub fn to_request(&self, client_ip: IpAddr) -> Request {
+    pub(crate) fn to_request(&self, client_ip: IpAddr) -> Request {
         match self {
             SpecAccess::Static { file } => {
                 Request::get(&format!("http://specweb.example.org/file{file}.html"))
@@ -331,14 +336,15 @@ impl SpecAccess {
     }
 
     /// True for the POST (hard-state update) accesses.
-    pub fn is_post(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_post(&self) -> bool {
         matches!(self, SpecAccess::DynamicPost { .. })
     }
 }
 
 impl SpecWorkload {
     /// Generates `count` accesses for `users` distinct users.
-    pub fn generate(&self, users: usize, count: usize) -> Vec<SpecAccess> {
+    pub(crate) fn generate(&self, users: usize, count: usize) -> Vec<SpecAccess> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         (0..count)
             .map(|_| {
@@ -361,7 +367,7 @@ impl SpecWorkload {
     /// Builds the SPECweb99 origin: static files, and a site script that
     /// serves the dynamic pages on the edge using replicated hard state for
     /// user registrations (paper §5.3).
-    pub fn origin(&self) -> Arc<ScriptedOrigin> {
+    pub(crate) fn origin(&self) -> Arc<ScriptedOrigin> {
         let origin =
             ScriptedOrigin::with_default(vec![b's'; self.static_bytes], "text/html", "max-age=600")
                 .with_empty_walls();
@@ -394,7 +400,7 @@ impl SpecWorkload {
 }
 
 /// A deterministic client IP for client index `i` (used by all workloads).
-pub fn client_ip(i: usize) -> IpAddr {
+pub(crate) fn client_ip(i: usize) -> IpAddr {
     IpAddr::V4(Ipv4Addr::new(
         10,
         ((i >> 16) & 0xff) as u8,

@@ -29,9 +29,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod logging;
-pub mod store;
+pub(crate) mod logging;
+pub(crate) mod store;
 
 pub use logging::{AccessLog, LogEntry};
-pub use store::{SiteStore, StoreError};
+pub use store::SiteStore;

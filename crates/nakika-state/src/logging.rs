@@ -29,7 +29,7 @@ pub struct LogEntry {
 
 impl LogEntry {
     /// Serialises the entry in a combined-log-like single line.
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(&self) -> String {
         format!(
             "{} {} \"{} {}\" {} {}",
             self.timestamp, self.client, self.method, self.url, self.status, self.bytes
@@ -38,9 +38,9 @@ impl LogEntry {
 }
 
 /// Most entries one site may have buffered between flushes; a site at the
-/// cap loses its newest accesses (counted, see [`AccessLog::dropped`])
-/// rather than growing the node without bound when nothing flushes.
-pub const MAX_PENDING_ENTRIES: usize = 4096;
+/// cap loses its newest accesses (counted per site) rather than growing
+/// the node without bound when nothing flushes.
+pub(crate) const MAX_PENDING_ENTRIES: usize = 4096;
 
 #[derive(Default)]
 struct SiteLog {
@@ -73,7 +73,7 @@ impl AccessLog {
     /// Records an access for `site`, building the entry only if it will be
     /// kept: a site that has no post URL configured buffers nothing (its
     /// entries would be thrown away at flush time anyway), and a site
-    /// already holding [`MAX_PENDING_ENTRIES`] counts the access as dropped.
+    /// already holding `MAX_PENDING_ENTRIES` counts the access as dropped.
     pub fn record(&self, site: &str, entry: impl FnOnce() -> LogEntry) {
         let mut sites = self.sites.lock();
         let Some(log) = sites.get_mut(site).filter(|log| log.post_url.is_some()) else {
@@ -97,7 +97,8 @@ impl AccessLog {
 
     /// Accesses of a site that were not buffered because it was already at
     /// [`MAX_PENDING_ENTRIES`], over the log's lifetime.
-    pub fn dropped(&self, site: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self, site: &str) -> u64 {
         self.sites.lock().get(site).map(|l| l.dropped).unwrap_or(0)
     }
 

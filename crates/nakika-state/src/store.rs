@@ -84,27 +84,6 @@ impl SiteStore {
             .and_then(|p| p.entries.get(key).cloned())
     }
 
-    /// Deletes a key; returns true if it existed.
-    pub fn delete(&self, site: &str, key: &str) -> bool {
-        let mut partitions = self.partitions.write();
-        if let Some(partition) = partitions.get_mut(site) {
-            if let Some(old) = partition.entries.remove(key) {
-                partition.used_bytes -= key.len() + old.len();
-                return true;
-            }
-        }
-        false
-    }
-
-    /// All keys in a site's partition, sorted.
-    pub fn keys(&self, site: &str) -> Vec<String> {
-        self.partitions
-            .read()
-            .get(site)
-            .map(|p| p.entries.keys().cloned().collect())
-            .unwrap_or_default()
-    }
-
     /// Keys in a site's partition starting with `prefix`.
     pub fn keys_with_prefix(&self, site: &str, prefix: &str) -> Vec<String> {
         self.partitions
@@ -121,7 +100,8 @@ impl SiteStore {
     }
 
     /// Bytes used by a site's partition.
-    pub fn used_bytes(&self, site: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn used_bytes(&self, site: &str) -> usize {
         self.partitions
             .read()
             .get(site)
@@ -129,13 +109,9 @@ impl SiteStore {
             .unwrap_or(0)
     }
 
-    /// The per-site quota in bytes.
-    pub fn quota_bytes(&self) -> usize {
-        self.quota_bytes
-    }
-
     /// Number of entries stored for a site.
-    pub fn len(&self, site: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self, site: &str) -> usize {
         self.partitions
             .read()
             .get(site)
@@ -144,7 +120,8 @@ impl SiteStore {
     }
 
     /// True if the site's partition holds no entries.
-    pub fn is_empty(&self, site: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self, site: &str) -> bool {
         self.len(site) == 0
     }
 }
@@ -152,17 +129,6 @@ impl SiteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn put_get_delete_round_trip() {
-        let store = SiteStore::new(1024);
-        assert!(store.get("a.com", "user:1").is_none());
-        store.put("a.com", "user:1", "alice").unwrap();
-        assert_eq!(store.get("a.com", "user:1").as_deref(), Some("alice"));
-        assert!(store.delete("a.com", "user:1"));
-        assert!(!store.delete("a.com", "user:1"));
-        assert!(store.get("a.com", "user:1").is_none());
-    }
 
     #[test]
     fn partitions_are_isolated_per_site() {
@@ -189,22 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn usage_accounting_tracks_deletes() {
-        let store = SiteStore::new(1024);
-        store.put("a.com", "key", "value").unwrap();
-        assert_eq!(store.used_bytes("a.com"), 8);
-        store.delete("a.com", "key");
-        assert_eq!(store.used_bytes("a.com"), 0);
-    }
-
-    #[test]
     fn prefix_scans() {
         let store = SiteStore::new(4096);
         store.put("spec.org", "user:1", "a").unwrap();
         store.put("spec.org", "user:2", "b").unwrap();
         store.put("spec.org", "profile:1", "c").unwrap();
         assert_eq!(store.keys_with_prefix("spec.org", "user:").len(), 2);
-        assert_eq!(store.keys("spec.org").len(), 3);
         assert!(store.keys_with_prefix("other.org", "user:").is_empty());
     }
 }

@@ -4,9 +4,9 @@
 //! here, in three layers:
 //!
 //! * [`LocalNode`] — an in-process edge node (overlay-joined
-//!   [`nakika_core::NaKikaNode`] + [`TcpOrigin`] + [`HttpServer`] on an
-//!   ephemeral port) for benchmarks and integration tests that want real
-//!   sockets without real processes.
+//!   [`NaKikaNode`](nakika_core::node::NaKikaNode) + [`TcpOrigin`] +
+//!   [`HttpServer`] on an ephemeral port) for benchmarks and integration
+//!   tests that want real sockets without real processes.
 //! * [`node_main`] — the child entrypoint behind the `edge-node` binary and
 //!   the `edge_cluster` example: one OS process per node, which prints
 //!   `READY <name> <base-url>` once listening and serves until its stdin
@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 /// Parses a [`STATS_PATH`] response body back into a counter map.
 /// Non-numeric values (the `node` name line) are skipped.
-pub fn parse_stats(body: &str) -> HashMap<String, u64> {
+pub(crate) fn parse_stats(body: &str) -> HashMap<String, u64> {
     body.lines()
         .filter_map(|line| {
             let (key, value) = line.trim().split_once(' ')?;
@@ -71,8 +71,6 @@ fn parse_base_url(base_url: &str) -> Result<SocketAddr, NakikaError> {
 /// peer-routing data path — DNS-free, fork-free — while
 /// [`spawn_gossip_cluster`] covers the full multi-process story.
 pub struct LocalNode {
-    /// The node's name (also its overlay identity: `key_for(name)`).
-    pub name: String,
     /// `http://127.0.0.1:port` for this node's proxy front-end.
     pub base_url: String,
     /// The node stack behind the server, for direct stat inspection.
@@ -105,7 +103,6 @@ pub fn start_local_node(
     handle.node().set_public_addr(&base_url);
     overlay.set_addr(id, &base_url);
     Ok(LocalNode {
-        name: name.to_string(),
         base_url,
         handle,
         server,
@@ -113,7 +110,7 @@ pub fn start_local_node(
 }
 
 /// The `edge-node --help` text, printed verbatim.
-pub const NODE_USAGE: &str = "\
+pub(crate) const NODE_USAGE: &str = "\
 usage: edge-node NAME [flags]
 
 One cooperative edge node.  Serves client traffic, the gossip membership
@@ -139,7 +136,7 @@ nothing after it; whatever arrives on stdin before EOF is ignored.
 
 /// Runs one cluster node as a child process until stdin closes.
 ///
-/// `args` is the argument list after the program name; see [`NODE_USAGE`]
+/// `args` is the argument list after the program name; see `NODE_USAGE`
 /// for the flags.  The node prints `READY <name> <base-url>` once it is
 /// listening and serves until stdin reaches EOF, then exits cleanly.
 ///

@@ -6,8 +6,8 @@
 //! [`LatencyRecorder`] and reports percentiles next to throughput.
 //!
 //! The design is the standard HdrHistogram-style log-linear bucketing:
-//! values below [`SUBBUCKETS`] microseconds get one exact bucket each;
-//! above that, each power-of-two range is split into [`SUBBUCKETS`]
+//! values below `SUBBUCKETS` microseconds get one exact bucket each;
+//! above that, each power-of-two range is split into `SUBBUCKETS`
 //! linear sub-buckets, bounding relative error at `1/SUBBUCKETS`
 //! (6.25%).  Buckets are `AtomicU64`s bumped with relaxed `fetch_add`,
 //! so a single recorder can be shared by value-free `&self` across
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two range; also the count of exact
 /// single-microsecond buckets at the bottom of the scale.
-pub const SUBBUCKETS: usize = 16;
+pub(crate) const SUBBUCKETS: usize = 16;
 const SUB_BITS: u32 = SUBBUCKETS.trailing_zeros();
 /// Power-of-two groups above the exact range.  Group `g` covers
 /// `[SUBBUCKETS << (g-1), SUBBUCKETS << g)` microseconds; 48 groups
@@ -112,7 +112,7 @@ impl LatencyRecorder {
     }
 
     /// Records one latency sample from a [`std::time::Duration`].
-    pub fn record(&self, elapsed: std::time::Duration) {
+    pub(crate) fn record(&self, elapsed: std::time::Duration) {
         self.record_micros(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
@@ -161,7 +161,7 @@ impl LatencyRecorder {
     }
 
     /// The (p50, p99, p999) triple, in microseconds.
-    pub fn summary_us(&self) -> (u64, u64, u64) {
+    pub(crate) fn summary_us(&self) -> (u64, u64, u64) {
         (
             self.percentile_us(0.50),
             self.percentile_us(0.99),

@@ -5,7 +5,7 @@
 //! module measures its worst day — the traffic mixes
 //! that killed unguarded event loops in practice:
 //!
-//! * **Skewed load** — [`ZipfKeys`] and [`FlashCrowd`] port the
+//! * **Skewed load** — `ZipfKeys` and `FlashCrowd` port the
 //!   Zipf-popularity idiom of `nakika-sim`'s workload generators onto
 //!   real TCP: most requests hammer a few hot keys, a flash crowd
 //!   collapses the whole population onto one.
@@ -13,11 +13,11 @@
 //!   forever), [`header_flood`] (an unbounded header list),
 //!   [`oversized_body`] (a `Content-Length` past the parser cap),
 //!   [`SlowReader`] (requests a large body, then reads one byte per
-//!   tick), and [`connection_churn`] (open, dawdle, vanish).
+//!   tick), and `connection_churn` (open, dawdle, vanish).
 //! * **Endurance** — [`keepalive_soak`] holds thousands of polite
 //!   keep-alive sessions open at once (scaled to the process's fd
 //!   budget by [`fd_budget_connections`]) and counts every dropped
-//!   connection, and [`run_barrage`] measures what an active attack
+//!   connection, and `run_barrage` measures what an active attack
 //!   does to the warm-path p99 of clients that did nothing wrong.
 //!
 //! Everything here is a *client*: the defenses under test (progress
@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 /// Zipf-distributed key popularity over `n` keys with exponent `s`:
 /// key `k` (0-based) is drawn with probability proportional to
 /// `1 / (k + 1)^s`.  Deterministic per seed, like the sim workloads.
-pub struct ZipfKeys {
+pub(crate) struct ZipfKeys {
     cdf: Vec<f64>,
     rng: StdRng,
 }
@@ -54,7 +54,7 @@ pub struct ZipfKeys {
 impl ZipfKeys {
     /// A generator over `n` keys (`n >= 1`) with skew `s` (1.0 is the
     /// classic web-caching value; 0.0 degenerates to uniform).
-    pub fn new(n: usize, s: f64, seed: u64) -> ZipfKeys {
+    pub(crate) fn new(n: usize, s: f64, seed: u64) -> ZipfKeys {
         let n = n.max(1);
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -73,7 +73,7 @@ impl ZipfKeys {
     }
 
     /// Draws the next key index (0-based; 0 is the most popular).
-    pub fn next_key(&mut self) -> usize {
+    pub(crate) fn next_key(&mut self) -> usize {
         let r: f64 = self.rng.gen();
         self.cdf.partition_point(|&c| c < r).min(self.cdf.len() - 1)
     }
@@ -83,22 +83,28 @@ impl ZipfKeys {
 /// `flash_after` draws, each draw lands on the single hot key with
 /// probability `hot_fraction`, modelling the population collapsing onto
 /// one suddenly-famous URL.
-pub struct FlashCrowd {
+pub(crate) struct FlashCrowd {
     background: ZipfKeys,
     chooser: StdRng,
     drawn: usize,
     /// Draws before the crowd forms.
-    pub flash_after: usize,
+    pub(crate) flash_after: usize,
     /// Post-flash probability that a draw hits the hot key.
-    pub hot_fraction: f64,
+    pub(crate) hot_fraction: f64,
     /// The suddenly-famous key.
-    pub hot_key: usize,
+    pub(crate) hot_key: usize,
 }
 
 impl FlashCrowd {
     /// A crowd over `n` keys: Zipf(`s`) until `flash_after` draws, then
     /// `hot_fraction` of traffic piles onto key 0.
-    pub fn new(n: usize, s: f64, flash_after: usize, hot_fraction: f64, seed: u64) -> FlashCrowd {
+    pub(crate) fn new(
+        n: usize,
+        s: f64,
+        flash_after: usize,
+        hot_fraction: f64,
+        seed: u64,
+    ) -> FlashCrowd {
         FlashCrowd {
             background: ZipfKeys::new(n, s, seed),
             chooser: StdRng::seed_from_u64(seed ^ 0x9E37_79B9),
@@ -110,7 +116,7 @@ impl FlashCrowd {
     }
 
     /// Draws the next key index.
-    pub fn next_key(&mut self) -> usize {
+    pub(crate) fn next_key(&mut self) -> usize {
         self.drawn += 1;
         if self.drawn > self.flash_after && self.chooser.gen::<f64>() < self.hot_fraction {
             return self.hot_key;
@@ -316,7 +322,7 @@ impl SlowReader {
 /// Connection churn: `count` times, connect, linger briefly, and vanish
 /// without sending a byte.  Exercises accept-path bookkeeping (slot
 /// claim/release, deadline arm/disarm) at a hostile rate.
-pub fn connection_churn(addr: SocketAddr, count: usize, linger: Duration) {
+pub(crate) fn connection_churn(addr: SocketAddr, count: usize, linger: Duration) {
     for _ in 0..count {
         if let Ok(stream) = connect(addr) {
             std::thread::sleep(linger);
@@ -341,12 +347,12 @@ pub struct SoakReport {
     /// Latency distribution over every soak request.
     pub hist: LatencyRecorder,
     /// Wall-clock duration of the soak.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
 }
 
 /// The soft fd limit of this process, read from `/proc/self/limits`
 /// (falls back to 1024, the classic default, when unreadable).
-pub fn fd_soft_limit() -> usize {
+pub(crate) fn fd_soft_limit() -> usize {
     let Ok(limits) = std::fs::read_to_string("/proc/self/limits") else {
         return 1024;
     };
@@ -421,25 +427,23 @@ pub fn keepalive_soak(
 /// Result of a [`run_barrage`] run: warm keep-alive latency with and
 /// without a concurrent attack.
 #[derive(Debug, Clone)]
-pub struct BarrageReport {
+pub(crate) struct BarrageReport {
     /// p50/p99 (µs) of the polite clients with no attack running.
-    pub baseline_p50_us: u64,
+    pub(crate) baseline_p50_us: u64,
     /// See `baseline_p50_us`.
-    pub baseline_p99_us: u64,
+    pub(crate) baseline_p99_us: u64,
     /// p50/p99 (µs) of the polite clients while the barrage ran.
-    pub attacked_p50_us: u64,
+    pub(crate) attacked_p50_us: u64,
     /// See `attacked_p50_us`.
-    pub attacked_p99_us: u64,
-    /// Polite requests completed in each phase (all must succeed).
-    pub polite_requests: u64,
+    pub(crate) attacked_p99_us: u64,
     /// Slow-loris clients the server evicted (all of them, ideally).
-    pub loris_evicted: usize,
+    pub(crate) loris_evicted: usize,
     /// Slow-loris clients launched.
-    pub loris_launched: usize,
+    pub(crate) loris_launched: usize,
     /// Header floods answered with 431.
-    pub floods_rejected: usize,
+    pub(crate) floods_rejected: usize,
     /// Header floods launched.
-    pub floods_launched: usize,
+    pub(crate) floods_launched: usize,
 }
 
 /// Measures warm keep-alive latency across `clients` threads doing
@@ -485,7 +489,7 @@ fn polite_wave(
 /// attack clients run on their own threads for the whole attacked wave;
 /// the report pairs the two distributions so the caller can assert the
 /// polite p99 stayed put.
-pub fn run_barrage(
+pub(crate) fn run_barrage(
     addr: SocketAddr,
     url: &str,
     clients: usize,
@@ -547,7 +551,6 @@ pub fn run_barrage(
         baseline_p99_us: baseline.percentile_us(0.99),
         attacked_p50_us: attacked.percentile_us(0.50),
         attacked_p99_us: attacked.percentile_us(0.99),
-        polite_requests: baseline.count() + attacked.count(),
         loris_evicted,
         loris_launched,
         floods_rejected,
@@ -563,18 +566,18 @@ pub fn run_barrage(
 #[derive(Debug, Clone, Copy)]
 pub struct HostileKnobs {
     /// Requests drawn from the flash-crowd generator.
-    pub flash_requests: usize,
+    pub(crate) flash_requests: usize,
     /// Keep-alive connections the soak asks for (scaled down to the fd
     /// budget by [`fd_budget_connections`]).
     pub soak_connections: usize,
     /// Request/response rounds over every soak connection.
-    pub soak_rounds: usize,
+    pub(crate) soak_rounds: usize,
     /// Polite keep-alive clients in each barrage wave.
-    pub barrage_clients: usize,
+    pub(crate) barrage_clients: usize,
     /// Requests per polite client per wave.
-    pub barrage_per_client: usize,
+    pub(crate) barrage_per_client: usize,
     /// Concurrent slow-loris clients during the attacked wave.
-    pub loris_count: usize,
+    pub(crate) loris_count: usize,
 }
 
 impl HostileKnobs {
@@ -608,17 +611,17 @@ impl HostileKnobs {
 #[derive(Debug, Clone)]
 pub struct HostileSuiteReport {
     /// Flash-crowd throughput (requests per second).
-    pub flash_rps: f64,
+    pub(crate) flash_rps: f64,
     /// Flash-crowd p99 latency, µs.
-    pub flash_p99_us: u64,
+    pub(crate) flash_p99_us: u64,
     /// Polite latency with and without the active attack.
-    pub barrage: BarrageReport,
+    pub(crate) barrage: BarrageReport,
     /// The keep-alive soak outcome.
     pub soak: SoakReport,
     /// Deadline evictions the server counted over the whole suite.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Connections refused over the cap (0: the suite sets no cap).
-    pub rejected_over_cap: u64,
+    pub(crate) rejected_over_cap: u64,
 }
 
 /// Stands up an origin + plain proxy and runs the whole hostile suite

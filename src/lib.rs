@@ -5,6 +5,7 @@
 //! workspace-level examples and integration tests this package hosts.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod cluster;
 pub mod hist;

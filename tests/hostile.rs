@@ -15,6 +15,8 @@ use nakika_server::{
     http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ServerOptions, TcpOrigin,
     OUTPUT_WINDOW_BYTES,
 };
+use std::io::Read;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -107,6 +109,31 @@ fn slow_loris_is_evicted_while_polite_clients_stay_healthy() {
     let outcome = loris.join().expect("loris panicked");
     assert!(outcome.evicted, "slow-loris survived its 20 s give-up");
     assert!(proxy.stats().timeouts() >= 1, "eviction not counted");
+}
+
+/// A client that connects and never sends a byte is answered with the
+/// courtesy `408 Request Timeout` once its progress deadline passes, then
+/// closed, and the eviction is counted exactly once.
+#[test]
+fn silent_connection_gets_408_then_eof() {
+    let (_origin, proxy) = start_proxy(ServerOptions {
+        idle_timeout_ms: 300,
+        ..ServerOptions::default()
+    });
+    let mut silent = TcpStream::connect(proxy.addr()).expect("silent client connects");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reply = Vec::new();
+    silent
+        .read_to_end(&mut reply)
+        .expect("the server closes the silent connection");
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+        "silent client read {reply:?}"
+    );
+    assert_eq!(proxy.stats().timeouts(), 1);
 }
 
 /// Protocol-violation traffic is refused with the right status before it
