@@ -137,8 +137,6 @@ struct MeterInner {
     steps: AtomicU64,
     /// Bytes of script heap allocated (approximate, monotonically increasing).
     allocated: AtomicU64,
-    /// Bytes read or written through vocabularies (network/body bandwidth).
-    transferred: AtomicU64,
     /// Set by the resource manager to kill the pipeline.
     killed: AtomicBool,
 }
@@ -159,11 +157,6 @@ impl ResourceMeter {
         self.inner.allocated.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds transferred bytes (body reads/writes, sub-fetches).
-    pub(crate) fn add_transferred(&self, n: u64) {
-        self.inner.transferred.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Total evaluation steps so far.
     pub fn steps(&self) -> u64 {
         self.inner.steps.load(Ordering::Relaxed)
@@ -172,12 +165,6 @@ impl ResourceMeter {
     /// Total allocated bytes so far.
     pub fn allocated(&self) -> u64 {
         self.inner.allocated.load(Ordering::Relaxed)
-    }
-
-    /// Total transferred bytes so far.
-    #[cfg(test)]
-    pub(crate) fn transferred(&self) -> u64 {
-        self.inner.transferred.load(Ordering::Relaxed)
     }
 
     /// Marks the pipeline as terminated; the interpreter aborts at the next
@@ -302,10 +289,8 @@ mod tests {
         let m = ResourceMeter::new();
         m.add_steps(10);
         m.add_allocated(100);
-        m.add_transferred(1000);
         assert_eq!(m.steps(), 10);
         assert_eq!(m.allocated(), 100);
-        assert_eq!(m.transferred(), 1000);
         assert!(!m.is_killed());
         m.kill();
         assert!(m.is_killed());

@@ -578,9 +578,6 @@ impl<'c> Interpreter<'c> {
                 if let Some(result) = stdlib::call_builtin_method(this, name, args) {
                     let value = result?;
                     self.account_alloc(&value)?;
-                    if let Value::Bytes(_) | Value::Str(_) = &value {
-                        self.ctx.meter.add_transferred(0);
-                    }
                     Ok(value)
                 } else {
                     Err(ScriptError::Type(format!(

@@ -1,7 +1,7 @@
 //! Reproductions of every table and figure in the paper's evaluation (§5).
 //!
-//! Each function returns structured rows so the `nakika-bench` experiment
-//! binaries can print them and EXPERIMENTS.md can record paper-vs-measured.
+//! Each function returns structured rows so the `nakika-experiments` binary
+//! can print them beside the paper's numbers.
 //! Absolute numbers differ from the paper (2006 Pentium 4 + Apache vs. a
 //! modern CPU + this reimplementation); what is reproduced is the *shape*:
 //! orderings, ratios and crossovers.

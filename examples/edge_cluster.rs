@@ -22,7 +22,7 @@
 //! 3. every node's counters are printed from its `/__nakika/stats`
 //!    endpoint.
 
-use nakika_bench::cluster::{node_main, spawn_gossip_cluster, wait_for_members};
+use nakika::{node_main, spawn_gossip_cluster, wait_for_members};
 use nakika_core::service::service_fn;
 use nakika_http::{Request, Response};
 use nakika_server::{http_get_via_proxy, HttpServer};

@@ -1,5 +1,5 @@
 //! The multi-process cluster soak: three real `edge-node` OS processes on
-//! localhost, joined over gossip by `nakika_bench::cluster`, serving one
+//! localhost, joined over gossip by the `nakika` library, serving one
 //! origin that the parent controls and counts.
 //!
 //! This is the acceptance test for the cooperative network over real TCP:
@@ -8,7 +8,7 @@
 //! counters add up — every request a node saw is accounted for as a local
 //! hit, a peer answer, or an origin fetch.
 
-use nakika_bench::cluster::{fetch_stats, spawn_gossip_cluster, wait_for_members};
+use nakika::{fetch_stats, spawn_gossip_cluster, wait_for_members};
 use nakika_core::service::service_fn;
 use nakika_http::{Request, Response};
 use nakika_server::{http_get_via_proxy, HttpServer};

@@ -5,7 +5,7 @@
 //! notification of any kind), drop the dead node from their overlays, and
 //! stop routing keys to it.
 
-use nakika_bench::cluster::{fetch_stats, spawn_gossip_cluster, wait_for_members};
+use nakika::{fetch_stats, spawn_gossip_cluster, wait_for_members};
 use nakika_core::service::service_fn;
 use nakika_http::{Request, Response};
 use nakika_server::{http_get_via_proxy, HttpServer};

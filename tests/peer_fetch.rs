@@ -6,7 +6,7 @@
 //! stdio handshake) lives in `tests/edge_cluster.rs`; the protocol itself
 //! is documented in `docs/CLUSTER.md`.
 
-use nakika_bench::cluster::{fetch_stats, start_local_node, LocalNode};
+use nakika::{fetch_stats, start_local_node, LocalNode};
 use nakika_core::peering::{PEER_HOP_HEADER, PEER_VIA_HEADER};
 use nakika_core::service::{service_fn, HttpService};
 use nakika_core::NodeBuilder;

@@ -2,7 +2,6 @@
 //! HTTP message round-trips, URI rewriting, policy-matcher agreement, cache
 //! accounting, overlay lookups, and the script engine's sandbox.
 
-use nakika_bench::hist::LatencyRecorder;
 use nakika_core::policy::{LinearMatcher, Matcher, Policy, PolicySet};
 use nakika_core::ProxyCache;
 use nakika_http::{parse_request, parse_response, serialize_request, serialize_response};
@@ -307,77 +306,6 @@ proptest! {
             Ok(Value::Number(_)) => {}
             Err(nakika_script::ScriptError::FuelExhausted) => {}
             other => prop_assert!(false, "unexpected outcome: {other:?}"),
-        }
-    }
-
-    /// The bench histogram against a sorted-vec oracle: every reported
-    /// percentile brackets the oracle's exact answer from above, within
-    /// the log-bucketing's guaranteed relative error, and percentiles
-    /// are monotone in the quantile.
-    #[test]
-    fn latency_histogram_percentiles_track_the_sorted_oracle(
-        samples in prop::collection::vec(0u64..100_000_000, 1..200),
-    ) {
-        let hist = LatencyRecorder::new();
-        for &s in &samples {
-            hist.record_micros(s);
-        }
-        let mut oracle = samples.clone();
-        oracle.sort_unstable();
-        prop_assert_eq!(hist.count(), samples.len() as u64);
-
-        let mut last = 0u64;
-        for q in [0.01, 0.25, 0.50, 0.90, 0.99, 0.999, 1.0] {
-            let got = hist.percentile_us(q);
-            prop_assert!(got >= last, "percentile not monotone: p{q} = {got} < {last}");
-            last = got;
-            let rank = ((q * oracle.len() as f64).ceil() as usize).clamp(1, oracle.len());
-            let exact = oracle[rank - 1];
-            // The histogram reports the upper edge of the exact value's
-            // bucket: never below the oracle, never more than one
-            // sub-bucket's width (1/16th, plus a unit) above it.
-            prop_assert!(got >= exact, "p{q}: {got} below oracle {exact}");
-            prop_assert!(
-                got <= exact + exact / 16 + 1,
-                "p{q}: {got} too far above oracle {exact}"
-            );
-        }
-    }
-
-    /// Merging recorders is associative and agrees bucket-for-bucket with
-    /// recording every sample into a single histogram, so per-thread
-    /// recorders folded in any order report identical percentiles.
-    #[test]
-    fn latency_histogram_merge_is_associative(
-        a in prop::collection::vec(0u64..10_000_000, 0..64),
-        b in prop::collection::vec(0u64..10_000_000, 0..64),
-        c in prop::collection::vec(0u64..10_000_000, 0..64),
-    ) {
-        let rec = |samples: &[u64]| {
-            let h = LatencyRecorder::new();
-            for &s in samples {
-                h.record_micros(s);
-            }
-            h
-        };
-        // (a ⊕ b) ⊕ c
-        let left = rec(&a);
-        left.merge(&rec(&b));
-        left.merge(&rec(&c));
-        // a ⊕ (b ⊕ c)
-        let bc = rec(&b);
-        bc.merge(&rec(&c));
-        let right = rec(&a);
-        right.merge(&bc);
-        // Everything into one recorder.
-        let all: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-        let single = rec(&all);
-
-        prop_assert_eq!(left.bucket_counts(), right.bucket_counts());
-        prop_assert_eq!(left.bucket_counts(), single.bucket_counts());
-        prop_assert_eq!(left.count(), all.len() as u64);
-        for q in [0.5, 0.99, 0.999] {
-            prop_assert_eq!(left.percentile_us(q), single.percentile_us(q));
         }
     }
 }
