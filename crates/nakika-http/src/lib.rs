@@ -30,7 +30,7 @@ pub(crate) mod uri;
 
 pub use error::HttpError;
 pub use headers::Headers;
-pub use message::{Body, ChunkSource, Request, Response, STREAM_CHUNK_BYTES};
+pub use message::{Body, ChunkSource, Readiness, Request, Response, STREAM_CHUNK_BYTES};
 pub use method::Method;
 pub use parse::{parse_request, parse_response, parse_response_head, ChunkedDecoder, ParseOutcome};
 pub use serialize::{serialize_request, serialize_response, ResponseWriter};

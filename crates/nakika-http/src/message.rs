@@ -82,6 +82,20 @@ fn drain_source(source: &mut Box<dyn ChunkSource>, declared: Option<u64>) -> io:
     }
 }
 
+/// What pulling the next chunk of a source would do now: the one question
+/// a readiness-driven transport asks before it pulls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Readiness {
+    /// The chunk (or the end, or the error) is in memory: pull now.
+    Ready,
+    /// The transport feeds this source and will drive the consumer again
+    /// once something arrives: do not pull yet.
+    Pending,
+    /// The pull may block on I/O (an upstream socket), so it runs off the
+    /// event loop.
+    Blocking,
+}
+
 /// A pull source of body chunks: the streaming half of [`Body`].
 ///
 /// `next_chunk` returns `Ok(Some(bytes))` while data keeps arriving,
@@ -93,14 +107,13 @@ pub trait ChunkSource: Send {
     /// Pulls the next chunk, blocking if the source needs to wait for data.
     fn next_chunk(&mut self) -> io::Result<Option<Bytes>>;
 
-    /// Whether [`next_chunk`](ChunkSource::next_chunk) may *block* waiting
-    /// on external I/O (an upstream socket, a pipe).  Sources whose chunks
-    /// are already in memory — iterators, buffered bodies — leave the
-    /// default `false`; a source that reads a socket returns `true` so that
-    /// readiness-driven transports know to pull its chunks off the event
-    /// loop (see the reactor's origin offload in `nakika-server`).
-    fn may_block(&self) -> bool {
-        false
+    /// What [`next_chunk`](ChunkSource::next_chunk) would do if called
+    /// now.  In-memory sources — iterators, buffered bodies — keep the
+    /// default [`Readiness::Ready`]; a source that reads a socket answers
+    /// [`Readiness::Blocking`]; the `nakika-server` reactor's splice, which
+    /// its event loop feeds, answers [`Readiness::Pending`] while empty.
+    fn readiness(&self) -> Readiness {
+        Readiness::Ready
     }
 }
 
@@ -302,16 +315,16 @@ impl Body {
         matches!(self, Body::Stream(_))
     }
 
-    /// True when consuming the next chunk of this body may block on
-    /// external I/O (the [`ChunkSource::may_block`] of a still-active
-    /// stream).  In-memory and already-buffered bodies never block; neither
-    /// do failed streams (they report their stored error immediately).
-    pub fn may_block(&self) -> bool {
+    /// What reading the next chunk of this body would do now: the
+    /// [`ChunkSource::readiness`] of a still-active stream.  In-memory and
+    /// already-buffered bodies are always ready; so are failed streams
+    /// (they report their stored error immediately).
+    pub fn readiness(&self) -> Readiness {
         match self {
-            Body::Full(_) | Body::Parts(_) => false,
+            Body::Full(_) | Body::Parts(_) => Readiness::Ready,
             Body::Stream(stream) => match &*stream.state.lock().unwrap() {
-                StreamState::Active(source) => source.may_block(),
-                StreamState::Buffered(_) | StreamState::Failed(_) => false,
+                StreamState::Active(source) => source.readiness(),
+                StreamState::Buffered(_) | StreamState::Failed(_) => Readiness::Ready,
             },
         }
     }
@@ -554,10 +567,10 @@ struct TeeSource {
 }
 
 impl ChunkSource for TeeSource {
-    fn may_block(&self) -> bool {
-        // The tee adds no waiting of its own: it blocks exactly when the
-        // wrapped body does.
-        self.inner.may_block()
+    fn readiness(&self) -> Readiness {
+        // The tee adds no waiting of its own: it is ready exactly when the
+        // wrapped body is.
+        self.inner.readiness()
     }
 
     fn next_chunk(&mut self) -> io::Result<Option<Bytes>> {
@@ -807,6 +820,15 @@ impl Response {
         self.body = body.into();
         self.headers
             .set("Content-Length", self.body.len().to_string());
+    }
+
+    /// True for an HTTP/1.0 response of unknown length: having no chunked
+    /// encoding, it is framed by buffering its whole body first to learn
+    /// its `Content-Length` ([`ResponseWriter::new`]).
+    ///
+    /// [`ResponseWriter::new`]: crate::serialize::ResponseWriter::new
+    pub fn needs_whole_body(&self) -> bool {
+        !self.version_11 && self.body.size_hint().is_none()
     }
 
     /// Content type without parameters, defaulting to
@@ -1106,7 +1128,7 @@ mod tests {
         let parts = Body::from_kept(chunks.clone(), data.len());
         let full = Body::from_bytes(data.clone());
         assert!(matches!(parts, Body::Parts(_)));
-        assert!(!parts.is_stream() && !parts.may_block() && !parts.is_empty());
+        assert!(!parts.is_stream() && parts.readiness() == Readiness::Ready && !parts.is_empty());
         assert_eq!(parts, full);
         assert_eq!(full, parts);
         assert_ne!(parts, Body::from_bytes(pattern(data.len() - 1)));

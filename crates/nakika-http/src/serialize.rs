@@ -8,7 +8,7 @@
 //! transfer encoding when it is not — so a transport never holds more than
 //! one chunk of a large streamed body in its output buffer.
 
-use crate::message::{Body, Request, Response};
+use crate::message::{Body, Readiness, Request, Response};
 use bytes::Bytes;
 use std::io::{self, Write};
 
@@ -187,8 +187,7 @@ impl ResponseWriter {
         let mut failed_early = None;
         let framing = match resp.body.size_hint() {
             Some(n) => Framing::Length(n),
-            None if resp.version_11 => Framing::Chunked,
-            None => {
+            None if resp.needs_whole_body() => {
                 // 1.0 client: learn the length by buffering.  A failure here
                 // happens before anything reached the wire, so it is stashed
                 // and surfaced from the first next_part call instead of
@@ -198,6 +197,7 @@ impl ResponseWriter {
                 }
                 Framing::Length(resp.body.len() as u64)
             }
+            None => Framing::Chunked,
         };
         ResponseWriter {
             head: Some(response_head(&resp, framing)),
@@ -240,19 +240,23 @@ impl ResponseWriter {
         }
     }
 
-    /// True when the next wire part must be *pulled* from a body source
-    /// that may block on external I/O ([`Body::may_block`]).  Readiness
-    /// transports check this before calling [`next_part`] on an event-loop
-    /// thread: when it is true they instead run the pull elsewhere — on a
-    /// clone from [`body_handle`] — and feed the result back through
-    /// [`accept_chunk`].  The head and any already-buffered data are never
-    /// a blocking pull, so this is false until the head has been emitted.
+    /// What [`next_part`] would do if called now.  The head, an early
+    /// failure and the end are always [`Readiness::Ready`]; past the head
+    /// it is the body's [`Body::readiness`].  Readiness transports ask
+    /// before calling [`next_part`] on an event-loop thread: on
+    /// `Blocking` they run the pull elsewhere — on a clone from
+    /// [`body_handle`] — and feed the result back through
+    /// [`accept_chunk`]; on `Pending` they wait until whatever feeds the
+    /// body drives them again.
     ///
     /// [`next_part`]: ResponseWriter::next_part
     /// [`body_handle`]: ResponseWriter::body_handle
     /// [`accept_chunk`]: ResponseWriter::accept_chunk
-    pub fn next_pull_may_block(&self) -> bool {
-        self.failed_early.is_none() && self.head.is_none() && !self.done && self.body.may_block()
+    pub fn readiness(&self) -> Readiness {
+        if self.failed_early.is_some() || self.head.is_some() || self.done {
+            return Readiness::Ready;
+        }
+        self.body.readiness()
     }
 
     /// A shared handle on the response body, for pulling the next chunk off

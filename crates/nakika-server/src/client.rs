@@ -8,12 +8,13 @@
 //! readiness loop.
 
 use crate::relay::{RelayEvent, ResponseRelay};
+use crate::MAX_IDLE_PER_UPSTREAM;
 use bytes::Bytes;
 use nakika_core::peering;
 use nakika_core::service::NakikaError;
 use nakika_core::OriginFetch;
 use nakika_http::serialize::{serialize_request, serialize_request_absolute};
-use nakika_http::{Body, ChunkSource, Method, Request, Response};
+use nakika_http::{Body, ChunkSource, Method, Readiness, Request, Response};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -32,14 +33,13 @@ type HostPort = (String, u16);
 /// return the connection here when it reaches a clean end of body.
 struct PoolInner {
     idle: Mutex<HashMap<HostPort, Vec<TcpStream>>>,
-    max_idle_per_host: usize,
 }
 
 impl PoolInner {
     fn park(&self, key: &HostPort, stream: TcpStream) {
         let mut pool = self.idle.lock();
         let idle = pool.entry(key.clone()).or_default();
-        if idle.len() < self.max_idle_per_host {
+        if idle.len() < MAX_IDLE_PER_UPSTREAM {
             idle.push(stream);
         }
     }
@@ -73,7 +73,6 @@ impl TcpOrigin {
         TcpOrigin {
             pool: Arc::new(PoolInner {
                 idle: Mutex::new(HashMap::new()),
-                max_idle_per_host: 4,
             }),
         }
     }
@@ -296,10 +295,10 @@ impl<R: Read + Send + 'static> BlockingRelay<R> {
 }
 
 impl<R: Read + Send> ChunkSource for BlockingRelay<R> {
-    fn may_block(&self) -> bool {
+    fn readiness(&self) -> Readiness {
         // Pulls read the upstream socket; the reactor must not do that on
         // an event-loop thread.
-        true
+        Readiness::Blocking
     }
 
     fn next_chunk(&mut self) -> io::Result<Option<Bytes>> {

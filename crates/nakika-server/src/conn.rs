@@ -33,8 +33,8 @@
 //! far as it can without blocking — parsing input, executing service calls
 //! the stack classified
 //! [`DispatchHint::Inline`](nakika_core::service::DispatchHint), pumping
-//! already-available output — and hands back a unit of [`Work`] whenever
-//! the next step might block:
+//! output whose body is [`Readiness::Ready`] — and hands back a unit of
+//! [`Work`] for the worker pool whenever the next step might block:
 //!
 //! - [`Work::Call`] — the service call for a parsed request whose
 //!   [`dispatch_hint`](HttpService::dispatch_hint) said `MayBlock` (a cold
@@ -44,26 +44,31 @@
 //!   ([`HttpConn::wants_read`] turns false), which both preserves response
 //!   order and backpressures a flooding client.
 //! - [`Work::Pull`] — the next chunk of the active streamed response must
-//!   be pulled from a source that may block (an origin socket,
-//!   [`Body::may_block`](nakika_http::Body::may_block)).  The pull runs on
-//!   a shared handle of the body; the result comes back as
-//!   [`Done::Pull`].
-//! - [`Work::Buffer`] — the rare HTTP/1.0 activation path: a response with
-//!   an unknown-length streamed body headed for a 1.0 client must be
-//!   buffered to learn its `Content-Length`, and that drain would block.
-//!   The response waits un-activated until [`Done::Buffer`] arrives.
+//!   be pulled from a source that may block (an origin socket read by
+//!   `TcpOrigin`, [`Readiness::Blocking`]).  The pull runs on a shared
+//!   handle of the body; the result comes back as [`Done::Pull`].
+//! - [`Work::Buffer`] — the rare HTTP/1.0 activation path: a response that
+//!   [needs its whole body](nakika_http::Response::needs_whole_body)
+//!   buffered to learn its `Content-Length`, from a blocking source.  The
+//!   response waits un-activated until [`Done::Buffer`] arrives.
 //!
-//! The transport decides where the work runs: the reactor ships it to a
-//! worker pool and re-arms the connection when the completion comes back
-//! through its wakeup pipe; a test can run it on the spot.  At most one
-//! `Call` and one `Pull`/`Buffer` are outstanding per connection — enough
-//! to keep an earlier response streaming while a later request's origin
-//! fetch is in flight, without reordering anything.
+//! The reactor runs `Call`s it can splice itself and ships everything
+//! else to its worker pool, re-arming the connection when the completion
+//! comes back through its wakeup pipe; a test can run it on the spot.  At
+//! most one `Call` and one `Pull`/`Buffer` are outstanding per connection
+//! — enough to keep an earlier response streaming while a later request's
+//! origin fetch is in flight, without reordering anything.
+//!
+//! A body the transport feeds itself (the reactor's splice) is
+//! [`Readiness::Pending`] while empty: the engine stops pumping, emits no
+//! work, and waits to be advanced again.  The wait counts as pending work
+//! ([`HttpConn::has_pending_work`]), so the client is not evicted for its
+//! origin's slowness.
 
 use crate::{CtxFactory, HttpService};
 use nakika_core::service::DispatchHint;
 use nakika_http::{
-    parse_request, Body, HttpError, ParseOutcome, Response, ResponseWriter, StatusCode,
+    parse_request, Body, HttpError, ParseOutcome, Readiness, Response, ResponseWriter, StatusCode,
     STREAM_CHUNK_BYTES,
 };
 use std::collections::VecDeque;
@@ -113,8 +118,9 @@ impl OutputGauge {
 }
 
 /// A potentially-blocking unit of work the engine asks its transport to
-/// run (see the module docs).  Produced by [`HttpConn::advance`]; the
-/// matching [`Done`] goes back through [`HttpConn::complete`].
+/// run off the event loop (see the module docs).  Produced by
+/// [`HttpConn::advance`]; the matching [`Done`] goes back through
+/// [`HttpConn::complete`].
 pub(crate) enum Work {
     /// Run the service call for a request classified `MayBlock`.  The
     /// request is boxed so the enum stays small next to the handle-sized
@@ -218,6 +224,10 @@ pub(crate) struct HttpConn {
     /// Response whose body is being buffered off-engine before activation
     /// (the HTTP/1.0 unknown-length path).
     pending_activation: Option<Response>,
+    /// The last pump stopped at a body the transport feeds
+    /// ([`Readiness::Pending`]): output waits on the transport, not on
+    /// the client.
+    awaiting_source: bool,
     /// Complete requests parsed over the connection's lifetime.  Transports
     /// re-arm their per-connection deadline when this advances: buffered
     /// bytes that never become a request (slow-loris drip) do not count as
@@ -243,6 +253,7 @@ impl HttpConn {
             pending_call: None,
             pending_pull: false,
             pending_activation: None,
+            awaiting_source: false,
             requests_parsed: 0,
             gauge,
         }
@@ -391,13 +402,15 @@ impl HttpConn {
     }
 
     /// Moves response bytes into the output buffer until the window is
-    /// full, there is nothing left to emit, or the next step might block —
-    /// then that step is returned as [`Work`].  Called from
-    /// [`advance`](HttpConn::advance), which the transport calls again
-    /// after every flush, so a draining socket keeps pulling the next chunk
-    /// of a streamed body — and nothing pulls chunks faster than the socket
-    /// drains them.
+    /// full, there is nothing left to emit, or the next step is not
+    /// [`Readiness::Ready`]: a blocking step is returned as [`Work`], a
+    /// pending one ends the pump until the transport advances again.
+    /// Called from [`advance`](HttpConn::advance), which the transport
+    /// calls again after every flush, so a draining socket keeps pulling
+    /// the next chunk of a streamed body — and nothing pulls chunks faster
+    /// than the socket drains them.
     fn pump(&mut self) -> Option<Work> {
+        self.awaiting_source = false;
         if self.pending_pull || self.pending_activation.is_some() {
             // The active (or activating) response is waiting on a worker;
             // later responses must not jump the FIFO.
@@ -407,27 +420,37 @@ impl HttpConn {
             if self.pending_len() + PART_HEADROOM_BYTES > OUTPUT_WINDOW_BYTES {
                 return None;
             }
-            if self.active.is_none() {
-                let response = self.queued.pop_front()?;
-                // An unknown-length stream bound for a 1.0 client must be
-                // buffered to learn its Content-Length — a blocking drain
-                // the reactor hands to a worker.
-                if !response.version_11
-                    && response.body.size_hint().is_none()
-                    && response.body.may_block()
-                {
+            // A queued response that needs its whole body (to learn a 1.0
+            // client's Content-Length) activates only once buffering it
+            // cannot wait; any other activates at once.
+            let readiness = match &self.active {
+                Some(writer) => writer.readiness(),
+                None => match self.queued.front()? {
+                    next if next.needs_whole_body() => next.body.readiness(),
+                    _ => Readiness::Ready,
+                },
+            };
+            match (readiness, &self.active) {
+                (Readiness::Ready, _) => {}
+                (Readiness::Pending, _) => {
+                    self.awaiting_source = true;
+                    return None;
+                }
+                (Readiness::Blocking, Some(writer)) => {
+                    self.pending_pull = true;
+                    return Some(Work::Pull {
+                        body: writer.body_handle(),
+                    });
+                }
+                (Readiness::Blocking, None) => {
+                    let response = self.pending_activation.insert(self.queued.pop_front()?);
                     let body = response.body.clone();
-                    self.pending_activation = Some(response);
                     return Some(Work::Buffer { body });
                 }
-                self.active = Some(ResponseWriter::new(response));
             }
-            let writer = self.active.as_mut().expect("writer installed above");
-            if writer.next_pull_may_block() {
-                self.pending_pull = true;
-                let body = writer.body_handle();
-                return Some(Work::Pull { body });
-            }
+            let writer = self.active.get_or_insert_with(|| {
+                ResponseWriter::new(self.queued.pop_front().expect("front checked above"))
+            });
             match writer.next_part() {
                 Ok(Some(part)) => self.emit(part),
                 Ok(None) => self.active = None,
@@ -577,9 +600,13 @@ impl HttpConn {
         self.active.is_none() && self.queued.is_empty() && !self.has_unsent_output()
     }
 
-    /// True while an offloaded unit of [`Work`] is outstanding.
+    /// True while an offloaded unit of [`Work`] is outstanding, or output
+    /// waits on a body the transport feeds.
     pub(crate) fn has_pending_work(&self) -> bool {
-        self.pending_call.is_some() || self.pending_pull || self.pending_activation.is_some()
+        self.pending_call.is_some()
+            || self.pending_pull
+            || self.pending_activation.is_some()
+            || self.awaiting_source
     }
 
     /// True when the connection is finished: close decided, output fully
@@ -927,8 +954,8 @@ mod tests {
             fn next_chunk(&mut self) -> std::io::Result<Option<Bytes>> {
                 Ok(self.chunks.pop_front())
             }
-            fn may_block(&self) -> bool {
-                true
+            fn readiness(&self) -> nakika_http::Readiness {
+                nakika_http::Readiness::Blocking
             }
         }
         struct StreamService;
@@ -968,6 +995,97 @@ mod tests {
         assert!(out.contains("Content-Length: 11"), "out: {out}");
         assert!(out.ends_with("hello world"));
         assert!(conn.open, "keep-alive survives an offloaded stream");
+    }
+
+    #[test]
+    fn pending_streams_wait_for_their_feeder_without_work() {
+        /// A source the test feeds by hand, standing in for the reactor's
+        /// splice: pending while it holds nothing and has not ended.
+        #[derive(Clone, Default)]
+        struct Fed(Arc<std::sync::Mutex<(VecDeque<Bytes>, bool)>>);
+        impl Fed {
+            fn push(&self, chunk: &'static [u8], end: bool) {
+                let mut fed = self.0.lock().unwrap();
+                fed.0.push_back(Bytes::from_static(chunk));
+                fed.1 = end;
+            }
+        }
+        impl nakika_http::ChunkSource for Fed {
+            fn next_chunk(&mut self) -> std::io::Result<Option<Bytes>> {
+                Ok(self.0.lock().unwrap().0.pop_front())
+            }
+            fn readiness(&self) -> Readiness {
+                let fed = self.0.lock().unwrap();
+                if fed.0.is_empty() && !fed.1 {
+                    Readiness::Pending
+                } else {
+                    Readiness::Ready
+                }
+            }
+        }
+        /// Answers with a stream over `source`: declared 11 bytes long on
+        /// HTTP/1.1, of unknown length on HTTP/1.0.
+        struct FedService {
+            source: Fed,
+            version_11: bool,
+        }
+        impl HttpService for FedService {
+            fn call(&self, _req: Request, _ctx: &RequestCtx) -> Result<Response, NakikaError> {
+                let mut resp = Response::new(StatusCode::OK);
+                resp.version_11 = self.version_11;
+                let declared = self.version_11.then_some(11);
+                resp.body = Body::stream(self.source.clone(), declared);
+                Ok(resp)
+            }
+            fn dispatch_hint(&self, _req: &Request, _ctx: &RequestCtx) -> DispatchHint {
+                DispatchHint::Inline
+            }
+        }
+
+        let factory = factory();
+        let service = FedService {
+            source: Fed::default(),
+            version_11: true,
+        };
+        let mut conn = HttpConn::new(peer(), gauge());
+        conn.feed(b"GET /fed HTTP/1.1\r\nHost: x\r\n\r\n");
+        // The head goes out; the empty source stops the pump with no work.
+        assert!(conn.advance(&service, &factory).is_none());
+        assert!(conn.has_pending_work(), "the wait protects the deadline");
+        let head = String::from_utf8_lossy(conn.pending_output()).to_string();
+        assert!(head.ends_with("\r\n\r\n"), "head only: {head}");
+        let n = conn.pending_output().len();
+        conn.advance_output(n);
+        // Each feed lets the next advance emit what arrived, inline.
+        service.source.push(b"hello ", false);
+        assert!(conn.advance(&service, &factory).is_none());
+        assert_eq!(conn.pending_output(), b"hello ");
+        assert!(conn.has_pending_work());
+        let n = conn.pending_output().len();
+        conn.advance_output(n);
+        service.source.push(b"world", true);
+        assert!(conn.advance(&service, &factory).is_none());
+        assert_eq!(conn.pending_output(), b"world");
+        assert!(!conn.has_pending_work(), "the ended stream is fully pumped");
+
+        // HTTP/1.0, unknown length: the response waits, queued, until its
+        // source is whole, then goes out with a Content-Length.
+        let service = FedService {
+            source: Fed::default(),
+            version_11: false,
+        };
+        let mut conn = HttpConn::new(peer(), gauge());
+        conn.feed(b"GET /fed HTTP/1.0\r\n\r\n");
+        assert!(conn.advance(&service, &factory).is_none());
+        assert!(conn.has_pending_work());
+        assert!(!conn.has_unsent_output(), "not even the head is out");
+        service.source.push(b"hello ", false);
+        service.source.push(b"world", true);
+        assert!(conn.advance(&service, &factory).is_none());
+        assert!(!conn.has_pending_work());
+        let out = String::from_utf8_lossy(conn.pending_output()).to_string();
+        assert!(out.contains("Content-Length: 11"), "out: {out}");
+        assert!(out.ends_with("hello world"), "out: {out}");
     }
 
     mod partial_writes {

@@ -94,6 +94,11 @@ pub struct ServerOptions {
 /// slab slots from abandoned or adversarial peers.
 pub(crate) const DEFAULT_IDLE_TIMEOUT_MS: u64 = 30_000;
 
+/// Idle upstream connections kept per `host:port`, by each reactor and by
+/// [`TcpOrigin`]'s pool alike; a connection finishing its exchange beyond
+/// this is closed.
+pub(crate) const MAX_IDLE_PER_UPSTREAM: usize = 4;
+
 impl ServerOptions {
     pub(crate) fn resolved_idle_timeout_ms(&self) -> u64 {
         if self.idle_timeout_ms > 0 {

@@ -27,19 +27,21 @@
 //! The one rule of this module: **nothing on a reactor thread may block.**
 //! Two operations in the request path can — a service call that misses the
 //! cache and fetches from the origin, and pulling the next chunk of a
-//! streamed response whose source is an origin socket.  For those, the
-//! engine hands back a unit of [`Work`](crate::conn) instead of executing
-//! it, and the reactor *parks* the connection: the in-flight side of the
+//! streamed response whose source reads an origin socket
+//! ([`Readiness::Blocking`]).  For those, the engine hands back a unit of
+//! [`Work`](crate::conn) instead of executing it; a call with a relay plan
+//! becomes a splice (below), and all other work goes to the worker pool
+//! while the reactor *parks* the connection: the in-flight side of the
 //! engine stops (input parsing for a call, output pumping for a pull), the
 //! fd is deregistered from readiness tracking once neither direction has
-//! anything to do, and the slab slot is retained.  The work runs on the
-//! worker pool; its completion lands in the reactor's completion queue and
-//! the loopback self-pipe wakes the poller — the same wakeup path used for
-//! newly accepted sockets — after which the completion is fed back into
-//! the engine and the connection is re-armed with whatever interest it now
-//! has.  A cold origin fetch thus costs its own connection a round trip
-//! through the pool while every other connection on the reactor keeps
-//! being served; see `docs/ARCHITECTURE.md`, "Life of a cache miss".
+//! anything to do, and the slab slot is retained.  The completion lands in
+//! the reactor's completion queue and the loopback self-pipe wakes the
+//! poller — the same wakeup path used for newly accepted sockets — after
+//! which the completion is fed back into the engine and the connection is
+//! re-armed with whatever interest it now has.  A cold origin fetch thus
+//! costs its own connection a round trip through the pool while every
+//! other connection on the reactor keeps being served; see
+//! `docs/ARCHITECTURE.md`, "Life of a cache miss".
 //!
 //! A slot being parked is also why completions carry a generation counter:
 //! a connection can die (write error, shutdown) while its work is still
@@ -51,7 +53,13 @@
 //! A miss the service publishes a [`RelayPlan`] for never reaches the pool:
 //! the reactor opens the upstream connection itself, in an *upstream slab*
 //! on the same poller and timer wheel, and splices the response straight
-//! to the client.  When the relay ends cleanly on a connection that can
+//! to the client.  The body is fed, not fetched: upstream reads queue its
+//! bytes, the body's source answers [`Readiness::Pending`] while the queue
+//! is empty, and every read drives the client's engine again.  A client
+//! that falls behind pauses the upstream at the high-water mark; its next
+//! pump resumes it below the low-water mark — unless the response
+//! [needs its whole body](Response::needs_whole_body), which never
+//! pauses.  When the relay ends cleanly on a connection that can
 //! carry another exchange, the reactor keeps the socket idle on a list
 //! keyed by `host:port` (at most [`MAX_IDLE_PER_UPSTREAM`] per key, reused
 //! last-in first-out), and the next miss to that `host:port` writes its
@@ -75,12 +83,12 @@ use crate::relay::{RelayEvent, ResponseRelay};
 use crate::sys::{connect_nonblocking_v4, Interest, PollEvent, Poller};
 use crate::timer::{TimerVerdict, TimerWheel};
 use crate::{
-    CtxFactory, HttpService, ServerOptions, ServerStats, WallClock, WorkerPool, OVER_CAP_RESPONSE,
-    TIMEOUT_RESPONSE,
+    CtxFactory, HttpService, ServerOptions, ServerStats, WallClock, WorkerPool,
+    MAX_IDLE_PER_UPSTREAM, OVER_CAP_RESPONSE, TIMEOUT_RESPONSE,
 };
 use bytes::Bytes;
 use nakika_core::service::RelayPlan;
-use nakika_http::{Body, ChunkSource, Method, Response};
+use nakika_http::{Body, ChunkSource, Method, Readiness, Response};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -109,11 +117,6 @@ const SPLICE_HIGH_WATER_BYTES: usize = OUTPUT_WINDOW_BYTES;
 
 /// Reads resume once the client drains the splice queue below this.
 const SPLICE_LOW_WATER_BYTES: usize = 64 * 1024;
-
-/// Idle upstream connections one reactor keeps per `host:port`; a
-/// connection finishing its exchange beyond this is closed.  The same
-/// number `TcpOrigin`'s pool keeps per host.
-const MAX_IDLE_PER_UPSTREAM: usize = 4;
 
 /// Where an upstream connection goes: a relay attempt's literal IPv4 host
 /// and its port.
@@ -244,16 +247,13 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
 
 /// Body bytes relayed from an upstream socket to one client, queued
 /// between the reactor's upstream read loop and the client engine's body
-/// pulls.  Both ends run on the same reactor thread; the mutex exists
-/// because the handle is embedded in a [`Body`] (which must stay `Send`
-/// for the non-splice paths) and is never contended.
-#[derive(Default)]
-struct SpliceShared {
-    inner: Mutex<SpliceState>,
-}
+/// pulls.  Both ends run on the same reactor thread; it sits behind a
+/// mutex because the handle is embedded in a [`Body`] (which must stay
+/// `Send` for the non-splice paths), and the mutex is never contended.
+type SpliceShared = Mutex<SpliceQueue>;
 
 #[derive(Default)]
-struct SpliceState {
+struct SpliceQueue {
     chunks: VecDeque<Bytes>,
     /// Total bytes across `chunks`, for O(1) backpressure checks.
     queued: usize,
@@ -262,58 +262,37 @@ struct SpliceState {
     /// so the client's framing cannot be repaired and its next pull must
     /// abort the connection.
     error: Option<String>,
+    /// The client buffers the whole body before sending any of it
+    /// ([`Response::needs_whole_body`]): ready only at the end, and never
+    /// paused for (nothing drains the queue before then).
+    whole: bool,
 }
 
-impl SpliceShared {
-    fn push(&self, data: Bytes) {
-        if data.is_empty() {
-            return;
-        }
-        let mut state = self.inner.lock();
-        state.queued += data.len();
-        state.chunks.push_back(data);
-    }
-
-    fn set_eof(&self) {
-        self.inner.lock().eof = true;
-    }
-
-    fn set_error(&self, reason: String) {
-        let mut state = self.inner.lock();
-        if state.error.is_none() {
-            state.error = Some(reason);
+impl SpliceQueue {
+    fn push(&mut self, data: Bytes) {
+        if !data.is_empty() {
+            self.queued += data.len();
+            self.chunks.push_back(data);
         }
     }
 
-    fn queued(&self) -> usize {
-        self.inner.lock().queued
-    }
-
-    /// Whether a parked body pull could complete right now.
-    fn pull_ready(&self) -> bool {
-        let state = self.inner.lock();
-        !state.chunks.is_empty() || state.eof || state.error.is_some()
-    }
-
-    /// Whether the upstream is finished producing (everything it will ever
-    /// deliver is already queued).
-    fn input_finished(&self) -> bool {
-        let state = self.inner.lock();
-        state.eof || state.error.is_some()
+    /// Everything the upstream will ever deliver is queued.
+    fn finished(&self) -> bool {
+        self.eof || self.error.is_some()
     }
 }
 
 /// The body source of a spliced response: pops what `drive_upstream`
-/// queued.  `may_block` is true so the engine always routes pulls through
-/// the transport — the reactor parks them until the queue has data, which
-/// is the non-blocking analogue of a blocking socket read.
+/// queued.  It answers [`Readiness::Pending`] while there is nothing to
+/// pop — the non-blocking analogue of a blocking socket read — and the
+/// reactor drives the client again whenever the upstream queues more.
 struct SpliceSource {
     shared: Arc<SpliceShared>,
 }
 
 impl ChunkSource for SpliceSource {
     fn next_chunk(&mut self) -> io::Result<Option<Bytes>> {
-        let mut state = self.shared.inner.lock();
+        let mut state = self.shared.lock();
         if let Some(chunk) = state.chunks.pop_front() {
             state.queued -= chunk.len();
             return Ok(Some(chunk));
@@ -324,33 +303,26 @@ impl ChunkSource for SpliceSource {
         if state.eof {
             return Ok(None);
         }
-        // Unreachable by construction: the reactor fulfills a parked pull
-        // only after `pull_ready()`, and a buffer only after
-        // `input_finished()`.
-        Err(io::Error::other(
-            "splice body polled before its data arrived",
-        ))
+        // Unreachable by construction: the engine pulls only when ready.
+        Err(io::Error::other("splice body pulled while pending"))
     }
 
-    fn may_block(&self) -> bool {
-        true
+    fn readiness(&self) -> Readiness {
+        let state = self.shared.lock();
+        if state.finished() || (!state.whole && state.queued > 0) {
+            Readiness::Ready
+        } else {
+            Readiness::Pending
+        }
     }
 }
 
 /// Client-side record of an in-flight splice: which upstream slot serves
-/// it, the queue its body drains from, and the parked body work waiting on
-/// that queue.
+/// it and the queue its body drains from.
 struct ClientSplice {
     shared: Arc<SpliceShared>,
     upstream: usize,
     upstream_gen: u64,
-    /// The delivered response's body handle (after cache-capture teeing).
-    /// A `Work::Pull`/`Work::Buffer` belongs to this splice only if its
-    /// body is this one — pulls for *earlier* pipelined responses still go
-    /// to the worker pool.
-    body: Option<Body>,
-    /// A `Work::Pull` or `Work::Buffer` waiting for the queue.
-    parked: Option<Work>,
 }
 
 /// Where an upstream connection is in the exchange it carries.  A fresh
@@ -797,6 +769,7 @@ impl Reactor {
                 break;
             }
         }
+        self.settle_splice(idx);
         let now = self.now_ms();
         let idle = self.idle_ms;
         let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
@@ -843,6 +816,31 @@ impl Reactor {
         }
     }
 
+    /// After the client at `idx` pumped its splice queue: the splice ends
+    /// once the queue is finished and drained (the engine is past the
+    /// last pull that needs the upstream), and a paused upstream resumes
+    /// once the queue fell below the low-water mark.
+    fn settle_splice(&mut self, idx: usize) {
+        let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
+            return;
+        };
+        let Some(splice) = &conn.splice else {
+            return;
+        };
+        let level = {
+            let queue = splice.shared.lock();
+            (queue.queued, queue.finished())
+        };
+        match level {
+            (0, true) => conn.splice = None,
+            (queued, _) if queued < SPLICE_LOW_WATER_BYTES => {
+                let (upstream, gen) = (splice.upstream, splice.upstream_gen);
+                self.resume_upstream(upstream, gen);
+            }
+            _ => {}
+        }
+    }
+
     fn close(&mut self, idx: usize) {
         use std::os::unix::io::AsRawFd;
         if let Some(conn) = self.slab.get_mut(idx).and_then(Option::take) {
@@ -870,130 +868,27 @@ impl Reactor {
         }
     }
 
-    /// Routes one unit of may-block work: spliceable service calls become
-    /// event-loop relays, body pulls for an active splice park on its
-    /// queue, and everything else ships to the worker pool.
+    /// Routes one unit of may-block work: a service call with a relay
+    /// plan becomes an event-loop splice, and everything else — the other
+    /// calls, and the body pulls and buffers of blocking sources — ships
+    /// to the worker pool.
     fn route_work(&mut self, idx: usize, gen: u64, work: Work) {
-        match work {
-            Work::Call { request, ctx } => {
-                let spliceable = self
-                    .slab
-                    .get(idx)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|conn| conn.splice.is_none());
-                if spliceable {
-                    if let Some(plan) = self.service.relay_plan(&request, &ctx) {
-                        let head_request = request.method == Method::Head;
-                        if self.start_splice(idx, gen, plan, head_request) {
-                            return;
-                        }
+        if let Work::Call { request, ctx } = &work {
+            let spliceable = self
+                .slab
+                .get(idx)
+                .and_then(Option::as_ref)
+                .is_some_and(|conn| conn.splice.is_none());
+            if spliceable {
+                if let Some(plan) = self.service.relay_plan(request, ctx) {
+                    let head_request = request.method == Method::Head;
+                    if self.start_splice(idx, gen, plan, head_request) {
+                        return;
                     }
                 }
-                self.submit(idx, gen, Work::Call { request, ctx });
-            }
-            Work::Pull { body } => {
-                if self.splice_owns(idx, &body) {
-                    self.park_splice_work(idx, Work::Pull { body });
-                } else {
-                    self.submit(idx, gen, Work::Pull { body });
-                }
-            }
-            Work::Buffer { body } => {
-                if self.splice_owns(idx, &body) {
-                    self.park_splice_work(idx, Work::Buffer { body });
-                } else {
-                    self.submit(idx, gen, Work::Buffer { body });
-                }
             }
         }
-    }
-
-    /// Whether `body` is the delivered response body of `idx`'s splice.
-    /// Pulls for earlier pipelined responses (identity mismatch) keep
-    /// their worker-pool path.
-    fn splice_owns(&self, idx: usize, body: &Body) -> bool {
-        self.slab
-            .get(idx)
-            .and_then(Option::as_ref)
-            .and_then(|conn| conn.splice.as_ref())
-            .is_some_and(|splice| splice.body.as_ref() == Some(body))
-    }
-
-    /// Parks a body pull/buffer on the splice queue and fulfills it right
-    /// away if the queue already has what it needs.  A parked `Buffer`
-    /// needs the whole body, so the upstream must never pause for it.
-    fn park_splice_work(&mut self, idx: usize, work: Work) {
-        let unbounded = matches!(work, Work::Buffer { .. });
-        let Some(splice) = self
-            .slab
-            .get_mut(idx)
-            .and_then(Option::as_mut)
-            .and_then(|conn| conn.splice.as_mut())
-        else {
-            return;
-        };
-        splice.parked = Some(work);
-        let upstream = splice.upstream;
-        let upstream_gen = splice.upstream_gen;
-        if unbounded {
-            self.resume_upstream(upstream, upstream_gen);
-        }
-        self.try_fulfill(idx);
-    }
-
-    /// Completes the parked body work of `idx`'s splice if its queue is
-    /// ready.  Returns true when the engine consumed a completion — the
-    /// caller outside `progress` should then drive `progress` itself.
-    fn try_fulfill(&mut self, idx: usize) -> bool {
-        let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
-            return false;
-        };
-        let Some(splice) = conn.splice.as_mut() else {
-            return false;
-        };
-        let Some(work) = splice.parked.take() else {
-            return false;
-        };
-        let shared = splice.shared.clone();
-        let upstream = splice.upstream;
-        let upstream_gen = splice.upstream_gen;
-        match work {
-            Work::Pull { mut body } => {
-                if !shared.pull_ready() {
-                    splice.parked = Some(Work::Pull { body });
-                    return false;
-                }
-                // Pulling through the body handle (not the queue directly)
-                // keeps the cache-capture tee on the path.
-                let read = body.read_chunk();
-                let finished = matches!(read, Ok(None) | Err(_));
-                if finished {
-                    conn.splice = None;
-                }
-                conn.engine.complete(Done::Pull(read));
-                if !finished {
-                    self.maybe_resume_upstream(upstream, upstream_gen);
-                }
-                true
-            }
-            Work::Buffer { body } => {
-                if !shared.input_finished() {
-                    splice.parked = Some(Work::Buffer { body });
-                    return false;
-                }
-                conn.splice = None;
-                // The whole body is queued, so buffering cannot block.
-                let service = self.service.clone();
-                let done = Work::Buffer { body }.run(&*service);
-                conn.engine.complete(done);
-                true
-            }
-            Work::Call { .. } => {
-                // Calls are never parked (see park_splice_work).
-                debug_assert!(false, "a service call cannot park on a splice");
-                false
-            }
-        }
+        self.submit(idx, gen, work);
     }
 
     /// Adopts a relay plan for the client at `idx` (whose request was HEAD
@@ -1108,8 +1003,6 @@ impl Reactor {
                     shared,
                     upstream: i,
                     upstream_gen: gen,
-                    body: None,
-                    parked: None,
                 });
             }
         }
@@ -1257,14 +1150,12 @@ impl Reactor {
         }
         // Backpressure check before reading: a client that stopped pulling
         // (its own socket is stalled) must not let the queue grow without
-        // bound — unless the client decided to buffer the whole body.
-        let client_buffering = self
-            .slab
-            .get(up.client)
-            .and_then(Option::as_ref)
-            .and_then(|conn| conn.splice.as_ref())
-            .is_some_and(|splice| matches!(splice.parked, Some(Work::Buffer { .. })));
-        if up.shared.queued() >= SPLICE_HIGH_WATER_BYTES && !client_buffering {
+        // bound — unless it waits for the whole body, draining nothing.
+        let full = {
+            let state = up.shared.lock();
+            !state.whole && state.queued >= SPLICE_HIGH_WATER_BYTES
+        };
+        if full {
             self.pause_upstream(i);
             return;
         }
@@ -1350,9 +1241,7 @@ impl Reactor {
                     };
                     up.head_delivered = true;
                     let response = (up.plan.finish)(response, winning);
-                    // Record the final (cache-capture-teed) body so later
-                    // pulls can be matched back to this splice.
-                    let body_handle = response.body.clone();
+                    up.shared.lock().whole = response.needs_whole_body();
                     let delivered = self
                         .slab
                         .get_mut(client)
@@ -1362,8 +1251,6 @@ impl Reactor {
                             if !has_body {
                                 // Nothing will be pulled: the splice ends here.
                                 conn.splice = None;
-                            } else if let Some(splice) = conn.splice.as_mut() {
-                                splice.body = Some(body_handle);
                             }
                             conn.engine.complete(Done::Call(Ok(response)));
                         })
@@ -1377,11 +1264,11 @@ impl Reactor {
                     touched_client = Some(client);
                 }
                 RelayEvent::Data(data) => {
-                    up.shared.push(data);
+                    up.shared.lock().push(data);
                     touched_client = Some(up.client);
                 }
                 RelayEvent::BodyDone => {
-                    up.shared.set_eof();
+                    up.shared.lock().eof = true;
                     touched_client = Some(up.client);
                     self.keep_or_teardown(i);
                 }
@@ -1406,9 +1293,6 @@ impl Reactor {
             }
         }
         if let Some(client) = touched_client {
-            // Unconditional: a delivered head (no parked work yet) must
-            // still pump the response toward the client socket.
-            self.try_fulfill(client);
             self.progress(client);
         }
     }
@@ -1490,10 +1374,9 @@ impl Reactor {
             return;
         };
         let client = up.client;
-        up.shared.set_error(reason);
+        up.shared.lock().error.get_or_insert(reason);
         self.stats.note_relay_abort();
         self.teardown_upstream(i);
-        self.try_fulfill(client);
         self.progress(client);
     }
 
@@ -1565,19 +1448,8 @@ impl Reactor {
         }
     }
 
-    /// Resumes a paused upstream once the client drained the queue below
-    /// the low-water mark.
-    fn maybe_resume_upstream(&mut self, i: usize, gen: u64) {
-        let drained = self.upstreams.get_mut(i).and_then(busy).is_some_and(|up| {
-            up.gen == gen && up.paused && up.shared.queued() < SPLICE_LOW_WATER_BYTES
-        });
-        if drained {
-            self.resume_upstream(i, gen);
-        }
-    }
-
-    /// Unconditionally resumes a paused upstream (the client committed to
-    /// buffering the whole body).
+    /// Resumes upstream `i` if it is paused and still carries generation
+    /// `gen`'s exchange (the client drained its queue).
     fn resume_upstream(&mut self, i: usize, gen: u64) {
         use std::os::unix::io::AsRawFd;
         let Some(up) = self.upstreams.get_mut(i).and_then(busy) else {

@@ -2,14 +2,15 @@
 //!
 //! The web's expiration-based consistency is enough for most edge-side
 //! content, but a complete platform also needs *hard state*: edge-side
-//! access logs posted back to content producers, and application state
-//! that outlives a request.  This crate holds both, on one node:
+//! access logs for content producers, and application state that
+//! outlives a request.  This crate holds both, on one node:
 //!
 //! * a per-site partitioned local store with a storage quota
 //!   ([`store::SiteStore`], the MySQL substitute), behind the scripts'
 //!   `HardState` vocabulary, and
-//! * access logging ([`logging::AccessLog`]), which batches per-site entries
-//!   and periodically posts them to the URL the site's script configured.
+//! * access logging ([`logging::AccessLog`]), which batches entries per
+//!   site, at most 4,096 each, for the URL the site's script configured.
+//!   Nothing posts them today: the batches wait for a poster.
 //!
 //! The paper's prototype also replicated hard state between nodes through a
 //! message broker.  Nothing here does: a `HardState` write on one node is

@@ -1,11 +1,13 @@
 //! Edge-side access logging (paper §3.3).
 //!
 //! Na Kika performs access logging per site.  A site's script specifies the
-//! URL to which log updates should be posted; periodically each node scans
-//! its log, collects the entries for each site, and posts those portions to
-//! the specified URLs.  This module implements the per-site batching and the
-//! periodic flush; actually POSTing the batch is left to the caller (the
-//! node), which returns it as `(post_url, serialized_entries)` pairs.
+//! URL to which log updates should be posted; in the paper each node
+//! periodically scans its log and posts each site's entries there.  This
+//! module implements the per-site batching, capped at 4,096 entries a site,
+//! and the scan ([`AccessLog::flush`]), which returns `(post_url,
+//! serialized_entries)` pairs.  Nothing calls the scan outside tests, so no
+//! node posts its log today: a site's batch fills to the cap, and later
+//! entries are dropped and counted.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -102,10 +104,10 @@ impl AccessLog {
         self.sites.lock().get(site).map(|l| l.dropped).unwrap_or(0)
     }
 
-    /// The periodic scan: drains every site's buffered entries and returns
-    /// `(post_url, batch_body)` pairs for the node to POST.  A site whose
-    /// logging was disabled after it buffered entries has them cleared and
-    /// produces nothing.
+    /// The scan a periodic poster would run: drains every site's buffered
+    /// entries and returns `(post_url, batch_body)` pairs to POST.  A site
+    /// whose logging was disabled after it buffered entries has them
+    /// cleared and produces nothing.
     pub fn flush(&self) -> Vec<(String, String)> {
         let mut sites = self.sites.lock();
         let mut batches = Vec::new();

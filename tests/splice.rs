@@ -292,44 +292,135 @@ fn origin_death_mid_stream_aborts_the_client_on_both_executors() {
 
 /// A raw TCP origin in the HTTP/1.0 style: a head with neither
 /// `Content-Length` nor chunked framing, then `body`, then close.
-fn close_delimiting_origin(body: &'static [u8]) -> SocketAddr {
+fn close_delimiting_origin(body: Vec<u8>) -> SocketAddr {
     raw_origin(move |stream| {
         let _ = stream.write_all(b"HTTP/1.0 200 OK\r\nCache-Control: max-age=60\r\n\r\n");
-        let _ = stream.write_all(body);
+        let _ = stream.write_all(&body);
     })
+}
+
+/// `len` bytes of a pattern that never lines up with a chunk boundary.
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// Sends one absolute-form GET through the proxy at `proxy` from a slow
+/// client — 16 KiB per read, a pause every four reads — and parses the
+/// reply it drains to EOF.  A relay that stops feeding it fails the read
+/// at the timeout instead of hanging.
+fn slow_proxy_get(proxy: SocketAddr, url: &str) -> Response {
+    let mut stream = TcpStream::connect(proxy).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let host = url.trim_start_matches("http://").split('/').next().unwrap();
+    let request = format!("GET {url} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut received = Vec::new();
+    let mut chunk = vec![0u8; 16 * 1024];
+    for reads in 1.. {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => received.extend_from_slice(&chunk[..n]),
+            Err(e) => panic!("the relay stalled after {} bytes: {e}", received.len()),
+        }
+        if reads % 4 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    match parse_response(&received) {
+        Ok(ParseOutcome::Complete { message, .. }) => message,
+        _ => panic!("an incomplete reply of {} bytes", received.len()),
+    }
 }
 
 #[test]
 fn close_delimited_bodies_are_relayed_and_cached_on_both_executors() {
-    const BODY: &[u8] = b"a body delimited by nothing but the close";
-    let origin = close_delimiting_origin(BODY);
-    let url = format!("http://{origin}/legacy.html");
+    // The second body is past the splice's high-water mark and read
+    // slowly: the 1.0 framing needs all of it before the head goes out,
+    // so its upstream must never pause for the client.
+    let inputs = [
+        (b"a body delimited by nothing but the close".to_vec(), false),
+        (pattern(1024 * 1024), true),
+    ];
+    for (body, slow) in inputs {
+        let origin = close_delimiting_origin(body.clone());
+        let url = format!("http://{origin}/legacy.html");
 
-    let (spliced_edge, service) = edge_service();
-    let spliced = one_loop_proxy(service);
-    let (pooled_edge, service) = edge_service();
-    let pooled = one_loop_proxy(Arc::new(Unplanned(service)));
+        let (spliced_edge, service) = edge_service();
+        let spliced = one_loop_proxy(service);
+        let (pooled_edge, service) = edge_service();
+        let pooled = one_loop_proxy(Arc::new(Unplanned(service)));
 
-    for (proxy, edge, executor) in [
-        (spliced.addr(), &spliced_edge, "splice"),
-        (pooled.addr(), &pooled_edge, "blocking executor"),
-    ] {
-        let first = http_get_via_proxy(proxy, &url).unwrap();
-        assert_eq!(first.status, StatusCode::OK, "{executor}");
-        assert_eq!(
-            first.body.to_bytes().as_ref(),
-            BODY,
-            "{executor}: the body runs to the upstream's EOF"
-        );
-        let second = http_get_via_proxy(proxy, &url).unwrap();
-        assert_eq!(second.body.to_bytes().as_ref(), BODY, "{executor}");
-        let stats = edge.node().cache_stats();
-        assert_eq!(stats.inserts, 1, "{executor}: the full instance is cached");
-        assert_eq!(stats.hits, 1, "{executor}: the second request is a hit");
-        assert_eq!(edge.node().stats().origin_fetches, 1, "{executor}");
+        for (proxy, edge, executor) in [
+            (spliced.addr(), &spliced_edge, "splice"),
+            (pooled.addr(), &pooled_edge, "blocking executor"),
+        ] {
+            let first = if slow {
+                slow_proxy_get(proxy, &url)
+            } else {
+                http_get_via_proxy(proxy, &url).unwrap()
+            };
+            assert_eq!(first.status, StatusCode::OK, "{executor}");
+            assert!(
+                first.body.to_bytes() == body,
+                "{executor}: the body runs to the upstream's EOF"
+            );
+            let second = http_get_via_proxy(proxy, &url).unwrap();
+            assert!(second.body.to_bytes() == body, "{executor}");
+            let stats = edge.node().cache_stats();
+            assert_eq!(stats.inserts, 1, "{executor}: the full instance is cached");
+            assert_eq!(stats.hits, 1, "{executor}: the second request is a hit");
+            assert_eq!(edge.node().stats().origin_fetches, 1, "{executor}");
+        }
+        assert_eq!(spliced.stats().spliced_relays(), 1);
+        assert_eq!(spliced.stats().worker_submissions(), 0);
     }
-    assert_eq!(spliced.stats().spliced_relays(), 1);
-    assert_eq!(spliced.stats().worker_submissions(), 0);
+}
+
+/// A raw TCP origin answering with `body`, framed by `Content-Length` or,
+/// when `chunked`, in 64 KiB chunks.
+fn bulk_origin(body: Vec<u8>, chunked: bool) -> SocketAddr {
+    raw_origin(move |stream| {
+        if !chunked {
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+            let _ = stream.write_all(head.as_bytes());
+            let _ = stream.write_all(&body);
+            return;
+        }
+        let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n");
+        for chunk in body.chunks(64 * 1024) {
+            let _ = write!(stream, "{:x}\r\n", chunk.len());
+            let _ = stream.write_all(chunk);
+            let _ = stream.write_all(b"\r\n");
+        }
+        let _ = stream.write_all(b"0\r\n\r\n");
+    })
+}
+
+/// A client slower than its origin fills the splice queue: the upstream
+/// pauses at the high-water mark and resumes as the client drains it,
+/// until every byte arrived — all on the event loop.
+#[test]
+fn a_slow_reader_pauses_and_resumes_its_splice() {
+    let body = pattern(8 * 1024 * 1024);
+    for (chunked, framing) in [(false, "Content-Length"), (true, "chunked")] {
+        let origin = bulk_origin(body.clone(), chunked);
+        // Too small a cache to keep the body: every byte is relayed.
+        let edge = NodeBuilder::plain_proxy("slow-edge")
+            .cache_capacity_bytes(64 * 1024)
+            .origin(Arc::new(TcpOrigin::new()))
+            .build();
+        let proxy = one_loop_proxy(edge.service());
+        let response = slow_proxy_get(proxy.addr(), &format!("http://{origin}/big.bin"));
+        assert_eq!(response.status, StatusCode::OK, "{framing}");
+        assert!(
+            response.body.to_bytes() == body,
+            "{framing}: byte-identical"
+        );
+        assert_eq!(proxy.stats().spliced_relays(), 1, "{framing}");
+        assert_eq!(proxy.stats().worker_submissions(), 0, "{framing}");
+    }
 }
 
 /// A raw TCP origin that accepts, reads the request, and then never
