@@ -656,7 +656,6 @@ impl NodeBuilder {
 mod tests {
     use super::*;
     use nakika_http::StatusCode;
-    use nakika_overlay::cluster::sites;
     use nakika_overlay::MembershipConfig;
 
     #[test]
@@ -700,11 +699,11 @@ mod tests {
 
     #[test]
     fn owner_aware_node_redirects_to_live_owners_only() {
-        let overlay = Arc::new(Overlay::with_defaults());
+        let overlay = Arc::new(Overlay::new());
         let me = key_for("edge-a");
         let peer = key_for("edge-b");
-        overlay.join(me, sites::US_EAST);
-        overlay.join_with_addr(peer, sites::ASIA, "http://edge-b.example");
+        overlay.join(me);
+        overlay.join_with_addr(peer, "http://edge-b.example");
         // No self address: probing stays dormant, so only this test moves
         // the roster.
         let membership = Arc::new(Membership::with_manual_clock(
@@ -805,7 +804,7 @@ mod tests {
         let plain = NodeBuilder::plain_proxy("p").origin(origin.clone()).build();
         let membership = Membership::with_manual_clock("g", MembershipConfig::default());
         let gossiping = NodeBuilder::proxy_with_dht("g")
-            .overlay(Arc::new(Overlay::with_defaults()), key_for("g"))
+            .overlay(Arc::new(Overlay::new()), key_for("g"))
             .gossip(Arc::new(membership))
             .origin(origin.clone())
             .build();

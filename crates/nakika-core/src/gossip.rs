@@ -28,7 +28,7 @@ use crate::node::OriginFetch;
 use crate::peering;
 use crate::service::NakikaError;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_overlay::{key_for, Location, Membership, MembershipEvent, Overlay};
+use nakika_overlay::{key_for, Membership, MembershipEvent, Overlay};
 use std::sync::Arc;
 
 /// Applies roster events to the overlay: joins and recoveries enter the
@@ -39,7 +39,7 @@ pub(crate) fn apply_events(overlay: &Overlay, events: &[MembershipEvent]) {
     for event in events {
         match event {
             MembershipEvent::Joined { name, addr } | MembershipEvent::Recovered { name, addr } => {
-                overlay.join_with_addr(key_for(name), Location::new(0.0, 0.0), addr);
+                overlay.join_with_addr(key_for(name), addr);
             }
             MembershipEvent::Failed { name } => {
                 overlay.fail(key_for(name));
@@ -156,7 +156,7 @@ mod tests {
             name,
             MembershipConfig::default(),
         ));
-        let overlay = Arc::new(Overlay::with_defaults());
+        let overlay = Arc::new(Overlay::new());
         let node = NodeBuilder::proxy_with_dht(name)
             .overlay(overlay.clone(), key_for(name))
             .gossip(membership.clone())

@@ -38,9 +38,9 @@ pub trait OriginFetch: Send + Sync {
     /// Fetches a resource from its origin server.
     fn fetch_origin(&self, request: &Request) -> Response;
 
-    /// Fetches a resource from a peer Na Kika node.  `peer` is the payload
-    /// the peer put in the overlay: its base URL (`http://host:port`) in a
-    /// real deployment, or its node name under the simulator.  Connection
+    /// Fetches a resource from a peer Na Kika node.  `peer` is the address
+    /// the peer joined the overlay with: its base URL (`http://host:port`)
+    /// in a real deployment, or its node name under the simulator.  Connection
     /// and read failures surface as [`NakikaError::Upstream`] naming the
     /// peer, and the node counts them (`peer_misses`) before falling back
     /// to the origin — a dead peer is never silent.  The default falls back
@@ -78,7 +78,8 @@ pub enum NodeMode {
 /// each of the paper's operating modes.
 #[derive(Clone)]
 pub struct NodeConfig {
-    /// Node name (also the payload announced to the overlay).
+    /// Node name (also the trail mark the `X-Nakika-Via` loop guard
+    /// records).
     pub(crate) name: String,
     /// Operating mode.
     pub(crate) mode: NodeMode,
@@ -197,7 +198,7 @@ pub(crate) fn cache_key(request: &Request) -> String {
 
 /// Which kind of upstream one [`Attempt`] of a miss goes to.
 enum Upstream {
-    /// A peer node, named by the payload it put in the overlay.
+    /// A peer node, named by the address it joined the overlay with.
     Peer(String),
     /// The origin server named by the request URI.
     Origin,
@@ -224,7 +225,7 @@ impl ResourceFetcher {
                 return cached;
             }
         }
-        for attempt in self.attempts(&key, request, now) {
+        for attempt in self.attempts(&key, request) {
             match &attempt.upstream {
                 Upstream::Peer(peer) => match self.origin.fetch_peer(peer, &attempt.request) {
                     Ok(response) if response.status.is_success() => {
@@ -243,44 +244,37 @@ impl ResourceFetcher {
         unreachable!("every attempt list ends with the origin, which always answers")
     }
 
-    /// True if `peer` (an overlay payload: node name or base URL) is this
-    /// node itself — fetching from oneself over TCP would deadlock a
-    /// single-threaded transport and is always pointless.
+    /// True if `peer` (an overlay address: base URL, or node name under the
+    /// simulator) is this node itself — fetching from oneself over TCP
+    /// would deadlock a single-threaded transport and is always pointless.
     fn is_self(&self, peer: &str) -> bool {
         peer == self.node_name || self.public_addr.as_deref() == Some(peer)
     }
 
     /// The one description of a cache miss: who to ask, in order.
-    /// Cooperative caching first — one cached copy anywhere in the overlay
-    /// is enough to avoid an origin access — by two routes: a copy
-    /// *announced* in the sloppy DHT (freshest information, may point at any
-    /// node), then the key's consistent-hash *owner* (no announcement
-    /// needed: the owner is where the network concentrates that key, so a
-    /// miss routed there either hits or warms the right node).  Loop guards
+    /// Cooperative caching first, by one route: the key's consistent-hash
+    /// *owner*, which every member computes alike from the roster — the
+    /// owner is where the network concentrates that key, so a miss routed
+    /// there either hits or warms the right node.  Loop guards
     /// (`X-Nakika-Hops` budget and the `X-Nakika-Via` trail) bound the
     /// forwarding even when membership views diverge.  The origin always
     /// comes last, and the cooperative network's internal headers are not
     /// its business.  Building the list has no side effects.
-    fn attempts<'a>(&self, key: &str, request: &'a Request, now: u64) -> Vec<Attempt<'a>> {
+    fn attempts<'a>(&self, key: &str, request: &'a Request) -> Vec<Attempt<'a>> {
         let mut attempts = Vec::with_capacity(1);
         if let Some((overlay, node_id)) = &self.overlay {
             if request.method.is_cacheable() && peering::may_forward(request, &self.node_name) {
-                let announced = overlay
-                    .get(*node_id, key, now)
-                    .into_iter()
-                    .map(|p| p.payload)
-                    .find(|payload| !self.is_self(payload));
                 let owner = overlay
                     .owner_of(key)
                     .filter(|m| m.id != *node_id)
                     .and_then(|m| m.addr)
-                    .filter(|addr| !self.is_self(addr) && announced.as_ref() != Some(addr));
-                let mut forwarded = request.clone();
-                peering::mark_forwarded(&mut forwarded, &self.node_name);
-                for peer in [announced, owner].into_iter().flatten() {
+                    .filter(|addr| !self.is_self(addr));
+                if let Some(peer) = owner {
+                    let mut forwarded = request.clone();
+                    peering::mark_forwarded(&mut forwarded, &self.node_name);
                     attempts.push(Attempt {
                         upstream: Upstream::Peer(peer),
-                        request: Cow::Owned(forwarded.clone()),
+                        request: Cow::Owned(forwarded),
                     });
                 }
             }
@@ -296,8 +290,8 @@ impl ResourceFetcher {
         attempts
     }
 
-    /// Accounts one failed peer attempt — unreachable, error status, or a
-    /// payload naming nothing connectable.  The failed fetch is also free
+    /// Accounts one failed peer attempt — unreachable, error status, or an
+    /// address naming nothing connectable.  The failed fetch is also free
     /// negative evidence for the failure detector: suspicion, refutable
     /// through gossip.
     fn attempt_failed(&self, peer: &str) {
@@ -374,11 +368,11 @@ impl ResourceFetcher {
     /// body is instead teed: chunks flow onward to whoever is relaying them,
     /// the tee keeps the chunks it forwards, charged against the cache's
     /// entry budget, and only when the stream completes cleanly within that
-    /// budget do the kept chunks get stored, uncopied, and announced.
+    /// budget do the kept chunks get stored, uncopied.
     /// Oversized or failed streams pass through uncached.
     fn capture(&self, key: &str, method: &Method, mut response: Response, now: u64) -> Response {
         if !response.body.is_stream() {
-            self.store_and_announce(key, method, &response, now);
+            self.cache.put(key, method, &response, now);
             return response;
         }
         // Don't bother teeing what the cache would refuse anyway — including
@@ -414,26 +408,9 @@ impl ResourceFetcher {
             full.headers.remove("Transfer-Encoding");
             full.headers.set("Content-Length", body.len().to_string());
             full.body = body;
-            fetcher.store_and_announce(&key, &method, &full, now);
+            fetcher.cache.put(&key, &method, &full, now);
         });
         response
-    }
-
-    fn store_and_announce(&self, key: &str, method: &Method, response: &Response, now: u64) {
-        if !self.cache.put(key, method, response, now) {
-            return;
-        }
-        if let Some((overlay, node_id)) = &self.overlay {
-            let lifetime = match freshness(method, response, self.heuristic_ttl) {
-                Freshness::Fresh(lifetime) => lifetime.as_secs().max(1),
-                _ => return,
-            };
-            // Announce the base URL when the node serves real traffic so
-            // peers can fetch the copy over TCP; simulated nodes announce
-            // their name and the simulator resolves it.
-            let payload = self.public_addr.as_deref().unwrap_or(&self.node_name);
-            overlay.put(*node_id, key, payload, now.saturating_add(lifetime));
-        }
     }
 }
 
@@ -498,8 +475,8 @@ pub struct NaKikaNode {
     overlay: Option<(Arc<Overlay>, NodeId)>,
     stats: Arc<Mutex<NodeStats>>,
     last_control: Mutex<u64>,
-    /// Base URL of this node's proxy front-end, announced to the overlay
-    /// instead of the bare node name once known.  Set after the server
+    /// Base URL of this node's proxy front-end, once known: a roster entry
+    /// carrying it names this node, not a peer.  Set after the server
     /// binds, hence the interior mutability.
     public_addr: Mutex<Option<String>>,
     replication: Option<Arc<ReplicationShared>>,
@@ -579,16 +556,17 @@ impl NaKikaNode {
     }
 
     /// Records the base URL where this node's proxy front-end is reachable
-    /// (e.g. `http://10.0.0.3:8080`).  From then on cache announcements to
-    /// the overlay carry the URL instead of the bare node name, so peers can
-    /// fetch over TCP.  Called after the server binds — ports are usually
-    /// assigned then, not at build time.  The caller should also record the
-    /// address in the overlay roster (`Overlay::set_addr`).
+    /// (e.g. `http://10.0.0.3:8080`).  From then on neither a miss nor a
+    /// hot-entry push is sent to that address, even when a roster entry
+    /// under another id carries it.  Called after the
+    /// server binds — ports are usually assigned then, not at build time.
+    /// The caller should also record the address in the overlay roster
+    /// (`Overlay::set_addr`) so that peers can fetch from this node.
     pub fn set_public_addr(&self, addr: &str) {
         *self.public_addr.lock() = Some(addr.to_string());
     }
 
-    /// The announced base URL, if [`set_public_addr`](Self::set_public_addr)
+    /// The recorded base URL, if [`set_public_addr`](Self::set_public_addr)
     /// was called.
     pub(crate) fn public_addr(&self) -> Option<String> {
         self.public_addr.lock().clone()
@@ -786,11 +764,11 @@ impl NaKikaNode {
 
         let fetcher = Arc::new(self.fetcher(origin));
         let mut attempts = Vec::new();
-        // Peers whose payload names nothing to connect to: the blocking
+        // Peers whose address names nothing to connect to: the blocking
         // executor fails them inside `fetch_peer`, this one when the
         // transport adopts the plan.
         let mut unconnectable = Vec::new();
-        for attempt in fetcher.attempts(&key, request, now_secs) {
+        for attempt in fetcher.attempts(&key, request) {
             let mut outbound = attempt.request.into_owned();
             // Connection management is the executor's own business, as in
             // `TcpOrigin::fetch`: the splice keeps the socket for the next miss.
@@ -1084,7 +1062,7 @@ mod tests {
     use crate::scripts;
     use crate::service::{HttpService, RequestCtx};
     use nakika_http::StatusCode;
-    use nakika_overlay::{key_for, Location};
+    use nakika_overlay::key_for;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// An origin that serves a small static site plus Na Kika scripts, and
@@ -1363,65 +1341,6 @@ mod tests {
         assert_eq!(edge.node().stats().pages_rendered, 1);
     }
 
-    #[test]
-    fn cooperative_caching_avoids_origin_when_a_peer_has_a_copy() {
-        let overlay = Arc::new(Overlay::with_defaults());
-        let id_a = key_for("edge-a");
-        let id_b = key_for("edge-b");
-        overlay.join(id_a, Location::new(0.0, 0.0));
-        overlay.join(id_b, Location::new(1.0, 0.0));
-
-        let origin = TestOrigin::new(None);
-        let node_a = NodeBuilder::proxy_with_dht("edge-a")
-            .overlay(overlay.clone(), id_a)
-            .origin(origin.clone())
-            .build();
-        // Node A pulls the page from the origin and announces it.
-        node_a
-            .call(
-                Request::get("http://shared.example/big"),
-                &RequestCtx::at(10),
-            )
-            .unwrap();
-        assert_eq!(origin.hits(), 1);
-
-        // Node B finds A's announcement and fetches from its peer instead.
-        struct PeerAwareOrigin {
-            inner: Arc<TestOrigin>,
-            peer_fetches: AtomicU64,
-        }
-        impl OriginFetch for PeerAwareOrigin {
-            fn fetch_origin(&self, request: &Request) -> Response {
-                self.inner.fetch_origin(request)
-            }
-            fn fetch_peer(&self, _peer: &str, request: &Request) -> Result<Response, NakikaError> {
-                self.peer_fetches.fetch_add(1, Ordering::SeqCst);
-                Ok(
-                    Response::ok("text/html", format!("peer copy of {}", request.uri.path))
-                        .with_header("Cache-Control", "max-age=120"),
-                )
-            }
-        }
-        let peer_origin = Arc::new(PeerAwareOrigin {
-            inner: origin.clone(),
-            peer_fetches: AtomicU64::new(0),
-        });
-        let node_b = NodeBuilder::proxy_with_dht("edge-b")
-            .overlay(overlay.clone(), id_b)
-            .origin(peer_origin.clone())
-            .build();
-        let resp = node_b
-            .call(
-                Request::get("http://shared.example/big"),
-                &RequestCtx::at(20),
-            )
-            .unwrap();
-        assert!(resp.body.to_text().contains("peer copy"));
-        assert_eq!(peer_origin.peer_fetches.load(Ordering::SeqCst), 1);
-        assert_eq!(origin.hits(), 1, "origin contacted only once in total");
-        assert_eq!(node_b.node().stats().peer_hits, 1);
-    }
-
     /// A test origin whose peer path is scripted: records every peer fetch
     /// and answers with a canned result.
     struct ScriptedPeerOrigin {
@@ -1459,12 +1378,12 @@ mod tests {
     /// key) owns the key at `owner_addr` and the local node sits at the far
     /// end of the id space.
     fn owner_overlay(request: &Request, owner_addr: &str) -> (Arc<Overlay>, NodeId) {
-        let overlay = Arc::new(Overlay::with_defaults());
+        let overlay = Arc::new(Overlay::new());
         let key = cache_key(request);
         let owner_id = key_for(&key);
         let self_id = NodeId(owner_id.0 ^ u64::MAX);
-        overlay.join_with_addr(owner_id, Location::new(0.0, 0.0), owner_addr);
-        overlay.join(self_id, Location::new(0.0, 0.0));
+        overlay.join_with_addr(owner_id, owner_addr);
+        overlay.join(self_id);
         (overlay, self_id)
     }
 
@@ -1560,7 +1479,7 @@ mod tests {
     /// The upstreams of the executor-parity test as a wire-level fiction:
     /// which `host:port` endpoints answer, and with what status.  Both
     /// executors ask it — the blocking one through [`OriginFetch`] (it
-    /// reports itself relay-eligible and rejects malformed peer payloads
+    /// reports itself relay-eligible and rejects malformed peer addresses
     /// before connecting, as `TcpOrigin` does), the splice one attempt by
     /// attempt — and it records what each upstream got to see.
     struct WireWorld {
@@ -1656,12 +1575,9 @@ mod tests {
     #[test]
     fn both_executors_run_one_miss_identically() {
         const ORIGIN: &str = "10.9.9.9:80";
-        const PEER: &str = "10.0.0.7:4001";
         const OWNER: &str = "10.0.0.8:4001";
         struct Row {
             name: &'static str,
-            /// Payload a third node announced for the key in the DHT.
-            announced: Option<&'static str>,
             /// Address of the key's consistent-hash owner.
             owner: Option<&'static str>,
             /// Internal headers the request arrives with.
@@ -1674,32 +1590,14 @@ mod tests {
         let plain: fn(&mut Request) = |_| {};
         let rows = [
             Row {
-                name: "announced-peer hit",
-                announced: Some("http://10.0.0.7:4001"),
-                owner: None,
-                arrives_with: plain,
-                alive: &[(PEER, 200), (ORIGIN, 200)],
-                counts: (1, 0, 0),
-            },
-            Row {
                 name: "owner hit",
-                announced: None,
                 owner: Some("http://10.0.0.8:4001"),
                 arrives_with: plain,
                 alive: &[(OWNER, 200), (ORIGIN, 200)],
                 counts: (1, 0, 0),
-            },
-            Row {
-                name: "dead peer, then the owner",
-                announced: Some("http://10.0.0.7:4001"),
-                owner: Some("http://10.0.0.8:4001"),
-                arrives_with: plain,
-                alive: &[(OWNER, 200), (ORIGIN, 200)],
-                counts: (1, 1, 0),
             },
             Row {
                 name: "dead peer, then the origin",
-                announced: None,
                 owner: Some("http://10.0.0.8:4001"),
                 arrives_with: plain,
                 alive: &[(ORIGIN, 200)],
@@ -1707,23 +1605,20 @@ mod tests {
             },
             Row {
                 name: "error-status peer, then the origin",
-                announced: None,
                 owner: Some("http://10.0.0.8:4001"),
                 arrives_with: plain,
                 alive: &[(OWNER, 503), (ORIGIN, 200)],
                 counts: (0, 1, 1),
             },
             Row {
-                name: "malformed peer payloads",
-                announced: Some("http://h:1/x"),
+                name: "malformed owner address",
                 owner: Some("http://h:notaport"),
                 arrives_with: plain,
                 alive: &[(ORIGIN, 200)],
-                counts: (0, 2, 1),
+                counts: (0, 1, 1),
             },
             Row {
                 name: "hop budget spent",
-                announced: None,
                 owner: Some("http://10.0.0.8:4001"),
                 arrives_with: |request| {
                     peering::mark_forwarded(request, "edge-x");
@@ -1734,7 +1629,6 @@ mod tests {
             },
             Row {
                 name: "own name in the Via trail",
-                announced: None,
                 owner: Some("http://10.0.0.8:4001"),
                 arrives_with: |request| peering::mark_forwarded(request, "edge-self"),
                 alive: &[(OWNER, 200), (ORIGIN, 200)],
@@ -1742,7 +1636,6 @@ mod tests {
             },
             Row {
                 name: "internal headers present",
-                announced: None,
                 owner: Some("http://10.0.0.8:4001"),
                 arrives_with: |request| {
                     peering::mark_forwarded(request, "edge-x");
@@ -1753,7 +1646,6 @@ mod tests {
             },
             Row {
                 name: "every attempt refused",
-                announced: None,
                 owner: Some("http://10.0.0.8:4001"),
                 arrives_with: plain,
                 alive: &[],
@@ -1767,18 +1659,13 @@ mod tests {
             (row.arrives_with)(&mut request);
             let key = cache_key(&request);
             // The owner sits at XOR distance 0 to the key, this node at the
-            // far end of the id space, the announcing node in between.
+            // far end of the id space.
             let owner_id = key_for(&key);
             let self_id = NodeId(owner_id.0 ^ u64::MAX);
-            let announcer_id = NodeId(owner_id.0 ^ (u64::MAX >> 1));
-            let overlay = Arc::new(Overlay::with_defaults());
-            overlay.join(self_id, Location::new(0.0, 0.0));
+            let overlay = Arc::new(Overlay::new());
+            overlay.join(self_id);
             if let Some(addr) = row.owner {
-                overlay.join_with_addr(owner_id, Location::new(0.0, 0.0), addr);
-            }
-            if let Some(payload) = row.announced {
-                overlay.join(announcer_id, Location::new(0.0, 0.0));
-                overlay.put(announcer_id, &key, payload, 1_000);
+                overlay.join_with_addr(owner_id, addr);
             }
             let world = Arc::new(WireWorld {
                 alive: row.alive,

@@ -247,9 +247,9 @@ pub enum DispatchHint {
 /// and deadline expiries advance to the next attempt until one delivers a
 /// usable response head (see [`RelayPlan`]).
 pub struct RelayAttempt {
-    /// Host to connect to — an IP literal in real deployments (peers
-    /// announce base URLs with literal addresses; origins in the bench and
-    /// test rigs are loopback).  Transports that cannot resolve this
+    /// Host to connect to — an IP literal in real deployments (peers join
+    /// the roster with literal base URLs; origins in the bench and test
+    /// rigs are loopback).  Transports that cannot resolve this
     /// without blocking fall back to the blocking fetch path ([`HttpService::call`]).
     pub host: String,
     /// Port to connect to.
@@ -285,8 +285,8 @@ pub struct RelayAttempt {
 /// simply calls [`HttpService::call`] as usual — because planning had no
 /// side effects, nothing is double-counted.
 pub struct RelayPlan {
-    /// Upstreams to try, in order: announced peer, consistent-hash owner,
-    /// then the origin.
+    /// Upstreams to try, in order: the key's consistent-hash owner, then
+    /// the origin.
     pub attempts: Vec<RelayAttempt>,
     /// Side effects of the exchange starting (the request counter) —
     /// what [`HttpService::call`] would have done up front.

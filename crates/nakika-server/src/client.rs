@@ -152,7 +152,7 @@ impl OriginFetch for TcpOrigin {
     }
 
     /// Fetches `request` from a peer Na Kika node over TCP.  `peer` is the
-    /// base URL the peer announced to the overlay (`http://host:port`); the
+    /// base URL the peer joined the overlay with (`http://host:port`); the
     /// request goes through the peer's proxy front-end in absolute form, on
     /// the same keep-alive pool that serves origin fetches — node-to-node
     /// traffic (peer fetches, replication pushes, gossip probes) is the

@@ -6,7 +6,7 @@
 //! modern CPU + this reimplementation); what is reproduced is the *shape*:
 //! orderings, ratios and crossovers.
 
-use crate::net::{LinkModel, ServerModel, SimProxy};
+use crate::net::{sites, LinkModel, ServerModel, SimProxy};
 use crate::stats::Summary;
 use crate::workload::{client_ip, ScriptedOrigin, SimmWorkload, SpecWorkload, MICRO_PAGE_BYTES};
 use nakika_core::node::OriginFetch;
@@ -15,8 +15,7 @@ use nakika_core::scripts;
 use nakika_core::service::{HttpService, RequestCtx};
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_http::Request;
-use nakika_overlay::cluster::sites;
-use nakika_overlay::{key_for, Location, Overlay};
+use nakika_overlay::{key_for, Overlay};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,10 +107,10 @@ fn build_micro_setup(config: MicroConfig) -> NodeHandle {
         }
     }
     if config == MicroConfig::Dht {
-        let overlay = Arc::new(Overlay::with_defaults());
+        let overlay = Arc::new(Overlay::new());
         let id = key_for("bench");
-        overlay.join(id, sites::US_EAST);
-        overlay.join(key_for("other"), sites::US_EAST_LAN);
+        overlay.join_with_addr(id, "bench");
+        overlay.join(key_for("other"));
         builder = builder.overlay(overlay, id);
     }
     builder.origin(Arc::new(origin)).build()
@@ -470,7 +469,7 @@ pub fn simm_nakika(scenario: &SimmScenario, proxies: usize, warm: bool) -> SimmR
     let workload = SimmWorkload::default();
     let origin = workload.origin();
     let dyn_origin: Arc<dyn OriginFetch> = origin.clone();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
 
     // Proxies spread over the client regions; each client uses the proxy for
     // its region (DNS redirection to a nearby node).
@@ -478,9 +477,10 @@ pub fn simm_nakika(scenario: &SimmScenario, proxies: usize, warm: bool) -> SimmR
     let mut sim_proxies = Vec::new();
     for i in 0..proxies.max(1) {
         let location = regions[i % regions.len()];
-        let id = key_for(&format!("edge-{i}"));
-        overlay.join(id, location);
-        let handle = NodeBuilder::scripted(&format!("edge-{i}"))
+        let name = format!("edge-{i}");
+        let id = key_for(&name);
+        overlay.join_with_addr(id, &name);
+        let handle = NodeBuilder::scripted(&name)
             .without_resource_controls()
             .overlay(overlay.clone(), id)
             .origin(dyn_origin.clone())
@@ -630,13 +630,13 @@ pub fn specweb(connections: usize, requests: usize, edge_nodes: usize) -> Vec<Sp
     // misses cross the country.
     let origin = workload.origin();
     let dyn_origin: Arc<dyn OriginFetch> = origin.clone();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let mut proxies = Vec::new();
     for i in 0..edge_nodes.max(1) {
-        let id = key_for(&format!("spec-edge-{i}"));
-        let location = Location::new(sites::US_WEST.x + i as f64 * 0.5, 0.0);
-        overlay.join(id, location);
-        let handle = NodeBuilder::scripted(&format!("spec-edge-{i}"))
+        let name = format!("spec-edge-{i}");
+        let id = key_for(&name);
+        overlay.join_with_addr(id, &name);
+        let handle = NodeBuilder::scripted(&name)
             .without_resource_controls()
             .overlay(overlay.clone(), id)
             .origin(dyn_origin.clone())

@@ -1,6 +1,6 @@
 //! Network and server models for the wide-area experiments.
 //!
-//! Latency is modelled with the overlay's 2-D coordinate space (one-way
+//! Latency is modelled with a 2-D coordinate space (one-way
 //! milliseconds), bandwidth with simple store-and-forward transfer times, and
 //! origin-server queueing with a closed interactive-system model — enough to
 //! reproduce the *shapes* of the paper's end-to-end results (who wins, by
@@ -14,13 +14,48 @@
 use nakika_core::service::{Clock, CtxFactory, HttpService, NakikaError, RequestCtx};
 use nakika_core::NodeHandle;
 use nakika_http::{Request, Response};
-use nakika_overlay::Location;
 use std::sync::Arc;
 
 /// The simulator's [`Clock`]: virtual seconds advanced by the experiment
 /// harness, never by wall time.  Same mechanics as the test transport's
 /// manually driven clock, re-exported under its domain name.
 pub(crate) use nakika_core::service::ManualClock as VirtualClock;
+
+/// A node's position in a simple 2-D latency space.
+///
+/// The simulator places nodes in a plane where Euclidean distance corresponds
+/// to one-way latency in milliseconds — a standard network-coordinate
+/// abstraction that is accurate enough to reproduce the paper's east-coast /
+/// west-coast / Asia layout.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Location {
+    /// X coordinate (ms).
+    pub(crate) x: f64,
+    /// Y coordinate (ms).
+    pub(crate) y: f64,
+}
+
+impl Location {
+    /// One-way latency in milliseconds to another location.
+    pub(crate) fn latency_ms(&self, other: &Location) -> f64 {
+        let dx = self.x - other.x;
+        let dy = self.y - other.y;
+        (dx * dx + dy * dy).sqrt()
+    }
+}
+
+/// Canonical locations used by the wide-area experiments (one-way ms scale,
+/// roughly matching US-East / US-West / Asia PlanetLab latencies).
+pub(crate) mod sites {
+    use super::Location;
+
+    /// New York (the paper's origin-server location).
+    pub(crate) const US_EAST: Location = Location { x: 0.0, y: 0.0 };
+    /// US West Coast (~35 ms one-way from the east coast).
+    pub(crate) const US_WEST: Location = Location { x: 35.0, y: 0.0 };
+    /// Asia (~90 ms one-way from the east coast).
+    pub(crate) const ASIA: Location = Location { x: 90.0, y: 30.0 };
+}
 
 /// A point-to-point link: propagation latency plus bandwidth.
 #[derive(Debug, Clone, Copy)]
@@ -210,8 +245,7 @@ impl SimProxy {
                     .exchange_ms(400, response.body.len().max(2048))
                     + origin_response_ms);
             // Peer fetches pay a regional link (approximated as twice the
-            // client link — peers are nearby by construction of the overlay's
-            // clusters).
+            // client link).
             total_ms += peer_fetches as f64
                 * (2.0 * self.client_link.exchange_ms(400, response.body.len()));
         }
@@ -229,7 +263,14 @@ impl SimProxy {
 mod tests {
     use super::*;
     use nakika_core::NodeBuilder;
-    use nakika_overlay::cluster::sites;
+
+    #[test]
+    fn latency_geometry() {
+        let a = Location { x: 0.0, y: 0.0 };
+        let b = Location { x: 3.0, y: 4.0 };
+        assert_eq!(a.latency_ms(&b), 5.0);
+        assert_eq!(a.latency_ms(&a), 0.0);
+    }
 
     #[test]
     fn link_arithmetic() {

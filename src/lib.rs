@@ -31,7 +31,7 @@
 use nakika_core::peering::STATS_PATH;
 use nakika_core::service::NakikaError;
 use nakika_core::{NodeBuilder, NodeHandle};
-use nakika_overlay::{key_for, Location, Membership, MembershipConfig, Overlay};
+use nakika_overlay::{key_for, Membership, MembershipConfig, Overlay};
 use nakika_server::{http_get_via_proxy, HttpServer, TcpOrigin};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -72,11 +72,12 @@ fn parse_base_url(base_url: &str) -> Result<SocketAddr, NakikaError> {
 
 /// An in-process cooperative edge node listening on a real TCP port.
 ///
-/// All nodes of one logical cluster share an [`Overlay`] instance (each
-/// process in a real deployment holds its own replica of the membership
-/// view; in-process they can simply share one), so this helper covers the
-/// peer-routing data path — DNS-free, fork-free — while
-/// [`spawn_gossip_cluster`] covers the full multi-process story.
+/// The nodes of one logical cluster may share an [`Overlay`] instance or
+/// each hold a replica with every member joined, as separate processes do
+/// (`tests/cooperation.rs`); routing reads only the roster, so the two
+/// agree.  This helper covers the peer-routing data path — DNS-free,
+/// fork-free — while [`spawn_gossip_cluster`] covers the full
+/// multi-process story.
 pub struct LocalNode {
     /// `http://127.0.0.1:port` for this node's proxy front-end.
     pub base_url: String,
@@ -87,7 +88,7 @@ pub struct LocalNode {
 }
 
 /// Starts an in-process edge node named `name`, joins it to `overlay`
-/// with its listening address announced, and returns it ready to serve.
+/// with its listening address, and returns it ready to serve.
 /// `replicate` optionally enables hot-entry replication as
 /// `(successors, threshold)`.
 pub fn start_local_node(
@@ -96,7 +97,7 @@ pub fn start_local_node(
     replicate: Option<(usize, u32)>,
 ) -> Result<LocalNode, NakikaError> {
     let id = key_for(name);
-    overlay.join(id, Location::new(0.0, 0.0));
+    overlay.join(id);
     let mut builder = NodeBuilder::proxy_with_dht(name)
         .overlay(Arc::clone(overlay), id)
         .origin(Arc::new(TcpOrigin::new()));
@@ -193,9 +194,9 @@ pub fn node_main<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> 
         }
     }
 
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let id = key_for(&name);
-    overlay.join(id, Location::new(0.0, 0.0));
+    overlay.join(id);
     let membership = Arc::new(Membership::new(&name, gossip_config));
     let mut builder = NodeBuilder::proxy_with_dht(&name)
         .overlay(Arc::clone(&overlay), id)

@@ -1,67 +1,13 @@
-//! Workspace integration tests spanning crates: a whole Na Kika deployment
-//! (overlay + several nodes + hard state) exercised through the
+//! Workspace integration tests spanning crates: a Na Kika node with its
+//! policies, resource controls and hard state exercised through the
 //! public APIs, plus the paper's three §5.4 extensions composed end to end.
 
-use nakika_core::node::{origin_from_fn, OriginFetch};
+use nakika_core::node::origin_from_fn;
 use nakika_core::scripts;
 use nakika_core::service::{HttpService, RequestCtx};
-use nakika_core::vocab::make_image;
 use nakika_core::NodeBuilder;
 use nakika_http::pattern::Cidr;
 use nakika_http::{Request, Response, StatusCode};
-use nakika_overlay::{key_for, Location, Overlay};
-use std::sync::Arc;
-
-fn scripted_origin(site_script: &'static str) -> Arc<dyn OriginFetch> {
-    origin_from_fn(move |request: &Request| match request.uri.path.as_str() {
-        "/nakika.js" => Response::ok("application/javascript", site_script)
-            .with_header("Cache-Control", "max-age=300"),
-        path if path.ends_with("wall.js") => {
-            Response::ok("application/javascript", scripts::EMPTY_WALL)
-                .with_header("Cache-Control", "max-age=300")
-        }
-        path if path.ends_with(".js") => Response::error(StatusCode::NOT_FOUND),
-        path if path.ends_with(".png") => Response::ok("image/png", make_image("png", 800, 600))
-            .with_header("Cache-Control", "max-age=600"),
-        path => Response::ok("text/html", format!("<html><body>{path}</body></html>"))
-            .with_header("Cache-Control", "max-age=120"),
-    })
-}
-
-#[test]
-fn multi_node_deployment_shares_cached_content_through_the_overlay() {
-    let overlay = Arc::new(Overlay::with_defaults());
-    let origin = scripted_origin(scripts::EMPTY_WALL);
-    let mut nodes = Vec::new();
-    for i in 0..4 {
-        let id = key_for(&format!("edge-{i}"));
-        overlay.join(id, Location::new(i as f64, 0.0));
-        let edge = NodeBuilder::proxy_with_dht(&format!("edge-{i}"))
-            .overlay(overlay.clone(), id)
-            .origin(origin.clone())
-            .build();
-        nodes.push(edge);
-    }
-    // A flash crowd for one URL hits every node.
-    for round in 0..3u64 {
-        for edge in &nodes {
-            let resp = edge
-                .call(
-                    Request::get("http://hot.example.org/slashdotted.html"),
-                    &RequestCtx::at(10 + round),
-                )
-                .unwrap();
-            assert_eq!(resp.status, StatusCode::OK);
-        }
-    }
-    let total_origin: u64 = nodes.iter().map(|n| n.node().stats().origin_fetches).sum();
-    let total_peer: u64 = nodes.iter().map(|n| n.node().stats().peer_hits).sum();
-    assert_eq!(
-        total_origin, 1,
-        "one cached copy anywhere avoids further origin accesses (got {total_origin})"
-    );
-    assert!(total_peer >= 1, "later nodes fetched from peers");
-}
 
 #[test]
 fn annotation_service_interposes_on_the_simms_as_in_the_paper() {

@@ -1,6 +1,6 @@
-//! Cooperative peer fetching over real TCP, in-process: two edge nodes on
-//! ephemeral localhost ports sharing one overlay view, with a counting
-//! origin so every test can assert exactly who fetched what from where.
+//! Cooperative peer fetching over real TCP, in-process: edge nodes on
+//! ephemeral localhost ports sharing one roster, with a counting origin so
+//! every test can assert exactly who fetched what from where.
 //!
 //! The multi-process version of this story (one OS process per node,
 //! stdio handshake) lives in `tests/edge_cluster.rs`; the protocol itself
@@ -11,7 +11,7 @@ use nakika_core::peering::{PEER_HOP_HEADER, PEER_VIA_HEADER};
 use nakika_core::service::{service_fn, HttpService};
 use nakika_core::NodeBuilder;
 use nakika_http::{Request, Response};
-use nakika_overlay::{key_for, Location, Overlay};
+use nakika_overlay::{key_for, Overlay};
 use nakika_server::{
     http_fetch_streaming_via_proxy, http_get_via_proxy, HttpServer, ReactorConfig, TcpOrigin,
 };
@@ -46,37 +46,42 @@ fn get_key(url: &str) -> String {
 #[test]
 fn a_miss_is_answered_by_the_peer_that_cached_the_key() {
     let (origin, origin_hits) = counting_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let a = start_local_node("peer-a", &overlay, None).expect("node a");
-
-    // A fetches and caches the key while it is the only member, so which
-    // node the key's consistent hash favors cannot matter yet.
-    let url = format!("{}/shared.html", origin.base_url());
-    let via_a = http_get_via_proxy(a.server.addr(), &url).expect("fetch via a");
-    assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
-
-    // Now B joins.
     let b = start_local_node("peer-b", &overlay, None).expect("node b");
 
-    // B has never seen the key: its miss must route to A over TCP, not to
-    // the origin, and the bytes must be identical.
-    let via_b = http_get_via_proxy(b.server.addr(), &url).expect("fetch via b");
-    assert_eq!(via_b.body.to_bytes(), via_a.body.to_bytes());
+    // The key's consistent-hash owner fetches it from the origin and caches
+    // it; the other node is the one whose miss must cooperate.
+    let url = format!("{}/shared.html", origin.base_url());
+    let owner_member = overlay.owner_of(&get_key(&url)).expect("owner");
+    let (owner, other): (&LocalNode, &LocalNode) = if owner_member.id == key_for("peer-a") {
+        (&a, &b)
+    } else {
+        (&b, &a)
+    };
+    let via_owner = http_get_via_proxy(owner.server.addr(), &url).expect("fetch via owner");
+    assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
+
+    // The other node has never seen the key: its miss must route to the
+    // owner over TCP, not to the origin, and the bytes must be identical.
+    let via_other = http_get_via_proxy(other.server.addr(), &url).expect("fetch via other");
+    assert_eq!(via_other.body.to_bytes(), via_owner.body.to_bytes());
     assert_eq!(
         origin_hits.load(Ordering::SeqCst),
         1,
         "the peer answered; the origin must not be touched again"
     );
-    let stats = fetch_stats(&b.base_url).expect("stats via b");
+    let stats = fetch_stats(&other.base_url).expect("stats via other");
     assert_eq!(stats["peer_hits"], 1);
     assert_eq!(stats["peer_misses"], 0);
     assert_eq!(stats["origin_fetches"], 0);
 
-    // The peer-fetched copy was teed into B's own cache on the way through.
-    let again = http_get_via_proxy(b.server.addr(), &url).expect("refetch via b");
-    assert_eq!(again.body.to_bytes(), via_a.body.to_bytes());
+    // The peer-fetched copy was teed into the other node's own cache on
+    // the way through.
+    let again = http_get_via_proxy(other.server.addr(), &url).expect("refetch via other");
+    assert_eq!(again.body.to_bytes(), via_owner.body.to_bytes());
     assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
-    let stats = fetch_stats(&b.base_url).expect("stats via b");
+    let stats = fetch_stats(&other.base_url).expect("stats via other");
     assert_eq!(stats["cache_hits"], 1);
     assert_eq!(stats["peer_hits"], 1, "second fetch was local, not peered");
 }
@@ -84,7 +89,7 @@ fn a_miss_is_answered_by_the_peer_that_cached_the_key() {
 #[test]
 fn a_dead_peer_falls_back_to_the_origin_and_is_counted() {
     let (origin, origin_hits) = counting_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let a = start_local_node("fallback-a", &overlay, None).expect("node a");
 
     // Plant a consistent-hash owner for the key whose address nothing
@@ -94,7 +99,7 @@ fn a_dead_peer_falls_back_to_the_origin_and_is_counted() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port");
         format!("http://{}", listener.local_addr().expect("local addr"))
     };
-    overlay.join_with_addr(key_for(&get_key(&url)), Location::new(0.0, 0.0), &dead_addr);
+    overlay.join_with_addr(key_for(&get_key(&url)), &dead_addr);
 
     // The client still gets the page: the failed peer attempt falls back
     // to the origin instead of surfacing as an error.
@@ -115,7 +120,7 @@ fn a_dead_peer_falls_back_to_the_origin_and_is_counted() {
 #[test]
 fn hop_budget_and_via_trail_stop_loops_at_the_tcp_boundary() {
     let (origin, origin_hits) = counting_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let a = start_local_node("loop-a", &overlay, None).expect("node a");
 
     // Plant an owner peer for both keys.  If either loop guard fails, the
@@ -124,7 +129,7 @@ fn hop_budget_and_via_trail_stop_loops_at_the_tcp_boundary() {
     let revisited_url = format!("{}/revisited.html", origin.base_url());
     let b = start_local_node("loop-b", &overlay, None).expect("node b");
     for url in [&exhausted_url, &revisited_url] {
-        overlay.join_with_addr(key_for(&get_key(url)), Location::new(0.0, 0.0), &b.base_url);
+        overlay.join_with_addr(key_for(&get_key(url)), &b.base_url);
     }
 
     // A request that has spent its hop budget goes straight to the origin.
@@ -155,7 +160,7 @@ fn hop_budget_and_via_trail_stop_loops_at_the_tcp_boundary() {
 #[test]
 fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
     let (origin, origin_hits) = counting_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let a = start_local_node("pool-a", &overlay, None).expect("node a");
 
     // Warm three keys into A's cache, then plant each key's consistent-hash
@@ -165,7 +170,7 @@ fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
         .collect();
     for url in &urls {
         http_get_via_proxy(a.server.addr(), url).expect("warm a");
-        overlay.join_with_addr(key_for(&get_key(url)), Location::new(0.0, 0.0), &a.base_url);
+        overlay.join_with_addr(key_for(&get_key(url)), &a.base_url);
     }
     assert_eq!(origin_hits.load(Ordering::SeqCst), 3);
 
@@ -176,7 +181,7 @@ fn peer_fetches_reuse_one_pooled_keep_alive_connection() {
     // nodes' misses do; the spliced twin of this test is the next one.
     let fetcher = Arc::new(TcpOrigin::new());
     let id = key_for("pool-b");
-    overlay.join(id, Location::new(0.0, 0.0));
+    overlay.join(id);
     let handle = NodeBuilder::proxy_with_dht("pool-b")
         .overlay(Arc::clone(&overlay), id)
         .origin(fetcher.clone())
@@ -218,20 +223,20 @@ fn spliced_peer_misses_reuse_the_connections_their_reactors_keep() {
     const MISSES: usize = 8;
     const B_REACTORS: usize = 2;
     let (origin, origin_hits) = counting_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let a = start_local_node("kept-a", &overlay, None).expect("node a");
     let urls: Vec<String> = (0..MISSES)
         .map(|i| format!("{}/kept/{i}.html", origin.base_url()))
         .collect();
     for url in &urls {
         http_get_via_proxy(a.server.addr(), url).expect("warm a");
-        overlay.join_with_addr(key_for(&get_key(url)), Location::new(0.0, 0.0), &a.base_url);
+        overlay.join_with_addr(key_for(&get_key(url)), &a.base_url);
     }
 
     // B serves the node stack itself, which publishes relay plans: its
     // misses are spliced on B's event loops, not run on its worker pool.
     let id = key_for("kept-b");
-    overlay.join(id, Location::new(0.0, 0.0));
+    overlay.join(id);
     let handle = NodeBuilder::proxy_with_dht("kept-b")
         .overlay(Arc::clone(&overlay), id)
         .origin(Arc::new(TcpOrigin::new()))
@@ -283,7 +288,7 @@ fn spliced_peer_misses_reuse_the_connections_their_reactors_keep() {
 fn a_local_cluster_node_splices_its_misses_and_answers_its_stats() {
     const MISSES: u64 = 20;
     let (origin, origin_hits) = counting_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let a = start_local_node("bare-a", &overlay, None).expect("node");
     // A DHT proxy runs without resource controls, so only a wrapper around
     // its service could keep its misses off the splice.
@@ -306,7 +311,7 @@ fn a_local_cluster_node_splices_its_misses_and_answers_its_stats() {
 #[test]
 fn hot_keys_replicate_to_the_successor_peer() {
     let (origin, origin_hits) = counting_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     // threshold 1: the first local cache hit at the owner marks the key hot.
     let a = start_local_node("repl-a", &overlay, Some((1, 1))).expect("node a");
     let b = start_local_node("repl-b", &overlay, Some((1, 1))).expect("node b");

@@ -1,12 +1,11 @@
 //! Property-based tests over the core data structures and invariants:
 //! HTTP message round-trips, URI rewriting, policy-matcher agreement, cache
-//! accounting, overlay lookups, and the script engine's sandbox.
+//! accounting, and the script engine's sandbox.
 
 use nakika_core::policy::{LinearMatcher, Matcher, Policy, PolicySet};
 use nakika_core::ProxyCache;
 use nakika_http::{parse_request, parse_response, serialize_request, serialize_response};
 use nakika_http::{Method, ParseOutcome, Request, Response, Uri};
-use nakika_overlay::{key_for, Location, Overlay};
 use nakika_script::{Context, Value, Vm};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -256,25 +255,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn overlay_lookup_finds_fresh_announcements(
-        urls in prop::collection::vec("[a-z]{1,10}", 1..10),
-        ttl in 10u64..1000,
-    ) {
-        let overlay = Overlay::with_defaults();
-        let writer = key_for("writer");
-        let reader = key_for("reader");
-        overlay.join(writer, Location::new(0.0, 0.0));
-        overlay.join(reader, Location::new(1.0, 0.0));
-        for url in &urls {
-            let key = format!("http://site.example/{url}");
-            overlay.put(writer, &key, "writer", ttl);
-            let values = overlay.get(reader, &key, ttl - 1);
-            prop_assert!(values.iter().any(|v| v.payload == "writer"));
-            prop_assert!(overlay.get(reader, &key, ttl + 1).is_empty());
         }
     }
 

@@ -26,7 +26,7 @@
 use nakika_core::service::{service_fn, DispatchHint, HttpService, NakikaError, RequestCtx};
 use nakika_core::{NodeBuilder, NodeHandle};
 use nakika_http::{parse_response, ParseOutcome, Request, Response, StatusCode};
-use nakika_overlay::{key_for, Location, Membership, MembershipConfig, Overlay};
+use nakika_overlay::{key_for, Membership, MembershipConfig, Overlay};
 use nakika_server::{
     http_get_via_proxy, HttpServer, ProxyClient, ReactorConfig, ServerOptions, TcpOrigin,
 };
@@ -143,11 +143,11 @@ fn reactor_cold_miss_relays_with_zero_worker_handoffs() {
 #[test]
 fn a_redirecting_node_splices_its_own_misses_and_redirects_inline() {
     let origin = cacheable_origin();
-    let overlay = Arc::new(Overlay::with_defaults());
+    let overlay = Arc::new(Overlay::new());
     let me = key_for("edge-a");
     let peer = key_for("edge-b");
-    overlay.join(me, Location::new(0.0, 0.0));
-    overlay.join_with_addr(peer, Location::new(0.0, 0.0), "http://edge-b.example");
+    overlay.join(me);
+    overlay.join_with_addr(peer, "http://edge-b.example");
     // No self address: probing stays dormant, so edge-b stays alive.
     let roster = Membership::with_manual_clock("edge-a", MembershipConfig::default());
     roster.merge_digest("self edge-b http://edge-b.example 0");
